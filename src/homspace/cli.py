@@ -15,19 +15,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .abgroups import FgAbGroup
-from .extensions import (
-    Character,
-    character_to_extension,
-    cocycle_class,
-    cocycle_of,
-    ext_group_via_characters,
-)
+from .abgroups import FgAbGroup, ext1_z
+from .extensions import Character, character_to_extension, cocycle_class, cocycle_of
 from .groups import (
     GluingPair,
     ReductiveModel,
@@ -39,8 +34,8 @@ from .groups import (
     validate,
 )
 from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal_form
-from .invariants import invariant_report, picard_of_group, weight_brauer_table
-from .rootdata import SimpleType, build_datum, center, center_element_from_coords
+from .invariants import invariant_report, weight_brauer_table
+from .rootdata import SimpleType, build_datum, center_element_from_coords
 
 CONVENTION_NOTES = (
     "simple types use Bourbaki node numbering (see docs/conventions.md)",
@@ -321,7 +316,6 @@ def _weight_rows(rows) -> list:
 def _cmd_invariants(args, out: _Printer) -> int:
     model = _load_model(args)
     report = invariant_report(model)
-    pic_of_h = picard_of_group(model)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "spec": model_to_document(model),
@@ -337,7 +331,7 @@ def _cmd_invariants(args, out: _Printer) -> int:
             "tors_h3_m": _group_str(report.tors_h3_m),
             "notes": list(report.notes),
         },
-        "picard_of_group": _group_str(pic_of_h),
+        "picard_of_group": _group_str(report.e_al),
     }
     if model.torus_rank == 0 and model.unipotent_dim == 0:
         payload["weights"] = _weight_rows(weight_brauer_table(as_semisimple(model)))
@@ -371,7 +365,7 @@ def _cmd_weights(args, out: _Printer) -> int:
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
         "pi1": _group_str(sm.kernel.computed),
-        "brauer": _group_str(ext_group_via_characters(sm.kernel.computed)),
+        "brauer": _group_str(ext1_z(sm.kernel.computed)),
         "rows": _weight_rows(rows),
     }
     if args.json:
@@ -398,11 +392,10 @@ def _parse_factors(text: str, where: str) -> FgAbGroup:
 
 def _cmd_ext(args, out: _Printer) -> int:
     group = _parse_factors(args.group, "--group")
-    ext_group = ext_group_via_characters(group)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "group": _group_str(group),
-        "ext1_z": _group_str(ext_group),
+        "ext1_z": _group_str(ext1_z(group)),
     }
     if args.char is not None:
         parts = [p.strip() for p in args.char.split(",")] if args.char.strip() else []
@@ -506,12 +499,26 @@ _COMMANDS = {
 }
 
 
+def _attach_matrix_values(argv) -> list:
+    """Write ``--matrix -1,2`` as ``--matrix=-1,2``: argparse takes a value
+    that starts with a minus sign and is not a plain number for a flag."""
+    attached = []
+    for arg in argv:
+        if attached and attached[-1] == "--matrix" and arg[:1] == "-" and arg[1:2].isdigit():
+            attached[-1] = f"--matrix={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage, help and errors to the sys streams
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(_attach_matrix_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     out = _Printer(stdout)

@@ -17,11 +17,13 @@ Sign convention: the class of the pullback extension of chi is chi itself
 downstream consumers only rely on the round trip and on additivity, which
 hold either way.
 
-Cocycles are stored as full tables over Gamma, capped at |Gamma| <= 4096;
-the groups arriving here are torsion parts of fundamental groups and are
-tiny in practice.  The public constructor checks symmetry, normalization and
-the full cocycle identity; operations whose results satisfy the identity by
-algebra (sums, coboundaries, section extraction) skip the O(n^3) recheck.
+Cocycles are stored as full tables over Gamma, capped at |Gamma| <= 4096.
+Only ``homspace ext --char``, on a group the user gives, and the tests build
+them; the weight Brauer table reads each class off the restriction by the
+round trip above.  The public constructor checks symmetry,
+normalization and the full cocycle identity; operations whose results
+satisfy the identity by algebra (sums, coboundaries, section extraction)
+skip the O(n^3) recheck.
 """
 
 from __future__ import annotations
@@ -369,10 +371,3 @@ def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
         raise ValueError("cocycles over different groups")
     return cocycle_class(c1) == cocycle_class(c2)
 
-
-def ext_group_via_characters(group: FgAbGroup) -> FgAbGroup:
-    """Ext^1(Gamma, Z) realized through the character dictionary; agrees with
-    the torsion computation for every finite group."""
-    if not group.is_finite:
-        raise ValueError(f"{group} is not finite")
-    return dual_finite(group).group

@@ -324,13 +324,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(u=u, d=d, v=v)
 
 
-def invariant_factors_of(m: IntMatrix) -> tuple:
-    """Nonzero diagonal of the Smith form; no transforms are accumulated."""
-    _, d, _ = _snf_transform(m, want_u=False, want_v=False)
-    n = min(d.rows, d.cols)
-    return tuple(d[i, i] for i in range(n) if d[i, i] != 0)
-
-
 def hermite_normal_form(m: IntMatrix):
     """Row-style Hermite form: returns ``(H, U)`` with ``U @ m == H``.
 

@@ -33,13 +33,6 @@ from .abgroups import (
     subgroup_from_generators,
     Z,
 )
-from .extensions import (
-    character_from_dual_element,
-    character_to_extension,
-    cocycle_class,
-    cocycle_of,
-    ext_group_via_characters,
-)
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1, validate
 from .intlinalg import IntMatrix
 from .rootdata import Weight, fundamental_weight, restrict_weight
@@ -101,14 +94,10 @@ def brauer(model: ReductiveModel) -> FgAbGroup:
     return ext1_z(pi1(model).group)
 
 
-def algebraic_extension_group(model: ReductiveModel) -> FgAbGroup:
-    """Classes of central Gm-extensions of H under Baer sum: the characters
-    of pi1 of the derived subgroup."""
-    return dual_finite(pi1(model).derived_pi1).group
-
-
 def picard_of_group(model: ReductiveModel) -> FgAbGroup:
-    """Pic(H), which equals Pic of the semisimple derived subgroup."""
+    """Pic(H), which equals Pic of the semisimple derived subgroup; it is
+    also E_al(H, Gm), the classes of central Gm-extensions of H under Baer
+    sum: the characters of pi1 of the derived subgroup."""
     return dual_finite(pi1(model).derived_pi1).group
 
 
@@ -127,7 +116,7 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
     """All invariants of G/H for one model, with convention notes."""
     validate(model)
     lattice, pic = picard(model)
-    topo = topological_invariants(model)
+    fundamental = pi1(model)
     notes = [
         "results hold for any admissible ambient G (connected, simply connected, semisimple)",
         "brauer group = cohomological = analytic brauer group of G/H",
@@ -142,12 +131,12 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
     return InvariantReport(
         pic_lattice=lattice,
         pic_group=pic,
-        brauer=brauer(model),
-        e_al=algebraic_extension_group(model),
-        pi1_m=topo.pi1_m,
-        pi2_m=topo.pi2_m,
-        h2_m=topo.h2_m,
-        tors_h3_m=topo.tors_h3_m,
+        brauer=ext1_z(fundamental.group),
+        e_al=dual_finite(fundamental.derived_pi1).group,
+        pi1_m=TRIVIAL,
+        pi2_m=fundamental.group,
+        h2_m=hom_group(fundamental.group, Z),
+        tors_h3_m=ext1_z(fundamental.group),
         notes=tuple(notes),
     )
 
@@ -156,11 +145,13 @@ def weight_brauer_table(sm: SemisimpleModel):
     """One row per fundamental weight of the simply connected cover: the
     weight's restriction to pi1(H) and the Brauer class it induces.
 
-    The class is produced honestly through the extension chain (character to
-    pullback extension to cocycle class) and lands in Ext^1(pi1(H), Z)
-    realized as the dual of the kernel.  The rows always generate that full
-    dual; the weights pairing trivially are exactly the characters of the
-    quotient group.
+    The class lives in Ext^1(pi1(H), Z), realized as the dual of the kernel.
+    By the round-trip sign convention of docs/conventions.md, the class of
+    the extension pulled back along a character is that character, so each
+    class is the restriction itself; the tests check this against the
+    cocycle chain of ``homspace.extensions``.  The rows always generate the
+    full dual; the weights pairing trivially are exactly the characters of
+    the quotient group.
     """
     datum = sm.datum
     kernel = sm.kernel
@@ -170,17 +161,12 @@ def weight_brauer_table(sm: SemisimpleModel):
     for i in range(datum.rank):
         w = fundamental_weight(datum, i)
         restriction = restrict_weight(w, kernel)
-        chi = character_from_dual_element(restriction)
-        extracted = cocycle_class(cocycle_of(character_to_extension(chi)))
-        if extracted != chi:
-            raise RuntimeError("internal invariant violation: extension round trip broke")
-        brauer_group = ext_group_via_characters(kernel.computed)
         rows.append(
             WeightBrauerRow(
                 weight=w,
                 node=labels[i],
                 restriction=restriction,
-                brauer_class=brauer_group.element(restriction.coords),
+                brauer_class=dual.group.element(restriction.coords),
             )
         )
     generated = subgroup_from_generators(dual.group, [r.restriction for r in rows])

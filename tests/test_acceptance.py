@@ -36,7 +36,6 @@ from homspace.groups import (
 )
 from homspace.intlinalg import IntMatrix, determinant, hermite_normal_form, smith_normal_form
 from homspace.invariants import (
-    algebraic_extension_group,
     brauer,
     picard,
     picard_of_group,
@@ -85,7 +84,7 @@ def test_criterion_2_brauer_chain_consistency():
     for _ in range(200):
         model = random_model(rng, max_torus=3, max_gluing_order=48)
         b = brauer(model)
-        assert b == algebraic_extension_group(model)
+        assert b == picard_of_group(model)
         assert b == topological_invariants(model).tors_h3_m
     budget.done("200 randomized reductive models")
 
@@ -232,7 +231,6 @@ def test_criterion_7_presentation_independence():
         pairs_checked += 1
         assert pi1(alt) == pi1(model)
         assert brauer(alt) == brauer(model)
-        assert algebraic_extension_group(alt) == algebraic_extension_group(model)
         assert picard(alt) == picard(model)
         assert picard_of_group(alt) == picard_of_group(model)
         fat = ReductiveModel(model.ss, model.torus_rank, model.gluing, unipotent_dim=5)

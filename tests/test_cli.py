@@ -1,10 +1,13 @@
+import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
 
@@ -143,6 +146,78 @@ class TestCommands:
         code, _, err = invoke(["invariants", "--preset", "SO(5)", "--spec", "x.json"])
         assert code == 1
         assert "E_FLAGS" in err
+
+    def test_snf_negative_literal_both_spellings(self):
+        spaced = invoke(["snf", "--matrix", "-1,2;3,4", "--json"])
+        attached = invoke(["snf", "--matrix=-1,2;3,4", "--json"])
+        assert spaced == attached
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["matrix"] == "-1,2;3,4"
+
+    def test_usage_error_goes_to_given_stderr(self, capsys):
+        code, out, err = invoke(["no-such-command"])
+        assert code == 1
+        assert not out
+        assert "invalid choice" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_pi1_computed_once_per_report(self, monkeypatch):
+        import homspace.cli as climod
+        import homspace.invariants as invmod
+
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return pi1(model)
+
+        monkeypatch.setattr(climod, "pi1", counting)
+        monkeypatch.setattr(invmod, "pi1", counting)
+        for name in ("GL(3)", "SO(8)"):
+            calls.clear()
+            code, _, _ = invoke(["invariants", "--json", "--preset", name])
+            assert code == 0
+            assert len(calls) == 1
+
+
+class TestWeightsPathScale:
+    def test_a1_13_modulo_center(self, tmp_path):
+        # 2^13 exceeds the cocycle table cap, which the weights path must not reach
+        k = 13
+        doc = {
+            "semisimple": [{"family": "A", "rank": 1}] * k,
+            "torus_rank": 0,
+            "gluing": [{"center": [int(i == j) for j in range(k)], "torus": []} for i in range(k)],
+        }
+        path = tmp_path / "a1_13.json"
+        path.write_text(json.dumps(doc))
+        brauer = str(FgAbGroup(0, (2,) * k))
+        start = time.perf_counter()
+        code, out, err = invoke(["weights", "--json", "--spec", str(path)])
+        assert code == 0, err
+        assert json.loads(out)["brauer"] == brauer
+        code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+        assert code == 0, err
+        assert json.loads(out)["invariants"]["brauer"] == brauer
+        assert time.perf_counter() - start < 5.0
+
+
+# SHA-256 of stdout: any change to these bytes is a change of the report format
+PINNED_REPORTS = {
+    ("invariants", "PGL(6)"): "ddf3ec1e7d910c2b11e89c6a60b17eb873199412ceb196a3319b88b3acd61853",
+    ("invariants", "SO(8)"): "44bf78dfd16827bee6fd5bef6d97ee55b251b9affe4dd697080c05224f924798",
+    ("invariants", "Spin(8)"): "e96bfa636587f3758b8cc5af9060865ba20b193123a13fdf1973fdfcdf4d2122",
+    ("invariants", "Sp(6)"): "83509d0bbab91bf7c18f33cfbf3bf4626218365b970fff81e243543abe2618fc",
+    ("weights", "SO(9)"): "27e2b2290a4378794913b7f01442bb10942f53cf80993b91da73f645ec219c4f",
+    ("weights", "PGL(4)"): "f7f08be04f2e73f0938fb3d767cb1180cfdb9a153820ac4e34035cd0f2379aeb",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(command, name):
+    code, out, _ = invoke([command, "--json", "--preset", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command, name]
 
 
 class TestDeterminismAndSchema:

@@ -12,10 +12,10 @@ from homspace.abgroups import (
     multiplication_hom,
     subgroup_from_generators,
 )
+from homspace.extensions import character_from_dual_element, character_to_extension, cocycle_class, cocycle_of
 from homspace.groups import ReductiveModel, as_semisimple, preset, pi1
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import (
-    algebraic_extension_group,
     brauer,
     invariant_report,
     picard,
@@ -65,15 +65,15 @@ class TestBrauer:
 
 class TestExtensionGroup:
     def test_gm(self):
-        assert algebraic_extension_group(preset("GL(1)")) == TRIVIAL_GROUP
+        assert picard_of_group(preset("GL(1)")) == TRIVIAL_GROUP
 
     def test_so_n(self):
         for n in range(3, 9):
-            assert algebraic_extension_group(preset(f"SO({n})")) == cyclic(2)
+            assert picard_of_group(preset(f"SO({n})")) == cyclic(2)
 
     def test_pgl(self):
         for n in range(2, 7):
-            assert algebraic_extension_group(preset(f"PGL({n})")) == cyclic(n)
+            assert picard_of_group(preset(f"PGL({n})")) == cyclic(n)
 
 
 class TestPicardOfGroup:
@@ -160,7 +160,7 @@ class TestSemisimpleSweep:
                 model = semisimple_as_reductive(SemisimpleModel(datum=datum, kernel=sub))
                 assert pi1(model).group == sub.computed
                 assert brauer(model) == dual_finite(sub.computed).group
-                assert algebraic_extension_group(model) == dual_finite(sub.computed).group
+                assert picard_of_group(model) == dual_finite(sub.computed).group
 
     def test_brauer_additive_on_products(self):
         from homspace.groups import GluingPair
@@ -204,16 +204,23 @@ class TestWeightTable:
         assert rows[0].brauer_class.group == cyclic(2)
 
     def test_restrictions_surject_and_kernel_index(self):
-        for t in [SimpleType("A", 3), SimpleType("B", 3), SimpleType("D", 4)]:
-            datum = build_datum((t,))
-            for sub in all_subgroups(center(datum).group):
-                from homspace.groups import SemisimpleModel
+        from homspace.groups import SemisimpleModel
 
+        a1 = SimpleType("A", 1)
+        for types in [(SimpleType("A", 3),), (SimpleType("B", 3),), (SimpleType("D", 4),), (a1, a1, a1)]:
+            datum = build_datum(types)
+            for sub in all_subgroups(center(datum).group):
                 sm = SemisimpleModel(datum=datum, kernel=sub)
                 rows = weight_brauer_table(sm)
                 dual = dual_finite(sub.computed)
                 generated = subgroup_from_generators(dual.group, [r.restriction for r in rows])
                 assert generated.computed == dual.group
+                for row in rows:
+                    # the class read off the restriction is the class of the
+                    # extension pulled back along it
+                    assert row.brauer_class.coords == row.restriction.coords
+                    chi = character_from_dual_element(row.restriction)
+                    assert cocycle_class(cocycle_of(character_to_extension(chi))) == chi
                 basis = character_lattice_of_quotient(datum, sub)
                 from homspace.intlinalg import determinant
 
