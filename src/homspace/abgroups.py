@@ -11,7 +11,12 @@ checked for well-definedness at construction (the image of a generator of
 order ``d`` must be killed by ``d``).
 
 Subgroup, kernel, cokernel and Hom/Ext computations all reduce to Smith and
-Hermite normal forms from :mod:`homspace.intlinalg`.
+Hermite normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
+``{x : f(x) = 0}`` (:func:`preimage_lattice`) and preimages of single
+elements (:func:`preimage_of`) are computed here and only here, and every
+Smith quotient goes through one helper.  Other modules state such problems
+as homomorphisms and never call ``integer_kernel``, ``lattice_row_basis``,
+``solve_integer`` or ``_snf_transform`` themselves.
 """
 
 from __future__ import annotations
@@ -163,14 +168,16 @@ class AbElement:
         return n
 
 
-def _relation_columns(group: FgAbGroup) -> IntMatrix:
-    """Columns spanning the relation lattice of the canonical presentation."""
-    n = group.ngens
+def _relation_columns(orders: Sequence[int]) -> IntMatrix:
+    """Columns spanning the relations of cyclic coordinates of the given
+    orders (0 marks a free coordinate)."""
+    n = len(orders)
     cols = []
-    for i, d in enumerate(group.invariant_factors):
-        col = [0] * n
-        col[group.free_rank + i] = d
-        cols.append(col)
+    for i, o in enumerate(orders):
+        if o:
+            col = [0] * n
+            col[i] = o
+            cols.append(col)
     return IntMatrix.from_columns(cols, rows=n)
 
 
@@ -276,28 +283,35 @@ class CyclicSpan:
         return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
 
+def _solutions_mod(matrix: IntMatrix, orders: Sequence[int]) -> list:
+    """Lattice generators (as vectors) of ``{x : matrix @ x == 0}``, row i
+    read modulo ``orders[i]`` (0 meaning exactly)."""
+    kern = integer_kernel(matrix.hstack(_relation_columns(orders)))
+    return [[kern[i, j] for i in range(matrix.cols)] for j in range(kern.cols)]
+
+
+def _smith_quotient(relations: IntMatrix):
+    """Z^n modulo the column span of ``relations`` (n its row count): the
+    canonical group, the Smith row transform U, and the rows of U that give
+    the canonical generators, free ones first."""
+    n = relations.rows
+    u, d, _ = _snf_transform(relations, want_u=True, want_v=False)
+    limit = min(d.rows, d.cols)
+    diag = [d[i, i] for i in range(limit)]
+    free_pos = [i for i in range(n) if i >= limit or diag[i] == 0]
+    torsion_pos = [i for i in range(limit) if diag[i] >= 2]
+    group = FgAbGroup(len(free_pos), tuple(diag[i] for i in torsion_pos))
+    return group, u, free_pos + torsion_pos
+
+
 def span_in_cyclics(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> CyclicSpan:
     orders = tuple(int(o) for o in orders)
     n = len(orders)
     s = len(generator_coords)
     gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=n)
-    rel_cols = []
-    for i, o in enumerate(orders):
-        if o:
-            col = [0] * n
-            col[i] = o
-            rel_cols.append(col)
-    big = gcols.hstack(IntMatrix.from_columns(rel_cols, rows=n))
-    kern = integer_kernel(big)
-    ker_phi = IntMatrix.from_rows([list(kern.row(i)) for i in range(s)], cols=kern.cols)
+    ker_phi = IntMatrix.from_columns(_solutions_mod(gcols, orders), rows=s)
 
-    u, d, _ = _snf_transform(ker_phi, want_u=True, want_v=False)
-    limit = min(d.rows, d.cols)
-    diag = [d[i, i] for i in range(limit)]
-    free_pos = [i for i in range(s) if i >= limit or diag[i] == 0]
-    torsion_pos = [i for i in range(limit) if diag[i] >= 2]
-    group = FgAbGroup(len(free_pos), tuple(diag[i] for i in torsion_pos))
-    positions = free_pos + torsion_pos
+    group, u, positions = _smith_quotient(ker_phi)
     proj = IntMatrix.from_rows([list(u.row(p)) for p in positions], cols=s)
 
     uinv = inverse_unimodular(u)
@@ -315,13 +329,8 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     canonical form and the projection hom from Z^n."""
     if relations.rows != n_generators:
         raise ValueError(f"relations must have {n_generators} rows, got {relations.rows}")
-    u, d, _ = _snf_transform(relations, want_u=True, want_v=False)
-    limit = min(d.rows, d.cols)
-    diag = [d[i, i] for i in range(limit)]
-    free_pos = [i for i in range(n_generators) if i >= limit or diag[i] == 0]
-    torsion_pos = [i for i in range(limit) if diag[i] >= 2]
-    group = FgAbGroup(len(free_pos), tuple(diag[i] for i in torsion_pos))
-    proj_rows = [list(u.row(p)) for p in free_pos + torsion_pos]
+    group, u, positions = _smith_quotient(relations)
+    proj_rows = [list(u.row(p)) for p in positions]
     proj = AbHom(FgAbGroup(n_generators, ()), group, IntMatrix.from_rows(proj_rows, cols=n_generators))
     return group, proj
 
@@ -332,40 +341,34 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
     span = span_in_cyclics(ambient.orders, [g.coords for g in gens])
     inclusion = AbHom(span.group, ambient, span.inclusion_columns)
-    sub = SubgroupPresentation(
-        ambient=ambient, generators=tuple(gens), computed=span.group, inclusion=inclusion
-    )
-    assert _hom_is_injective(inclusion), "subgroup inclusion must be injective"
-    return sub
+    return SubgroupPresentation(ambient=ambient, generators=tuple(gens), computed=span.group, inclusion=inclusion)
 
 
-def _preimage_lattice(f: AbHom) -> IntMatrix:
-    """Rows form a basis of ``{x in Z^ngens : f(x) = 0 in codomain}``."""
-    big = f.matrix.hstack(_relation_columns(f.codomain))
-    kern = integer_kernel(big)
-    n = f.domain.ngens
-    vectors = [[kern[i, j] for i in range(n)] for j in range(kern.cols)]
-    vectors.extend(_relation_columns(f.domain).transpose().to_rows())
-    return lattice_row_basis(vectors, n)
+def preimage_lattice(f: AbHom) -> IntMatrix:
+    """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
+    the codomain}``, x read as coordinates over the domain's generators.
+    Its rows contain the domain's relations, and Z^ngens modulo it is
+    isomorphic to the image of f."""
+    vectors = _solutions_mod(f.matrix, f.codomain.orders)
+    vectors.extend(_relation_columns(f.domain.orders).transpose().to_rows())
+    return lattice_row_basis(vectors, f.domain.ngens)
 
 
-def _hom_is_injective(f: AbHom) -> bool:
-    pre = _preimage_lattice(f)
-    orders = f.domain.orders
-    for i in range(pre.rows):
-        row = pre.row(i)
-        for c, o in zip(row, orders):
-            if o == 0:
-                if c != 0:
-                    return False
-            elif c % o:
-                return False
-    return True
+def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
+    """One element of the domain that f maps to ``elem``, or None when
+    ``elem`` lies outside the image."""
+    if elem.group != f.codomain:
+        raise ValueError("element not in the codomain")
+    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
+    sol = solve_integer(big, elem.coords)
+    if sol is None:
+        return None
+    return AbElement(f.domain, sol[: f.domain.ngens])
 
 
 def kernel_of(f: AbHom) -> SubgroupPresentation:
     """Kernel as a subgroup presentation of the domain."""
-    pre = _preimage_lattice(f)
+    pre = preimage_lattice(f)
     gens = [AbElement(f.domain, pre.row(i)) for i in range(pre.rows)]
     gens = [g for g in gens if not g.is_identity]
     return subgroup_from_generators(f.domain, gens)
@@ -373,7 +376,7 @@ def kernel_of(f: AbHom) -> SubgroupPresentation:
 
 def cokernel_of(f: AbHom):
     """Cokernel in canonical form plus the projection hom from the codomain."""
-    big = f.matrix.hstack(_relation_columns(f.codomain))
+    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
     group, proj0 = from_presentation(f.codomain.ngens, big)
     proj = AbHom(f.codomain, group, proj0.matrix)
     return group, proj
@@ -382,7 +385,7 @@ def cokernel_of(f: AbHom):
 def image_lattice(f: AbHom) -> IntMatrix:
     """Rows span ``im(f) + relations`` inside Z^(codomain generators)."""
     vectors = [list(f.matrix.column(j)) for j in range(f.matrix.cols)]
-    vectors.extend(_relation_columns(f.codomain).transpose().to_rows())
+    vectors.extend(_relation_columns(f.codomain.orders).transpose().to_rows())
     return lattice_row_basis(vectors, f.codomain.ngens)
 
 
@@ -390,7 +393,7 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     """True when image(f) equals kernel(g) inside codomain(f) = domain(g)."""
     if f.codomain != g.domain:
         raise ValueError("codomain of f must equal domain of g")
-    return image_lattice(f) == _preimage_lattice(g)
+    return image_lattice(f) == preimage_lattice(g)
 
 
 def is_surjective(f: AbHom) -> bool:
@@ -401,13 +404,7 @@ def is_surjective(f: AbHom) -> bool:
 def express_in_subgroup(sub: SubgroupPresentation, elem: AbElement) -> Optional[AbElement]:
     """Coordinates of ``elem`` in the subgroup's abstract group, or None when
     the element lies outside the subgroup."""
-    if elem.group != sub.ambient:
-        raise ValueError("element not in the ambient group")
-    big = sub.inclusion.matrix.hstack(_relation_columns(sub.ambient))
-    sol = solve_integer(big, elem.coords)
-    if sol is None:
-        return None
-    return AbElement(sub.computed, sol[: sub.computed.ngens])
+    return preimage_of(sub.inclusion, elem)
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -435,10 +432,6 @@ def direct_sum_canonical(free_rank: int, cyclic_orders: Sequence[int]) -> FgAbGr
 
 def ext1_z(a: FgAbGroup) -> FgAbGroup:
     """Ext^1(A, Z): the free part dies, each Z/d contributes Z/d."""
-    return FgAbGroup(0, a.invariant_factors)
-
-
-def torsion_subgroup(a: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(0, a.invariant_factors)
 
 

@@ -43,9 +43,10 @@ from .abgroups import (
     express_in_subgroup,
     is_exact_at,
     kernel_of,
+    preimage_of,
     subgroup_from_generators,
 )
-from .intlinalg import IntMatrix, solve_integer
+from .intlinalg import IntMatrix
 
 TABLE_CAP = 4096
 
@@ -279,18 +280,10 @@ def _section(ext: ExtensionData):
     gamma = ext.project.codomain
     elems, _ = _elements(gamma)
     lifts = []
-    rel_cols = []
-    for i, d in enumerate(gamma.invariant_factors):
-        col = [0] * gamma.ngens
-        col[i] = d
-        rel_cols.append(col)
-    big = ext.project.matrix.hstack(IntMatrix.from_columns(rel_cols, rows=gamma.ngens))
     for i in range(gamma.ngens):
-        target = [0] * gamma.ngens
-        target[i] = 1
-        sol = solve_integer(big, target)
-        assert sol is not None, "projection is surjective"
-        lifts.append(ext.middle.reduce(sol[: ext.middle.ngens]))
+        lift = preimage_of(ext.project, gamma.generator(i))
+        assert lift is not None, "projection is surjective"
+        lifts.append(lift.coords)
     table = []
     for coords in elems:
         acc = [0] * ext.middle.ngens

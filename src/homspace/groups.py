@@ -34,13 +34,14 @@ from .abgroups import (
     CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
+    ext1_z,
     express_in_subgroup,
+    preimage_lattice,
     span_in_cyclics,
     subgroup_from_generators,
-    torsion_subgroup,
 )
 from .extensions import Character
-from .intlinalg import IntMatrix, integer_kernel, lattice_row_basis
+from .intlinalg import IntMatrix
 from .rootdata import (
     CenterElement,
     RootDatumSS,
@@ -210,34 +211,25 @@ def _pi1_span(model: ReductiveModel):
     return subgroup_from_generators(ambient, gens)
 
 
+def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHom:
+    """The hom from ``domain`` to (Z/n)^len(rows) with the given matrix
+    rows; for n == 1 the codomain is trivial."""
+    rows = [list(row) for row in rows] if n > 1 else []
+    return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
+
+
 def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     """Kernel of the gluing subgroup's torus projection, as a subgroup of
     the center of S_sc."""
     data = _gluing(model)
     k = len(model.ss.pq_group.invariant_factors)
-    r = model.torus_rank
-    n = data.torus_exponent
-    gamma = data.group
     incl = data.span.inclusion_columns
-    # solve for elements of the gluing group with zero torus part
-    torus_rows = IntMatrix.from_rows([list(incl.row(k + j)) for j in range(r)], cols=gamma.ngens)
-    if r == 0 or n == 1:
-        member_coords = [list(gamma.generator(p).coords) for p in range(gamma.ngens)]
-    else:
-        rel = IntMatrix.diagonal([n] * r)
-        kern = integer_kernel(torus_rows.hstack(rel))
-        vectors = [[kern[i, j] for i in range(gamma.ngens)] for j in range(kern.cols)]
-        vectors.extend([d if p == q else 0 for q in range(gamma.ngens)] for p, d in enumerate(gamma.orders) if d)
-        basis = lattice_row_basis(vectors, gamma.ngens)
-        member_coords = [list(basis.row(i)) for i in range(basis.rows)]
+    torus_rows = [incl.row(k + j) for j in range(model.torus_rank)]
+    basis = preimage_lattice(_mod_n_hom(data.group, data.torus_exponent, torus_rows))
     cgroup = center(model.ss).group
     gens = []
-    for coords in member_coords:
-        amb = [0] * len(data.ambient_orders)
-        for p, c in enumerate(coords):
-            col = incl.column(p)
-            amb = [x + c * y for x, y in zip(amb, col)]
-        amb = data.span.reduce_ambient(amb)
+    for i in range(basis.rows):
+        amb = data.span.reduce_ambient(incl.apply(basis.row(i)))
         assert all(t == 0 for t in amb[k:]), "derived kernel elements have no torus part"
         gens.append(cgroup.element(amb[:k]))
     return subgroup_from_generators(cgroup, gens)
@@ -249,7 +241,7 @@ def pi1(model: ReductiveModel) -> Pi1Result:
     lam = _pi1_span(model)
     group = lam.computed
     derived = _derived_kernel(model).computed
-    result = Pi1Result(group=group, torsion=torsion_subgroup(group), derived_pi1=derived)
+    result = Pi1Result(group=group, torsion=ext1_z(group), derived_pi1=derived)
     assert result.torsion == result.derived_pi1, "torsion of pi1 must equal pi1 of the derived subgroup"
     return result
 
@@ -262,18 +254,12 @@ def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
 def character_group(model: ReductiveModel):
     """Characters of H as a finite-index sublattice of Z^r (Hermite basis,
     one character per row) together with its abstract type."""
-    _gluing(model)  # validates
+    n = _gluing(model).torus_exponent
     r = model.torus_rank
     if r == 0:
         return IntMatrix.identity(0), FgAbGroup(0, ())
-    n = lcm(1, *(v.denominator for pair in model.gluing for v in pair.torus))
     rows = [[int(v * n) for v in pair.torus] for pair in model.gluing]
-    if not rows:
-        return IntMatrix.identity(r), FgAbGroup(r, ())
-    cond = IntMatrix.from_rows(rows, cols=r)
-    kern = integer_kernel(cond.hstack(IntMatrix.diagonal([n] * len(rows))))
-    vectors = [[kern[i, j] for i in range(r)] for j in range(kern.cols)]
-    basis = lattice_row_basis(vectors, r)
+    basis = preimage_lattice(_mod_n_hom(FgAbGroup(r, ()), n, rows))
     assert basis.rows == r, "character lattice has finite index in Z^r"
     return basis, FgAbGroup(r, ())
 

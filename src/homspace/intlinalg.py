@@ -12,6 +12,12 @@ serialized matrices compare bit-exactly:
 * Kernel bases are saturated and canonicalized through the Hermite form, so
   equal lattices produce identical matrices.
 
+Both normal forms eliminate rows through one kernel of module-level helpers
+(``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
+step, ``_negate_row``).  Each acts on the working rows and, when one is
+tracked, on the row transform ``U``; the Smith form's column operations act
+on ``V`` the same way inside ``_snf_transform``.
+
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
 
@@ -114,7 +120,7 @@ class IntMatrix:
         """Matrix-vector product, vector as a column."""
         if len(vector) != self.cols:
             raise ValueError(f"vector length {len(vector)} != {self.cols}")
-        return tuple(sum(self.row(i)[k] * vector[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * x for a, x in zip(self.row(i), vector)) for i in range(self.rows))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -188,6 +194,37 @@ def _find_pivot(a: list, t: int, rows: int, cols: int):
     return best
 
 
+def _swap_rows(a: list, u: Optional[list], i: int, k: int):
+    for m in (a, u):
+        if m is not None:
+            m[i], m[k] = m[k], m[i]
+
+
+def _add_row(a: list, u: Optional[list], dst: int, src: int, q: int):
+    """row[dst] += q * row[src]"""
+    for m in (a, u):
+        if m is not None:
+            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+
+def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int):
+    """Unimodular 2x2 extended-gcd transform of rows (t, i) that puts
+    gcd(a[t][col], a[i][col]) at (t, col) and 0 at (i, col)."""
+    g, s, tt = _xgcd(a[t][col], a[i][col])
+    p_g, x_g = a[t][col] // g, a[i][col] // g
+    for m in (a, u):
+        if m is not None:
+            rt, ri = m[t], m[i]
+            m[t] = [s * y + tt * z for y, z in zip(rt, ri)]
+            m[i] = [-x_g * y + p_g * z for y, z in zip(rt, ri)]
+
+
+def _negate_row(a: list, u: Optional[list], i: int):
+    for m in (a, u):
+        if m is not None:
+            m[i] = [-x for x in m[i]]
+
+
 def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
     """Core SNF loop; transforms are accumulated only on demand.
 
@@ -200,11 +237,6 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_v else None
 
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-
     def swap_cols(j, k):
         for r in a:
             r[j], r[k] = r[k], r[j]
@@ -212,39 +244,12 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
             for r in v:
                 r[j], r[k] = r[k], r[j]
 
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        rd, rs = a[dst], a[src]
-        for j in range(cols):
-            rd[j] += q * rs[j]
-        if u is not None:
-            ud, us = u[dst], u[src]
-            for j in range(rows):
-                ud[j] += q * us[j]
-
     def add_col(dst, src, q):
         for r in a:
             r[dst] += q * r[src]
         if v is not None:
             for r in v:
                 r[dst] += q * r[src]
-
-    def gcd_rows(t, i):
-        # unimodular transform of rows (t, i) putting gcd at (t, t)
-        p, x = a[t][t], a[i][t]
-        g, s, tt = _xgcd(p, x)
-        p_g, x_g = p // g, x // g
-        rt, ri = a[t], a[i]
-        for j in range(cols):
-            y, z = rt[j], ri[j]
-            rt[j] = s * y + tt * z
-            ri[j] = -x_g * y + p_g * z
-        if u is not None:
-            ut, ui = u[t], u[i]
-            for j in range(rows):
-                y, z = ut[j], ui[j]
-                ut[j] = s * y + tt * z
-                ui[j] = -x_g * y + p_g * z
 
     def gcd_cols(t, j):
         p, x = a[t][t], a[t][j]
@@ -266,16 +271,16 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
         piv = _find_pivot(a, t, rows, cols)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        _swap_rows(a, u, t, piv[0])
         swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, rows):
                 x = a[i][t]
                 if x:
                     if x % a[t][t] == 0:
-                        add_row(i, t, -(x // a[t][t]))
+                        _add_row(a, u, i, t, -(x // a[t][t]))
                     else:
-                        gcd_rows(t, i)
+                        _combine_rows(a, u, t, i, t)
             for j in range(t + 1, cols):
                 x = a[t][j]
                 if x:
@@ -300,17 +305,13 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
             if offender is not None:
                 break
         if offender is not None:
-            add_row(t, offender, 1)
+            _add_row(a, u, t, offender, 1)
             continue
         t += 1
 
     for i in range(limit):
         if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            if u is not None:
-                for j in range(rows):
-                    u[i][j] = -u[i][j]
+            _negate_row(a, u, i)
 
     d = IntMatrix.from_rows(a, cols=cols)
     um = IntMatrix.from_rows(u, cols=rows) if u is not None else None
@@ -333,29 +334,6 @@ def hermite_normal_form(m: IntMatrix):
     a = m.to_rows()
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
 
-    def add_row(dst, src, q):
-        rd, rs = a[dst], a[src]
-        for j in range(cols):
-            rd[j] += q * rs[j]
-        ud, us = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += q * us[j]
-
-    def gcd_rows(t, i, col):
-        p, x = a[t][col], a[i][col]
-        g, s, tt = _xgcd(p, x)
-        p_g, x_g = p // g, x // g
-        rt, ri = a[t], a[i]
-        for j in range(cols):
-            y, z = rt[j], ri[j]
-            rt[j] = s * y + tt * z
-            ri[j] = -x_g * y + p_g * z
-        ut, ui = u[t], u[i]
-        for j in range(rows):
-            y, z = ut[j], ui[j]
-            ut[j] = s * y + tt * z
-            ui[j] = -x_g * y + p_g * z
-
     prow = 0
     for col in range(cols):
         if prow >= rows:
@@ -363,21 +341,17 @@ def hermite_normal_form(m: IntMatrix):
         for i in range(prow + 1, rows):
             if a[i][col]:
                 if a[prow][col] == 0:
-                    a[prow], a[i] = a[i], a[prow]
-                    u[prow], u[i] = u[i], u[prow]
+                    _swap_rows(a, u, prow, i)
                 elif a[i][col] % a[prow][col] == 0:
-                    add_row(i, prow, -(a[i][col] // a[prow][col]))
+                    _add_row(a, u, i, prow, -(a[i][col] // a[prow][col]))
                 else:
-                    gcd_rows(prow, i, col)
+                    _combine_rows(a, u, prow, i, col)
         if a[prow][col] != 0:
             if a[prow][col] < 0:
-                for j in range(cols):
-                    a[prow][j] = -a[prow][j]
-                for j in range(rows):
-                    u[prow][j] = -u[prow][j]
+                _negate_row(a, u, prow)
             for i in range(prow):
                 if a[i][col]:
-                    add_row(i, prow, -(a[i][col] // a[prow][col]))
+                    _add_row(a, u, i, prow, -(a[i][col] // a[prow][col]))
             prow += 1
 
     return IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(u, cols=rows)

@@ -33,9 +33,10 @@ from .abgroups import (
     dual_finite,
     from_presentation,
     kernel_of,
+    preimage_lattice,
     subgroup_from_generators,
 )
-from .intlinalg import IntMatrix, integer_kernel, lattice_row_basis
+from .intlinalg import IntMatrix
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 
@@ -294,18 +295,13 @@ def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation)
     _check_center_subgroup(datum, sub)
     rank = datum.rank
     d_orders = datum.pq_group.invariant_factors
-    s = sub.computed.ngens
-    if s == 0 or rank == 0:
-        return IntMatrix.identity(rank)
     big = lcm(*d_orders)
     proj = sub.inclusion.matrix.transpose() @ IntMatrix.from_rows(
         [[(big // d) * x for x in datum.pq_proj.matrix.row(i)] for i, d in enumerate(d_orders)],
         cols=rank,
     )
     # lambda is in the lattice iff proj @ lambda == 0 mod big
-    scaled = proj.hstack(IntMatrix.diagonal([big] * s))
-    kern = integer_kernel(scaled)
-    vectors = [[kern[i, j] for i in range(rank)] for j in range(kern.cols)]
-    basis = lattice_row_basis(vectors, rank)
+    restrict = AbHom(FgAbGroup(rank, ()), FgAbGroup(0, (big,) * proj.rows), proj)
+    basis = preimage_lattice(restrict)
     assert basis.rows == rank, "character lattice must have finite index in P"
     return basis

@@ -18,15 +18,16 @@ from homspace.abgroups import (
     from_presentation,
     hom_group,
     identity_hom,
+    image_lattice,
     is_exact_at,
     is_surjective,
     kernel_of,
     multiplication_hom,
+    preimage_lattice,
     subgroup_from_generators,
-    torsion_subgroup,
     zero_hom,
 )
-from homspace.intlinalg import IntMatrix
+from homspace.intlinalg import IntMatrix, determinant, lattice_row_basis
 
 
 def random_group(rng, max_rank=2, max_factors=2, max_d=12):
@@ -42,6 +43,11 @@ def random_group(rng, max_rank=2, max_factors=2, max_d=12):
             break
         factors.append(d)
     return FgAbGroup(r, tuple(factors))
+
+
+def random_torsion(rng):
+    """A nonempty chain of invariant factors."""
+    return random_group(rng, max_rank=0).invariant_factors or (rng.randint(2, 6),)
 
 
 def random_hom(rng, domain, codomain):
@@ -184,6 +190,21 @@ class TestSubgroups:
                         frontier.append(nxt)
             assert sub.order() == len(seen)
 
+    def test_inclusion_is_injective_randomized(self):
+        rng = random.Random(404)
+        for _ in range(120):
+            factors = random_torsion(rng)
+            g = FgAbGroup(rng.randint(1, 2), factors)
+            gens = [
+                g.element([rng.randint(-6, 6) for _ in range(g.free_rank)] + [rng.randrange(d) for d in factors])
+                for _ in range(rng.randint(0, 4))
+            ]
+            sub = subgroup_from_generators(g, gens)
+            assert kernel_of(sub.inclusion).computed.is_trivial
+            relations = [[d if j == g.free_rank + i else 0 for j in range(g.ngens)] for i, d in enumerate(factors)]
+            spanned = lattice_row_basis([list(x.coords) for x in gens] + relations, g.ngens)
+            assert image_lattice(sub.inclusion) == spanned
+
     def test_express_in_subgroup(self):
         g = FgAbGroup(1, (4,))
         sub = subgroup_from_generators(g, [g.element([2, 1])])
@@ -209,15 +230,10 @@ class TestHomExtDual:
         assert ext1_z(FgAbGroup(1, (2,))) == cyclic(2)
 
     def test_torsion(self):
-        assert torsion_subgroup(FgAbGroup(2, (4,))) == cyclic(4)
-        assert torsion_subgroup(Z) == TRIVIAL_GROUP
-        assert torsion_subgroup(FgAbGroup(0, (2, 6))) == FgAbGroup(0, (2, 6))
-
-    def test_ext_equals_torsion_randomized(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            g = random_group(rng)
-            assert ext1_z(g) == torsion_subgroup(g)
+        # Ext^1(A, Z) is the torsion subgroup of A
+        assert ext1_z(FgAbGroup(2, (4,))) == cyclic(4)
+        assert ext1_z(Z) == TRIVIAL_GROUP
+        assert ext1_z(FgAbGroup(0, (2, 6))) == FgAbGroup(0, (2, 6))
 
     def test_dual_finite(self):
         for g in [cyclic(5), FgAbGroup(0, (2, 4)), TRIVIAL_GROUP]:
@@ -304,6 +320,28 @@ class TestKernelCokernelExactness:
             _, proj = cokernel_of(f)
             assert is_exact_at(f, proj)
             assert is_surjective(proj)
+
+    def test_preimage_lattice_randomized(self):
+        rng = random.Random(93)
+        for trial in range(120):
+            cod = FgAbGroup(0, random_torsion(rng))
+            dom = FgAbGroup(rng.randint(1, 3), ()) if trial % 2 else FgAbGroup(0, random_torsion(rng))
+            f = random_hom(rng, dom, cod)
+            basis = preimage_lattice(f)
+            for i in range(basis.rows):
+                assert f(dom.element(basis.row(i))).is_identity
+            # |im f| by closing the column images under addition
+            seen = {cod.identity()}
+            frontier = list(seen)
+            while frontier:
+                cur = frontier.pop()
+                for j in range(dom.ngens):
+                    nxt = cur + f(dom.generator(j))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            assert basis.rows == dom.ngens
+            assert determinant(basis) == len(seen)
 
     def test_ill_defined_hom_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
+from homspace.intlinalg import IntMatrix, determinant, format_matrix_literal, parse_matrix_literal
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -94,6 +96,24 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["d"] == "2,0;0,4"
         assert payload["diagonal"] == [2, 4]
+
+    def test_snf_json_transforms_randomized(self):
+        rng = random.Random(21)
+        for trial in range(36):
+            n = rng.randint(1, 8)
+            kind = ("square", "wide", "rank-deficient")[trial % 3]
+            cols = n + rng.randint(1, 4) if kind == "wide" else n
+            rows = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
+            if kind == "rank-deficient":
+                for i in range(n // 2, n):
+                    rows[i] = [rng.choice((-1, 1)) * x for x in rows[rng.randrange(n // 2 or 1)]]
+            m = IntMatrix.from_rows(rows)
+            code, out, err = invoke(["snf", "--json", "--matrix", format_matrix_literal(m)])
+            assert code == 0, err
+            payload = json.loads(out)
+            u, d, v = (parse_matrix_literal(payload[key]) for key in ("u", "d", "v"))
+            assert u @ m @ v == d
+            assert abs(determinant(u)) == abs(determinant(v)) == 1
 
     def test_describe_lists_center_orders(self):
         code, out, _ = invoke(["describe", "--preset", "PGL(4)"])
@@ -210,12 +230,41 @@ PINNED_REPORTS = {
     ("invariants", "Sp(6)"): "83509d0bbab91bf7c18f33cfbf3bf4626218365b970fff81e243543abe2618fc",
     ("weights", "SO(9)"): "27e2b2290a4378794913b7f01442bb10942f53cf80993b91da73f645ec219c4f",
     ("weights", "PGL(4)"): "f7f08be04f2e73f0938fb3d767cb1180cfdb9a153820ac4e34035cd0f2379aeb",
+    ("invariants", "GL(4)"): "73a69c8bcac1778ee0b87878f2e446f94c119e5e8d921fd53f3f3713e855832e",
+    ("describe", "GL(4)"): "7abed21a2bb8fe5f1760077dc4e15b305cbac21f288f1ebd48e179c6af946d80",
+    ("invariants", "torus-r3"): "dd685284e9074dc5ba368a520dadeea669d3995d8b77833243906ddb6d423421",
+    ("describe", "torus-r3"): "522429cf5e351bd46691183cddb290078b2054fac435232148f0847d1344dafb",
+    ("snf", "square"): "52fd0b97accf921eab6a0681d6a9abb87140f70cac8033ed641fbcee3053903d",
+    ("snf", "wide"): "d364705b1627f4d105c1d236fc1d286443d6356423a3984c67d6558619468b18",
+    ("snf", "rank-deficient"): "a27aa1b3f859e91c22562a26234a617ea145527b121f90c56ae8429f5e02f56c",
+}
+# torus rank 3, two gluing generators, torus denominators 2, 3 and 4
+TORUS_R3 = {
+    "semisimple": [{"family": "A", "rank": 3}, {"family": "A", "rank": 1}],
+    "torus_rank": 3,
+    "gluing": [
+        {"center": [1, 1], "torus": ["1/2", "1/3", "0"]},
+        {"center": [0, 2], "torus": ["1/4", "2/3", "3/4"]},
+    ],
+}
+PINNED_MATRICES = {
+    "square": "3,-7,2,5;-4,9,0,-1;6,1,-8,2;0,-5,7,3",
+    "wide": "2,-4,6,1,-3;5,0,-9,8,7;-1,3,2,-6,4",
+    "rank-deficient": "1,2,-3,4;2,4,-6,8;0,5,1,-2;1,7,-2,2",
 }
 
 
 @pytest.mark.parametrize("command, name", sorted(PINNED_REPORTS))
-def test_report_bytes_pinned(command, name):
-    code, out, _ = invoke([command, "--json", "--preset", name])
+def test_report_bytes_pinned(command, name, tmp_path):
+    if command == "snf":
+        source = ["--matrix", PINNED_MATRICES[name]]
+    elif name == "torus-r3":
+        path = tmp_path / "torus_r3.json"
+        path.write_text(json.dumps(TORUS_R3))
+        source = ["--spec", str(path)]
+    else:
+        source = ["--preset", name]
+    code, out, _ = invoke([command, "--json", *source])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command, name]
 
