@@ -263,7 +263,7 @@ def _lattice_rows(matrix) -> list:
 def _cmd_describe(args, out: _Printer) -> int:
     model = _load_model(args)
     notes = validate(model)
-    res = pi1(model)
+    fundamental = pi1(model)
     orders = model.ss.pq_group.invariant_factors
     if args.expand:
         out.json(model_to_document(model))
@@ -277,8 +277,8 @@ def _cmd_describe(args, out: _Printer) -> int:
         "center_generator_orders": list(orders),
         "gluing_order": gluing_order(model),
         "gluing_group": _group_str(gluing_group(model)),
-        "pi1": _group_str(res.group),
-        "pi1_derived": _group_str(res.derived_pi1),
+        "pi1": _group_str(fundamental),
+        "pi1_derived": _group_str(ext1_z(fundamental)),
         "certificates": notes,
     }
     if args.json:
@@ -488,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
 _COMMANDS = {
     "describe": _cmd_describe,
     "invariants": _cmd_invariants,
@@ -512,11 +514,10 @@ def _attach_matrix_values(argv) -> list:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
         # argparse writes usage, help and errors to the sys streams
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = parser.parse_args(_attach_matrix_values(argv))
+            args = PARSER.parse_args(_attach_matrix_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     out = _Printer(stdout)

@@ -19,6 +19,12 @@ inside (1/N) Z^r x Z(S_sc), N the exponent of the torus parts, generated by
 the standard basis of Z^r together with one lift of each gluing generator
 (torus lifts take representatives in [0, 1), so presentations are
 deterministic; the abstract group does not depend on the choice).
+
+``pi1`` returns that group and nothing else.  Its torsion is pi1 of the
+derived subgroup, which ``derived_subgroup`` computes by a second route, as
+the kernel of the gluing subgroup's torus projection.  The two routes are
+compared in the tests (``tests/test_groups.py::TestPi1`` and acceptance
+criterion 6), not on every query.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .abgroups import (
     CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
-    ext1_z,
     express_in_subgroup,
     preimage_lattice,
     span_in_cyclics,
@@ -109,13 +114,6 @@ class SemisimpleModel:
     def __post_init__(self):
         if self.kernel.ambient != center(self.datum).group:
             raise ValueError("kernel must be a subgroup of the center")
-
-
-@dataclass(frozen=True)
-class Pi1Result:
-    group: FgAbGroup
-    torsion: FgAbGroup
-    derived_pi1: FgAbGroup
 
 
 @dataclass(frozen=True)
@@ -235,15 +233,10 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     return subgroup_from_generators(cgroup, gens)
 
 
-def pi1(model: ReductiveModel) -> Pi1Result:
-    """Fundamental group, its torsion, and the fundamental group of the
-    derived subgroup (the unipotent part never contributes)."""
-    lam = _pi1_span(model)
-    group = lam.computed
-    derived = _derived_kernel(model).computed
-    result = Pi1Result(group=group, torsion=ext1_z(group), derived_pi1=derived)
-    assert result.torsion == result.derived_pi1, "torsion of pi1 must equal pi1 of the derived subgroup"
-    return result
+def pi1(model: ReductiveModel) -> FgAbGroup:
+    """Fundamental group of H (the unipotent part never contributes).  Its
+    torsion ``ext1_z(pi1(model))`` is pi1 of the derived subgroup."""
+    return _pi1_span(model).computed
 
 
 def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
@@ -343,7 +336,7 @@ def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     semisimple quotient S_sc/kernel."""
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
-    return SemisimpleModel(datum=model.ss, kernel=_derived_kernel(model))
+    return derived_subgroup(model)
 
 
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:

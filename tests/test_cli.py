@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from homspace import __version__
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
@@ -199,6 +200,48 @@ class TestCommands:
             assert code == 0
             assert len(calls) == 1
 
+    def test_derived_kernel_only_for_the_semisimple_part(self, monkeypatch, tmp_path):
+        import homspace.groups as groupsmod
+
+        calls = []
+        original = groupsmod._derived_kernel
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(groupsmod, "_derived_kernel", counting)
+        path = tmp_path / "torus_r3.json"
+        path.write_text(json.dumps(TORUS_R3))
+        expected = [
+            (["invariants", "--preset", "GL(3)"], 0),
+            (["describe", "--preset", "GL(3)"], 0),
+            (["invariants", "--spec", str(path)], 0),
+            (["describe", "--spec", str(path)], 0),
+            (["invariants", "--preset", "SO(8)"], 1),
+            (["weights", "--preset", "SO(8)"], 1),
+        ]
+        for argv, count in expected:
+            calls.clear()
+            code, _, err = invoke([*argv, "--json"])
+            assert code == 0, err
+            assert len(calls) == count, argv
+
+    def test_parser_reused_across_calls(self):
+        # one parser serves every call: each call's output lands in its own
+        # streams and no parsed flag carries over to the next call
+        usage = invoke(["no-such-command"])
+        version = invoke(["--version"])
+        expanded = invoke(["describe", "--expand", "--json", "--preset", "GL(3)"])
+        described = invoke(["describe", "--json", "--preset", "GL(3)"])
+        assert usage[0] == 1 and not usage[1] and "invalid choice" in usage[2]
+        assert version == (0, f"homspace {__version__}\n", "")
+        assert expanded[0] == 0 and not expanded[2]
+        assert json.loads(expanded[1]) == model_to_document(preset("GL(3)"))
+        assert described[0] == 0 and not described[2]
+        payload = json.loads(described[1])
+        assert payload["model"] == "GL(3)" and payload["pi1"] == "Z^1"
+
 
 class TestWeightsPathScale:
     def test_a1_13_modulo_center(self, tmp_path):
@@ -237,6 +280,9 @@ PINNED_REPORTS = {
     ("snf", "square"): "52fd0b97accf921eab6a0681d6a9abb87140f70cac8033ed641fbcee3053903d",
     ("snf", "wide"): "d364705b1627f4d105c1d236fc1d286443d6356423a3984c67d6558619468b18",
     ("snf", "rank-deficient"): "a27aa1b3f859e91c22562a26234a617ea145527b121f90c56ae8429f5e02f56c",
+    ("describe", "SO(8)"): "f591df49853795a77af51c48181f88fc6285532a39e648ac094adf311e8c98df",
+    ("describe", "PGL(6)"): "f7893b63fab456587712583dc2002e400bac4d51dd11560936258f4f0f98ce2b",
+    ("weights", "PGL(12)"): "1f68deace68814a522e47d16311a08f281198abd23f766044d71b02f2be2550a",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {

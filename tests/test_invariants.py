@@ -133,7 +133,7 @@ class TestReport:
         for _ in range(15):
             model = random_model(rng)
             _, pic = picard(model)
-            dual_pi1 = hom_group(pi1(model).group, Z)
+            dual_pi1 = hom_group(pi1(model), Z)
             for n in range(1, 13):
                 lhs, _ = cokernel_of(multiplication_hom(pic, n))
                 rhs, _ = cokernel_of(multiplication_hom(dual_pi1, n))
@@ -158,7 +158,7 @@ class TestSemisimpleSweep:
             datum = build_datum((t,))
             for sub in all_subgroups(center(datum).group):
                 model = semisimple_as_reductive(SemisimpleModel(datum=datum, kernel=sub))
-                assert pi1(model).group == sub.computed
+                assert pi1(model) == sub.computed
                 assert brauer(model) == dual_finite(sub.computed).group
                 assert picard_of_group(model) == dual_finite(sub.computed).group
 
@@ -206,8 +206,10 @@ class TestWeightTable:
     def test_restrictions_surject_and_kernel_index(self):
         from homspace.groups import SemisimpleModel
 
-        a1 = SimpleType("A", 1)
-        for types in [(SimpleType("A", 3),), (SimpleType("B", 3),), (SimpleType("D", 4),), (a1, a1, a1)]:
+        a1, a2 = SimpleType("A", 1), SimpleType("A", 2)
+        simple = ("A", 3), ("B", 3), ("D", 4), ("D", 5), ("E", 6), ("A", 11), ("D", 6), ("B", 6)
+        # A11, D6 and B6 contain the kernels of PGL(12), SO(12) and SO(13)
+        for types in [(SimpleType(*t),) for t in simple] + [(a1, a1, a1), (a2, a2)]:
             datum = build_datum(types)
             for sub in all_subgroups(center(datum).group):
                 sm = SemisimpleModel(datum=datum, kernel=sub)
