@@ -240,19 +240,6 @@ class AbHom:
         return f"AbHom({self.domain} -> {self.codomain}, {self.matrix!r})"
 
 
-def identity_hom(group: FgAbGroup) -> AbHom:
-    return AbHom(group, group, IntMatrix.identity(group.ngens))
-
-
-def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
-    return AbHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
-
-
-def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
-    m = IntMatrix.diagonal([n] * group.ngens)
-    return AbHom(group, group, m)
-
-
 @dataclass(frozen=True)
 class SubgroupPresentation:
     """A subgroup given by generators, with its abstract type and an
@@ -394,11 +381,6 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     if f.codomain != g.domain:
         raise ValueError("codomain of f must equal domain of g")
     return image_lattice(f) == preimage_lattice(g)
-
-
-def is_surjective(f: AbHom) -> bool:
-    group, _ = cokernel_of(f)
-    return group.is_trivial
 
 
 def express_in_subgroup(sub: SubgroupPresentation, elem: AbElement) -> Optional[AbElement]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import __version__
 from .abgroups import FgAbGroup, ext1_z
-from .extensions import Character, character_to_extension, cocycle_class, cocycle_of
+from .extensions import Character, character_to_extension, extension_class
 from .groups import (
     GluingPair,
     ReductiveModel,
@@ -407,7 +407,7 @@ def _cmd_ext(args, out: _Printer) -> int:
         except ValueError as exc:
             raise CliError("E_INPUT", "--char", str(exc)) from exc
         ext = character_to_extension(chi)
-        back = cocycle_class(cocycle_of(ext))
+        back = extension_class(ext)
         if back != chi:
             raise RuntimeError("internal invariant violation: extension round trip broke")
         payload.update(

@@ -40,12 +40,10 @@ from .abgroups import (
     CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
-    express_in_subgroup,
     preimage_lattice,
     span_in_cyclics,
     subgroup_from_generators,
 )
-from .extensions import Character
 from .intlinalg import IntMatrix
 from .rootdata import (
     CenterElement,
@@ -156,25 +154,6 @@ def gluing_order(model: ReductiveModel) -> int:
     return _gluing(model).group.order()
 
 
-def gluing_elements(model: ReductiveModel):
-    """Materialized element table of the gluing subgroup, as gluing pairs."""
-    data = _gluing(model)
-    n = data.torus_exponent
-    k = len(model.ss.pq_group.invariant_factors)
-    incl = data.span.inclusion_columns
-    out = []
-    for elem in data.group.elements():
-        coords = [0] * len(data.ambient_orders)
-        for p, c in enumerate(elem.coords):
-            col = incl.column(p)
-            coords = [x + c * y for x, y in zip(coords, col)]
-        coords = data.span.reduce_ambient(coords)
-        ce = center_element_from_coords(model.ss, coords[:k])
-        torus = tuple(Fraction(c, n) for c in coords[k:])
-        out.append(GluingPair(ce, torus))
-    return out
-
-
 def validate(model: ReductiveModel):
     """Check the model and report human-readable certificates."""
     data = _gluing(model)
@@ -228,7 +207,6 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     gens = []
     for i in range(basis.rows):
         amb = data.span.reduce_ambient(incl.apply(basis.row(i)))
-        assert all(t == 0 for t in amb[k:]), "derived kernel elements have no torus part"
         gens.append(cgroup.element(amb[:k]))
     return subgroup_from_generators(cgroup, gens)
 
@@ -252,83 +230,7 @@ def character_group(model: ReductiveModel):
     if r == 0:
         return IntMatrix.identity(0), FgAbGroup(0, ())
     rows = [[int(v * n) for v in pair.torus] for pair in model.gluing]
-    basis = preimage_lattice(_mod_n_hom(FgAbGroup(r, ()), n, rows))
-    assert basis.rows == r, "character lattice has finite index in Z^r"
-    return basis, FgAbGroup(r, ())
-
-
-def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
-    """The homomorphism pi1(H) -> Z induced by a character: (v, z) maps to
-    <mu, v>.  Rejects mu outside the character lattice."""
-    mu = tuple(int(c) for c in mu)
-    if len(mu) != model.torus_rank:
-        raise ValueError(f"character needs {model.torus_rank} coordinates")
-    for pair in model.gluing:
-        val = sum(m * v for m, v in zip(mu, pair.torus))
-        if val.denominator != 1:
-            raise ValueError(f"not a character of the model: pairing {val} with a gluing generator is not integral")
-    lam = _pi1_span(model)
-    n = _gluing(model).torus_exponent
-    r = model.torus_rank
-    images = []
-    for p in range(lam.computed.ngens):
-        w = lam.inclusion.matrix.column(p)[:r]
-        num = sum(m * wi for m, wi in zip(mu, w))
-        assert num % n == 0, "character pairing must be integral on pi1"
-        images.append(num // n)
-    return AbHom(lam.computed, FgAbGroup(1, ()), IntMatrix.from_rows([images], cols=lam.computed.ngens))
-
-
-def gluing_character_values(model: ReductiveModel, gamma: Character):
-    """Values of a gluing-subgroup character on the model's own gluing
-    generators."""
-    data = _gluing(model)
-    if gamma.group != data.group:
-        raise ValueError(
-            f"character is defined on {gamma.group}, but the gluing subgroup is {data.group}"
-        )
-    values = []
-    for i in range(len(model.gluing)):
-        coords = data.span.projection.column(i)
-        values.append(gamma.evaluate(data.group.reduce(coords)))
-    return values
-
-
-def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
-    """Model of the central extension (H~ x Gm)/gluing attached to a
-    character of the gluing subgroup: one extra torus coordinate, each
-    gluing generator extended by its character value."""
-    values = gluing_character_values(model, gamma)
-    new_pairs = tuple(
-        GluingPair(pair.center, pair.torus + (values[i],)) for i, pair in enumerate(model.gluing)
-    )
-    return ReductiveModel(
-        ss=model.ss,
-        torus_rank=model.torus_rank + 1,
-        gluing=new_pairs,
-        unipotent_dim=model.unipotent_dim,
-        name=None,
-    )
-
-
-def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
-    """For a model with torus rank >= 1: the map Z -> pi1(H) classifying a
-    loop around the last torus coordinate.  Used to certify extension
-    exactness of central pushouts at the model level."""
-    if model.torus_rank == 0:
-        raise ValueError("model has no torus coordinate")
-    lam = _pi1_span(model)
-    n = _gluing(model).torus_exponent
-    ambient = lam.ambient
-    coords = [0] * ambient.ngens
-    coords[model.torus_rank - 1] = n
-    inside = express_in_subgroup(lam, ambient.element(coords))
-    assert inside is not None, "integral torus loops lie in pi1"
-    return AbHom(
-        FgAbGroup(1, ()),
-        lam.computed,
-        IntMatrix.from_columns([list(inside.coords)], rows=lam.computed.ngens),
-    )
+    return preimage_lattice(_mod_n_hom(FgAbGroup(r, ()), n, rows)), FgAbGroup(r, ())
 
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
@@ -337,15 +239,6 @@ def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
     return derived_subgroup(model)
-
-
-def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
-    gens = []
-    cgroup = center(sm.datum).group
-    for p in range(sm.kernel.computed.ngens):
-        elem = sm.kernel.inclusion(sm.kernel.computed.generator(p))
-        gens.append(GluingPair(center_element_from_coords(sm.datum, elem.coords), ()))
-    return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
 
 
 # ---------------------------------------------------------------------------

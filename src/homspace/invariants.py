@@ -42,14 +42,6 @@ TRIVIAL = FgAbGroup(0, ())
 
 
 @dataclass(frozen=True)
-class TopologicalInvariants:
-    pi1_m: FgAbGroup
-    pi2_m: FgAbGroup
-    h2_m: FgAbGroup
-    tors_h3_m: FgAbGroup
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     pic_lattice: IntMatrix
     pic_group: FgAbGroup
@@ -90,17 +82,6 @@ def picard_of_group(model: ReductiveModel) -> FgAbGroup:
     also E_al(H, Gm), the classes of central Gm-extensions of H under Baer
     sum: the characters of pi1 of the derived subgroup."""
     return dual_finite(ext1_z(pi1(model))).group
-
-
-def topological_invariants(model: ReductiveModel) -> TopologicalInvariants:
-    """pi1, pi2, H^2 and Tors H^3 of M = G/H."""
-    fundamental = pi1(model)
-    return TopologicalInvariants(
-        pi1_m=TRIVIAL,
-        pi2_m=fundamental,
-        h2_m=hom_group(fundamental, Z),
-        tors_h3_m=ext1_z(fundamental),
-    )
 
 
 def invariant_report(model: ReductiveModel) -> InvariantReport:

@@ -264,9 +264,7 @@ def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
             value += Fraction(ai * ci, d)
         value %= 1
         m = sub.computed.invariant_factors[p]
-        scaled = value * m
-        assert scaled.denominator == 1, "pairing must be killed by the generator order"
-        out.append(int(scaled) % m)
+        out.append(int(value * m) % m)
     return dual.group.element(out)
 
 
@@ -302,6 +300,4 @@ def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation)
     )
     # lambda is in the lattice iff proj @ lambda == 0 mod big
     restrict = AbHom(FgAbGroup(rank, ()), FgAbGroup(0, (big,) * proj.rows), proj)
-    basis = preimage_lattice(restrict)
-    assert basis.rows == rank, "character lattice must have finite index in P"
-    return basis
+    return preimage_lattice(restrict)

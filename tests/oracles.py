@@ -1,0 +1,330 @@
+"""Test-only oracles: slow second routes and helpers that no query reaches.
+
+* Extension classes through symmetric 2-cocycle tables over Gamma: a
+  section of the projection gives a cocycle, and the averaging lift
+
+      f(g) = (1/|Gamma|) * sum_h c(g, h)
+
+  satisfies f(a) + f(b) - f(a+b) = c(a, b) exactly, so f mod Z is the class.
+  ``homspace.extensions.extension_class`` reads the same class off generator
+  lifts; the tests compare the two.  Tables cost |Gamma|^2 cells, so this
+  route is for small groups only.
+* Central pushouts of reductive models along gluing characters, the
+  character map pi1(H) -> Z and the element table of the gluing subgroup.
+* Small homomorphism constructors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from typing import Optional, Sequence
+
+from homspace.abgroups import (
+    AbElement,
+    AbHom,
+    FgAbGroup,
+    cokernel_of,
+    dual_finite,
+    express_in_subgroup,
+    preimage_of,
+)
+from homspace.extensions import Character, ExtensionData
+from homspace.groups import (
+    GluingPair,
+    ReductiveModel,
+    SemisimpleModel,
+    _gluing,
+    _pi1_span,
+)
+from homspace.intlinalg import IntMatrix
+from homspace.rootdata import center_element_from_coords
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms
+
+
+def identity_hom(group: FgAbGroup) -> AbHom:
+    return AbHom(group, group, IntMatrix.identity(group.ngens))
+
+
+def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
+    return AbHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
+
+
+def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
+    return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
+
+
+def is_surjective(f: AbHom) -> bool:
+    group, _ = cokernel_of(f)
+    return group.is_trivial
+
+
+# ---------------------------------------------------------------------------
+# characters and cocycle tables
+
+
+def character_from_dual_element(chi: AbElement) -> Character:
+    """Reinterpret an element of dual_finite(G).group as a character of G."""
+    group = chi.group
+    values = tuple(Fraction(c, d) for c, d in zip(chi.coords, group.invariant_factors))
+    return Character(group, values)
+
+
+def all_characters(group: FgAbGroup):
+    dual = dual_finite(group)
+    return [character_from_dual_element(e) for e in dual.group.elements()]
+
+
+@lru_cache(maxsize=None)
+def _elements(group: FgAbGroup):
+    if not group.is_finite:
+        raise ValueError(f"{group} is not finite")
+    elems = tuple(product(*(range(d) for d in group.invariant_factors)))
+    index = {coords: i for i, coords in enumerate(elems)}
+    return elems, index
+
+
+@lru_cache(maxsize=None)
+def _add_table(group: FgAbGroup):
+    """add[a][b] = element index of elems[a] + elems[b]."""
+    elems, index = _elements(group)
+    factors = group.invariant_factors
+    return tuple(
+        tuple(index[tuple((x + y) % d for x, y, d in zip(ea, eb, factors))] for eb in elems)
+        for ea in elems
+    )
+
+
+class SymmetricCocycle:
+    """Integer-valued symmetric normalized 2-cocycle, tabulated over the
+    element enumeration of the group (lexicographic coordinates)."""
+
+    __slots__ = ("group", "table")
+
+    def __init__(self, group: FgAbGroup, table: Sequence[Sequence[int]]):
+        elems, index = _elements(group)
+        n = len(elems)
+        table = tuple(tuple(int(x) for x in row) for row in table)
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"table must be {n}x{n}")
+        zero = index[(0,) * len(group.invariant_factors)]
+        for i in range(n):
+            if table[zero][i] or table[i][zero]:
+                raise ValueError("cocycle is not normalized: c(0, -) must vanish")
+            for j in range(i):
+                if table[i][j] != table[j][i]:
+                    raise ValueError("cocycle is not symmetric")
+        add = _add_table(group)
+        for a in range(n):
+            row_a = table[a]
+            add_a = add[a]
+            for b in range(n):
+                base = row_a[b]
+                row_ab = table[add_a[b]]
+                row_b = table[b]
+                add_b = add[b]
+                for h in range(n):
+                    if base + row_ab[h] != row_b[h] + row_a[add_b[h]]:
+                        raise ValueError("cocycle identity fails")
+        self.group = group
+        self.table = table
+
+    @classmethod
+    def _trusted(cls, group: FgAbGroup, table: tuple) -> "SymmetricCocycle":
+        """Skip the O(n^3) identity check for tables that satisfy it by
+        construction (sums of cocycles, coboundaries, sections)."""
+        self = object.__new__(cls)
+        self.group = group
+        self.table = table
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SymmetricCocycle) and self.group == other.group and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.table))
+
+    def __repr__(self) -> str:
+        return f"SymmetricCocycle({self.group}, |table|={len(self.table)})"
+
+
+def zero_cocycle(group: FgAbGroup) -> SymmetricCocycle:
+    n = len(_elements(group)[0])
+    return SymmetricCocycle._trusted(group, tuple((0,) * n for _ in range(n)))
+
+
+def coboundary(group: FgAbGroup, lift_values: Sequence[int]) -> SymmetricCocycle:
+    """The cocycle (a, b) -> g(a) + g(b) - g(a+b) of an integer-valued map g
+    with g(0) = 0, given by its values on the nonzero elements in enumeration
+    order."""
+    n = len(_elements(group)[0])
+    if len(lift_values) != n - 1:
+        raise ValueError(f"need {n - 1} values for the nonzero elements")
+    g = [0] + [int(v) for v in lift_values]
+    add = _add_table(group)
+    table = tuple(tuple(g[a] + g[b] - g[add[a][b]] for b in range(n)) for a in range(n))
+    return SymmetricCocycle._trusted(group, table)
+
+
+def _section(ext: ExtensionData):
+    """Set-theoretic section of the projection with s(0) = 0, tabulated over
+    the quotient's element enumeration."""
+    gamma = ext.project.codomain
+    elems, _ = _elements(gamma)
+    lifts = []
+    for i in range(gamma.ngens):
+        lift = preimage_of(ext.project, gamma.generator(i))
+        assert lift is not None, "projection is surjective"
+        lifts.append(lift.coords)
+    table = []
+    for coords in elems:
+        acc = [0] * ext.middle.ngens
+        for c, lift in zip(coords, lifts):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, lift)]
+        table.append(ext.middle.reduce(acc))
+    return table
+
+
+def cocycle_of(ext: ExtensionData) -> SymmetricCocycle:
+    """Symmetric cocycle of a realized extension through a section.
+
+    Differences of section values land in ker(project) = im(inject), and the
+    injected Z is detected faithfully on any free coordinate where it is
+    nonzero, so inversion reads off a single coordinate."""
+    gamma = ext.project.codomain
+    n = len(_elements(gamma)[0])
+    section = _section(ext)
+    j = ext.inject.matrix.column(0)
+    pivot = next((p for p in range(ext.middle.free_rank) if j[p] != 0), None)
+    assert pivot is not None, "the injected Z has infinite order in the middle group"
+    jp = j[pivot]
+    piv = [s[pivot] for s in section]
+    add = _add_table(gamma)
+    table = []
+    for a in range(n):
+        pa = piv[a]
+        add_a = add[a]
+        row = []
+        for b in range(n):
+            x, rem = divmod(pa + piv[b] - piv[add_a[b]], jp)
+            assert rem == 0, "section difference must come from the injected Z"
+            row.append(x)
+        table.append(tuple(row))
+    return SymmetricCocycle._trusted(gamma, tuple(table))
+
+
+def cocycle_class(c: SymmetricCocycle) -> Character:
+    """Class of a cocycle via the averaging lift f(g) = (1/n) sum_h c(g, h)."""
+    gamma = c.group
+    _, index = _elements(gamma)
+    n = len(c.table)
+    values = []
+    for i in range(gamma.ngens):
+        coords = [0] * gamma.ngens
+        coords[i] = 1
+        values.append(Fraction(sum(c.table[index[tuple(coords)]]), n))
+    return Character(gamma, tuple(values))
+
+
+def baer_sum(c1: SymmetricCocycle, c2: SymmetricCocycle) -> SymmetricCocycle:
+    """Baer sum; on symmetric cocycles this is the pointwise table sum."""
+    if c1.group != c2.group:
+        raise ValueError("cocycles over different groups")
+    table = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(c1.table, c2.table))
+    return SymmetricCocycle._trusted(c1.group, table)
+
+
+def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
+    """Extensions are equivalent exactly when the cocycles differ by a
+    coboundary, i.e. when their classes agree."""
+    if c1.group != c2.group:
+        raise ValueError("cocycles over different groups")
+    return cocycle_class(c1) == cocycle_class(c2)
+
+
+# ---------------------------------------------------------------------------
+# reductive models
+
+
+def gluing_elements(model: ReductiveModel):
+    """Materialized element table of the gluing subgroup, as gluing pairs."""
+    data = _gluing(model)
+    n = data.torus_exponent
+    k = len(model.ss.pq_group.invariant_factors)
+    incl = data.span.inclusion_columns
+    out = []
+    for elem in data.group.elements():
+        coords = data.span.reduce_ambient(incl.apply(elem.coords))
+        ce = center_element_from_coords(model.ss, coords[:k])
+        torus = tuple(Fraction(c, n) for c in coords[k:])
+        out.append(GluingPair(ce, torus))
+    return out
+
+
+def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
+    gens = []
+    for p in range(sm.kernel.computed.ngens):
+        elem = sm.kernel.inclusion(sm.kernel.computed.generator(p))
+        gens.append(GluingPair(center_element_from_coords(sm.datum, elem.coords), ()))
+    return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
+
+
+def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
+    """The homomorphism pi1(H) -> Z induced by a character: (v, z) maps to
+    <mu, v>.  Rejects mu outside the character lattice."""
+    mu = tuple(int(c) for c in mu)
+    if len(mu) != model.torus_rank:
+        raise ValueError(f"character needs {model.torus_rank} coordinates")
+    for pair in model.gluing:
+        val = sum(m * v for m, v in zip(mu, pair.torus))
+        if val.denominator != 1:
+            raise ValueError(f"not a character of the model: pairing {val} with a gluing generator is not integral")
+    lam = _pi1_span(model)
+    n = _gluing(model).torus_exponent
+    r = model.torus_rank
+    images = []
+    for p in range(lam.computed.ngens):
+        w = lam.inclusion.matrix.column(p)[:r]
+        num = sum(m * wi for m, wi in zip(mu, w))
+        assert num % n == 0, "character pairing must be integral on pi1"
+        images.append(num // n)
+    return AbHom(lam.computed, FgAbGroup(1, ()), IntMatrix.from_rows([images], cols=lam.computed.ngens))
+
+
+def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
+    """Model of the central extension (H~ x Gm)/gluing attached to a
+    character of the gluing subgroup: one extra torus coordinate, each
+    gluing generator extended by the character's value on it."""
+    data = _gluing(model)
+    if gamma.group != data.group:
+        raise ValueError(f"character is defined on {gamma.group}, but the gluing subgroup is {data.group}")
+    new_pairs = tuple(
+        GluingPair(pair.center, pair.torus + (gamma.evaluate(data.group.reduce(data.span.projection.column(i))),))
+        for i, pair in enumerate(model.gluing)
+    )
+    return ReductiveModel(
+        ss=model.ss, torus_rank=model.torus_rank + 1, gluing=new_pairs, unipotent_dim=model.unipotent_dim
+    )
+
+
+def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
+    """For a model with torus rank >= 1: the map Z -> pi1(H) classifying a
+    loop around the last torus coordinate."""
+    if model.torus_rank == 0:
+        raise ValueError("model has no torus coordinate")
+    lam = _pi1_span(model)
+    n = _gluing(model).torus_exponent
+    coords = [0] * lam.ambient.ngens
+    coords[model.torus_rank - 1] = n
+    inside = express_in_subgroup(lam, lam.ambient.element(coords))
+    assert inside is not None, "integral torus loops lie in pi1"
+    return AbHom(
+        FgAbGroup(1, ()),
+        lam.computed,
+        IntMatrix.from_columns([list(inside.coords)], rows=lam.computed.ngens),
+    )

@@ -17,17 +17,14 @@ from homspace.abgroups import (
     ext1_z,
     from_presentation,
     hom_group,
-    identity_hom,
     image_lattice,
     is_exact_at,
-    is_surjective,
     kernel_of,
-    multiplication_hom,
     preimage_lattice,
     subgroup_from_generators,
-    zero_hom,
 )
 from homspace.intlinalg import IntMatrix, determinant, lattice_row_basis
+from oracles import identity_hom, is_surjective, multiplication_hom, zero_hom
 
 
 def random_group(rng, max_rank=2, max_factors=2, max_d=12):

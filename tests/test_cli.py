@@ -145,6 +145,20 @@ class TestCommands:
         assert code == 0
         assert "round trip: ok" in out
 
+    def test_ext_char_beyond_any_table(self):
+        # 2^13 and 2^20 elements: the class is read off 13 and 20 generator
+        # lifts, never off a table over the group
+        for k in (13, 20):
+            group = ",".join(["2"] * k)
+            char = ",".join(["1/2", "0"] * (k // 2) + ["1/2"] * (k % 2))
+            start = time.perf_counter()
+            code, out, err = invoke(["ext", "--json", "--group", group, "--char", char])
+            assert time.perf_counter() - start < 2.0
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["round_trip_ok"] is True
+            assert payload["middle_group"] == str(FgAbGroup(1, (2,) * (k - 1)))
+
     def test_ext_bad_chain(self):
         code, _, err = invoke(["ext", "--group", "2,3"])
         assert code == 1
@@ -283,6 +297,14 @@ PINNED_REPORTS = {
     ("describe", "SO(8)"): "f591df49853795a77af51c48181f88fc6285532a39e648ac094adf311e8c98df",
     ("describe", "PGL(6)"): "f7893b63fab456587712583dc2002e400bac4d51dd11560936258f4f0f98ce2b",
     ("weights", "PGL(12)"): "1f68deace68814a522e47d16311a08f281198abd23f766044d71b02f2be2550a",
+    ("ext", "16,16"): "416944fe1472399b51256804c3ae4d6c21e2e77756cc909bc6c2032aa5a3ec05",
+    ("ext", "2,4,16"): "8c52f1353eab2f7f4d0210528c34a842d8774f1b2eb7525fdf55880284eff757",
+    ("ext", "2,2,2,2,2,2,2,2"): "57dcfa6672470af6fc09beaae2c40432f8761f03cb0a3bd7fa24a2c0503799a9",
+    ("ext", "4,64"): "4f98408b23d2ca0bc6613b013775e8b395c64ffede046dcaa53dcd83b8851789",
+    ("ext text", "16,16"): "173df2acdd2e3d3dabf13c25ff63f0f5516804021475cc6423e0d6992b54443a",
+    ("ext text", "2,4,16"): "da568552165198b153870c2a4bd6b1d88bbd00e7de0831f71aad278d15a12a4f",
+    ("ext text", "2,2,2,2,2,2,2,2"): "a6681573fc1b5c23c5006db0d3da0d40f779c9547042de9686c9c6104236412b",
+    ("ext text", "4,64"): "5383604574dfad233d8afcdbbbe700ef72f81b6c771350944a70933d5efbfef2",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {
@@ -293,6 +315,13 @@ TORUS_R3 = {
         {"center": [0, 2], "torus": ["1/4", "2/3", "3/4"]},
     ],
 }
+# ext --group G --char chi, as --json and as text
+PINNED_CHARACTERS = {
+    "16,16": "3/16,5/8",
+    "2,4,16": "1/2,3/4,7/16",
+    "2,2,2,2,2,2,2,2": "1/2,0,1/2,1/2,0,0,1/2,1/2",
+    "4,64": "1/4,5/64",
+}
 PINNED_MATRICES = {
     "square": "3,-7,2,5;-4,9,0,-1;6,1,-8,2;0,-5,7,3",
     "wide": "2,-4,6,1,-3;5,0,-9,8,7;-1,3,2,-6,4",
@@ -302,7 +331,13 @@ PINNED_MATRICES = {
 
 @pytest.mark.parametrize("command, name", sorted(PINNED_REPORTS))
 def test_report_bytes_pinned(command, name, tmp_path):
-    if command == "snf":
+    digest = PINNED_REPORTS[command, name]
+    fmt = ["--json"]
+    if command == "ext text":
+        command, fmt = "ext", []
+    if command == "ext":
+        source = ["--group", name, "--char", PINNED_CHARACTERS[name]]
+    elif command == "snf":
         source = ["--matrix", PINNED_MATRICES[name]]
     elif name == "torus-r3":
         path = tmp_path / "torus_r3.json"
@@ -310,9 +345,9 @@ def test_report_bytes_pinned(command, name, tmp_path):
         source = ["--spec", str(path)]
     else:
         source = ["--preset", name]
-    code, out, _ = invoke([command, "--json", *source])
+    code, out, _ = invoke([command, *fmt, *source])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command, name]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminismAndSchema:

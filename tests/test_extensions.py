@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_cocycle_classes, small_groups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, dual_finite, ext1_z, is_exact_at
-from homspace.extensions import (
-    Character,
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, dual_finite, ext1_z, is_exact_at, kernel_of
+from homspace.extensions import Character, character_to_extension
+from oracles import (
     SymmetricCocycle,
     all_characters,
     are_equivalent,
     baer_sum,
-    character_to_extension,
     coboundary,
     cocycle_class,
     cocycle_of,
+    is_surjective,
     zero_cocycle,
 )
 
@@ -53,9 +53,14 @@ class TestCharacterToExtension:
         assert ext.middle == FgAbGroup(1, (2,))
 
     def test_certificates(self):
-        for chi in all_characters(FgAbGroup(0, (2, 6))):
-            ext = character_to_extension(chi)
-            assert is_exact_at(ext.inject, ext.project)
+        # 0 -> Z -> E -> Gamma -> 0 is exact for every character
+        for group in small_groups(16):
+            for chi in all_characters(group):
+                ext = character_to_extension(chi)
+                assert ext.inject.codomain == ext.middle == ext.project.domain
+                assert kernel_of(ext.inject).computed.is_trivial
+                assert is_exact_at(ext.inject, ext.project)
+                assert is_surjective(ext.project)
 
 
 class TestCocycleClass:

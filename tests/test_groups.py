@@ -5,26 +5,29 @@ import pytest
 
 from conftest import random_model
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cokernel_of, cyclic, ext1_z
-from homspace.extensions import Character, all_characters
+from homspace.extensions import Character
 from homspace.groups import (
     GluingPair,
     ReductiveModel,
     as_semisimple,
-    central_pushout,
     character_group,
     derived_subgroup,
-    fiber_class_in_pi1,
-    gluing_elements,
     gluing_group,
     gluing_order,
     pi1,
     preset,
-    psi_character_map,
-    semisimple_as_reductive,
     validate,
 )
 from homspace.intlinalg import IntMatrix, determinant
 from homspace.rootdata import SimpleType, build_datum, center_element_from_coords
+from oracles import (
+    all_characters,
+    central_pushout,
+    fiber_class_in_pi1,
+    gluing_elements,
+    psi_character_map,
+    semisimple_as_reductive,
+)
 
 
 def torus_only(rank):
@@ -121,6 +124,17 @@ class TestDerivedSubgroup:
         sm = derived_subgroup(torus_only(2))
         assert sm.datum.rank == 0
         assert sm.kernel.computed == TRIVIAL_GROUP
+
+    def test_kernel_is_the_gluing_elements_without_torus_part(self):
+        # element by element: the kernel of the torus projection, read back in
+        # the center, is exactly the set of gluing elements with torus part 0
+        rng = random.Random(41)
+        for _ in range(40):
+            model = random_model(rng, max_gluing_order=24)
+            kernel = derived_subgroup(model).kernel
+            got = {kernel.inclusion(e).coords for e in kernel.computed.elements()}
+            brute = {e.center.dual_coords() for e in gluing_elements(model) if not any(e.torus)}
+            assert got == brute
 
     def test_semisimple_fixed_point(self):
         for name in ("PGL(3)", "SO(7)", "SL(4)"):

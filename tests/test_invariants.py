@@ -9,10 +9,9 @@ from homspace.abgroups import (
     cyclic,
     dual_finite,
     hom_group,
-    multiplication_hom,
     subgroup_from_generators,
 )
-from homspace.extensions import character_from_dual_element, character_to_extension, cocycle_class, cocycle_of
+from homspace.extensions import character_to_extension
 from homspace.groups import ReductiveModel, as_semisimple, preset, pi1
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import (
@@ -20,10 +19,10 @@ from homspace.invariants import (
     invariant_report,
     picard,
     picard_of_group,
-    topological_invariants,
     weight_brauer_table,
 )
 from homspace.rootdata import SimpleType, build_datum, center, character_lattice_of_quotient
+from oracles import character_from_dual_element, cocycle_class, cocycle_of, multiplication_hom
 
 
 def unipotent_only_model(dim=1):
@@ -92,19 +91,19 @@ class TestPicardOfGroup:
 
 class TestTopological:
     def test_so3(self):
-        topo = topological_invariants(preset("SO(3)"))
+        topo = invariant_report(preset("SO(3)"))
         assert topo.pi2_m == cyclic(2)
         assert topo.h2_m == TRIVIAL_GROUP
         assert topo.tors_h3_m == cyclic(2)
 
     def test_gl1(self):
-        topo = topological_invariants(preset("GL(1)"))
+        topo = invariant_report(preset("GL(1)"))
         assert topo.pi2_m == Z
         assert topo.h2_m == Z
         assert topo.tors_h3_m == TRIVIAL_GROUP
 
     def test_simply_connected(self):
-        topo = topological_invariants(preset("Spin(9)"))
+        topo = invariant_report(preset("Spin(9)"))
         assert topo.pi1_m == TRIVIAL_GROUP
         assert topo.pi2_m == TRIVIAL_GROUP
         assert topo.h2_m == TRIVIAL_GROUP
@@ -145,7 +144,8 @@ class TestSemisimpleSweep:
         # every central quotient of every simple type of rank <= 8: the
         # pi1-based Brauer computation must land on the dual of the kernel
         from conftest import _FAMILY_CHOICES
-        from homspace.groups import SemisimpleModel, semisimple_as_reductive
+        from homspace.groups import SemisimpleModel
+        from oracles import semisimple_as_reductive
 
         types = {SimpleType(f, r) for f, r in _FAMILY_CHOICES} | {
             SimpleType("E", 7),

@@ -185,6 +185,21 @@ class TestRestrictWeight:
                     l2 = Weight(datum, tuple(rng.randint(-4, 4) for _ in range(datum.rank)))
                     assert restrict_weight(l1 + l2, k) == restrict_weight(l1, k) + restrict_weight(l2, k)
 
+    def test_pairing_killed_by_generator_order(self):
+        # the pairing of a weight with a subgroup generator of order m, read
+        # through the center's evaluation pairing, is the restriction's
+        # coordinate over m, so m kills it
+        for t in ALL_TYPES:
+            datum = build_datum((t,))
+            dual = center(datum)
+            for sub in all_subgroups(dual.group):
+                for i in range(datum.rank):
+                    w = fundamental_weight(datum, i)
+                    coords = restrict_weight(w, sub).coords
+                    for p, m in enumerate(sub.computed.invariant_factors):
+                        value = dual.pair(sub.inclusion(sub.computed.generator(p)), w.pq_class())
+                        assert Fraction(coords[p], m) == value
+
     def test_rejects_foreign_subgroup(self):
         datum = build_datum((SimpleType("A", 1),))
         other = subgroup_from_generators(cyclic(4), [cyclic(4).element([1])])
