@@ -12,10 +12,15 @@ order ``d`` must be killed by ``d``).
 
 Subgroup, kernel, cokernel and Hom/Ext computations all reduce to Smith and
 Hermite normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
-``{x : f(x) = 0}`` (:func:`preimage_lattice`) and preimages of single
-elements (:func:`preimage_of`) are computed here and only here, and every
-Smith quotient goes through one helper.  Other modules state such problems
-as homomorphisms and never call ``integer_kernel``, ``lattice_row_basis``,
+``{x : f(x) = 0}`` (:func:`preimage_lattice`) and the relations of a span
+are the Hermite bases of ``intlinalg.solution_lattice``, one Hermite
+elimination each, run modulo the exponent of the target group when that
+group is finite.
+Preimages of single elements (:func:`preimage_of`) are computed here and
+only here, and every Smith quotient goes through one helper; the span's
+inclusion reads the inverse of the Smith row transform, which the Smith
+loop accumulates for it.  Other modules state such problems as
+homomorphisms and never call ``solution_lattice``, ``lattice_row_basis``,
 ``solve_integer`` or ``_snf_transform`` themselves.
 """
 
@@ -29,9 +34,8 @@ from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
-    integer_kernel,
-    inverse_unimodular,
     lattice_row_basis,
+    solution_lattice,
     solve_integer,
     _snf_transform,
 )
@@ -270,25 +274,19 @@ class CyclicSpan:
         return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
 
-def _solutions_mod(matrix: IntMatrix, orders: Sequence[int]) -> list:
-    """Lattice generators (as vectors) of ``{x : matrix @ x == 0}``, row i
-    read modulo ``orders[i]`` (0 meaning exactly)."""
-    kern = integer_kernel(matrix.hstack(_relation_columns(orders)))
-    return [[kern[i, j] for i in range(matrix.cols)] for j in range(kern.cols)]
-
-
-def _smith_quotient(relations: IntMatrix):
+def _smith_quotient(relations: IntMatrix, want_uinv: bool = False):
     """Z^n modulo the column span of ``relations`` (n its row count): the
-    canonical group, the Smith row transform U, and the rows of U that give
-    the canonical generators, free ones first."""
+    canonical group, the Smith row transform U, its inverse when asked for
+    (None otherwise), and the positions of U's rows that give the canonical
+    generators, free ones first."""
     n = relations.rows
-    u, d, _ = _snf_transform(relations, want_u=True, want_v=False)
+    u, d, _, uinv = _snf_transform(relations, want_u=True, want_v=False, want_uinv=want_uinv)
     limit = min(d.rows, d.cols)
     diag = [d[i, i] for i in range(limit)]
     free_pos = [i for i in range(n) if i >= limit or diag[i] == 0]
     torsion_pos = [i for i in range(limit) if diag[i] >= 2]
     group = FgAbGroup(len(free_pos), tuple(diag[i] for i in torsion_pos))
-    return group, u, free_pos + torsion_pos
+    return group, u, uinv, free_pos + torsion_pos
 
 
 def span_in_cyclics(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> CyclicSpan:
@@ -296,12 +294,11 @@ def span_in_cyclics(orders: Sequence[int], generator_coords: Sequence[Sequence[i
     n = len(orders)
     s = len(generator_coords)
     gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=n)
-    ker_phi = IntMatrix.from_columns(_solutions_mod(gcols, orders), rows=s)
+    ker_phi = solution_lattice(gcols, orders).transpose()
 
-    group, u, positions = _smith_quotient(ker_phi)
+    group, u, uinv, positions = _smith_quotient(ker_phi, want_uinv=True)
     proj = IntMatrix.from_rows([list(u.row(p)) for p in positions], cols=s)
 
-    uinv = inverse_unimodular(u)
     incl_cols = []
     for p in positions:
         v = uinv.column(p)
@@ -316,7 +313,7 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     canonical form and the projection hom from Z^n."""
     if relations.rows != n_generators:
         raise ValueError(f"relations must have {n_generators} rows, got {relations.rows}")
-    group, u, positions = _smith_quotient(relations)
+    group, u, _, positions = _smith_quotient(relations)
     proj_rows = [list(u.row(p)) for p in positions]
     proj = AbHom(FgAbGroup(n_generators, ()), group, IntMatrix.from_rows(proj_rows, cols=n_generators))
     return group, proj
@@ -334,11 +331,9 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
 def preimage_lattice(f: AbHom) -> IntMatrix:
     """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
     the codomain}``, x read as coordinates over the domain's generators.
-    Its rows contain the domain's relations, and Z^ngens modulo it is
-    isomorphic to the image of f."""
-    vectors = _solutions_mod(f.matrix, f.codomain.orders)
-    vectors.extend(_relation_columns(f.domain.orders).transpose().to_rows())
-    return lattice_row_basis(vectors, f.domain.ngens)
+    It contains the domain's relations, because f is well defined, and
+    Z^ngens modulo it is isomorphic to the image of f."""
+    return solution_lattice(f.matrix, f.codomain.orders)
 
 
 def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:

@@ -25,6 +25,7 @@ from .abgroups import FgAbGroup, ext1_z
 from .extensions import Character, character_to_extension, extension_class
 from .groups import (
     GluingPair,
+    LimitExceeded,
     ReductiveModel,
     as_semisimple,
     gluing_group,
@@ -436,14 +437,21 @@ def _cmd_snf(args, out: _Printer) -> int:
     except ValueError as exc:
         raise CliError("E_INPUT", "--matrix", str(exc)) from exc
     res = smith_normal_form(matrix)
-    payload = {
-        "tool": {"name": "homspace", "version": __version__},
-        "matrix": format_matrix_literal(matrix),
-        "d": format_matrix_literal(res.d),
-        "u": format_matrix_literal(res.u),
-        "v": format_matrix_literal(res.v),
-        "diagonal": list(res.diagonal()),
-    }
+    try:
+        payload = {
+            "tool": {"name": "homspace", "version": __version__},
+            "matrix": format_matrix_literal(matrix),
+            "d": format_matrix_literal(res.d),
+            "u": format_matrix_literal(res.u),
+            "v": format_matrix_literal(res.v),
+            "diagonal": list(res.diagonal()),
+        }
+    except ValueError as exc:  # raised only by int-to-str conversion here
+        limit = sys.get_int_max_str_digits()
+        raise CliError(
+            "E_LIMIT", "--matrix", f"an entry of D, U or V exceeds the int-to-str limit of {limit} digits"
+            " (sys.get_int_max_str_digits())"
+        ) from exc
     if args.json:
         out.json(payload)
         return 0
@@ -525,6 +533,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         return _COMMANDS[args.command](args, out)
     except CliError as exc:
         stderr.write(exc.render() + "\n")
+        return 1
+    except LimitExceeded as exc:
+        stderr.write(f"error[E_LIMIT] at {args.command}: {exc}\n")
         return 1
     except ValueError as exc:
         stderr.write(f"error[E_INPUT] at {args.command}: {exc}\n")

@@ -59,6 +59,11 @@ from .rootdata import (
 GLUING_ORDER_CAP = 10**6
 
 
+class LimitExceeded(Exception):
+    """A well-formed model exceeds an internal limit; the message names the
+    limit and its value."""
+
+
 @dataclass(frozen=True)
 class GluingPair:
     """Generator of the gluing subgroup: a central element of S_sc together
@@ -141,7 +146,7 @@ def _gluing(model: ReductiveModel) -> _GluingData:
     data = _GluingData(model=model, torus_exponent=n, ambient_orders=orders, span=span)
     order = data.group.order()
     if order is None or order > GLUING_ORDER_CAP:
-        raise ValueError(f"gluing subgroup too large (cap {GLUING_ORDER_CAP})")
+        raise LimitExceeded(f"gluing subgroup of order {order} exceeds GLUING_ORDER_CAP = {GLUING_ORDER_CAP}")
     return data
 
 

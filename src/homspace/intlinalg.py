@@ -9,14 +9,27 @@ serialized matrices compare bit-exactly:
   trailing.  Pivots are chosen by smallest nonzero absolute value.
 * Hermite normal form is row-style: ``U @ M == H``, pivots positive, entries
   above a pivot reduced into ``[0, pivot)``.
-* Kernel bases are saturated and canonicalized through the Hermite form, so
-  equal lattices produce identical matrices.
+* Lattice bases, kernels and solution lattices included, are the rows of
+  the Hermite form, so equal lattices produce identical matrices whatever
+  route computed them.
+
+Solution lattices ``{x : A x == 0 mod orders}`` (``solution_lattice``; the
+kernel is the case of all orders 0) take one Hermite elimination of
+``[A^T | I]`` and never a Smith form.  When every order is nonzero the
+lattice contains e*Z^n, e = lcm(orders), and the elimination runs modulo e
+(Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8): every entry stays
+in [0, e] however long the elimination path, and no basis entry exceeds
+e.  Otherwise the relations of the nonzero orders join the rows and
+the elimination is exact.
 
 Both normal forms eliminate rows through one kernel of module-level helpers
 (``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
 step, ``_negate_row``).  Each acts on the working rows and, when one is
 tracked, on the row transform ``U``; the Smith form's column operations act
-on ``V`` the same way inside ``_snf_transform``.
+on ``V`` the same way inside ``_snf_transform``.  On request the Smith loop
+also carries ``U^-1``: each row operation on ``U`` is applied to ``U^-1`` as
+its inverse column operation, so no second normal form inverts ``U``.
+Hermite eliminations whose transform is discarded do not build it.
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
@@ -24,6 +37,7 @@ Empty matrices (zero rows or zero columns) are legal everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -194,20 +208,22 @@ def _find_pivot(a: list, t: int, rows: int, cols: int):
     return best
 
 
-def _swap_rows(a: list, u: Optional[list], i: int, k: int):
-    for m in (a, u):
+def _swap_rows(a: list, u: Optional[list], i: int, k: int, w: Optional[list] = None):
+    for m in (a, u, w):
         if m is not None:
             m[i], m[k] = m[k], m[i]
 
 
-def _add_row(a: list, u: Optional[list], dst: int, src: int, q: int):
+def _add_row(a: list, u: Optional[list], dst: int, src: int, q: int, w: Optional[list] = None):
     """row[dst] += q * row[src]"""
     for m in (a, u):
         if m is not None:
             m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+    if w is not None:
+        w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
 
 
-def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int):
+def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int, w: Optional[list] = None):
     """Unimodular 2x2 extended-gcd transform of rows (t, i) that puts
     gcd(a[t][col], a[i][col]) at (t, col) and 0 at (i, col)."""
     g, s, tt = _xgcd(a[t][col], a[i][col])
@@ -217,25 +233,34 @@ def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int):
             rt, ri = m[t], m[i]
             m[t] = [s * y + tt * z for y, z in zip(rt, ri)]
             m[i] = [-x_g * y + p_g * z for y, z in zip(rt, ri)]
+    if w is not None:
+        # the inverse [[p_g, -tt], [x_g, s]] acting on columns t, i of U^-1
+        wt, wi = w[t], w[i]
+        w[t] = [p_g * y + x_g * z for y, z in zip(wt, wi)]
+        w[i] = [-tt * y + s * z for y, z in zip(wt, wi)]
 
 
-def _negate_row(a: list, u: Optional[list], i: int):
-    for m in (a, u):
+def _negate_row(a: list, u: Optional[list], i: int, w: Optional[list] = None):
+    for m in (a, u, w):
         if m is not None:
             m[i] = [-x for x in m[i]]
 
 
-def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
-    """Core SNF loop; transforms are accumulated only on demand.
+def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool, want_uinv: bool = False):
+    """Core SNF loop; returns ``(U, D, V, U^-1)``, each transform accumulated
+    only on demand (None otherwise).
 
     Entries are cleared by single unimodular 2x2 (extended-gcd) transforms
     rather than repeated Euclidean passes: one transform per cleared entry
     keeps intermediate growth near the size of the matrix minors, where the
-    step-by-step chain can blow entries up exponentially."""
+    step-by-step chain can blow entries up exponentially.  ``U^-1`` is kept
+    as the rows of its transpose, so each row operation on ``U`` becomes the
+    inverse row operation on those rows."""
     rows, cols = m.rows, m.cols
     a = m.to_rows()
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_v else None
+    w = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_uinv else None
 
     def swap_cols(j, k):
         for r in a:
@@ -271,16 +296,16 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
         piv = _find_pivot(a, t, rows, cols)
         if piv is None:
             break
-        _swap_rows(a, u, t, piv[0])
+        _swap_rows(a, u, t, piv[0], w)
         swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, rows):
                 x = a[i][t]
                 if x:
                     if x % a[t][t] == 0:
-                        _add_row(a, u, i, t, -(x // a[t][t]))
+                        _add_row(a, u, i, t, -(x // a[t][t]), w)
                     else:
-                        _combine_rows(a, u, t, i, t)
+                        _combine_rows(a, u, t, i, t, w)
             for j in range(t + 1, cols):
                 x = a[t][j]
                 if x:
@@ -305,35 +330,35 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(a, u, t, offender, 1)
+            _add_row(a, u, t, offender, 1, w)
             continue
         t += 1
 
     for i in range(limit):
         if a[i][i] < 0:
-            _negate_row(a, u, i)
+            _negate_row(a, u, i, w)
 
     d = IntMatrix.from_rows(a, cols=cols)
     um = IntMatrix.from_rows(u, cols=rows) if u is not None else None
     vm = IntMatrix.from_rows(v, cols=cols) if v is not None else None
-    return um, d, vm
+    wm = IntMatrix.from_rows(w, cols=rows).transpose() if w is not None else None
+    return um, d, vm, wm
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize ``m`` as ``U @ m @ V == D`` with the divisibility chain."""
-    u, d, v = _snf_transform(m, want_u=True, want_v=True)
+    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
     return SnfResult(u=u, d=d, v=v)
 
 
-def hermite_normal_form(m: IntMatrix):
-    """Row-style Hermite form: returns ``(H, U)`` with ``U @ m == H``.
+def _hermite_rows(a: list, u: Optional[list]) -> list:
+    """Row-style Hermite elimination of the rows ``a`` in place, ``u``
+    (None when discarded) tracking the row transform; returns ``a``.
 
     Entries below a pivot are cleared pairwise with unimodular extended-gcd
     transforms, so intermediate entries stay near minor size."""
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-
+    rows = len(a)
+    cols = len(a[0]) if a else 0
     prow = 0
     for col in range(cols):
         if prow >= rows:
@@ -353,8 +378,14 @@ def hermite_normal_form(m: IntMatrix):
                 if a[i][col]:
                     _add_row(a, u, i, prow, -(a[i][col] // a[prow][col]))
             prow += 1
+    return a
 
-    return IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(u, cols=rows)
+
+def hermite_normal_form(m: IntMatrix):
+    """Row-style Hermite form: returns ``(H, U)`` with ``U @ m == H``."""
+    u = IntMatrix.identity(m.rows).to_rows()
+    h = _hermite_rows(m.to_rows(), u)
+    return IntMatrix.from_rows(h, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -383,41 +414,88 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (its Hermite form is I)."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    h, u = hermite_normal_form(m)
-    if h != IntMatrix.identity(m.rows):
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
 def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> IntMatrix:
     """Canonical (Hermite) basis, one row per basis vector, of the lattice
     spanned by ``vectors`` inside Z^ambient_dim.  Zero rows are dropped, so
     equal lattices yield equal matrices."""
-    mat = IntMatrix.from_rows([list(v) for v in vectors], cols=ambient_dim)
-    h, _ = hermite_normal_form(mat)
-    kept = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    return IntMatrix.from_rows(kept, cols=ambient_dim)
+    h = _hermite_rows(IntMatrix.from_rows([list(v) for v in vectors], cols=ambient_dim).to_rows(), None)
+    return IntMatrix.from_rows([r for r in h if any(r)], cols=ambient_dim)
+
+
+def _hermite_mod(rows: list, e: int, skip: int) -> list:
+    """Hermite basis of the lattice spanned by ``rows`` and e*Z^width, which
+    has full rank: its pivot rows for the columns from ``skip`` on,
+    restricted to those columns.  Every entry stays in [0, e] during the
+    elimination (Domich-Kannan-Trotter; Cohen, GTM 138, Alg. 2.4.8).
+
+    Column ``col`` is eliminated by folding each working row into the pivot
+    row, which starts as e*e_col; the working rows keep only the columns
+    after ``col``."""
+    width = len(rows[0]) if rows else skip
+    work = [[x % e for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        p = [e] + [0] * (width - col - 1)
+        for k, r in enumerate(work):
+            x = r[0]
+            if not x:
+                continue
+            if x % p[0] == 0:
+                q = x // p[0]
+                work[k] = [(y - q * z) % e for y, z in zip(r, p)]
+            else:
+                g, s, t = _xgcd(p[0], x)
+                p_g, x_g = p[0] // g, x // g
+                p, work[k] = (
+                    [(s * y + t * z) % e for y, z in zip(p, r)],
+                    [(p_g * z - x_g * y) % e for y, z in zip(p, r)],
+                )
+        if col >= skip:
+            pivots.append([0] * (col - skip) + p)
+        work = [r[1:] for r in work if any(r)]
+    for i, row in enumerate(pivots):
+        for j in range(i + 1, len(pivots)):
+            q = row[j] // pivots[j][j]
+            if q:
+                row[j:] = [x - q * y for x, y in zip(row[j:], pivots[j][j:])]
+    return pivots
+
+
+def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """Hermite basis, one row per basis vector, of ``{x : m @ x == 0}`` with
+    row i of the product read modulo ``orders[i]`` (0 meaning exactly).
+
+    The lattice is the right-hand part of the rows of ``[m^T | I]`` whose
+    left-hand part vanishes modulo the orders.  When every order is nonzero
+    it contains e*Z^cols, e = lcm(orders), and the elimination runs modulo e
+    on ``[(e/o_i) m^T | I]``, with entries below e.  Otherwise one exact
+    Hermite form of ``[[m^T | I], [R^T | 0]]``, R the relation columns of the
+    nonzero orders, gives it as the rows with zero left-hand part."""
+    if len(orders) != m.rows:
+        raise ValueError(f"{len(orders)} orders for {m.rows} rows")
+    n, s = m.rows, m.cols
+    if all(orders):
+        e = lcm(*orders)
+        scale = [e // o for o in orders]
+        rows = [[c * x for c, x in zip(scale, m.column(j))] + [int(j == k) for k in range(s)] for j in range(s)]
+        return IntMatrix.from_rows(_hermite_mod(rows, e, n), cols=s)
+    rows = [list(m.column(j)) + [int(j == k) for k in range(s)] for j in range(s)]
+    rows += [[o if i == k else 0 for k in range(n)] + [0] * s for i, o in enumerate(orders) if o]
+    h = _hermite_rows(rows, None)
+    return IntMatrix.from_rows([r[n:] for r in h if not any(r[:n]) and any(r[n:])], cols=s)
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Saturated basis of ``{x : m @ x == 0}``, one column per basis vector,
     canonicalized so the result is unique."""
-    _, d, v = _snf_transform(m, want_u=False, want_v=True)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    cols = [list(v.column(j)) for j in range(rank, m.cols)]
-    basis = lattice_row_basis(cols, m.cols)
-    return basis.transpose()
+    return solution_lattice(m, (0,) * m.rows).transpose()
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """One integer solution of ``m @ x == b``, or None when none exists."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
-    u, d, v = _snf_transform(m, want_u=True, want_v=True)
+    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
     c = u.apply(b)
     y = [0] * m.cols
     limit = min(m.rows, m.cols)

@@ -12,6 +12,11 @@
 * Central pushouts of reductive models along gluing characters, the
   character map pi1(H) -> Z and the element table of the gluing subgroup.
 * Small homomorphism constructors.
+* The former lattice routes of ``homspace.intlinalg``: the inverse of a
+  unimodular matrix as the transform of its Hermite form, and solution
+  lattices ``{x : A x == 0 mod orders}`` as the Smith-V kernel of
+  ``[A | R]``, R the relation columns, canonicalized by a second Hermite
+  form.  The library now builds both without them; the tests compare.
 """
 
 from __future__ import annotations
@@ -38,8 +43,40 @@ from homspace.groups import (
     _gluing,
     _pi1_span,
 )
-from homspace.intlinalg import IntMatrix
+from homspace.intlinalg import IntMatrix, _snf_transform, hermite_normal_form, lattice_row_basis
 from homspace.rootdata import center_element_from_coords
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix (its Hermite form is I)."""
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    h, u = hermite_normal_form(m)
+    if h != IntMatrix.identity(m.rows):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def snf_kernel(m: IntMatrix) -> IntMatrix:
+    """Saturated kernel basis (columns) from the last columns of the Smith
+    transform V, canonicalized by the Hermite form."""
+    _, d, v, _ = _snf_transform(m, want_u=False, want_v=True)
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
+    cols = [list(v.column(j)) for j in range(rank, m.cols)]
+    return lattice_row_basis(cols, m.cols).transpose()
+
+
+def snf_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """Hermite basis (rows) of ``{x : m @ x == 0}``, row i read modulo
+    ``orders[i]``: the kernel of ``[m | R]`` cut down to x."""
+    relations = [[o if i == k else 0 for k in range(m.rows)] for i, o in enumerate(orders) if o]
+    kern = snf_kernel(m.hstack(IntMatrix.from_columns(relations, rows=m.rows)))
+    vectors = [[kern[i, j] for i in range(m.cols)] for j in range(kern.cols)]
+    return lattice_row_basis(vectors, m.cols)
 
 
 # ---------------------------------------------------------------------------

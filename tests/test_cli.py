@@ -2,17 +2,20 @@ import hashlib
 import io
 import json
 import random
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from homspace import __version__
+from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
 from homspace.intlinalg import IntMatrix, determinant, format_matrix_literal, parse_matrix_literal
+from homspace.rootdata import SimpleType, build_datum
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -189,6 +192,28 @@ class TestCommands:
         assert spaced[0] == 0
         assert json.loads(spaced[1])["matrix"] == "-1,2;3,4"
 
+    def test_gluing_cap_is_a_limit(self, tmp_path):
+        # torus point 1/1000003 generates a gluing subgroup of that order
+        doc = {"semisimple": [], "torus_rank": 1, "gluing": [{"center": [], "torus": ["1/1000003"]}]}
+        path = tmp_path / "big_gluing.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E_LIMIT]")
+        assert "1000003" in err and "GLUING_ORDER_CAP = 1000000" in err
+
+    def test_snf_digit_limit_is_a_limit(self):
+        # diag(2^1100, 3^700) has the 666-digit invariant factor 2^1100 * 3^700
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = invoke(["snf", "--json", "--matrix", f"{2**1100},0;0,{3**700}"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E_LIMIT] at --matrix")
+        assert "640 digits" in err
+
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = invoke(["no-such-command"])
         assert code == 1
@@ -305,6 +330,9 @@ PINNED_REPORTS = {
     ("ext text", "2,4,16"): "da568552165198b153870c2a4bd6b1d88bbd00e7de0831f71aad278d15a12a4f",
     ("ext text", "2,2,2,2,2,2,2,2"): "a6681573fc1b5c23c5006db0d3da0d40f779c9547042de9686c9c6104236412b",
     ("ext text", "4,64"): "5383604574dfad233d8afcdbbbe700ef72f81b6c771350944a70933d5efbfef2",
+    ("describe", "cliff-A7xD5-r22"): "902bba851d52febfe421bf7aaa7d16ec9beccb860f0729178bd43381e4f04134",
+    ("invariants", "cliff-A7xD5-r30"): "8269aa951aa49d5c162e93bffe341cfa9e29407a0f42beff6d88c2c0920ae531",
+    ("invariants", "cliff-A5xD6xE7-r30"): "b6bb01158b165cc829f156abe1aa5808a2a35f81ac4c9f160d4b8ece033794a8",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {
@@ -322,6 +350,34 @@ PINNED_CHARACTERS = {
     "2,2,2,2,2,2,2,2": "1/2,0,1/2,1/2,0,0,1/2,1/2",
     "4,64": "1/4,5/64",
 }
+# wide-torus models with four gluing generators that took 4.5-6 s each when
+# the span inverted the Smith transform by a second Hermite form and solution
+# lattices went through a Smith kernel: (command, factors, torus rank, seed)
+CLIFF_MODELS = {
+    "cliff-A7xD5-r22": ("describe", (("A", 7), ("D", 5)), 22, "torus-probe:10"),
+    "cliff-A7xD5-r30": ("invariants", (("A", 7), ("D", 5)), 30, "torus-cliff:A7xD5:30:5"),
+    "cliff-A5xD6xE7-r30": ("invariants", (("A", 5), ("D", 6), ("E", 7)), 30, "torus-cliff:A5xD6xE7:30:7"),
+}
+
+
+def cliff_spec(name):
+    """The group-spec document of a cliff model: four gluing generators with
+    random center coefficients and torus denominators in {2, 3, 4, 6}."""
+    _, factors, r, seed = CLIFF_MODELS[name]
+    rng = random.Random(seed)
+    orders = build_datum(tuple(SimpleType(f, n) for f, n in factors)).pq_group.invariant_factors
+    gluing = []
+    for _ in range(4):
+        center = [rng.randrange(d) for d in orders]
+        torus = []
+        for _ in range(r):
+            den = rng.choice((2, 3, 4, 6))
+            torus.append(str(Fraction(rng.randrange(den), den)))
+        gluing.append({"center": center, "torus": torus})
+    doc = {"semisimple": [{"family": f, "rank": n} for f, n in factors], "torus_rank": r, "gluing": gluing}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 PINNED_MATRICES = {
     "square": "3,-7,2,5;-4,9,0,-1;6,1,-8,2;0,-5,7,3",
     "wide": "2,-4,6,1,-3;5,0,-9,8,7;-1,3,2,-6,4",
@@ -343,11 +399,29 @@ def test_report_bytes_pinned(command, name, tmp_path):
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         source = ["--spec", str(path)]
+    elif name in CLIFF_MODELS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(cliff_spec(name))
+        source = ["--spec", str(path)]
     else:
         source = ["--preset", name]
     code, out, _ = invoke([command, *fmt, *source])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(CLIFF_MODELS))
+def test_former_torus_cliffs_answer_within_a_second(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(cliff_spec(name))
+    # the pinned-digest run of the same model may have filled these
+    groups._gluing.cache_clear()
+    groups._pi1_span.cache_clear()
+    start = time.perf_counter()
+    code, out, err = invoke([CLIFF_MODELS[name][0], "--json", "--spec", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert elapsed < 1.0
 
 
 class TestDeterminismAndSchema:

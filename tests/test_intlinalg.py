@@ -3,19 +3,25 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from homspace.intlinalg import (
     IntMatrix,
+    _snf_transform,
     determinant,
     format_matrix_literal,
     hermite_normal_form,
     integer_kernel,
-    inverse_unimodular,
     lattice_row_basis,
     parse_matrix_literal,
     smith_normal_form,
+    solution_lattice,
     solve_integer,
 )
+from oracles import inverse_unimodular, snf_kernel, snf_solution_lattice
 
 
 def minor_gcd_factors(m):
@@ -300,3 +306,74 @@ class TestHelpers:
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+
+# Differential oracle: the library's routes against the former ones kept in
+# tests/oracles.py and against sympy.  derandomize keeps tier-1 reproducible.
+ORACLE = settings(derandomize=True, deadline=None, max_examples=200)
+ORDERS = (0, 1, 2, 3, 4, 6, 9, 12, 60)
+
+
+@st.composite
+def int_matrices(draw, max_dim=6, bound=20):
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, entries)
+
+
+@st.composite
+def congruence_systems(draw):
+    m = draw(int_matrices())
+    orders = draw(st.lists(st.sampled_from(ORDERS), min_size=m.rows, max_size=m.rows))
+    return m, tuple(orders)
+
+
+class TestDifferentialOracle:
+    @ORACLE
+    @given(congruence_systems())
+    @example((IntMatrix(0, 0, ()), ()))
+    @example((IntMatrix(0, 3, ()), ()))
+    @example((IntMatrix(2, 0, ()), (4, 0)))
+    @example((IntMatrix.from_rows([[3, 5], [7, -2]]), (1, 1)))
+    @example((IntMatrix.from_rows([[2, 4, 6]]), (0,)))
+    @example((IntMatrix.from_rows([[2, 4, 6], [1, 1, 1]]), (8, 0)))
+    def test_solution_lattice_matches_snf_kernel_route(self, system):
+        m, orders = system
+        basis = solution_lattice(m, orders)
+        assert basis == snf_solution_lattice(m, orders)
+        assert basis.cols == m.cols
+        for i in range(basis.rows):
+            image = m.apply(basis.row(i))
+            assert all(x % o == 0 if o else x == 0 for x, o in zip(image, orders))
+
+    @ORACLE
+    @given(int_matrices())
+    def test_integer_kernel_matches_snf_kernel(self, m):
+        assert integer_kernel(m) == snf_kernel(m)
+
+    @ORACLE
+    @given(int_matrices(max_dim=7, bound=99))
+    def test_accumulated_inverse(self, m):
+        u, d, v, uinv = _snf_transform(m, want_u=True, want_v=True, want_uinv=True)
+        assert u @ uinv == IntMatrix.identity(m.rows)
+        assert uinv @ u == IntMatrix.identity(m.rows)
+        assert (u, d, v, None) == _snf_transform(m, want_u=True, want_v=True)
+        assert (u, d, None, uinv) == _snf_transform(m, want_u=True, want_v=False, want_uinv=True)
+
+    @ORACLE
+    @given(int_matrices(max_dim=7, bound=99))
+    def test_smith_diagonal_matches_sympy(self, m):
+        entries = [x for i in range(m.rows) for x in m.row(i)]
+        expected = invariant_factors(Matrix(m.rows, m.cols, entries), domain=ZZ)
+        assert smith_normal_form(m).diagonal() == tuple(int(x) for x in expected)
+
+    def test_larger_systems_against_snf_kernel_route(self):
+        # beyond the hypothesis sizes, where the oracle still runs in
+        # milliseconds: 6..9 congruences in 8..11 unknowns
+        rng = random.Random(77)
+        for _ in range(12):
+            n, s = rng.randint(6, 9), rng.randint(8, 11)
+            m = IntMatrix(n, s, [rng.randint(-9, 9) for _ in range(n * s)])
+            orders = tuple(rng.choice((0, 2, 3, 4, 6, 12)) for _ in range(n))
+            assert solution_lattice(m, orders) == snf_solution_lattice(m, orders)
