@@ -18,8 +18,12 @@ elimination each, run modulo the exponent of the target group when that
 group is finite.
 Preimages of single elements (:func:`preimage_of`) are computed here and
 only here, and every Smith quotient goes through one helper; the span's
-inclusion reads the inverse of the Smith row transform, which the Smith
-loop accumulates for it.  Other modules state such problems as
+inclusion and an extension's projection read the inverse of the Smith row
+transform, which the Smith loop accumulates for them.  An extension
+0 -> Z^r -> E -> Gamma -> 0 of a finite group (pi1(H), the middle group of
+``ext --char``) is presented by Z^r and one lift per generator of Gamma
+(:func:`extension_from_lifts`), never as a span over a free ambient, so no
+query reaches the exact, unmodded route of ``solution_lattice``.  Other modules state such problems as
 homomorphisms and never call ``solution_lattice``, ``lattice_row_basis``,
 ``solve_integer`` or ``_snf_transform`` themselves.
 """
@@ -317,6 +321,27 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     proj_rows = [list(u.row(p)) for p in positions]
     proj = AbHom(FgAbGroup(n_generators, ()), group, IntMatrix.from_rows(proj_rows, cols=n_generators))
     return group, proj
+
+
+def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[Sequence[int]]):
+    """The extension 0 -> Z^rank -> E -> gamma -> 0 of a finite canonical
+    ``gamma`` in which a lift s_p of the canonical generator of order d_p
+    satisfies d_p * s_p = ``lift_multiples[p]``, a vector of Z^rank.
+
+    E is presented by the generators (e_1, ..., e_rank, s_1, ..., s_k) and
+    the k relations d_p * s_p - sum_i lift_multiples[p][i] * e_i (Brown,
+    GTM 87, IV.3), and one Smith quotient gives it.  Returns E, the
+    injection of Z^rank, read off the Smith row transform U, and the
+    projection onto gamma, read off U^-1."""
+    k = gamma.ngens
+    cols = [
+        [-x for x in mult] + [d if q == p else 0 for q in range(k)]
+        for p, (d, mult) in enumerate(zip(gamma.invariant_factors, lift_multiples))
+    ]
+    middle, u, uinv, positions = _smith_quotient(IntMatrix.from_columns(cols, rows=rank + k), want_uinv=True)
+    inject = IntMatrix.from_rows([u.row(p)[:rank] for p in positions], cols=rank)
+    project = IntMatrix.from_rows([[uinv[rank + q, p] for p in positions] for q in range(k)], cols=middle.ngens)
+    return middle, AbHom(FgAbGroup(rank, ()), middle, inject), AbHom(middle, gamma, project)
 
 
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:

@@ -250,14 +250,6 @@ class _Printer:
         self.stream.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _group_str(group: FgAbGroup) -> str:
-    return str(group)
-
-
-def _lattice_rows(matrix) -> list:
-    return [list(matrix.row(i)) for i in range(matrix.rows)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -277,9 +269,9 @@ def _cmd_describe(args, out: _Printer) -> int:
         "unipotent_dim": model.unipotent_dim,
         "center_generator_orders": list(orders),
         "gluing_order": gluing_order(model),
-        "gluing_group": _group_str(gluing_group(model)),
-        "pi1": _group_str(fundamental),
-        "pi1_derived": _group_str(ext1_z(fundamental)),
+        "gluing_group": str(gluing_group(model)),
+        "pi1": str(fundamental),
+        "pi1_derived": str(ext1_z(fundamental)),
         "certificates": notes,
     }
     if args.json:
@@ -322,17 +314,17 @@ def _cmd_invariants(args, out: _Printer) -> int:
         "spec": model_to_document(model),
         "conventions": list(CONVENTION_NOTES),
         "invariants": {
-            "pic_lattice_basis": _lattice_rows(report.pic_lattice),
-            "pic_group": _group_str(report.pic_group),
-            "brauer": _group_str(report.brauer),
-            "e_al": _group_str(report.e_al),
-            "pi1_m": _group_str(report.pi1_m),
-            "pi2_m": _group_str(report.pi2_m),
-            "h2_m": _group_str(report.h2_m),
-            "tors_h3_m": _group_str(report.tors_h3_m),
+            "pic_lattice_basis": report.pic_lattice.to_rows(),
+            "pic_group": str(report.pic_group),
+            "brauer": str(report.brauer),
+            "e_al": str(report.e_al),
+            "pi1_m": str(report.pi1_m),
+            "pi2_m": str(report.pi2_m),
+            "h2_m": str(report.h2_m),
+            "tors_h3_m": str(report.tors_h3_m),
             "notes": list(report.notes),
         },
-        "picard_of_group": _group_str(report.e_al),
+        "picard_of_group": str(report.e_al),
     }
     if model.torus_rank == 0 and model.unipotent_dim == 0:
         payload["weights"] = _weight_rows(weight_brauer_table(as_semisimple(model)))
@@ -365,8 +357,8 @@ def _cmd_weights(args, out: _Printer) -> int:
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
-        "pi1": _group_str(sm.kernel.computed),
-        "brauer": _group_str(ext1_z(sm.kernel.computed)),
+        "pi1": str(sm.kernel.computed),
+        "brauer": str(ext1_z(sm.kernel.computed)),
         "rows": _weight_rows(rows),
     }
     if args.json:
@@ -395,8 +387,8 @@ def _cmd_ext(args, out: _Printer) -> int:
     group = _parse_factors(args.group, "--group")
     payload = {
         "tool": {"name": "homspace", "version": __version__},
-        "group": _group_str(group),
-        "ext1_z": _group_str(ext1_z(group)),
+        "group": str(group),
+        "ext1_z": str(ext1_z(group)),
     }
     if args.char is not None:
         parts = [p.strip() for p in args.char.split(",")] if args.char.strip() else []
@@ -415,7 +407,7 @@ def _cmd_ext(args, out: _Printer) -> int:
             {
                 "character": [str(v) for v in chi.values],
                 "character_order": chi.order(),
-                "middle_group": _group_str(ext.middle),
+                "middle_group": str(ext.middle),
                 "round_trip_ok": True,
             }
         )

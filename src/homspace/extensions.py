@@ -2,12 +2,15 @@
 characters and extension classes.
 
 A character chi of Gamma pulls the exponential sequence 0 -> Z -> Q -> Q/Z
-back to an abelian extension 0 -> Z -> E -> Gamma -> 0; this module realizes
-E concretely inside (1/N) Z x Gamma and reads the class back off generator
-lifts: if s_i in E lifts the canonical generator g_i of order d_i, then
-d_i * s_i lies in the injected Z, say d_i * s_i = c_i * iota(1), and the
-class takes the value c_i / d_i on g_i (Brown, Cohomology of Groups, GTM 87,
-IV.3).  That costs one preimage solve per generator and no table over Gamma.
+back to an abelian extension 0 -> Z -> E -> Gamma -> 0.  The lift
+s_i = (chi(g_i), g_i) of the canonical generator g_i of order d_i satisfies
+d_i * s_i = d_i * chi(g_i) in the injected Z, so E is presented by iota(1)
+and the s_i with those k relations, the same Z^r-extension presentation
+that gives pi1(H) (``abgroups.extension_from_lifts``, r = 1).  The class is
+read back off generator lifts of any realization: if d_i * s_i =
+c_i * iota(1), it takes the value c_i / d_i on g_i (Brown, Cohomology of
+Groups, GTM 87, IV.3).  That costs one preimage solve per generator and no
+table over Gamma.
 
 Sign convention: the class of the pullback extension of chi is chi itself
 (round trip identity).  The opposite sign would be equally consistent; all
@@ -28,15 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .abgroups import (
-    AbElement,
-    AbHom,
-    FgAbGroup,
-    express_in_subgroup,
-    preimage_of,
-    subgroup_from_generators,
-)
-from .intlinalg import IntMatrix
+from .abgroups import AbElement, AbHom, FgAbGroup, extension_from_lifts, preimage_of
 
 
 class Character:
@@ -103,24 +98,12 @@ class ExtensionData:
 
 def character_to_extension(chi: Character) -> ExtensionData:
     """Pull the exponential sequence back along a character: the middle group
-    is {(q, g) in Q x Gamma : q mod Z = chi(g)}, realized inside
-    (1/N) Z x Gamma with N the order of chi."""
+    is {(q, g) in Q x Gamma : q mod Z = chi(g)}, presented by iota(1) = (1, 0)
+    and the lifts (chi(g_i), g_i), whose d_i-th multiples are the integers
+    d_i * chi(g_i)."""
     gamma = chi.group
-    n = chi.order()
-    k = len(gamma.invariant_factors)
-    ambient = FgAbGroup(1, gamma.invariant_factors)
-    gens = [ambient.element([n] + [0] * k)]
-    for i in range(k):
-        coords = [int(chi.values[i] * n)] + [0] * k
-        coords[1 + i] = 1
-        gens.append(ambient.element(coords))
-    sub = subgroup_from_generators(ambient, gens)
-    middle = sub.computed
-
-    unit = express_in_subgroup(sub, gens[0])
-    inject = AbHom(FgAbGroup(1, ()), middle, IntMatrix.from_columns([list(unit.coords)], rows=middle.ngens))
-    proj_rows = [list(sub.inclusion.matrix.row(1 + i)) for i in range(k)]
-    project = AbHom(middle, gamma, IntMatrix.from_rows(proj_rows, cols=middle.ngens))
+    multiples = [[int(d * v)] for d, v in zip(gamma.invariant_factors, chi.values)]
+    middle, inject, project = extension_from_lifts(gamma, 1, multiples)
     return ExtensionData(middle=middle, inject=inject, project=project)
 
 

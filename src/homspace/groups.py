@@ -11,24 +11,30 @@ The ambient simply connected overgroup G is deliberately not part of the
 model: every invariant exposed downstream depends only on H, and any model
 embeds into some SL_N.
 
-The fundamental group is computed as the preimage lattice
+The fundamental group is the preimage lattice
 
-    {(v, z) in Q^r x Z(S_sc) : (v mod Z^r, z) in gluing subgroup}
+    {(v, z) in Q^r x Z(S_sc) : (v mod Z^r, z) in gluing subgroup},
 
-inside (1/N) Z^r x Z(S_sc), N the exponent of the torus parts, generated by
-the standard basis of Z^r together with one lift of each gluing generator
-(torus lifts take representatives in [0, 1), so presentations are
-deterministic; the abstract group does not depend on the choice).
+an extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 of the gluing subgroup Gamma
+by the integral torus loops.  ``pi1`` presents it by Z^r and one lift of
+each canonical generator of Gamma: a generator (z, t/N) of order d (N the
+exponent of the torus parts, t in [0, N)^r) lifts to (t/N, z), and d times
+that lift is the integral loop d*t/N.  One Smith quotient of those k
+relations, whose entries stay below the generator orders, gives the group
+(``abgroups.extension_from_lifts``).
 
 ``pi1`` returns that group and nothing else.  Its torsion is pi1 of the
 derived subgroup, which ``derived_subgroup`` computes by a second route, as
-the kernel of the gluing subgroup's torus projection.  The two routes are
-compared in the tests (``tests/test_groups.py::TestPi1`` and acceptance
-criterion 6), not on every query.
+the kernel of the gluing subgroup's torus projection.  A third route, the
+span of the standard basis of Z^r and the lifts of the model's own gluing
+generators inside Z^r x Z(S_sc), is kept in ``tests/oracles.py``.  The
+routes are compared in the tests (``tests/test_groups.py::TestPi1`` and
+acceptance criterion 6), not on every query.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +46,7 @@ from .abgroups import (
     CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
+    extension_from_lifts,
     preimage_lattice,
     span_in_cyclics,
     subgroup_from_generators,
@@ -123,10 +130,8 @@ class SemisimpleModel:
 class _GluingData:
     """Gluing subgroup resolved inside Z(S_sc) x (Z/N)^r."""
 
-    model: ReductiveModel
     torus_exponent: int  # N
-    ambient_orders: tuple  # center factors then r copies of N
-    span: CyclicSpan
+    span: CyclicSpan  # over the center factors, then r copies of N
 
     @property
     def group(self) -> FgAbGroup:
@@ -143,7 +148,7 @@ def _gluing(model: ReductiveModel) -> _GluingData:
         coords = list(pair.center.dual_coords()) + [int(v * n) for v in pair.torus]
         gens.append(coords)
     span = span_in_cyclics(orders, gens)
-    data = _GluingData(model=model, torus_exponent=n, ambient_orders=orders, span=span)
+    data = _GluingData(torus_exponent=n, span=span)
     order = data.group.order()
     if order is None or order > GLUING_ORDER_CAP:
         raise LimitExceeded(f"gluing subgroup of order {order} exceeds GLUING_ORDER_CAP = {GLUING_ORDER_CAP}")
@@ -169,28 +174,6 @@ def validate(model: ReductiveModel):
     certificates.append(f"gluing subgroup has exponent {data.group.exponent()}")
     certificates.append(f"unipotent dimension {model.unipotent_dim} is ignored by every invariant")
     return certificates
-
-
-@lru_cache(maxsize=None)
-def _pi1_span(model: ReductiveModel):
-    """Fundamental group as a subgroup of Z^r (+) Z(S_sc), coordinates
-    (N*v | center); returns the subgroup presentation in that ambient."""
-    data = _gluing(model)
-    n = data.torus_exponent
-    r = model.torus_rank
-    center_factors = model.ss.pq_group.invariant_factors
-    k = len(center_factors)
-    ambient = FgAbGroup(r, center_factors)
-    gens = []
-    for i in range(r):
-        coords = [0] * ambient.ngens
-        coords[i] = n
-        gens.append(ambient.element(coords))
-    for pair in model.gluing:
-        torus = [int(v * n) for v in pair.torus]
-        coords = torus + list(pair.center.dual_coords())
-        gens.append(ambient.element(coords))
-    return subgroup_from_generators(ambient, gens)
 
 
 def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHom:
@@ -219,7 +202,15 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
 def pi1(model: ReductiveModel) -> FgAbGroup:
     """Fundamental group of H (the unipotent part never contributes).  Its
     torsion ``ext1_z(pi1(model))`` is pi1 of the derived subgroup."""
-    return _pi1_span(model).computed
+    data = _gluing(model)
+    n = data.torus_exponent
+    k = len(model.ss.pq_group.invariant_factors)
+    incl = data.span.inclusion_columns
+    multiples = [
+        [d * incl[k + i, p] // n for i in range(model.torus_rank)]
+        for p, d in enumerate(data.group.invariant_factors)
+    ]
+    return extension_from_lifts(data.group, model.torus_rank, multiples)[0]
 
 
 def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
@@ -324,8 +315,6 @@ def preset(name: str) -> ReductiveModel:
     hard-coded.
     """
     text = name.strip()
-    import re
-
     match = re.fullmatch(r"(SL|GL|PGL|SO|Spin|Sp)\((\d+)\)", text)
     if not match:
         raise ValueError(f"unknown preset {name!r}")
@@ -367,6 +356,3 @@ def preset(name: str) -> ReductiveModel:
         elem = kernel.inclusion(kernel.computed.generator(p))
         pairs.append(GluingPair(center_element_from_coords(datum, elem.coords), ()))
     return ReductiveModel(datum, 0, tuple(pairs), 0, name=text)
-
-
-PRESET_EXAMPLES = ("SL(3)", "GL(2)", "PGL(2)", "SO(7)", "Sp(4)", "Spin(8)")

@@ -42,8 +42,11 @@ _FAMILY_CHOICES = [
 ]
 
 
-def random_model(rng: random.Random, max_factors=2, max_torus=3, max_gluing_order=48, unipotent_dim=0):
-    """Random reductive model with a gluing subgroup of bounded order."""
+def random_model(
+    rng: random.Random, max_factors=2, max_torus=3, max_gluing_order=48, unipotent_dim=0, max_gluing=2
+):
+    """Random reductive model with at most ``max_gluing`` gluing generators
+    and a gluing subgroup of bounded order."""
     while True:
         nfac = rng.randint(0, max_factors)
         factors = tuple(SimpleType(*rng.choice(_FAMILY_CHOICES)) for _ in range(nfac))
@@ -51,7 +54,7 @@ def random_model(rng: random.Random, max_factors=2, max_torus=3, max_gluing_orde
         r = rng.randint(0, max_torus)
         cgroup = center(datum).group
         pairs = []
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, max_gluing)):
             coords = [rng.randrange(d) for d in cgroup.invariant_factors]
             torus = tuple(
                 Fraction(rng.randrange(den), den) for den in [rng.choice([1, 2, 3, 4, 6]) for _ in range(r)]

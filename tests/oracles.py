@@ -9,6 +9,11 @@
   ``homspace.extensions.extension_class`` reads the same class off generator
   lifts; the tests compare the two.  Tables cost |Gamma|^2 cells, so this
   route is for small groups only.
+* pi1(H) as the span of N*e_i and of one lift of each of the model's own
+  gluing generators inside Z^r x Z(S_sc) (``_pi1_span``), the second route
+  to ``homspace.groups.pi1``, which presents the same group as an extension
+  of the canonical gluing group by Z^r.  The span's exact Hermite form has
+  no modulus, so wide models take seconds to minutes here.
 * Central pushouts of reductive models along gluing characters, the
   character map pi1(H) -> Z and the element table of the gluing subgroup.
 * Small homomorphism constructors.
@@ -34,6 +39,7 @@ from homspace.abgroups import (
     dual_finite,
     express_in_subgroup,
     preimage_of,
+    subgroup_from_generators,
 )
 from homspace.extensions import Character, ExtensionData
 from homspace.groups import (
@@ -41,7 +47,6 @@ from homspace.groups import (
     ReductiveModel,
     SemisimpleModel,
     _gluing,
-    _pi1_span,
 )
 from homspace.intlinalg import IntMatrix, _snf_transform, hermite_normal_form, lattice_row_basis
 from homspace.rootdata import center_element_from_coords
@@ -301,6 +306,27 @@ def gluing_elements(model: ReductiveModel):
         torus = tuple(Fraction(c, n) for c in coords[k:])
         out.append(GluingPair(ce, torus))
     return out
+
+
+@lru_cache(maxsize=None)
+def _pi1_span(model: ReductiveModel):
+    """Fundamental group as a subgroup of Z^r (+) Z(S_sc), coordinates
+    (N*v | center); returns the subgroup presentation in that ambient."""
+    data = _gluing(model)
+    n = data.torus_exponent
+    r = model.torus_rank
+    center_factors = model.ss.pq_group.invariant_factors
+    ambient = FgAbGroup(r, center_factors)
+    gens = []
+    for i in range(r):
+        coords = [0] * ambient.ngens
+        coords[i] = n
+        gens.append(ambient.element(coords))
+    for pair in model.gluing:
+        torus = [int(v * n) for v in pair.torus]
+        coords = torus + list(pair.center.dual_coords())
+        gens.append(ambient.element(coords))
+    return subgroup_from_generators(ambient, gens)
 
 
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:

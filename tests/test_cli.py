@@ -266,6 +266,31 @@ class TestCommands:
             assert code == 0, err
             assert len(calls) == count, argv
 
+    def test_no_query_takes_the_exact_lattice_route(self, monkeypatch, tmp_path):
+        # every solution lattice a query builds has a modulus: no order is 0,
+        # so no Hermite elimination runs without one
+        import homspace.abgroups as abmod
+
+        seen = []
+        original = abmod.solution_lattice
+
+        def checking(m, orders):
+            seen.append(tuple(orders))
+            return original(m, orders)
+
+        monkeypatch.setattr(abmod, "solution_lattice", checking)
+        groups._gluing.cache_clear()
+        path = tmp_path / "torus_r3.json"
+        path.write_text(json.dumps(TORUS_R3))
+        for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
+            for command in ("describe", "invariants", "weights"):
+                code, _, err = invoke([command, "--json", *source])
+                assert code == 0 or (command == "weights" and "E_MODEL" in err), err
+        code, _, err = invoke(["ext", "--json", "--group", "2,4", "--char", "1/2,3/4"])
+        assert code == 0, err
+        assert seen
+        assert all(all(orders) for orders in seen), [o for o in seen if not all(o)]
+
     def test_parser_reused_across_calls(self):
         # one parser serves every call: each call's output lands in its own
         # streams and no parsed flag carries over to the next call
@@ -333,6 +358,7 @@ PINNED_REPORTS = {
     ("describe", "cliff-A7xD5-r22"): "902bba851d52febfe421bf7aaa7d16ec9beccb860f0729178bd43381e4f04134",
     ("invariants", "cliff-A7xD5-r30"): "8269aa951aa49d5c162e93bffe341cfa9e29407a0f42beff6d88c2c0920ae531",
     ("invariants", "cliff-A5xD6xE7-r30"): "b6bb01158b165cc829f156abe1aa5808a2a35f81ac4c9f160d4b8ece033794a8",
+    ("describe", "cliff-A7xD5-r28-wide"): "8ad3a8e8a430bfd498ddaef083b329ced406b8e01c9f2e62b5385e4d41441373",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {
@@ -350,30 +376,46 @@ PINNED_CHARACTERS = {
     "2,2,2,2,2,2,2,2": "1/2,0,1/2,1/2,0,0,1/2,1/2",
     "4,64": "1/4,5/64",
 }
-# wide-torus models with four gluing generators that took 4.5-6 s each when
-# the span inverted the Smith transform by a second Hermite form and solution
-# lattices went through a Smith kernel: (command, factors, torus rank, seed)
+# wide-torus models that took seconds to minutes at some point: the first
+# three, with four gluing generators, took 4.5-6 s each when the span
+# inverted the Smith transform by a second Hermite form and solution lattices
+# went through a Smith kernel; the wide one, with 40 gluing generators that
+# are combinations of 6, when pi1 was the exact span of those 40 lifts:
+# (command, factors, torus rank, seed, base generators, combinations)
 CLIFF_MODELS = {
-    "cliff-A7xD5-r22": ("describe", (("A", 7), ("D", 5)), 22, "torus-probe:10"),
-    "cliff-A7xD5-r30": ("invariants", (("A", 7), ("D", 5)), 30, "torus-cliff:A7xD5:30:5"),
-    "cliff-A5xD6xE7-r30": ("invariants", (("A", 5), ("D", 6), ("E", 7)), 30, "torus-cliff:A5xD6xE7:30:7"),
+    "cliff-A7xD5-r22": ("describe", (("A", 7), ("D", 5)), 22, "torus-probe:10", 4, 0),
+    "cliff-A7xD5-r30": ("invariants", (("A", 7), ("D", 5)), 30, "torus-cliff:A7xD5:30:5", 4, 0),
+    "cliff-A5xD6xE7-r30": ("invariants", (("A", 5), ("D", 6), ("E", 7)), 30, "torus-cliff:A5xD6xE7:30:7", 4, 0),
+    "cliff-A7xD5-r28-wide": ("describe", (("A", 7), ("D", 5)), 28, "torus-wide:A7xD5:28:5", 6, 40),
 }
 
 
 def cliff_spec(name):
-    """The group-spec document of a cliff model: four gluing generators with
-    random center coefficients and torus denominators in {2, 3, 4, 6}."""
-    _, factors, r, seed = CLIFF_MODELS[name]
+    """The group-spec document of a cliff model: base gluing generators with
+    random center coefficients and torus denominators in {2, 3, 4, 6} or,
+    when combinations are asked for, that many random integer combinations
+    of them."""
+    _, factors, r, seed, nbase, ncombos = CLIFF_MODELS[name]
     rng = random.Random(seed)
     orders = build_datum(tuple(SimpleType(f, n) for f, n in factors)).pq_group.invariant_factors
-    gluing = []
-    for _ in range(4):
+    base = []
+    for _ in range(nbase):
         center = [rng.randrange(d) for d in orders]
         torus = []
+        shared = rng.choice((2, 3, 4, 6)) if ncombos else None
         for _ in range(r):
-            den = rng.choice((2, 3, 4, 6))
-            torus.append(str(Fraction(rng.randrange(den), den)))
-        gluing.append({"center": center, "torus": torus})
+            den = shared or rng.choice((2, 3, 4, 6))
+            torus.append(Fraction(rng.randrange(den), den))
+        base.append((center, torus))
+    if ncombos:
+        combos = []
+        for _ in range(ncombos):
+            coeffs = [rng.randrange(12) for _ in base]
+            center = [sum(c * g[0][i] for c, g in zip(coeffs, base)) % d for i, d in enumerate(orders)]
+            torus = [sum(c * g[1][j] for c, g in zip(coeffs, base)) % 1 for j in range(r)]
+            combos.append((center, torus))
+        base = combos
+    gluing = [{"center": center, "torus": [str(v) for v in torus]} for center, torus in base]
     doc = {"semisimple": [{"family": f, "rank": n} for f, n in factors], "torus_rank": r, "gluing": gluing}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -414,9 +456,8 @@ def test_report_bytes_pinned(command, name, tmp_path):
 def test_former_torus_cliffs_answer_within_a_second(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(cliff_spec(name))
-    # the pinned-digest run of the same model may have filled these
+    # the pinned-digest run of the same model may have filled this
     groups._gluing.cache_clear()
-    groups._pi1_span.cache_clear()
     start = time.perf_counter()
     code, out, err = invoke([CLIFF_MODELS[name][0], "--json", "--spec", str(path)])
     elapsed = time.perf_counter() - start

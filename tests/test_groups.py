@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cokernel_of, cyclic, ext1_z
@@ -21,6 +23,7 @@ from homspace.groups import (
 from homspace.intlinalg import IntMatrix, determinant
 from homspace.rootdata import SimpleType, build_datum, center_element_from_coords
 from oracles import (
+    _pi1_span,
     all_characters,
     central_pushout,
     fiber_class_in_pi1,
@@ -101,6 +104,22 @@ class TestPi1:
     def test_torus(self):
         assert pi1(torus_only(3)) == FgAbGroup(3, ())
         assert pi1(preset("SO(2)")) == Z
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32))
+    def test_extension_presentation_equals_span(self, seed):
+        # two routes: Z^r extended by the canonical gluing group, against the
+        # span of N*e_i and the model's own gluing lifts in Z^r x Z(S_sc)
+        model = random_model(random.Random(seed), max_torus=6, max_gluing=4)
+        assert pi1(model) == _pi1_span(model).computed
+
+    def test_extension_presentation_equals_span_on_presets(self):
+        names = [f"{kind}({n})" for kind in ("SL", "GL", "PGL") for n in range(1, 13)]
+        names += [f"{kind}({n})" for kind in ("SO", "Spin") for n in range(2, 13)]
+        names += [f"Sp({n})" for n in range(2, 13, 2)]
+        for name in names:
+            model = preset(name)
+            assert pi1(model) == _pi1_span(model).computed, name
 
     def test_free_rank_is_torus_rank(self):
         rng = random.Random(12)
@@ -276,7 +295,7 @@ class TestCentralPushout:
                 k = len(model.ss.pq_group.invariant_factors)
                 kept = []
                 for e in data_elements:
-                    amb = [0] * len(data.ambient_orders)
+                    amb = [0] * len(data.span.orders)
                     for p, c in enumerate(e.coords):
                         amb = [x + c * y for x, y in zip(amb, incl.column(p))]
                     amb = data.span.reduce_ambient(amb)
@@ -354,8 +373,6 @@ class TestDeterminism:
     def test_pi1_presentation_is_deterministic(self):
         # torus lifts use representatives in [0, 1), so two separately built
         # copies of a model present pi1 with identical matrices
-        from homspace.groups import _pi1_span
-
         a = ReductiveModel(preset("GL(4)").ss, 1, preset("GL(4)").gluing, 0, name="one")
         b = ReductiveModel(preset("GL(4)").ss, 1, preset("GL(4)").gluing, 0, name="two")
         assert _pi1_span(a).inclusion.matrix == _pi1_span(b).inclusion.matrix
@@ -365,7 +382,7 @@ class TestDeterminism:
         # shifting a torus lift by an integer vector lands in the span of the
         # standard basis generators, so the subgroup is unchanged
         from homspace.abgroups import subgroup_from_generators
-        from homspace.groups import _gluing, _pi1_span
+        from homspace.groups import _gluing
 
         rng = random.Random(6)
         for _ in range(15):
