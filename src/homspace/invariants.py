@@ -27,6 +27,9 @@ Br and Pic(H) against the dual of the kernel on every central quotient of a
 simple type in ``tests/test_invariants.py::TestSemisimpleSweep``; Pic(G/H)
 against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion
 6; the weight table in ``TestWeightTable``.
+
+The weight table is one ``rootdata.restriction_matrix`` of the kernel: row
+i's restriction is column i, so the table builds no per-weight pairing.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from .abgroups import AbElement, FgAbGroup, dual_finite, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
-from .rootdata import Weight, fundamental_weight, restrict_weight
+from .rootdata import Weight, fundamental_weight, restriction_matrix
 
 TRIVIAL = FgAbGroup(0, ())
 
@@ -128,11 +131,14 @@ def weight_brauer_table(sm: SemisimpleModel):
     """
     datum = sm.datum
     labels = datum.node_labels()
+    dual = dual_finite(sm.kernel.computed).group
+    restrictions = restriction_matrix(datum, sm.kernel)
     rows = []
     for i in range(datum.rank):
-        w = fundamental_weight(datum, i)
-        restriction = restrict_weight(w, sm.kernel)
+        restriction = dual.element(restrictions.column(i))
         rows.append(
-            WeightBrauerRow(weight=w, node=labels[i], restriction=restriction, brauer_class=restriction)
+            WeightBrauerRow(
+                weight=fundamental_weight(datum, i), node=labels[i], restriction=restriction, brauer_class=restriction
+            )
         )
     return rows

@@ -14,6 +14,13 @@ The center of the simply connected group is only ever exposed as the dual
 of P/Q together with the evaluation pairing: any identification of the
 center with a concrete cyclic group is non-canonical, and downstream code
 consumes pairings, never a chosen isomorphism.
+
+Restriction of weights to a central subgroup is linear, so it is one
+integer matrix (:func:`restriction_matrix`, one row per canonical generator
+of the subgroup, one column per fundamental weight), built once per
+subgroup by the integer pairing formula of docs/conventions.md.
+``restrict_weight`` applies it to one weight, the weight Brauer table reads
+its columns, and ``character_lattice_of_quotient`` is its preimage of 0.
 """
 
 from __future__ import annotations
@@ -247,25 +254,36 @@ def _check_center_subgroup(datum: RootDatumSS, sub: SubgroupPresentation):
         raise ValueError("subgroup does not live in the center of this datum")
 
 
+def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatrix:
+    """The restriction P -> Hom(sub, Q/Z) as one integer matrix: one row per
+    canonical generator p of ``sub.computed`` (order m_p), one column per
+    fundamental weight.  Entry (p, i) is m_p times the pairing of the i-th
+    fundamental weight with generator p, an integer in [0, m_p).
+
+    With L the lcm of the P/Q orders d_j, generator p pairs with weight i to
+    S/L mod 1, where S = sum_j incl[j, p] * (L / d_j) * pq_proj[j, i]; the
+    entry is (S mod L) * m_p / L."""
+    _check_center_subgroup(datum, sub)
+    d_orders = datum.pq_group.invariant_factors
+    big = lcm(*d_orders)
+    scaled = IntMatrix.from_rows(
+        [[(big // d) * x for x in datum.pq_proj.matrix.row(j)] for j, d in enumerate(d_orders)],
+        cols=datum.rank,
+    )
+    sums = sub.inclusion.matrix.transpose() @ scaled
+    return IntMatrix.from_rows(
+        [[(s % big) * m // big for s in sums.row(p)] for p, m in enumerate(sub.computed.invariant_factors)],
+        cols=datum.rank,
+    )
+
+
 def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
     """Character of the central subgroup obtained by pairing the weight's
-    class in P/Q against each subgroup generator; returned over the canonical
-    generators of ``dual_finite(sub.computed)``."""
-    datum = weight.datum
-    _check_center_subgroup(datum, sub)
-    cls = weight.pq_class().coords
-    d_orders = datum.pq_group.invariant_factors
-    dual = dual_finite(sub.computed)
-    out = []
-    for p in range(sub.computed.ngens):
-        a = sub.inclusion.matrix.column(p)
-        value = Fraction(0)
-        for ai, ci, d in zip(a, cls, d_orders):
-            value += Fraction(ai * ci, d)
-        value %= 1
-        m = sub.computed.invariant_factors[p]
-        out.append(int(value * m) % m)
-    return dual.group.element(out)
+    class in P/Q against each subgroup generator: ``restriction_matrix``
+    applied to the weight, over the canonical generators of
+    ``dual_finite(sub.computed)``."""
+    restriction = restriction_matrix(weight.datum, sub)
+    return dual_finite(sub.computed).group.element(restriction.apply(weight.coords))
 
 
 def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
@@ -289,15 +307,8 @@ def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> Subg
 
 def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatrix:
     """Hermite basis (one weight per row) of the finite-index sublattice of P
-    of weights whose restriction to the central subgroup is trivial."""
-    _check_center_subgroup(datum, sub)
-    rank = datum.rank
-    d_orders = datum.pq_group.invariant_factors
-    big = lcm(*d_orders)
-    proj = sub.inclusion.matrix.transpose() @ IntMatrix.from_rows(
-        [[(big // d) * x for x in datum.pq_proj.matrix.row(i)] for i, d in enumerate(d_orders)],
-        cols=rank,
-    )
-    # lambda is in the lattice iff proj @ lambda == 0 mod big
-    restrict = AbHom(FgAbGroup(rank, ()), FgAbGroup(0, (big,) * proj.rows), proj)
+    of weights whose restriction to the central subgroup is trivial: the
+    preimage of 0 under ``restriction_matrix``."""
+    restriction = restriction_matrix(datum, sub)
+    restrict = AbHom(FgAbGroup(datum.rank, ()), dual_finite(sub.computed).group, restriction)
     return preimage_lattice(restrict)

@@ -12,25 +12,38 @@ from homspace.rootdata import SimpleType, build_datum, center, center_element_fr
 
 
 def all_subgroups(group):
-    """Every subgroup of a finite canonical group, one presentation each."""
+    """Every subgroup of a finite canonical group, one presentation each.
+    Breadth first: each new subgroup is a known one plus one element, so the
+    work grows with the number of subgroups, not of element sets."""
     elements = list(group.elements())
-    seen = {}
-    n = len(elements)
-    for mask in range(1 << n):
-        gens = [elements[i] for i in range(n) if mask >> i & 1]
-        closure = {group.identity().coords}
-        frontier = [group.identity()]
-        while frontier:
-            cur = frontier.pop()
-            for h in gens:
-                nxt = cur + h
-                if nxt.coords not in closure:
-                    closure.add(nxt.coords)
-                    frontier.append(nxt)
-        key = frozenset(closure)
-        if key not in seen:
-            seen[key] = subgroup_from_generators(group, gens)
-    return list(seen.values())
+    index = {e.coords: i for i, e in enumerate(elements)}
+    table = [[index[(a + b).coords] for b in elements] for a in elements]
+    trivial = frozenset([index[group.identity().coords]])
+    found = {trivial: []}
+    frontier = [trivial]
+    while frontier:
+        grown = []
+        for closure in frontier:
+            for e in range(len(elements)):
+                if e in closure:
+                    continue
+                multiples = [e]
+                while table[multiples[-1]][e] not in closure:
+                    multiples.append(table[multiples[-1]][e])
+                key = closure.union(table[h][m] for h in closure for m in multiples)
+                if key not in found:
+                    found[key] = found[closure] + [elements[e]]
+                    grown.append(key)
+        frontier = grown
+    return [subgroup_from_generators(group, gens) for gens in found.values()]
+
+
+# products whose P/Q orders differ, so the pairing's L / d_j scaling matters
+MIXED_CENTER_PRODUCTS = [
+    (SimpleType("A", 3), SimpleType("A", 5), SimpleType("D", 4)),
+    (SimpleType("A", 2), SimpleType("A", 2), SimpleType("E", 6)),
+    (SimpleType("A", 1), SimpleType("B", 3), SimpleType("D", 5)),
+]
 
 
 _FAMILY_CHOICES = [

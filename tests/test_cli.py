@@ -266,6 +266,31 @@ class TestCommands:
             assert code == 0, err
             assert len(calls) == count, argv
 
+    def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
+        # the table is one restriction matrix: no dual_finite call per row
+        import homspace
+
+        counts = {}
+        for name in ("dual_finite", "restriction_matrix"):
+            original = getattr(homspace.rootdata, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in vars(homspace).values():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        seen = {}
+        for command in ("weights", "invariants"):
+            for name in ("SL(8)", "SL(128)"):
+                counts.update(dual_finite=0, restriction_matrix=0)
+                code, _, err = invoke([command, "--json", "--preset", name])
+                assert code == 0, err
+                assert counts["restriction_matrix"] == 1, (command, name)
+                seen[command, name] = counts["dual_finite"]
+            assert 0 < seen[command, "SL(8)"] == seen[command, "SL(128)"], seen
+
     def test_no_query_takes_the_exact_lattice_route(self, monkeypatch, tmp_path):
         # every solution lattice a query builds has a modulus: no order is 0,
         # so no Hermite elimination runs without one
@@ -359,6 +384,13 @@ PINNED_REPORTS = {
     ("invariants", "cliff-A7xD5-r30"): "8269aa951aa49d5c162e93bffe341cfa9e29407a0f42beff6d88c2c0920ae531",
     ("invariants", "cliff-A5xD6xE7-r30"): "b6bb01158b165cc829f156abe1aa5808a2a35f81ac4c9f160d4b8ece033794a8",
     ("describe", "cliff-A7xD5-r28-wide"): "8ad3a8e8a430bfd498ddaef083b329ced406b8e01c9f2e62b5385e4d41441373",
+    ("invariants", "SO(128)"): "c66538a91775cd8cefc58e1415f3b6e7b622802e95e9bc02c49ccea62238c8b7",
+    ("invariants", "SL(128)"): "2d173b0a8758d5eadbbb0af50887cc61bd22b7e4909f1c0eab64e6c97b8fe8d7",
+    ("invariants", "Sp(96)"): "3256d59f5dfc3650fede29a5caca663b935cd37339f3edfdad1911f02269d796",
+    ("invariants", "Spin(96)"): "0e808844443d9101f77446d1ce3a99f2213daae7de3f956d68c91adc8902cf70",
+    ("invariants", "PGL(64)"): "c401f6c9f976efd8bf13ad8699f311337d9e712254e56d0bb0654f5356647771",
+    ("weights", "A1^8/Z2^3"): "95648e0a4343fe7ff8ab15f8cba1e1662a6ddb62671eebbc574962ef2c2be9de",
+    ("weights", "A2^5/Z3^2"): "74be99eeaef20054c2ee94d86e94a3de63dad0d20649a72959ee8bc36e1a0bec",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {
@@ -368,6 +400,26 @@ TORUS_R3 = {
         {"center": [1, 1], "torus": ["1/2", "1/3", "0"]},
         {"center": [0, 2], "torus": ["1/4", "2/3", "3/4"]},
     ],
+}
+# central quotients of products of equal simple factors, no torus
+QUOTIENT_SPECS = {
+    "A1^8/Z2^3": {
+        "semisimple": [{"family": "A", "rank": 1}] * 8,
+        "torus_rank": 0,
+        "gluing": [
+            {"center": [1, 1, 1, 1, 1, 1, 1, 1], "torus": []},
+            {"center": [1, 1, 0, 0, 1, 1, 0, 0], "torus": []},
+            {"center": [0, 1, 0, 1, 0, 1, 0, 1], "torus": []},
+        ],
+    },
+    "A2^5/Z3^2": {
+        "semisimple": [{"family": "A", "rank": 2}] * 5,
+        "torus_rank": 0,
+        "gluing": [
+            {"center": [1, 2, 0, 1, 1], "torus": []},
+            {"center": [0, 1, 1, 2, 0], "torus": []},
+        ],
+    },
 }
 # ext --group G --char chi, as --json and as text
 PINNED_CHARACTERS = {
@@ -440,6 +492,10 @@ def test_report_bytes_pinned(command, name, tmp_path):
     elif name == "torus-r3":
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
+        source = ["--spec", str(path)]
+    elif name in QUOTIENT_SPECS:
+        path = tmp_path / "quotient.json"
+        path.write_text(json.dumps(QUOTIENT_SPECS[name]))
         source = ["--spec", str(path)]
     elif name in CLIFF_MODELS:
         path = tmp_path / f"{name}.json"

@@ -1,6 +1,6 @@
 import random
 
-from conftest import all_subgroups, random_model
+from conftest import MIXED_CENTER_PRODUCTS, all_subgroups, random_model
 from homspace.abgroups import (
     FgAbGroup,
     TRIVIAL_GROUP,
@@ -12,7 +12,7 @@ from homspace.abgroups import (
     subgroup_from_generators,
 )
 from homspace.extensions import character_to_extension
-from homspace.groups import ReductiveModel, as_semisimple, preset, pi1
+from homspace.groups import ReductiveModel, SemisimpleModel, as_semisimple, preset, pi1
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import (
     brauer,
@@ -21,7 +21,14 @@ from homspace.invariants import (
     picard_of_group,
     weight_brauer_table,
 )
-from homspace.rootdata import SimpleType, build_datum, center, character_lattice_of_quotient
+from homspace.rootdata import (
+    SimpleType,
+    build_datum,
+    center,
+    character_lattice_of_quotient,
+    fundamental_weight,
+    restrict_weight,
+)
 from oracles import character_from_dual_element, cocycle_class, cocycle_of, multiplication_hom
 
 
@@ -203,9 +210,16 @@ class TestWeightTable:
         assert not rows[0].is_trivial
         assert rows[0].brauer_class.group == cyclic(2)
 
-    def test_restrictions_surject_and_kernel_index(self):
-        from homspace.groups import SemisimpleModel
+    def test_rows_are_weight_restrictions_on_products(self):
+        for factors in MIXED_CENTER_PRODUCTS:
+            datum = build_datum(factors)
+            for sub in all_subgroups(center(datum).group):
+                rows = weight_brauer_table(SemisimpleModel(datum=datum, kernel=sub))
+                assert [r.weight for r in rows] == [fundamental_weight(datum, i) for i in range(datum.rank)]
+                assert [r.restriction for r in rows] == [restrict_weight(r.weight, sub) for r in rows]
+                assert all(r.brauer_class == r.restriction for r in rows)
 
+    def test_restrictions_surject_and_kernel_index(self):
         a1, a2 = SimpleType("A", 1), SimpleType("A", 2)
         simple = ("A", 3), ("B", 3), ("D", 4), ("D", 5), ("E", 6), ("A", 11), ("D", 6), ("B", 6)
         # A11, D6 and B6 contain the kernels of PGL(12), SO(12) and SO(13)

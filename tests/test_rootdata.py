@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_subgroups
+from conftest import MIXED_CENTER_PRODUCTS, all_subgroups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, cyclic, dual_finite, from_presentation, subgroup_from_generators
 from homspace.intlinalg import IntMatrix, determinant
 from homspace.rootdata import (
@@ -20,6 +20,7 @@ from homspace.rootdata import (
     fundamental_weight,
     parse_simple_type,
     restrict_weight,
+    restriction_matrix,
     simple_root,
 )
 
@@ -199,6 +200,28 @@ class TestRestrictWeight:
                     for p, m in enumerate(sub.computed.invariant_factors):
                         value = dual.pair(sub.inclusion(sub.computed.generator(p)), w.pq_class())
                         assert Fraction(coords[p], m) == value
+
+    def test_restriction_matrix_matches_center_pairing_on_products(self):
+        # exhaustive over the subgroups of centers whose P/Q orders differ:
+        # entry (p, i) over m_p is the center's Fraction pairing of
+        # generator p with the class of the i-th fundamental weight, and
+        # restrict_weight of any weight is read through the same pairing
+        rng = random.Random(9)
+        for factors in MIXED_CENTER_PRODUCTS:
+            datum = build_datum(factors)
+            dual = center(datum)
+            for sub in all_subgroups(dual.group):
+                matrix = restriction_matrix(datum, sub)
+                orders = sub.computed.invariant_factors
+                assert (matrix.rows, matrix.cols) == (len(orders), datum.rank)
+                gens = [sub.inclusion(sub.computed.generator(p)) for p in range(len(orders))]
+                for i in range(datum.rank):
+                    cls = fundamental_weight(datum, i).pq_class()
+                    for p, m in enumerate(orders):
+                        assert Fraction(matrix[p, i], m) == dual.pair(gens[p], cls)
+                w = Weight(datum, tuple(rng.randint(-6, 6) for _ in range(datum.rank)))
+                coords = restrict_weight(w, sub).coords
+                assert [Fraction(c, m) for c, m in zip(coords, orders)] == [dual.pair(g, w.pq_class()) for g in gens]
 
     def test_rejects_foreign_subgroup(self):
         datum = build_datum((SimpleType("A", 1),))
