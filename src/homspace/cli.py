@@ -18,6 +18,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from . import __version__
@@ -247,7 +248,60 @@ class _Printer:
             self.stream.write(text + "\n")
 
     def json(self, payload):
-        self.stream.write(json.dumps(payload, indent=2) + "\n")
+        self.stream.write(json_text(payload) + "\n")
+
+
+def json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2)`` (ASCII, keys in insertion
+    order) for dicts with str keys, lists, tuples, str, int, bool and None.
+    ``json`` runs its pure-Python encoder whenever ``indent`` is set; this
+    writer emits the same text in one pass.  Any other type, float included,
+    raises TypeError."""
+    parts = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(x, newline: str, emit) -> None:
+    kind = type(x)
+    if kind is str:
+        emit(_encode_str(x))
+    elif kind is int:
+        emit(int.__repr__(x))
+    elif kind is dict:
+        if not x:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in x.items():
+            emit(sep + _encode_str(key) + ": ")  # TypeError unless key is a str
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not x:
+            emit("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in x):
+            # weight vectors and lattice rows: one join for the whole list
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in x:
+            emit(sep)
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif x is None:
+        emit("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

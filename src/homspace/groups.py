@@ -30,6 +30,12 @@ span of the standard basis of Z^r and the lifts of the model's own gluing
 generators inside Z^r x Z(S_sc), is kept in ``tests/oracles.py``.  The
 routes are compared in the tests (``tests/test_groups.py::TestPi1`` and
 acceptance criterion 6), not on every query.
+
+With no torus the gluing subgroup lies in Z(S_sc) and is itself the kernel
+of S_sc -> H.  ``as_semisimple`` reads that kernel off the gluing span that
+``_gluing`` has already built; ``derived_subgroup`` stays as the second
+route, which only the tests take
+(``tests/test_groups.py::TestSemisimpleConversions``).
 """
 
 from __future__ import annotations
@@ -231,10 +237,22 @@ def character_group(model: ReductiveModel):
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     """Reinterpret a model with no torus and no unipotent part as a
-    semisimple quotient S_sc/kernel."""
+    semisimple quotient S_sc/kernel.  The kernel is the gluing span itself:
+    its canonical generators, their center coordinates as the inclusion.
+    ``derived_subgroup`` reaches the same presentation by a second route,
+    for the tests."""
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
-    return derived_subgroup(model)
+    span = _gluing(model).span
+    cgroup = center(model.ss).group
+    incl = span.inclusion_columns
+    kernel = SubgroupPresentation(
+        ambient=cgroup,
+        generators=tuple(cgroup.element(incl.column(p)) for p in range(incl.cols)),
+        computed=span.group,
+        inclusion=AbHom(span.group, cgroup, incl),
+    )
+    return SemisimpleModel(datum=model.ss, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,33 @@ def count_cocycle_classes(group):
 
     quotient, _ = from_presentation(cocycle_basis.cols, IntMatrix.from_columns(cols, rows=cocycle_basis.cols))
     return quotient
+
+
+# central quotients with no torus: products of equal simple factors, and one
+# model whose name JSON output must escape
+QUOTIENT_SPECS = {
+    "A1^8/Z2^3": {
+        "semisimple": [{"family": "A", "rank": 1}] * 8,
+        "torus_rank": 0,
+        "gluing": [
+            {"center": [1, 1, 1, 1, 1, 1, 1, 1], "torus": []},
+            {"center": [1, 1, 0, 0, 1, 1, 0, 0], "torus": []},
+            {"center": [0, 1, 0, 1, 0, 1, 0, 1], "torus": []},
+        ],
+    },
+    "A2^5/Z3^2": {
+        "semisimple": [{"family": "A", "rank": 2}] * 5,
+        "torus_rank": 0,
+        "gluing": [
+            {"center": [1, 2, 0, 1, 1], "torus": []},
+            {"center": [0, 1, 1, 2, 0], "torus": []},
+        ],
+    },
+    # non-ASCII, a quote and a backslash
+    "named-D4/Z2": {
+        "name": 'D4/Z2 "\u00e9" \\ quotient',
+        "semisimple": [{"family": "D", "rank": 4}],
+        "torus_rank": 0,
+        "gluing": [{"center": [1, 1], "torus": []}],
+    },
+}

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import QUOTIENT_SPECS, random_model
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cokernel_of, cyclic, ext1_z
+from homspace.cli import parse_spec
 from homspace.extensions import Character
 from homspace.groups import (
     GluingPair,
@@ -411,3 +413,26 @@ class TestSemisimpleConversions:
         sm = as_semisimple(model)
         back = semisimple_as_reductive(sm)
         assert pi1(back) == pi1(model)
+
+    # two routes to the kernel of S_sc -> H: the gluing span, read directly,
+    # and the kernel of the gluing group's (empty) torus projection; equal as
+    # presentations, so generators, abstract group and inclusion all agree
+    def test_kernel_is_the_derived_kernel_on_presets(self):
+        names = [f"{kind}({n})" for kind in ("SL", "PGL") for n in range(1, 13)]
+        names += [f"{kind}({n})" for kind in ("SO", "Spin") for n in range(3, 13)]
+        names += [f"Sp({n})" for n in range(2, 13, 2)]
+        for name in names:
+            model = preset(name)
+            assert model.torus_rank == 0
+            assert as_semisimple(model).kernel == derived_subgroup(model).kernel, name
+
+    def test_kernel_is_the_derived_kernel_on_quotient_specs(self):
+        for name, spec in QUOTIENT_SPECS.items():
+            model = parse_spec(json.dumps(spec)).to_model()
+            assert as_semisimple(model).kernel == derived_subgroup(model).kernel, name
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32))
+    def test_kernel_is_the_derived_kernel(self, seed):
+        model = random_model(random.Random(seed), max_torus=0, max_gluing=3)
+        assert as_semisimple(model).kernel == derived_subgroup(model).kernel
