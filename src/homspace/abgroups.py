@@ -20,12 +20,13 @@ Preimages of single elements (:func:`preimage_of`) are computed here and
 only here, and every Smith quotient goes through one helper; the span's
 inclusion and an extension's projection read the inverse of the Smith row
 transform, which the Smith loop accumulates for them.  An extension
-0 -> Z^r -> E -> Gamma -> 0 of a finite group (pi1(H), the middle group of
+0 -> Z^r -> E -> Gamma -> 0 of a finite group (the middle group of
 ``ext --char``) is presented by Z^r and one lift per generator of Gamma
 (:func:`extension_from_lifts`), never as a span over a free ambient, so no
-query reaches the exact, unmodded route of ``solution_lattice``.  Other modules state such problems as
-homomorphisms and never call ``solution_lattice``, ``lattice_row_basis``,
-``solve_integer`` or ``_snf_transform`` themselves.
+query reaches the exact, unmodded route of ``solution_lattice``.  Other
+modules state such problems as homomorphisms and never call
+``solution_lattice``, ``lattice_row_basis``, ``solve_integer`` or
+``_snf_transform`` themselves.
 """
 
 from __future__ import annotations

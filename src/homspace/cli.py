@@ -26,7 +26,6 @@ from .abgroups import FgAbGroup, ext1_z
 from .extensions import Character, character_to_extension, extension_class
 from .groups import (
     GluingPair,
-    LimitExceeded,
     ReductiveModel,
     as_semisimple,
     gluing_group,
@@ -579,9 +578,6 @@ def run(argv, stdout=None, stderr=None) -> int:
         return _COMMANDS[args.command](args, out)
     except CliError as exc:
         stderr.write(exc.render() + "\n")
-        return 1
-    except LimitExceeded as exc:
-        stderr.write(f"error[E_LIMIT] at {args.command}: {exc}\n")
         return 1
     except ValueError as exc:
         stderr.write(f"error[E_INPUT] at {args.command}: {exc}\n")

@@ -5,8 +5,8 @@ A character chi of Gamma pulls the exponential sequence 0 -> Z -> Q -> Q/Z
 back to an abelian extension 0 -> Z -> E -> Gamma -> 0.  The lift
 s_i = (chi(g_i), g_i) of the canonical generator g_i of order d_i satisfies
 d_i * s_i = d_i * chi(g_i) in the injected Z, so E is presented by iota(1)
-and the s_i with those k relations, the same Z^r-extension presentation
-that gives pi1(H) (``abgroups.extension_from_lifts``, r = 1).  The class is
+and the s_i with those k relations (``abgroups.extension_from_lifts`` with
+r = 1).  The class is
 read back off generator lifts of any realization: if d_i * s_i =
 c_i * iota(1), it takes the value c_i / d_i on g_i (Brown, Cohomology of
 Groups, GTM 87, IV.3).  That costs one preimage solve per generator and no

@@ -16,26 +16,22 @@ The fundamental group is the preimage lattice
     {(v, z) in Q^r x Z(S_sc) : (v mod Z^r, z) in gluing subgroup},
 
 an extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 of the gluing subgroup Gamma
-by the integral torus loops.  ``pi1`` presents it by Z^r and one lift of
-each canonical generator of Gamma: a generator (z, t/N) of order d (N the
-exponent of the torus parts, t in [0, N)^r) lifts to (t/N, z), and d times
-that lift is the integral loop d*t/N.  One Smith quotient of those k
-relations, whose entries stay below the generator orders, gives the group
-(``abgroups.extension_from_lifts``).
+by the integral torus loops.  It is free of rank r plus a torsion part, and
+that torsion is pi1 of the derived subgroup: the kernel of Gamma's
+projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
+``_derived_kernel`` computes that kernel, and ``pi1``, ``derived_subgroup``
+and ``as_semisimple`` all read it.  With N the lcm of the torus parts'
+denominators, N = 1 (every torus part 0, as in every model without a torus)
+makes the projection zero, and the kernel is the gluing span that ``_gluing``
+has already built; otherwise it is one preimage lattice modulo N, spanned
+back in the center.
 
-``pi1`` returns that group and nothing else.  Its torsion is pi1 of the
-derived subgroup, which ``derived_subgroup`` computes by a second route, as
-the kernel of the gluing subgroup's torus projection.  A third route, the
-span of the standard basis of Z^r and the lifts of the model's own gluing
-generators inside Z^r x Z(S_sc), is kept in ``tests/oracles.py``.  The
-routes are compared in the tests (``tests/test_groups.py::TestPi1`` and
-acceptance criterion 6), not on every query.
-
-With no torus the gluing subgroup lies in Z(S_sc) and is itself the kernel
-of S_sc -> H.  ``as_semisimple`` reads that kernel off the gluing span that
-``_gluing`` has already built; ``derived_subgroup`` stays as the second
-route, which only the tests take
-(``tests/test_groups.py::TestSemisimpleConversions``).
+The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
+the standard basis of Z^r and the lifts of the model's own gluing generators
+inside Z^r x Z(S_sc), and the extension presented by Z^r and one lift of each
+canonical generator of Gamma (``abgroups.extension_from_lifts``).  They are
+compared with ``pi1`` in ``tests/test_groups.py::TestPi1`` and acceptance
+criterion 6, not on every query.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .abgroups import (
     CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
-    extension_from_lifts,
     preimage_lattice,
     span_in_cyclics,
     subgroup_from_generators,
@@ -68,14 +63,6 @@ from .rootdata import (
     center_element_from_coords,
     Weight,
 )
-
-GLUING_ORDER_CAP = 10**6
-
-
-class LimitExceeded(Exception):
-    """A well-formed model exceeds an internal limit; the message names the
-    limit and its value."""
-
 
 @dataclass(frozen=True)
 class GluingPair:
@@ -153,12 +140,7 @@ def _gluing(model: ReductiveModel) -> _GluingData:
     for pair in model.gluing:
         coords = list(pair.center.dual_coords()) + [int(v * n) for v in pair.torus]
         gens.append(coords)
-    span = span_in_cyclics(orders, gens)
-    data = _GluingData(torus_exponent=n, span=span)
-    order = data.group.order()
-    if order is None or order > GLUING_ORDER_CAP:
-        raise LimitExceeded(f"gluing subgroup of order {order} exceeds GLUING_ORDER_CAP = {GLUING_ORDER_CAP}")
-    return data
+    return _GluingData(torus_exponent=n, span=span_in_cyclics(orders, gens))
 
 
 def gluing_group(model: ReductiveModel) -> FgAbGroup:
@@ -191,13 +173,23 @@ def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHo
 
 def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     """Kernel of the gluing subgroup's torus projection, as a subgroup of
-    the center of S_sc."""
+    the center of S_sc.  With torus exponent N = 1 the projection is zero,
+    so the kernel is the gluing span itself: its canonical generators, with
+    their center coordinates as the inclusion."""
     data = _gluing(model)
     k = len(model.ss.pq_group.invariant_factors)
     incl = data.span.inclusion_columns
+    cgroup = center(model.ss).group
+    if data.torus_exponent == 1:
+        center_rows = IntMatrix.from_rows([incl.row(i) for i in range(k)], cols=incl.cols)
+        return SubgroupPresentation(
+            ambient=cgroup,
+            generators=tuple(cgroup.element(center_rows.column(p)) for p in range(incl.cols)),
+            computed=data.group,
+            inclusion=AbHom(data.group, cgroup, center_rows),
+        )
     torus_rows = [incl.row(k + j) for j in range(model.torus_rank)]
     basis = preimage_lattice(_mod_n_hom(data.group, data.torus_exponent, torus_rows))
-    cgroup = center(model.ss).group
     gens = []
     for i in range(basis.rows):
         amb = data.span.reduce_ambient(incl.apply(basis.row(i)))
@@ -206,17 +198,9 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
 
 
 def pi1(model: ReductiveModel) -> FgAbGroup:
-    """Fundamental group of H (the unipotent part never contributes).  Its
-    torsion ``ext1_z(pi1(model))`` is pi1 of the derived subgroup."""
-    data = _gluing(model)
-    n = data.torus_exponent
-    k = len(model.ss.pq_group.invariant_factors)
-    incl = data.span.inclusion_columns
-    multiples = [
-        [d * incl[k + i, p] // n for i in range(model.torus_rank)]
-        for p, d in enumerate(data.group.invariant_factors)
-    ]
-    return extension_from_lifts(data.group, model.torus_rank, multiples)[0]
+    """Fundamental group of H (the unipotent part never contributes): Z^r
+    plus pi1 of the derived subgroup as its torsion."""
+    return FgAbGroup(model.torus_rank, _derived_kernel(model).computed.invariant_factors)
 
 
 def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
@@ -237,22 +221,10 @@ def character_group(model: ReductiveModel):
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     """Reinterpret a model with no torus and no unipotent part as a
-    semisimple quotient S_sc/kernel.  The kernel is the gluing span itself:
-    its canonical generators, their center coordinates as the inclusion.
-    ``derived_subgroup`` reaches the same presentation by a second route,
-    for the tests."""
+    semisimple quotient S_sc/kernel, the kernel being the gluing span."""
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
-    span = _gluing(model).span
-    cgroup = center(model.ss).group
-    incl = span.inclusion_columns
-    kernel = SubgroupPresentation(
-        ambient=cgroup,
-        generators=tuple(cgroup.element(incl.column(p)) for p in range(incl.cols)),
-        computed=span.group,
-        inclusion=AbHom(span.group, cgroup, incl),
-    )
-    return SemisimpleModel(datum=model.ss, kernel=kernel)
+    return derived_subgroup(model)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ geometric realizations behind them (Azumaya algebras, projective-space
 fibrations) are deliberately out of scope.
 
 Every group in a report is read off one ``pi1`` result, so the report holds
-values and checks nothing.  The identities behind the dictionary are tested
-by independent routes instead: Tors pi1(H) against pi1 of the derived
-subgroup in ``tests/test_groups.py::TestPi1`` and acceptance criterion 6;
+values and checks nothing.  ``pi1`` is Z^r plus pi1 of the derived
+subgroup, the kernel of the gluing group's torus projection.  The identities
+behind the dictionary are tested by independent routes instead: pi1
+against the Z^r-extension of the gluing group and against the span of the
+model's own gluing lifts in
+``tests/test_groups.py::TestPi1`` and acceptance criterion 6;
 Br and Pic(H) against the dual of the kernel on every central quotient of a
 simple type in ``tests/test_invariants.py::TestSemisimpleSweep``; Pic(G/H)
 against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion

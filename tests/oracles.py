@@ -9,11 +9,14 @@
   ``homspace.extensions.extension_class`` reads the same class off generator
   lifts; the tests compare the two.  Tables cost |Gamma|^2 cells, so this
   route is for small groups only.
-* pi1(H) as the span of N*e_i and of one lift of each of the model's own
-  gluing generators inside Z^r x Z(S_sc) (``_pi1_span``), the second route
-  to ``homspace.groups.pi1``, which presents the same group as an extension
-  of the canonical gluing group by Z^r.  The span's exact Hermite form has
-  no modulus, so wide models take seconds to minutes here.
+* Two more routes to ``homspace.groups.pi1``, which reads pi1(H) as Z^r
+  plus the kernel of the gluing group's torus projection.  ``_pi1_span`` is
+  the span of N*e_i and of one lift of each of the model's own gluing
+  generators inside Z^r x Z(S_sc); its exact Hermite form has no modulus,
+  so wide models take seconds to minutes here.  ``pi1_extension`` is the
+  extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 presented by Z^r and one lift
+  of each canonical generator of Gamma, one Smith quotient with both
+  transforms, whose entries blow up on wide torus models.
 * Central pushouts of reductive models along gluing characters, the
   character map pi1(H) -> Z and the element table of the gluing subgroup.
 * Small homomorphism constructors.
@@ -38,6 +41,7 @@ from homspace.abgroups import (
     cokernel_of,
     dual_finite,
     express_in_subgroup,
+    extension_from_lifts,
     preimage_of,
     subgroup_from_generators,
 )
@@ -327,6 +331,21 @@ def _pi1_span(model: ReductiveModel):
         coords = torus + list(pair.center.dual_coords())
         gens.append(ambient.element(coords))
     return subgroup_from_generators(ambient, gens)
+
+
+def pi1_extension(model: ReductiveModel) -> FgAbGroup:
+    """pi1(H) as the extension of the canonical gluing group by Z^r: a
+    generator (z, t/N) of order d lifts to (t/N, z), and d times that lift is
+    the integral loop d*t/N."""
+    data = _gluing(model)
+    n = data.torus_exponent
+    k = len(model.ss.pq_group.invariant_factors)
+    incl = data.span.inclusion_columns
+    multiples = [
+        [d * incl[k + i, p] // n for i in range(model.torus_rank)]
+        for p, d in enumerate(data.group.invariant_factors)
+    ]
+    return extension_from_lifts(data.group, model.torus_rank, multiples)[0]
 
 
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:

@@ -50,6 +50,7 @@ from oracles import (
     cocycle_of,
     gluing_elements,
     multiplication_hom,
+    pi1_extension,
     psi_character_map,
 )
 
@@ -199,11 +200,13 @@ def test_criterion_6_structural_invariants():
     for _ in range(60):
         model = random_model(rng)
         res = pi1(model)
-        # the pi1 lattice against the gluing kernel of the torus projection
-        assert ext1_z(res) == derived_subgroup(model).kernel.computed
+        # the Z^r-extension of the gluing group against the gluing kernel of
+        # the torus projection, which pi1 reads
+        extension = pi1_extension(model)
+        assert ext1_z(extension) == derived_subgroup(model).kernel.computed
         basis, abstract = character_group(model)
         assert abstract.free_rank == model.torus_rank
-        assert res.free_rank == model.torus_rank
+        assert extension.free_rank == model.torus_rank
         # assembled character map is an isomorphism onto Hom(pi1, Z)
         rows = []
         for i in range(model.torus_rank):

@@ -19,6 +19,8 @@ from homspace.cli import CliError, json_text, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
 from homspace.intlinalg import IntMatrix, determinant, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum
+from oracles import pi1_extension
+from test_acceptance import Budget
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -195,15 +197,42 @@ class TestCommands:
         assert spaced[0] == 0
         assert json.loads(spaced[1])["matrix"] == "-1,2;3,4"
 
-    def test_gluing_cap_is_a_limit(self, tmp_path):
+    def test_large_gluing_order_answers(self, tmp_path):
         # torus point 1/1000003 generates a gluing subgroup of that order
         doc = {"semisimple": [], "torus_rank": 1, "gluing": [{"center": [], "torus": ["1/1000003"]}]}
         path = tmp_path / "big_gluing.json"
         path.write_text(json.dumps(doc))
+        code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["gluing_order"], report["pi1"]) == (1000003, "Z^1")
         code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
-        assert (code, out) == (1, "")
-        assert err.startswith("error[E_LIMIT]")
-        assert "1000003" in err and "GLUING_ORDER_CAP = 1000000" in err
+        assert code == 0, err
+        assert json.loads(out)["invariants"]["pic_lattice_basis"] == [[1000003]]
+
+    def test_wide_torus_with_large_denominators_answers(self, tmp_path):
+        # A3 x D4 with r generators of denominator 10007: a gluing subgroup
+        # of order above 10007^r, whose Z^r-extension Smith form takes
+        # seconds from r = 14 on
+        def spec(r):
+            rng = random.Random(r)
+            gluing = [
+                {"center": [rng.randrange(4), rng.randrange(2), rng.randrange(2)],
+                 "torus": [f"{rng.randrange(10007)}/10007" for _ in range(r)]}
+                for _ in range(r)
+            ]
+            semisimple = [{"family": "A", "rank": 3}, {"family": "D", "rank": 4}]
+            return {"semisimple": semisimple, "torus_rank": r, "gluing": gluing}
+
+        model = parse_spec(json.dumps(spec(8))).to_model()
+        assert pi1(model) == pi1_extension(model)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec(20)))
+        budget = Budget("describe on A3 x D4, r = 20, denominators 10007", 1.0)
+        code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+        assert code == 0, err
+        budget.done()
+        assert json.loads(out)["pi1"].startswith("Z^20")
 
     def test_snf_digit_limit_is_a_limit(self):
         # diag(2^1100, 3^700) has the 666-digit invariant factor 2^1100 * 3^700
@@ -242,32 +271,37 @@ class TestCommands:
             assert code == 0
             assert len(calls) == 1
 
-    def test_no_query_calls_derived_kernel(self, monkeypatch, tmp_path):
-        # a semisimple kernel is read off the gluing span; the derived
-        # kernel is the second route, which only the tests take
-        import homspace.groups as groupsmod
+    def test_queries_span_the_gluing_group_once(self, monkeypatch, tmp_path):
+        # a semisimple kernel is read off the gluing span, so a model with no
+        # torus spans once per query; a torus model may span its derived
+        # kernel a second time.  Presets go through their spec documents, so
+        # the count leaves out the span that builds the SO(n) gluing.
+        import homspace.abgroups as abmod
 
         calls = []
-        original = groupsmod._derived_kernel
+        original = abmod.span_in_cyclics
 
-        def counting(model):
-            calls.append(model)
-            return original(model)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(groupsmod, "_derived_kernel", counting)
-        path = tmp_path / "torus_r3.json"
-        path.write_text(json.dumps(TORUS_R3))
-        for argv in (
-            ["invariants", "--preset", "GL(3)"],
-            ["describe", "--preset", "GL(3)"],
-            ["invariants", "--spec", str(path)],
-            ["describe", "--spec", str(path)],
-            ["invariants", "--preset", "SO(8)"],
-            ["weights", "--preset", "SO(8)"],
-        ):
-            code, _, err = invoke([*argv, "--json"])
-            assert code == 0, err
-        assert calls == []
+        monkeypatch.setattr(abmod, "span_in_cyclics", counting)
+        monkeypatch.setattr(groups, "span_in_cyclics", counting)
+        docs = {name: model_to_document(preset(name)) for name in ("SO(8)", "PGL(4)", "GL(3)")}
+        docs.update(QUOTIENT_SPECS, torus_r3=TORUS_R3)
+        for name, doc in docs.items():
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            semisimple = doc["torus_rank"] == 0
+            for command in ("invariants", "weights") if semisimple else ("invariants",):
+                groups._gluing.cache_clear()
+                calls.clear()
+                code, _, err = invoke([command, "--json", "--spec", str(path)])
+                assert code == 0, err
+                if semisimple:
+                    assert len(calls) == 1, (command, name)
+                else:
+                    assert 1 <= len(calls) <= 2, (command, name)
 
     def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
         # the table is one restriction matrix: no dual_finite call per row
