@@ -13,9 +13,8 @@ order ``d`` must be killed by ``d``).
 Subgroup, kernel, cokernel and Hom/Ext computations all reduce to Smith and
 Hermite normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
 ``{x : f(x) = 0}`` (:func:`preimage_lattice`) and the relations of a span
-are the Hermite bases of ``intlinalg.solution_lattice``, one Hermite
-elimination each, run modulo the exponent of the target group when that
-group is finite.
+are the Hermite bases of ``intlinalg.solution_lattice``, built modulo the
+exponent of the target group when that group is finite.
 Preimages of single elements (:func:`preimage_of`) are computed here and
 only here, and every Smith quotient goes through one helper; the span's
 inclusion and an extension's projection read the inverse of the Smith row

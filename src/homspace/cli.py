@@ -114,7 +114,7 @@ def _parse_fraction(text, where: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("E_FRACTION", where, f"malformed fraction {text!r}") from exc
-    if not 0 <= value < 1:
+    if not 0 <= value.numerator < value.denominator:
         raise CliError("E_FRACTION", where, f"fraction {text!r} must be reduced into [0, 1)")
     return value
 

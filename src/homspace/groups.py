@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -73,9 +73,9 @@ class GluingPair:
     torus: tuple
 
     def __post_init__(self):
-        torus = tuple(Fraction(v) for v in self.torus)
+        torus = tuple(v if type(v) is Fraction else Fraction(v) for v in self.torus)
         for v in torus:
-            if not 0 <= v < 1:
+            if not 0 <= v.numerator < v.denominator:
                 raise ValueError(f"torus torsion point {v} must be reduced into [0, 1)")
         object.__setattr__(self, "torus", torus)
 
@@ -101,6 +101,22 @@ class ReductiveModel:
                 raise ValueError(
                     f"gluing torus part has {len(pair.torus)} coordinates, model has torus rank {self.torus_rank}"
                 )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass __eq__ compares these fields; hashing the gluing
+        # Fractions on every cache lookup is what this saves
+        return hash((self.ss, self.torus_rank, self.gluing, self.unipotent_dim, self.name))
+
+    @cached_property
+    def torus_numerators(self) -> tuple:
+        """(N, rows): N the lcm of the torus parts' denominators and, per
+        gluing generator, its torus part times N as integers."""
+        n = lcm(1, *(v.denominator for pair in self.gluing for v in pair.torus))
+        return n, tuple(tuple(v.numerator * (n // v.denominator) for v in pair.torus) for pair in self.gluing)
 
     def describe(self) -> str:
         return self.name or f"({self.ss}, r={self.torus_rank}, {len(self.gluing)} gluing generators)"
@@ -133,13 +149,9 @@ class _GluingData:
 
 @lru_cache(maxsize=None)
 def _gluing(model: ReductiveModel) -> _GluingData:
-    center_factors = model.ss.pq_group.invariant_factors
-    n = lcm(1, *(v.denominator for pair in model.gluing for v in pair.torus))
-    orders = center_factors + (n,) * model.torus_rank
-    gens = []
-    for pair in model.gluing:
-        coords = list(pair.center.dual_coords()) + [int(v * n) for v in pair.torus]
-        gens.append(coords)
+    n, torus_rows = model.torus_numerators
+    orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
+    gens = [list(pair.center.dual_coords()) + list(row) for pair, row in zip(model.gluing, torus_rows)]
     return _GluingData(torus_exponent=n, span=span_in_cyclics(orders, gens))
 
 
@@ -211,11 +223,10 @@ def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
 def character_group(model: ReductiveModel):
     """Characters of H as a finite-index sublattice of Z^r (Hermite basis,
     one character per row) together with its abstract type."""
-    n = _gluing(model).torus_exponent
     r = model.torus_rank
     if r == 0:
         return IntMatrix.identity(0), FgAbGroup(0, ())
-    rows = [[int(v * n) for v in pair.torus] for pair in model.gluing]
+    n, rows = model.torus_numerators
     return preimage_lattice(_mod_n_hom(FgAbGroup(r, ()), n, rows)), FgAbGroup(r, ())
 
 

@@ -14,13 +14,17 @@ serialized matrices compare bit-exactly:
   route computed them.
 
 Solution lattices ``{x : A x == 0 mod orders}`` (``solution_lattice``; the
-kernel is the case of all orders 0) take one Hermite elimination of
-``[A^T | I]`` and never a Smith form.  When every order is nonzero the
-lattice contains e*Z^n, e = lcm(orders), and the elimination runs modulo e
-(Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8): every entry stays
-in [0, e] however long the elimination path, and no basis entry exceeds
-e.  Otherwise the relations of the nonzero orders join the rows and
-the elimination is exact.
+kernel is the case of all orders 0) never take a Smith form.  When every
+order is nonzero the lattice contains e*Z^s, e = lcm(orders), and its
+Hermite rows come one unknown at a time, from the last, out of an echelon
+basis of the span of the later columns in (Z/e)^n, kept in Howell form
+(Howell 1986): row j's pivot is the least multiple of column j in that span
+and the rest of the row a reduced preimage.  Preimages run only over the
+columns whose pivot exceeds 1, at most n*log2(e) of them, so an n x s
+system costs O(s * (n log e)^2) steps besides the s^2 entries of its
+output, and no entry exceeds e.  Otherwise the relations of the nonzero
+orders join the rows of ``[A^T | I]`` and one exact Hermite elimination
+gives the lattice.
 
 Both normal forms eliminate rows through one kernel of module-level helpers
 (``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -49,7 +54,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(int(e) for e in entries)
+        data = tuple(map(int, entries))
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
@@ -134,7 +139,7 @@ class IntMatrix:
         """Matrix-vector product, vector as a column."""
         if len(vector) != self.cols:
             raise ValueError(f"vector length {len(vector)} != {self.cols}")
-        return tuple(sum(a * x for a, x in zip(self.row(i), vector)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), vector)) for i in range(self.rows))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -422,63 +427,117 @@ def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> Int
     return IntMatrix.from_rows([r for r in h if any(r)], cols=ambient_dim)
 
 
-def _hermite_mod(rows: list, e: int, skip: int) -> list:
-    """Hermite basis of the lattice spanned by ``rows`` and e*Z^width, which
-    has full rank: its pivot rows for the columns from ``skip`` on,
-    restricted to those columns.  Every entry stays in [0, e] during the
-    elimination (Domich-Kannan-Trotter; Cohen, GTM 138, Alg. 2.4.8).
+def _insert_howell(basis: list, v: list, p: list, e: int):
+    """Add ``v``, with preimage ``p``, to the echelon basis of a span in
+    (Z/e)^n.  ``basis[c]`` is None, standing for e*e_c, or [row, preimage]
+    with the row's pivot in column c.  Returns (d, q): d the least positive
+    multiple of ``v`` in the span before the call, and q the preimage of 0
+    that the pass leaves, d*p minus a preimage of d*v in that span.
 
-    Column ``col`` is eliminated by folding each working row into the pivot
-    row, which starts as e*e_col; the working rows keep only the columns
-    after ``col``."""
-    width = len(rows[0]) if rows else skip
-    work = [[x % e for x in r] for r in rows]
-    pivots = []
-    for col in range(width):
-        p = [e] + [0] * (width - col - 1)
-        for k, r in enumerate(work):
-            x = r[0]
-            if not x:
-                continue
-            if x % p[0] == 0:
-                q = x // p[0]
-                work[k] = [(y - q * z) % e for y, z in zip(r, p)]
-            else:
-                g, s, t = _xgcd(p[0], x)
-                p_g, x_g = p[0] // g, x // g
-                p, work[k] = (
-                    [(s * y + t * z) % e for y, z in zip(p, r)],
-                    [(p_g * z - x_g * y) % e for y, z in zip(p, r)],
-                )
-        if col >= skip:
-            pivots.append([0] * (col - skip) + p)
-        work = [r[1:] for r in work if any(r)]
-    for i, row in enumerate(pivots):
-        for j in range(i + 1, len(pivots)):
-            q = row[j] // pivots[j][j]
-            if q:
-                row[j:] = [x - q * y for x, y in zip(row[j:], pivots[j][j:])]
-    return pivots
+    Each column takes one step.  Where the pivot g divides the entry x, v
+    drops a multiple of the row.  Where it does not, one unimodular 2x2
+    gcd transform of (row, v) gives the new row, of pivot h = gcd(g, x),
+    and the remainder (g/h)*v - (x/h)*row, and d takes the factor g/h.
+    Where column c has no row, a*v becomes its row (a*x = h = gcd(x, e)
+    mod e) and the remainder is (e/h)*v.  The basis keeps the Howell property (Howell 1986):
+    (e/g)*row lies in the span of the rows after it, for every row of
+    pivot g.  That makes d least, and the remainder carries it over:
+    (e/h)*(new row) is a multiple of (e/g) times the remainder plus one of
+    (e/g)*row, so no vector beyond the remainder needs inserting."""
+    d = 1
+    for c, slot in enumerate(basis):
+        x = v[c]
+        if not x:
+            continue
+        if slot is None:
+            h, a, _ = _xgcd(x, e)
+            basis[c] = [[a * z % e for z in v], [a * z % e for z in p]]
+            f = e // h
+            d *= f
+            v = [f * z % e for z in v]
+            p = [f * z % e for z in p]
+            continue
+        row, row_p = slot
+        g = row[c]
+        if x % g == 0:
+            q = x // g
+            v = [(z - q * r) % e for z, r in zip(v, row)]
+            p = [(z - q * r) % e for z, r in zip(p, row_p)]
+            continue
+        h, a, b = _xgcd(g, x)
+        f, q = g // h, x // h
+        basis[c] = [[(a * r + b * z) % e for r, z in zip(row, v)], [(a * r + b * z) % e for r, z in zip(row_p, p)]]
+        d *= f
+        v = [(f * z - q * r) % e for r, z in zip(row, v)]
+        p = [(f * z - q * r) % e for r, z in zip(row_p, p)]
+    return d, p
+
+
+def _solution_lattice_mod(m: IntMatrix, orders: Sequence[int]) -> list:
+    """Hermite rows of ``{x : m @ x == 0}``, every order nonzero, e their
+    lcm.  With b_j = ((e/o_i) * m[i][j] mod e)_i, pivot j is the least
+    d_j > 0 with d_j*b_j in the span V of b_(j+1), ..., b_(s-1) in (Z/e)^n,
+    and the rest of row j a preimage of -d_j*b_j over those columns,
+    reduced against the later rows.  So the unknowns go from last to first,
+    each inserted into a Howell basis of V whose rows carry preimages over
+    the columns k > j of pivot d_k > 1 (a reduced row is 0 wherever
+    d_k == 1), and the work per unknown depends on n and on those columns,
+    never on s.  b_j changes V only when d_j > 1."""
+    n, s = m.rows, m.cols
+    e = lcm(*orders)
+    scale = [e // o for o in orders]
+    basis = [None] * n
+    cols, pivots, tails = [], [], []  # columns of pivot > 1, newest last
+    out = [None] * s
+    for j in range(s - 1, -1, -1):
+        # give unknown j a preimage coordinate; it keeps it only if d > 1
+        for slot in basis:
+            if slot:
+                slot[1].append(0)
+        b = [c * x % e for c, x in zip(scale, m.column(j))]
+        d, pre = _insert_howell(basis, b, [0] * len(cols) + [1], e)
+        if d == 1:
+            for slot in basis:
+                if slot:
+                    slot[1].pop()
+        # pre[:-1] is a preimage of -d*b_j; reduce it against the rows of
+        # the earlier (rightmost) columns first
+        y = pre[:-1]
+        for i in range(len(y) - 1, -1, -1):
+            t = y[i] // pivots[i]
+            if t:
+                tail = tails[i]
+                for k in range(i + 1):
+                    y[k] -= t * tail[k]
+        row = [0] * s
+        row[j] = d
+        for c, z in zip(cols, y):
+            row[c] = z
+        out[j] = row
+        if d > 1:
+            cols.append(j)
+            pivots.append(d)
+            tails.append(y + [d])
+    return out
 
 
 def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     """Hermite basis, one row per basis vector, of ``{x : m @ x == 0}`` with
     row i of the product read modulo ``orders[i]`` (0 meaning exactly).
 
-    The lattice is the right-hand part of the rows of ``[m^T | I]`` whose
-    left-hand part vanishes modulo the orders.  When every order is nonzero
-    it contains e*Z^cols, e = lcm(orders), and the elimination runs modulo e
-    on ``[(e/o_i) m^T | I]``, with entries below e.  Otherwise one exact
-    Hermite form of ``[[m^T | I], [R^T | 0]]``, R the relation columns of the
-    nonzero orders, gives it as the rows with zero left-hand part."""
+    When every order is nonzero the lattice contains e*Z^cols, e =
+    lcm(orders), and ``_solution_lattice_mod`` builds its Hermite rows one
+    unknown at a time, from the last, over an echelon basis of a span in
+    (Z/e)^rows; no entry exceeds e.  Otherwise the lattice is the
+    right-hand part of the rows of ``[m^T | I]`` whose left-hand part
+    vanishes modulo the orders, and one exact Hermite form of
+    ``[[m^T | I], [R^T | 0]]``, R the relation columns of the nonzero
+    orders, gives it as the rows with zero left-hand part."""
     if len(orders) != m.rows:
         raise ValueError(f"{len(orders)} orders for {m.rows} rows")
     n, s = m.rows, m.cols
     if all(orders):
-        e = lcm(*orders)
-        scale = [e // o for o in orders]
-        rows = [[c * x for c, x in zip(scale, m.column(j))] + [int(j == k) for k in range(s)] for j in range(s)]
-        return IntMatrix.from_rows(_hermite_mod(rows, e, n), cols=s)
+        return IntMatrix.from_rows(_solution_lattice_mod(m, orders), cols=s)
     rows = [list(m.column(j)) + [int(j == k) for k in range(s)] for j in range(s)]
     rows += [[o if i == k else 0 for k in range(n)] + [0] * s for i, o in enumerate(orders) if o]
     h = _hermite_rows(rows, None)

@@ -174,7 +174,7 @@ class Weight:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.datum.rank:
             raise ValueError(f"expected {self.datum.rank} coordinates, got {len(self.coords)}")
 

@@ -25,6 +25,10 @@
   lattices ``{x : A x == 0 mod orders}`` as the Smith-V kernel of
   ``[A | R]``, R the relation columns, canonicalized by a second Hermite
   form.  The library now builds both without them; the tests compare.
+* The former mod-e route of ``homspace.intlinalg.solution_lattice``: one
+  Hermite elimination of ``[(e/o_i) A^T | I]`` modulo e = lcm(orders),
+  cubic in the number of unknowns.  The library now builds the same basis
+  one unknown at a time over a span in (Z/e)^n; the tests compare.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from homspace.abgroups import (
@@ -52,7 +57,7 @@ from homspace.groups import (
     SemisimpleModel,
     _gluing,
 )
-from homspace.intlinalg import IntMatrix, _snf_transform, hermite_normal_form, lattice_row_basis
+from homspace.intlinalg import IntMatrix, _snf_transform, _xgcd, hermite_normal_form, lattice_row_basis
 from homspace.rootdata import center_element_from_coords
 
 
@@ -86,6 +91,47 @@ def snf_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     kern = snf_kernel(m.hstack(IntMatrix.from_columns(relations, rows=m.rows)))
     vectors = [[kern[i, j] for i in range(m.cols)] for j in range(kern.cols)]
     return lattice_row_basis(vectors, m.cols)
+
+
+def hermite_mod_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """Hermite basis (rows) of ``{x : m @ x == 0}``, every order nonzero:
+    one Hermite elimination of ``[(e/o_i) m^T | I]`` plus e*Z^(n+s) modulo
+    e = lcm(orders), O(s^2 (n+s)), whose last s pivot rows, back-reduced,
+    are the basis.  Every entry stays in [0, e] (Domich-Kannan-Trotter 1987;
+    Cohen, GTM 138, Alg. 2.4.8).  Column ``col`` is eliminated by folding
+    each working row into the pivot row, which starts as e*e_col; the
+    working rows keep only the columns after ``col``."""
+    n, s = m.rows, m.cols
+    e = lcm(*orders)
+    scale = [e // o for o in orders]
+    work = [[c * x % e for c, x in zip(scale, m.column(j))] + [int(j == k) for k in range(s)] for j in range(s)]
+    width = n + s
+    pivots = []
+    for col in range(width):
+        p = [e] + [0] * (width - col - 1)
+        for k, r in enumerate(work):
+            x = r[0]
+            if not x:
+                continue
+            if x % p[0] == 0:
+                q = x // p[0]
+                work[k] = [(y - q * z) % e for y, z in zip(r, p)]
+            else:
+                g, a, b = _xgcd(p[0], x)
+                p_g, x_g = p[0] // g, x // g
+                p, work[k] = (
+                    [(a * y + b * z) % e for y, z in zip(p, r)],
+                    [(p_g * z - x_g * y) % e for y, z in zip(p, r)],
+                )
+        if col >= n:
+            pivots.append([0] * (col - n) + p)
+        work = [r[1:] for r in work if any(r)]
+    for i, row in enumerate(pivots):
+        for j in range(i + 1, len(pivots)):
+            q = row[j] // pivots[j][j]
+            if q:
+                row[j:] = [x - q * y for x, y in zip(row[j:], pivots[j][j:])]
+    return IntMatrix.from_rows(pivots, cols=s)
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,9 @@ PINNED_REPORTS = {
     ("describe --expand", "torus-r3"): "88891a282242da26dde8ed5fecd80a91c7899f191b337c7f2ddc60ff311a7b86",
     ("describe", "named-D4/Z2"): "2fcf3ebc8914e0ae106c920fda9976050dadb60962d89a6e59aba4c7a07964e9",
     ("invariants", "named-D4/Z2"): "d7bd42e9c0f8b5d38b9a1fa04fd95dce7c0f8075fc8be8fad0da54979ac7dba6",
+    ("invariants", "wide-A7xD5-r32"): "161ceaf45160cf7e5c34360e26f545498c12704adfeacb9c1ff47c565ec40836",
+    ("invariants", "wide-A5xD6xE7-r48"): "75467f54f758e0eab8e7d54ffe94b836767964ebb0ab5903dc69e07ed84823cb",
+    ("invariants", "wide-A3xA3xD4-r64"): "7e6928cb1c6436e5fd3df7acd1592a6b4ef74c317028203bf52b657d47b51a75",
 }
 # torus rank 3, two gluing generators, torus denominators 2, 3 and 4
 TORUS_R3 = {
@@ -455,13 +458,18 @@ PINNED_CHARACTERS = {
 # three, with four gluing generators, took 4.5-6 s each when the span
 # inverted the Smith transform by a second Hermite form and solution lattices
 # went through a Smith kernel; the wide one, with 40 gluing generators that
-# are combinations of 6, when pi1 was the exact span of those 40 lifts:
+# are combinations of 6, when pi1 was the exact span of those 40 lifts; the
+# last three, r = 32 to 64 with four generators, pin the Pic lattices of wide
+# tori, whose mod-e solution lattices are 4 x r:
 # (command, factors, torus rank, seed, base generators, combinations)
 CLIFF_MODELS = {
     "cliff-A7xD5-r22": ("describe", (("A", 7), ("D", 5)), 22, "torus-probe:10", 4, 0),
     "cliff-A7xD5-r30": ("invariants", (("A", 7), ("D", 5)), 30, "torus-cliff:A7xD5:30:5", 4, 0),
     "cliff-A5xD6xE7-r30": ("invariants", (("A", 5), ("D", 6), ("E", 7)), 30, "torus-cliff:A5xD6xE7:30:7", 4, 0),
     "cliff-A7xD5-r28-wide": ("describe", (("A", 7), ("D", 5)), 28, "torus-wide:A7xD5:28:5", 6, 40),
+    "wide-A7xD5-r32": ("invariants", (("A", 7), ("D", 5)), 32, "torus-wide:A7xD5:32:4", 4, 0),
+    "wide-A5xD6xE7-r48": ("invariants", (("A", 5), ("D", 6), ("E", 7)), 48, "torus-wide:A5xD6xE7:48:4", 4, 0),
+    "wide-A3xA3xD4-r64": ("invariants", (("A", 3), ("A", 3), ("D", 4)), 64, "torus-wide:A3xA3xD4:64:4", 4, 0),
 }
 
 

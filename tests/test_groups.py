@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QUOTIENT_SPECS, random_model
+from homspace import groups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cokernel_of, cyclic, ext1_z
 from homspace.cli import parse_spec
 from homspace.extensions import Character
@@ -72,6 +73,54 @@ class TestValidate:
         elem = center_element_from_coords(datum, (1,))
         with pytest.raises(ValueError):
             ReductiveModel(ss=datum, torus_rank=2, gluing=(GluingPair(elem, (Fraction(1, 2),)),))
+
+
+class TestModelKeys:
+    def model(self):
+        datum = build_datum((SimpleType("A", 3), SimpleType("A", 1)))
+        pairs = (
+            GluingPair(center_element_from_coords(datum, (1, 1)), (Fraction(1, 2), Fraction(1, 3), Fraction(0))),
+            GluingPair(center_element_from_coords(datum, (0, 2)), (Fraction(1, 4), Fraction(2, 3), Fraction(3, 4))),
+        )
+        return ReductiveModel(ss=datum, torus_rank=3, gluing=pairs)
+
+    def test_queries_after_gluing_hash_no_fractions(self, monkeypatch):
+        model = self.model()
+        groups._gluing(model)
+        calls = []
+        original = Fraction.__hash__
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        pi1(model)
+        validate(model)
+        character_group(model)
+        assert calls == []
+
+    def test_hash_and_equality_agree(self):
+        a, b = self.model(), self.model()
+        assert a == b and hash(a) == hash(b)
+        assert groups._gluing(a) is groups._gluing(b)
+        renamed = ReductiveModel(ss=a.ss, torus_rank=3, gluing=a.gluing, name="other")
+        assert renamed != a
+
+    def test_torus_numerators(self):
+        assert self.model().torus_numerators == (12, ((6, 4, 0), (3, 8, 9)))
+        assert preset("SO(8)").torus_numerators == (1, ((),))
+        assert torus_only(2).torus_numerators == (1, ())
+
+    def test_gluing_pair_keeps_fractions_and_checks_the_range(self):
+        datum = build_datum((SimpleType("A", 1),))
+        elem = center_element_from_coords(datum, (1,))
+        half = Fraction(1, 2)
+        assert GluingPair(elem, (half,)).torus[0] is half
+        assert GluingPair(elem, ("1/3", 0)).torus == (Fraction(1, 3), Fraction(0))
+        for bad in (Fraction(1), Fraction(-1, 2), Fraction(5, 3)):
+            with pytest.raises(ValueError, match=r"must be reduced into \[0, 1\)"):
+                GluingPair(elem, (bad,))
 
 
 def torsion_and_derived(model):

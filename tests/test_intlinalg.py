@@ -1,6 +1,7 @@
 import random
+import time
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from homspace.intlinalg import (
     solution_lattice,
     solve_integer,
 )
-from oracles import inverse_unimodular, snf_kernel, snf_solution_lattice
+from oracles import hermite_mod_solution_lattice, inverse_unimodular, snf_kernel, snf_solution_lattice
 
 
 def minor_gcd_factors(m):
@@ -329,6 +330,23 @@ def congruence_systems(draw):
     return m, tuple(orders)
 
 
+WIDE_ORDERS = (1, 2, 3, 4, 6, 12, 60, 10007)
+
+
+@st.composite
+def wide_mod_systems(draw):
+    """Up to 4 congruences in up to 48 unknowns, every order nonzero; the
+    columns come from a small pool, so zero, repeated and dependent
+    columns are common."""
+    n = draw(st.integers(0, 4))
+    s = draw(st.integers(0, 48))
+    orders = draw(st.lists(st.sampled_from(WIDE_ORDERS), min_size=n, max_size=n))
+    entry = st.one_of(st.integers(-12, 12), st.integers(0, 10**5))
+    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=s, max_size=s))
+    return IntMatrix.from_columns([pool[p] for p in picks], rows=n), tuple(orders)
+
+
 class TestDifferentialOracle:
     @ORACLE
     @given(congruence_systems())
@@ -367,6 +385,48 @@ class TestDifferentialOracle:
         entries = [x for i in range(m.rows) for x in m.row(i)]
         expected = invariant_factors(Matrix(m.rows, m.cols, entries), domain=ZZ)
         assert smith_normal_form(m).diagonal() == tuple(int(x) for x in expected)
+
+    @ORACLE
+    @given(wide_mod_systems())
+    @example((IntMatrix(3, 0, ()), (4, 6, 10007)))
+    @example((IntMatrix(0, 5, ()), ()))
+    @example((IntMatrix.from_rows([[3, 5, 7, 1], [2, -4, 9, 8]]), (1, 1)))
+    @example((IntMatrix.from_rows([[0, 3, 0, 2, 0], [0, 4, 0, 6, 0]]), (6, 12)))
+    @example((IntMatrix.from_rows([[5, 7, 0, 1, 0], [3, 11, 0, 0, 1]]), (12, 12)))
+    def test_wide_mod_systems_match_hermite_mod_route(self, system):
+        m, orders = system
+        basis = solution_lattice(m, orders)
+        assert basis == hermite_mod_solution_lattice(m, orders)
+        e = lcm(*orders)
+        assert basis.rows == basis.cols == m.cols
+        for j in range(basis.rows):
+            d = basis[j, j]
+            assert d > 0 and e % d == 0
+            assert all(basis[j, k] == 0 for k in range(j))
+            assert all(0 <= basis[i, j] < d for i in range(j))
+            image = m.apply(basis.row(j))
+            assert all(x % o == 0 for x, o in zip(image, orders))
+
+    def test_mod_route_examples(self):
+        # x0 + 2 x1 == 0 mod 4
+        assert solution_lattice(IntMatrix.from_rows([[1, 2]]), (4,)) == IntMatrix.from_rows([[2, 1], [0, 2]])
+        # every order 1: the whole of Z^s
+        assert solution_lattice(IntMatrix.from_rows([[3, 5, 7]]), (1,)) == IntMatrix.identity(3)
+        # the last two columns span (Z/12)^2 with unit echelon pivots, so
+        # every earlier column has Hermite pivot 1 and a full tail
+        m = IntMatrix.from_rows([[5, 7, 0, 1, 0], [3, 11, 0, 0, 1]])
+        assert solution_lattice(m, (12, 12)) == IntMatrix.from_rows(
+            [[1, 0, 0, 7, 9], [0, 1, 0, 5, 1], [0, 0, 1, 0, 0], [0, 0, 0, 12, 0], [0, 0, 0, 0, 12]]
+        )
+
+    def test_wide_mod_system_is_not_cubic(self):
+        # the former Hermite pass over [B | I] took about 6 s here
+        rng = random.Random(12)
+        m = IntMatrix(2, 512, [rng.randrange(12) for _ in range(2 * 512)])
+        start = time.perf_counter()
+        basis = solution_lattice(m, (12, 12))
+        assert time.perf_counter() - start < 1.0
+        assert sum(basis[j, j] != 1 for j in range(512)) <= 2 * 3
 
     def test_larger_systems_against_snf_kernel_route(self):
         # beyond the hypothesis sizes, where the oracle still runs in
