@@ -10,39 +10,37 @@ Homomorphisms are integer matrices over the canonical generators and are
 checked for well-definedness at construction (the image of a generator of
 order ``d`` must be killed by ``d``).
 
-Subgroup, kernel, cokernel and Hom/Ext computations all reduce to Smith and
-Hermite normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
+The dual Hom(G, Q/Z) of a finite G has no type of its own: it is G again,
+read through the pairing of docs/conventions.md, under which dual generator
+i pairs with generator j to delta_ij / d_i.
+
+Subgroup, kernel and Hom/Ext computations all reduce to Smith and Hermite
+normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
 ``{x : f(x) = 0}`` (:func:`preimage_lattice`) and the relations of a span
 are the Hermite bases of ``intlinalg.solution_lattice``, built modulo the
 exponent of the target group when that group is finite.
 Preimages of single elements (:func:`preimage_of`) are computed here and
-only here, and every Smith quotient goes through one helper; the span's
-inclusion and an extension's projection read the inverse of the Smith row
-transform, which the Smith loop accumulates for them.  An extension
-0 -> Z^r -> E -> Gamma -> 0 of a finite group (the middle group of
-``ext --char``) is presented by Z^r and one lift per generator of Gamma
+only here, and every Smith quotient goes through one helper, which asks
+the Smith loop for the row transform U and its inverse only as needed.  A
+span's inclusion is all its callers read, so it takes U^-1 alone; a
+presentation's projection reads U, an extension's injection U and its
+projection U^-1, and a direct sum of cyclic groups takes neither.  An
+extension 0 -> Z^r -> E -> Gamma -> 0 of a finite group (the middle group
+of ``ext --char``) is presented by Z^r and one lift per generator of Gamma
 (:func:`extension_from_lifts`), never as a span over a free ambient, so no
 query reaches the exact, unmodded route of ``solution_lattice``.  Other
 modules state such problems as homomorphisms and never call
-``solution_lattice``, ``lattice_row_basis``, ``solve_integer`` or
-``_snf_transform`` themselves.
+``solution_lattice``, ``solve_integer`` or ``_snf_transform`` themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import (
-    IntMatrix,
-    lattice_row_basis,
-    solution_lattice,
-    solve_integer,
-    _snf_transform,
-)
+from .intlinalg import IntMatrix, solution_lattice, solve_integer, _snf_transform
 
 
 @dataclass(frozen=True)
@@ -272,19 +270,18 @@ class CyclicSpan:
     orders: tuple
     group: FgAbGroup
     inclusion_columns: IntMatrix  # ambient coords of each canonical generator
-    projection: IntMatrix  # Z^s -> canonical generators, s = #input generators
 
     def reduce_ambient(self, coords: Sequence[int]) -> tuple:
         return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
 
-def _smith_quotient(relations: IntMatrix, want_uinv: bool = False):
+def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_uinv: bool = False):
     """Z^n modulo the column span of ``relations`` (n its row count): the
-    canonical group, the Smith row transform U, its inverse when asked for
-    (None otherwise), and the positions of U's rows that give the canonical
-    generators, free ones first."""
+    canonical group, the Smith row transform U and its inverse, each only
+    when asked for (None otherwise), and the positions of U's rows that
+    give the canonical generators, free ones first."""
     n = relations.rows
-    u, d, _, uinv = _snf_transform(relations, want_u=True, want_v=False, want_uinv=want_uinv)
+    u, d, _, uinv = _snf_transform(relations, want_u=want_u, want_v=False, want_uinv=want_uinv)
     limit = min(d.rows, d.cols)
     diag = [d[i, i] for i in range(limit)]
     free_pos = [i for i in range(n) if i >= limit or diag[i] == 0]
@@ -296,20 +293,17 @@ def _smith_quotient(relations: IntMatrix, want_uinv: bool = False):
 def span_in_cyclics(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> CyclicSpan:
     orders = tuple(int(o) for o in orders)
     n = len(orders)
-    s = len(generator_coords)
     gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=n)
     ker_phi = solution_lattice(gcols, orders).transpose()
 
-    group, u, uinv, positions = _smith_quotient(ker_phi, want_uinv=True)
-    proj = IntMatrix.from_rows([list(u.row(p)) for p in positions], cols=s)
-
+    group, _, uinv, positions = _smith_quotient(ker_phi, want_uinv=True)
     incl_cols = []
     for p in positions:
         v = uinv.column(p)
         img = gcols.apply(v)
         incl_cols.append([c % o if o else c for c, o in zip(img, orders)])
     inclusion = IntMatrix.from_columns(incl_cols, rows=n)
-    return CyclicSpan(orders=orders, group=group, inclusion_columns=inclusion, projection=proj)
+    return CyclicSpan(orders=orders, group=group, inclusion_columns=inclusion)
 
 
 def from_presentation(n_generators: int, relations: IntMatrix):
@@ -317,7 +311,7 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     canonical form and the projection hom from Z^n."""
     if relations.rows != n_generators:
         raise ValueError(f"relations must have {n_generators} rows, got {relations.rows}")
-    group, u, _, positions = _smith_quotient(relations)
+    group, u, _, positions = _smith_quotient(relations, want_u=True)
     proj_rows = [list(u.row(p)) for p in positions]
     proj = AbHom(FgAbGroup(n_generators, ()), group, IntMatrix.from_rows(proj_rows, cols=n_generators))
     return group, proj
@@ -338,7 +332,9 @@ def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[S
         [-x for x in mult] + [d if q == p else 0 for q in range(k)]
         for p, (d, mult) in enumerate(zip(gamma.invariant_factors, lift_multiples))
     ]
-    middle, u, uinv, positions = _smith_quotient(IntMatrix.from_columns(cols, rows=rank + k), want_uinv=True)
+    middle, u, uinv, positions = _smith_quotient(
+        IntMatrix.from_columns(cols, rows=rank + k), want_u=True, want_uinv=True
+    )
     inject = IntMatrix.from_rows([u.row(p)[:rank] for p in positions], cols=rank)
     project = IntMatrix.from_rows([[uinv[rank + q, p] for p in positions] for q in range(k)], cols=middle.ngens)
     return middle, AbHom(FgAbGroup(rank, ()), middle, inject), AbHom(middle, gamma, project)
@@ -381,34 +377,6 @@ def kernel_of(f: AbHom) -> SubgroupPresentation:
     return subgroup_from_generators(f.domain, gens)
 
 
-def cokernel_of(f: AbHom):
-    """Cokernel in canonical form plus the projection hom from the codomain."""
-    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
-    group, proj0 = from_presentation(f.codomain.ngens, big)
-    proj = AbHom(f.codomain, group, proj0.matrix)
-    return group, proj
-
-
-def image_lattice(f: AbHom) -> IntMatrix:
-    """Rows span ``im(f) + relations`` inside Z^(codomain generators)."""
-    vectors = [list(f.matrix.column(j)) for j in range(f.matrix.cols)]
-    vectors.extend(_relation_columns(f.codomain.orders).transpose().to_rows())
-    return lattice_row_basis(vectors, f.codomain.ngens)
-
-
-def is_exact_at(f: AbHom, g: AbHom) -> bool:
-    """True when image(f) equals kernel(g) inside codomain(f) = domain(g)."""
-    if f.codomain != g.domain:
-        raise ValueError("codomain of f must equal domain of g")
-    return image_lattice(f) == preimage_lattice(g)
-
-
-def express_in_subgroup(sub: SubgroupPresentation, elem: AbElement) -> Optional[AbElement]:
-    """Coordinates of ``elem`` in the subgroup's abstract group, or None when
-    the element lies outside the subgroup."""
-    return preimage_of(sub.inclusion, elem)
-
-
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """Canonical form of Hom(A, B)."""
     free = a.free_rank * b.free_rank
@@ -428,48 +396,10 @@ def direct_sum_canonical(free_rank: int, cyclic_orders: Sequence[int]) -> FgAbGr
     orders = [int(c) for c in cyclic_orders if int(c) != 1]
     if any(c < 1 for c in orders):
         raise ValueError("cyclic orders must be positive")
-    group, _ = from_presentation(len(orders), IntMatrix.diagonal(orders))
+    group = _smith_quotient(IntMatrix.diagonal(orders))[0]
     return FgAbGroup(free_rank + group.free_rank, group.invariant_factors)
 
 
 def ext1_z(a: FgAbGroup) -> FgAbGroup:
     """Ext^1(A, Z): the free part dies, each Z/d contributes Z/d."""
     return FgAbGroup(0, a.invariant_factors)
-
-
-@dataclass(frozen=True)
-class FiniteDual:
-    """Hom(G, Q/Z) for finite G, with the evaluation pairing made explicit.
-
-    The dual is abstractly isomorphic to G but not canonically; downstream
-    code must consume the pairing, never the accidental equality of canonical
-    forms.  ``generator_pairings[i][j]`` is the value of dual generator i on
-    source generator j.
-    """
-
-    source: FgAbGroup
-    group: FgAbGroup
-    generator_pairings: tuple
-
-    def pair(self, chi: AbElement, g: AbElement) -> Fraction:
-        """Evaluation <chi, g> in Q/Z, returned as a Fraction in [0, 1)."""
-        if chi.group != self.group:
-            raise ValueError("first argument must lie in the dual group")
-        if g.group != self.source:
-            raise ValueError("second argument must lie in the source group")
-        total = Fraction(0)
-        for i, a in enumerate(chi.coords):
-            for j, c in enumerate(g.coords):
-                total += a * c * self.generator_pairings[i][j]
-        return total % 1
-
-
-def dual_finite(group: FgAbGroup) -> FiniteDual:
-    if not group.is_finite:
-        raise ValueError(f"dual_finite needs a finite group, got {group}")
-    k = len(group.invariant_factors)
-    pairings = tuple(
-        tuple(Fraction(1, group.invariant_factors[i]) if i == j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
-    return FiniteDual(source=group, group=group, generator_pairings=pairings)

@@ -4,14 +4,16 @@ One-shot queries only: humans read the text reports, programs pass --json.
 Identical invocations produce byte-identical output (ANSI styling is applied
 only on a terminal and can be disabled with HOMSPACE_NO_COLOR).
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.  Every
-input error carries a machine-readable code plus the JSON path or flag that
-caused it.
+Exit codes: 0 success, 1 input error or an internal limit met by valid
+input (``E_LIMIT``), 2 internal invariant violation.  Every error carries a
+machine-readable code plus the JSON path or flag that caused it.  A command
+that fails writes nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -38,7 +40,7 @@ from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal
 from .invariants import invariant_report, weight_brauer_table
 from .rootdata import SimpleType, build_datum, center_element_from_coords
 
-CONVENTION_NOTES = (
+_CONVENTION_NOTES = (
     "simple types use Bourbaki node numbering (see docs/conventions.md)",
     "extension classes use the sign convention fixed by the character round trip",
 )
@@ -126,7 +128,7 @@ def parse_spec(text: str) -> GroupSpecDocument:
     """Validate a group-spec JSON document; errors carry JSON paths."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CliError("E_JSON", "/", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError("E_SCHEMA", "/", "document must be a JSON object")
@@ -233,9 +235,9 @@ def _load_model(args) -> ReductiveModel:
 
 
 class _Printer:
-    def __init__(self, stream):
+    def __init__(self, stream, color: bool):
         self.stream = stream
-        self.color = stream.isatty() and "HOMSPACE_NO_COLOR" not in os.environ
+        self.color = color
 
     def line(self, text=""):
         self.stream.write(text + "\n")
@@ -308,12 +310,12 @@ def _write_json(x, newline: str, emit) -> None:
 
 def _cmd_describe(args, out: _Printer) -> int:
     model = _load_model(args)
-    notes = validate(model)
-    fundamental = pi1(model)
-    orders = model.ss.pq_group.invariant_factors
     if args.expand:
         out.json(model_to_document(model))
         return 0
+    notes = validate(model)
+    fundamental = pi1(model)
+    orders = model.ss.pq_group.invariant_factors
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
@@ -365,7 +367,7 @@ def _cmd_invariants(args, out: _Printer) -> int:
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "spec": model_to_document(model),
-        "conventions": list(CONVENTION_NOTES),
+        "conventions": list(_CONVENTION_NOTES),
         "invariants": {
             "pic_lattice_basis": report.pic_lattice.to_rows(),
             "pic_group": str(report.pic_group),
@@ -482,21 +484,14 @@ def _cmd_snf(args, out: _Printer) -> int:
     except ValueError as exc:
         raise CliError("E_INPUT", "--matrix", str(exc)) from exc
     res = smith_normal_form(matrix)
-    try:
-        payload = {
-            "tool": {"name": "homspace", "version": __version__},
-            "matrix": format_matrix_literal(matrix),
-            "d": format_matrix_literal(res.d),
-            "u": format_matrix_literal(res.u),
-            "v": format_matrix_literal(res.v),
-            "diagonal": list(res.diagonal()),
-        }
-    except ValueError as exc:  # raised only by int-to-str conversion here
-        limit = sys.get_int_max_str_digits()
-        raise CliError(
-            "E_LIMIT", "--matrix", f"an entry of D, U or V exceeds the int-to-str limit of {limit} digits"
-            " (sys.get_int_max_str_digits())"
-        ) from exc
+    payload = {
+        "tool": {"name": "homspace", "version": __version__},
+        "matrix": format_matrix_literal(matrix),
+        "d": format_matrix_literal(res.d),
+        "u": format_matrix_literal(res.u),
+        "v": format_matrix_literal(res.v),
+        "diagonal": list(res.diagonal()),
+    }
     if args.json:
         out.json(payload)
         return 0
@@ -507,7 +502,7 @@ def _cmd_snf(args, out: _Printer) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homspace",
         description="Exact Picard/Brauer invariants of homogeneous spaces G/H from combinatorial models of H.",
@@ -541,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PARSER = build_parser()
+_PARSER = _build_parser()
 
 _COMMANDS = {
     "describe": _cmd_describe,
@@ -564,27 +559,53 @@ def _attach_matrix_values(argv) -> list:
     return attached
 
 
+# in both of CPython's messages for sys.get_int_max_str_digits(): int to str
+# and str to int
+_DIGIT_LIMIT = "for integer string conversion"
+
+
+def _failure(args, exc: Exception) -> CliError:
+    """The error that a command failing with ``exc`` reports.  Python's int
+    and str digit limit, raised as a ValueError by ``exc`` or by an error it
+    chains from, is an internal limit, ``E_LIMIT``: met while reading the
+    input, it is reported where the input error was; met while printing, at
+    the flag that gave the input.  Any other ValueError is an input error."""
+    cause = exc
+    while cause is not None and not (isinstance(cause, ValueError) and _DIGIT_LIMIT in str(cause)):
+        cause = cause.__cause__ or cause.__context__
+    if cause is None:
+        return exc if isinstance(exc, CliError) else CliError("E_INPUT", args.command, str(exc))
+    limit = f"limit of {sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+    if isinstance(exc, CliError):
+        return CliError("E_LIMIT", exc.where, f"an integer exceeds the str-to-int {limit}")
+    if args.command == "snf":
+        return CliError("E_LIMIT", "--matrix", f"an entry of D, U or V exceeds the int-to-str {limit}")
+    where = "--group" if args.command == "ext" else "--preset" if args.preset else "--spec"
+    return CliError("E_LIMIT", where, f"an integer of the report exceeds the int-to-str {limit}")
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
         # argparse writes usage, help and errors to the sys streams
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = PARSER.parse_args(_attach_matrix_values(argv))
+            args = _PARSER.parse_args(_attach_matrix_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    out = _Printer(stdout)
+    # the report reaches stdout only once the command has succeeded
+    report = io.StringIO()
+    color = stdout.isatty() and "HOMSPACE_NO_COLOR" not in os.environ
     try:
-        return _COMMANDS[args.command](args, out)
-    except CliError as exc:
-        stderr.write(exc.render() + "\n")
-        return 1
-    except ValueError as exc:
-        stderr.write(f"error[E_INPUT] at {args.command}: {exc}\n")
+        status = _COMMANDS[args.command](args, _Printer(report, color))
+    except (CliError, ValueError) as exc:
+        stderr.write(_failure(args, exc).render() + "\n")
         return 1
     except (AssertionError, RuntimeError) as exc:
         stderr.write(f"error[E_INTERNAL] invariant violation: {exc}\n")
         return 2
+    stdout.write(report.getvalue())
+    return status
 
 
 def main() -> None:

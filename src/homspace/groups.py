@@ -131,7 +131,7 @@ class SemisimpleModel:
     kernel: SubgroupPresentation
 
     def __post_init__(self):
-        if self.kernel.ambient != center(self.datum).group:
+        if self.kernel.ambient != center(self.datum):
             raise ValueError("kernel must be a subgroup of the center")
 
 
@@ -191,7 +191,7 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     data = _gluing(model)
     k = len(model.ss.pq_group.invariant_factors)
     incl = data.span.inclusion_columns
-    cgroup = center(model.ss).group
+    cgroup = center(model.ss)
     if data.torus_exponent == 1:
         center_rows = IntMatrix.from_rows([incl.row(i) for i in range(k)], cols=incl.cols)
         return SubgroupPresentation(

@@ -7,8 +7,9 @@ serialized matrices compare bit-exactly:
 * Smith normal form: ``U @ M @ V == D`` with ``U``, ``V`` unimodular, the
   diagonal of ``D`` nonnegative with each entry dividing the next, zeros
   trailing.  Pivots are chosen by smallest nonzero absolute value.
-* Hermite normal form is row-style: ``U @ M == H``, pivots positive, entries
-  above a pivot reduced into ``[0, pivot)``.
+* Hermite normal form is row-style: the rows of ``H`` span the lattice of
+  the rows of ``M``, pivots positive, entries above a pivot reduced into
+  ``[0, pivot)``.  No row transform is built for it.
 * Lattice bases, kernels and solution lattices included, are the rows of
   the Hermite form, so equal lattices produce identical matrices whatever
   route computed them.
@@ -28,12 +29,13 @@ gives the lattice.
 
 Both normal forms eliminate rows through one kernel of module-level helpers
 (``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
-step, ``_negate_row``).  Each acts on the working rows and, when one is
-tracked, on the row transform ``U``; the Smith form's column operations act
-on ``V`` the same way inside ``_snf_transform``.  On request the Smith loop
-also carries ``U^-1``: each row operation on ``U`` is applied to ``U^-1`` as
-its inverse column operation, so no second normal form inverts ``U``.
-Hermite eliminations whose transform is discarded do not build it.
+step, ``_negate_row``).  Each acts on the working rows and, inside
+``_snf_transform``, on the Smith row transform ``U`` when it is asked for;
+the Smith form's column operations act on ``V`` the same way.  On request
+the Smith loop also carries ``U^-1``: each row operation on ``U`` is applied
+to ``U^-1`` as its inverse column operation, so no second normal form
+inverts ``U``.  Each of ``U``, ``V`` and ``U^-1`` is built only when its
+caller asks for it.
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
@@ -356,9 +358,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(u=u, d=d, v=v)
 
 
-def _hermite_rows(a: list, u: Optional[list]) -> list:
-    """Row-style Hermite elimination of the rows ``a`` in place, ``u``
-    (None when discarded) tracking the row transform; returns ``a``.
+def _hermite_rows(a: list) -> list:
+    """Row-style Hermite elimination of the rows ``a`` in place; returns
+    ``a``.  The row transform is not built.
 
     Entries below a pivot are cleared pairwise with unimodular extended-gcd
     transforms, so intermediate entries stay near minor size."""
@@ -371,60 +373,19 @@ def _hermite_rows(a: list, u: Optional[list]) -> list:
         for i in range(prow + 1, rows):
             if a[i][col]:
                 if a[prow][col] == 0:
-                    _swap_rows(a, u, prow, i)
+                    _swap_rows(a, None, prow, i)
                 elif a[i][col] % a[prow][col] == 0:
-                    _add_row(a, u, i, prow, -(a[i][col] // a[prow][col]))
+                    _add_row(a, None, i, prow, -(a[i][col] // a[prow][col]))
                 else:
-                    _combine_rows(a, u, prow, i, col)
+                    _combine_rows(a, None, prow, i, col)
         if a[prow][col] != 0:
             if a[prow][col] < 0:
-                _negate_row(a, u, prow)
+                _negate_row(a, None, prow)
             for i in range(prow):
                 if a[i][col]:
-                    _add_row(a, u, i, prow, -(a[i][col] // a[prow][col]))
+                    _add_row(a, None, i, prow, -(a[i][col] // a[prow][col]))
             prow += 1
     return a
-
-
-def hermite_normal_form(m: IntMatrix):
-    """Row-style Hermite form: returns ``(H, U)`` with ``U @ m == H``."""
-    u = IntMatrix.identity(m.rows).to_rows()
-    h = _hermite_rows(m.to_rows(), u)
-    return IntMatrix.from_rows(h, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> IntMatrix:
-    """Canonical (Hermite) basis, one row per basis vector, of the lattice
-    spanned by ``vectors`` inside Z^ambient_dim.  Zero rows are dropped, so
-    equal lattices yield equal matrices."""
-    h = _hermite_rows(IntMatrix.from_rows([list(v) for v in vectors], cols=ambient_dim).to_rows(), None)
-    return IntMatrix.from_rows([r for r in h if any(r)], cols=ambient_dim)
 
 
 def _insert_howell(basis: list, v: list, p: list, e: int):
@@ -540,14 +501,8 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
         return IntMatrix.from_rows(_solution_lattice_mod(m, orders), cols=s)
     rows = [list(m.column(j)) + [int(j == k) for k in range(s)] for j in range(s)]
     rows += [[o if i == k else 0 for k in range(n)] + [0] * s for i, o in enumerate(orders) if o]
-    h = _hermite_rows(rows, None)
+    h = _hermite_rows(rows)
     return IntMatrix.from_rows([r[n:] for r in h if not any(r[:n]) and any(r[n:])], cols=s)
-
-
-def integer_kernel(m: IntMatrix) -> IntMatrix:
-    """Saturated basis of ``{x : m @ x == 0}``, one column per basis vector,
-    canonicalized so the result is unique."""
-    return solution_lattice(m, (0,) * m.rows).transpose()
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:

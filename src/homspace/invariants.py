@@ -39,12 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroups import AbElement, FgAbGroup, dual_finite, ext1_z, hom_group, Z
+from .abgroups import AbElement, FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
 from .rootdata import Weight, fundamental_weight, restriction_matrix
-
-TRIVIAL = FgAbGroup(0, ())
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,9 @@ def brauer(model: ReductiveModel) -> FgAbGroup:
 def picard_of_group(model: ReductiveModel) -> FgAbGroup:
     """Pic(H), which equals Pic of the semisimple derived subgroup; it is
     also E_al(H, Gm), the classes of central Gm-extensions of H under Baer
-    sum: the characters of pi1 of the derived subgroup."""
-    return dual_finite(ext1_z(pi1(model))).group
+    sum: the characters of pi1 of the derived subgroup, a finite group
+    that is its own dual under the pairing of docs/conventions.md."""
+    return ext1_z(pi1(model))
 
 
 def invariant_report(model: ReductiveModel) -> InvariantReport:
@@ -110,8 +109,8 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
         pic_lattice=lattice,
         pic_group=pic,
         brauer=torsion,
-        e_al=dual_finite(torsion).group,
-        pi1_m=TRIVIAL,
+        e_al=torsion,
+        pi1_m=TRIVIAL_GROUP,
         pi2_m=fundamental,
         h2_m=hom_group(fundamental, Z),
         tors_h3_m=torsion,
@@ -134,7 +133,7 @@ def weight_brauer_table(sm: SemisimpleModel):
     """
     datum = sm.datum
     labels = datum.node_labels()
-    dual = dual_finite(sm.kernel.computed).group
+    dual = sm.kernel.computed
     restrictions = restriction_matrix(datum, sm.kernel)
     rows = []
     for i in range(datum.rank):

@@ -11,9 +11,12 @@ i-th *row* of the Cartan matrix, and the root-lattice inclusion Q -> P has
 the transposed Cartan matrix (columns = simple roots).
 
 The center of the simply connected group is only ever exposed as the dual
-of P/Q together with the evaluation pairing: any identification of the
-center with a concrete cyclic group is non-canonical, and downstream code
-consumes pairings, never a chosen isomorphism.
+of P/Q.  ``center`` returns the group P/Q itself, read through the pairing
+fixed in docs/conventions.md: dual generator i pairs with the i-th Smith
+generator of P/Q to 1/d_i, and with the others to 0.  ``CenterElement``
+stores those pairing values, ``CenterElement.dual_coords`` their
+coordinates, and ``restriction_matrix`` pairs by the same rule; no other
+identification of the center with a concrete cyclic group is used.
 
 Restriction of weights to a central subgroup is linear, so it is one
 integer matrix (:func:`restriction_matrix`, one row per canonical generator
@@ -35,9 +38,7 @@ from .abgroups import (
     AbElement,
     AbHom,
     FgAbGroup,
-    FiniteDual,
     SubgroupPresentation,
-    dual_finite,
     from_presentation,
     kernel_of,
     preimage_lattice,
@@ -71,13 +72,6 @@ class SimpleType:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-def parse_simple_type(text: str) -> SimpleType:
-    text = text.strip()
-    if len(text) < 2 or not text[1:].isdigit():
-        raise ValueError(f"bad simple type literal {text!r}")
-    return SimpleType(text[0], int(text[1:]))
 
 
 def cartan_matrix(t: SimpleType) -> IntMatrix:
@@ -193,10 +187,6 @@ def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
     return Weight(datum, tuple(coords))
 
 
-def simple_root(datum: RootDatumSS, index: int) -> Weight:
-    return Weight(datum, datum.cartan.row(index))
-
-
 @dataclass(frozen=True)
 class CenterElement:
     """Element of Z(H_sc), stored through the pairing with P/Q: one value in
@@ -223,10 +213,11 @@ class CenterElement:
         )
 
 
-def center(datum: RootDatumSS) -> FiniteDual:
-    """Center of the simply connected group, as Hom(P/Q, Q/Z) with its
-    evaluation pairing against P/Q."""
-    return dual_finite(datum.pq_group)
+def center(datum: RootDatumSS) -> FgAbGroup:
+    """Center of the simply connected group, as Hom(P/Q, Q/Z): the group
+    P/Q itself, its generator i pairing with the i-th Smith generator of P/Q
+    to 1/d_i (docs/conventions.md)."""
+    return datum.pq_group
 
 
 def center_element_from_coords(datum: RootDatumSS, coords: Sequence[int]) -> CenterElement:
@@ -234,23 +225,13 @@ def center_element_from_coords(datum: RootDatumSS, coords: Sequence[int]) -> Cen
     return CenterElement(datum, tuple(Fraction(int(c) % d, d) for c, d in zip(coords, factors)))
 
 
-def center_subgroup(datum: RootDatumSS, elements: Sequence[CenterElement]) -> SubgroupPresentation:
-    group = center(datum).group
-    gens = []
-    for e in elements:
-        if e.datum != datum:
-            raise ValueError("center element belongs to a different root datum")
-        gens.append(group.element(e.dual_coords()))
-    return subgroup_from_generators(group, gens)
-
-
 def full_center_subgroup(datum: RootDatumSS) -> SubgroupPresentation:
-    group = center(datum).group
+    group = center(datum)
     return subgroup_from_generators(group, [group.generator(i) for i in range(group.ngens)])
 
 
 def _check_center_subgroup(datum: RootDatumSS, sub: SubgroupPresentation):
-    if sub.ambient != center(datum).group:
+    if sub.ambient != center(datum):
         raise ValueError("subgroup does not live in the center of this datum")
 
 
@@ -280,15 +261,15 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
 def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
     """Character of the central subgroup obtained by pairing the weight's
     class in P/Q against each subgroup generator: ``restriction_matrix``
-    applied to the weight, over the canonical generators of
-    ``dual_finite(sub.computed)``."""
+    applied to the weight, over the canonical generators of the dual of
+    ``sub.computed``."""
     restriction = restriction_matrix(weight.datum, sub)
-    return dual_finite(sub.computed).group.element(restriction.apply(weight.coords))
+    return sub.computed.element(restriction.apply(weight.coords))
 
 
 def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
     """Subgroup of the center pairing trivially with every given weight."""
-    cgroup = center(datum).group
+    cgroup = center(datum)
     classes = [w.pq_class() for w in weights]
     classes = [c for c in classes if not c.is_identity]
     if not classes:
@@ -310,5 +291,5 @@ def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation)
     of weights whose restriction to the central subgroup is trivial: the
     preimage of 0 under ``restriction_matrix``."""
     restriction = restriction_matrix(datum, sub)
-    restrict = AbHom(FgAbGroup(datum.rank, ()), dual_finite(sub.computed).group, restriction)
+    restrict = AbHom(FgAbGroup(datum.rank, ()), sub.computed, restriction)
     return preimage_lattice(restrict)

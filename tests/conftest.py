@@ -7,7 +7,7 @@ from itertools import product
 
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
-from homspace.intlinalg import IntMatrix, integer_kernel, solve_integer
+from homspace.intlinalg import IntMatrix, solution_lattice, solve_integer
 from homspace.rootdata import SimpleType, build_datum, center, center_element_from_coords
 
 
@@ -65,7 +65,7 @@ def random_model(
         factors = tuple(SimpleType(*rng.choice(_FAMILY_CHOICES)) for _ in range(nfac))
         datum = build_datum(factors)
         r = rng.randint(0, max_torus)
-        cgroup = center(datum).group
+        cgroup = center(datum)
         pairs = []
         for _ in range(rng.randint(0, max_gluing)):
             coords = [rng.randrange(d) for d in cgroup.invariant_factors]
@@ -134,7 +134,7 @@ def count_cocycle_classes(group):
                 if any(row):
                     rows.add(tuple(row))
     constraint = IntMatrix.from_rows(sorted(rows), cols=len(pairs))
-    cocycle_basis = integer_kernel(constraint)
+    cocycle_basis = solution_lattice(constraint, (0,) * constraint.rows).transpose()
 
     # coboundaries delta g for g supported on one nonzero element
     cols = []

@@ -19,12 +19,19 @@
   transforms, whose entries blow up on wide torus models.
 * Central pushouts of reductive models along gluing characters, the
   character map pi1(H) -> Z and the element table of the gluing subgroup.
-* Small homomorphism constructors.
-* The former lattice routes of ``homspace.intlinalg``: the inverse of a
-  unimodular matrix as the transform of its Hermite form, and solution
-  lattices ``{x : A x == 0 mod orders}`` as the Smith-V kernel of
-  ``[A | R]``, R the relation columns, canonicalized by a second Hermite
-  form.  The library now builds both without them; the tests compare.
+  A pushout reads each gluing generator's coordinates in the gluing group
+  by ``preimage_of`` on the span's inclusion, so the span keeps no
+  projection for it.
+* Small homomorphism constructors, and verification tools that the library
+  no longer exports: cokernels with their projection, image lattices and
+  the exactness test ``image(f) == kernel(g)``, and ``lattice_row_basis``,
+  the Hermite basis of a spanned lattice through ``intlinalg._hermite_rows``.
+* Determinants from sympy's integer matrices (``det``), a route
+  independent of ``homspace.intlinalg``.
+* The former lattice route of ``homspace.intlinalg``: solution lattices
+  ``{x : A x == 0 mod orders}`` as the Smith-V kernel of ``[A | R]``, R the
+  relation columns, canonicalized by a Hermite form.  The library now
+  builds them without it; the tests compare.
 * The former mod-e route of ``homspace.intlinalg.solution_lattice``: one
   Hermite elimination of ``[(e/o_i) A^T | I]`` modulo e = lcm(orders),
   cubic in the number of unknowns.  The library now builds the same basis
@@ -39,14 +46,17 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+
 from homspace.abgroups import (
     AbElement,
     AbHom,
     FgAbGroup,
-    cokernel_of,
-    dual_finite,
-    express_in_subgroup,
+    _relation_columns,
     extension_from_lifts,
+    from_presentation,
+    preimage_lattice,
     preimage_of,
     subgroup_from_generators,
 )
@@ -57,7 +67,7 @@ from homspace.groups import (
     SemisimpleModel,
     _gluing,
 )
-from homspace.intlinalg import IntMatrix, _snf_transform, _xgcd, hermite_normal_form, lattice_row_basis
+from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
 from homspace.rootdata import center_element_from_coords
 
 
@@ -65,14 +75,17 @@ from homspace.rootdata import center_element_from_coords
 # lattices
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (its Hermite form is I)."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    h, u = hermite_normal_form(m)
-    if h != IntMatrix.identity(m.rows):
-        raise ValueError("matrix is not unimodular")
-    return u
+def det(m: IntMatrix) -> int:
+    """Exact determinant of a square matrix, by sympy over ZZ."""
+    return int(DomainMatrix([[ZZ(x) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), ZZ).det())
+
+
+def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> IntMatrix:
+    """Canonical (Hermite) basis, one row per basis vector, of the lattice
+    spanned by ``vectors`` inside Z^ambient_dim.  Zero rows are dropped, so
+    equal lattices yield equal matrices."""
+    h = _hermite_rows([list(v) for v in vectors])
+    return IntMatrix.from_rows([r for r in h if any(r)], cols=ambient_dim)
 
 
 def snf_kernel(m: IntMatrix) -> IntMatrix:
@@ -150,6 +163,27 @@ def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
     return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
 
 
+def cokernel_of(f: AbHom):
+    """Cokernel in canonical form plus the projection hom from the codomain."""
+    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
+    group, proj = from_presentation(f.codomain.ngens, big)
+    return group, AbHom(f.codomain, group, proj.matrix)
+
+
+def image_lattice(f: AbHom) -> IntMatrix:
+    """Rows span ``im(f) + relations`` inside Z^(codomain generators)."""
+    vectors = [list(f.matrix.column(j)) for j in range(f.matrix.cols)]
+    vectors.extend(_relation_columns(f.codomain.orders).transpose().to_rows())
+    return lattice_row_basis(vectors, f.codomain.ngens)
+
+
+def is_exact_at(f: AbHom, g: AbHom) -> bool:
+    """True when image(f) equals kernel(g) inside codomain(f) = domain(g)."""
+    if f.codomain != g.domain:
+        raise ValueError("codomain of f must equal domain of g")
+    return image_lattice(f) == preimage_lattice(g)
+
+
 def is_surjective(f: AbHom) -> bool:
     group, _ = cokernel_of(f)
     return group.is_trivial
@@ -160,15 +194,16 @@ def is_surjective(f: AbHom) -> bool:
 
 
 def character_from_dual_element(chi: AbElement) -> Character:
-    """Reinterpret an element of dual_finite(G).group as a character of G."""
+    """Read an element of a finite G as the character of G it stands for
+    under the pairing of docs/conventions.md: coordinate c_i is the value
+    c_i / d_i on the i-th canonical generator."""
     group = chi.group
     values = tuple(Fraction(c, d) for c, d in zip(chi.coords, group.invariant_factors))
     return Character(group, values)
 
 
 def all_characters(group: FgAbGroup):
-    dual = dual_finite(group)
-    return [character_from_dual_element(e) for e in dual.group.elements()]
+    return [character_from_dual_element(e) for e in group.elements()]
 
 
 @lru_cache(maxsize=None)
@@ -431,12 +466,23 @@ def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
     data = _gluing(model)
     if gamma.group != data.group:
         raise ValueError(f"character is defined on {gamma.group}, but the gluing subgroup is {data.group}")
-    new_pairs = tuple(
-        GluingPair(pair.center, pair.torus + (gamma.evaluate(data.group.reduce(data.span.projection.column(i))),))
-        for i, pair in enumerate(model.gluing)
-    )
+    # the span's ambient Z(S_sc) x (Z/N)^r embeds into (Z/e)^m, e the lcm of
+    # its orders, by x -> (e/o) x on each coordinate of order o > 1
+    orders = data.span.orders
+    e = lcm(*orders)
+    scales = [(i, e // o) for i, o in enumerate(orders) if o > 1]
+    ambient = FgAbGroup(0, (e,) * len(scales))
+    incl = data.span.inclusion_columns
+    scaled = IntMatrix.from_rows([[c * x for x in incl.row(i)] for i, c in scales], cols=incl.cols)
+    embed = AbHom(data.group, ambient, scaled)
+    _, torus_rows = model.torus_numerators
+    new_pairs = []
+    for pair, row in zip(model.gluing, torus_rows):
+        coords = pair.center.dual_coords() + row
+        inside = preimage_of(embed, ambient.element([c * coords[i] for i, c in scales]))
+        new_pairs.append(GluingPair(pair.center, pair.torus + (gamma(inside),)))
     return ReductiveModel(
-        ss=model.ss, torus_rank=model.torus_rank + 1, gluing=new_pairs, unipotent_dim=model.unipotent_dim
+        ss=model.ss, torus_rank=model.torus_rank + 1, gluing=tuple(new_pairs), unipotent_dim=model.unipotent_dim
     )
 
 
@@ -449,7 +495,7 @@ def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
     n = _gluing(model).torus_exponent
     coords = [0] * lam.ambient.ngens
     coords[model.torus_rank - 1] = n
-    inside = express_in_subgroup(lam, lam.ambient.element(coords))
+    inside = preimage_of(lam.inclusion, lam.ambient.element(coords))
     assert inside is not None, "integral torus loops lie in pi1"
     return AbHom(
         FgAbGroup(1, ()),

@@ -17,9 +17,9 @@ from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, json_text, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
-from homspace.intlinalg import IntMatrix, determinant, format_matrix_literal, parse_matrix_literal
+from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum
-from oracles import pi1_extension
+from oracles import det, pi1_extension
 from test_acceptance import Budget
 
 REPO = Path(__file__).resolve().parents[1]
@@ -122,7 +122,7 @@ class TestCommands:
             payload = json.loads(out)
             u, d, v = (parse_matrix_literal(payload[key]) for key in ("u", "d", "v"))
             assert u @ m @ v == d
-            assert abs(determinant(u)) == abs(determinant(v)) == 1
+            assert abs(det(u)) == abs(det(v)) == 1
 
     def test_describe_lists_center_orders(self):
         code, out, _ = invoke(["describe", "--preset", "PGL(4)"])
@@ -246,6 +246,91 @@ class TestCommands:
         assert err.startswith("error[E_LIMIT] at --matrix")
         assert "640 digits" in err
 
+    def test_digit_limit_failures_are_limits(self, tmp_path):
+        # valid input that meets Python's int/str digit limit exits E_LIMIT
+        # with nothing on stdout, whether the limit is met reading an input
+        # integer or printing a report integer
+        digits = "7" * 4401
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(DIGIT_LIMIT_SPEC))
+        frac = tmp_path / "frac.json"
+        frac.write_text(json.dumps({"torus_rank": 1, "gluing": [{"center": [], "torus": [f"1/{digits}"]}]}))
+        cases = [
+            ([command, *fmt, "--spec", str(big)], "--spec")
+            for command in ("invariants", "describe")
+            for fmt in ([], ["--json"])
+        ]
+        cases += [
+            (["describe", "--spec", str(frac)], "/gluing/0/torus/0"),
+            (["ext", "--group", "2", "--char", f"1/{digits}"], "--char"),
+            (["ext", "--group", f"2,{digits}"], "--group"),
+            (["snf", "--matrix", f"1,{digits}"], "--matrix"),
+        ]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for argv, where in cases:
+                code, out, err = invoke(argv)
+                assert (code, out) == (1, ""), argv
+                assert err.startswith(f"error[E_LIMIT] at {where}: "), (argv, err)
+                assert "4300 digits" in err
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_describe_expand_spans_nothing(self, monkeypatch, tmp_path):
+        # --expand prints the model's document before validate or pi1 would
+        # build the gluing span, so it answers where the report cannot
+        calls = []
+        original = groups._gluing
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(groups, "_gluing", counting)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(DIGIT_LIMIT_SPEC))
+        small = tmp_path / "torus_r3.json"
+        small.write_text(json.dumps(TORUS_R3))
+        for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(small)], ["--spec", str(big)]):
+            code, out, err = invoke(["describe", "--expand", *source])
+            assert code == 0, err
+            parse_spec(out).to_model()
+        assert calls == []
+
+    def test_gluing_builds_no_smith_row_transform(self, monkeypatch, tmp_path):
+        # a span's inclusion reads U^-1 alone, so no Smith loop run for
+        # span_in_cyclics builds U; abgroups calls _snf_transform by the
+        # name it imported from intlinalg, so that name is wrapped
+        import homspace.abgroups as abmod
+
+        asked, active = [], []
+        original_span, original_snf = abmod.span_in_cyclics, abmod._snf_transform
+
+        def span(*args):
+            active.append(True)
+            try:
+                return original_span(*args)
+            finally:
+                active.pop()
+
+        def snf(m, want_u, want_v, want_uinv=False):
+            if active:
+                asked.append(want_u)
+            return original_snf(m, want_u, want_v, want_uinv)
+
+        monkeypatch.setattr(abmod, "span_in_cyclics", span)
+        monkeypatch.setattr(groups, "span_in_cyclics", span)
+        monkeypatch.setattr(abmod, "_snf_transform", snf)
+        path = tmp_path / "torus_r3.json"
+        path.write_text(json.dumps(TORUS_R3))
+        for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
+            for command in ("describe", "invariants"):
+                groups._gluing.cache_clear()
+                code, _, err = invoke([command, "--json", *source])
+                assert code == 0, err
+        assert asked and not any(asked)
+
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = invoke(["no-such-command"])
         assert code == 1
@@ -304,29 +389,26 @@ class TestCommands:
                     assert 1 <= len(calls) <= 2, (command, name)
 
     def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
-        # the table is one restriction matrix: no dual_finite call per row
+        # the table is one restriction matrix, built once per query at
+        # every rank, never one pairing per row
         import homspace
 
-        counts = {}
-        for name in ("dual_finite", "restriction_matrix"):
-            original = getattr(homspace.rootdata, name)
+        calls = []
+        original = homspace.rootdata.restriction_matrix
 
-            def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-            for module in vars(homspace).values():
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting)
-        seen = {}
+        for module in vars(homspace).values():
+            if getattr(module, "restriction_matrix", None) is original:
+                monkeypatch.setattr(module, "restriction_matrix", counting)
         for command in ("weights", "invariants"):
             for name in ("SL(8)", "SL(128)"):
-                counts.update(dual_finite=0, restriction_matrix=0)
+                calls.clear()
                 code, _, err = invoke([command, "--json", "--preset", name])
                 assert code == 0, err
-                assert counts["restriction_matrix"] == 1, (command, name)
-                seen[command, name] = counts["dual_finite"]
-            assert 0 < seen[command, "SL(8)"] == seen[command, "SL(128)"], seen
+                assert len(calls) == 1, (command, name)
 
     def test_no_query_takes_the_exact_lattice_route(self, monkeypatch, tmp_path):
         # every solution lattice a query builds has a modulus: no order is 0,
@@ -445,6 +527,16 @@ TORUS_R3 = {
     "gluing": [
         {"center": [1, 1], "torus": ["1/2", "1/3", "0"]},
         {"center": [0, 2], "torus": ["1/4", "2/3", "3/4"]},
+    ],
+}
+# torus rank 1 and five gluing generators whose torus denominators 2^3400,
+# 3^2100, 5^1450, 7^1200 and 11^980 each print in under 1100 digits, while
+# N, their lcm, has about 5100: past the default int-to-str limit of 4300
+DIGIT_LIMIT_SPEC = {
+    "semisimple": [],
+    "torus_rank": 1,
+    "gluing": [
+        {"center": [], "torus": [f"1/{p ** k}"]} for p, k in ((2, 3400), (3, 2100), (5, 1450), (7, 1200), (11, 980))
     ],
 }
 # ext --group G --char chi, as --json and as text

@@ -11,18 +11,35 @@ from sympy.matrices.normalforms import invariant_factors
 
 from homspace.intlinalg import (
     IntMatrix,
+    _hermite_rows,
     _snf_transform,
-    determinant,
     format_matrix_literal,
-    hermite_normal_form,
-    integer_kernel,
-    lattice_row_basis,
     parse_matrix_literal,
     smith_normal_form,
     solution_lattice,
     solve_integer,
 )
-from oracles import hermite_mod_solution_lattice, inverse_unimodular, snf_kernel, snf_solution_lattice
+from oracles import det, hermite_mod_solution_lattice, lattice_row_basis, snf_kernel, snf_solution_lattice
+
+
+def hermite(m):
+    """Row-style Hermite form of ``m``, zero rows kept."""
+    return IntMatrix.from_rows(_hermite_rows(m.to_rows()), cols=m.cols)
+
+
+def same_row_lattice(m, h):
+    """True when the rows of ``m`` and of ``h`` span the same lattice: each
+    row of one is an integer combination of the rows of the other, solved
+    through the Smith form."""
+    return all(solve_integer(m.transpose(), h.row(i)) is not None for i in range(h.rows)) and all(
+        solve_integer(h.transpose(), m.row(i)) is not None for i in range(m.rows)
+    )
+
+
+def kernel_columns(m):
+    """Saturated kernel basis, one column per basis vector: the solution
+    lattice with every order 0."""
+    return solution_lattice(m, (0,) * m.rows).transpose()
 
 
 def minor_gcd_factors(m):
@@ -30,7 +47,7 @@ def minor_gcd_factors(m):
 
     def minor(rows, cols):
         sub = IntMatrix.from_rows([[m[i, j] for j in cols] for i in rows], cols=len(cols))
-        return determinant(sub)
+        return det(sub)
 
     factors = []
     prev = 1
@@ -54,8 +71,8 @@ def random_matrix(rng, max_dim=6, bound=9):
 
 def assert_snf_contract(m, res):
     assert res.u @ m @ res.v == res.d
-    assert abs(determinant(res.u)) == 1
-    assert abs(determinant(res.v)) == 1
+    assert abs(det(res.u)) == 1
+    assert abs(det(res.v)) == 1
     diag = res.diagonal()
     for i in range(res.d.rows):
         for j in range(res.d.cols):
@@ -113,41 +130,37 @@ class TestSmithNormalForm:
         while count < 60:
             n = rng.randint(1, 5)
             m = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
-            det = determinant(m)
-            if det == 0:
+            d = det(m)
+            if d == 0:
                 continue
             count += 1
             prod = 1
             for x in smith_normal_form(m).diagonal():
                 prod *= x
-            assert prod == abs(det)
+            assert prod == abs(d)
 
 
 class TestHermiteNormalForm:
     def test_worked_example(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        h, u = hermite_normal_form(m)
-        assert u @ m == h
+        h = hermite(m)
+        assert same_row_lattice(m, h)
         assert h == IntMatrix.from_rows([[2, 0], [0, 4]])
 
     def test_zero_matrix(self):
         m = IntMatrix.zeros(2, 3)
-        h, u = hermite_normal_form(m)
-        assert h == m
-        assert u @ m == h
+        assert hermite(m) == m
 
     def test_already_hermite(self):
         m = IntMatrix.from_rows([[1, 5]])
-        h, _ = hermite_normal_form(m)
-        assert h == m
+        assert hermite(m) == m
 
     def test_shape_contract(self):
         rng = random.Random(99)
         for _ in range(150):
             m = random_matrix(rng)
-            h, u = hermite_normal_form(m)
-            assert u @ m == h
-            assert abs(determinant(u)) == 1
+            h = hermite(m)
+            assert same_row_lattice(m, h)
             # echelon with positive pivots and reduced entries above
             last_pivot_col = -1
             for i in range(h.rows):
@@ -176,28 +189,28 @@ class TestHermiteNormalForm:
                     q = rng.randint(-3, 3)
                     rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
             m2 = IntMatrix.from_rows(rows, cols=m.cols)
-            assert hermite_normal_form(m)[0] == hermite_normal_form(m2)[0]
+            assert hermite(m) == hermite(m2)
 
 
 class TestIntegerKernel:
     def test_rank_one_relation(self):
-        k = integer_kernel(IntMatrix.from_rows([[1, 1]]))
+        k = kernel_columns(IntMatrix.from_rows([[1, 1]]))
         assert k.to_rows() == [[1], [-1]]
 
     def test_nonsingular_square(self):
-        k = integer_kernel(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        k = kernel_columns(IntMatrix.from_rows([[2, 1], [1, 1]]))
         assert k.cols == 0
 
     def test_saturation_example(self):
         # 2x + 4y = 0 forces x = 2t, y = -t; primitive generator (2, -1)
-        k = integer_kernel(IntMatrix.from_rows([[2, 4]]))
+        k = kernel_columns(IntMatrix.from_rows([[2, 4]]))
         assert k.to_rows() == [[2], [-1]]
 
     def test_kernel_properties(self):
         rng = random.Random(41)
         for _ in range(120):
             m = random_matrix(rng, max_dim=5)
-            k = integer_kernel(m)
+            k = kernel_columns(m)
             assert k.rows == m.cols
             if k.cols:
                 assert (m @ k).is_zero()
@@ -267,26 +280,12 @@ class TestEntryGrowth:
             assert res.u @ m @ res.v == res.d
             assert all(abs(res.u[i, j]) < bound for i in range(r) for j in range(r))
             assert all(abs(res.v[i, j]) < bound for i in range(c) for j in range(c))
-            h, u = hermite_normal_form(m)
-            assert u @ m == h
-            assert all(abs(u[i, j]) < bound for i in range(r) for j in range(r))
+            h = hermite(m)
+            assert same_row_lattice(m, h)
+            assert all(abs(h[i, j]) < bound for i in range(r) for j in range(c))
 
 
 class TestHelpers:
-    def test_inverse_unimodular(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(1, 5)
-            # random unimodular: product of elementary operations
-            m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(12):
-                i, k = rng.randrange(n), rng.randrange(n)
-                if i != k:
-                    q = rng.randint(-3, 3)
-                    m[i] = [a + q * b for a, b in zip(m[i], m[k])]
-            mm = IntMatrix.from_rows(m)
-            assert mm @ inverse_unimodular(mm) == IntMatrix.identity(n)
-
     def test_lattice_row_basis_canonical(self):
         a = lattice_row_basis([[2, 0], [0, 3], [2, 3]], 2)
         b = lattice_row_basis([[2, 3], [-2, 0]], 2)
@@ -368,7 +367,7 @@ class TestDifferentialOracle:
     @ORACLE
     @given(int_matrices())
     def test_integer_kernel_matches_snf_kernel(self, m):
-        assert integer_kernel(m) == snf_kernel(m)
+        assert kernel_columns(m) == snf_kernel(m)
 
     @ORACLE
     @given(int_matrices(max_dim=7, bound=99))

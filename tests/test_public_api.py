@@ -1,0 +1,86 @@
+"""The public API is the README's "Public API" table.  Every public
+top-level name of a module in src/homspace is listed there or imported by
+another module of the package, every listed name exists, and the package
+imports nothing outside the standard library."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "homspace"
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def readme_table():
+    """Module name -> the names its row of the Public API table lists."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `homspace\.(\w+)` \| (.*) \|", line)
+        if row:
+            table[row.group(1)] = set(re.findall(r"`(\w+)`", row.group(2)))
+    return table
+
+
+def top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def imports(tree):
+    """(level, module, imported names) of every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or "", [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield 0, alias.name, []
+
+
+def test_every_public_name_is_listed_or_shared():
+    trees = modules()
+    table = readme_table()
+    assert set(table) == set(trees) - {"__init__"}
+    shared = {}
+    for name, tree in trees.items():
+        for level, module, names in imports(tree):
+            if level == 1 and module != name:
+                shared.setdefault(module or "__init__", set()).update(names)
+    stray = [
+        f"{name}.{top}"
+        for name, tree in trees.items()
+        for top in top_level_names(tree)
+        if not top.startswith("_") and top not in table.get(name, ()) and top not in shared.get(name, ())
+    ]
+    assert not stray, f"public names neither in the README's Public API table nor imported by another module: {stray}"
+
+
+def test_every_listed_name_exists():
+    trees = modules()
+    missing = [
+        f"{name}.{listed}"
+        for name, listed_names in readme_table().items()
+        for listed in sorted(listed_names - set(top_level_names(trees[name])))
+    ]
+    assert not missing
+
+
+def test_imports_stay_in_the_standard_library():
+    outside = [
+        f"{name}: {module}"
+        for name, tree in modules().items()
+        for level, module, _ in imports(tree)
+        if level == 0 and module.split(".")[0] not in sys.stdlib_module_names | {"homspace"}
+    ]
+    assert not outside
