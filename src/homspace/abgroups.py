@@ -22,15 +22,17 @@ exponent of the target group when that group is finite.
 Preimages of single elements (:func:`preimage_of`) are computed here and
 only here, and every Smith quotient goes through one helper, which asks
 the Smith loop for the row transform U and its inverse only as needed.  A
-span's inclusion is all its callers read, so it takes U^-1 alone; a
-presentation's projection reads U, an extension's injection U and its
-projection U^-1, and a direct sum of cyclic groups takes neither.  An
-extension 0 -> Z^r -> E -> Gamma -> 0 of a finite group (the middle group
-of ``ext --char``) is presented by Z^r and one lift per generator of Gamma
-(:func:`extension_from_lifts`), never as a span over a free ambient, so no
-query reaches the exact, unmodded route of ``solution_lattice``.  Other
-modules state such problems as homomorphisms and never call
-``solution_lattice``, ``solve_integer`` or ``_snf_transform`` themselves.
+subgroup's inclusion (:func:`subgroup_from_generators`) is all its callers
+read, so it takes U^-1 alone; a presentation's projection reads U, an
+extension's injection U and its projection U^-1, and the bare type of a
+span (:func:`span_group`) or of a direct sum of cyclic groups takes
+neither.  An extension 0 -> Z^r -> E -> Gamma -> 0 of a finite group (the
+middle group of ``ext --char``) is presented by Z^r and one lift per
+generator of Gamma (:func:`extension_from_lifts`), never as a span over a
+free ambient, so no query reaches the exact, unmodded route of
+``solution_lattice``.  Other modules state such problems as homomorphisms
+and never call ``solution_lattice``, ``solve_integer`` or
+``_snf_transform`` themselves.
 """
 
 from __future__ import annotations
@@ -248,31 +250,15 @@ class AbHom:
 
 @dataclass(frozen=True)
 class SubgroupPresentation:
-    """A subgroup given by generators, with its abstract type and an
-    injective inclusion back into the ambient group."""
+    """A subgroup of ``ambient``: its abstract type and an injective
+    inclusion of its canonical generators back into the ambient group."""
 
     ambient: FgAbGroup
-    generators: tuple
     computed: FgAbGroup
     inclusion: AbHom
 
     def order(self) -> Optional[int]:
         return self.computed.order()
-
-
-@dataclass(frozen=True)
-class CyclicSpan:
-    """Subgroup span computed over a raw cyclic decomposition (``orders``
-    need not form a divisibility chain; 0 marks a free coordinate).  This is
-    the engine behind :func:`subgroup_from_generators` and is used directly
-    where ambient coordinates do not come in canonical order."""
-
-    orders: tuple
-    group: FgAbGroup
-    inclusion_columns: IntMatrix  # ambient coords of each canonical generator
-
-    def reduce_ambient(self, coords: Sequence[int]) -> tuple:
-        return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
 
 def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_uinv: bool = False):
@@ -290,20 +276,13 @@ def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_uinv: bool 
     return group, u, uinv, free_pos + torsion_pos
 
 
-def span_in_cyclics(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> CyclicSpan:
-    orders = tuple(int(o) for o in orders)
-    n = len(orders)
-    gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=n)
-    ker_phi = solution_lattice(gcols, orders).transpose()
-
-    group, _, uinv, positions = _smith_quotient(ker_phi, want_uinv=True)
-    incl_cols = []
-    for p in positions:
-        v = uinv.column(p)
-        img = gcols.apply(v)
-        incl_cols.append([c % o if o else c for c, o in zip(img, orders)])
-    inclusion = IntMatrix.from_columns(incl_cols, rows=n)
-    return CyclicSpan(orders=orders, group=group, inclusion_columns=inclusion)
+def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> FgAbGroup:
+    """Canonical type of the subgroup spanned by ``generator_coords`` inside
+    a raw cyclic decomposition of the given orders (they need not form a
+    divisibility chain; 0 marks a free coordinate).  The Smith loop builds
+    no transform."""
+    gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=len(orders))
+    return _smith_quotient(solution_lattice(gcols, orders).transpose())[0]
 
 
 def from_presentation(n_generators: int, relations: IntMatrix):
@@ -341,12 +320,15 @@ def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[S
 
 
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
+    """The span of ``gens``: the generators' columns modulo their relation
+    lattice, one Smith quotient whose U^-1 gives the inclusion."""
     for g in gens:
         if g.group != ambient:
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
-    span = span_in_cyclics(ambient.orders, [g.coords for g in gens])
-    inclusion = AbHom(span.group, ambient, span.inclusion_columns)
-    return SubgroupPresentation(ambient=ambient, generators=tuple(gens), computed=span.group, inclusion=inclusion)
+    gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
+    group, _, uinv, positions = _smith_quotient(solution_lattice(gcols, ambient.orders).transpose(), want_uinv=True)
+    incl = IntMatrix.from_columns([gcols.apply(uinv.column(p)) for p in positions], rows=ambient.ngens)
+    return SubgroupPresentation(ambient=ambient, computed=group, inclusion=AbHom(group, ambient, incl))
 
 
 def preimage_lattice(f: AbHom) -> IntMatrix:

@@ -19,17 +19,19 @@ an extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 of the gluing subgroup Gamma
 by the integral torus loops.  It is free of rank r plus a torsion part, and
 that torsion is pi1 of the derived subgroup: the kernel of Gamma's
 projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
-``_derived_kernel`` computes that kernel, and ``pi1``, ``derived_subgroup``
-and ``as_semisimple`` all read it.  With N the lcm of the torus parts'
-denominators, N = 1 (every torus part 0, as in every model without a torus)
-makes the projection zero, and the kernel is the gluing span that ``_gluing``
-has already built; otherwise it is one preimage lattice modulo N, spanned
-back in the center.
+``_derived_kernel`` computes that kernel from the model's own generators,
+never from Gamma: with N the lcm of the torus parts' denominators, one
+preimage lattice modulo N gives the combinations of the gluing generators
+whose torus parts sum to an integral vector, and their center parts span the
+kernel.  ``pi1``, ``derived_subgroup`` and ``as_semisimple`` all read it.
+Gamma itself (``_gluing``) is a bare type that only ``describe`` reads,
+through ``validate``, ``gluing_group`` and ``gluing_order``.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
 inside Z^r x Z(S_sc), and the extension presented by Z^r and one lift of each
-canonical generator of Gamma (``abgroups.extension_from_lifts``).  They are
+canonical generator of Gamma (``abgroups.extension_from_lifts``), Gamma
+spanned there with its inclusion by a reference route of its own.  They are
 compared with ``pi1`` in ``tests/test_groups.py::TestPi1`` and acceptance
 criterion 6, not on every query.
 """
@@ -45,11 +47,10 @@ from typing import Optional, Sequence
 
 from .abgroups import (
     AbHom,
-    CyclicSpan,
     FgAbGroup,
     SubgroupPresentation,
     preimage_lattice,
-    span_in_cyclics,
+    span_group,
     subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
@@ -135,43 +136,32 @@ class SemisimpleModel:
             raise ValueError("kernel must be a subgroup of the center")
 
 
-@dataclass(frozen=True)
-class _GluingData:
-    """Gluing subgroup resolved inside Z(S_sc) x (Z/N)^r."""
-
-    torus_exponent: int  # N
-    span: CyclicSpan  # over the center factors, then r copies of N
-
-    @property
-    def group(self) -> FgAbGroup:
-        return self.span.group
-
-
 @lru_cache(maxsize=None)
-def _gluing(model: ReductiveModel) -> _GluingData:
+def _gluing(model: ReductiveModel) -> FgAbGroup:
+    """Abstract type of the gluing subgroup, spanned inside
+    Z(S_sc) x (Z/N)^r by the model's gluing generators."""
     n, torus_rows = model.torus_numerators
     orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
-    gens = [list(pair.center.dual_coords()) + list(row) for pair, row in zip(model.gluing, torus_rows)]
-    return _GluingData(torus_exponent=n, span=span_in_cyclics(orders, gens))
+    return span_group(orders, [pair.center.dual_coords() + row for pair, row in zip(model.gluing, torus_rows)])
 
 
 def gluing_group(model: ReductiveModel) -> FgAbGroup:
     """Abstract type of the gluing subgroup."""
-    return _gluing(model).group
+    return _gluing(model)
 
 
 def gluing_order(model: ReductiveModel) -> int:
-    return _gluing(model).group.order()
+    return _gluing(model).order()
 
 
 def validate(model: ReductiveModel):
     """Check the model and report human-readable certificates."""
-    data = _gluing(model)
+    group = _gluing(model)
     certificates = []
     for i in range(len(model.gluing)):
         certificates.append(f"gluing generator {i} lies in the center of {model.ss}")
-    certificates.append(f"gluing subgroup has order {data.group.order()}")
-    certificates.append(f"gluing subgroup has exponent {data.group.exponent()}")
+    certificates.append(f"gluing subgroup has order {group.order()}")
+    certificates.append(f"gluing subgroup has exponent {group.exponent()}")
     certificates.append(f"unipotent dimension {model.unipotent_dim} is ignored by every invariant")
     return certificates
 
@@ -183,30 +173,18 @@ def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHo
     return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
 
 
+@lru_cache(maxsize=None)
 def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     """Kernel of the gluing subgroup's torus projection, as a subgroup of
-    the center of S_sc.  With torus exponent N = 1 the projection is zero,
-    so the kernel is the gluing span itself: its canonical generators, with
-    their center coordinates as the inclusion."""
-    data = _gluing(model)
-    k = len(model.ss.pq_group.invariant_factors)
-    incl = data.span.inclusion_columns
+    the center of S_sc: the center parts of the combinations of the gluing
+    generators whose torus parts sum to an integral vector.  With N = 1
+    every combination qualifies, and the preimage lattice is the identity."""
+    n, torus_rows = model.torus_numerators
+    torus_columns = [[row[j] for row in torus_rows] for j in range(model.torus_rank)]
+    combos = preimage_lattice(_mod_n_hom(FgAbGroup(len(model.gluing), ()), n, torus_columns))
     cgroup = center(model.ss)
-    if data.torus_exponent == 1:
-        center_rows = IntMatrix.from_rows([incl.row(i) for i in range(k)], cols=incl.cols)
-        return SubgroupPresentation(
-            ambient=cgroup,
-            generators=tuple(cgroup.element(center_rows.column(p)) for p in range(incl.cols)),
-            computed=data.group,
-            inclusion=AbHom(data.group, cgroup, center_rows),
-        )
-    torus_rows = [incl.row(k + j) for j in range(model.torus_rank)]
-    basis = preimage_lattice(_mod_n_hom(data.group, data.torus_exponent, torus_rows))
-    gens = []
-    for i in range(basis.rows):
-        amb = data.span.reduce_ambient(incl.apply(basis.row(i)))
-        gens.append(cgroup.element(amb[:k]))
-    return subgroup_from_generators(cgroup, gens)
+    centers = IntMatrix.from_columns([pair.center.dual_coords() for pair in model.gluing], rows=cgroup.ngens)
+    return subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
 
 
 def pi1(model: ReductiveModel) -> FgAbGroup:
@@ -232,7 +210,8 @@ def character_group(model: ReductiveModel):
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     """Reinterpret a model with no torus and no unipotent part as a
-    semisimple quotient S_sc/kernel, the kernel being the gluing span."""
+    semisimple quotient S_sc/kernel, the kernel being the span of the gluing
+    generators."""
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
     return derived_subgroup(model)

@@ -21,9 +21,8 @@ identification of the center with a concrete cyclic group is used.
 Restriction of weights to a central subgroup is linear, so it is one
 integer matrix (:func:`restriction_matrix`, one row per canonical generator
 of the subgroup, one column per fundamental weight), built once per
-subgroup by the integer pairing formula of docs/conventions.md.
-``restrict_weight`` applies it to one weight, the weight Brauer table reads
-its columns, and ``character_lattice_of_quotient`` is its preimage of 0.
+subgroup by the integer pairing formula of docs/conventions.md; the weight
+Brauer table reads its columns.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .abgroups import (
     SubgroupPresentation,
     from_presentation,
     kernel_of,
-    preimage_lattice,
     subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
@@ -258,15 +256,6 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
     )
 
 
-def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
-    """Character of the central subgroup obtained by pairing the weight's
-    class in P/Q against each subgroup generator: ``restriction_matrix``
-    applied to the weight, over the canonical generators of the dual of
-    ``sub.computed``."""
-    restriction = restriction_matrix(weight.datum, sub)
-    return sub.computed.element(restriction.apply(weight.coords))
-
-
 def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
     """Subgroup of the center pairing trivially with every given weight."""
     cgroup = center(datum)
@@ -284,12 +273,3 @@ def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> Subg
         return full_center_subgroup(datum)
     psi = AbHom(cgroup, target, IntMatrix.from_rows(rows, cols=cgroup.ngens))
     return kernel_of(psi)
-
-
-def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatrix:
-    """Hermite basis (one weight per row) of the finite-index sublattice of P
-    of weights whose restriction to the central subgroup is trivial: the
-    preimage of 0 under ``restriction_matrix``."""
-    restriction = restriction_matrix(datum, sub)
-    restrict = AbHom(FgAbGroup(datum.rank, ()), sub.computed, restriction)
-    return preimage_lattice(restrict)

@@ -17,11 +17,17 @@
   extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 presented by Z^r and one lift
   of each canonical generator of Gamma, one Smith quotient with both
   transforms, whose entries blow up on wide torus models.
-* Central pushouts of reductive models along gluing characters, the
-  character map pi1(H) -> Z and the element table of the gluing subgroup.
-  A pushout reads each gluing generator's coordinates in the gluing group
-  by ``preimage_of`` on the span's inclusion, so the span keeps no
-  projection for it.
+* The gluing subgroup Gamma with its inclusion (``gluing_span``), which
+  the library keeps as a bare type only.  Its relations come from the
+  Smith-V kernel route below, so ``pi1_extension`` shares no span code
+  with ``pi1``.  Central pushouts of reductive models along characters of
+  Gamma, the character map pi1(H) -> Z and the element table of Gamma read
+  it.  A pushout reads each gluing generator's coordinates in Gamma by
+  ``preimage_of`` on the span's inclusion, so the span keeps no projection
+  for it.
+* Weight restriction to a central subgroup and the character lattice of
+  the quotient, both read off ``homspace.rootdata.restriction_matrix``; no
+  query needs either.
 * Small homomorphism constructors, and verification tools that the library
   no longer exports: cokernels with their projection, image lattices and
   the exactness test ``image(f) == kernel(g)``, and ``lattice_row_basis``,
@@ -40,6 +46,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -53,6 +60,7 @@ from homspace.abgroups import (
     AbElement,
     AbHom,
     FgAbGroup,
+    SubgroupPresentation,
     _relation_columns,
     extension_from_lifts,
     from_presentation,
@@ -61,14 +69,9 @@ from homspace.abgroups import (
     subgroup_from_generators,
 )
 from homspace.extensions import Character, ExtensionData
-from homspace.groups import (
-    GluingPair,
-    ReductiveModel,
-    SemisimpleModel,
-    _gluing,
-)
+from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
-from homspace.rootdata import center_element_from_coords
+from homspace.rootdata import RootDatumSS, Weight, center_element_from_coords, restriction_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +378,74 @@ def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# weight restriction
+
+
+def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
+    """Character of the central subgroup obtained by pairing the weight's
+    class in P/Q against each subgroup generator: ``restriction_matrix``
+    applied to the weight, over the canonical generators of the dual of
+    ``sub.computed``."""
+    restriction = restriction_matrix(weight.datum, sub)
+    return sub.computed.element(restriction.apply(weight.coords))
+
+
+def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatrix:
+    """Hermite basis (one weight per row) of the finite-index sublattice of P
+    of weights whose restriction to the central subgroup is trivial: the
+    preimage of 0 under ``restriction_matrix``."""
+    restrict = AbHom(FgAbGroup(datum.rank, ()), sub.computed, restriction_matrix(datum, sub))
+    return preimage_lattice(restrict)
+
+
+# ---------------------------------------------------------------------------
 # reductive models
+
+
+@dataclass(frozen=True)
+class GluingSpan:
+    """The gluing subgroup Gamma spanned inside Z(S_sc) x (Z/N)^r, N the
+    lcm of the torus parts' denominators: its canonical type and, one column
+    per canonical generator, that generator's ambient coordinates."""
+
+    torus_exponent: int
+    orders: tuple  # the center factors, then r copies of N
+    group: FgAbGroup
+    inclusion_columns: IntMatrix
+
+    def reduce_ambient(self, coords: Sequence[int]) -> tuple:
+        return tuple(c % o for c, o in zip(coords, self.orders))
+
+
+@lru_cache(maxsize=None)
+def gluing_span(model: ReductiveModel) -> GluingSpan:
+    """Gamma with its inclusion, by a route the library does not take: the
+    relations of the model's gluing generators are the Smith-V kernel
+    (``snf_solution_lattice``), and U^-1 of their Smith form maps the
+    canonical generators back to combinations of the model's generators."""
+    n, torus_rows = model.torus_numerators
+    orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
+    gcols = IntMatrix.from_columns(
+        [list(pair.center.dual_coords() + row) for pair, row in zip(model.gluing, torus_rows)], rows=len(orders)
+    )
+    relations = snf_solution_lattice(gcols, orders).transpose()
+    _, d, _, uinv = _snf_transform(relations, want_u=False, want_v=False, want_uinv=True)
+    # the relations contain e*Z^g, so the diagonal is square and nonzero
+    diag = [d[i, i] for i in range(d.rows)]
+    positions = [i for i, x in enumerate(diag) if x >= 2]
+    group = FgAbGroup(0, tuple(diag[i] for i in positions))
+    incl = [[c % o for c, o in zip(gcols.apply(uinv.column(p)), orders)] for p in positions]
+    return GluingSpan(n, orders, group, IntMatrix.from_columns(incl, rows=len(orders)))
 
 
 def gluing_elements(model: ReductiveModel):
     """Materialized element table of the gluing subgroup, as gluing pairs."""
-    data = _gluing(model)
-    n = data.torus_exponent
+    span = gluing_span(model)
+    n = span.torus_exponent
     k = len(model.ss.pq_group.invariant_factors)
-    incl = data.span.inclusion_columns
     out = []
-    for elem in data.group.elements():
-        coords = data.span.reduce_ambient(incl.apply(elem.coords))
+    for elem in span.group.elements():
+        coords = span.reduce_ambient(span.inclusion_columns.apply(elem.coords))
         ce = center_element_from_coords(model.ss, coords[:k])
         torus = tuple(Fraction(c, n) for c in coords[k:])
         out.append(GluingPair(ce, torus))
@@ -397,8 +456,7 @@ def gluing_elements(model: ReductiveModel):
 def _pi1_span(model: ReductiveModel):
     """Fundamental group as a subgroup of Z^r (+) Z(S_sc), coordinates
     (N*v | center); returns the subgroup presentation in that ambient."""
-    data = _gluing(model)
-    n = data.torus_exponent
+    n = model.torus_numerators[0]
     r = model.torus_rank
     center_factors = model.ss.pq_group.invariant_factors
     ambient = FgAbGroup(r, center_factors)
@@ -418,15 +476,15 @@ def pi1_extension(model: ReductiveModel) -> FgAbGroup:
     """pi1(H) as the extension of the canonical gluing group by Z^r: a
     generator (z, t/N) of order d lifts to (t/N, z), and d times that lift is
     the integral loop d*t/N."""
-    data = _gluing(model)
-    n = data.torus_exponent
+    span = gluing_span(model)
+    n = span.torus_exponent
     k = len(model.ss.pq_group.invariant_factors)
-    incl = data.span.inclusion_columns
+    incl = span.inclusion_columns
     multiples = [
         [d * incl[k + i, p] // n for i in range(model.torus_rank)]
-        for p, d in enumerate(data.group.invariant_factors)
+        for p, d in enumerate(span.group.invariant_factors)
     ]
-    return extension_from_lifts(data.group, model.torus_rank, multiples)[0]
+    return extension_from_lifts(span.group, model.torus_rank, multiples)[0]
 
 
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
@@ -448,7 +506,7 @@ def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
         if val.denominator != 1:
             raise ValueError(f"not a character of the model: pairing {val} with a gluing generator is not integral")
     lam = _pi1_span(model)
-    n = _gluing(model).torus_exponent
+    n = model.torus_numerators[0]
     r = model.torus_rank
     images = []
     for p in range(lam.computed.ngens):
@@ -463,18 +521,17 @@ def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
     """Model of the central extension (H~ x Gm)/gluing attached to a
     character of the gluing subgroup: one extra torus coordinate, each
     gluing generator extended by the character's value on it."""
-    data = _gluing(model)
-    if gamma.group != data.group:
-        raise ValueError(f"character is defined on {gamma.group}, but the gluing subgroup is {data.group}")
+    span = gluing_span(model)
+    if gamma.group != span.group:
+        raise ValueError(f"character is defined on {gamma.group}, but the gluing subgroup is {span.group}")
     # the span's ambient Z(S_sc) x (Z/N)^r embeds into (Z/e)^m, e the lcm of
     # its orders, by x -> (e/o) x on each coordinate of order o > 1
-    orders = data.span.orders
-    e = lcm(*orders)
-    scales = [(i, e // o) for i, o in enumerate(orders) if o > 1]
+    e = lcm(*span.orders)
+    scales = [(i, e // o) for i, o in enumerate(span.orders) if o > 1]
     ambient = FgAbGroup(0, (e,) * len(scales))
-    incl = data.span.inclusion_columns
+    incl = span.inclusion_columns
     scaled = IntMatrix.from_rows([[c * x for x in incl.row(i)] for i, c in scales], cols=incl.cols)
-    embed = AbHom(data.group, ambient, scaled)
+    embed = AbHom(span.group, ambient, scaled)
     _, torus_rows = model.torus_numerators
     new_pairs = []
     for pair, row in zip(model.gluing, torus_rows):
@@ -492,7 +549,7 @@ def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
     if model.torus_rank == 0:
         raise ValueError("model has no torus coordinate")
     lam = _pi1_span(model)
-    n = _gluing(model).torus_exponent
+    n = model.torus_numerators[0]
     coords = [0] * lam.ambient.ngens
     coords[model.torus_rank - 1] = n
     inside = preimage_of(lam.inclusion, lam.ambient.element(coords))

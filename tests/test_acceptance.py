@@ -35,14 +35,13 @@ from homspace.rootdata import (
     SimpleType,
     build_datum,
     center,
-    character_lattice_of_quotient,
     fundamental_weight,
-    restrict_weight,
 )
 from oracles import (
     all_characters,
     are_equivalent,
     baer_sum,
+    character_lattice_of_quotient,
     coboundary,
     cocycle_class,
     cocycle_of,
@@ -53,6 +52,7 @@ from oracles import (
     multiplication_hom,
     pi1_extension,
     psi_character_map,
+    restrict_weight,
 )
 
 

@@ -299,13 +299,14 @@ class TestCommands:
         assert calls == []
 
     def test_gluing_builds_no_smith_row_transform(self, monkeypatch, tmp_path):
-        # a span's inclusion reads U^-1 alone, so no Smith loop run for
-        # span_in_cyclics builds U; abgroups calls _snf_transform by the
-        # name it imported from intlinalg, so that name is wrapped
+        # the gluing group is a bare type, so the Smith loop that span_group
+        # runs for it builds none of U, V and U^-1; abgroups calls
+        # _snf_transform by the name it imported from intlinalg, so that
+        # name is wrapped
         import homspace.abgroups as abmod
 
         asked, active = [], []
-        original_span, original_snf = abmod.span_in_cyclics, abmod._snf_transform
+        original_span, original_snf = abmod.span_group, abmod._snf_transform
 
         def span(*args):
             active.append(True)
@@ -316,20 +317,20 @@ class TestCommands:
 
         def snf(m, want_u, want_v, want_uinv=False):
             if active:
-                asked.append(want_u)
+                asked.append((want_u, want_v, want_uinv))
             return original_snf(m, want_u, want_v, want_uinv)
 
-        monkeypatch.setattr(abmod, "span_in_cyclics", span)
-        monkeypatch.setattr(groups, "span_in_cyclics", span)
+        monkeypatch.setattr(abmod, "span_group", span)
+        monkeypatch.setattr(groups, "span_group", span)
         monkeypatch.setattr(abmod, "_snf_transform", snf)
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
-            for command in ("describe", "invariants"):
-                groups._gluing.cache_clear()
-                code, _, err = invoke([command, "--json", *source])
-                assert code == 0, err
-        assert asked and not any(asked)
+            groups._gluing.cache_clear()
+            groups._derived_kernel.cache_clear()
+            code, _, err = invoke(["describe", "--json", *source])
+            assert code == 0, err
+        assert asked and not any(any(flags) for flags in asked)
 
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = invoke(["no-such-command"])
@@ -357,21 +358,26 @@ class TestCommands:
             assert len(calls) == 1
 
     def test_queries_span_the_gluing_group_once(self, monkeypatch, tmp_path):
-        # a semisimple kernel is read off the gluing span, so a model with no
-        # torus spans once per query; a torus model may span its derived
-        # kernel a second time.  Presets go through their spec documents, so
-        # the count leaves out the span that builds the SO(n) gluing.
+        # every invariant query spans one group, the derived kernel, from the
+        # model's own gluing generators, and none builds the gluing group
+        # itself.  Presets go through their spec documents, so the count
+        # leaves out the span that builds the SO(n) gluing.
         import homspace.abgroups as abmod
 
-        calls = []
-        original = abmod.span_in_cyclics
+        spans, gluings = [], []
+        original_span, original_gluing = abmod.subgroup_from_generators, groups._gluing
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting_span(*args):
+            spans.append(args)
+            return original_span(*args)
 
-        monkeypatch.setattr(abmod, "span_in_cyclics", counting)
-        monkeypatch.setattr(groups, "span_in_cyclics", counting)
+        def counting_gluing(model):
+            gluings.append(model)
+            return original_gluing(model)
+
+        monkeypatch.setattr(abmod, "subgroup_from_generators", counting_span)
+        monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
+        monkeypatch.setattr(groups, "_gluing", counting_gluing)
         docs = {name: model_to_document(preset(name)) for name in ("SO(8)", "PGL(4)", "GL(3)")}
         docs.update(QUOTIENT_SPECS, torus_r3=TORUS_R3)
         for name, doc in docs.items():
@@ -379,14 +385,13 @@ class TestCommands:
             path.write_text(json.dumps(doc))
             semisimple = doc["torus_rank"] == 0
             for command in ("invariants", "weights") if semisimple else ("invariants",):
-                groups._gluing.cache_clear()
-                calls.clear()
+                original_gluing.cache_clear()
+                groups._derived_kernel.cache_clear()
+                spans.clear()
                 code, _, err = invoke([command, "--json", "--spec", str(path)])
                 assert code == 0, err
-                if semisimple:
-                    assert len(calls) == 1, (command, name)
-                else:
-                    assert 1 <= len(calls) <= 2, (command, name)
+                assert len(spans) == 1, (command, name)
+        assert gluings == []
 
     def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
         # the table is one restriction matrix, built once per query at
@@ -424,6 +429,7 @@ class TestCommands:
 
         monkeypatch.setattr(abmod, "solution_lattice", checking)
         groups._gluing.cache_clear()
+        groups._derived_kernel.cache_clear()
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
@@ -637,12 +643,55 @@ def test_report_bytes_pinned(command, name, tmp_path):
 def test_former_torus_cliffs_answer_within_a_second(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(cliff_spec(name))
-    # the pinned-digest run of the same model may have filled this
+    # the pinned-digest run of the same model may have filled these
     groups._gluing.cache_clear()
+    groups._derived_kernel.cache_clear()
     start = time.perf_counter()
     code, out, err = invoke([CLIFF_MODELS[name][0], "--json", "--spec", str(path)])
     elapsed = time.perf_counter() - start
     assert code == 0, err
+    assert elapsed < 1.0
+
+
+# A7 x D5, r = 10, ten gluing generators whose torus coordinates have
+# denominators drawn from range(2, 10**6, 99991), so N has well over 100
+# bits: invariants --json digests per seed.  Spanning the gluing group with
+# its inclusion took up to seconds on these, so a query must not.
+LARGE_DENOMINATOR_DIGESTS = {
+    0: "7a1a5583ada452c284fd810c54ffa8dac96adc1608127a00f1d80c1b9ca3fce8",
+    1: "97fb88ac86ee43bec3699115e076a031acdd5aa6cf7d7a1f4ce5cd6f5aed05f2",
+    2: "836111a01918310ecd787e0984343665791e722db7e1976cd8c388c962e61927",
+    3: "5b3bcfad179ba0b0d5b00be9e855741b42d8a2a7ad6df6c50f2f03c4ac3801f8",
+}
+
+
+def large_denominator_spec(seed):
+    rng = random.Random(seed)
+    factors = (("A", 7), ("D", 5))
+    orders = build_datum(tuple(SimpleType(f, n) for f, n in factors)).pq_group.invariant_factors
+    gluing = []
+    for _ in range(10):
+        center = [rng.randrange(d) for d in orders]
+        torus = []
+        for _ in range(10):
+            den = rng.choice(range(2, 10**6, 99991))
+            torus.append(str(Fraction(rng.randrange(den), den)))
+        gluing.append({"center": center, "torus": torus})
+    doc = {"semisimple": [{"family": f, "rank": n} for f, n in factors], "torus_rank": 10, "gluing": gluing}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_DENOMINATOR_DIGESTS))
+def test_large_denominator_invariants_answer_within_a_second(seed, tmp_path):
+    path = tmp_path / "large_denominators.json"
+    path.write_text(large_denominator_spec(seed))
+    groups._gluing.cache_clear()
+    groups._derived_kernel.cache_clear()
+    start = time.perf_counter()
+    code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DENOMINATOR_DIGESTS[seed]
     assert elapsed < 1.0
 
 

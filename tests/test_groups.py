@@ -33,6 +33,7 @@ from oracles import (
     det,
     fiber_class_in_pi1,
     gluing_elements,
+    gluing_span,
     pi1_extension,
     psi_character_map,
     semisimple_as_reductive,
@@ -343,17 +344,15 @@ class TestCentralPushout:
                 assert got == derived
                 # brute force: derived part = gluing elements with zero torus
                 # part; keep those killed by chi
-                from homspace.groups import _gluing
-
-                data = _gluing(model)
-                incl = data.span.inclusion_columns
+                span = gluing_span(model)
+                incl = span.inclusion_columns
                 k = len(model.ss.pq_group.invariant_factors)
                 kept = []
                 for e in data_elements:
-                    amb = [0] * len(data.span.orders)
+                    amb = [0] * len(span.orders)
                     for p, c in enumerate(e.coords):
                         amb = [x + c * y for x, y in zip(amb, incl.column(p))]
-                    amb = data.span.reduce_ambient(amb)
+                    amb = span.reduce_ambient(amb)
                     if all(t == 0 for t in amb[k:]) and chi(e) == 0:
                         kept.append(e)
                 from homspace.abgroups import subgroup_from_generators
@@ -437,17 +436,16 @@ class TestDeterminism:
         # shifting a torus lift by an integer vector lands in the span of the
         # standard basis generators, so the subgroup is unchanged
         from homspace.abgroups import subgroup_from_generators
-        from homspace.groups import _gluing
 
         rng = random.Random(6)
         for _ in range(15):
             model = random_model(rng)
             span = _pi1_span(model)
-            n = _gluing(model).torus_exponent
+            n = model.torus_numerators[0]
             ambient = span.ambient
-            shifted = list(span.generators[: model.torus_rank])
-            for g in span.generators[model.torus_rank :]:
-                coords = list(g.coords)
+            shifted = [ambient.element([n * (i == j) for j in range(ambient.ngens)]) for i in range(model.torus_rank)]
+            for p in range(span.computed.ngens):
+                coords = list(span.inclusion.matrix.column(p))
                 if model.torus_rank:
                     coords[rng.randrange(model.torus_rank)] += n * rng.randint(-2, 2)
                 shifted.append(ambient.element(coords))

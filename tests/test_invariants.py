@@ -23,11 +23,18 @@ from homspace.rootdata import (
     SimpleType,
     build_datum,
     center,
-    character_lattice_of_quotient,
     fundamental_weight,
+)
+from oracles import (
+    character_from_dual_element,
+    character_lattice_of_quotient,
+    cocycle_class,
+    cocycle_of,
+    cokernel_of,
+    det,
+    multiplication_hom,
     restrict_weight,
 )
-from oracles import character_from_dual_element, cocycle_class, cocycle_of, cokernel_of, det, multiplication_hom
 
 
 def unipotent_only_model(dim=1):
