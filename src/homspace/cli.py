@@ -79,8 +79,8 @@ class GroupSpecDocument:
         except ValueError as exc:
             raise CliError("E_SCHEMA", "/semisimple", str(exc)) from exc
         pairs = []
+        orders = datum.pq_group.invariant_factors
         for i, (coeffs, fractions) in enumerate(self.gluing):
-            orders = datum.pq_group.invariant_factors
             if len(coeffs) != len(orders):
                 raise CliError(
                     "E_SCHEMA",
@@ -112,8 +112,15 @@ class GroupSpecDocument:
 def _parse_fraction(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise CliError("E_SCHEMA", where, f"fractions are strings like \"1/2\", got {text!r}")
+    # plain ASCII "a/b" and "a" are read by int(), with the value and the
+    # errors of Fraction(text); int() stays inside the try so that its
+    # digit-limit ValueError is chained to the CliError (E_LIMIT)
+    num, slash, den = text.partition("/")
     try:
-        value = Fraction(text)
+        if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            value = Fraction(int(num), int(den or 1))
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("E_FRACTION", where, f"malformed fraction {text!r}") from exc
     if not 0 <= value.numerator < value.denominator:

@@ -27,6 +27,12 @@ kernel.  ``pi1``, ``derived_subgroup`` and ``as_semisimple`` all read it.
 Gamma itself (``_gluing``) is a bare type that only ``describe`` reads,
 through ``validate``, ``gluing_group`` and ``gluing_order``.
 
+Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
+queries read them only as integers: N and one row of numerators per
+generator (``ReductiveModel.torus_numerators``).  Center parts enter as
+their integer ``dual_coords``, and a model hashes that integer data, so
+no cache lookup or query does ``Fraction`` arithmetic.
+
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
 inside Z^r x Z(S_sc), and the extension presented by Z^r and one lift of each
@@ -108,9 +114,11 @@ class ReductiveModel:
 
     @cached_property
     def _hash(self) -> int:
-        # the dataclass __eq__ compares these fields; hashing the gluing
-        # Fractions on every cache lookup is what this saves
-        return hash((self.ss, self.torus_rank, self.gluing, self.unipotent_dim, self.name))
+        # integer data only: equal models (the dataclass __eq__) have equal
+        # center coordinates and torus numerators, and no lookup, the first
+        # one included, hashes a Fraction
+        centers = tuple(pair.center.dual_coords() for pair in self.gluing)
+        return hash((self.ss, self.torus_rank, centers, self.torus_numerators, self.unipotent_dim, self.name))
 
     @cached_property
     def torus_numerators(self) -> tuple:

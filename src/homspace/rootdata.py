@@ -195,7 +195,10 @@ class CenterElement:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(Fraction(v) % 1 for v in self.values)
+        values = tuple(
+            v if type(v) is Fraction and 0 <= v.numerator < v.denominator else Fraction(v) % 1
+            for v in self.values
+        )
         object.__setattr__(self, "values", values)
         factors = self.datum.pq_group.invariant_factors
         if len(values) != len(factors):
@@ -205,9 +208,11 @@ class CenterElement:
                 raise ValueError(f"value {v} has denominator not dividing the generator order {d}")
 
     def dual_coords(self) -> tuple:
-        """Coordinates over the canonical generators of the dual of P/Q."""
+        """Coordinates over the canonical generators of the dual of P/Q:
+        v * d as an integer, exact because the denominator of v divides d,
+        and already in [0, d) because v lies in [0, 1)."""
         return tuple(
-            int(v * d) % d for v, d in zip(self.values, self.datum.pq_group.invariant_factors)
+            v.numerator * (d // v.denominator) for v, d in zip(self.values, self.datum.pq_group.invariant_factors)
         )
 
 

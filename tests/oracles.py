@@ -32,6 +32,9 @@
   no longer exports: cokernels with their projection, image lattices and
   the exactness test ``image(f) == kernel(g)``, and ``lattice_row_basis``,
   the Hermite basis of a spanned lattice through ``intlinalg._hermite_rows``.
+* The former formula of ``homspace.rootdata.CenterElement.dual_coords``,
+  ``int(v * d) % d`` by ``Fraction`` arithmetic; the library reads the
+  same integers off numerators and denominators.
 * Determinants from sympy's integer matrices (``det``), a route
   independent of ``homspace.intlinalg``.
 * The former lattice route of ``homspace.intlinalg``: solution lattices
@@ -71,7 +74,7 @@ from homspace.abgroups import (
 from homspace.extensions import Character, ExtensionData
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
-from homspace.rootdata import RootDatumSS, Weight, center_element_from_coords, restriction_matrix
+from homspace.rootdata import CenterElement, RootDatumSS, Weight, center_element_from_coords, restriction_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,16 @@ def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
     if c1.group != c2.group:
         raise ValueError("cocycles over different groups")
     return cocycle_class(c1) == cocycle_class(c2)
+
+
+# ---------------------------------------------------------------------------
+# center coordinates
+
+
+def dual_coords_by_fractions(elem: CenterElement) -> tuple:
+    """Coordinates of a center element over the dual generators of P/Q,
+    each pairing value times its generator order by Fraction arithmetic."""
+    return tuple(int(v * d) % d for v, d in zip(elem.values, elem.datum.pq_group.invariant_factors))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -9,13 +10,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import QUOTIENT_SPECS
 from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
-from homspace.cli import CliError, json_text, model_to_document, parse_spec, run
+from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.groups import pi1, preset
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum
@@ -82,6 +83,68 @@ class TestParseSpec:
         text = json.dumps(model_to_document(model))
         again = parse_spec(text).to_model()
         assert pi1(again) == pi1(model)
+
+
+# spellings of a torus string next to the plain "a/b" that the reader takes
+# by its integer path: zero and repeated denominators, signs, spaces,
+# underscores, decimals, exponents, non-ASCII digits and broken forms
+FRACTION_SPELLINGS = [
+    "1/0", "1/00", "1/-2", "2/4", "03/04", "\u0661/\u0662", "1_0/30", "0.5", "5e-1",
+    "0", "1", "3/3", "4/3", "-1/2", " 1/2", "1/", "/2", "", "1/2/3", "\u00bd",
+]
+# the two spellings past Python's str-to-int digit limit of 4300: one on the
+# integer path, one on the Fraction(text) path
+DIGIT_LIMIT_FRACTIONS = ["1/" + "7" * 5000, "0." + "3" * 5000]
+
+
+def assert_reads_like_fraction(text):
+    """``_parse_fraction`` returns what ``Fraction(text)`` does where that
+    lies in [0, 1), and reports E_FRACTION with the same message otherwise."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is not None and 0 <= expected < 1:
+        value = _parse_fraction(text, "/x")
+        assert type(value) is Fraction and value == expected, text
+        return
+    with pytest.raises(CliError) as info:
+        _parse_fraction(text, "/x")
+    assert (info.value.code, info.value.where) == ("E_FRACTION", "/x"), text
+    reason = f"malformed fraction {text!r}" if expected is None else f"fraction {text!r} must be reduced into [0, 1)"
+    assert info.value.message == reason
+
+
+class TestFractionReader:
+    def test_spellings_read_like_fraction(self):
+        assert len(FRACTION_SPELLINGS) + len(DIGIT_LIMIT_FRACTIONS) == 22
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text in FRACTION_SPELLINGS + DIGIT_LIMIT_FRACTIONS:
+                assert_reads_like_fraction(text)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.text(alphabet=" +-_./e0123456789\u0661", max_size=10))
+    def test_short_strings_read_like_fraction(self, text):
+        # Fraction(text) computes 10**exponent: keep exponents short
+        assume(not re.search(r"e[-+]?[\d_]{4,}", text))
+        assert_reads_like_fraction(text)
+
+    def test_digit_limit_is_a_limit_at_the_json_path(self, tmp_path):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text in DIGIT_LIMIT_FRACTIONS:
+                spec = tmp_path / "spec.json"
+                spec.write_text(json.dumps({"torus_rank": 2, "gluing": [{"center": [], "torus": ["1/2", text]}]}))
+                code, out, err = invoke(["describe", "--json", "--spec", str(spec)])
+                assert (code, out) == (1, "")
+                assert err.startswith("error[E_LIMIT] at /gluing/0/torus/1: "), err
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestCommands:

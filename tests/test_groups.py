@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import QUOTIENT_SPECS, random_model
 from homspace import groups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z
-from homspace.cli import parse_spec
+from homspace.cli import parse_spec, run
 from homspace.extensions import Character
 from homspace.groups import (
     GluingPair,
@@ -87,21 +88,39 @@ class TestModelKeys:
         )
         return ReductiveModel(ss=datum, torus_rank=3, gluing=pairs)
 
-    def test_queries_after_gluing_hash_no_fractions(self, monkeypatch):
+    def test_queries_after_gluing_hash_no_fractions(self, monkeypatch, tmp_path):
         model = self.model()
         groups._gluing(model)
-        calls = []
-        original = Fraction.__hash__
+        calls = {name: [] for name in ("__hash__", "__mul__", "__mod__")}
+        for name, seen in calls.items():
+            original = getattr(Fraction, name)
 
-        def counting(value):
-            calls.append(value)
-            return original(value)
+            def counting(*args, original=original, seen=seen):
+                seen.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(Fraction, "__hash__", counting)
+            monkeypatch.setattr(Fraction, name, counting)
         pi1(model)
         validate(model)
         character_group(model)
-        assert calls == []
+        assert calls["__hash__"] == []
+        # a fresh torus spec read and answered by the CLI, caches cold: no
+        # Fraction is hashed, multiplied or reduced on the way
+        groups._gluing.cache_clear()
+        groups._derived_kernel.cache_clear()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "semisimple": [{"family": "A", "rank": 3}, {"family": "D", "rank": 4}],
+            "torus_rank": 3,
+            "gluing": [
+                {"center": [1, 1, 0], "torus": ["1/2", "1/3", "0"]},
+                {"center": [2, 0, 1], "torus": ["1/4", "2/3", "3/4"]},
+            ],
+        }))
+        for command in ("invariants", "describe"):
+            out, err = io.StringIO(), io.StringIO()
+            assert run([command, "--json", "--spec", str(spec)], stdout=out, stderr=err) == 0, err.getvalue()
+        assert {name: len(seen) for name, seen in calls.items()} == {"__hash__": 0, "__mul__": 0, "__mod__": 0}
 
     def test_hash_and_equality_agree(self):
         a, b = self.model(), self.model()
@@ -109,6 +128,30 @@ class TestModelKeys:
         assert groups._gluing(a) is groups._gluing(b)
         renamed = ReductiveModel(ss=a.ss, torus_rank=3, gluing=a.gluing, name="other")
         assert renamed != a
+
+        # equal models spelled differently share one key and one cache entry
+        def spec(center, torus):
+            return parse_spec(json.dumps({
+                "semisimple": [{"family": "A", "rank": 3}],
+                "torus_rank": 2,
+                "gluing": [{"center": center, "torus": torus}],
+            })).to_model()
+
+        datum = build_datum((SimpleType("A", 3),))
+        elem = center_element_from_coords(datum, (1,))
+        pairs = [
+            (spec([1], ["2/4", "1/3"]), spec([1], ["1/2", "1/3"])),
+            (
+                ReductiveModel(datum, 2, (GluingPair(elem, (Fraction(1, 2), Fraction(1, 3))),)),
+                ReductiveModel(datum, 2, (GluingPair(elem, ("1/2", "1/3")),)),
+            ),
+            (spec([5], ["1/2", "1/3"]), spec([1], ["1/2", "1/3"])),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert groups._gluing(a) is groups._gluing(b)
+            assert groups._derived_kernel(a) is groups._derived_kernel(b)
+        assert spec([1], ["1/2", "2/3"]) != spec([1], ["1/2", "1/3"])
 
     def test_torus_numerators(self):
         assert self.model().torus_numerators == (12, ((6, 4, 0), (3, 8, 9)))

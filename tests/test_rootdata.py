@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from homspace.rootdata import (
     build_datum,
     cartan_matrix,
     center,
+    center_element_from_coords,
     full_center_subgroup,
     fundamental_weight,
     restriction_matrix,
@@ -22,6 +24,7 @@ from oracles import (
     character_from_dual_element,
     character_lattice_of_quotient,
     det,
+    dual_coords_by_fractions,
     lattice_row_basis,
     restrict_weight,
 )
@@ -155,6 +158,26 @@ class TestCenter:
             CenterElement(datum, (Fraction(1, 3),))
         with pytest.raises(ValueError):
             CenterElement(datum, (Fraction(1, 4), Fraction(0)))
+
+    def test_dual_coords_match_fraction_formula(self):
+        # every element of each mixed center, from reduced, negative and
+        # oversized coordinates alike
+        for types in MIXED_CENTER_PRODUCTS:
+            datum = build_datum(types)
+            factors = datum.pq_group.invariant_factors
+            for coords in product(*(range(d) for d in factors)):
+                for shift in (0, -1, 1, 7):
+                    elem = center_element_from_coords(datum, [c + shift * d for c, d in zip(coords, factors)])
+                    assert elem.dual_coords() == dual_coords_by_fractions(elem) == coords
+
+    def test_values_are_reduced_into_unit_interval(self):
+        datum = build_datum((SimpleType("A", 3),))  # P/Q = Z/4
+        quarter = Fraction(1, 4)
+        assert CenterElement(datum, (quarter,)).values[0] is quarter
+        for value in (Fraction(5, 4), Fraction(-3, 4), "1/4", "-7/4", 1.25):
+            elem = CenterElement(datum, (value,))
+            assert elem.values == (quarter,)
+            assert elem.dual_coords() == dual_coords_by_fractions(elem) == (1,)
 
 
 class TestRestrictWeight:
