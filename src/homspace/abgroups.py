@@ -25,11 +25,12 @@ the Smith loop for the row transform U and its inverse only as needed.  A
 subgroup's inclusion (:func:`subgroup_from_generators`) is all its callers
 read, so it takes U^-1 alone; a presentation's projection reads U, an
 extension's injection U and its projection U^-1, and the bare type of a
-span (:func:`span_group`) or of a direct sum of cyclic groups takes
-neither.  An extension 0 -> Z^r -> E -> Gamma -> 0 of a finite group (the
-middle group of ``ext --char``) is presented by Z^r and one lift per
-generator of Gamma (:func:`extension_from_lifts`), never as a span over a
-free ambient, so no query reaches the exact, unmodded route of
+span (:func:`span_group`) takes neither.  A direct sum of cyclic groups
+(:func:`direct_sum_canonical`) is canonicalized by pairwise gcd and lcm,
+with no Smith form.  An extension 0 -> Z^r -> E -> Gamma -> 0 of a finite
+group (the middle group of ``ext --char``) is presented by Z^r and one
+lift per generator of Gamma (:func:`extension_from_lifts`), never as a
+span over a free ambient, so no query reaches the exact, unmodded route of
 ``solution_lattice``.  Other modules state such problems as homomorphisms
 and never call ``solution_lattice``, ``solve_integer`` or
 ``_snf_transform`` themselves.
@@ -96,7 +97,7 @@ class FgAbGroup:
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.ngens:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
-        out = list(int(c) for c in coords)
+        out = list(map(int, coords))
         for i, d in enumerate(self.invariant_factors):
             j = self.free_rank + i
             out[j] %= d
@@ -374,12 +375,23 @@ def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 
 def direct_sum_canonical(free_rank: int, cyclic_orders: Sequence[int]) -> FgAbGroup:
-    """Canonicalize a direct sum of cyclic groups of the given orders."""
-    orders = [int(c) for c in cyclic_orders if int(c) != 1]
+    """Canonicalize a direct sum of cyclic groups of the given orders.
+
+    Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), so replacing each pair (a_i,
+    a_j), i < j, by (gcd, lcm) in turn keeps the group and leaves a_i
+    dividing every later order: O(k^2) gcds and no Smith form."""
+    orders = [int(c) for c in cyclic_orders]
     if any(c < 1 for c in orders):
         raise ValueError("cyclic orders must be positive")
-    group = _smith_quotient(IntMatrix.diagonal(orders))[0]
-    return FgAbGroup(free_rank + group.free_rank, group.invariant_factors)
+    for i in range(len(orders)):
+        a = orders[i]
+        for j in range(i + 1, len(orders)):
+            b = orders[j]
+            g = gcd(a, b)
+            orders[j] = a // g * b
+            a = g
+        orders[i] = a
+    return FgAbGroup(free_rank, tuple(c for c in orders if c != 1))
 
 
 def ext1_z(a: FgAbGroup) -> FgAbGroup:

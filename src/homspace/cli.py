@@ -16,6 +16,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -118,14 +119,44 @@ def _parse_fraction(text, where: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
         if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
-            value = Fraction(int(num), int(den or 1))
+            value, power = Fraction(int(num), int(den or 1)), 0
         else:
-            value = Fraction(text)
+            value, power = _read_decimal(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("E_FRACTION", where, f"malformed fraction {text!r}") from exc
-    if not 0 <= value.numerator < value.denominator:
+    if power < 0 and value > 0:
+        limit = sys.get_int_max_str_digits()
+        raise CliError(
+            "E_LIMIT",
+            where,
+            f"fraction {text!r} has a denominator past the int-to-str limit of {limit} digits "
+            "(sys.get_int_max_str_digits())",
+        )
+    if not 0 <= value.numerator < value.denominator or (power > 0 and value):
         raise CliError("E_FRACTION", where, f"fraction {text!r} must be reduced into [0, 1)")
     return value
+
+
+# the exponent of a decimal spelling such as "5e-1", as Fraction(text) reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _read_decimal(text: str):
+    """(m, p) with Fraction(text) == m * 10**p, without raising 10 to an
+    exponent e past the digit limit plus len(text): p is e there and 0
+    otherwise.  Such an e leaves a nonzero value with a denominator of more
+    than the digit limit's digits (e < 0), or at least 1 in absolute value
+    (e > 0), because the mantissa has fewer than len(text) digits.  Fraction
+    reads the mantissa, and checks the spelling, with the exponent written
+    as 0."""
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent is None or not limit:
+        return Fraction(text), 0
+    power = int(exponent.group(1))
+    if abs(power) <= limit + len(text):
+        return Fraction(text), 0
+    return Fraction(text[: exponent.start(1)] + "0" + text[exponent.end(1) :]), power
 
 
 _DOC_KEYS = {"name", "preset", "semisimple", "torus_rank", "gluing", "unipotent_dim"}
@@ -263,53 +294,61 @@ def json_text(value) -> str:
     """The text of ``json.dumps(value, indent=2)`` (ASCII, keys in insertion
     order) for dicts with str keys, lists, tuples, str, int, bool and None.
     ``json`` runs its pure-Python encoder whenever ``indent`` is set; this
-    writer emits the same text in one pass.  Any other type, float included,
-    raises TypeError."""
-    parts = []
-    _write_json(value, "\n", parts.append)
-    return "".join(parts)
+    writer builds the same text in one pass, one string per container, with
+    the scalars of a container written in place.  Any other type, float
+    included, raises TypeError."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        return _json_container(value, kind, "\n")
+    return _json_scalar(value, kind)
 
 
-def _write_json(x, newline: str, emit) -> None:
-    kind = type(x)
+def _json_scalar(x, kind) -> str:
     if kind is str:
-        emit(_encode_str(x))
-    elif kind is int:
-        emit(int.__repr__(x))
-    elif kind is dict:
-        if not x:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in x.items():
-            emit(sep + _encode_str(key) + ": ")  # TypeError unless key is a str
-            _write_json(item, inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
-    elif kind is list or kind is tuple:
-        if not x:
-            emit("[]")
-            return
-        inner = newline + "  "
-        if all(type(item) is int for item in x):
-            # weight vectors and lattice rows: one join for the whole list
-            emit("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in x:
-            emit(sep)
-            _write_json(item, inner, emit)
-            sep = "," + inner
-        emit(newline + "]")
-    elif x is True:
-        emit("true")
-    elif x is False:
-        emit("false")
-    elif x is None:
-        emit("null")
+        return _encode_str(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_container(x, kind, newline: str) -> str:
+    if not x:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        keys, head, close = iter(x), "{" + inner, newline + "}"
+    elif set(map(type, x)) == {int}:
+        # weight vectors and lattice rows: exact ints only, since bools and
+        # int subclasses print otherwise
+        body = repr(list(x))[1:-1].replace(", ", "," + inner)
+        return f"[{inner}{body}{newline}]"
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        keys, head, close = None, "[" + inner, newline + "]"
+    # one join over every piece: a value's text is copied once, into this
+    # container's text, and never into an intermediate list of its own
+    sep = "," + inner
+    chunks = []
+    for item in x.values() if keys else x:
+        # _encode_str raises TypeError unless the key is a str
+        chunks.append(head + _encode_str(next(keys)) + ": " if keys else head)
+        head = sep
+        t = type(item)
+        if t is str:
+            chunks.append(_encode_str(item))
+        elif t is int:
+            chunks.append(int.__repr__(item))
+        elif t is dict or t is list or t is tuple:
+            chunks.append(_json_container(item, t, inner))
+        else:
+            chunks.append(_json_scalar(item, t))
+    chunks.append(close)
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

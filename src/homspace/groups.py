@@ -64,11 +64,9 @@ from .rootdata import (
     CenterElement,
     RootDatumSS,
     SimpleType,
-    annihilator_in_center,
     build_datum,
     center,
     center_element_from_coords,
-    Weight,
 )
 
 @dataclass(frozen=True)
@@ -144,7 +142,10 @@ class SemisimpleModel:
             raise ValueError("kernel must be a subgroup of the center")
 
 
-@lru_cache(maxsize=None)
+# The model caches are bounded, like build_datum's: a deck of semisimple
+# reports keeps under 200 models warm, and a stream of unique torus models
+# must not grow the process without end.
+@lru_cache(maxsize=1024)
 def _gluing(model: ReductiveModel) -> FgAbGroup:
     """Abstract type of the gluing subgroup, spanned inside
     Z(S_sc) x (Z/N)^r by the model's gluing generators."""
@@ -181,7 +182,7 @@ def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHo
     return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     """Kernel of the gluing subgroup's torus projection, as a subgroup of
     the center of S_sc: the center parts of the combinations of the gluing
@@ -228,53 +229,6 @@ def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
 # ---------------------------------------------------------------------------
 # presets
 
-def _vector_rep_weights(kind: int, datum: RootDatumSS):
-    """Weight basis of the standard orthogonal representation of SO(n),
-    written in fundamental-weight coordinates of Spin(n)'s type."""
-    m = datum.rank
-    fam = datum.factors[0].family if datum.factors else None
-    if kind == 3:  # Spin(3) = SL2, vector rep = adjoint
-        return [Weight(datum, (2,))]
-    if kind == 4:  # Spin(4) = SL2 x SL2
-        return [Weight(datum, (1, 1)), Weight(datum, (-1, 1))]
-    if kind == 6:  # Spin(6) = SL4, e-basis through the exterior square
-        return [Weight(datum, (0, 1, 0)), Weight(datum, (1, -1, 1)), Weight(datum, (-1, 0, 1))]
-    if fam == "B":
-        out = []
-        for i in range(m - 1):
-            coords = [0] * m
-            coords[i] = 1
-            if i:
-                coords[i - 1] = -1
-            out.append(Weight(datum, coords))
-        last = [0] * m
-        last[m - 1] = 2
-        if m >= 2:
-            last[m - 2] = -1
-        out.append(Weight(datum, last))
-        return out
-    if fam == "D":
-        out = []
-        for i in range(m - 2):
-            coords = [0] * m
-            coords[i] = 1
-            if i:
-                coords[i - 1] = -1
-            out.append(Weight(datum, coords))
-        second = [0] * m
-        second[m - 1] = 1
-        second[m - 2] = 1
-        if m >= 3:
-            second[m - 3] = -1
-        out.append(Weight(datum, second))
-        last = [0] * m
-        last[m - 1] = 1
-        last[m - 2] = -1
-        out.append(Weight(datum, last))
-        return out
-    raise ValueError("no vector representation table for this datum")
-
-
 def _spin_datum(n: int) -> RootDatumSS:
     if n == 3:
         return build_datum((SimpleType("A", 1),))
@@ -289,6 +243,23 @@ def _spin_datum(n: int) -> RootDatumSS:
     return build_datum((SimpleType("D", n // 2),))
 
 
+def _so_kernel_generator(n: int, datum: RootDatumSS) -> tuple:
+    """Dual coordinates of the generator of ker(Spin(n) -> SO(n)): the
+    central element of order 2 that pairs trivially with the P/Q class of
+    the vector representation's weights.  A cyclic center (Z/2 for B_m and
+    A1, Z/4 for odd D_m and A3) has one element of order 2, d/2.  On
+    (Z/2)^2 (even D_m, and A1 x A1 for n = 4) it is the nonzero element
+    orthogonal mod 2 to the vector class (c0, c1), namely (c1, c0); that
+    class is omega_1's, column 0 of pq_proj, or omega_1 + omega_1' for
+    A1 x A1."""
+    orders = datum.pq_group.invariant_factors
+    if len(orders) == 1:
+        return (orders[0] // 2,)
+    proj = datum.pq_proj.matrix
+    c0, c1 = proj.column(0) if n > 4 else map(sum, zip(proj.column(0), proj.column(1)))
+    return (c1 % 2, c0 % 2)
+
+
 def _torus_model(rank: int, name: str) -> ReductiveModel:
     return ReductiveModel(ss=build_datum(()), torus_rank=rank, gluing=(), unipotent_dim=0, name=name)
 
@@ -298,9 +269,12 @@ def preset(name: str) -> ReductiveModel:
 
     Low-rank orthogonal and symplectic groups are expressed through the
     isomorphic type respecting the rank bounds (Spin(6) as A3, Sp(4) as B2,
-    and so on); the SO(n) kernel inside the center of Spin(n) is computed as
-    the annihilator of the vector-representation weight lattice, never
-    hard-coded.
+    and so on).  Every kernel is read off in closed form: the generator of
+    the center for PGL(n), and for SO(n) the central element of order 2 of
+    Spin(n) that pairs trivially with the vector representation's weights,
+    taken in O(1) from the P/Q class of omega_1 (``_so_kernel_generator``).
+    ``tests/oracles.py`` keeps the annihilator of the vector-representation
+    weights as the reference.
     """
     text = name.strip()
     match = re.fullmatch(r"(SL|GL|PGL|SO|Spin|Sp)\((\d+)\)", text)
@@ -338,9 +312,5 @@ def preset(name: str) -> ReductiveModel:
     datum = _spin_datum(num)
     if kind == "Spin":
         return ReductiveModel(datum, 0, (), 0, name=text)
-    kernel = annihilator_in_center(datum, _vector_rep_weights(num if num in (3, 4, 6) else 0, datum))
-    pairs = []
-    for p in range(kernel.computed.ngens):
-        elem = kernel.inclusion(kernel.computed.generator(p))
-        pairs.append(GluingPair(center_element_from_coords(datum, elem.coords), ()))
-    return ReductiveModel(datum, 0, tuple(pairs), 0, name=text)
+    cgen = center_element_from_coords(datum, _so_kernel_generator(num, datum))
+    return ReductiveModel(datum, 0, (GluingPair(cgen, ()),), 0, name=text)

@@ -32,7 +32,9 @@ against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion
 6; the weight table in ``TestWeightTable``.
 
 The weight table is one ``rootdata.restriction_matrix`` of the kernel: row
-i's restriction is column i, so the table builds no per-weight pairing.
+i's weight is the unit vector e_i (``rootdata.fundamental_weight``, built
+without per-row validation) and its restriction is column i, so the table
+builds no per-weight pairing and takes no normal form.
 """
 
 from __future__ import annotations
@@ -132,15 +134,10 @@ def weight_brauer_table(sm: SemisimpleModel):
     ``tests/test_invariants.py::TestWeightTable::test_restrictions_surject_and_kernel_index``.
     """
     datum = sm.datum
-    labels = datum.node_labels()
     dual = sm.kernel.computed
     restrictions = restriction_matrix(datum, sm.kernel)
     rows = []
-    for i in range(datum.rank):
+    for i, label in enumerate(datum.node_labels()):
         restriction = dual.element(restrictions.column(i))
-        rows.append(
-            WeightBrauerRow(
-                weight=fundamental_weight(datum, i), node=labels[i], restriction=restriction, brauer_class=restriction
-            )
-        )
+        rows.append(WeightBrauerRow(fundamental_weight(datum, i), label, restriction, restriction))
     return rows

@@ -22,7 +22,10 @@ Restriction of weights to a central subgroup is linear, so it is one
 integer matrix (:func:`restriction_matrix`, one row per canonical generator
 of the subgroup, one column per fundamental weight), built once per
 subgroup by the integer pairing formula of docs/conventions.md; the weight
-Brauer table reads its columns.
+Brauer table reads its columns.  The weight of the table's row i is the
+unit vector e_i, which ``fundamental_weight`` builds directly, skipping the
+O(rank) validation of ``Weight``; ``Weight.pq_class`` applies ``pq_proj``'s
+matrix to the coordinates.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class RootDatumSS:
         return " x ".join(str(t) for t in self.factors) if self.factors else "(trivial)"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_datum(factors: tuple) -> RootDatumSS:
     """Assemble the root datum of a (possibly empty) product of simple types."""
     factors = tuple(factors)
@@ -176,13 +179,19 @@ class Weight:
         return Weight(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def pq_class(self) -> AbElement:
-        return self.datum.pq_proj(FgAbGroup(self.datum.rank, ()).element(self.coords))
+        datum = self.datum
+        return datum.pq_group.element(datum.pq_proj.matrix.apply(self.coords))
 
 
 def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
-    coords = [0] * datum.rank
-    coords[index] = 1
-    return Weight(datum, tuple(coords))
+    """The unit vector e_index.  Its coordinates are integers of the datum's
+    rank by construction, so it skips ``Weight.__post_init__``."""
+    rank = datum.rank
+    index = range(rank)[index]
+    weight = object.__new__(Weight)
+    object.__setattr__(weight, "datum", datum)
+    object.__setattr__(weight, "coords", (0,) * index + (1,) + (0,) * (rank - index - 1))
+    return weight
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@
   it.  A pushout reads each gluing generator's coordinates in Gamma by
   ``preimage_of`` on the span's inclusion, so the span keeps no projection
   for it.
+* The kernel of Spin(n) -> SO(n) as the annihilator of the vector
+  representation's weights (``so_kernel_generators``), the route that
+  ``homspace.groups.preset`` replaced by a closed form.
 * Weight restriction to a central subgroup and the character lattice of
   the quotient, both read off ``homspace.rootdata.restriction_matrix``; no
   query needs either.
@@ -72,9 +75,16 @@ from homspace.abgroups import (
     subgroup_from_generators,
 )
 from homspace.extensions import Character, ExtensionData
-from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel
+from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
-from homspace.rootdata import CenterElement, RootDatumSS, Weight, center_element_from_coords, restriction_matrix
+from homspace.rootdata import (
+    CenterElement,
+    RootDatumSS,
+    Weight,
+    annihilator_in_center,
+    center_element_from_coords,
+    restriction_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +398,66 @@ def dual_coords_by_fractions(elem: CenterElement) -> tuple:
     """Coordinates of a center element over the dual generators of P/Q,
     each pairing value times its generator order by Fraction arithmetic."""
     return tuple(int(v * d) % d for v, d in zip(elem.values, elem.datum.pq_group.invariant_factors))
+
+
+# ---------------------------------------------------------------------------
+# presets
+
+
+def vector_rep_weights(n: int, datum: RootDatumSS):
+    """Weight basis of the standard orthogonal representation of SO(n),
+    written in fundamental-weight coordinates of Spin(n)'s type."""
+    m = datum.rank
+    fam = datum.factors[0].family if datum.factors else None
+    if n == 3:  # Spin(3) = SL2, vector rep = adjoint
+        return [Weight(datum, (2,))]
+    if n == 4:  # Spin(4) = SL2 x SL2
+        return [Weight(datum, (1, 1)), Weight(datum, (-1, 1))]
+    if n == 6:  # Spin(6) = SL4, e-basis through the exterior square
+        return [Weight(datum, (0, 1, 0)), Weight(datum, (1, -1, 1)), Weight(datum, (-1, 0, 1))]
+    if fam == "B":
+        out = []
+        for i in range(m - 1):
+            coords = [0] * m
+            coords[i] = 1
+            if i:
+                coords[i - 1] = -1
+            out.append(Weight(datum, coords))
+        last = [0] * m
+        last[m - 1] = 2
+        if m >= 2:
+            last[m - 2] = -1
+        out.append(Weight(datum, last))
+        return out
+    if fam == "D":
+        out = []
+        for i in range(m - 2):
+            coords = [0] * m
+            coords[i] = 1
+            if i:
+                coords[i - 1] = -1
+            out.append(Weight(datum, coords))
+        second = [0] * m
+        second[m - 1] = 1
+        second[m - 2] = 1
+        if m >= 3:
+            second[m - 3] = -1
+        out.append(Weight(datum, second))
+        last = [0] * m
+        last[m - 1] = 1
+        last[m - 2] = -1
+        out.append(Weight(datum, last))
+        return out
+    raise ValueError("no vector representation table for this datum")
+
+
+def so_kernel_generators(n: int) -> list:
+    """Dual coordinates of the canonical generators of ker(Spin(n) ->
+    SO(n)) as the annihilator of the vector representation's weights, the
+    route ``homspace.groups.preset`` took before its closed form."""
+    datum = _spin_datum(n)
+    kernel = annihilator_in_center(datum, vector_rep_weights(n, datum))
+    return [kernel.inclusion(kernel.computed.generator(p)).coords for p in range(kernel.computed.ngens)]
 
 
 # ---------------------------------------------------------------------------

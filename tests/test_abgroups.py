@@ -20,7 +20,7 @@ from homspace.abgroups import (
     subgroup_from_generators,
 )
 from homspace.extensions import Character
-from homspace.intlinalg import IntMatrix
+from homspace.intlinalg import IntMatrix, smith_normal_form
 from oracles import (
     all_characters,
     character_from_dual_element,
@@ -380,3 +380,15 @@ class TestDirectSum:
         assert direct_sum_canonical(1, [2, 4]) == FgAbGroup(1, (2, 4))
         assert direct_sum_canonical(0, [6, 4]) == FgAbGroup(0, (2, 12))
         assert direct_sum_canonical(2, []) == FgAbGroup(2, ())
+
+    def test_pairwise_gcd_lcm_is_the_smith_form(self):
+        # the invariant factors of a diagonal matrix, against its Smith form
+        rng = random.Random(16)
+        for _ in range(500):
+            choices = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 36, 97, 128)
+            orders = [rng.choice(choices) for _ in range(rng.randint(0, 7))]
+            free = rng.randint(0, 2)
+            diagonal = smith_normal_form(IntMatrix.diagonal(orders)).diagonal()
+            assert direct_sum_canonical(free, orders) == FgAbGroup(free, tuple(d for d in diagonal if d > 1)), orders
+        with pytest.raises(ValueError):
+            direct_sum_canonical(0, [2, 0])

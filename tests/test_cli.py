@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,6 +133,38 @@ class TestFractionReader:
         # Fraction(text) computes 10**exponent: keep exponents short
         assume(not re.search(r"e[-+]?[\d_]{4,}", text))
         assert_reads_like_fraction(text)
+
+    @pytest.mark.parametrize(
+        "text, expected", [("1e-99999999", "E_LIMIT"), ("0e-99999999", Fraction(0)), ("1e99999999", "E_FRACTION")]
+    )
+    def test_long_exponents_answer_at_once(self, text, expected, tmp_path):
+        # Fraction(text) would raise 10 to the exponent: a 330-million-bit
+        # power for the first and last spelling
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            try:
+                value = _parse_fraction(text, "/x")
+            except CliError as exc:
+                assert exc.where == "/x"
+                value = exc.code
+            assert time.perf_counter() - start < 0.1
+            assert value == expected
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"torus_rank": 1, "gluing": [{"center": [], "torus": [text]}]}))
+            for argv, where in (
+                (["describe", "--json", "--spec", str(spec)], "/gluing/0/torus/0"),
+                (["ext", "--json", "--group", "2", "--char", text], "--char"),
+            ):
+                code, out, err = invoke(argv)
+                if expected == 0:
+                    assert code == 0, err
+                else:
+                    assert (code, out) == (1, "")
+                    assert err.startswith(f"error[{expected}] at {where}: "), err
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_digit_limit_is_a_limit_at_the_json_path(self, tmp_path):
         saved = sys.get_int_max_str_digits()
@@ -478,6 +511,43 @@ class TestCommands:
                 assert code == 0, err
                 assert len(calls) == 1, (command, name)
 
+    def test_warm_semisimple_queries_take_no_normal_form(self, monkeypatch, tmp_path):
+        # once the caches are warm, a semisimple report is one restriction
+        # matrix and its text: no Smith form, no solution lattice, and no
+        # Weight validated per row
+        import homspace.abgroups as abmod
+        import homspace.intlinalg as linmod
+        from homspace.rootdata import Weight
+
+        spec = tmp_path / "a2x4.json"
+        spec.write_text(json.dumps({
+            "semisimple": [{"family": "A", "rank": 2}] * 4,
+            "gluing": [{"center": [1, 2, 0, 1], "torus": []}, {"center": [0, 1, 1, 0], "torus": []}],
+        }))
+        queries = [["invariants", "--json", "--preset", f"{kind}(128)"] for kind in ("SO", "SL", "PGL", "Sp", "Spin")]
+        queries.append(["weights", "--json", "--spec", str(spec)])
+        for argv in queries:
+            assert invoke(argv)[0] == 0
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (abmod, linmod):
+            for name in ("_snf_transform", "solution_lattice"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(Weight, "__post_init__", counting("Weight.__post_init__", Weight.__post_init__))
+        for argv in queries:
+            code, out, err = invoke(argv)
+            assert code == 0, err
+            assert json.loads(out)
+        assert calls == []
+
     def test_no_query_takes_the_exact_lattice_route(self, monkeypatch, tmp_path):
         # every solution lattice a query builds has a modulus: no order is 0,
         # so no Hermite elimination runs without one
@@ -807,16 +877,47 @@ _JSON_VALUES = st.recursive(
 )
 
 
+class _Flag(IntEnum):
+    ON = 1
+
+
 class TestJsonWriter:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_JSON_VALUES)
     def test_bytes_equal_json_dumps_indent_2(self, value):
         assert json_text(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, [0, 1.0], {"a": [{"b": Fraction(1, 3)}]}, {1: 2}])
+    @pytest.mark.parametrize("value", [[True, 1], [1, True], (7,), [[], [0]], [-3, 0, 2**100], 5, "x", False, None])
+    def test_int_list_path_edges(self, value):
+        # all-int lists and tuples print through one repr; bools keep the
+        # general path, and a one-tuple's repr has a trailing comma
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, [0, 1.0], {"a": [{"b": Fraction(1, 3)}]}, {1: 2}, [_Flag.ON], [0, _Flag.ON]],
+    )
     def test_other_types_raise(self, value):
+        # an int subclass such as an IntEnum member is not an int here
         with pytest.raises(TypeError):
             json_text(value)
+
+    def test_int_past_the_digit_limit_raises_value_error(self, tmp_path):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            value = [1, 10**5000]
+            with pytest.raises(ValueError):
+                json.dumps(value, indent=2)
+            with pytest.raises(ValueError):
+                json_text(value)
+            spec = tmp_path / "big.json"
+            spec.write_text(json.dumps(DIGIT_LIMIT_SPEC))
+            code, out, err = invoke(["invariants", "--json", "--spec", str(spec)])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E_LIMIT] at --spec: "), err
 
 
 class TestInternalErrorPath:

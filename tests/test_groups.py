@@ -38,6 +38,7 @@ from oracles import (
     pi1_extension,
     psi_character_map,
     semisimple_as_reductive,
+    so_kernel_generators,
 )
 
 
@@ -433,6 +434,54 @@ class TestPresets:
     def test_trivial_groups(self):
         assert pi1(preset("SL(1)")) == TRIVIAL_GROUP
         assert pi1(preset("GL(1)")) == Z
+
+    def test_so_kernel_closed_form_is_the_annihilator(self):
+        # the closed-form generator against the annihilator of the vector
+        # representation's weights, on every type Spin(n) takes: A1, A1 x A1,
+        # B2, A3, then B_m and D_m of both parities
+        for n in range(3, 131):
+            model = preset(f"SO({n})")
+            assert [pair.center.dual_coords() for pair in model.gluing] == so_kernel_generators(n), n
+            assert pi1(model) == cyclic(2), n
+
+
+class TestCacheBounds:
+    CACHES = (groups.build_datum, groups._gluing, groups._derived_kernel)
+
+    def test_unique_models_stay_within_maxsize(self):
+        # twice each cache's size of distinct keys: distinct data from pairs
+        # of small types, distinct torus models from their denominators
+        for cache in self.CACHES:
+            cache.cache_clear()
+        types = [SimpleType(f, r) for f, r in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))]
+        types += [SimpleType("A", r) for r in range(4, 21)]
+        pairs = [(a, b) for a in types for b in types]
+        datum_size = groups.build_datum.cache_info().maxsize
+        assert len(pairs) >= 2 * datum_size
+        for factors in pairs[: 2 * datum_size]:
+            build_datum(factors)
+        model_size = max(groups._gluing.cache_info().maxsize, groups._derived_kernel.cache_info().maxsize)
+        trivial = build_datum(())
+        for k in range(2, 2 + 2 * model_size):
+            pair = GluingPair(center_element_from_coords(trivial, ()), (Fraction(1, k),))
+            model = ReductiveModel(ss=trivial, torus_rank=1, gluing=(pair,))
+            assert pi1(model) == Z and gluing_order(model) == k
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize, info
+
+    def test_repeated_presets_hit(self):
+        names = [f"{kind}({n})" for kind in ("SL", "PGL", "SO", "Sp", "Spin") for n in (4, 8, 16, 64, 128)]
+        for cache in self.CACHES:
+            cache.cache_clear()
+        for name in names:
+            derived_subgroup(preset(name))
+        misses = [cache.cache_info().misses for cache in self.CACHES]
+        for name in names:
+            derived_subgroup(preset(name))
+        assert [cache.cache_info().misses for cache in self.CACHES] == misses
+        assert groups.build_datum.cache_info().hits >= len(names)
+        assert groups._derived_kernel.cache_info().hits == len(names)
 
 
 class TestPresentationIndependence:
