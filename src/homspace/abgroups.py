@@ -18,22 +18,20 @@ Subgroup, kernel and Hom/Ext computations all reduce to Smith and Hermite
 normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
 ``{x : f(x) = 0}`` (:func:`preimage_lattice`) and the relations of a span
 are the Hermite bases of ``intlinalg.solution_lattice``, built modulo the
-exponent of the target group when that group is finite.
-Preimages of single elements (:func:`preimage_of`) are computed here and
-only here, and every Smith quotient goes through one helper, which asks
-the Smith loop for the row transform U and its inverse only as needed.  A
-subgroup's inclusion (:func:`subgroup_from_generators`) is all its callers
-read, so it takes U^-1 alone; a presentation's projection reads U, an
-extension's injection U and its projection U^-1, and the bare type of a
+exponent of the target group when that group is finite, and every Smith
+quotient goes through one helper, which asks the Smith loop for the row
+transform U or its inverse only as needed.  A subgroup's inclusion
+(:func:`subgroup_from_generators`) is all its callers read, so it takes
+U^-1 alone; a presentation's projection reads U, and the bare type of a
 span (:func:`span_group`) takes neither.  A direct sum of cyclic groups
 (:func:`direct_sum_canonical`) is canonicalized by pairwise gcd and lcm,
-with no Smith form.  An extension 0 -> Z^r -> E -> Gamma -> 0 of a finite
-group (the middle group of ``ext --char``) is presented by Z^r and one
-lift per generator of Gamma (:func:`extension_from_lifts`), never as a
-span over a free ambient, so no query reaches the exact, unmodded route of
-``solution_lattice``.  Other modules state such problems as homomorphisms
-and never call ``solution_lattice``, ``solve_integer`` or
-``_snf_transform`` themselves.
+with no Smith form.  Homs into (Z/n)^m (``_mod_n_hom``) state the torus
+and character conditions of ``groups`` and ``extensions`` as kernels,
+every order nonzero, so no query reaches the exact, unmodded route of
+``solution_lattice``.  Other modules state their problems as homomorphisms
+and never call ``solution_lattice`` or ``_snf_transform`` themselves.
+Preimages of single elements and extensions realized by generator lifts
+are test oracles (``tests/oracles.py``): no query reads either.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import IntMatrix, solution_lattice, solve_integer, _snf_transform
+from .intlinalg import IntMatrix, solution_lattice, _snf_transform
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,6 @@ class AbElement:
         return n
 
 
-def _relation_columns(orders: Sequence[int]) -> IntMatrix:
-    """Columns spanning the relations of cyclic coordinates of the given
-    orders (0 marks a free coordinate)."""
-    n = len(orders)
-    cols = []
-    for i, o in enumerate(orders):
-        if o:
-            col = [0] * n
-            col[i] = o
-            cols.append(col)
-    return IntMatrix.from_columns(cols, rows=n)
-
-
 class AbHom:
     """Homomorphism between canonical groups, as a matrix on generator
     coordinates (columns indexed by domain generators)."""
@@ -297,29 +282,6 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     return group, proj
 
 
-def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[Sequence[int]]):
-    """The extension 0 -> Z^rank -> E -> gamma -> 0 of a finite canonical
-    ``gamma`` in which a lift s_p of the canonical generator of order d_p
-    satisfies d_p * s_p = ``lift_multiples[p]``, a vector of Z^rank.
-
-    E is presented by the generators (e_1, ..., e_rank, s_1, ..., s_k) and
-    the k relations d_p * s_p - sum_i lift_multiples[p][i] * e_i (Brown,
-    GTM 87, IV.3), and one Smith quotient gives it.  Returns E, the
-    injection of Z^rank, read off the Smith row transform U, and the
-    projection onto gamma, read off U^-1."""
-    k = gamma.ngens
-    cols = [
-        [-x for x in mult] + [d if q == p else 0 for q in range(k)]
-        for p, (d, mult) in enumerate(zip(gamma.invariant_factors, lift_multiples))
-    ]
-    middle, u, uinv, positions = _smith_quotient(
-        IntMatrix.from_columns(cols, rows=rank + k), want_u=True, want_uinv=True
-    )
-    inject = IntMatrix.from_rows([u.row(p)[:rank] for p in positions], cols=rank)
-    project = IntMatrix.from_rows([[uinv[rank + q, p] for p in positions] for q in range(k)], cols=middle.ngens)
-    return middle, AbHom(FgAbGroup(rank, ()), middle, inject), AbHom(middle, gamma, project)
-
-
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
     """The span of ``gens``: the generators' columns modulo their relation
     lattice, one Smith quotient whose U^-1 gives the inclusion."""
@@ -332,24 +294,19 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
     return SubgroupPresentation(ambient=ambient, computed=group, inclusion=AbHom(group, ambient, incl))
 
 
+def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHom:
+    """The hom from ``domain`` to (Z/n)^len(rows) with the given matrix
+    rows; for n == 1 the codomain is trivial."""
+    rows = [list(row) for row in rows] if n > 1 else []
+    return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
+
+
 def preimage_lattice(f: AbHom) -> IntMatrix:
     """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
     the codomain}``, x read as coordinates over the domain's generators.
     It contains the domain's relations, because f is well defined, and
     Z^ngens modulo it is isomorphic to the image of f."""
     return solution_lattice(f.matrix, f.codomain.orders)
-
-
-def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
-    """One element of the domain that f maps to ``elem``, or None when
-    ``elem`` lies outside the image."""
-    if elem.group != f.codomain:
-        raise ValueError("element not in the codomain")
-    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
-    sol = solve_integer(big, elem.coords)
-    if sol is None:
-        return None
-    return AbElement(f.domain, sol[: f.domain.ngens])
 
 
 def kernel_of(f: AbHom) -> SubgroupPresentation:

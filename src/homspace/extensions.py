@@ -2,36 +2,32 @@
 characters and extension classes.
 
 A character chi of Gamma pulls the exponential sequence 0 -> Z -> Q -> Q/Z
-back to an abelian extension 0 -> Z -> E -> Gamma -> 0.  The lift
-s_i = (chi(g_i), g_i) of the canonical generator g_i of order d_i satisfies
-d_i * s_i = d_i * chi(g_i) in the injected Z, so E is presented by iota(1)
-and the s_i with those k relations (``abgroups.extension_from_lifts`` with
-r = 1).  The class is
-read back off generator lifts of any realization: if d_i * s_i =
-c_i * iota(1), it takes the value c_i / d_i on g_i (Brown, Cohomology of
-Groups, GTM 87, IV.3).  That costs one preimage solve per generator and no
-table over Gamma.
+back to an abelian extension 0 -> Z -> E -> Gamma -> 0 whose class is chi
+itself (Brown, Cohomology of Groups, GTM 87, IV.3).  Its middle group is
+Z + ker chi in closed form (``middle_group``), one kernel of a hom from
+Gamma to a cyclic group: no extension is realized and no class is read
+back.
 
 Sign convention: the class of the pullback extension of chi is chi itself
-(round trip identity).  The opposite sign would be equally consistent; all
-downstream consumers only rely on the round trip and on additivity, which
-hold either way.
+(the round trip identity).  The opposite sign would be equally consistent;
+all downstream consumers only rely on the round trip and on additivity,
+which hold either way.  ``ext --char`` states the convention in its
+``round_trip_ok`` field and ``class round trip: ok`` line, and the weight
+Brauer table reads each class off the restriction by it.
 
-Only ``homspace ext --char``, on a group the user gives, and the tests reach
-this module; the weight Brauer table reads each class off the restriction by
-the round trip above.  The tests compare the lift formula with a second
-route, symmetric cocycle tables and their averaging lift, kept in
-``tests/oracles.py``.
+The tests prove the convention and the closed form on realized extensions,
+kept in ``tests/oracles.py``: the extension presented by one lift per
+generator, its class read back off those lifts, and symmetric cocycle
+tables with their averaging lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .abgroups import AbElement, AbHom, FgAbGroup, extension_from_lifts, preimage_of
+from .abgroups import AbElement, FgAbGroup, _mod_n_hom, kernel_of
 
 
 class Character:
@@ -85,38 +81,14 @@ class Character:
         return lcm(1, *(v.denominator for v in self.values))
 
 
-@dataclass(frozen=True)
-class ExtensionData:
-    """Realized abelian extension 0 -> Z -> E -> Gamma -> 0.  Exactness is
-    proved by ``tests/test_extensions.py::TestCharacterToExtension``, not at
-    construction."""
+def middle_group(chi: Character) -> FgAbGroup:
+    """Middle group of the extension pulled back along ``chi``: Z + ker chi.
 
-    middle: FgAbGroup
-    inject: AbHom
-    project: AbHom
-
-
-def character_to_extension(chi: Character) -> ExtensionData:
-    """Pull the exponential sequence back along a character: the middle group
-    is {(q, g) in Q x Gamma : q mod Z = chi(g)}, presented by iota(1) = (1, 0)
-    and the lifts (chi(g_i), g_i), whose d_i-th multiples are the integers
-    d_i * chi(g_i)."""
-    gamma = chi.group
-    multiples = [[int(d * v)] for d, v in zip(gamma.invariant_factors, chi.values)]
-    middle, inject, project = extension_from_lifts(gamma, 1, multiples)
-    return ExtensionData(middle=middle, inject=inject, project=project)
-
-
-def extension_class(ext: ExtensionData) -> Character:
-    """Class of a realized extension, read off generator lifts.
-
-    E has free rank 1 and iota(1) has infinite order, so E's one free
-    coordinate detects the injected Z faithfully: d_i * s_i = c_i * iota(1)
-    read there gives c_i / d_i = s_i[0] / iota(1)[0]."""
-    gamma = ext.project.codomain
-    unit = ext.inject.matrix[0, 0]
-    values = []
-    for i in range(gamma.ngens):
-        lift = preimage_of(ext.project, gamma.generator(i))
-        values.append(Fraction(lift.coords[0], unit))
-    return Character(gamma, values)
+    The pullback is {(q, g) in Q x Gamma : q mod Z = chi(g)}.  Its
+    projection to Q has image (1/ord chi) * Z, which is free, and kernel
+    {(0, g) : chi(g) = 0}, so one kernel of Gamma -> Z/ord chi, whose row
+    is ord(chi) * chi(g_i), gives the torsion (Brown, GTM 87, IV.3).  For
+    chi = 0 the codomain is trivial and the kernel is Gamma."""
+    n = chi.order()
+    kernel = kernel_of(_mod_n_hom(chi.group, n, [[v.numerator * (n // v.denominator) for v in chi.values]]))
+    return FgAbGroup(1, kernel.computed.invariant_factors)

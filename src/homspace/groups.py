@@ -36,10 +36,10 @@ no cache lookup or query does ``Fraction`` arithmetic.
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
 inside Z^r x Z(S_sc), and the extension presented by Z^r and one lift of each
-canonical generator of Gamma (``abgroups.extension_from_lifts``), Gamma
-spanned there with its inclusion by a reference route of its own.  They are
-compared with ``pi1`` in ``tests/test_groups.py::TestPi1`` and acceptance
-criterion 6, not on every query.
+canonical generator of Gamma (``pi1_extension``), Gamma spanned there with
+its inclusion by a reference route of its own.  They are compared with
+``pi1`` in ``tests/test_groups.py::TestPi1`` and acceptance criteria 2 and
+6, not on every query.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .abgroups import (
-    AbHom,
     FgAbGroup,
     SubgroupPresentation,
+    _mod_n_hom,
     preimage_lattice,
     span_group,
     subgroup_from_generators,
@@ -173,13 +173,6 @@ def validate(model: ReductiveModel):
     certificates.append(f"gluing subgroup has exponent {group.exponent()}")
     certificates.append(f"unipotent dimension {model.unipotent_dim} is ignored by every invariant")
     return certificates
-
-
-def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHom:
-    """The hom from ``domain`` to (Z/n)^len(rows) with the given matrix
-    rows; for n == 1 the codomain is trivial."""
-    rows = [list(row) for row in rows] if n > 1 else []
-    return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
 
 
 @lru_cache(maxsize=1024)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms, kernels, solvers.
+"""Exact integer linear algebra: Smith/Hermite normal forms and kernels.
 
 Everything here runs on arbitrary-precision Python integers; there is no
 floating point and no fixed-width fast path.  Conventions are pinned so that
@@ -35,7 +35,9 @@ the Smith form's column operations act on ``V`` the same way.  On request
 the Smith loop also carries ``U^-1``: each row operation on ``U`` is applied
 to ``U^-1`` as its inverse column operation, so no second normal form
 inverts ``U``.  Each of ``U``, ``V`` and ``U^-1`` is built only when its
-caller asks for it.
+caller asks for it.  No query solves ``M x = b`` for a single right-hand
+side: that solver, a Smith form with both transforms, is a test oracle in
+``tests/oracles.py``.
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
@@ -503,26 +505,6 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     rows += [[o if i == k else 0 for k in range(n)] + [0] * s for i, o in enumerate(orders) if o]
     h = _hermite_rows(rows)
     return IntMatrix.from_rows([r[n:] for r in h if not any(r[:n]) and any(r[n:])], cols=s)
-
-
-def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """One integer solution of ``m @ x == b``, or None when none exists."""
-    if len(b) != m.rows:
-        raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
-    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
-    c = u.apply(b)
-    y = [0] * m.cols
-    limit = min(m.rows, m.cols)
-    for i in range(m.rows):
-        di = d[i, i] if i < limit else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    return v.apply(y)
 
 
 def parse_matrix_literal(text: str) -> IntMatrix:

@@ -127,10 +127,12 @@ def weight_brauer_table(sm: SemisimpleModel):
     The class lives in Ext^1(pi1(H), Z), realized as the dual of the kernel.
     By the round-trip sign convention of docs/conventions.md, the class of
     the extension pulled back along a character is that character, so each
-    class is the restriction itself.  The restrictions generate the full
-    dual, because P -> P/Q -> Hom(pi1(H), Q/Z) is onto; the weights pairing
-    trivially are exactly the characters of the quotient group.  Both facts,
-    and the cocycle round trip of every row, are checked by
+    class is the restriction itself, and no extension is realized.  The
+    restrictions generate the full dual, because P -> P/Q -> Hom(pi1(H),
+    Q/Z) is onto; the weights pairing trivially are exactly the characters
+    of the quotient group.  Both facts, and the round trip of every row
+    through the cocycle table of its realized extension (a test oracle),
+    are checked by
     ``tests/test_invariants.py::TestWeightTable::test_restrictions_surject_and_kernel_index``.
     """
     datum = sm.datum

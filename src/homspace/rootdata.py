@@ -42,8 +42,6 @@ from .abgroups import (
     FgAbGroup,
     SubgroupPresentation,
     from_presentation,
-    kernel_of,
-    subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
 
@@ -237,11 +235,6 @@ def center_element_from_coords(datum: RootDatumSS, coords: Sequence[int]) -> Cen
     return CenterElement(datum, tuple(Fraction(int(c) % d, d) for c, d in zip(coords, factors)))
 
 
-def full_center_subgroup(datum: RootDatumSS) -> SubgroupPresentation:
-    group = center(datum)
-    return subgroup_from_generators(group, [group.generator(i) for i in range(group.ngens)])
-
-
 def _check_center_subgroup(datum: RootDatumSS, sub: SubgroupPresentation):
     if sub.ambient != center(datum):
         raise ValueError("subgroup does not live in the center of this datum")
@@ -268,22 +261,3 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
         [[(s % big) * m // big for s in sums.row(p)] for p, m in enumerate(sub.computed.invariant_factors)],
         cols=datum.rank,
     )
-
-
-def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
-    """Subgroup of the center pairing trivially with every given weight."""
-    cgroup = center(datum)
-    classes = [w.pq_class() for w in weights]
-    classes = [c for c in classes if not c.is_identity]
-    if not classes:
-        return full_center_subgroup(datum)
-    d_orders = datum.pq_group.invariant_factors
-    big = lcm(*d_orders) if d_orders else 1
-    rows = []
-    for c in classes:
-        rows.append([(ci * (big // d)) % big for ci, d in zip(c.coords, d_orders)])
-    target = FgAbGroup(0, (big,) * len(classes)) if big >= 2 else FgAbGroup(0, ())
-    if target.is_trivial:
-        return full_center_subgroup(datum)
-    psi = AbHom(cgroup, target, IntMatrix.from_rows(rows, cols=cgroup.ngens))
-    return kernel_of(psi)

@@ -7,8 +7,9 @@ from itertools import product
 
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
-from homspace.intlinalg import IntMatrix, solution_lattice, solve_integer
+from homspace.intlinalg import IntMatrix, solution_lattice
 from homspace.rootdata import SimpleType, build_datum, center, center_element_from_coords
+from oracles import solve_integer
 
 
 def all_subgroups(group):
@@ -86,6 +87,20 @@ def small_groups(max_order):
             for chain in _chains(order, k):
                 groups.append(FgAbGroup(0, chain))
     return groups
+
+
+def random_chain(rng, k, max_ratio=10**4):
+    """Invariant factors d_1 | ... | d_k of a random finite group, d_1 and
+    each ratio d_(i+1) / d_i drawn below ``max_ratio`` (d_1 >= 2)."""
+    chain = [rng.randrange(2, max_ratio)]
+    while len(chain) < k:
+        chain.append(chain[-1] * rng.randrange(1, max_ratio))
+    return FgAbGroup(0, tuple(chain))
+
+
+def random_character_values(rng, group):
+    """One random character of a finite group, as values c_i / d_i."""
+    return tuple(Fraction(rng.randrange(d), d) for d in group.invariant_factors)
 
 
 def _chains(order, k, smallest=2):

@@ -1,14 +1,24 @@
 """Test-only oracles: slow second routes and helpers that no query reaches.
 
+* Realized extensions 0 -> Z^r -> E -> Gamma -> 0 of a finite group,
+  presented by Z^r and one lift per generator of Gamma in one Smith quotient
+  with U and U^-1 (``extension_from_lifts``); the pullback of a character
+  (``character_to_extension``), whose middle group
+  ``homspace.extensions.middle_group`` gives in closed form; and its class
+  read back off the generator lifts (``extension_class``), one
+  ``preimage_of`` per generator.  ``homspace ext --char`` realizes nothing:
+  the tests prove on these realizations the round trip that its
+  ``round_trip_ok`` field states.
 * Extension classes through symmetric 2-cocycle tables over Gamma: a
-  section of the projection gives a cocycle, and the averaging lift
+  section of the projection, built from the same generator lifts, gives a
+  cocycle, and the averaging lift
 
       f(g) = (1/|Gamma|) * sum_h c(g, h)
 
   satisfies f(a) + f(b) - f(a+b) = c(a, b) exactly, so f mod Z is the class.
-  ``homspace.extensions.extension_class`` reads the same class off generator
-  lifts; the tests compare the two.  Tables cost |Gamma|^2 cells, so this
-  route is for small groups only.
+  ``extension_class`` reads the same class off the lifts alone; the tests
+  compare the two.  Tables cost |Gamma|^2 cells, so this route is for small
+  groups only.
 * Two more routes to ``homspace.groups.pi1``, which reads pi1(H) as Z^r
   plus the kernel of the gluing group's torus projection.  ``_pi1_span`` is
   the span of N*e_i and of one lift of each of the model's own gluing
@@ -26,15 +36,18 @@
   ``preimage_of`` on the span's inclusion, so the span keeps no projection
   for it.
 * The kernel of Spin(n) -> SO(n) as the annihilator of the vector
-  representation's weights (``so_kernel_generators``), the route that
+  representation's weights (``so_kernel_generators``, through
+  ``annihilator_in_center`` and ``full_center_subgroup``), the route that
   ``homspace.groups.preset`` replaced by a closed form.
 * Weight restriction to a central subgroup and the character lattice of
   the quotient, both read off ``homspace.rootdata.restriction_matrix``; no
   query needs either.
 * Small homomorphism constructors, and verification tools that the library
   no longer exports: cokernels with their projection, image lattices and
-  the exactness test ``image(f) == kernel(g)``, and ``lattice_row_basis``,
-  the Hermite basis of a spanned lattice through ``intlinalg._hermite_rows``.
+  the exactness test ``image(f) == kernel(g)``, preimages of single
+  elements (``preimage_of``) by one Smith solve with U and V
+  (``solve_integer``), and ``lattice_row_basis``, the Hermite basis of a
+  spanned lattice through ``intlinalg._hermite_rows``.
 * The former formula of ``homspace.rootdata.CenterElement.dual_coords``,
   ``int(v * d) % d`` by ``Fraction`` arithmetic; the library reads the
   same integers off numerators and denominators.
@@ -67,21 +80,20 @@ from homspace.abgroups import (
     AbHom,
     FgAbGroup,
     SubgroupPresentation,
-    _relation_columns,
-    extension_from_lifts,
+    _smith_quotient,
     from_presentation,
+    kernel_of,
     preimage_lattice,
-    preimage_of,
     subgroup_from_generators,
 )
-from homspace.extensions import Character, ExtensionData
+from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
 from homspace.rootdata import (
     CenterElement,
     RootDatumSS,
     Weight,
-    annihilator_in_center,
+    center,
     center_element_from_coords,
     restriction_matrix,
 )
@@ -102,6 +114,28 @@ def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> Int
     equal lattices yield equal matrices."""
     h = _hermite_rows([list(v) for v in vectors])
     return IntMatrix.from_rows([r for r in h if any(r)], cols=ambient_dim)
+
+
+def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
+    """One integer solution of ``m @ x == b``, or None when none exists:
+    ``U m V = D`` turns the system into ``D y = U b``, solved entry by
+    entry, and x = V y."""
+    if len(b) != m.rows:
+        raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
+    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
+    c = u.apply(b)
+    y = [0] * m.cols
+    limit = min(m.rows, m.cols)
+    for i in range(m.rows):
+        di = d[i, i] if i < limit else 0
+        if di == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % di:
+                return None
+            y[i] = c[i] // di
+    return v.apply(y)
 
 
 def snf_kernel(m: IntMatrix) -> IntMatrix:
@@ -167,6 +201,32 @@ def hermite_mod_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatr
 # homomorphisms
 
 
+def _relation_columns(orders: Sequence[int]) -> IntMatrix:
+    """Columns spanning the relations of cyclic coordinates of the given
+    orders (0 marks a free coordinate)."""
+    n = len(orders)
+    cols = []
+    for i, o in enumerate(orders):
+        if o:
+            col = [0] * n
+            col[i] = o
+            cols.append(col)
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
+    """One element of the domain that f maps to ``elem``, or None when
+    ``elem`` lies outside the image: one ``solve_integer`` over the hom's
+    matrix and the codomain's relations."""
+    if elem.group != f.codomain:
+        raise ValueError("element not in the codomain")
+    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
+    sol = solve_integer(big, elem.coords)
+    if sol is None:
+        return None
+    return AbElement(f.domain, sol[: f.domain.ngens])
+
+
 def identity_hom(group: FgAbGroup) -> AbHom:
     return AbHom(group, group, IntMatrix.identity(group.ngens))
 
@@ -203,6 +263,75 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
 def is_surjective(f: AbHom) -> bool:
     group, _ = cokernel_of(f)
     return group.is_trivial
+
+
+# ---------------------------------------------------------------------------
+# realized extensions
+
+
+def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[Sequence[int]]):
+    """The extension 0 -> Z^rank -> E -> gamma -> 0 of a finite canonical
+    ``gamma`` in which a lift s_p of the canonical generator of order d_p
+    satisfies d_p * s_p = ``lift_multiples[p]``, a vector of Z^rank.
+
+    E is presented by the generators (e_1, ..., e_rank, s_1, ..., s_k) and
+    the k relations d_p * s_p - sum_i lift_multiples[p][i] * e_i (Brown,
+    GTM 87, IV.3), and one Smith quotient gives it.  Returns E, the
+    injection of Z^rank, read off the Smith row transform U, and the
+    projection onto gamma, read off U^-1."""
+    k = gamma.ngens
+    cols = [
+        [-x for x in mult] + [d if q == p else 0 for q in range(k)]
+        for p, (d, mult) in enumerate(zip(gamma.invariant_factors, lift_multiples))
+    ]
+    middle, u, uinv, positions = _smith_quotient(
+        IntMatrix.from_columns(cols, rows=rank + k), want_u=True, want_uinv=True
+    )
+    inject = IntMatrix.from_rows([u.row(p)[:rank] for p in positions], cols=rank)
+    project = IntMatrix.from_rows([[uinv[rank + q, p] for p in positions] for q in range(k)], cols=middle.ngens)
+    return middle, AbHom(FgAbGroup(rank, ()), middle, inject), AbHom(middle, gamma, project)
+
+
+@dataclass(frozen=True)
+class ExtensionData:
+    """Realized abelian extension 0 -> Z -> E -> Gamma -> 0.  Exactness is
+    proved by ``tests/test_extensions.py::TestCharacterToExtension``, not at
+    construction."""
+
+    middle: FgAbGroup
+    inject: AbHom
+    project: AbHom
+
+
+def character_to_extension(chi: Character) -> ExtensionData:
+    """Pull the exponential sequence back along a character: the middle group
+    is {(q, g) in Q x Gamma : q mod Z = chi(g)}, presented by iota(1) = (1, 0)
+    and the lifts (chi(g_i), g_i), whose d_i-th multiples are the integers
+    d_i * chi(g_i).  ``homspace.extensions.middle_group`` gives the same
+    middle group in closed form."""
+    gamma = chi.group
+    multiples = [[int(d * v)] for d, v in zip(gamma.invariant_factors, chi.values)]
+    middle, inject, project = extension_from_lifts(gamma, 1, multiples)
+    return ExtensionData(middle=middle, inject=inject, project=project)
+
+
+def generator_lifts(ext: ExtensionData) -> list:
+    """Coordinates in the middle group of one lift of each canonical
+    generator of Gamma, each a ``preimage_of`` under the projection."""
+    gamma = ext.project.codomain
+    lifts = [preimage_of(ext.project, gamma.generator(i)) for i in range(gamma.ngens)]
+    assert all(lift is not None for lift in lifts), "projection is surjective"
+    return [lift.coords for lift in lifts]
+
+
+def extension_class(ext: ExtensionData) -> Character:
+    """Class of a realized extension, read off generator lifts.
+
+    E has free rank 1 and iota(1) has infinite order, so E's one free
+    coordinate detects the injected Z faithfully: d_i * s_i = c_i * iota(1)
+    read there gives c_i / d_i = s_i[0] / iota(1)[0]."""
+    unit = ext.inject.matrix[0, 0]
+    return Character(ext.project.codomain, [Fraction(lift[0], unit) for lift in generator_lifts(ext)])
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +444,10 @@ def coboundary(group: FgAbGroup, lift_values: Sequence[int]) -> SymmetricCocycle
 
 def _section(ext: ExtensionData):
     """Set-theoretic section of the projection with s(0) = 0, tabulated over
-    the quotient's element enumeration."""
-    gamma = ext.project.codomain
-    elems, _ = _elements(gamma)
-    lifts = []
-    for i in range(gamma.ngens):
-        lift = preimage_of(ext.project, gamma.generator(i))
-        assert lift is not None, "projection is surjective"
-        lifts.append(lift.coords)
+    the quotient's element enumeration: sum_i c_i * s_i at the element of
+    coordinates c, the s_i the generator lifts."""
+    elems, _ = _elements(ext.project.codomain)
+    lifts = generator_lifts(ext)
     table = []
     for coords in elems:
         acc = [0] * ext.middle.ngens
@@ -449,6 +574,30 @@ def vector_rep_weights(n: int, datum: RootDatumSS):
         out.append(Weight(datum, last))
         return out
     raise ValueError("no vector representation table for this datum")
+
+
+def full_center_subgroup(datum: RootDatumSS) -> SubgroupPresentation:
+    group = center(datum)
+    return subgroup_from_generators(group, [group.generator(i) for i in range(group.ngens)])
+
+
+def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
+    """Subgroup of the center pairing trivially with every given weight."""
+    cgroup = center(datum)
+    classes = [w.pq_class() for w in weights]
+    classes = [c for c in classes if not c.is_identity]
+    if not classes:
+        return full_center_subgroup(datum)
+    d_orders = datum.pq_group.invariant_factors
+    big = lcm(*d_orders) if d_orders else 1
+    rows = []
+    for c in classes:
+        rows.append([(ci * (big // d)) % big for ci, d in zip(c.coords, d_orders)])
+    target = FgAbGroup(0, (big,) * len(classes)) if big >= 2 else FgAbGroup(0, ())
+    if target.is_trivial:
+        return full_center_subgroup(datum)
+    psi = AbHom(cgroup, target, IntMatrix.from_rows(rows, cols=cgroup.ngens))
+    return kernel_of(psi)
 
 
 def so_kernel_generators(n: int) -> list:

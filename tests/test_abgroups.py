@@ -16,7 +16,6 @@ from homspace.abgroups import (
     hom_group,
     kernel_of,
     preimage_lattice,
-    preimage_of,
     subgroup_from_generators,
 )
 from homspace.extensions import Character
@@ -32,6 +31,7 @@ from oracles import (
     is_surjective,
     lattice_row_basis,
     multiplication_hom,
+    preimage_of,
     zero_hom,
 )
 

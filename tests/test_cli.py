@@ -1,12 +1,15 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from enum import IntEnum
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import jsonschema
@@ -14,14 +17,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUOTIENT_SPECS
+from conftest import QUOTIENT_SPECS, random_chain, random_character_values
 from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
+from homspace.extensions import Character
 from homspace.groups import pi1, preset
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum
-from oracles import det, pi1_extension
+from oracles import character_to_extension, det, pi1_extension
 from test_acceptance import Budget
 
 REPO = Path(__file__).resolve().parents[1]
@@ -250,8 +254,8 @@ class TestCommands:
         assert "round trip: ok" in out
 
     def test_ext_char_beyond_any_table(self):
-        # 2^13 and 2^20 elements: the class is read off 13 and 20 generator
-        # lifts, never off a table over the group
+        # 2^13 and 2^20 elements: the middle group is one kernel of a hom
+        # to a cyclic group, never a table over the group
         for k in (13, 20):
             group = ",".join(["2"] * k)
             char = ",".join(["1/2", "0"] * (k // 2) + ["1/2"] * (k % 2))
@@ -262,6 +266,48 @@ class TestCommands:
             payload = json.loads(out)
             assert payload["round_trip_ok"] is True
             assert payload["middle_group"] == str(FgAbGroup(1, (2,) * (k - 1)))
+
+    @pytest.mark.parametrize("k", [12, 24, 48])
+    def test_ext_char_on_long_chains_answers_within_a_second(self, k):
+        # random divisibility chains with ratios below 10^4: reading the
+        # class back off a realized extension gave no answer within 40 s at
+        # k = 12.  The child process times the command itself, and the
+        # timeout fails the test instead of letting it hang.
+        rng = random.Random(k)
+        group = random_chain(rng, k)
+        values = random_character_values(rng, group)
+        argv = [
+            "ext", "--json",
+            "--group", ",".join(map(str, group.invariant_factors)),
+            "--char", ",".join(map(str, values)),
+        ]
+        child = (
+            "import io, json, sys, time\n"
+            "from homspace.cli import run\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "start = time.perf_counter()\n"
+            "code = run(sys.argv[1:], stdout=out, stderr=err)\n"
+            "seconds = time.perf_counter() - start\n"
+            "print(json.dumps({'code': code, 'seconds': seconds, 'out': out.getvalue(), 'err': err.getvalue()}))\n"
+        )
+        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True, text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path),
+        )
+        result = json.loads(proc.stdout)
+        assert result["code"] == 0, result["err"]
+        assert result["seconds"] < 1.0, result["seconds"]
+        payload = json.loads(result["out"])
+        assert payload["round_trip_ok"] is True
+        # Z + ker chi, and |ker chi| = |Gamma| / ord(chi)
+        free, *torsion = payload["middle_group"].split(" x ")
+        assert free == "Z^1"
+        assert prod(int(t[2:]) for t in torsion) * payload["character_order"] == group.order()
+        if k <= 24:
+            # the oracle's Smith form with U and U^-1 blows up on these
+            # chains at k = 48
+            assert payload["middle_group"] == str(character_to_extension(Character(group, values)).middle)
 
     def test_ext_bad_chain(self):
         code, _, err = invoke(["ext", "--group", "2,3"])

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_cocycle_classes, small_groups
+from conftest import count_cocycle_classes, random_chain, random_character_values, small_groups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z, kernel_of
-from homspace.extensions import Character, character_to_extension
+from homspace.extensions import Character, middle_group
 from oracles import (
     SymmetricCocycle,
     all_characters,
     are_equivalent,
     baer_sum,
+    character_to_extension,
     coboundary,
     cocycle_class,
     cocycle_of,
@@ -62,6 +63,36 @@ class TestCharacterToExtension:
                 assert kernel_of(ext.inject).computed.is_trivial
                 assert is_exact_at(ext.inject, ext.project)
                 assert is_surjective(ext.project)
+
+
+class TestMiddleGroup:
+    """``middle_group`` (Z + ker chi, one kernel) against the middle group
+    of the realized pullback extension (one Smith quotient of its lift
+    presentation, in ``tests/oracles.py``)."""
+
+    def test_examples(self):
+        assert middle_group(Character(cyclic(2), (Fraction(1, 2),))) == Z
+        assert middle_group(Character(cyclic(4), (Fraction(1, 2),))) == FgAbGroup(1, (2,))
+        assert middle_group(Character(FgAbGroup(0, (2, 4)), (Fraction(0), Fraction(0)))) == FgAbGroup(1, (2, 4))
+        assert middle_group(Character(TRIVIAL_GROUP, ())) == Z
+
+    def test_every_character_of_small_groups(self):
+        for group in small_groups(16):
+            for chi in all_characters(group):
+                assert middle_group(chi) == character_to_extension(chi).middle
+
+    def test_random_divisibility_chains(self):
+        # ratios below 10^4: realizing the extension takes a few ms here,
+        # while reading its class back would take about a second at k = 8
+        rng = random.Random(20261018)
+        for _ in range(400):
+            group = random_chain(rng, rng.randint(1, 8))
+            chi = Character(group, random_character_values(rng, group))
+            middle = middle_group(chi)
+            assert middle == character_to_extension(chi).middle
+            assert middle.free_rank == 1
+            # |ker chi| * ord(chi) = |Gamma|
+            assert FgAbGroup(0, middle.invariant_factors).order() * chi.order() == group.order()
 
 
 class TestCocycleClass:

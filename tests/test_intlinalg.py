@@ -17,9 +17,15 @@ from homspace.intlinalg import (
     parse_matrix_literal,
     smith_normal_form,
     solution_lattice,
+)
+from oracles import (
+    det,
+    hermite_mod_solution_lattice,
+    lattice_row_basis,
+    snf_kernel,
+    snf_solution_lattice,
     solve_integer,
 )
-from oracles import det, hermite_mod_solution_lattice, lattice_row_basis, snf_kernel, snf_solution_lattice
 
 
 def hermite(m):

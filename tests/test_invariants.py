@@ -9,7 +9,6 @@ from homspace.abgroups import (
     hom_group,
     subgroup_from_generators,
 )
-from homspace.extensions import character_to_extension
 from homspace.groups import ReductiveModel, SemisimpleModel, as_semisimple, preset, pi1
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import (
@@ -28,6 +27,7 @@ from homspace.rootdata import (
 from oracles import (
     character_from_dual_element,
     character_lattice_of_quotient,
+    character_to_extension,
     cocycle_class,
     cocycle_of,
     cokernel_of,

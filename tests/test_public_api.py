@@ -1,7 +1,8 @@
 """The public API is the README's "Public API" table.  Every public
 top-level name of a module in src/homspace is listed there or imported by
-another module of the package, every listed name exists, and the package
-imports nothing outside the standard library."""
+another module of the package, every listed name exists, the package
+imports nothing outside the standard library, and no query checks an
+identity at run time: the tests prove them instead."""
 
 import ast
 import re
@@ -84,3 +85,18 @@ def test_imports_stay_in_the_standard_library():
         if level == 0 and module.split(".")[0] not in sys.stdlib_module_names | {"homspace"}
     ]
     assert not outside
+
+
+def test_no_runtime_self_checks():
+    # an assert or a raise RuntimeError repeats at run time what a test
+    # should prove; input errors raise ValueError or CliError instead
+    found = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append(f"{name}.py:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    found.append(f"{name}.py:{node.lineno}: raise RuntimeError")
+    assert not found, found

@@ -11,20 +11,20 @@ from homspace.rootdata import (
     CenterElement,
     SimpleType,
     Weight,
-    annihilator_in_center,
     build_datum,
     cartan_matrix,
     center,
     center_element_from_coords,
-    full_center_subgroup,
     fundamental_weight,
     restriction_matrix,
 )
 from oracles import (
+    annihilator_in_center,
     character_from_dual_element,
     character_lattice_of_quotient,
     det,
     dual_coords_by_fractions,
+    full_center_subgroup,
     lattice_row_basis,
     restrict_weight,
 )
