@@ -19,10 +19,8 @@ import os
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional
 
 from . import __version__
 from .abgroups import FgAbGroup, ext1_z
@@ -39,7 +37,7 @@ from .groups import (
 )
 from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal_form
 from .invariants import invariant_report, weight_brauer_table
-from .rootdata import SimpleType, build_datum, center_element_from_coords
+from .rootdata import SimpleType, build_datum, center
 
 _CONVENTION_NOTES = (
     "simple types use Bourbaki node numbering (see docs/conventions.md)",
@@ -58,56 +56,6 @@ class CliError(Exception):
 
     def render(self) -> str:
         return f"error[{self.code}] at {self.where}: {self.message}"
-
-
-@dataclass(frozen=True)
-class GroupSpecDocument:
-    name: Optional[str]
-    preset: Optional[str]
-    semisimple: tuple
-    torus_rank: int
-    gluing: tuple  # raw (center coeff list, torus fraction strings) pairs
-    unipotent_dim: int
-
-    def to_model(self) -> ReductiveModel:
-        if self.preset is not None:
-            try:
-                return build_preset(self.preset)
-            except ValueError as exc:
-                raise CliError("E_PRESET", "/preset", str(exc)) from exc
-        try:
-            datum = build_datum(tuple(SimpleType(f, r) for f, r in self.semisimple))
-        except ValueError as exc:
-            raise CliError("E_SCHEMA", "/semisimple", str(exc)) from exc
-        pairs = []
-        orders = datum.pq_group.invariant_factors
-        for i, (coeffs, fractions) in enumerate(self.gluing):
-            if len(coeffs) != len(orders):
-                raise CliError(
-                    "E_SCHEMA",
-                    f"/gluing/{i}/center",
-                    f"expected {len(orders)} coefficients over the center generators, got {len(coeffs)}",
-                )
-            if len(fractions) != self.torus_rank:
-                raise CliError(
-                    "E_SCHEMA",
-                    f"/gluing/{i}/torus",
-                    f"expected {self.torus_rank} fractions, got {len(fractions)}",
-                )
-            torus = []
-            for j, text in enumerate(fractions):
-                torus.append(_parse_fraction(text, f"/gluing/{i}/torus/{j}"))
-            pairs.append(GluingPair(center_element_from_coords(datum, coeffs), tuple(torus)))
-        try:
-            return ReductiveModel(
-                ss=datum,
-                torus_rank=self.torus_rank,
-                gluing=tuple(pairs),
-                unipotent_dim=self.unipotent_dim,
-                name=self.name,
-            )
-        except ValueError as exc:
-            raise CliError("E_MODEL", "/", str(exc)) from exc
 
 
 def _parse_fraction(text, where: str) -> Fraction:
@@ -162,8 +110,11 @@ def _read_decimal(text: str):
 _DOC_KEYS = {"name", "preset", "semisimple", "torus_rank", "gluing", "unipotent_dim"}
 
 
-def parse_spec(text: str) -> GroupSpecDocument:
-    """Validate a group-spec JSON document; errors carry JSON paths."""
+def parse_spec(text: str) -> ReductiveModel:
+    """Read a group-spec JSON document into a model; errors carry JSON
+    paths.  Every check of the document's shape runs before any check of
+    the model it states, so a document with several faults reports the
+    first shape fault."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
@@ -198,10 +149,9 @@ def parse_spec(text: str) -> GroupSpecDocument:
         if not isinstance(fam, str) or not isinstance(rank, int) or isinstance(rank, bool):
             raise CliError("E_SCHEMA", f"/semisimple/{i}", "family must be a string and rank an integer")
         try:
-            SimpleType(fam, rank)
+            semisimple.append(SimpleType(fam, rank))
         except ValueError as exc:
             raise CliError("E_SCHEMA", f"/semisimple/{i}", str(exc)) from exc
-        semisimple.append((fam, rank))
 
     torus_rank = doc.get("torus_rank") or 0
     if not isinstance(torus_rank, int) or isinstance(torus_rank, bool) or torus_rank < 0:
@@ -224,16 +174,33 @@ def parse_spec(text: str) -> GroupSpecDocument:
         torus = item["torus"]
         if not isinstance(torus, list):
             raise CliError("E_SCHEMA", f"/gluing/{i}/torus", "must be a list of fraction strings")
-        gluing.append((tuple(coeffs), tuple(torus)))
+        gluing.append((coeffs, torus))
 
-    return GroupSpecDocument(
-        name=name,
-        preset=preset,
-        semisimple=tuple(semisimple),
-        torus_rank=torus_rank,
-        gluing=tuple(gluing),
-        unipotent_dim=unipotent_dim,
-    )
+    if preset is not None:
+        try:
+            return build_preset(preset)
+        except ValueError as exc:
+            raise CliError("E_PRESET", "/preset", str(exc)) from exc
+    datum = build_datum(tuple(semisimple))
+    cgroup = center(datum)
+    pairs = []
+    for i, (coeffs, fractions) in enumerate(gluing):
+        try:
+            elem = cgroup.element(coeffs)
+        except ValueError as exc:
+            raise CliError(
+                "E_SCHEMA",
+                f"/gluing/{i}/center",
+                f"expected {cgroup.ngens} coefficients over the center generators, got {len(coeffs)}",
+            ) from exc
+        if len(fractions) != torus_rank:
+            raise CliError("E_SCHEMA", f"/gluing/{i}/torus", f"expected {torus_rank} fractions, got {len(fractions)}")
+        torus = tuple(_parse_fraction(text, f"/gluing/{i}/torus/{j}") for j, text in enumerate(fractions))
+        pairs.append(GluingPair(elem, torus))
+    try:
+        return ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
+    except ValueError as exc:
+        raise CliError("E_MODEL", "/", str(exc)) from exc
 
 
 def model_to_document(model: ReductiveModel) -> dict:
@@ -245,7 +212,7 @@ def model_to_document(model: ReductiveModel) -> dict:
         "torus_rank": model.torus_rank,
         "gluing": [
             {
-                "center": list(pair.center.dual_coords()),
+                "center": list(pair.center.coords),
                 "torus": [str(v) for v in pair.torus],
             }
             for pair in model.gluing
@@ -268,7 +235,7 @@ def _load_model(args) -> ReductiveModel:
                 text = handle.read()
         except OSError as exc:
             raise CliError("E_IO", "--spec", f"cannot read {args.spec}: {exc}") from exc
-        return parse_spec(text).to_model()
+        return parse_spec(text)
     raise CliError("E_FLAGS", "--preset", "one of --preset or --spec is required")
 
 

@@ -29,9 +29,10 @@ through ``validate``, ``gluing_group`` and ``gluing_order``.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
-generator (``ReductiveModel.torus_numerators``).  Center parts enter as
-their integer ``dual_coords``, and a model hashes that integer data, so
-no cache lookup or query does ``Fraction`` arithmetic.
+generator (``ReductiveModel.torus_numerators``).  Center parts are
+elements of ``center(ss)``, integer coordinates over its canonical
+generators, and a model hashes that integer data, so no cache lookup or
+query does ``Fraction`` arithmetic.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -52,6 +53,7 @@ from math import lcm
 from typing import Optional
 
 from .abgroups import (
+    AbElement,
     FgAbGroup,
     SubgroupPresentation,
     _mod_n_hom,
@@ -60,21 +62,14 @@ from .abgroups import (
     subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
-from .rootdata import (
-    CenterElement,
-    RootDatumSS,
-    SimpleType,
-    build_datum,
-    center,
-    center_element_from_coords,
-)
+from .rootdata import RootDatumSS, SimpleType, build_datum, center
 
 @dataclass(frozen=True)
 class GluingPair:
     """Generator of the gluing subgroup: a central element of S_sc together
     with a torsion point of the central torus."""
 
-    center: CenterElement
+    center: AbElement
     torus: tuple
 
     def __post_init__(self):
@@ -100,7 +95,7 @@ class ReductiveModel:
             raise ValueError("unipotent dimension must be nonnegative")
         object.__setattr__(self, "gluing", tuple(self.gluing))
         for pair in self.gluing:
-            if pair.center.datum != self.ss:
+            if pair.center.group != center(self.ss):
                 raise ValueError("gluing element does not lie in the stated center")
             if len(pair.torus) != self.torus_rank:
                 raise ValueError(
@@ -115,7 +110,7 @@ class ReductiveModel:
         # integer data only: equal models (the dataclass __eq__) have equal
         # center coordinates and torus numerators, and no lookup, the first
         # one included, hashes a Fraction
-        centers = tuple(pair.center.dual_coords() for pair in self.gluing)
+        centers = tuple(pair.center.coords for pair in self.gluing)
         return hash((self.ss, self.torus_rank, centers, self.torus_numerators, self.unipotent_dim, self.name))
 
     @cached_property
@@ -151,7 +146,7 @@ def _gluing(model: ReductiveModel) -> FgAbGroup:
     Z(S_sc) x (Z/N)^r by the model's gluing generators."""
     n, torus_rows = model.torus_numerators
     orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
-    return span_group(orders, [pair.center.dual_coords() + row for pair, row in zip(model.gluing, torus_rows)])
+    return span_group(orders, [pair.center.coords + row for pair, row in zip(model.gluing, torus_rows)])
 
 
 def gluing_group(model: ReductiveModel) -> FgAbGroup:
@@ -185,7 +180,7 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     torus_columns = [[row[j] for row in torus_rows] for j in range(model.torus_rank)]
     combos = preimage_lattice(_mod_n_hom(FgAbGroup(len(model.gluing), ()), n, torus_columns))
     cgroup = center(model.ss)
-    centers = IntMatrix.from_columns([pair.center.dual_coords() for pair in model.gluing], rows=cgroup.ngens)
+    centers = IntMatrix.from_columns([pair.center.coords for pair in model.gluing], rows=cgroup.ngens)
     return subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
 
 
@@ -280,7 +275,7 @@ def preset(name: str) -> ReductiveModel:
         if num == 1:
             return _torus_model(1 if kind == "GL" else 0, text)
         datum = build_datum((SimpleType("A", num - 1),))
-        cgen = center_element_from_coords(datum, (1,))
+        cgen = center(datum).element((1,))
         if kind == "SL":
             return ReductiveModel(datum, 0, (), 0, name=text)
         if kind == "PGL":
@@ -305,5 +300,5 @@ def preset(name: str) -> ReductiveModel:
     datum = _spin_datum(num)
     if kind == "Spin":
         return ReductiveModel(datum, 0, (), 0, name=text)
-    cgen = center_element_from_coords(datum, _so_kernel_generator(num, datum))
+    cgen = center(datum).element(_so_kernel_generator(num, datum))
     return ReductiveModel(datum, 0, (GluingPair(cgen, ()),), 0, name=text)

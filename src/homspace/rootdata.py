@@ -13,10 +13,11 @@ the transposed Cartan matrix (columns = simple roots).
 The center of the simply connected group is only ever exposed as the dual
 of P/Q.  ``center`` returns the group P/Q itself, read through the pairing
 fixed in docs/conventions.md: dual generator i pairs with the i-th Smith
-generator of P/Q to 1/d_i, and with the others to 0.  ``CenterElement``
-stores those pairing values, ``CenterElement.dual_coords`` their
-coordinates, and ``restriction_matrix`` pairs by the same rule; no other
-identification of the center with a concrete cyclic group is used.
+generator of P/Q to 1/d_i, and with the others to 0.  A center element
+is an element of that group, ``center(datum).element(coords)``, its
+coordinates reduced mod d_i; ``restriction_matrix`` pairs by the same
+rule, and no other identification of the center with a concrete cyclic
+group is used.
 
 Restriction of weights to a central subgroup is linear, so it is one
 integer matrix (:func:`restriction_matrix`, one row per canonical generator
@@ -31,10 +32,8 @@ matrix to the coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
 
 from .abgroups import (
     AbElement,
@@ -192,47 +191,11 @@ def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
     return weight
 
 
-@dataclass(frozen=True)
-class CenterElement:
-    """Element of Z(H_sc), stored through the pairing with P/Q: one value in
-    Q/Z per Smith generator of P/Q, denominator dividing that generator's
-    order."""
-
-    datum: RootDatumSS
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(
-            v if type(v) is Fraction and 0 <= v.numerator < v.denominator else Fraction(v) % 1
-            for v in self.values
-        )
-        object.__setattr__(self, "values", values)
-        factors = self.datum.pq_group.invariant_factors
-        if len(values) != len(factors):
-            raise ValueError(f"expected {len(factors)} values, got {len(values)}")
-        for v, d in zip(values, factors):
-            if d % v.denominator:
-                raise ValueError(f"value {v} has denominator not dividing the generator order {d}")
-
-    def dual_coords(self) -> tuple:
-        """Coordinates over the canonical generators of the dual of P/Q:
-        v * d as an integer, exact because the denominator of v divides d,
-        and already in [0, d) because v lies in [0, 1)."""
-        return tuple(
-            v.numerator * (d // v.denominator) for v, d in zip(self.values, self.datum.pq_group.invariant_factors)
-        )
-
-
 def center(datum: RootDatumSS) -> FgAbGroup:
     """Center of the simply connected group, as Hom(P/Q, Q/Z): the group
     P/Q itself, its generator i pairing with the i-th Smith generator of P/Q
     to 1/d_i (docs/conventions.md)."""
     return datum.pq_group
-
-
-def center_element_from_coords(datum: RootDatumSS, coords: Sequence[int]) -> CenterElement:
-    factors = datum.pq_group.invariant_factors
-    return CenterElement(datum, tuple(Fraction(int(c) % d, d) for c, d in zip(coords, factors)))
 
 
 def _check_center_subgroup(datum: RootDatumSS, sub: SubgroupPresentation):

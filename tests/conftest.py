@@ -8,7 +8,7 @@ from itertools import product
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
 from homspace.intlinalg import IntMatrix, solution_lattice
-from homspace.rootdata import SimpleType, build_datum, center, center_element_from_coords
+from homspace.rootdata import SimpleType, build_datum, center
 from oracles import solve_integer
 
 
@@ -73,7 +73,7 @@ def random_model(
             torus = tuple(
                 Fraction(rng.randrange(den), den) for den in [rng.choice([1, 2, 3, 4, 6]) for _ in range(r)]
             )
-            pairs.append(GluingPair(center_element_from_coords(datum, coords), torus))
+            pairs.append(GluingPair(cgroup.element(coords), torus))
         model = ReductiveModel(ss=datum, torus_rank=r, gluing=tuple(pairs), unipotent_dim=unipotent_dim)
         if gluing_order(model) <= max_gluing_order:
             return model

@@ -48,9 +48,6 @@
   elements (``preimage_of``) by one Smith solve with U and V
   (``solve_integer``), and ``lattice_row_basis``, the Hermite basis of a
   spanned lattice through ``intlinalg._hermite_rows``.
-* The former formula of ``homspace.rootdata.CenterElement.dual_coords``,
-  ``int(v * d) % d`` by ``Fraction`` arithmetic; the library reads the
-  same integers off numerators and denominators.
 * Determinants from sympy's integer matrices (``det``), a route
   independent of ``homspace.intlinalg``.
 * The former lattice route of ``homspace.intlinalg``: solution lattices
@@ -89,14 +86,7 @@ from homspace.abgroups import (
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
-from homspace.rootdata import (
-    CenterElement,
-    RootDatumSS,
-    Weight,
-    center,
-    center_element_from_coords,
-    restriction_matrix,
-)
+from homspace.rootdata import RootDatumSS, Weight, center, restriction_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +506,6 @@ def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# center coordinates
-
-
-def dual_coords_by_fractions(elem: CenterElement) -> tuple:
-    """Coordinates of a center element over the dual generators of P/Q,
-    each pairing value times its generator order by Fraction arithmetic."""
-    return tuple(int(v * d) % d for v, d in zip(elem.values, elem.datum.pq_group.invariant_factors))
-
-
-# ---------------------------------------------------------------------------
 # presets
 
 
@@ -658,7 +638,7 @@ def gluing_span(model: ReductiveModel) -> GluingSpan:
     n, torus_rows = model.torus_numerators
     orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
     gcols = IntMatrix.from_columns(
-        [list(pair.center.dual_coords() + row) for pair, row in zip(model.gluing, torus_rows)], rows=len(orders)
+        [list(pair.center.coords + row) for pair, row in zip(model.gluing, torus_rows)], rows=len(orders)
     )
     relations = snf_solution_lattice(gcols, orders).transpose()
     _, d, _, uinv = _snf_transform(relations, want_u=False, want_v=False, want_uinv=True)
@@ -678,7 +658,7 @@ def gluing_elements(model: ReductiveModel):
     out = []
     for elem in span.group.elements():
         coords = span.reduce_ambient(span.inclusion_columns.apply(elem.coords))
-        ce = center_element_from_coords(model.ss, coords[:k])
+        ce = center(model.ss).element(coords[:k])
         torus = tuple(Fraction(c, n) for c in coords[k:])
         out.append(GluingPair(ce, torus))
     return out
@@ -699,7 +679,7 @@ def _pi1_span(model: ReductiveModel):
         gens.append(ambient.element(coords))
     for pair in model.gluing:
         torus = [int(v * n) for v in pair.torus]
-        coords = torus + list(pair.center.dual_coords())
+        coords = torus + list(pair.center.coords)
         gens.append(ambient.element(coords))
     return subgroup_from_generators(ambient, gens)
 
@@ -723,7 +703,7 @@ def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> 
     gens = []
     for p in range(sm.kernel.computed.ngens):
         elem = sm.kernel.inclusion(sm.kernel.computed.generator(p))
-        gens.append(GluingPair(center_element_from_coords(sm.datum, elem.coords), ()))
+        gens.append(GluingPair(elem, ()))
     return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
 
 
@@ -767,7 +747,7 @@ def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
     _, torus_rows = model.torus_numerators
     new_pairs = []
     for pair, row in zip(model.gluing, torus_rows):
-        coords = pair.center.dual_coords() + row
+        coords = pair.center.coords + row
         inside = preimage_of(embed, ambient.element([c * coords[i] for i, c in scales]))
         new_pairs.append(GluingPair(pair.center, pair.torus + (gamma(inside),)))
     return ReductiveModel(

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from enum import IntEnum
 from fractions import Fraction
@@ -17,14 +18,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUOTIENT_SPECS, random_chain, random_character_values
+from conftest import MIXED_CENTER_PRODUCTS, QUOTIENT_SPECS, random_chain, random_character_values
 from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
 from homspace.groups import pi1, preset
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
-from homspace.rootdata import SimpleType, build_datum
+from homspace.rootdata import SimpleType, build_datum, center
 from oracles import character_to_extension, det, pi1_extension
 from test_acceptance import Budget
 
@@ -39,14 +40,13 @@ def invoke(argv):
 
 class TestParseSpec:
     def test_preset_document(self):
-        doc = parse_spec('{"preset": "SO(5)"}')
-        model = doc.to_model()
+        model = parse_spec('{"preset": "SO(5)"}')
         assert model.name == "SO(5)"
         assert str(model.ss) == "B2"
 
     def test_explicit_pgl2(self):
         text = '{"semisimple":[{"family":"A","rank":1}],"torus_rank":0,"gluing":[{"center":[1],"torus":[]}]}'
-        model = parse_spec(text).to_model()
+        model = parse_spec(text)
         assert pi1(model) == pi1(preset("PGL(2)"))
 
     def test_negative_torus_rank(self):
@@ -67,27 +67,64 @@ class TestParseSpec:
     def test_malformed_fraction(self):
         text = '{"semisimple":[{"family":"A","rank":1}],"torus_rank":1,"gluing":[{"center":[1],"torus":["1/x"]}]}'
         with pytest.raises(CliError) as info:
-            parse_spec(text).to_model()
+            parse_spec(text)
         assert info.value.code == "E_FRACTION"
         assert info.value.where == "/gluing/0/torus/0"
 
     def test_unreduced_fraction(self):
         text = '{"semisimple":[{"family":"A","rank":1}],"torus_rank":1,"gluing":[{"center":[1],"torus":["3/2"]}]}'
         with pytest.raises(CliError) as info:
-            parse_spec(text).to_model()
+            parse_spec(text)
         assert info.value.code == "E_FRACTION"
 
     def test_wrong_center_length(self):
-        text = '{"semisimple":[{"family":"A","rank":1}],"torus_rank":0,"gluing":[{"center":[1,0],"torus":[]}]}'
-        with pytest.raises(CliError) as info:
-            parse_spec(text).to_model()
-        assert info.value.where == "/gluing/0/center"
+        # A1 has center Z/2 and A1 x A2 has Z/6: one coordinate each
+        a1, a2 = {"family": "A", "rank": 1}, {"family": "A", "rank": 2}
+        for semisimple, coords in (([a1], [1, 0]), ([a1], []), ([a1, a2], [1, 0])):
+            doc = {"semisimple": semisimple, "gluing": [{"center": [0], "torus": []}, {"center": coords, "torus": []}]}
+            with pytest.raises(CliError) as info:
+                parse_spec(json.dumps(doc))
+            assert (info.value.code, info.value.where) == ("E_SCHEMA", "/gluing/1/center")
 
     def test_round_trip_through_expand(self):
         model = preset("GL(3)")
         text = json.dumps(model_to_document(model))
-        again = parse_spec(text).to_model()
+        again = parse_spec(text)
         assert pi1(again) == pi1(model)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_expand_round_trip(self, data):
+        # center coordinates outside [0, d) and unreduced torus fractions:
+        # the expansion states the same model, and the report of the
+        # document and of its expansion is the same bytes
+        types = data.draw(st.sampled_from(MIXED_CENTER_PRODUCTS))
+        orders = center(build_datum(types)).invariant_factors
+        r = data.draw(st.integers(0, 3))
+
+        def fraction(den):
+            return f"{data.draw(st.integers(0, den - 1))}/{den}"
+
+        doc = {
+            "semisimple": [{"family": t.family, "rank": t.rank} for t in types],
+            "torus_rank": r,
+            "gluing": [
+                {
+                    "center": [data.draw(st.integers(-3 * d, 3 * d)) for d in orders],
+                    "torus": [fraction(data.draw(st.integers(1, 12))) for _ in range(r)],
+                }
+                for _ in range(data.draw(st.integers(0, 3)))
+            ],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            spec, expanded = Path(tmp) / "spec.json", Path(tmp) / "expanded.json"
+            spec.write_text(json.dumps(doc))
+            code, out, err = invoke(["describe", "--expand", "--spec", str(spec)])
+            assert code == 0, err
+            assert parse_spec(out) == parse_spec(json.dumps(doc))
+            expanded.write_text(out)
+            reports = [invoke(["invariants", "--json", "--spec", str(path)]) for path in (spec, expanded)]
+        assert reports[0] == reports[1] and reports[0][0] == 0, reports[0][2]
 
 
 # spellings of a torus string next to the plain "a/b" that the reader takes
@@ -232,8 +269,8 @@ class TestCommands:
     def test_describe_expand_is_valid_spec(self):
         code, out, _ = invoke(["describe", "--preset", "Spin(8)", "--expand"])
         assert code == 0
-        doc = parse_spec(out)
-        assert doc.semisimple == (("D", 4),)
+        model = parse_spec(out)
+        assert model.ss.factors == (SimpleType("D", 4),)
 
     def test_weights_so7(self):
         code, out, _ = invoke(["weights", "--preset", "SO(7)"])
@@ -366,7 +403,7 @@ class TestCommands:
             semisimple = [{"family": "A", "rank": 3}, {"family": "D", "rank": 4}]
             return {"semisimple": semisimple, "torus_rank": r, "gluing": gluing}
 
-        model = parse_spec(json.dumps(spec(8))).to_model()
+        model = parse_spec(json.dumps(spec(8)))
         assert pi1(model) == pi1_extension(model)
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(spec(20)))
@@ -437,7 +474,7 @@ class TestCommands:
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(small)], ["--spec", str(big)]):
             code, out, err = invoke(["describe", "--expand", *source])
             assert code == 0, err
-            parse_spec(out).to_model()
+            parse_spec(out)
         assert calls == []
 
     def test_gluing_builds_no_smith_row_transform(self, monkeypatch, tmp_path):
@@ -896,8 +933,7 @@ class TestDeterminismAndSchema:
     def test_unipotent_model_schema(self):
         schema = json.loads((REPO / "schemas" / "invariants_report.schema.json").read_text())
         text = '{"torus_rank": 0, "unipotent_dim": 1, "name": "upper-triangular"}'
-        doc = parse_spec(text)
-        assert doc.to_model().unipotent_dim == 1
+        assert parse_spec(text).unipotent_dim == 1
 
     def test_semisimple_report_includes_weight_table(self):
         code, out, _ = invoke(["invariants", "--preset", "SO(7)", "--json"])

@@ -25,7 +25,7 @@ from homspace.groups import (
     validate,
 )
 from homspace.intlinalg import IntMatrix
-from homspace.rootdata import SimpleType, build_datum, center_element_from_coords
+from homspace.rootdata import SimpleType, build_datum, center
 from oracles import (
     _pi1_span,
     all_characters,
@@ -58,24 +58,16 @@ class TestValidate:
         validate(model)
         assert gluing_order(model) == 1
 
-    def test_wrong_denominator_rejected(self):
-        datum = build_datum((SimpleType("A", 1),))
-        with pytest.raises(ValueError):
-            # center of SL2 is 2-torsion; a value of order 3 is malformed
-            from homspace.rootdata import CenterElement
-
-            CenterElement(datum, (Fraction(1, 3),))
-
     def test_center_mismatch_rejected(self):
         datum_a = build_datum((SimpleType("A", 1),))
         datum_b = build_datum((SimpleType("A", 2),))
-        elem = center_element_from_coords(datum_b, (1,))
+        elem = center(datum_b).element((1,))
         with pytest.raises(ValueError):
             ReductiveModel(ss=datum_a, torus_rank=0, gluing=(GluingPair(elem, ()),))
 
     def test_torus_length_mismatch(self):
         datum = build_datum((SimpleType("A", 1),))
-        elem = center_element_from_coords(datum, (1,))
+        elem = center(datum).element((1,))
         with pytest.raises(ValueError):
             ReductiveModel(ss=datum, torus_rank=2, gluing=(GluingPair(elem, (Fraction(1, 2),)),))
 
@@ -84,8 +76,8 @@ class TestModelKeys:
     def model(self):
         datum = build_datum((SimpleType("A", 3), SimpleType("A", 1)))
         pairs = (
-            GluingPair(center_element_from_coords(datum, (1, 1)), (Fraction(1, 2), Fraction(1, 3), Fraction(0))),
-            GluingPair(center_element_from_coords(datum, (0, 2)), (Fraction(1, 4), Fraction(2, 3), Fraction(3, 4))),
+            GluingPair(center(datum).element((1, 1)), (Fraction(1, 2), Fraction(1, 3), Fraction(0))),
+            GluingPair(center(datum).element((0, 2)), (Fraction(1, 4), Fraction(2, 3), Fraction(3, 4))),
         )
         return ReductiveModel(ss=datum, torus_rank=3, gluing=pairs)
 
@@ -136,10 +128,10 @@ class TestModelKeys:
                 "semisimple": [{"family": "A", "rank": 3}],
                 "torus_rank": 2,
                 "gluing": [{"center": center, "torus": torus}],
-            })).to_model()
+            }))
 
         datum = build_datum((SimpleType("A", 3),))
-        elem = center_element_from_coords(datum, (1,))
+        elem = center(datum).element((1,))
         pairs = [
             (spec([1], ["2/4", "1/3"]), spec([1], ["1/2", "1/3"])),
             (
@@ -161,7 +153,7 @@ class TestModelKeys:
 
     def test_gluing_pair_keeps_fractions_and_checks_the_range(self):
         datum = build_datum((SimpleType("A", 1),))
-        elem = center_element_from_coords(datum, (1,))
+        elem = center(datum).element((1,))
         half = Fraction(1, 2)
         assert GluingPair(elem, (half,)).torus[0] is half
         assert GluingPair(elem, ("1/3", 0)).torus == (Fraction(1, 3), Fraction(0))
@@ -252,7 +244,7 @@ class TestDerivedSubgroup:
             model = random_model(rng, max_gluing_order=24)
             kernel = derived_subgroup(model).kernel
             got = {kernel.inclusion(e).coords for e in kernel.computed.elements()}
-            brute = {e.center.dual_coords() for e in gluing_elements(model) if not any(e.torus)}
+            brute = {e.center.coords for e in gluing_elements(model) if not any(e.torus)}
             assert got == brute
 
     def test_semisimple_fixed_point(self):
@@ -441,7 +433,7 @@ class TestPresets:
         # B2, A3, then B_m and D_m of both parities
         for n in range(3, 131):
             model = preset(f"SO({n})")
-            assert [pair.center.dual_coords() for pair in model.gluing] == so_kernel_generators(n), n
+            assert [pair.center.coords for pair in model.gluing] == so_kernel_generators(n), n
             assert pi1(model) == cyclic(2), n
 
 
@@ -463,7 +455,7 @@ class TestCacheBounds:
         model_size = max(groups._gluing.cache_info().maxsize, groups._derived_kernel.cache_info().maxsize)
         trivial = build_datum(())
         for k in range(2, 2 + 2 * model_size):
-            pair = GluingPair(center_element_from_coords(trivial, ()), (Fraction(1, k),))
+            pair = GluingPair(center(trivial).identity(), (Fraction(1, k),))
             model = ReductiveModel(ss=trivial, torus_rank=1, gluing=(pair,))
             assert pi1(model) == Z and gluing_order(model) == k
         for cache in self.CACHES:
@@ -548,7 +540,7 @@ def assert_kernel_is_the_gluing_elements(model):
     kernel = as_semisimple(model).kernel
     image = {kernel.inclusion(e).coords for e in kernel.computed.elements()}
     assert len(image) == kernel.order()
-    assert image == {e.center.dual_coords() for e in gluing_elements(model)}
+    assert image == {e.center.coords for e in gluing_elements(model)}
 
 
 class TestSemisimpleConversions:
@@ -577,7 +569,7 @@ class TestSemisimpleConversions:
 
     def test_kernel_is_the_derived_kernel_on_quotient_specs(self):
         for name, spec in QUOTIENT_SPECS.items():
-            assert_kernel_is_the_gluing_elements(parse_spec(json.dumps(spec)).to_model())
+            assert_kernel_is_the_gluing_elements(parse_spec(json.dumps(spec)))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2**32))

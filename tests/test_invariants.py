@@ -176,21 +176,23 @@ class TestSemisimpleSweep:
 
     def test_brauer_additive_on_products(self):
         from homspace.groups import GluingPair
-        from homspace.rootdata import center_element_from_coords
 
-        # PGL(2) x PGL(3) modeled as one datum: Br = Z/2 (+) Z/3 = Z/6
+        # PGL(2) x PGL(3) modeled as one datum, whose center is Z/6 on one
+        # generator: the elements 3 and 2 of orders 2 and 3 span it, and
+        # Br = Z/2 (+) Z/3 = Z/6
         datum = build_datum((SimpleType("A", 1), SimpleType("A", 2)))
+        assert center(datum) == cyclic(6)
         gens = (
-            GluingPair(center_element_from_coords(datum, (1, 0)), ()),
-            GluingPair(center_element_from_coords(datum, (0, 1)), ()),
+            GluingPair(center(datum).element((3,)), ()),
+            GluingPair(center(datum).element((2,)), ()),
         )
         model = ReductiveModel(ss=datum, torus_rank=0, gluing=gens)
         assert brauer(model) == cyclic(6)
         # SO(7) x SO(9): Br = Z/2 (+) Z/2
         d2 = build_datum((SimpleType("B", 3), SimpleType("B", 4)))
         g2 = (
-            GluingPair(center_element_from_coords(d2, (1, 0)), ()),
-            GluingPair(center_element_from_coords(d2, (0, 1)), ()),
+            GluingPair(center(d2).element((1, 0)), ()),
+            GluingPair(center(d2).element((0, 1)), ()),
         )
         m2 = ReductiveModel(ss=d2, torus_rank=0, gluing=g2)
         assert brauer(m2) == FgAbGroup(0, (2, 2))

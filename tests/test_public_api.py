@@ -1,8 +1,9 @@
 """The public API is the README's "Public API" table.  Every public
 top-level name of a module in src/homspace is listed there or imported by
 another module of the package, every listed name exists, the package
-imports nothing outside the standard library, and no query checks an
-identity at run time: the tests prove them instead."""
+imports nothing outside the standard library and nothing it does not use,
+and no query checks an identity at run time: the tests prove them
+instead."""
 
 import ast
 import re
@@ -100,3 +101,19 @@ def test_no_runtime_self_checks():
                 if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                     found.append(f"{name}.py:{node.lineno}: raise RuntimeError")
     assert not found, found
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export; every other module uses what it binds
+    unused = []
+    for name, tree in modules().items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}.py:{node.lineno}: {bound}")
+    assert not unused, f"unused imports: {unused}"

@@ -8,13 +8,11 @@ from conftest import MIXED_CENTER_PRODUCTS, all_subgroups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, cyclic, from_presentation, subgroup_from_generators
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import (
-    CenterElement,
     SimpleType,
     Weight,
     build_datum,
     cartan_matrix,
     center,
-    center_element_from_coords,
     fundamental_weight,
     restriction_matrix,
 )
@@ -23,7 +21,6 @@ from oracles import (
     character_from_dual_element,
     character_lattice_of_quotient,
     det,
-    dual_coords_by_fractions,
     full_center_subgroup,
     lattice_row_basis,
     restrict_weight,
@@ -151,33 +148,20 @@ class TestCenter:
                 assert any(pair(z, x) != 0 for z in center(datum).elements())
 
     def test_center_element_validation(self):
-        datum = build_datum((SimpleType("A", 3),))  # P/Q = Z/4
-        CenterElement(datum, (Fraction(1, 4),))
-        CenterElement(datum, (Fraction(1, 2),))
-        with pytest.raises(ValueError):
-            CenterElement(datum, (Fraction(1, 3),))
-        with pytest.raises(ValueError):
-            CenterElement(datum, (Fraction(1, 4), Fraction(0)))
+        # one coordinate per canonical generator of the center
+        for types, coords in (((SimpleType("A", 1), SimpleType("A", 2)), (1, 0)), ((SimpleType("A", 1),), ())):
+            with pytest.raises(ValueError, match="coordinates"):
+                center(build_datum(types)).element(coords)
 
-    def test_dual_coords_match_fraction_formula(self):
+    def test_element_reduces_coordinates(self):
         # every element of each mixed center, from reduced, negative and
-        # oversized coordinates alike
+        # oversized coordinates alike: coordinate i is read mod d_i
         for types in MIXED_CENTER_PRODUCTS:
-            datum = build_datum(types)
-            factors = datum.pq_group.invariant_factors
+            cgroup = center(build_datum(types))
+            factors = cgroup.invariant_factors
             for coords in product(*(range(d) for d in factors)):
                 for shift in (0, -1, 1, 7):
-                    elem = center_element_from_coords(datum, [c + shift * d for c, d in zip(coords, factors)])
-                    assert elem.dual_coords() == dual_coords_by_fractions(elem) == coords
-
-    def test_values_are_reduced_into_unit_interval(self):
-        datum = build_datum((SimpleType("A", 3),))  # P/Q = Z/4
-        quarter = Fraction(1, 4)
-        assert CenterElement(datum, (quarter,)).values[0] is quarter
-        for value in (Fraction(5, 4), Fraction(-3, 4), "1/4", "-7/4", 1.25):
-            elem = CenterElement(datum, (value,))
-            assert elem.values == (quarter,)
-            assert elem.dual_coords() == dual_coords_by_fractions(elem) == (1,)
+                    assert cgroup.element([c + shift * d for c, d in zip(coords, factors)]).coords == coords
 
 
 class TestRestrictWeight:
