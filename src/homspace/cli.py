@@ -36,7 +36,7 @@ from .groups import (
     validate,
 )
 from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal_form
-from .invariants import invariant_report, weight_brauer_table
+from .invariants import WeightBrauerTable, invariant_report, weight_brauer_table
 from .rootdata import SimpleType, build_datum, center
 
 _CONVENTION_NOTES = (
@@ -110,6 +110,13 @@ def _read_decimal(text: str):
 _DOC_KEYS = {"name", "preset", "semisimple", "torus_rank", "gluing", "unipotent_dim"}
 
 
+def _field(doc: dict, key: str, default):
+    """``doc[key]``, or ``default`` when the field is absent or null: any
+    other value, a falsy one included, goes through the field's type check."""
+    value = doc.get(key)
+    return default if value is None else value
+
+
 def parse_spec(text: str) -> ReductiveModel:
     """Read a group-spec JSON document into a model; errors carry JSON
     paths.  Every check of the document's shape runs before any check of
@@ -139,7 +146,7 @@ def parse_spec(text: str) -> ReductiveModel:
         )
 
     semisimple = []
-    raw_ss = doc.get("semisimple") or []
+    raw_ss = _field(doc, "semisimple", [])
     if not isinstance(raw_ss, list):
         raise CliError("E_SCHEMA", "/semisimple", "must be a list")
     for i, item in enumerate(raw_ss):
@@ -153,16 +160,16 @@ def parse_spec(text: str) -> ReductiveModel:
         except ValueError as exc:
             raise CliError("E_SCHEMA", f"/semisimple/{i}", str(exc)) from exc
 
-    torus_rank = doc.get("torus_rank") or 0
+    torus_rank = _field(doc, "torus_rank", 0)
     if not isinstance(torus_rank, int) or isinstance(torus_rank, bool) or torus_rank < 0:
         raise CliError("E_SCHEMA", "/torus_rank", "must be a nonnegative integer")
 
-    unipotent_dim = doc.get("unipotent_dim") or 0
+    unipotent_dim = _field(doc, "unipotent_dim", 0)
     if not isinstance(unipotent_dim, int) or isinstance(unipotent_dim, bool) or unipotent_dim < 0:
         raise CliError("E_SCHEMA", "/unipotent_dim", "must be a nonnegative integer")
 
     gluing = []
-    raw_gluing = doc.get("gluing") or []
+    raw_gluing = _field(doc, "gluing", [])
     if not isinstance(raw_gluing, list):
         raise CliError("E_SCHEMA", "/gluing", "must be a list")
     for i, item in enumerate(raw_gluing):
@@ -259,14 +266,19 @@ class _Printer:
 
 def json_text(value) -> str:
     """The text of ``json.dumps(value, indent=2)`` (ASCII, keys in insertion
-    order) for dicts with str keys, lists, tuples, str, int, bool and None.
-    ``json`` runs its pure-Python encoder whenever ``indent`` is set; this
-    writer builds the same text in one pass, one string per container, with
-    the scalars of a container written in place.  Any other type, float
-    included, raises TypeError."""
+    order) for dicts with str keys, lists, tuples, str, int, bool and None,
+    where a ``WeightBrauerTable`` is written as the list of its rows, each
+    the dict ``{"node", "weight", "restriction", "brauer_class",
+    "trivial"}``.  ``json`` runs its pure-Python encoder whenever ``indent``
+    is set; this writer builds the same text in one pass, one string per
+    container, with the scalars of a container written in place, and a
+    weight table straight from its restriction matrix.  Any other type,
+    float included, raises TypeError."""
     kind = type(value)
     if kind is dict or kind is list or kind is tuple:
         return _json_container(value, kind, "\n")
+    if kind is WeightBrauerTable:
+        return _json_weight_table(value, "\n")
     return _json_scalar(value, kind)
 
 
@@ -312,10 +324,34 @@ def _json_container(x, kind, newline: str) -> str:
             chunks.append(int.__repr__(item))
         elif t is dict or t is list or t is tuple:
             chunks.append(_json_container(item, t, inner))
+        elif t is WeightBrauerTable:
+            chunks.append(_json_weight_table(item, inner))
         else:
             chunks.append(_json_scalar(item, t))
     chunks.append(close)
     return "".join(chunks)
+
+
+def _json_weight_table(table: WeightBrauerTable, newline: str) -> str:
+    """The rows of ``table`` as ``_json_container`` writes their dicts.  Row
+    i's weight e_i is a slice of one run of zeros with a 1 spliced in, and
+    its restriction is written once and serves as its Brauer class too."""
+    if not table:
+        return "[]"
+    row, key, item = newline + "  ", newline + "    ", newline + "      "
+    sep = "," + item
+    zeros = sep.join(["0"] * len(table))
+    step = 1 + len(sep)  # a "0" and the separator after it
+    rows = []
+    for i, (label, column) in enumerate(table.columns()):
+        restriction = f"[{item}{sep.join(map(str, column))}{key}]" if column else "[]"
+        at = i * step
+        rows.append(
+            f'{{{key}"node": {_encode_str(label)},{key}"weight": [{item}{zeros[:at]}1{zeros[at + 1 :]}{key}],'
+            f'{key}"restriction": {restriction},{key}"brauer_class": {restriction},'
+            f'{key}"trivial": {"false" if any(column) else "true"}{row}}}'
+        )
+    return f"[{row}{(',' + row).join(rows)}{newline}]"
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +397,6 @@ def _cmd_describe(args, out: _Printer) -> int:
     return 0
 
 
-def _weight_rows(rows) -> list:
-    return [
-        {
-            "node": r.node,
-            "weight": list(r.weight.coords),
-            "restriction": list(r.restriction.coords),
-            "brauer_class": list(r.brauer_class.coords),
-            "trivial": r.is_trivial,
-        }
-        for r in rows
-    ]
-
-
 def _cmd_invariants(args, out: _Printer) -> int:
     model = _load_model(args)
     report = invariant_report(model)
@@ -395,7 +418,7 @@ def _cmd_invariants(args, out: _Printer) -> int:
         "picard_of_group": str(report.e_al),
     }
     if model.torus_rank == 0 and model.unipotent_dim == 0:
-        payload["weights"] = _weight_rows(weight_brauer_table(as_semisimple(model)))
+        payload["weights"] = weight_brauer_table(as_semisimple(model))
     if args.json:
         out.json(payload)
         return 0
@@ -421,22 +444,23 @@ def _cmd_weights(args, out: _Printer) -> int:
         sm = as_semisimple(model)
     except ValueError as exc:
         raise CliError("E_MODEL", "--preset" if args.preset else "--spec", str(exc)) from exc
-    rows = weight_brauer_table(sm)
+    table = weight_brauer_table(sm)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
-        "pi1": str(sm.kernel.computed),
-        "brauer": str(ext1_z(sm.kernel.computed)),
-        "rows": _weight_rows(rows),
+        "pi1": str(table.dual),
+        "brauer": str(ext1_z(table.dual)),
+        "rows": table,
     }
     if args.json:
         out.json(payload)
         return 0
     out.header(f"fundamental-weight Brauer table for H = {model.describe()}")
     out.line(f"pi1(H) = {payload['pi1']}, Br(G/H) = {payload['brauer']}")
-    for r in payload["rows"]:
-        cls = "trivial" if r["trivial"] else f"class {r['brauer_class']}"
-        out.line(f"  node {r['node']:>6}: restriction {r['restriction']} -> {cls}")
+    for label, column in table.columns():
+        restriction = list(column)
+        cls = f"class {restriction}" if any(column) else "trivial"
+        out.line(f"  node {label:>6}: restriction {restriction} -> {cls}")
     return 0
 
 

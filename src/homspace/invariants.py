@@ -31,20 +31,23 @@ simple type in ``tests/test_invariants.py::TestSemisimpleSweep``; Pic(G/H)
 against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion
 6; the weight table in ``TestWeightTable``.
 
-The weight table is one ``rootdata.restriction_matrix`` of the kernel: row
-i's weight is the unit vector e_i (``rootdata.fundamental_weight``, built
-without per-row validation) and its restriction is column i, so the table
-builds no per-weight pairing and takes no normal form.
+The weight table is one ``rootdata.restriction_matrix`` of the kernel, kept
+as a ``WeightBrauerTable``: row i's weight is the unit vector e_i and its
+restriction is column i, so the table builds no per-weight pairing and takes
+no normal form.  A ``WeightBrauerRow`` is built only when a caller reads
+it; the CLI writes the table's text straight from the matrix columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 
 from .abgroups import AbElement, FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
-from .rootdata import Weight, fundamental_weight, restriction_matrix
+from .rootdata import RootDatumSS, Weight, fundamental_weight, restriction_matrix
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,39 @@ class WeightBrauerRow:
     @property
     def is_trivial(self) -> bool:
         return self.restriction.is_identity
+
+
+@dataclass(frozen=True)
+class WeightBrauerTable(Sequence):
+    """The weight table as the restriction matrix it is read from: one column
+    per fundamental weight, one row per canonical generator of ``dual``.  A
+    read-only sequence of ``WeightBrauerRow``; each row is built when it is
+    read."""
+
+    datum: RootDatumSS
+    dual: FgAbGroup
+    restrictions: IntMatrix
+
+    def __len__(self) -> int:
+        return self.datum.rank
+
+    def __getitem__(self, i) -> WeightBrauerRow:
+        i = range(self.datum.rank)[index(i)]
+        return self._row(i, self.datum.node_labels()[i], self.restrictions.column(i))
+
+    def __iter__(self):
+        for i, (label, column) in enumerate(self.columns()):
+            yield self._row(i, label, column)
+
+    def columns(self):
+        """(node label, restriction coordinates) per fundamental weight, in
+        node order, with no row built; the coordinates are already reduced
+        into [0, m_p)."""
+        return zip(self.datum.node_labels(), map(self.restrictions.column, range(self.datum.rank)))
+
+    def _row(self, i: int, label: str, column: tuple) -> WeightBrauerRow:
+        restriction = self.dual.element(column)
+        return WeightBrauerRow(fundamental_weight(self.datum, i), label, restriction, restriction)
 
 
 def picard(model: ReductiveModel):
@@ -120,7 +156,7 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
     )
 
 
-def weight_brauer_table(sm: SemisimpleModel):
+def weight_brauer_table(sm: SemisimpleModel) -> WeightBrauerTable:
     """One row per fundamental weight of the simply connected cover: the
     weight's restriction to pi1(H) and the Brauer class it induces.
 
@@ -135,11 +171,4 @@ def weight_brauer_table(sm: SemisimpleModel):
     are checked by
     ``tests/test_invariants.py::TestWeightTable::test_restrictions_surject_and_kernel_index``.
     """
-    datum = sm.datum
-    dual = sm.kernel.computed
-    restrictions = restriction_matrix(datum, sm.kernel)
-    rows = []
-    for i, label in enumerate(datum.node_labels()):
-        restriction = dual.element(restrictions.column(i))
-        rows.append(WeightBrauerRow(fundamental_weight(datum, i), label, restriction, restriction))
-    return rows
+    return WeightBrauerTable(sm.datum, sm.kernel.computed, restriction_matrix(sm.datum, sm.kernel))

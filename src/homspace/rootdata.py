@@ -133,7 +133,8 @@ class RootDatumSS:
     def node_labels(self) -> tuple:
         labels = []
         for t in self.factors:
-            labels.extend(f"{t}:{i + 1}" for i in range(t.rank))
+            name = str(t)
+            labels.extend(f"{name}:{i}" for i in range(1, t.rank + 1))
         return tuple(labels)
 
     def __str__(self) -> str:
@@ -215,12 +216,14 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
     _check_center_subgroup(datum, sub)
     d_orders = datum.pq_group.invariant_factors
     big = lcm(*d_orders)
-    scaled = IntMatrix.from_rows(
-        [[(big // d) * x for x in datum.pq_proj.matrix.row(j)] for j, d in enumerate(d_orders)],
-        cols=datum.rank,
-    )
-    sums = sub.inclusion.matrix.transpose() @ scaled
-    return IntMatrix.from_rows(
-        [[(s % big) * m // big for s in sums.row(p)] for p, m in enumerate(sub.computed.invariant_factors)],
-        cols=datum.rank,
-    )
+    proj, incl = datum.pq_proj.matrix, sub.inclusion.matrix
+    rows = []
+    for p, m in enumerate(sub.computed.invariant_factors):
+        # S for every weight at once, one pq_proj row per nonzero incl[j, p]
+        sums = [0] * datum.rank
+        for j, d in enumerate(d_orders):
+            scale = incl[j, p] * (big // d)
+            if scale:
+                sums = [s + scale * x for s, x in zip(sums, proj.row(j))]
+        rows.append([(s % big) * m // big for s in sums])
+    return IntMatrix.from_rows(rows, cols=datum.rank)

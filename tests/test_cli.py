@@ -18,12 +18,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MIXED_CENTER_PRODUCTS, QUOTIENT_SPECS, random_chain, random_character_values
+from conftest import MIXED_CENTER_PRODUCTS, QUOTIENT_SPECS, all_subgroups, random_chain, random_character_values
 from homspace import __version__, groups
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
-from homspace.groups import pi1, preset
+from homspace.groups import as_semisimple, pi1, preset
+from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum, center
 from oracles import character_to_extension, det, pi1_extension
@@ -58,6 +59,21 @@ class TestParseSpec:
         with pytest.raises(CliError) as info:
             parse_spec('{"torus_rnk": 1}')
         assert info.value.where == "/torus_rnk"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("semisimple", 0), ("semisimple", {}), ("semisimple", ""), ("gluing", False), ("torus_rank", False),
+         ("unipotent_dim", False)],
+    )
+    def test_wrong_typed_falsy_field_rejected(self, field, value):
+        # only an absent or null field takes the default
+        with pytest.raises(CliError) as info:
+            parse_spec(json.dumps({field: value}))
+        assert (info.value.code, info.value.where) == ("E_SCHEMA", f"/{field}")
+
+    def test_null_fields_take_the_defaults(self):
+        fields = ("semisimple", "torus_rank", "gluing", "unipotent_dim")
+        assert parse_spec(json.dumps(dict.fromkeys(fields))) == parse_spec("{}")
 
     def test_preset_xor_explicit(self):
         with pytest.raises(CliError) as info:
@@ -736,6 +752,10 @@ PINNED_REPORTS = {
     ("describe --expand", "SO(8)"): "b51de2f8348e1b6ed64b19331f9d7846e77050d2b7dd1bffac3a01812ed28654",
     ("describe --expand", "PGL(4)"): "e36c7c6e0d1c686e72650575928bdd7ffa43e872d628382f00a5758c429686fc",
     ("describe --expand", "torus-r3"): "88891a282242da26dde8ed5fecd80a91c7899f191b337c7f2ddc60ff311a7b86",
+    ("weights text", "SO(9)"): "3c8f2f31a68f879403b32831588e12a76b39b2c0899fdb4d4b30669dfaa26566",
+    ("weights text", "PGL(12)"): "436c5679575fbb3723c727f834ef897ad389f069d3721abc130364c192969f7e",
+    ("weights text", "A1^8/Z2^3"): "2858f869a6be2b6a1df402e0725d09fe5a24751f58234c118a7a39ac91d27edd",
+    ("invariants text", "SO(8)"): "c9f6efb10b9b68320208e34b88e6be33ff52260f9f06791b2d3f9e6867b4a80a",
     ("describe", "named-D4/Z2"): "2fcf3ebc8914e0ae106c920fda9976050dadb60962d89a6e59aba4c7a07964e9",
     ("invariants", "named-D4/Z2"): "d7bd42e9c0f8b5d38b9a1fa04fd95dce7c0f8075fc8be8fad0da54979ac7dba6",
     ("invariants", "wide-A7xD5-r32"): "161ceaf45160cf7e5c34360e26f545498c12704adfeacb9c1ff47c565ec40836",
@@ -828,8 +848,8 @@ PINNED_MATRICES = {
 def test_report_bytes_pinned(command, name, tmp_path):
     digest = PINNED_REPORTS[command, name]
     fmt = ["--json"]
-    if command == "ext text":
-        command, fmt = "ext", []
+    if command.endswith(" text"):
+        command, fmt = command.removesuffix(" text"), []
     elif command == "describe --expand":
         command, fmt = "describe", ["--expand"]
     if command == "ext":
@@ -923,10 +943,15 @@ class TestDeterminismAndSchema:
             second = invoke(argv)
             assert first == second
 
-    def test_json_report_validates_against_schema(self):
+    def test_json_report_validates_against_schema(self, tmp_path):
         schema = json.loads((REPO / "schemas" / "invariants_report.schema.json").read_text())
-        for name in ("SO(7)", "SO(2)", "GL(3)", "PGL(5)", "Spin(10)", "Sp(4)"):
-            code, out, _ = invoke(["invariants", "--preset", name, "--json"])
+        spec = tmp_path / "quotient.json"
+        spec.write_text(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
+        sources = [["--preset", name] for name in ("SO(7)", "SO(2)", "GL(3)", "PGL(5)", "Spin(10)", "Sp(4)")]
+        # large tables, and one with several restriction coordinates per row
+        sources += [["--preset", "SL(128)"], ["--preset", "PGL(12)"], ["--spec", str(spec)]]
+        for source in sources:
+            code, out, _ = invoke(["invariants", *source, "--json"])
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
 
@@ -1000,6 +1025,82 @@ class TestJsonWriter:
             sys.set_int_max_str_digits(saved)
         assert (code, out) == (1, "")
         assert err.startswith("error[E_LIMIT] at --spec: "), err
+
+
+def row_dicts(model):
+    """The weight table of a semisimple model as the dicts of its own
+    ``WeightBrauerRow``s."""
+    return [
+        {
+            "node": row.node,
+            "weight": list(row.weight.coords),
+            "restriction": list(row.restriction.coords),
+            "brauer_class": list(row.brauer_class.coords),
+            "trivial": row.is_trivial,
+        }
+        for row in weight_brauer_table(as_semisimple(model))
+    ]
+
+
+def stdlib_report(out, key, model):
+    """``out`` as ``json.dumps(..., indent=2)`` writes it when the weight
+    table under ``key`` is ``row_dicts(model)``."""
+    payload = json.loads(out)
+    payload[key] = row_dicts(model)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def assert_tables_match_stdlib(source, model):
+    """``invariants --json`` and, for a semisimple model, ``weights --json``
+    on ``source`` print the bytes of ``stdlib_report``."""
+    if model.torus_rank or model.unipotent_dim:
+        code, out, err = invoke(["invariants", "--json", *source])
+        assert code == 0 and "weights" not in json.loads(out), err
+        return
+    for command, key in (("invariants", "weights"), ("weights", "rows")):
+        code, out, err = invoke([command, "--json", *source])
+        assert code == 0, err
+        assert out == stdlib_report(out, key, model), (command, source)
+
+
+# every preset kind at every n the writer's indentation and widths could
+# split on, past the benchmark's largest n of 128
+TABLE_PRESET_NS = (*range(2, 41), 48, 64, 96, 128, 130)
+
+
+class TestWeightTableWriter:
+    @pytest.mark.parametrize("kind", ["SL", "GL", "PGL", "SO", "Sp", "Spin"])
+    def test_presets_match_stdlib(self, kind):
+        for n in TABLE_PRESET_NS:
+            if kind == "Sp" and n % 2:
+                continue
+            name = f"{kind}({n})"
+            assert_tables_match_stdlib(["--preset", name], preset(name))
+
+    @pytest.mark.parametrize("factors", MIXED_CENTER_PRODUCTS, ids=lambda factors: "x".join(map(str, factors)))
+    def test_every_subgroup_of_mixed_centers_matches_stdlib(self, factors, tmp_path):
+        group = center(build_datum(factors))
+        path = tmp_path / "quotient.json"
+        for sub in all_subgroups(group):
+            gluing = [{"center": list(sub.inclusion.matrix.column(j)), "torus": []} for j in range(sub.computed.ngens)]
+            text = json.dumps({"semisimple": [{"family": t.family, "rank": t.rank} for t in factors], "gluing": gluing})
+            path.write_text(text)
+            assert_tables_match_stdlib(["--spec", str(path)], parse_spec(text))
+
+    def test_empty_table_and_empty_columns(self):
+        code, out, err = invoke(["invariants", "--json", "--preset", "SL(1)"])
+        assert code == 0, err
+        assert '"weights": []' in out
+        code, out, err = invoke(["weights", "--json", "--preset", "SL(3)"])
+        assert code == 0, err
+        assert out.count('"restriction": [],') == out.count('"brauer_class": [],') == 2
+        for name in ("SL(1)", "SL(3)"):
+            assert_tables_match_stdlib(["--preset", name], preset(name))
+
+    def test_table_as_a_top_level_value(self):
+        for name in ("SL(1)", "SO(9)", "PGL(12)"):
+            table = weight_brauer_table(as_semisimple(preset(name)))
+            assert json_text(table) == json.dumps(row_dicts(preset(name)), indent=2)
 
 
 class TestInternalErrorPath:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import MIXED_CENTER_PRODUCTS, all_subgroups, random_model
 from homspace.abgroups import (
     FgAbGroup,
@@ -216,6 +218,28 @@ class TestWeightTable:
         assert len(rows) == 1
         assert not rows[0].is_trivial
         assert rows[0].brauer_class.group == cyclic(2)
+
+    def test_table_is_a_sequence_of_rows(self):
+        cases = [as_semisimple(preset("SL(1)")), as_semisimple(preset("SL(3)"))]
+        for factors in MIXED_CENTER_PRODUCTS:
+            datum = build_datum(factors)
+            cases.extend(SemisimpleModel(datum=datum, kernel=sub) for sub in all_subgroups(center(datum))[:8])
+        for sm in cases:
+            table = weight_brauer_table(sm)
+            rank = sm.datum.rank
+            rows = list(table)
+            assert len(table) == len(rows) == rank
+            assert [row.node for row in rows] == list(sm.datum.node_labels())
+            # the columns the CLI writes are the rows' reduced coordinates
+            assert list(table.columns()) == [(row.node, row.restriction.coords) for row in rows]
+            assert [table[i] for i in range(rank)] == rows
+            assert [table[i] for i in range(-rank, 0)] == rows
+            assert list(reversed(table)) == rows[::-1]
+            for i in (rank, -rank - 1):
+                with pytest.raises(IndexError):
+                    table[i]
+            with pytest.raises(TypeError):
+                table["0"]
 
     def test_rows_are_weight_restrictions_on_products(self):
         for factors in MIXED_CENTER_PRODUCTS:
