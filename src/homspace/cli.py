@@ -8,6 +8,17 @@ Exit codes: 0 success, 1 input error or an internal limit met by valid
 input (``E_LIMIT``), 2 internal invariant violation.  Every error carries a
 machine-readable code plus the JSON path or flag that caused it.  A command
 that fails writes nothing to stdout.
+
+A query reaches its subcommand parser directly: when ``argv[0]`` names a
+command, ``run`` hands ``argv[1:]`` to that command's parser, which is what
+the top-level parser would do after its own walk over the arguments.  That
+walk costs about twice the subcommand's parse, and a warm report is short.
+The direct parse only ever yields a complete namespace.  Anything else (no
+command named, an argument left over, help, an error) is parsed again by the
+top-level parser, so usage, help, ``--version`` and every error message stay
+argparse's own, byte for byte.  The top-level parser is kept for that reason:
+some of its output differs from the subcommand's, such as the "ambiguous
+option" error for ``--=x``, which it raises before any subcommand is chosen.
 """
 
 from __future__ import annotations
@@ -417,9 +428,10 @@ def _cmd_invariants(args, out: _Printer) -> int:
         },
         "picard_of_group": str(report.e_al),
     }
-    if model.torus_rank == 0 and model.unipotent_dim == 0:
-        payload["weights"] = weight_brauer_table(as_semisimple(model))
     if args.json:
+        # the weight table is printed in JSON only
+        if model.torus_rank == 0 and model.unipotent_dim == 0:
+            payload["weights"] = weight_brauer_table(as_semisimple(model))
         out.json(payload)
         return 0
     out.header(f"invariants of G/H for H = {model.describe()}")
@@ -537,7 +549,8 @@ def _cmd_snf(args, out: _Printer) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="homspace",
         description="Exact Picard/Brauer invariants of homogeneous spaces G/H from combinatorial models of H.",
@@ -568,10 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("--matrix", required=True, help='row-major literal, e.g. "2,4;6,8"')
     p.add_argument("--json", action="store_true")
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
 
 _COMMANDS = {
     "describe": _cmd_describe,
@@ -619,15 +632,35 @@ def _failure(args, exc: Exception) -> CliError:
     return CliError("E_LIMIT", where, f"an integer of the report exceeds the int-to-str {limit}")
 
 
+def _parse_direct(argv):
+    """The namespace of ``argv`` parsed by the subcommand parser that
+    ``argv[0]`` names, or None when there is no such parser, an argument is
+    left over or the parser exits; what it writes before exiting is
+    dropped."""
+    parser = _SUBPARSERS.get(argv[0]) if argv else None
+    if parser is None:
+        return None
+    dropped = io.StringIO()
+    try:
+        with redirect_stdout(dropped), redirect_stderr(dropped):
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    except SystemExit:
+        return None
+    return None if extras else args
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    try:
-        # argparse writes usage, help and errors to the sys streams
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = _PARSER.parse_args(_attach_matrix_values(argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    argv = _attach_matrix_values(argv)
+    args = _parse_direct(argv)
+    if args is None:
+        try:
+            # argparse writes usage, help and errors to the sys streams
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
     # the report reaches stdout only once the command has succeeded
     report = io.StringIO()
     color = stdout.isatty() and "HOMSPACE_NO_COLOR" not in os.environ

@@ -4,9 +4,9 @@ characters and extension classes.
 A character chi of Gamma pulls the exponential sequence 0 -> Z -> Q -> Q/Z
 back to an abelian extension 0 -> Z -> E -> Gamma -> 0 whose class is chi
 itself (Brown, Cohomology of Groups, GTM 87, IV.3).  Its middle group is
-Z + ker chi in closed form (``middle_group``), one kernel of a hom from
-Gamma to a cyclic group: no extension is realized and no class is read
-back.
+Z + ker chi in closed form (``middle_group``), the type of one kernel of
+a hom from Gamma to a cyclic group: no extension is realized, no class is
+read back and no inclusion of the kernel is built.
 
 Sign convention: the class of the pullback extension of chi is chi itself
 (the round trip identity).  The opposite sign would be equally consistent;
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .abgroups import AbElement, FgAbGroup, _mod_n_hom, kernel_of
+from .abgroups import AbElement, FgAbGroup, _mod_n_hom, preimage_lattice, span_group
 
 
 class Character:
@@ -87,8 +87,9 @@ def middle_group(chi: Character) -> FgAbGroup:
     The pullback is {(q, g) in Q x Gamma : q mod Z = chi(g)}.  Its
     projection to Q has image (1/ord chi) * Z, which is free, and kernel
     {(0, g) : chi(g) = 0}, so one kernel of Gamma -> Z/ord chi, whose row
-    is ord(chi) * chi(g_i), gives the torsion (Brown, GTM 87, IV.3).  For
-    chi = 0 the codomain is trivial and the kernel is Gamma."""
+    is ord(chi) * chi(g_i), gives the torsion (Brown, GTM 87, IV.3).  Only
+    the kernel's type is read: the span in Gamma of its preimage lattice's
+    rows.  For chi = 0 the codomain is trivial and the kernel is Gamma."""
     n = chi.order()
-    kernel = kernel_of(_mod_n_hom(chi.group, n, [[v.numerator * (n // v.denominator) for v in chi.values]]))
-    return FgAbGroup(1, kernel.computed.invariant_factors)
+    pre = preimage_lattice(_mod_n_hom(chi.group, n, [[v.numerator * (n // v.denominator) for v in chi.values]]))
+    return FgAbGroup(1, span_group(chi.group.orders, pre.to_rows()).invariant_factors)

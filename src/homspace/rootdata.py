@@ -126,6 +126,12 @@ class RootDatumSS:
     pq_group: FgAbGroup
     pq_proj: AbHom
 
+    def __hash__(self) -> int:
+        # the other fields are a function of the factors (``build_datum``),
+        # so the factors alone tell data apart, and a hash walks neither the
+        # Cartan matrix nor ``pq_proj``
+        return hash(self.factors)
+
     @property
     def rank(self) -> int:
         return self.cartan.rows

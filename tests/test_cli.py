@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
 from math import prod
@@ -534,6 +535,23 @@ class TestCommands:
         assert "invalid choice" in err
         assert capsys.readouterr() == ("", "")
 
+    def test_text_invariants_build_no_weight_table(self, monkeypatch):
+        # text reports never print the table, so only --json builds it
+        import homspace.cli as climod
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return weight_brauer_table(*args)
+
+        monkeypatch.setattr(climod, "weight_brauer_table", counting)
+        for fmt, expected in (([], 0), (["--json"], 1)):
+            calls.clear()
+            code, _, err = invoke(["invariants", *fmt, "--preset", "SO(8)"])
+            assert code == 0, err
+            assert len(calls) == expected, fmt
+
     def test_pi1_computed_once_per_report(self, monkeypatch):
         import homspace.cli as climod
         import homspace.invariants as invmod
@@ -687,6 +705,96 @@ class TestCommands:
         assert described[0] == 0 and not described[2]
         payload = json.loads(described[1])
         assert payload["model"] == "GL(3)" and payload["pi1"] == "Z^1"
+
+
+# argv of the dispatch test: a head (a command, none, an unknown or
+# abbreviated command, or a flag first) and runs of arguments after it,
+# drawn from the head's own flags or from every kind of argument
+_MODEL_WORDS = (
+    ("--preset", "SO(8)"), ("--pre", "GL(3)"), ("--preset=PGL(2)",), ("--preset", "SO(0)"),
+    ("--spec", "no-such-spec.json"), ("--json",), ("--js",),
+)
+COMMAND_WORDS = {
+    "describe": _MODEL_WORDS + (("--expand",), ("--exp",)),
+    "invariants": _MODEL_WORDS,
+    "weights": _MODEL_WORDS,
+    "ext": (("--group", "2,4"), ("--gr=2,4",), ("--char", "1/2,0"), ("--ch", "1/2,1/4"), ("--json",)),
+    "snf": (("--matrix", "2,4;6,8"), ("--matrix", "-1,2"), ("--matrix=-1,2;3,4",), ("--mat", "-3"), ("--js",)),
+}
+DISPATCH_HEADS = tuple((name,) for name in COMMAND_WORDS) + (
+    (), ("no-such-command",), ("desc",), ("--json",), ("--version",),
+)
+DISPATCH_WORDS = tuple(word for words in COMMAND_WORDS.values() for word in words) + (
+    ("-h",), ("--help",), ("--version",), ("--ver",),
+    ("--bogus",), ("--=x",), ("-x",), ("--",), ("stray",), ("describe",),
+    ("--preset",), ("--group",), ("--matrix",), ("--char",),
+)
+# well-formed queries of every command, with abbreviated and attached flags
+WELL_FORMED = (
+    ["describe", "--json", "--preset", "GL(3)"],
+    ["describe", "--exp", "--pre=SO(5)"],
+    ["invariants", "--preset", "SO(8)"],
+    ["invariants", "--js", "--preset=SL(4)"],
+    ["weights", "--json", "--preset", "Spin(8)"],
+    ["ext", "--group", "2,4", "--char", "1/2,3/4", "--json"],
+    ["ext", "--gr=4,64"],
+    ["snf", "--matrix", "-1,2;3,4", "--json"],
+    ["snf", "--mat=2,4;6,8"],
+)
+
+
+def invoke_recording(argv, direct=True):
+    """``invoke(argv)`` and the namespaces the commands were given; with
+    ``direct`` false every argv goes through the top-level parser.  Nothing
+    may reach the process's own streams."""
+    import homspace.cli as climod
+
+    seen = []
+
+    def recording(command):
+        def wrapper(args, out):
+            seen.append(args)
+            return command(args, out)
+
+        return wrapper
+
+    stray = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(stray), redirect_stderr(stray):
+        patch.setattr(climod, "_COMMANDS", {name: recording(fn) for name, fn in climod._COMMANDS.items()})
+        if not direct:
+            patch.setattr(climod, "_parse_direct", lambda argv: None)
+        result = invoke(argv)
+    assert not stray.getvalue()
+    return result, seen
+
+
+class TestDispatch:
+    @given(st.data())
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    def test_same_result_as_the_top_level_parser(self, data):
+        head = data.draw(st.sampled_from(DISPATCH_HEADS))
+        word = st.sampled_from(DISPATCH_WORDS)
+        if head and head[0] in COMMAND_WORDS:
+            word = st.one_of(st.sampled_from(COMMAND_WORDS[head[0]]), word)
+        argv = [*head, *(arg for words in data.draw(st.lists(word, max_size=4)) for arg in words)]
+        direct, direct_args = invoke_recording(argv)
+        reference, reference_args = invoke_recording(argv, direct=False)
+        assert direct == reference
+        assert direct_args == reference_args
+
+    def test_well_formed_queries_skip_the_top_level_parser(self, monkeypatch):
+        import homspace.cli as climod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse")
+
+        monkeypatch.setattr(climod._PARSER, "parse_args", refuse)
+        monkeypatch.setattr(climod._PARSER, "parse_known_args", refuse)
+        for argv in WELL_FORMED:
+            code, out, err = invoke(argv)
+            assert code == 0 and out and not err, (argv, err)
+        with pytest.raises(AssertionError, match="top-level parse"):
+            invoke(["describe", "--preset", "GL(3)", "stray"])
 
 
 class TestWeightsPathScale:

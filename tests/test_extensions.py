@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_cocycle_classes, random_chain, random_character_values, small_groups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z, kernel_of
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _mod_n_hom, cyclic, ext1_z, kernel_of
 from homspace.extensions import Character, middle_group
 from oracles import (
     SymmetricCocycle,
@@ -93,6 +95,22 @@ class TestMiddleGroup:
             assert middle.free_rank == 1
             # |ker chi| * ord(chi) = |Gamma|
             assert FgAbGroup(0, middle.invariant_factors).order() * chi.order() == group.order()
+
+
+    @given(st.data())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_random_groups_against_the_kernel_and_the_realized_extension(self, data):
+        k = data.draw(st.integers(0, 6))
+        chain = [data.draw(st.integers(2, 200))] if k else []
+        for _ in range(k - 1):
+            chain.append(chain[-1] * data.draw(st.sampled_from((1, 2, 3, 4, 6, 12, 35, 360))))
+        group = FgAbGroup(0, tuple(chain))
+        chi = Character(group, tuple(Fraction(data.draw(st.integers(0, d - 1)), d) for d in chain))
+        n = chi.order()
+        hom = _mod_n_hom(group, n, [[v.numerator * (n // v.denominator) for v in chi.values]])
+        middle = middle_group(chi)
+        assert middle == FgAbGroup(1, kernel_of(hom).computed.invariant_factors)
+        assert middle == character_to_extension(chi).middle
 
 
 class TestCocycleClass:

@@ -126,6 +126,24 @@ class TestBuildDatum:
         assert datum.pq_group == cyclic(6)
         assert datum.node_labels() == ("A1:1", "A2:1", "A2:2")
 
+    def test_hash_reads_only_the_factors(self, monkeypatch):
+        # data built apart are equal and hash alike, and hashing one walks
+        # neither the Cartan matrix nor the P/Q projection
+        factors = (SimpleType("A", 3), SimpleType("D", 5), SimpleType("E", 7))
+        build_datum.cache_clear()
+        first = build_datum(factors)
+        build_datum.cache_clear()
+        second = build_datum(factors)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != build_datum(factors[:2])
+
+        def refuse(self):
+            raise AssertionError("IntMatrix hashed")
+
+        monkeypatch.setattr(IntMatrix, "__hash__", refuse)
+        assert hash(first) == hash(factors)
+
     def test_empty(self):
         datum = build_datum(())
         assert datum.rank == 0
