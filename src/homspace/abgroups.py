@@ -213,12 +213,6 @@ class AbHom:
             raise ValueError("element not in the domain")
         return AbElement(self.codomain, self.matrix.apply(elem.coords))
 
-    def compose(self, inner: "AbHom") -> "AbHom":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("homs do not compose")
-        return AbHom(inner.domain, self.codomain, self.matrix @ inner.matrix)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AbHom)

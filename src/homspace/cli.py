@@ -9,16 +9,20 @@ input (``E_LIMIT``), 2 internal invariant violation.  Every error carries a
 machine-readable code plus the JSON path or flag that caused it.  A command
 that fails writes nothing to stdout.
 
-A query reaches its subcommand parser directly: when ``argv[0]`` names a
-command, ``run`` hands ``argv[1:]`` to that command's parser, which is what
-the top-level parser would do after its own walk over the arguments.  That
-walk costs about twice the subcommand's parse, and a warm report is short.
-The direct parse only ever yields a complete namespace.  Anything else (no
-command named, an argument left over, help, an error) is parsed again by the
-top-level parser, so usage, help, ``--version`` and every error message stay
-argparse's own, byte for byte.  The top-level parser is kept for that reason:
-some of its output differs from the subcommand's, such as the "ambiguous
-option" error for ``--=x``, which it raises before any subcommand is chosen.
+Each command's flags are declared once, in ``_COMMAND_FLAGS``: name,
+whether the flag takes a value, default, required, help.  The argparse
+parser is built from that table, and a well-formed query is read straight
+off it (``_parse_direct``): exact flag names or unique ``--`` abbreviations,
+``--flag value`` or ``--flag=value``, each flag once and every required one
+given, which argparse would read to the same namespace.  Anything else (no
+command named, an unknown or repeated flag, help, a missing value) goes to
+the argparse parser, so usage, help, ``--version`` and every error message
+stay argparse's own, byte for byte.
+
+A model named again is not built again: ``groups.preset`` and the spec
+reader here (keyed by the document's text) are bounded caches that return
+the same model object, and the report and weight table of a model are
+cached in ``invariants``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .abgroups import FgAbGroup, ext1_z
@@ -253,8 +259,16 @@ def _load_model(args) -> ReductiveModel:
                 text = handle.read()
         except OSError as exc:
             raise CliError("E_IO", "--spec", f"cannot read {args.spec}: {exc}") from exc
-        return parse_spec(text)
+        return _spec_model(text, sys.get_int_max_str_digits())
     raise CliError("E_FLAGS", "--preset", "one of --preset or --spec is required")
+
+
+# Keyed by the document's text, so a rewritten file is read again, and by
+# the digit limit, under which parse_spec may fail where it passed before.
+# Bounded like build_datum: a stream of unique specs keeps the last 256.
+@lru_cache(maxsize=256)
+def _spec_model(text: str, digit_limit: int) -> ReductiveModel:
+    return parse_spec(text)
 
 
 class _Printer:
@@ -549,42 +563,105 @@ def _cmd_snf(args, out: _Printer) -> int:
     return 0
 
 
-def _build_parser():
-    """The top-level parser and its subcommand parsers by command name."""
+class _Flag(NamedTuple):
+    """One flag of a command.  A flag that takes a value stores it; any
+    other flag is a switch, True when given."""
+
+    name: str
+    takes_value: bool
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:]
+
+
+_MODEL_FLAGS = (
+    _Flag("--preset", True, help="built-in model such as SO(7), GL(3), PGL(2), Spin(8), Sp(4)"),
+    _Flag("--spec", True, help="path to a group-spec JSON document"),
+    _Flag("--json", takes_value=False, default=False, help="machine-readable output"),
+)
+
+# every command's help line and flags, in the order --help lists them: the
+# top-level parser is built from this table, and well-formed queries are
+# read straight off it
+_COMMAND_FLAGS = {
+    "describe": (
+        "show center generators/orders and pi1 data of a model",
+        _MODEL_FLAGS
+        + (_Flag("--expand", takes_value=False, default=False, help="print the JSON expansion of the model"),),
+    ),
+    "invariants": ("Picard/Brauer/topological invariant report for G/H", _MODEL_FLAGS),
+    "weights": ("fundamental-weight Brauer table (semisimple models)", _MODEL_FLAGS),
+    "ext": (
+        "central extensions of a finite abelian group by Z",
+        (
+            _Flag("--group", True, required=True, help='invariant factors, e.g. "2,4"'),
+            _Flag("--char", True, help='character values as fractions, e.g. "1/2,0"'),
+            _Flag("--json", takes_value=False, default=False),
+        ),
+    ),
+    "snf": (
+        "Smith normal form of an integer matrix",
+        (
+            _Flag("--matrix", True, required=True, help='row-major literal, e.g. "2,4;6,8"'),
+            _Flag("--json", takes_value=False, default=False),
+        ),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homspace",
         description="Exact Picard/Brauer invariants of homogeneous spaces G/H from combinatorial models of H.",
     )
     parser.add_argument("--version", action="version", version=f"homspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_model_flags(p):
-        p.add_argument("--preset", help="built-in model such as SO(7), GL(3), PGL(2), Spin(8), Sp(4)")
-        p.add_argument("--spec", help="path to a group-spec JSON document")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("describe", help="show center generators/orders and pi1 data of a model")
-    add_model_flags(p)
-    p.add_argument("--expand", action="store_true", help="print the JSON expansion of the model")
-
-    p = sub.add_parser("invariants", help="Picard/Brauer/topological invariant report for G/H")
-    add_model_flags(p)
-
-    p = sub.add_parser("weights", help="fundamental-weight Brauer table (semisimple models)")
-    add_model_flags(p)
-
-    p = sub.add_parser("ext", help="central extensions of a finite abelian group by Z")
-    p.add_argument("--group", required=True, help='invariant factors, e.g. "2,4"')
-    p.add_argument("--char", help='character values as fractions, e.g. "1/2,0"')
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help='row-major literal, e.g. "2,4;6,8"')
-    p.add_argument("--json", action="store_true")
-    return parser, sub.choices
+    for command, (text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in flags:
+            p.add_argument(
+                flag.name,
+                action="store" if flag.takes_value else "store_true",
+                default=flag.default,
+                required=flag.required,
+                help=flag.help,
+            )
+    return parser
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+def _spellings(flags) -> dict:
+    """Every spelling that argparse resolves to one of ``flags``: a flag's
+    name, and each prefix of it longer than "--" that no other flag's name
+    and not "--help" starts with (``allow_abbrev``)."""
+    names = [flag.name for flag in flags] + ["--help"]
+    spellings = {}
+    for flag in flags:
+        for end in range(3, len(flag.name)):
+            prefix = flag.name[:end]
+            if sum(name.startswith(prefix) for name in names) == 1:
+                spellings[prefix] = flag
+    spellings.update((flag.name, flag) for flag in flags)
+    return spellings
+
+
+_PARSER = _build_parser()
+# per command: each spelling of a flag -> (its dest, whether it takes a
+# value), the namespace's defaults, and the dests that must be given
+_READERS = {
+    command: (
+        {spelling: (flag.dest, flag.takes_value) for spelling, flag in _spellings(flags).items()},
+        {flag.dest: flag.default for flag in flags},
+        frozenset(flag.dest for flag in flags if flag.required),
+    )
+    for command, (_, flags) in _COMMAND_FLAGS.items()
+}
+# snf's spellings of --matrix: elsewhere only the full spelling is
+# rewritten, as argparse rejects the flag there whatever its value
+_SNF_MATRIX_SPELLINGS = frozenset(s for s, (dest, _) in _READERS["snf"][0].items() if dest == "matrix")
 
 _COMMANDS = {
     "describe": _cmd_describe,
@@ -596,12 +673,14 @@ _COMMANDS = {
 
 
 def _attach_matrix_values(argv) -> list:
-    """Write ``--matrix -1,2`` as ``--matrix=-1,2``: argparse takes a value
-    that starts with a minus sign and is not a plain number for a flag."""
+    """Write ``--matrix -1,2`` as ``--matrix=-1,2``, and on snf also each
+    abbreviation such as ``--mat -1,2``: argparse takes a value that starts
+    with a minus sign and is not a plain number for a flag."""
+    spellings = _SNF_MATRIX_SPELLINGS if argv and argv[0] == "snf" else ("--matrix",)
     attached = []
     for arg in argv:
-        if attached and attached[-1] == "--matrix" and arg[:1] == "-" and arg[1:2].isdigit():
-            attached[-1] = f"--matrix={arg}"
+        if attached and attached[-1] in spellings and arg[:1] == "-" and arg[1:2].isdigit():
+            attached[-1] = f"{attached[-1]}={arg}"
         else:
             attached.append(arg)
     return attached
@@ -633,20 +712,36 @@ def _failure(args, exc: Exception) -> CliError:
 
 
 def _parse_direct(argv):
-    """The namespace of ``argv`` parsed by the subcommand parser that
-    ``argv[0]`` names, or None when there is no such parser, an argument is
-    left over or the parser exits; what it writes before exiting is
-    dropped."""
-    parser = _SUBPARSERS.get(argv[0]) if argv else None
-    if parser is None:
+    """The namespace of a well-formed query, read off the flag table of the
+    command that ``argv[0]`` names, or None.  Well formed means: each
+    argument after the command is a flag's name or unique abbreviation
+    (see ``_spellings``), given at most once, a switch bare and any other
+    flag as ``--flag=value`` or ``--flag value`` with a value that does not
+    start with "-"; and every required flag is given.  Argparse reads such
+    an argv to the same namespace."""
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
         return None
-    dropped = io.StringIO()
-    try:
-        with redirect_stdout(dropped), redirect_stderr(dropped):
-            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    except SystemExit:
+    spellings, defaults, required = reader
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        spelling, eq, value = arg.partition("=")
+        dest, takes_value = spellings.get(spelling, (None, False))
+        if dest is None or dest in given or (eq and not takes_value):
+            return None
+        if not takes_value:
+            value = True
+        elif not eq:
+            value = next(rest, "-")  # a missing value reads as "-"
+            if value[:1] == "-":
+                return None
+        given[dest] = value
+    if not required <= given.keys():
         return None
-    return None if extras else args
+    args = argparse.Namespace()
+    vars(args).update(defaults, command=argv[0], **given)
+    return args
 
 
 def run(argv, stdout=None, stderr=None) -> int:

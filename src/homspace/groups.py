@@ -139,7 +139,10 @@ class SemisimpleModel:
 
 # The model caches are bounded, like build_datum's: a deck of semisimple
 # reports keeps under 200 models warm, and a stream of unique torus models
-# must not grow the process without end.
+# must not grow the process without end.  A repeated preset or spec document
+# comes back from its own cache (``preset``, the CLI's spec reader) as the
+# same model object, so a repeated query finds its entry here by identity,
+# with the model's cached integer hash and no field-by-field comparison.
 @lru_cache(maxsize=1024)
 def _gluing(model: ReductiveModel) -> FgAbGroup:
     """Abstract type of the gluing subgroup, spanned inside
@@ -252,6 +255,8 @@ def _torus_model(rank: int, name: str) -> ReductiveModel:
     return ReductiveModel(ss=build_datum(()), torus_rank=rank, gluing=(), unipotent_dim=0, name=name)
 
 
+# Bounded like build_datum; a repeated name gets the same model back.
+@lru_cache(maxsize=256)
 def preset(name: str) -> ReductiveModel:
     """Built-in models: SL(n), GL(n), PGL(n), SO(n), Sp(2n), Spin(n).
 

@@ -86,21 +86,13 @@ class IntMatrix:
         if ncols == 0:
             return cls(0 if rows is None else rows, 0, ())
         nrows = len(columns[0]) if rows is None else rows
-        flat = []
-        for i in range(nrows):
-            for c in columns:
-                if len(c) != nrows:
-                    raise ValueError("ragged columns")
-                flat.append(c[i])
-        return cls(nrows, ncols, flat)
+        if any(len(c) != nrows for c in columns):
+            raise ValueError("ragged columns")
+        return cls(nrows, ncols, [x for row in zip(*columns) for x in row])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
@@ -144,18 +136,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError(f"vector length {len(vector)} != {self.cols}")
         return tuple(sum(map(mul, self.row(i), vector)) for i in range(self.rows))
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, flat)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self._entries)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 
 from .abgroups import AbElement, FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
@@ -127,6 +128,9 @@ def picard_of_group(model: ReductiveModel) -> FgAbGroup:
     return ext1_z(pi1(model))
 
 
+# A report and a weight table depend on their model alone: a repeated
+# query reads them back.  Both caches are bounded like build_datum's.
+@lru_cache(maxsize=256)
 def invariant_report(model: ReductiveModel) -> InvariantReport:
     """All invariants of G/H for one model, with convention notes."""
     lattice, pic = picard(model)
@@ -156,6 +160,7 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
     )
 
 
+@lru_cache(maxsize=256)
 def weight_brauer_table(sm: SemisimpleModel) -> WeightBrauerTable:
     """One row per fundamental weight of the simply connected cover: the
     weight's restriction to pi1(H) and the Brauer class it induces.

@@ -42,6 +42,8 @@
 * Weight restriction to a central subgroup and the character lattice of
   the quotient, both read off ``homspace.rootdata.restriction_matrix``; no
   query needs either.
+* Matrix and hom helpers that no query needs: the zero matrix, side-by-side
+  concatenation, the zero test and composition of homs.
 * Small homomorphism constructors, and verification tools that the library
   no longer exports: cokernels with their projection, image lattices and
   the exactness test ``image(f) == kernel(g)``, preimages of single
@@ -87,6 +89,33 @@ from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
 from homspace.rootdata import RootDatumSS, Weight, center, restriction_matrix
+
+
+# ---------------------------------------------------------------------------
+# matrix and hom helpers
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
+    """``[left | right]``."""
+    if left.rows != right.rows:
+        raise ValueError("row counts differ")
+    entries = [x for i in range(left.rows) for x in left.row(i) + right.row(i)]
+    return IntMatrix(left.rows, left.cols + right.cols, entries)
+
+
+def is_zero_matrix(m: IntMatrix) -> bool:
+    return not any(x for i in range(m.rows) for x in m.row(i))
+
+
+def compose(outer: AbHom, inner: AbHom) -> AbHom:
+    """``outer`` after ``inner``."""
+    if inner.codomain != outer.domain:
+        raise ValueError("homs do not compose")
+    return AbHom(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +170,7 @@ def snf_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     """Hermite basis (rows) of ``{x : m @ x == 0}``, row i read modulo
     ``orders[i]``: the kernel of ``[m | R]`` cut down to x."""
     relations = [[o if i == k else 0 for k in range(m.rows)] for i, o in enumerate(orders) if o]
-    kern = snf_kernel(m.hstack(IntMatrix.from_columns(relations, rows=m.rows)))
+    kern = snf_kernel(hstack(m, IntMatrix.from_columns(relations, rows=m.rows)))
     vectors = [[kern[i, j] for i in range(m.cols)] for j in range(kern.cols)]
     return lattice_row_basis(vectors, m.cols)
 
@@ -210,7 +239,7 @@ def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
     matrix and the codomain's relations."""
     if elem.group != f.codomain:
         raise ValueError("element not in the codomain")
-    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
+    big = hstack(f.matrix, _relation_columns(f.codomain.orders))
     sol = solve_integer(big, elem.coords)
     if sol is None:
         return None
@@ -222,7 +251,7 @@ def identity_hom(group: FgAbGroup) -> AbHom:
 
 
 def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
-    return AbHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
+    return AbHom(domain, codomain, zero_matrix(codomain.ngens, domain.ngens))
 
 
 def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
@@ -231,7 +260,7 @@ def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
 
 def cokernel_of(f: AbHom):
     """Cokernel in canonical form plus the projection hom from the codomain."""
-    big = f.matrix.hstack(_relation_columns(f.codomain.orders))
+    big = hstack(f.matrix, _relation_columns(f.codomain.orders))
     group, proj = from_presentation(f.codomain.ngens, big)
     return group, AbHom(f.codomain, group, proj.matrix)
 

@@ -24,6 +24,7 @@ from oracles import (
     all_characters,
     character_from_dual_element,
     cokernel_of,
+    compose,
     det,
     identity_hom,
     image_lattice,
@@ -33,6 +34,7 @@ from oracles import (
     multiplication_hom,
     preimage_of,
     zero_hom,
+    zero_matrix,
 )
 
 
@@ -125,7 +127,7 @@ class TestFromPresentation:
         assert proj(FgAbGroup(2, ()).element([0, 3])).is_identity
 
     def test_free(self):
-        group, _ = from_presentation(1, IntMatrix.zeros(1, 0))
+        group, _ = from_presentation(1, zero_matrix(1, 0))
         assert group == Z
 
     def test_snf_example(self):
@@ -369,9 +371,9 @@ class TestKernelCokernelExactness:
             f = random_hom(rng, a, b)
             g = random_hom(rng, b, c)
             h = random_hom(rng, c, d)
-            assert h.compose(g.compose(f)) == h.compose(g).compose(f)
-            assert identity_hom(b).compose(f) == f
-            assert f.compose(identity_hom(a)) == f
+            assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+            assert compose(identity_hom(b), f) == f
+            assert compose(f, identity_hom(a)) == f
 
 
 class TestDirectSum:

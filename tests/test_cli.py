@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MIXED_CENTER_PRODUCTS, QUOTIENT_SPECS, all_subgroups, random_chain, random_character_values
-from homspace import __version__, groups
+from homspace import __version__, cli, groups, invariants
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
@@ -38,6 +38,13 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def clear_query_caches():
+    """Empty the caches that a repeated query hits before any model cache:
+    the preset and spec models, and each model's report and weight table."""
+    for cache in (groups.preset, cli._spec_model, invariants.invariant_report, invariants.weight_brauer_table):
+        cache.cache_clear()
 
 
 class TestParseSpec:
@@ -565,10 +572,15 @@ class TestCommands:
         monkeypatch.setattr(climod, "pi1", counting)
         monkeypatch.setattr(invmod, "pi1", counting)
         for name in ("GL(3)", "SO(8)"):
+            clear_query_caches()
             calls.clear()
             code, _, _ = invoke(["invariants", "--json", "--preset", name])
             assert code == 0
             assert len(calls) == 1
+            # the repeat reads the cached report
+            calls.clear()
+            assert invoke(["invariants", "--json", "--preset", name])[0] == 0
+            assert calls == []
 
     def test_queries_span_the_gluing_group_once(self, monkeypatch, tmp_path):
         # every invariant query spans one group, the derived kernel, from the
@@ -598,12 +610,17 @@ class TestCommands:
             path.write_text(json.dumps(doc))
             semisimple = doc["torus_rank"] == 0
             for command in ("invariants", "weights") if semisimple else ("invariants",):
+                clear_query_caches()
                 original_gluing.cache_clear()
                 groups._derived_kernel.cache_clear()
                 spans.clear()
                 code, _, err = invoke([command, "--json", "--spec", str(path)])
                 assert code == 0, err
                 assert len(spans) == 1, (command, name)
+                # the repeat reads the cached model, report and table
+                spans.clear()
+                assert invoke([command, "--json", "--spec", str(path)])[0] == 0
+                assert spans == [], (command, name)
         assert gluings == []
 
     def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
@@ -623,10 +640,15 @@ class TestCommands:
                 monkeypatch.setattr(module, "restriction_matrix", counting)
         for command in ("weights", "invariants"):
             for name in ("SL(8)", "SL(128)"):
+                clear_query_caches()
                 calls.clear()
                 code, _, err = invoke([command, "--json", "--preset", name])
                 assert code == 0, err
                 assert len(calls) == 1, (command, name)
+                # the repeat reads the cached table
+                calls.clear()
+                assert invoke([command, "--json", "--preset", name])[0] == 0
+                assert calls == [], (command, name)
 
     def test_warm_semisimple_queries_take_no_normal_form(self, monkeypatch, tmp_path):
         # once the caches are warm, a semisimple report is one restriction
@@ -795,6 +817,117 @@ class TestDispatch:
             assert code == 0 and out and not err, (argv, err)
         with pytest.raises(AssertionError, match="top-level parse"):
             invoke(["describe", "--preset", "GL(3)", "stray"])
+
+    def test_near_misses_go_to_the_top_level_parser(self):
+        # argv that argparse rejects, or that the reader leaves to argparse
+        # although argparse reads it: a switch given a value, a value that
+        # starts with "-" or is missing, a flag given twice, a required
+        # flag left out, "--" and help.  The direct reader answers none of
+        # them, and the run matches the top-level parser's
+        import homspace.cli as climod
+
+        near_misses = (
+            ["describe", "--json=x", "--preset", "SO(8)"],
+            ["describe", "--exp=", "--preset", "SO(8)"],
+            ["describe", "--preset", "-x"],
+            ["describe", "--preset", "--json"],
+            ["invariants", "--preset"],
+            ["invariants", "--preset", "SO(8)", "--preset", "GL(3)"],
+            ["invariants", "--json", "--js", "--preset", "SO(8)"],
+            ["weights", "--preset", "SO(8)", "--", "--json"],
+            ["weights", "--preset", "SO(8)", "--he"],
+            ["ext", "--group", "-2"],
+            ["ext", "--char", "1/2"],
+            ["ext", "--gr", "2", "--char", "-1/2"],
+            ["snf", "--matrix"],
+            ["snf", "--json", "--matrix", "1", "--mat", "2"],
+            ["snf", "--matrix", "1", "-1"],
+        )
+        for argv in near_misses:
+            assert climod._parse_direct(climod._attach_matrix_values(argv)) is None, argv
+            assert invoke_recording(argv) == invoke_recording(argv, direct=False), argv
+        # a prefix of --help too is ambiguous to argparse, so not a spelling
+        spellings = climod._spellings((climod._Flag("--hint", True),))
+        assert "--h" not in spellings and spellings["--hi"].name == "--hint"
+
+    def test_abbreviated_matrix_takes_a_negative_first_entry(self, monkeypatch):
+        import homspace.cli as climod
+
+        for fmt in ([], ["--json"]):
+            full = invoke(["snf", *fmt, "--matrix", "-1,2;3,4"])
+            assert full[0] == 0 and full[1] and not full[2]
+            for spelling in ("--m", "--ma", "--mat", "--matr", "--matri"):
+                assert invoke(["snf", *fmt, spelling, "-1,2;3,4"]) == full, spelling
+                assert invoke(["snf", spelling, "-1,2;3,4", *fmt]) == full, spelling
+        # the other commands have no --matrix: their errors are argparse's
+        # own for the argv as given, as before
+        usage = "usage: homspace [-h] [--version] {describe,invariants,weights,ext,snf} ...\n"
+        for argv, rest in (
+            (["ext", "--group", "2", "--mat", "-1,2;3,4"], "--mat -1,2;3,4"),
+            (["describe", "--preset", "SO(8)", "--m", "-1,2"], "--m -1,2"),
+            (["invariants", "--mat", "-1,2;3,4"], "--mat -1,2;3,4"),
+        ):
+            got = invoke(argv)
+            assert got == (1, "", f"{usage}homspace: error: unrecognized arguments: {rest}\n"), argv
+            with monkeypatch.context() as patch:
+                patch.setattr(climod, "_attach_matrix_values", list)
+                assert invoke(argv) == got
+
+
+def clear_every_cache():
+    clear_query_caches()
+    for cache in (groups._gluing, groups._derived_kernel, build_datum):
+        cache.cache_clear()
+
+
+class TestQueryCaches:
+    def test_repeats_print_the_cold_bytes(self, tmp_path):
+        # every preset kind, each model command and format, and a weights
+        # spec: the answer from the caches is the cold answer, byte for byte
+        spec = tmp_path / "quotient.json"
+        spec.write_text(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
+        queries = []
+        for kind in ("SL", "GL", "PGL", "SO", "Sp", "Spin"):
+            for n in (2, 4, 5, 8, 16) if kind != "Sp" else (2, 4, 8, 16):
+                for command in ("describe", "invariants", "weights"):
+                    for fmt in ([], ["--json"]):
+                        queries.append([command, *fmt, "--preset", f"{kind}({n})"])
+        queries += [[command, "--json", "--spec", str(spec)] for command in ("weights", "invariants", "describe")]
+        queries.append(["weights", "--spec", str(spec)])
+        for argv in queries:
+            clear_every_cache()
+            cold = invoke(argv)
+            assert invoke(argv) == cold, argv
+            # weights refuses the models with a torus; everything else answers
+            assert (cold[0] == 0 and cold[1]) or (argv[0] == "weights" and "E_MODEL" in cold[2]), (argv, cold)
+
+    def test_repeats_get_the_same_model(self):
+        clear_query_caches()
+        assert groups.preset("SO(8)") is groups.preset("SO(8)")
+        text = json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"])
+        limit = sys.get_int_max_str_digits()
+        model = cli._spec_model(text, limit)
+        assert cli._spec_model(text, limit) is model
+        assert invariants.invariant_report(model) is invariants.invariant_report(model)
+        assert weight_brauer_table(as_semisimple(model)) is weight_brauer_table(as_semisimple(model))
+
+    def test_spec_cache_keys_on_the_document(self, tmp_path):
+        # the same path rewritten with another document gives that
+        # document's answer
+        path = tmp_path / "model.json"
+        first, second = QUOTIENT_SPECS["A1^8/Z2^3"], QUOTIENT_SPECS["A2^5/Z3^2"]
+        for doc in (first, second, first):
+            path.write_text(json.dumps(doc))
+            warm = invoke(["weights", "--json", "--spec", str(path)])
+            clear_every_cache()
+            assert warm == invoke(["weights", "--json", "--spec", str(path)])
+            assert warm[0] == 0
+            assert len(json.loads(warm[1])["rows"]) == sum(f["rank"] for f in doc["semisimple"])
+        path.write_text(json.dumps({"torus_rank": 1, "gluing": [{"center": [], "torus": ["1/2"]}]}))
+        assert json.loads(invoke(["describe", "--json", "--spec", str(path)])[1])["torus_rank"] == 1
+        path.write_text("{")
+        code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+        assert (code, out) == (1, "") and err.startswith("error[E_JSON] at /: ")
 
 
 class TestWeightsPathScale:

@@ -35,6 +35,7 @@ from oracles import (
     fiber_class_in_pi1,
     gluing_elements,
     gluing_span,
+    is_zero_matrix,
     pi1_extension,
     psi_character_map,
     semisimple_as_reductive,
@@ -295,7 +296,7 @@ class TestPsiCharacterMap:
     def test_zero_character(self):
         model = preset("GL(3)")
         hom = psi_character_map(model, [0])
-        assert hom.matrix.is_zero()
+        assert is_zero_matrix(hom.matrix)
 
     def test_rejects_non_character(self):
         model = preset("GL(3)")
@@ -438,7 +439,7 @@ class TestPresets:
 
 
 class TestCacheBounds:
-    CACHES = (groups.build_datum, groups._gluing, groups._derived_kernel)
+    CACHES = (groups.build_datum, groups._gluing, groups._derived_kernel, groups.preset)
 
     def test_unique_models_stay_within_maxsize(self):
         # twice each cache's size of distinct keys: distinct data from pairs
@@ -469,11 +470,14 @@ class TestCacheBounds:
         for name in names:
             derived_subgroup(preset(name))
         misses = [cache.cache_info().misses for cache in self.CACHES]
+        datum_calls = groups.build_datum.cache_info()[:2]
         for name in names:
             derived_subgroup(preset(name))
         assert [cache.cache_info().misses for cache in self.CACHES] == misses
-        assert groups.build_datum.cache_info().hits >= len(names)
+        assert groups.preset.cache_info().hits == len(names)
         assert groups._derived_kernel.cache_info().hits == len(names)
+        # a repeated preset is the cached model: no root datum is looked up
+        assert groups.build_datum.cache_info()[:2] == datum_calls
 
 
 class TestPresentationIndependence:

@@ -21,10 +21,12 @@ from homspace.intlinalg import (
 from oracles import (
     det,
     hermite_mod_solution_lattice,
+    is_zero_matrix,
     lattice_row_basis,
     snf_kernel,
     snf_solution_lattice,
     solve_integer,
+    zero_matrix,
 )
 
 
@@ -115,7 +117,7 @@ class TestSmithNormalForm:
 
     def test_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
-            m = IntMatrix.zeros(r, c)
+            m = zero_matrix(r, c)
             res = smith_normal_form(m)
             assert res.d == m
             assert res.u == IntMatrix.identity(r)
@@ -154,7 +156,7 @@ class TestHermiteNormalForm:
         assert h == IntMatrix.from_rows([[2, 0], [0, 4]])
 
     def test_zero_matrix(self):
-        m = IntMatrix.zeros(2, 3)
+        m = zero_matrix(2, 3)
         assert hermite(m) == m
 
     def test_already_hermite(self):
@@ -219,7 +221,7 @@ class TestIntegerKernel:
             k = kernel_columns(m)
             assert k.rows == m.cols
             if k.cols:
-                assert (m @ k).is_zero()
+                assert is_zero_matrix(m @ k)
             # full kernel over Q: dimension must match cols - rank
             rank = smith_normal_form(m).rank()
             assert k.cols == m.cols - rank
@@ -312,6 +314,15 @@ class TestHelpers:
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+    def test_from_columns_rejects_ragged_columns(self):
+        # every column's length is checked, also when no row is read
+        for columns, rows in (([[1, 2], [3]], 0), ([[1, 2], [3]], None), ([[1, 2], [3, 4]], 1), ([[]], 1)):
+            with pytest.raises(ValueError, match="ragged columns"):
+                IntMatrix.from_columns(columns, rows=rows)
+        assert IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]]) == IntMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
+        assert IntMatrix.from_columns([(), ()], rows=0) == IntMatrix(0, 2, ())
+        assert IntMatrix.from_columns([], rows=3) == IntMatrix(3, 0, ())
 
 
 # Differential oracle: the library's routes against the former ones kept in

@@ -2,8 +2,8 @@
 top-level name of a module in src/homspace is listed there or imported by
 another module of the package, every listed name exists, the package
 imports nothing outside the standard library and nothing it does not use,
-and no query checks an identity at run time: the tests prove them
-instead."""
+no query checks an identity at run time (the tests prove them instead), and
+every cache states a finite bound."""
 
 import ast
 import re
@@ -117,3 +117,39 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}.py:{node.lineno}: {bound}")
     assert not unused, f"unused imports: {unused}"
+
+
+def _names_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def test_every_cache_is_bounded():
+    # a cache with no finite maxsize grows the process without end on a
+    # stream of unique queries: every lru_cache states its bound as a
+    # positive integer, and functools.cache, which has none, is not used
+    bounded, unbounded = [], []
+    for name, tree in modules().items():
+        stated = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _names_lru_cache(node.func):
+                size = [k.value for k in node.keywords if k.arg == "maxsize"]
+                if (
+                    not node.args
+                    and len(size) == 1
+                    and isinstance(size[0], ast.Constant)
+                    and type(size[0].value) is int
+                    and size[0].value > 0
+                ):
+                    stated.add(node.func)
+        for node in ast.walk(tree):
+            if _names_lru_cache(node):
+                (bounded if node in stated else unbounded).append(f"{name}.py:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{name}.py:{node.lineno}: functools.{a.name}" for a in node.names if a.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                if getattr(node.value, "id", None) == "functools":
+                    unbounded.append(f"{name}.py:{node.lineno}: functools.cache")
+    assert bounded, "no lru_cache found: the scan reads nothing"
+    assert not unbounded, f"caches without an explicit finite maxsize: {unbounded}"
