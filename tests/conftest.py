@@ -5,11 +5,30 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
+from homspace import cli, groups, invariants
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
 from homspace.intlinalg import IntMatrix, solution_lattice
 from homspace.rootdata import SimpleType, build_datum, center
 from oracles import solve_integer
+
+
+def clear_query_caches():
+    """Empty the caches that a repeated query hits before any model cache:
+    the preset and spec models, and each model's report and weight table."""
+    for cache in (groups.preset, cli._spec_model, invariants.invariant_report, invariants.weight_brauer_table):
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_query_caches():
+    """Every test starts with no query cached, so a test that counts calls
+    or times a query measures the work, not a lookup that an earlier test
+    left behind.  The model caches (``build_datum``, ``_gluing``,
+    ``_derived_kernel``) are left to the tests that need them cold."""
+    clear_query_caches()
 
 
 def all_subgroups(group):

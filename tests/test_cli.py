@@ -19,7 +19,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MIXED_CENTER_PRODUCTS, QUOTIENT_SPECS, all_subgroups, random_chain, random_character_values
+from conftest import (
+    MIXED_CENTER_PRODUCTS,
+    QUOTIENT_SPECS,
+    all_subgroups,
+    clear_query_caches,
+    random_chain,
+    random_character_values,
+)
 from homspace import __version__, cli, groups, invariants
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
@@ -38,13 +45,6 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
-
-
-def clear_query_caches():
-    """Empty the caches that a repeated query hits before any model cache:
-    the preset and spec models, and each model's report and weight table."""
-    for cache in (groups.preset, cli._spec_model, invariants.invariant_report, invariants.weight_brauer_table):
-        cache.cache_clear()
 
 
 class TestParseSpec:
@@ -572,7 +572,6 @@ class TestCommands:
         monkeypatch.setattr(climod, "pi1", counting)
         monkeypatch.setattr(invmod, "pi1", counting)
         for name in ("GL(3)", "SO(8)"):
-            clear_query_caches()
             calls.clear()
             code, _, _ = invoke(["invariants", "--json", "--preset", name])
             assert code == 0
@@ -651,9 +650,11 @@ class TestCommands:
                 assert calls == [], (command, name)
 
     def test_warm_semisimple_queries_take_no_normal_form(self, monkeypatch, tmp_path):
-        # once the caches are warm, a semisimple report is one restriction
-        # matrix and its text: no Smith form, no solution lattice, and no
-        # Weight validated per row
+        # once the model caches are warm, a semisimple report is one
+        # restriction matrix and its text: no Smith form, no solution
+        # lattice, and no Weight validated per row.  The query caches are
+        # emptied after the warm-up, so the counted pass builds each model,
+        # report and table again instead of looking them up
         import homspace.abgroups as abmod
         import homspace.intlinalg as linmod
         from homspace.rootdata import Weight
@@ -667,6 +668,7 @@ class TestCommands:
         queries.append(["weights", "--json", "--spec", str(spec)])
         for argv in queries:
             assert invoke(argv)[0] == 0
+        clear_query_caches()
 
         calls = []
 
@@ -902,7 +904,6 @@ class TestQueryCaches:
             assert (cold[0] == 0 and cold[1]) or (argv[0] == "weights" and "E_MODEL" in cold[2]), (argv, cold)
 
     def test_repeats_get_the_same_model(self):
-        clear_query_caches()
         assert groups.preset("SO(8)") is groups.preset("SO(8)")
         text = json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"])
         limit = sys.get_int_max_str_digits()
@@ -1120,7 +1121,8 @@ def test_report_bytes_pinned(command, name, tmp_path):
 def test_former_torus_cliffs_answer_within_a_second(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(cliff_spec(name))
-    # the pinned-digest run of the same model may have filled these
+    # the pinned-digest run of the same model may have filled these model
+    # caches; the query caches start empty in every test (conftest)
     groups._gluing.cache_clear()
     groups._derived_kernel.cache_clear()
     start = time.perf_counter()

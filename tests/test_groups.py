@@ -443,7 +443,8 @@ class TestCacheBounds:
 
     def test_unique_models_stay_within_maxsize(self):
         # twice each cache's size of distinct keys: distinct data from pairs
-        # of small types, distinct torus models from their denominators
+        # of small types, distinct torus models from their denominators,
+        # distinct presets from their kinds and sizes
         for cache in self.CACHES:
             cache.cache_clear()
         types = [SimpleType(f, r) for f, r in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))]
@@ -459,6 +460,12 @@ class TestCacheBounds:
             pair = GluingPair(center(trivial).identity(), (Fraction(1, k),))
             model = ReductiveModel(ss=trivial, torus_rank=1, gluing=(pair,))
             assert pi1(model) == Z and gluing_order(model) == k
+        preset_size = groups.preset.cache_info().maxsize
+        kinds = ("SL", "GL", "PGL", "SO", "Spin", "Sp")
+        names = [f"{kind}({n})" for n in range(2, preset_size) for kind in kinds if kind != "Sp" or n % 2 == 0]
+        assert len(names) >= 2 * preset_size
+        for name in names[: 2 * preset_size]:
+            assert preset(name).name == name
         for cache in self.CACHES:
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize, info
