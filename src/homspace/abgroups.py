@@ -30,16 +30,17 @@ and character conditions of ``groups`` and ``extensions`` as kernels,
 every order nonzero, so no query reaches the exact, unmodded route of
 ``solution_lattice``.  Other modules state their problems as homomorphisms
 and never call ``solution_lattice`` or ``_snf_transform`` themselves.
-Preimages of single elements and extensions realized by generator lifts
-are test oracles (``tests/oracles.py``): no query reads either.
+Kernels as subgroup presentations, preimages of single elements,
+extensions realized by generator lifts, and a group's unit generators and
+element list are test oracles (``tests/oracles.py``): no query reads any
+of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intlinalg import IntMatrix, solution_lattice, _snf_transform
 
@@ -106,18 +107,6 @@ class FgAbGroup:
 
     def identity(self) -> "AbElement":
         return AbElement(self, (0,) * self.ngens)
-
-    def generator(self, i: int) -> "AbElement":
-        coords = [0] * self.ngens
-        coords[i] = 1
-        return AbElement(self, tuple(coords))
-
-    def elements(self) -> Iterable["AbElement"]:
-        """All elements, lexicographic in coordinates.  Finite groups only."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite group")
-        for coords in product(*(range(d) for d in self.invariant_factors)):
-            yield AbElement(self, coords)
 
     def __str__(self) -> str:
         parts = []
@@ -301,14 +290,6 @@ def preimage_lattice(f: AbHom) -> IntMatrix:
     It contains the domain's relations, because f is well defined, and
     Z^ngens modulo it is isomorphic to the image of f."""
     return solution_lattice(f.matrix, f.codomain.orders)
-
-
-def kernel_of(f: AbHom) -> SubgroupPresentation:
-    """Kernel as a subgroup presentation of the domain."""
-    pre = preimage_lattice(f)
-    gens = [AbElement(f.domain, pre.row(i)) for i in range(pre.rows)]
-    gens = [g for g in gens if not g.is_identity]
-    return subgroup_from_generators(f.domain, gens)
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -361,11 +361,11 @@ def _json_weight_table(table: WeightBrauerTable, newline: str) -> str:
     """The rows of ``table`` as ``_json_container`` writes their dicts.  Row
     i's weight e_i is a slice of one run of zeros with a 1 spliced in, and
     its restriction is written once and serves as its Brauer class too."""
-    if not table:
+    if not table.datum.rank:
         return "[]"
     row, key, item = newline + "  ", newline + "    ", newline + "      "
     sep = "," + item
-    zeros = sep.join(["0"] * len(table))
+    zeros = sep.join(["0"] * table.datum.rank)
     step = 1 + len(sep)  # a "0" and the separator after it
     rows = []
     for i, (label, column) in enumerate(table.columns()):

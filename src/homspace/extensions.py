@@ -73,10 +73,6 @@ class Character:
     def __repr__(self) -> str:
         return f"Character({self.group}, {self.values})"
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def order(self) -> int:
         return lcm(1, *(v.denominator for v in self.values))
 

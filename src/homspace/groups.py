@@ -23,7 +23,10 @@ projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
 never from Gamma: with N the lcm of the torus parts' denominators, one
 preimage lattice modulo N gives the combinations of the gluing generators
 whose torus parts sum to an integral vector, and their center parts span the
-kernel.  ``pi1``, ``derived_subgroup`` and ``as_semisimple`` all read it.
+kernel.  It returns the derived subgroup S_sc/kernel as one cached
+``SemisimpleModel``: ``pi1`` reads the kernel's type, and
+``derived_subgroup`` and ``as_semisimple`` return that object, so a repeated
+model builds no second one.
 Gamma itself (``_gluing``) is a bare type that only ``describe`` reads,
 through ``validate``, ``gluing_group`` and ``gluing_order``.
 
@@ -136,6 +139,12 @@ class SemisimpleModel:
         if self.kernel.ambient != center(self.datum):
             raise ValueError("kernel must be a subgroup of the center")
 
+    def __hash__(self) -> int:
+        # the datum hashes its factors, and the kernel's type tells apart
+        # most kernels of one datum; equal models agree on both, and a hash
+        # never walks the kernel's inclusion matrix
+        return hash((self.datum, self.kernel.computed))
+
 
 # The model caches are bounded, like build_datum's: a deck of semisimple
 # reports keeps under 200 models warm, and a stream of unique torus models
@@ -174,9 +183,10 @@ def validate(model: ReductiveModel):
 
 
 @lru_cache(maxsize=1024)
-def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
-    """Kernel of the gluing subgroup's torus projection, as a subgroup of
-    the center of S_sc: the center parts of the combinations of the gluing
+def _derived_kernel(model: ReductiveModel) -> SemisimpleModel:
+    """The derived subgroup S_sc/kernel.  Its kernel, that of the gluing
+    subgroup's torus projection, is the subgroup of the center of S_sc
+    spanned by the center parts of the combinations of the gluing
     generators whose torus parts sum to an integral vector.  With N = 1
     every combination qualifies, and the preimage lattice is the identity."""
     n, torus_rows = model.torus_numerators
@@ -184,18 +194,20 @@ def _derived_kernel(model: ReductiveModel) -> SubgroupPresentation:
     combos = preimage_lattice(_mod_n_hom(FgAbGroup(len(model.gluing), ()), n, torus_columns))
     cgroup = center(model.ss)
     centers = IntMatrix.from_columns([pair.center.coords for pair in model.gluing], rows=cgroup.ngens)
-    return subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
+    kernel = subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
+    return SemisimpleModel(datum=model.ss, kernel=kernel)
 
 
 def pi1(model: ReductiveModel) -> FgAbGroup:
     """Fundamental group of H (the unipotent part never contributes): Z^r
     plus pi1 of the derived subgroup as its torsion."""
-    return FgAbGroup(model.torus_rank, _derived_kernel(model).computed.invariant_factors)
+    return FgAbGroup(model.torus_rank, _derived_kernel(model).kernel.computed.invariant_factors)
 
 
 def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
-    """Semisimple derived group: same root datum, kernel = gluing cap S_sc."""
-    return SemisimpleModel(datum=model.ss, kernel=_derived_kernel(model))
+    """Semisimple derived group: same root datum, kernel = gluing cap S_sc.
+    A repeated model gets the same object back."""
+    return _derived_kernel(model)
 
 
 def character_group(model: ReductiveModel):

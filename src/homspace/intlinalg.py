@@ -29,7 +29,8 @@ gives the lattice.
 
 Both normal forms eliminate rows through one kernel of module-level helpers
 (``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
-step, ``_negate_row``).  Each acts on the working rows and, inside
+step, ``_negate_row``), and both clear a column below its pivot with the
+same step, ``_clear_below``.  Each acts on the working rows and, inside
 ``_snf_transform``, on the Smith row transform ``U`` when it is asked for;
 the Smith form's column operations act on ``V`` the same way.  On request
 the Smith loop also carries ``U^-1``: each row operation on ``U`` is applied
@@ -229,6 +230,23 @@ def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int, w: Optio
         w[i] = [-tt * y + s * z for y, z in zip(wt, wi)]
 
 
+def _clear_below(a: list, u: Optional[list], p: int, col: int, w: Optional[list] = None):
+    """Clear column ``col`` below row ``p``, leaving the gcd of the column
+    at (p, col).  A zero pivot swaps with the first nonzero entry, a pivot
+    that divides an entry subtracts a multiple of row p, and otherwise one
+    ``_combine_rows`` step clears the entry."""
+    for i in range(p + 1, len(a)):
+        x = a[i][col]
+        if x:
+            pivot = a[p][col]
+            if pivot == 0:
+                _swap_rows(a, u, p, i, w)
+            elif x % pivot == 0:
+                _add_row(a, u, i, p, -(x // pivot), w)
+            else:
+                _combine_rows(a, u, p, i, col, w)
+
+
 def _negate_row(a: list, u: Optional[list], i: int, w: Optional[list] = None):
     for m in (a, u, w):
         if m is not None:
@@ -288,13 +306,7 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool, want_uinv: bool = F
         _swap_rows(a, u, t, piv[0], w)
         swap_cols(t, piv[1])
         while True:
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x:
-                    if x % a[t][t] == 0:
-                        _add_row(a, u, i, t, -(x // a[t][t]), w)
-                    else:
-                        _combine_rows(a, u, t, i, t, w)
+            _clear_below(a, u, t, t, w)
             for j in range(t + 1, cols):
                 x = a[t][j]
                 if x:
@@ -352,14 +364,7 @@ def _hermite_rows(a: list) -> list:
     for col in range(cols):
         if prow >= rows:
             break
-        for i in range(prow + 1, rows):
-            if a[i][col]:
-                if a[prow][col] == 0:
-                    _swap_rows(a, None, prow, i)
-                elif a[i][col] % a[prow][col] == 0:
-                    _add_row(a, None, i, prow, -(a[i][col] // a[prow][col]))
-                else:
-                    _combine_rows(a, None, prow, i, col)
+        _clear_below(a, None, prow, col)
         if a[prow][col] != 0:
             if a[prow][col] < 0:
                 _negate_row(a, None, prow)

@@ -34,21 +34,20 @@ against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion
 The weight table is one ``rootdata.restriction_matrix`` of the kernel, kept
 as a ``WeightBrauerTable``: row i's weight is the unit vector e_i and its
 restriction is column i, so the table builds no per-weight pairing and takes
-no normal form.  A ``WeightBrauerRow`` is built only when a caller reads
-it; the CLI writes the table's text straight from the matrix columns.
+no normal form.  The table keeps the matrix with its root datum and dual
+group and builds no row objects; the CLI writes its rows straight from the
+matrix columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 
-from .abgroups import AbElement, FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
+from .abgroups import FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
-from .rootdata import RootDatumSS, Weight, fundamental_weight, restriction_matrix
+from .rootdata import RootDatumSS, restriction_matrix
 
 
 @dataclass(frozen=True)
@@ -65,48 +64,18 @@ class InvariantReport:
 
 
 @dataclass(frozen=True)
-class WeightBrauerRow:
-    weight: Weight
-    node: str
-    restriction: AbElement
-    brauer_class: AbElement
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.restriction.is_identity
-
-
-@dataclass(frozen=True)
-class WeightBrauerTable(Sequence):
+class WeightBrauerTable:
     """The weight table as the restriction matrix it is read from: one column
-    per fundamental weight, one row per canonical generator of ``dual``.  A
-    read-only sequence of ``WeightBrauerRow``; each row is built when it is
-    read."""
+    per fundamental weight, one row per canonical generator of ``dual``."""
 
     datum: RootDatumSS
     dual: FgAbGroup
     restrictions: IntMatrix
 
-    def __len__(self) -> int:
-        return self.datum.rank
-
-    def __getitem__(self, i) -> WeightBrauerRow:
-        i = range(self.datum.rank)[index(i)]
-        return self._row(i, self.datum.node_labels()[i], self.restrictions.column(i))
-
-    def __iter__(self):
-        for i, (label, column) in enumerate(self.columns()):
-            yield self._row(i, label, column)
-
     def columns(self):
         """(node label, restriction coordinates) per fundamental weight, in
-        node order, with no row built; the coordinates are already reduced
-        into [0, m_p)."""
+        node order; the coordinates are already reduced into [0, m_p)."""
         return zip(self.datum.node_labels(), map(self.restrictions.column, range(self.datum.rank)))
-
-    def _row(self, i: int, label: str, column: tuple) -> WeightBrauerRow:
-        restriction = self.dual.element(column)
-        return WeightBrauerRow(fundamental_weight(self.datum, i), label, restriction, restriction)
 
 
 def picard(model: ReductiveModel):

@@ -1,5 +1,5 @@
-"""Root data for products of simple types: Cartan matrices, the weight and
-root lattices, P/Q with explicit Smith coordinates, and centers as duals.
+"""Root data for products of simple types: Cartan matrices, P/Q with
+explicit Smith coordinates, and centers as duals.
 
 Numbering is Bourbaki throughout (see docs/conventions.md for the node-by-
 node tables).  The Cartan matrix convention is
@@ -8,7 +8,9 @@ node tables).  The Cartan matrix convention is
 
 so the i-th simple root written in fundamental-weight coordinates is the
 i-th *row* of the Cartan matrix, and the root-lattice inclusion Q -> P has
-the transposed Cartan matrix (columns = simple roots).
+the transposed Cartan matrix (columns = simple roots).  A root datum keeps
+P/Q and the projection ``pq_proj`` of P onto it, not the Cartan matrix:
+``build_datum`` builds the block-diagonal transpose only to present P/Q.
 
 The center of the simply connected group is only ever exposed as the dual
 of P/Q.  ``center`` returns the group P/Q itself, read through the pairing
@@ -23,10 +25,8 @@ Restriction of weights to a central subgroup is linear, so it is one
 integer matrix (:func:`restriction_matrix`, one row per canonical generator
 of the subgroup, one column per fundamental weight), built once per
 subgroup by the integer pairing formula of docs/conventions.md; the weight
-Brauer table reads its columns.  The weight of the table's row i is the
-unit vector e_i, which ``fundamental_weight`` builds directly, skipping the
-O(rank) validation of ``Weight``; ``Weight.pq_class`` applies ``pq_proj``'s
-matrix to the coordinates.
+Brauer table is that matrix.  Weights as values, and the restriction of a
+single weight, are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from functools import lru_cache
 from math import lcm
 
 from .abgroups import (
-    AbElement,
     AbHom,
     FgAbGroup,
     SubgroupPresentation,
@@ -122,19 +121,15 @@ class RootDatumSS:
     """
 
     factors: tuple
-    cartan: IntMatrix
+    rank: int
     pq_group: FgAbGroup
     pq_proj: AbHom
 
     def __hash__(self) -> int:
         # the other fields are a function of the factors (``build_datum``),
-        # so the factors alone tell data apart, and a hash walks neither the
-        # Cartan matrix nor ``pq_proj``
+        # so the factors alone tell data apart, and a hash never walks
+        # ``pq_proj``
         return hash(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.cartan.rows
 
     def node_labels(self) -> tuple:
         labels = []
@@ -149,7 +144,9 @@ class RootDatumSS:
 
 @lru_cache(maxsize=256)
 def build_datum(factors: tuple) -> RootDatumSS:
-    """Assemble the root datum of a (possibly empty) product of simple types."""
+    """Assemble the root datum of a (possibly empty) product of simple
+    types.  P/Q is presented by the block-diagonal transposed Cartan
+    matrix, which the datum does not keep."""
     factors = tuple(factors)
     rank = sum(t.rank for t in factors)
     rows = [[0] * rank for _ in range(rank)]
@@ -158,44 +155,10 @@ def build_datum(factors: tuple) -> RootDatumSS:
         block = cartan_matrix(t)
         for i in range(t.rank):
             for j in range(t.rank):
-                rows[offset + i][offset + j] = block[i, j]
+                rows[offset + j][offset + i] = block[i, j]
         offset += t.rank
-    cartan = IntMatrix.from_rows(rows, cols=rank)
-    pq_group, pq_proj = from_presentation(rank, cartan.transpose())
-    return RootDatumSS(factors=factors, cartan=cartan, pq_group=pq_group, pq_proj=pq_proj)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Integral weight in fundamental-weight coordinates."""
-
-    datum: RootDatumSS
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
-        if len(self.coords) != self.datum.rank:
-            raise ValueError(f"expected {self.datum.rank} coordinates, got {len(self.coords)}")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.datum != other.datum:
-            raise ValueError("weights of different data")
-        return Weight(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def pq_class(self) -> AbElement:
-        datum = self.datum
-        return datum.pq_group.element(datum.pq_proj.matrix.apply(self.coords))
-
-
-def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
-    """The unit vector e_index.  Its coordinates are integers of the datum's
-    rank by construction, so it skips ``Weight.__post_init__``."""
-    rank = datum.rank
-    index = range(rank)[index]
-    weight = object.__new__(Weight)
-    object.__setattr__(weight, "datum", datum)
-    object.__setattr__(weight, "coords", (0,) * index + (1,) + (0,) * (rank - index - 1))
-    return weight
+    pq_group, pq_proj = from_presentation(rank, IntMatrix.from_rows(rows, cols=rank))
+    return RootDatumSS(factors=factors, rank=rank, pq_group=pq_group, pq_proj=pq_proj)
 
 
 def center(datum: RootDatumSS) -> FgAbGroup:

@@ -12,7 +12,7 @@ from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgr
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
 from homspace.intlinalg import IntMatrix, solution_lattice
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import solve_integer
+from oracles import elements, solve_integer
 
 
 def clear_query_caches():
@@ -35,16 +35,16 @@ def all_subgroups(group):
     """Every subgroup of a finite canonical group, one presentation each.
     Breadth first: each new subgroup is a known one plus one element, so the
     work grows with the number of subgroups, not of element sets."""
-    elements = list(group.elements())
-    index = {e.coords: i for i, e in enumerate(elements)}
-    table = [[index[(a + b).coords] for b in elements] for a in elements]
+    members = list(elements(group))
+    index = {e.coords: i for i, e in enumerate(members)}
+    table = [[index[(a + b).coords] for b in members] for a in members]
     trivial = frozenset([index[group.identity().coords]])
     found = {trivial: []}
     frontier = [trivial]
     while frontier:
         grown = []
         for closure in frontier:
-            for e in range(len(elements)):
+            for e in range(len(members)):
                 if e in closure:
                     continue
                 multiples = [e]
@@ -52,7 +52,7 @@ def all_subgroups(group):
                     multiples.append(table[multiples[-1]][e])
                 key = closure.union(table[h][m] for h in closure for m in multiples)
                 if key not in found:
-                    found[key] = found[closure] + [elements[e]]
+                    found[key] = found[closure] + [members[e]]
                     grown.append(key)
         frontier = grown
     return [subgroup_from_generators(group, gens) for gens in found.values()]

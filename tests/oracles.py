@@ -39,17 +39,22 @@
   representation's weights (``so_kernel_generators``, through
   ``annihilator_in_center`` and ``full_center_subgroup``), the route that
   ``homspace.groups.preset`` replaced by a closed form.
-* Weight restriction to a central subgroup and the character lattice of
-  the quotient, both read off ``homspace.rootdata.restriction_matrix``; no
-  query needs either.
-* Matrix and hom helpers that no query needs: the zero matrix, side-by-side
-  concatenation, the zero test and composition of homs.
+* Weights as values (``Weight``, ``fundamental_weight``), the restriction
+  of one weight to a central subgroup, the weight table's columns rebuilt
+  weight by weight (``fundamental_restrictions``) and the character
+  lattice of the quotient, all read off
+  ``homspace.rootdata.restriction_matrix``; no query needs any of them.
+* Matrix, group and hom helpers that no query needs: the zero matrix,
+  side-by-side concatenation, the zero test and composition of homs, the
+  canonical generators and the element list of a group, and the triviality
+  test of a character.
 * Small homomorphism constructors, and verification tools that the library
-  no longer exports: cokernels with their projection, image lattices and
-  the exactness test ``image(f) == kernel(g)``, preimages of single
-  elements (``preimage_of``) by one Smith solve with U and V
-  (``solve_integer``), and ``lattice_row_basis``, the Hermite basis of a
-  spanned lattice through ``intlinalg._hermite_rows``.
+  no longer exports: kernels as subgroup presentations (``kernel_of``),
+  cokernels with their projection, image lattices and the exactness test
+  ``image(f) == kernel(g)``, preimages of single elements
+  (``preimage_of``) by one Smith solve with U and V (``solve_integer``),
+  and ``lattice_row_basis``, the Hermite basis of a spanned lattice
+  through ``intlinalg._hermite_rows``.
 * Determinants from sympy's integer matrices (``det``), a route
   independent of ``homspace.intlinalg``.
 * The former lattice route of ``homspace.intlinalg``: solution lattices
@@ -81,14 +86,13 @@ from homspace.abgroups import (
     SubgroupPresentation,
     _smith_quotient,
     from_presentation,
-    kernel_of,
     preimage_lattice,
     subgroup_from_generators,
 )
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
-from homspace.rootdata import RootDatumSS, Weight, center, restriction_matrix
+from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,25 @@ def compose(outer: AbHom, inner: AbHom) -> AbHom:
     if inner.codomain != outer.domain:
         raise ValueError("homs do not compose")
     return AbHom(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
+
+
+def generator(group: FgAbGroup, i: int) -> AbElement:
+    """The i-th canonical generator of ``group``."""
+    coords = [0] * group.ngens
+    coords[i] = 1
+    return group.element(coords)
+
+
+def elements(group: FgAbGroup):
+    """All elements of a finite group, lexicographic in coordinates."""
+    if not group.is_finite:
+        raise ValueError("cannot enumerate an infinite group")
+    for coords in product(*(range(d) for d in group.invariant_factors)):
+        yield AbElement(group, coords)
+
+
+def is_trivial_character(chi: Character) -> bool:
+    return all(v == 0 for v in chi.values)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +281,14 @@ def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
     return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
 
 
+def kernel_of(f: AbHom) -> SubgroupPresentation:
+    """Kernel as a subgroup presentation of the domain: the span of the
+    nonzero rows of its preimage lattice."""
+    pre = preimage_lattice(f)
+    gens = [AbElement(f.domain, pre.row(i)) for i in range(pre.rows)]
+    return subgroup_from_generators(f.domain, [g for g in gens if not g.is_identity])
+
+
 def cokernel_of(f: AbHom):
     """Cokernel in canonical form plus the projection hom from the codomain."""
     big = hstack(f.matrix, _relation_columns(f.codomain.orders))
@@ -338,7 +369,7 @@ def generator_lifts(ext: ExtensionData) -> list:
     """Coordinates in the middle group of one lift of each canonical
     generator of Gamma, each a ``preimage_of`` under the projection."""
     gamma = ext.project.codomain
-    lifts = [preimage_of(ext.project, gamma.generator(i)) for i in range(gamma.ngens)]
+    lifts = [preimage_of(ext.project, generator(gamma, i)) for i in range(gamma.ngens)]
     assert all(lift is not None for lift in lifts), "projection is surjective"
     return [lift.coords for lift in lifts]
 
@@ -367,7 +398,7 @@ def character_from_dual_element(chi: AbElement) -> Character:
 
 
 def all_characters(group: FgAbGroup):
-    return [character_from_dual_element(e) for e in group.elements()]
+    return [character_from_dual_element(e) for e in elements(group)]
 
 
 @lru_cache(maxsize=None)
@@ -535,6 +566,39 @@ def are_equivalent(c1: SymmetricCocycle, c2: SymmetricCocycle) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# weights
+
+
+@dataclass(frozen=True)
+class Weight:
+    """Integral weight in fundamental-weight coordinates."""
+
+    datum: RootDatumSS
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
+        if len(self.coords) != self.datum.rank:
+            raise ValueError(f"expected {self.datum.rank} coordinates, got {len(self.coords)}")
+
+    def __add__(self, other: "Weight") -> "Weight":
+        if self.datum != other.datum:
+            raise ValueError("weights of different data")
+        return Weight(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def pq_class(self) -> AbElement:
+        datum = self.datum
+        return datum.pq_group.element(datum.pq_proj.matrix.apply(self.coords))
+
+
+def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
+    """The unit vector e_index."""
+    coords = [0] * datum.rank
+    coords[index] = 1
+    return Weight(datum, coords)
+
+
+# ---------------------------------------------------------------------------
 # presets
 
 
@@ -587,7 +651,7 @@ def vector_rep_weights(n: int, datum: RootDatumSS):
 
 def full_center_subgroup(datum: RootDatumSS) -> SubgroupPresentation:
     group = center(datum)
-    return subgroup_from_generators(group, [group.generator(i) for i in range(group.ngens)])
+    return subgroup_from_generators(group, [generator(group, i) for i in range(group.ngens)])
 
 
 def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
@@ -615,7 +679,7 @@ def so_kernel_generators(n: int) -> list:
     route ``homspace.groups.preset`` took before its closed form."""
     datum = _spin_datum(n)
     kernel = annihilator_in_center(datum, vector_rep_weights(n, datum))
-    return [kernel.inclusion(kernel.computed.generator(p)).coords for p in range(kernel.computed.ngens)]
+    return [kernel.inclusion(generator(kernel.computed, p)).coords for p in range(kernel.computed.ngens)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +693,13 @@ def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
     ``sub.computed``."""
     restriction = restriction_matrix(weight.datum, sub)
     return sub.computed.element(restriction.apply(weight.coords))
+
+
+def fundamental_restrictions(datum: RootDatumSS, sub: SubgroupPresentation) -> list:
+    """The restriction of each fundamental weight to ``sub``, one
+    ``restrict_weight`` per weight, in node order: the weight table's
+    columns, rebuilt weight by weight."""
+    return [restrict_weight(fundamental_weight(datum, i), sub) for i in range(datum.rank)]
 
 
 def character_lattice_of_quotient(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatrix:
@@ -685,7 +756,7 @@ def gluing_elements(model: ReductiveModel):
     n = span.torus_exponent
     k = len(model.ss.pq_group.invariant_factors)
     out = []
-    for elem in span.group.elements():
+    for elem in elements(span.group):
         coords = span.reduce_ambient(span.inclusion_columns.apply(elem.coords))
         ce = center(model.ss).element(coords[:k])
         torus = tuple(Fraction(c, n) for c in coords[k:])
@@ -731,7 +802,7 @@ def pi1_extension(model: ReductiveModel) -> FgAbGroup:
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
     gens = []
     for p in range(sm.kernel.computed.ngens):
-        elem = sm.kernel.inclusion(sm.kernel.computed.generator(p))
+        elem = sm.kernel.inclusion(generator(sm.kernel.computed, p))
         gens.append(GluingPair(elem, ()))
     return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
 

@@ -14,7 +14,6 @@ from homspace.abgroups import (
     ext1_z,
     from_presentation,
     hom_group,
-    kernel_of,
     preimage_lattice,
     subgroup_from_generators,
 )
@@ -26,10 +25,14 @@ from oracles import (
     cokernel_of,
     compose,
     det,
+    elements,
+    generator,
     identity_hom,
     image_lattice,
     is_exact_at,
     is_surjective,
+    is_trivial_character,
+    kernel_of,
     lattice_row_basis,
     multiplication_hom,
     preimage_of,
@@ -163,13 +166,13 @@ class TestSubgroups:
         g = cyclic(4)
         sub = subgroup_from_generators(g, [g.element([2])])
         assert sub.computed == cyclic(2)
-        assert sub.inclusion(sub.computed.generator(0)) == g.element([2])
+        assert sub.inclusion(generator(sub.computed, 0)) == g.element([2])
 
     def test_mixed_ambient(self):
         g = FgAbGroup(1, (2,))
         sub = subgroup_from_generators(g, [g.element([2, 0]), g.element([0, 1])])
         assert sub.computed == FgAbGroup(1, (2,))
-        imgs = {sub.inclusion(sub.computed.generator(i)).coords for i in range(2)}
+        imgs = {sub.inclusion(generator(sub.computed, i)).coords for i in range(2)}
         assert imgs == {(2, 0), (0, 1)}
 
     def test_empty_generators(self):
@@ -260,14 +263,14 @@ class TestHomExtDual:
     def test_pairing_is_perfect(self):
         for g in [cyclic(6), FgAbGroup(0, (2, 4)), FgAbGroup(0, (3, 3))]:
             characters = all_characters(g)
-            for x in g.elements():
+            for x in elements(g):
                 if x.is_identity:
                     continue
                 assert any(chi(x) != 0 for chi in characters)
             for chi in characters:
-                if chi.is_trivial:
+                if is_trivial_character(chi):
                     continue
-                assert any(chi(x) != 0 for x in g.elements())
+                assert any(chi(x) != 0 for x in elements(g))
 
     def test_pairing_values(self):
         g = FgAbGroup(0, (2, 4))
@@ -351,7 +354,7 @@ class TestKernelCokernelExactness:
             while frontier:
                 cur = frontier.pop()
                 for j in range(dom.ngens):
-                    nxt = cur + f(dom.generator(j))
+                    nxt = cur + f(generator(dom, j))
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)

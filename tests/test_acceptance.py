@@ -30,13 +30,12 @@ from homspace.invariants import (
     picard_of_group,
 )
 from homspace.rootdata import (
-    Weight,
     SimpleType,
     build_datum,
     center,
-    fundamental_weight,
 )
 from oracles import (
+    Weight,
     all_characters,
     are_equivalent,
     baer_sum,
@@ -48,6 +47,7 @@ from oracles import (
     cokernel_of,
     det,
     extension_class,
+    fundamental_restrictions,
     gluing_elements,
     is_zero_matrix,
     lattice_row_basis,
@@ -122,10 +122,7 @@ def test_criterion_3_restriction_exact_sequence():
     for t in types:
         datum = build_datum((t,))
         for sub in all_subgroups(center(datum)):
-            restrictions = [
-                restrict_weight(fundamental_weight(datum, i), sub) for i in range(datum.rank)
-            ]
-            generated = subgroup_from_generators(sub.computed, restrictions)
+            generated = subgroup_from_generators(sub.computed, fundamental_restrictions(datum, sub))
             assert generated.computed == sub.computed
             basis = character_lattice_of_quotient(datum, sub)
             assert abs(det(basis)) == sub.order()

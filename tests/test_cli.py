@@ -31,11 +31,11 @@ from homspace import __version__, cli, groups, invariants
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
-from homspace.groups import as_semisimple, pi1, preset
+from homspace.groups import SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import character_to_extension, det, pi1_extension
+from oracles import character_to_extension, det, fundamental_restrictions, fundamental_weight, pi1_extension
 from test_acceptance import Budget
 
 REPO = Path(__file__).resolve().parents[1]
@@ -652,12 +652,12 @@ class TestCommands:
     def test_warm_semisimple_queries_take_no_normal_form(self, monkeypatch, tmp_path):
         # once the model caches are warm, a semisimple report is one
         # restriction matrix and its text: no Smith form, no solution
-        # lattice, and no Weight validated per row.  The query caches are
-        # emptied after the warm-up, so the counted pass builds each model,
-        # report and table again instead of looking them up
+        # lattice, and no SemisimpleModel built, since the derived-kernel
+        # cache holds it.  The query caches are emptied after the warm-up,
+        # so the counted pass builds each model, report and table again
+        # instead of looking them up
         import homspace.abgroups as abmod
         import homspace.intlinalg as linmod
-        from homspace.rootdata import Weight
 
         spec = tmp_path / "a2x4.json"
         spec.write_text(json.dumps({
@@ -682,7 +682,9 @@ class TestCommands:
         for module in (abmod, linmod):
             for name in ("_snf_transform", "solution_lattice"):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(Weight, "__post_init__", counting("Weight.__post_init__", Weight.__post_init__))
+        monkeypatch.setattr(
+            SemisimpleModel, "__post_init__", counting("SemisimpleModel.__post_init__", SemisimpleModel.__post_init__)
+        )
         for argv in queries:
             code, out, err = invoke(argv)
             assert code == 0, err
@@ -911,6 +913,27 @@ class TestQueryCaches:
         assert cli._spec_model(text, limit) is model
         assert invariants.invariant_report(model) is invariants.invariant_report(model)
         assert weight_brauer_table(as_semisimple(model)) is weight_brauer_table(as_semisimple(model))
+
+    def test_repeats_build_no_semisimple_model(self, monkeypatch, tmp_path):
+        # the derived-kernel cache holds the SemisimpleModel itself: a
+        # repeated model gets the same object back, and a warm weights
+        # query constructs none
+        assert as_semisimple(preset("PGL(4)")) is as_semisimple(preset("PGL(4)"))
+        spec = tmp_path / "quotient.json"
+        spec.write_text(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
+        argv = ["weights", "--json", "--spec", str(spec)]
+        cold = invoke(argv)
+        assert cold[0] == 0, cold
+        built = []
+        original = SemisimpleModel.__post_init__
+
+        def counting(sm):
+            built.append(sm.datum)
+            original(sm)
+
+        monkeypatch.setattr(SemisimpleModel, "__post_init__", counting)
+        assert invoke(argv) == cold
+        assert built == []
 
     def test_spec_cache_keys_on_the_document(self, tmp_path):
         # the same path rewritten with another document gives that
@@ -1271,17 +1294,21 @@ class TestJsonWriter:
 
 
 def row_dicts(model):
-    """The weight table of a semisimple model as the dicts of its own
-    ``WeightBrauerRow``s."""
+    """The weight table of a semisimple model as the dicts of its rows,
+    rebuilt weight by weight: row i's weight is ``fundamental_weight(i)``,
+    its restriction that weight's ``restrict_weight`` to the kernel, and its
+    Brauer class the restriction again (docs/conventions.md)."""
+    sm = as_semisimple(model)
+    restrictions = fundamental_restrictions(sm.datum, sm.kernel)
     return [
         {
-            "node": row.node,
-            "weight": list(row.weight.coords),
-            "restriction": list(row.restriction.coords),
-            "brauer_class": list(row.brauer_class.coords),
-            "trivial": row.is_trivial,
+            "node": node,
+            "weight": list(fundamental_weight(sm.datum, i).coords),
+            "restriction": list(restriction.coords),
+            "brauer_class": list(restriction.coords),
+            "trivial": restriction.is_identity,
         }
-        for row in weight_brauer_table(as_semisimple(model))
+        for i, (node, restriction) in enumerate(zip(sm.datum.node_labels(), restrictions))
     ]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_cocycle_classes, random_chain, random_character_values, small_groups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _mod_n_hom, cyclic, ext1_z, kernel_of
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _mod_n_hom, cyclic, ext1_z
 from homspace.extensions import Character, middle_group
 from oracles import (
     SymmetricCocycle,
@@ -19,6 +19,8 @@ from oracles import (
     cocycle_of,
     is_exact_at,
     is_surjective,
+    is_trivial_character,
+    kernel_of,
     zero_cocycle,
 )
 
@@ -120,7 +122,7 @@ class TestCocycleClass:
         assert chi.values == (Fraction(1, 2),)
 
     def test_zero(self):
-        assert cocycle_class(zero_cocycle(cyclic(4))).is_trivial
+        assert is_trivial_character(cocycle_class(zero_cocycle(cyclic(4))))
 
     def test_coboundaries_are_trivial(self):
         # exhaustive over a value box for |Gamma| <= 4, random beyond
@@ -129,13 +131,13 @@ class TestCocycleClass:
         for group in small_groups(4):
             n = group.order()
             for g in iproduct((-1, 0, 1), repeat=n - 1):
-                assert cocycle_class(coboundary(group, g)).is_trivial
+                assert is_trivial_character(cocycle_class(coboundary(group, g)))
         rng = random.Random(13)
         for group in small_groups(8):
             n = group.order()
             for _ in range(4):
                 g = [rng.randint(-3, 3) for _ in range(n - 1)]
-                assert cocycle_class(coboundary(group, g)).is_trivial
+                assert is_trivial_character(cocycle_class(coboundary(group, g)))
 
     def test_round_trip_small(self):
         for group in small_groups(16):
@@ -150,11 +152,11 @@ class TestBaerSum:
         chi = Character(group, (Fraction(1, 2), Fraction(0)))
         c = cocycle_of(character_to_extension(chi))
         neg = SymmetricCocycle(group, tuple(tuple(-x for x in row) for row in c.table))
-        assert cocycle_class(baer_sum(c, neg)).is_trivial
+        assert is_trivial_character(cocycle_class(baer_sum(c, neg)))
 
     def test_two_torsion(self):
         c = SymmetricCocycle(cyclic(2), ((0, 0), (0, 1)))
-        assert cocycle_class(baer_sum(c, c)).is_trivial
+        assert is_trivial_character(cocycle_class(baer_sum(c, c)))
 
     def test_identity(self):
         c = SymmetricCocycle(cyclic(2), ((0, 0), (0, 1)))

@@ -2,8 +2,9 @@
 top-level name of a module in src/homspace is listed there or imported by
 another module of the package, every listed name exists, the package
 imports nothing outside the standard library and nothing it does not use,
-no query checks an identity at run time (the tests prove them instead), and
-every cache states a finite bound."""
+no query checks an identity at run time (the tests prove them instead),
+every cache states a finite bound, and nothing moved to tests/oracles.py
+is left defined in the package too."""
 
 import ast
 import re
@@ -153,3 +154,20 @@ def test_every_cache_is_bounded():
                     unbounded.append(f"{name}.py:{node.lineno}: functools.cache")
     assert bounded, "no lru_cache found: the scan reads nothing"
     assert not unbounded, f"caches without an explicit finite maxsize: {unbounded}"
+
+
+def defined_names(tree):
+    """Every function and class defined anywhere in ``tree``, methods
+    included."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_oracles_define_nothing_the_package_defines():
+    # a helper moved to tests/oracles.py leaves the package: no top-level
+    # function or class of the oracles shares its name with a function,
+    # method or class of src/homspace, so a copy cannot stay behind
+    package = set().union(*map(defined_names, modules().values()))
+    oracles = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    moved = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert moved and package, "the scan reads nothing"
+    assert not moved & package, sorted(moved & package)

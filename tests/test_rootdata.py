@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -9,19 +10,21 @@ from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, cyclic, from_presentatio
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import (
     SimpleType,
-    Weight,
     build_datum,
     cartan_matrix,
     center,
-    fundamental_weight,
     restriction_matrix,
 )
 from oracles import (
+    Weight,
     annihilator_in_center,
     character_from_dual_element,
     character_lattice_of_quotient,
     det,
+    elements,
     full_center_subgroup,
+    fundamental_weight,
+    generator,
     lattice_row_basis,
     restrict_weight,
 )
@@ -29,8 +32,9 @@ from oracles import (
 
 def simple_root(datum, index):
     """The simple root in fundamental-weight coordinates: a row of the
-    Cartan matrix."""
-    return Weight(datum, datum.cartan.row(index))
+    Cartan matrix of the datum's one simple type."""
+    (t,) = datum.factors
+    return Weight(datum, cartan_matrix(t).row(index))
 
 
 def pair(z, x):
@@ -112,7 +116,7 @@ class TestBuildDatum:
     def test_pq_order_matches_determinant(self):
         for t in ALL_TYPES:
             datum = build_datum((t,))
-            assert datum.pq_group.order() == abs(det(datum.cartan))
+            assert datum.pq_group.order() == abs(det(cartan_matrix(t)))
 
     def test_simple_roots_die_in_pq(self):
         for t in ALL_TYPES:
@@ -127,8 +131,8 @@ class TestBuildDatum:
         assert datum.node_labels() == ("A1:1", "A2:1", "A2:2")
 
     def test_hash_reads_only_the_factors(self, monkeypatch):
-        # data built apart are equal and hash alike, and hashing one walks
-        # neither the Cartan matrix nor the P/Q projection
+        # data built apart are equal and hash alike, and hashing one never
+        # walks the P/Q projection
         factors = (SimpleType("A", 3), SimpleType("D", 5), SimpleType("E", 7))
         build_datum.cache_clear()
         first = build_datum(factors)
@@ -143,6 +147,20 @@ class TestBuildDatum:
 
         monkeypatch.setattr(IntMatrix, "__hash__", refuse)
         assert hash(first) == hash(factors)
+
+    def test_datum_keeps_no_dense_matrix(self):
+        # a datum keeps P/Q and its projection, not the rank x rank Cartan
+        # matrix (about 128 KB of entries at rank 127)
+        build_datum.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            datum = build_datum((SimpleType("A", 127),))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert datum.pq_group == cyclic(128)
+        assert retained < 16 * 1024, retained
 
     def test_empty(self):
         datum = build_datum(())
@@ -160,10 +178,10 @@ class TestCenter:
     def test_pairing_perfect(self):
         for t in ALL_TYPES:
             datum = build_datum((t,))
-            for x in datum.pq_group.elements():
+            for x in elements(datum.pq_group):
                 if x.is_identity:
                     continue
-                assert any(pair(z, x) != 0 for z in center(datum).elements())
+                assert any(pair(z, x) != 0 for z in elements(center(datum)))
 
     def test_center_element_validation(self):
         # one coordinate per canonical generator of the center
@@ -212,7 +230,7 @@ class TestRestrictWeight:
         for t in [SimpleType("A", 4), SimpleType("D", 5), SimpleType("E", 6)]:
             datum = build_datum((t,))
             for sub in all_subgroups(center(datum)):
-                gens = [sub.inclusion(sub.computed.generator(p)) for p in range(sub.computed.ngens)]
+                gens = [sub.inclusion(generator(sub.computed, p)) for p in range(sub.computed.ngens)]
                 k = subgroup_from_generators(center(datum), gens)
                 for _ in range(10):
                     l1 = Weight(datum, tuple(rng.randint(-4, 4) for _ in range(datum.rank)))
@@ -230,7 +248,7 @@ class TestRestrictWeight:
                     w = fundamental_weight(datum, i)
                     coords = restrict_weight(w, sub).coords
                     for p, m in enumerate(sub.computed.invariant_factors):
-                        value = pair(sub.inclusion(sub.computed.generator(p)), w.pq_class())
+                        value = pair(sub.inclusion(generator(sub.computed, p)), w.pq_class())
                         assert Fraction(coords[p], m) == value
 
     def test_restriction_matrix_matches_center_pairing_on_products(self):
@@ -245,7 +263,7 @@ class TestRestrictWeight:
                 matrix = restriction_matrix(datum, sub)
                 orders = sub.computed.invariant_factors
                 assert (matrix.rows, matrix.cols) == (len(orders), datum.rank)
-                gens = [sub.inclusion(sub.computed.generator(p)) for p in range(len(orders))]
+                gens = [sub.inclusion(generator(sub.computed, p)) for p in range(len(orders))]
                 for i in range(datum.rank):
                     cls = fundamental_weight(datum, i).pq_class()
                     for p, m in enumerate(orders):
@@ -277,7 +295,7 @@ class TestCharacterLattice:
         basis = character_lattice_of_quotient(datum, full_center_subgroup(datum))
         assert abs(det(basis)) == 3
         # equals the root lattice
-        roots = [list(datum.cartan.row(i)) for i in range(2)]
+        roots = [list(simple_root(datum, i).coords) for i in range(2)]
         assert basis == lattice_row_basis(roots, 2)
 
     def test_index_and_quotient(self):
