@@ -15,25 +15,24 @@ read through the pairing of docs/conventions.md, under which dual generator
 i pairs with generator j to delta_ij / d_i.
 
 Subgroup, kernel and Hom/Ext computations all reduce to Smith and Hermite
-normal forms from :mod:`homspace.intlinalg`.  Preimage lattices
-``{x : f(x) = 0}`` (:func:`preimage_lattice`) and the relations of a span
-are the Hermite bases of ``intlinalg.solution_lattice``, built modulo the
-exponent of the target group when that group is finite, and every Smith
-quotient goes through one helper, which asks the Smith loop for the row
-transform U or its inverse only as needed.  A subgroup's inclusion
-(:func:`subgroup_from_generators`) is all its callers read, so it takes
-U^-1 alone; a presentation's projection reads U, and the bare type of a
-span (:func:`span_group`) takes neither.  A direct sum of cyclic groups
-(:func:`direct_sum_canonical`) is canonicalized by pairwise gcd and lcm,
-with no Smith form.  Homs into (Z/n)^m (``_mod_n_hom``) state the torus
-and character conditions of ``groups`` and ``extensions`` as kernels,
-every order nonzero, so no query reaches the exact, unmodded route of
-``solution_lattice``.  Other modules state their problems as homomorphisms
-and never call ``solution_lattice`` or ``_snf_transform`` themselves.
-Kernels as subgroup presentations, preimages of single elements,
-extensions realized by generator lifts, and a group's unit generators and
-element list are test oracles (``tests/oracles.py``): no query reads any
-of them.
+normal forms from :mod:`homspace.intlinalg`.  Lattices ``{x : A x = 0 mod
+n}`` and the relations of a span are the Hermite bases of
+``intlinalg.solution_lattice``, built modulo the exponent of the target
+group when that group is finite, and every Smith quotient goes through one
+helper, which asks the Smith loop for the row transform U or its inverse
+only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
+is all its callers read, so it takes U^-1 alone; a presentation's
+projection reads U, and the bare type of a span (:func:`span_group`) takes
+neither.  A direct sum of cyclic groups (:func:`direct_sum_canonical`) is
+canonicalized by pairwise gcd and lcm, with no Smith form.  The torus and
+character conditions of ``groups`` and ``extensions`` are integer rows
+modulo one n > 1 (``_mod_n_lattice``), with no hom built around them, so no
+query reaches the exact, unmodded route of ``solution_lattice``; other
+modules never call ``solution_lattice`` or ``_snf_transform`` themselves.
+Preimage lattices of homs, kernels as subgroup presentations, preimages of
+single elements, extensions realized by generator lifts, and a group's unit
+generators and element list are test oracles (``tests/oracles.py``): no
+query reads any of them.
 """
 
 from __future__ import annotations
@@ -176,19 +175,17 @@ class AbHom:
                 f"matrix shape {matrix.rows}x{matrix.cols} does not map "
                 f"{domain.ngens} generators into {codomain.ngens}"
             )
+        orders = codomain.orders
         reduced = []
-        for i in range(matrix.rows):
-            row = list(matrix.row(i))
-            o = codomain.orders[i]
-            if o:
-                row = [x % o for x in row]
-            reduced.append(row)
-        matrix = IntMatrix.from_rows(reduced, cols=matrix.cols)
+        for i, o in enumerate(orders):
+            row = matrix.row(i)
+            reduced.extend([x % o for x in row] if o else row)
+        matrix = IntMatrix(matrix.rows, matrix.cols, reduced)
         for j, d in enumerate(domain.orders):
             if d == 0:
                 continue
-            for i, o in enumerate(codomain.orders):
-                x = d * matrix[i, j]
+            for x, o in zip(matrix.column(j), orders):
+                x *= d
                 if (o == 0 and x != 0) or (o != 0 and x % o):
                     raise ValueError(
                         f"not a homomorphism: generator {j} of order {d} maps to an element not killed by {d}"
@@ -277,19 +274,13 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
     return SubgroupPresentation(ambient=ambient, computed=group, inclusion=AbHom(group, ambient, incl))
 
 
-def _mod_n_hom(domain: FgAbGroup, n: int, rows: Sequence[Sequence[int]]) -> AbHom:
-    """The hom from ``domain`` to (Z/n)^len(rows) with the given matrix
-    rows; for n == 1 the codomain is trivial."""
-    rows = [list(row) for row in rows] if n > 1 else []
-    return AbHom(domain, FgAbGroup(0, (n,) * len(rows)), IntMatrix.from_rows(rows, cols=domain.ngens))
-
-
-def preimage_lattice(f: AbHom) -> IntMatrix:
-    """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
-    the codomain}``, x read as coordinates over the domain's generators.
-    It contains the domain's relations, because f is well defined, and
-    Z^ngens modulo it is isomorphic to the image of f."""
-    return solution_lattice(f.matrix, f.codomain.orders)
+def _mod_n_lattice(ngens: int, n: int, rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Hermite basis (one vector per row) of ``{x in Z^ngens : row . x == 0
+    mod n for every row}``; the identity for n == 1 or no rows.  The solver
+    reduces the rows modulo n itself."""
+    if n == 1 or not rows:
+        return IntMatrix.identity(ngens)
+    return solution_lattice(IntMatrix.from_rows(rows, cols=ngens), (n,) * len(rows))
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

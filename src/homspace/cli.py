@@ -208,6 +208,10 @@ def parse_spec(text: str) -> ReductiveModel:
     datum = build_datum(tuple(semisimple))
     cgroup = center(datum)
     pairs = []
+    # each distinct torus spelling is read once per document, since the
+    # entries repeat a handful of strings; a non-string skips the lookup and
+    # fails _parse_fraction's type check at its own path
+    by_spelling = {}
     for i, (coeffs, fractions) in enumerate(gluing):
         try:
             elem = cgroup.element(coeffs)
@@ -219,8 +223,13 @@ def parse_spec(text: str) -> ReductiveModel:
             ) from exc
         if len(fractions) != torus_rank:
             raise CliError("E_SCHEMA", f"/gluing/{i}/torus", f"expected {torus_rank} fractions, got {len(fractions)}")
-        torus = tuple(_parse_fraction(text, f"/gluing/{i}/torus/{j}") for j, text in enumerate(fractions))
-        pairs.append(GluingPair(elem, torus))
+        torus = []
+        for j, text in enumerate(fractions):
+            value = by_spelling.get(text) if isinstance(text, str) else None
+            if value is None:
+                value = by_spelling[text] = _parse_fraction(text, f"/gluing/{i}/torus/{j}")
+            torus.append(value)
+        pairs.append(GluingPair(elem, tuple(torus)))
     try:
         return ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
     except ValueError as exc:

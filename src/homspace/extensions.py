@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .abgroups import AbElement, FgAbGroup, _mod_n_hom, preimage_lattice, span_group
+from .abgroups import AbElement, FgAbGroup, _mod_n_lattice, span_group
 
 
 class Character:
@@ -84,8 +84,9 @@ def middle_group(chi: Character) -> FgAbGroup:
     projection to Q has image (1/ord chi) * Z, which is free, and kernel
     {(0, g) : chi(g) = 0}, so one kernel of Gamma -> Z/ord chi, whose row
     is ord(chi) * chi(g_i), gives the torsion (Brown, GTM 87, IV.3).  Only
-    the kernel's type is read: the span in Gamma of its preimage lattice's
-    rows.  For chi = 0 the codomain is trivial and the kernel is Gamma."""
+    the kernel's type is read: the span in Gamma of the combinations that
+    the row kills modulo ord(chi), solved for with no hom built around the
+    row.  For chi = 0 every combination qualifies and the kernel is Gamma."""
     n = chi.order()
-    pre = preimage_lattice(_mod_n_hom(chi.group, n, [[v.numerator * (n // v.denominator) for v in chi.values]]))
+    pre = _mod_n_lattice(chi.group.ngens, n, [[v.numerator * (n // v.denominator) for v in chi.values]])
     return FgAbGroup(1, span_group(chi.group.orders, pre.to_rows()).invariant_factors)

@@ -21,7 +21,8 @@ that torsion is pi1 of the derived subgroup: the kernel of Gamma's
 projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
 ``_derived_kernel`` computes that kernel from the model's own generators,
 never from Gamma: with N the lcm of the torus parts' denominators, one
-preimage lattice modulo N gives the combinations of the gluing generators
+solution lattice of the torus numerators modulo N gives the combinations of
+the gluing generators
 whose torus parts sum to an integral vector, and their center parts span the
 kernel.  It returns the derived subgroup S_sc/kernel as one cached
 ``SemisimpleModel``: ``pi1`` reads the kernel's type, and
@@ -32,10 +33,12 @@ through ``validate``, ``gluing_group`` and ``gluing_order``.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
-generator (``ReductiveModel.torus_numerators``).  Center parts are
-elements of ``center(ss)``, integer coordinates over its canonical
-generators, and a model hashes that integer data, so no cache lookup or
-query does ``Fraction`` arithmetic.
+generator (``ReductiveModel.torus_numerators``), which both mod-N problems,
+the derived kernel and ``character_group``, hand to the solver as plain
+integer rows.  Center parts are elements of ``center(ss)``, integer
+coordinates over its canonical generators, and a model hashes that integer
+data once per object, so no cache lookup or query does ``Fraction``
+arithmetic.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -59,8 +62,7 @@ from .abgroups import (
     AbElement,
     FgAbGroup,
     SubgroupPresentation,
-    _mod_n_hom,
-    preimage_lattice,
+    _mod_n_lattice,
     span_group,
     subgroup_from_generators,
 )
@@ -140,6 +142,10 @@ class SemisimpleModel:
             raise ValueError("kernel must be a subgroup of the center")
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         # the datum hashes its factors, and the kernel's type tells apart
         # most kernels of one datum; equal models agree on both, and a hash
         # never walks the kernel's inclusion matrix
@@ -188,10 +194,9 @@ def _derived_kernel(model: ReductiveModel) -> SemisimpleModel:
     subgroup's torus projection, is the subgroup of the center of S_sc
     spanned by the center parts of the combinations of the gluing
     generators whose torus parts sum to an integral vector.  With N = 1
-    every combination qualifies, and the preimage lattice is the identity."""
+    every combination qualifies, and the solution lattice is the identity."""
     n, torus_rows = model.torus_numerators
-    torus_columns = [[row[j] for row in torus_rows] for j in range(model.torus_rank)]
-    combos = preimage_lattice(_mod_n_hom(FgAbGroup(len(model.gluing), ()), n, torus_columns))
+    combos = _mod_n_lattice(len(model.gluing), n, list(zip(*torus_rows)))
     cgroup = center(model.ss)
     centers = IntMatrix.from_columns([pair.center.coords for pair in model.gluing], rows=cgroup.ngens)
     kernel = subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
@@ -217,7 +222,7 @@ def character_group(model: ReductiveModel):
     if r == 0:
         return IntMatrix.identity(0), FgAbGroup(0, ())
     n, rows = model.torus_numerators
-    return preimage_lattice(_mod_n_hom(FgAbGroup(r, ()), n, rows)), FgAbGroup(r, ())
+    return _mod_n_lattice(r, n, rows), FgAbGroup(r, ())
 
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:

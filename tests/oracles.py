@@ -86,12 +86,11 @@ from homspace.abgroups import (
     SubgroupPresentation,
     _smith_quotient,
     from_presentation,
-    preimage_lattice,
     subgroup_from_generators,
 )
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
-from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd
+from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd, solution_lattice
 from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
 
@@ -279,6 +278,14 @@ def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
 
 def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
     return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
+
+
+def preimage_lattice(f: AbHom) -> IntMatrix:
+    """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
+    the codomain}``, x read as coordinates over the domain's generators.
+    It contains the domain's relations, because f is well defined, and
+    Z^ngens modulo it is isomorphic to the image of f."""
+    return solution_lattice(f.matrix, f.codomain.orders)
 
 
 def kernel_of(f: AbHom) -> SubgroupPresentation:

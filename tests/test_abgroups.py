@@ -9,12 +9,12 @@ from homspace.abgroups import (
     FgAbGroup,
     TRIVIAL_GROUP,
     Z,
+    _mod_n_lattice,
     cyclic,
     direct_sum_canonical,
     ext1_z,
     from_presentation,
     hom_group,
-    preimage_lattice,
     subgroup_from_generators,
 )
 from homspace.extensions import Character
@@ -35,6 +35,7 @@ from oracles import (
     kernel_of,
     lattice_row_basis,
     multiplication_hom,
+    preimage_lattice,
     preimage_of,
     zero_hom,
     zero_matrix,
@@ -338,6 +339,21 @@ class TestKernelCokernelExactness:
             _, proj = cokernel_of(f)
             assert is_exact_at(f, proj)
             assert is_surjective(proj)
+
+    def test_mod_n_lattice_is_the_preimage_lattice_of_the_rows(self):
+        # the rows handed to the solver as they are give the preimage
+        # lattice of the hom Z^s -> (Z/n)^m they state, and n == 1 or no
+        # rows give the identity
+        rng = random.Random(23)
+        for _ in range(200):
+            s, m, n = rng.randint(0, 5), rng.randint(0, 3), rng.choice((1, 1, 2, 3, 4, 6, 12, 360))
+            rows = [[rng.randint(-2 * n, 2 * n) for _ in range(s)] for _ in range(m)]
+            lattice = _mod_n_lattice(s, n, rows)
+            if n == 1 or not rows:
+                assert lattice == IntMatrix.identity(s)
+                continue
+            f = AbHom(FgAbGroup(s, ()), FgAbGroup(0, (n,) * m), IntMatrix.from_rows(rows, cols=s))
+            assert lattice == preimage_lattice(f)
 
     def test_preimage_lattice_randomized(self):
         rng = random.Random(93)

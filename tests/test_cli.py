@@ -31,7 +31,7 @@ from homspace import __version__, cli, groups, invariants
 from homspace.abgroups import FgAbGroup
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
-from homspace.groups import SemisimpleModel, as_semisimple, pi1, preset
+from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum, center
@@ -243,6 +243,76 @@ class TestFractionReader:
                 assert err.startswith("error[E_LIMIT] at /gluing/0/torus/1: "), err
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+def torus_doc(rows, semisimple=()):
+    """A spec document of torus rank len(rows[0]) with one gluing
+    generator per row, its center part 0."""
+    datum = build_datum(tuple(semisimple))
+    return {
+        "semisimple": [{"family": t.family, "rank": t.rank} for t in semisimple],
+        "torus_rank": len(rows[0]) if rows else 0,
+        "gluing": [{"center": [0] * center(datum).ngens, "torus": list(row)} for row in rows],
+    }
+
+
+class TestSpellingMemo:
+    # parse_spec reads each distinct torus spelling once per document and
+    # hands the same value to every entry that repeats it
+    @pytest.mark.parametrize("bad", [2, 0, True, None, ["1/2"], {"1/2": 1}])
+    def test_non_string_after_a_repeated_spelling_is_a_schema_error(self, bad, tmp_path):
+        doc = torus_doc([["1/2", "1/3", "1/2"], ["1/3", "1/2", bad]])
+        with pytest.raises(CliError) as info:
+            parse_spec(json.dumps(doc))
+        assert (info.value.code, info.value.where) == ("E_SCHEMA", "/gluing/1/torus/2")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = invoke(["describe", "--json", "--spec", str(spec)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E_SCHEMA] at /gluing/1/torus/2: "), err
+
+    @pytest.mark.parametrize("bad", ["1/x", "3/2", "-1/2"])
+    def test_repeated_bad_spelling_reports_its_first_location(self, bad):
+        doc = torus_doc([["1/2", "1/2"], ["1/3", bad], [bad, "1/2"]])
+        with pytest.raises(CliError) as info:
+            parse_spec(json.dumps(doc))
+        assert (info.value.code, info.value.where) == ("E_FRACTION", "/gluing/1/torus/1")
+
+    def test_spellings_of_one_value_read_as_one_value(self, tmp_path):
+        doc = torus_doc([["2/4", "1/2", "0.5"], ["0.5", "2/4", "1/2"]], (SimpleType("A", 1),))
+        model = parse_spec(json.dumps(doc))
+        assert all(v == Fraction(1, 2) and type(v) is Fraction for pair in model.gluing for v in pair.torus)
+        assert model == parse_spec(json.dumps(torus_doc([["1/2"] * 3] * 2, (SimpleType("A", 1),))))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = invoke(["describe", "--expand", "--spec", str(spec)])
+        assert code == 0, err
+        assert [g["torus"] for g in json.loads(out)["gluing"]] == [["1/2"] * 3] * 2
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_documents_read_like_each_entry_alone(self, data):
+        # a document drawn from the spelling list, with repeats, gives the
+        # model (or the first error) of reading every entry on its own
+        spellings = st.sampled_from(FRACTION_SPELLINGS + ["1/2", "1/3", "2/3", "3/4", "5/6"])
+        r = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(spellings, min_size=r, max_size=r), min_size=1, max_size=4))
+        text = json.dumps(torus_doc(rows))
+        try:
+            expected = [
+                tuple(_parse_fraction(t, f"/gluing/{i}/torus/{j}") for j, t in enumerate(row))
+                for i, row in enumerate(rows)
+            ]
+        except CliError as first:
+            with pytest.raises(CliError) as info:
+                parse_spec(text)
+            assert (info.value.code, info.value.where, info.value.message) == (first.code, first.where, first.message)
+            return
+        datum = build_datum(())
+        pairs = tuple(GluingPair(center(datum).identity(), torus) for torus in expected)
+        model = parse_spec(text)
+        assert model == ReductiveModel(datum, r, pairs)
+        assert all(type(v) is Fraction for pair in model.gluing for v in pair.torus)
 
 
 class TestCommands:
@@ -534,6 +604,45 @@ class TestCommands:
             code, _, err = invoke(["describe", "--json", *source])
             assert code == 0, err
         assert asked and not any(any(flags) for flags in asked)
+
+    def test_fresh_torus_queries_read_each_spelling_once_and_build_one_hom(self, monkeypatch, tmp_path):
+        # with the root datum warm, a fresh torus spec reads each distinct
+        # torus spelling once, and the one AbHom a query builds is the
+        # derived kernel's inclusion: the mod-N torus and character
+        # conditions go to the solver as integer rows
+        import homspace.abgroups as abmod
+
+        semisimple = (SimpleType("A", 3), SimpleType("D", 4))
+        rows = [["1/2", "1/3", "0", "1/2"], ["1/4", "2/3", "1/2", "1/3"], ["0", "1/2", "5/6", "1/4"]]
+        doc = torus_doc(rows, semisimple)
+        doc["gluing"][0]["center"] = [1, 1, 0]
+        doc["gluing"][1]["center"] = [2, 0, 1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        build_datum(semisimple)
+        parsed, homs = [], []
+        original_parse, original_init = cli._parse_fraction, abmod.AbHom.__init__
+
+        def counting_parse(text, where):
+            parsed.append(text)
+            return original_parse(text, where)
+
+        def counting_init(hom, domain, codomain, matrix):
+            homs.append((domain, codomain))
+            original_init(hom, domain, codomain, matrix)
+
+        monkeypatch.setattr(cli, "_parse_fraction", counting_parse)
+        monkeypatch.setattr(abmod.AbHom, "__init__", counting_init)
+        for command in ("invariants", "describe"):
+            clear_query_caches()
+            groups._gluing.cache_clear()
+            groups._derived_kernel.cache_clear()
+            parsed.clear()
+            homs.clear()
+            code, _, err = invoke([command, "--json", "--spec", str(path)])
+            assert code == 0, err
+            assert sorted(parsed) == sorted({t for row in rows for t in row}), command
+            assert len(homs) == 1, (command, homs)
 
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = invoke(["no-such-command"])
@@ -934,6 +1043,23 @@ class TestQueryCaches:
         monkeypatch.setattr(SemisimpleModel, "__post_init__", counting)
         assert invoke(argv) == cold
         assert built == []
+
+    def test_repeated_table_lookups_hash_no_group(self, monkeypatch):
+        # a SemisimpleModel hashes once: a repeated weight-table lookup of
+        # the cached object walks neither the datum nor the kernel's type
+        model = parse_spec(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
+        table = weight_brauer_table(as_semisimple(model))
+        calls = []
+        original = FgAbGroup.__hash__
+
+        def counting(group):
+            calls.append(group)
+            return original(group)
+
+        monkeypatch.setattr(FgAbGroup, "__hash__", counting)
+        for _ in range(3):
+            assert weight_brauer_table(as_semisimple(model)) is table
+        assert calls == []
 
     def test_spec_cache_keys_on_the_document(self, tmp_path):
         # the same path rewritten with another document gives that

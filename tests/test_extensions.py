@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_cocycle_classes, random_chain, random_character_values, small_groups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _mod_n_hom, cyclic, ext1_z
+from homspace.abgroups import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z
 from homspace.extensions import Character, middle_group
+from homspace.intlinalg import IntMatrix
 from oracles import (
     SymmetricCocycle,
     all_characters,
@@ -109,7 +110,8 @@ class TestMiddleGroup:
         group = FgAbGroup(0, tuple(chain))
         chi = Character(group, tuple(Fraction(data.draw(st.integers(0, d - 1)), d) for d in chain))
         n = chi.order()
-        hom = _mod_n_hom(group, n, [[v.numerator * (n // v.denominator) for v in chi.values]])
+        row = [v.numerator * (n // v.denominator) for v in chi.values]
+        hom = AbHom(group, cyclic(n), IntMatrix.from_rows([row] if n > 1 else [], cols=group.ngens))
         middle = middle_group(chi)
         assert middle == FgAbGroup(1, kernel_of(hom).computed.invariant_factors)
         assert middle == character_to_extension(chi).middle
