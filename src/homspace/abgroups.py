@@ -14,25 +14,26 @@ The dual Hom(G, Q/Z) of a finite G has no type of its own: it is G again,
 read through the pairing of docs/conventions.md, under which dual generator
 i pairs with generator j to delta_ij / d_i.
 
-Subgroup, kernel and Hom/Ext computations all reduce to Smith and Hermite
-normal forms from :mod:`homspace.intlinalg`.  Lattices ``{x : A x = 0 mod
-n}`` and the relations of a span are the Hermite bases of
-``intlinalg.solution_lattice``, built modulo the exponent of the target
-group when that group is finite, and every Smith quotient goes through one
-helper, which asks the Smith loop for the row transform U or its inverse
-only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
-is all its callers read, so it takes U^-1 alone; a presentation's
-projection reads U, and the bare type of a span (:func:`span_group`) takes
-neither.  A direct sum of cyclic groups (:func:`direct_sum_canonical`) is
-canonicalized by pairwise gcd and lcm, with no Smith form.  The torus and
-character conditions of ``groups`` and ``extensions`` are integer rows
-modulo one n > 1 (``_mod_n_lattice``), with no hom built around them, so no
-query reaches the exact, unmodded route of ``solution_lattice``; other
-modules never call ``solution_lattice`` or ``_snf_transform`` themselves.
-Preimage lattices of homs, kernels as subgroup presentations, preimages of
-single elements, extensions realized by generator lifts, and a group's unit
-generators and element list are test oracles (``tests/oracles.py``): no
-query reads any of them.
+Subgroup, kernel and Hom/Ext computations all reduce to Smith normal forms
+and solution lattices from :mod:`homspace.intlinalg`.  Lattices ``{x : A x
+= 0 mod n}`` and the relations of a span are the Hermite bases of
+``intlinalg.solution_lattice``, built modulo the orders of a finite
+ambient: a free coordinate has no modulus, so :func:`span_group` and
+:func:`subgroup_from_generators` take finite ambients only.  Every Smith
+quotient goes through one helper, which asks the Smith loop for the row
+transform U or its inverse only as needed.  A subgroup's inclusion
+(:func:`subgroup_from_generators`) is all its callers read, so it takes
+U^-1 alone; a presentation's projection reads U, and the bare type of a
+span (:func:`span_group`) takes neither.  A direct sum of cyclic groups
+(:func:`direct_sum_canonical`) is canonicalized by pairwise gcd and lcm,
+with no Smith form.  The torus and character conditions of ``groups`` and
+``extensions`` are integer rows modulo one n > 1 (``_mod_n_lattice``),
+with no hom built around them; other modules never call
+``solution_lattice`` or ``_snf_transform`` themselves.  Preimage lattices
+of homs, kernels as subgroup presentations, spans in groups of positive
+free rank, preimages of single elements, extensions realized by generator
+lifts, and a group's unit generators and element list are test oracles
+(``tests/oracles.py``): no query reads any of them.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_uinv: bool 
 def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> FgAbGroup:
     """Canonical type of the subgroup spanned by ``generator_coords`` inside
     a raw cyclic decomposition of the given orders (they need not form a
-    divisibility chain; 0 marks a free coordinate).  The Smith loop builds
+    divisibility chain, and each must be positive).  The Smith loop builds
     no transform."""
     gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=len(orders))
     return _smith_quotient(solution_lattice(gcols, orders).transpose())[0]
@@ -263,8 +264,9 @@ def from_presentation(n_generators: int, relations: IntMatrix):
 
 
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
-    """The span of ``gens``: the generators' columns modulo their relation
-    lattice, one Smith quotient whose U^-1 gives the inclusion."""
+    """The span of ``gens`` in a finite ambient: the generators' columns
+    modulo their relation lattice, one Smith quotient whose U^-1 gives the
+    inclusion."""
     for g in gens:
         if g.group != ambient:
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")

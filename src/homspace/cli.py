@@ -255,14 +255,14 @@ def model_to_document(model: ReductiveModel) -> dict:
 
 
 def _load_model(args) -> ReductiveModel:
-    if getattr(args, "preset", None) and getattr(args, "spec", None):
+    if args.preset is not None and args.spec is not None:
         raise CliError("E_FLAGS", "--preset", "--preset and --spec are mutually exclusive")
-    if getattr(args, "preset", None):
+    if args.preset is not None:
         try:
             return build_preset(args.preset)
         except ValueError as exc:
             raise CliError("E_PRESET", "--preset", str(exc)) from exc
-    if getattr(args, "spec", None):
+    if args.spec is not None:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -478,7 +478,7 @@ def _cmd_weights(args, out: _Printer) -> int:
     try:
         sm = as_semisimple(model)
     except ValueError as exc:
-        raise CliError("E_MODEL", "--preset" if args.preset else "--spec", str(exc)) from exc
+        raise CliError("E_MODEL", "--preset" if args.preset is not None else "--spec", str(exc)) from exc
     table = weight_brauer_table(sm)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
@@ -716,7 +716,7 @@ def _failure(args, exc: Exception) -> CliError:
         return CliError("E_LIMIT", exc.where, f"an integer exceeds the str-to-int {limit}")
     if args.command == "snf":
         return CliError("E_LIMIT", "--matrix", f"an entry of D, U or V exceeds the int-to-str {limit}")
-    where = "--group" if args.command == "ext" else "--preset" if args.preset else "--spec"
+    where = "--group" if args.command == "ext" else "--preset" if args.preset is not None else "--spec"
     return CliError("E_LIMIT", where, f"an integer of the report exceeds the int-to-str {limit}")
 
 

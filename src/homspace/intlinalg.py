@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms and kernels.
+"""Exact integer linear algebra: Smith normal forms and solution lattices.
 
 Everything here runs on arbitrary-precision Python integers; there is no
 floating point and no fixed-width fast path.  Conventions are pinned so that
@@ -7,38 +7,33 @@ serialized matrices compare bit-exactly:
 * Smith normal form: ``U @ M @ V == D`` with ``U``, ``V`` unimodular, the
   diagonal of ``D`` nonnegative with each entry dividing the next, zeros
   trailing.  Pivots are chosen by smallest nonzero absolute value.
-* Hermite normal form is row-style: the rows of ``H`` span the lattice of
-  the rows of ``M``, pivots positive, entries above a pivot reduced into
-  ``[0, pivot)``.  No row transform is built for it.
-* Lattice bases, kernels and solution lattices included, are the rows of
-  the Hermite form, so equal lattices produce identical matrices whatever
-  route computed them.
+* Lattice bases are the rows of the row-style Hermite form: pivots
+  positive, entries above a pivot reduced into ``[0, pivot)``, so equal
+  lattices produce identical matrices whatever route computed them.
 
-Solution lattices ``{x : A x == 0 mod orders}`` (``solution_lattice``; the
-kernel is the case of all orders 0) never take a Smith form.  When every
-order is nonzero the lattice contains e*Z^s, e = lcm(orders), and its
-Hermite rows come one unknown at a time, from the last, out of an echelon
-basis of the span of the later columns in (Z/e)^n, kept in Howell form
-(Howell 1986): row j's pivot is the least multiple of column j in that span
-and the rest of the row a reduced preimage.  Preimages run only over the
+Solution lattices ``{x : A x == 0 mod orders}`` (``solution_lattice``) take
+a modulus for every row: each order must be positive, and a zero order
+raises.  The lattice then contains e*Z^s, e = lcm(orders), and its Hermite
+rows come one unknown at a time, from the last, out of an echelon basis of
+the span of the later columns in (Z/e)^n, kept in Howell form (Howell
+1986): row j's pivot is the least multiple of column j in that span and
+the rest of the row a reduced preimage.  Preimages run only over the
 columns whose pivot exceeds 1, at most n*log2(e) of them, so an n x s
 system costs O(s * (n log e)^2) steps besides the s^2 entries of its
-output, and no entry exceeds e.  Otherwise the relations of the nonzero
-orders join the rows of ``[A^T | I]`` and one exact Hermite elimination
-gives the lattice.
+output, and no entry exceeds e.  No Smith form is taken.  Exact kernels
+(no modulus), Hermite forms of arbitrary rows and the solver of ``M x = b``
+for one right-hand side have no query that reads them: they are test
+oracles in ``tests/oracles.py``.
 
-Both normal forms eliminate rows through one kernel of module-level helpers
+The Smith form eliminates rows through module-level helpers
 (``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
-step, ``_negate_row``), and both clear a column below its pivot with the
-same step, ``_clear_below``.  Each acts on the working rows and, inside
-``_snf_transform``, on the Smith row transform ``U`` when it is asked for;
-the Smith form's column operations act on ``V`` the same way.  On request
-the Smith loop also carries ``U^-1``: each row operation on ``U`` is applied
-to ``U^-1`` as its inverse column operation, so no second normal form
-inverts ``U``.  Each of ``U``, ``V`` and ``U^-1`` is built only when its
-caller asks for it.  No query solves ``M x = b`` for a single right-hand
-side: that solver, a Smith form with both transforms, is a test oracle in
-``tests/oracles.py``.
+step, ``_negate_row``) and clears a column below its nonzero pivot with
+``_clear_below``.  Each acts on the working rows and on the Smith row
+transform ``U`` when it is asked for; the column operations act on ``V``
+the same way.  On request the Smith loop also carries ``U^-1``: each row
+operation on ``U`` is applied to ``U^-1`` as its inverse column operation,
+so no second normal form inverts ``U``.  Each of ``U``, ``V`` and ``U^-1``
+is built only when its caller asks for it.
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
@@ -232,16 +227,14 @@ def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int, w: Optio
 
 def _clear_below(a: list, u: Optional[list], p: int, col: int, w: Optional[list] = None):
     """Clear column ``col`` below row ``p``, leaving the gcd of the column
-    at (p, col).  A zero pivot swaps with the first nonzero entry, a pivot
-    that divides an entry subtracts a multiple of row p, and otherwise one
-    ``_combine_rows`` step clears the entry."""
+    at (p, col).  The pivot at (p, col) must be nonzero, as the Smith
+    loop's always is.  A pivot that divides an entry subtracts a multiple
+    of row p, and otherwise one ``_combine_rows`` step clears the entry."""
     for i in range(p + 1, len(a)):
         x = a[i][col]
         if x:
             pivot = a[p][col]
-            if pivot == 0:
-                _swap_rows(a, u, p, i, w)
-            elif x % pivot == 0:
+            if x % pivot == 0:
                 _add_row(a, u, i, p, -(x // pivot), w)
             else:
                 _combine_rows(a, u, p, i, col, w)
@@ -352,29 +345,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(u=u, d=d, v=v)
 
 
-def _hermite_rows(a: list) -> list:
-    """Row-style Hermite elimination of the rows ``a`` in place; returns
-    ``a``.  The row transform is not built.
-
-    Entries below a pivot are cleared pairwise with unimodular extended-gcd
-    transforms, so intermediate entries stay near minor size."""
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    prow = 0
-    for col in range(cols):
-        if prow >= rows:
-            break
-        _clear_below(a, None, prow, col)
-        if a[prow][col] != 0:
-            if a[prow][col] < 0:
-                _negate_row(a, None, prow)
-            for i in range(prow):
-                if a[i][col]:
-                    _add_row(a, None, i, prow, -(a[i][col] // a[prow][col]))
-            prow += 1
-    return a
-
-
 def _insert_howell(basis: list, v: list, p: list, e: int):
     """Add ``v``, with preimage ``p``, to the echelon basis of a span in
     (Z/e)^n.  ``basis[c]`` is None, standing for e*e_c, or [row, preimage]
@@ -421,16 +391,23 @@ def _insert_howell(basis: list, v: list, p: list, e: int):
     return d, p
 
 
-def _solution_lattice_mod(m: IntMatrix, orders: Sequence[int]) -> list:
-    """Hermite rows of ``{x : m @ x == 0}``, every order nonzero, e their
-    lcm.  With b_j = ((e/o_i) * m[i][j] mod e)_i, pivot j is the least
-    d_j > 0 with d_j*b_j in the span V of b_(j+1), ..., b_(s-1) in (Z/e)^n,
-    and the rest of row j a preimage of -d_j*b_j over those columns,
-    reduced against the later rows.  So the unknowns go from last to first,
-    each inserted into a Howell basis of V whose rows carry preimages over
-    the columns k > j of pivot d_k > 1 (a reduced row is 0 wherever
-    d_k == 1), and the work per unknown depends on n and on those columns,
-    never on s.  b_j changes V only when d_j > 1."""
+def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """Hermite basis, one row per basis vector, of ``{x : m @ x == 0}`` with
+    row i of the product read modulo ``orders[i]``; every order must be
+    positive, so the lattice contains e*Z^cols, e their lcm.
+
+    With b_j = ((e/o_i) * m[i][j] mod e)_i, pivot j is the least d_j > 0
+    with d_j*b_j in the span V of b_(j+1), ..., b_(s-1) in (Z/e)^n, and the
+    rest of row j a preimage of -d_j*b_j over those columns, reduced
+    against the later rows.  So the unknowns go from last to first, each
+    inserted into a Howell basis of V whose rows carry preimages over the
+    columns k > j of pivot d_k > 1 (a reduced row is 0 wherever d_k == 1),
+    and the work per unknown depends on n and on those columns, never on
+    s.  b_j changes V only when d_j > 1."""
+    if len(orders) != m.rows:
+        raise ValueError(f"{len(orders)} orders for {m.rows} rows")
+    if not all(o > 0 for o in orders):
+        raise ValueError(f"solution lattices need positive orders, got {tuple(orders)}")
     n, s = m.rows, m.cols
     e = lcm(*orders)
     scale = [e // o for o in orders]
@@ -466,30 +443,7 @@ def _solution_lattice_mod(m: IntMatrix, orders: Sequence[int]) -> list:
             cols.append(j)
             pivots.append(d)
             tails.append(y + [d])
-    return out
-
-
-def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
-    """Hermite basis, one row per basis vector, of ``{x : m @ x == 0}`` with
-    row i of the product read modulo ``orders[i]`` (0 meaning exactly).
-
-    When every order is nonzero the lattice contains e*Z^cols, e =
-    lcm(orders), and ``_solution_lattice_mod`` builds its Hermite rows one
-    unknown at a time, from the last, over an echelon basis of a span in
-    (Z/e)^rows; no entry exceeds e.  Otherwise the lattice is the
-    right-hand part of the rows of ``[m^T | I]`` whose left-hand part
-    vanishes modulo the orders, and one exact Hermite form of
-    ``[[m^T | I], [R^T | 0]]``, R the relation columns of the nonzero
-    orders, gives it as the rows with zero left-hand part."""
-    if len(orders) != m.rows:
-        raise ValueError(f"{len(orders)} orders for {m.rows} rows")
-    n, s = m.rows, m.cols
-    if all(orders):
-        return IntMatrix.from_rows(_solution_lattice_mod(m, orders), cols=s)
-    rows = [list(m.column(j)) + [int(j == k) for k in range(s)] for j in range(s)]
-    rows += [[o if i == k else 0 for k in range(n)] + [0] * s for i, o in enumerate(orders) if o]
-    h = _hermite_rows(rows)
-    return IntMatrix.from_rows([r[n:] for r in h if not any(r[:n]) and any(r[n:])], cols=s)
+    return IntMatrix.from_rows(out, cols=s)
 
 
 def parse_matrix_literal(text: str) -> IntMatrix:

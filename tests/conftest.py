@@ -10,9 +10,9 @@ import pytest
 from homspace import cli, groups, invariants
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel, gluing_order
-from homspace.intlinalg import IntMatrix, solution_lattice
+from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import elements, solve_integer
+from oracles import elements, snf_kernel, solve_integer
 
 
 def clear_query_caches():
@@ -168,7 +168,7 @@ def count_cocycle_classes(group):
                 if any(row):
                     rows.add(tuple(row))
     constraint = IntMatrix.from_rows(sorted(rows), cols=len(pairs))
-    cocycle_basis = solution_lattice(constraint, (0,) * constraint.rows).transpose()
+    cocycle_basis = snf_kernel(constraint)
 
     # coboundaries delta g for g supported on one nonzero element
     cols = []

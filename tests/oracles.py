@@ -22,14 +22,14 @@
 * Two more routes to ``homspace.groups.pi1``, which reads pi1(H) as Z^r
   plus the kernel of the gluing group's torus projection.  ``_pi1_span`` is
   the span of N*e_i and of one lift of each of the model's own gluing
-  generators inside Z^r x Z(S_sc); its exact Hermite form has no modulus,
-  so wide models take seconds to minutes here.  ``pi1_extension`` is the
+  generators inside Z^r x Z(S_sc) (``span_subgroup``, below: the free
+  coordinates have no modulus).  ``pi1_extension`` is the
   extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 presented by Z^r and one lift
   of each canonical generator of Gamma, one Smith quotient with both
   transforms, whose entries blow up on wide torus models.
 * The gluing subgroup Gamma with its inclusion (``gluing_span``), which
-  the library keeps as a bare type only.  Its relations come from the
-  Smith-V kernel route below, so ``pi1_extension`` shares no span code
+  the library keeps as a bare type only.  It is a Smith-V span
+  (``_smith_v_span``, below), so ``pi1_extension`` shares no span code
   with ``pi1``.  Central pushouts of reductive models along characters of
   Gamma, the character map pi1(H) -> Z and the element table of Gamma read
   it.  A pushout reads each gluing generator's coordinates in Gamma by
@@ -54,13 +54,22 @@
   ``image(f) == kernel(g)``, preimages of single elements
   (``preimage_of``) by one Smith solve with U and V (``solve_integer``),
   and ``lattice_row_basis``, the Hermite basis of a spanned lattice
-  through ``intlinalg._hermite_rows``.
+  through ``_hermite_rows``, the exact Hermite elimination that left
+  ``homspace.intlinalg``.  It swaps a nonzero pivot up itself before
+  ``intlinalg._clear_below``, which takes only nonzero pivots, clears the
+  column.
 * Determinants from sympy's integer matrices (``det``), a route
   independent of ``homspace.intlinalg``.
-* The former lattice route of ``homspace.intlinalg``: solution lattices
-  ``{x : A x == 0 mod orders}`` as the Smith-V kernel of ``[A | R]``, R the
-  relation columns, canonicalized by a Hermite form.  The library now
-  builds them without it; the tests compare.
+* The Smith-V lattice route, the only one the oracles take: solution
+  lattices ``{x : A x == 0 mod orders}`` as the Smith-V kernel of
+  ``[A | R]``, R the relation columns of the nonzero orders, canonicalized
+  by a Hermite form (``snf_solution_lattice``; ``snf_kernel`` when there
+  is no order).  Zero orders, which ``homspace.intlinalg.solution_lattice``
+  rejects, are legal here.  Preimage lattices and kernels of homs, and
+  spans with their inclusion in any ambient, free coordinates included
+  (``span_subgroup``, the library's ``subgroup_from_generators`` on finite
+  ambients), are built on it, so the tests compare the library with a
+  route that shares with it only the Smith loop and its row steps.
 * The former mod-e route of ``homspace.intlinalg.solution_lattice``: one
   Hermite elimination of ``[(e/o_i) A^T | I]`` modulo e = lcm(orders),
   cubic in the number of unknowns.  The library now builds the same basis
@@ -90,7 +99,7 @@ from homspace.abgroups import (
 )
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
-from homspace.intlinalg import IntMatrix, _hermite_rows, _snf_transform, _xgcd, solution_lattice
+from homspace.intlinalg import IntMatrix, _clear_below, _snf_transform, _xgcd
 from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
 
@@ -149,6 +158,34 @@ def det(m: IntMatrix) -> int:
     return int(DomainMatrix([[ZZ(x) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), ZZ).det())
 
 
+def _hermite_rows(a: list) -> list:
+    """Row-style Hermite elimination of the rows ``a`` in place; returns
+    ``a``.  The row transform is not built.  Each column first swaps up the
+    first row that is nonzero there, so ``intlinalg._clear_below`` always
+    starts from a nonzero pivot; it clears the entries below pairwise with
+    unimodular extended-gcd transforms, so intermediate entries stay near
+    minor size."""
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    prow = 0
+    for col in range(cols):
+        if prow >= rows:
+            break
+        first = next((i for i in range(prow, rows) if a[i][col]), None)
+        if first is None:
+            continue
+        a[prow], a[first] = a[first], a[prow]
+        _clear_below(a, None, prow, col)
+        if a[prow][col] < 0:
+            a[prow] = [-x for x in a[prow]]
+        for i in range(prow):
+            q = a[i][col] // a[prow][col]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[prow])]
+        prow += 1
+    return a
+
+
 def lattice_row_basis(vectors: Sequence[Sequence[int]], ambient_dim: int) -> IntMatrix:
     """Canonical (Hermite) basis, one row per basis vector, of the lattice
     spanned by ``vectors`` inside Z^ambient_dim.  Zero rows are dropped, so
@@ -190,7 +227,8 @@ def snf_kernel(m: IntMatrix) -> IntMatrix:
 
 def snf_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     """Hermite basis (rows) of ``{x : m @ x == 0}``, row i read modulo
-    ``orders[i]``: the kernel of ``[m | R]`` cut down to x."""
+    ``orders[i]`` (0 meaning exactly): the kernel of ``[m | R]`` cut down
+    to x, R the relation columns of the nonzero orders."""
     relations = [[o if i == k else 0 for k in range(m.rows)] for i, o in enumerate(orders) if o]
     kern = snf_kernel(hstack(m, IntMatrix.from_columns(relations, rows=m.rows)))
     vectors = [[kern[i, j] for i in range(m.cols)] for j in range(kern.cols)]
@@ -280,12 +318,33 @@ def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
     return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
 
 
+def _smith_v_span(gcols: IntMatrix, orders: Sequence[int]):
+    """The span of the columns of ``gcols`` in cyclic coordinates of the
+    given orders (0 marks a free one): its canonical type and, one per
+    canonical generator, that generator's coordinates, unreduced.  The
+    relations of the columns are the Smith-V kernel
+    (``snf_solution_lattice``), and U^-1 of their Smith form maps the
+    canonical generators back to combinations of the columns."""
+    relations = snf_solution_lattice(gcols, orders).transpose()
+    group, _, uinv, positions = _smith_quotient(relations, want_uinv=True)
+    return group, [gcols.apply(uinv.column(p)) for p in positions]
+
+
+def span_subgroup(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
+    """The span of ``gens`` with its inclusion, in any ambient, free
+    coordinates included: ``homspace.abgroups.subgroup_from_generators``
+    by the Smith-V route."""
+    gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
+    group, incl = _smith_v_span(gcols, ambient.orders)
+    return SubgroupPresentation(ambient, group, AbHom(group, ambient, IntMatrix.from_columns(incl, rows=ambient.ngens)))
+
+
 def preimage_lattice(f: AbHom) -> IntMatrix:
     """Hermite basis (one vector per row) of ``{x in Z^ngens : f(x) = 0 in
-    the codomain}``, x read as coordinates over the domain's generators.
-    It contains the domain's relations, because f is well defined, and
-    Z^ngens modulo it is isomorphic to the image of f."""
-    return solution_lattice(f.matrix, f.codomain.orders)
+    the codomain}``, x read as coordinates over the domain's generators,
+    by the Smith-V route.  It contains the domain's relations, because f is
+    well defined, and Z^ngens modulo it is isomorphic to the image of f."""
+    return snf_solution_lattice(f.matrix, f.codomain.orders)
 
 
 def kernel_of(f: AbHom) -> SubgroupPresentation:
@@ -293,7 +352,7 @@ def kernel_of(f: AbHom) -> SubgroupPresentation:
     nonzero rows of its preimage lattice."""
     pre = preimage_lattice(f)
     gens = [AbElement(f.domain, pre.row(i)) for i in range(pre.rows)]
-    return subgroup_from_generators(f.domain, [g for g in gens if not g.is_identity])
+    return span_subgroup(f.domain, [g for g in gens if not g.is_identity])
 
 
 def cokernel_of(f: AbHom):
@@ -739,21 +798,14 @@ class GluingSpan:
 @lru_cache(maxsize=None)
 def gluing_span(model: ReductiveModel) -> GluingSpan:
     """Gamma with its inclusion, by a route the library does not take: the
-    relations of the model's gluing generators are the Smith-V kernel
-    (``snf_solution_lattice``), and U^-1 of their Smith form maps the
-    canonical generators back to combinations of the model's generators."""
+    Smith-V span (``_smith_v_span``) of the model's gluing generators."""
     n, torus_rows = model.torus_numerators
     orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
     gcols = IntMatrix.from_columns(
         [list(pair.center.coords + row) for pair, row in zip(model.gluing, torus_rows)], rows=len(orders)
     )
-    relations = snf_solution_lattice(gcols, orders).transpose()
-    _, d, _, uinv = _snf_transform(relations, want_u=False, want_v=False, want_uinv=True)
-    # the relations contain e*Z^g, so the diagonal is square and nonzero
-    diag = [d[i, i] for i in range(d.rows)]
-    positions = [i for i, x in enumerate(diag) if x >= 2]
-    group = FgAbGroup(0, tuple(diag[i] for i in positions))
-    incl = [[c % o for c, o in zip(gcols.apply(uinv.column(p)), orders)] for p in positions]
+    group, incl = _smith_v_span(gcols, orders)
+    incl = [[c % o for c, o in zip(col, orders)] for col in incl]
     return GluingSpan(n, orders, group, IntMatrix.from_columns(incl, rows=len(orders)))
 
 
@@ -788,7 +840,7 @@ def _pi1_span(model: ReductiveModel):
         torus = [int(v * n) for v in pair.torus]
         coords = torus + list(pair.center.coords)
         gens.append(ambient.element(coords))
-    return subgroup_from_generators(ambient, gens)
+    return span_subgroup(ambient, gens)
 
 
 def pi1_extension(model: ReductiveModel) -> FgAbGroup:

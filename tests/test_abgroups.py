@@ -37,6 +37,7 @@ from oracles import (
     multiplication_hom,
     preimage_lattice,
     preimage_of,
+    span_subgroup,
     zero_hom,
     zero_matrix,
 )
@@ -171,7 +172,7 @@ class TestSubgroups:
 
     def test_mixed_ambient(self):
         g = FgAbGroup(1, (2,))
-        sub = subgroup_from_generators(g, [g.element([2, 0]), g.element([0, 1])])
+        sub = span_subgroup(g, [g.element([2, 0]), g.element([0, 1])])
         assert sub.computed == FgAbGroup(1, (2,))
         imgs = {sub.inclusion(generator(sub.computed, i)).coords for i in range(2)}
         assert imgs == {(2, 0), (0, 1)}
@@ -184,12 +185,22 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             subgroup_from_generators(cyclic(6), [cyclic(4).element([1])])
 
+    def test_free_ambient_is_rejected(self):
+        # a free coordinate has no modulus for the solution lattice; such
+        # spans are the oracle span_subgroup's
+        g = FgAbGroup(1, (2,))
+        with pytest.raises(ValueError, match="positive orders"):
+            subgroup_from_generators(g, [g.element([2, 0]), g.element([0, 1])])
+        with pytest.raises(ValueError, match="positive orders"):
+            subgroup_from_generators(Z, [])
+
     def test_subgroup_order_by_enumeration(self):
         rng = random.Random(8)
         for _ in range(40):
             g = random_group(rng, max_rank=0, max_factors=2, max_d=12)
             gens = [g.element([rng.randrange(d) for d in g.invariant_factors]) for _ in range(rng.randint(0, 3))]
             sub = subgroup_from_generators(g, gens)
+            assert sub == span_subgroup(g, gens)
             # brute-force closure in the finite ambient group
             seen = {g.identity().coords}
             frontier = [g.identity()]
@@ -211,7 +222,7 @@ class TestSubgroups:
                 g.element([rng.randint(-6, 6) for _ in range(g.free_rank)] + [rng.randrange(d) for d in factors])
                 for _ in range(rng.randint(0, 4))
             ]
-            sub = subgroup_from_generators(g, gens)
+            sub = span_subgroup(g, gens)
             assert kernel_of(sub.inclusion).computed.is_trivial
             relations = [[d if j == g.free_rank + i else 0 for j in range(g.ngens)] for i, d in enumerate(factors)]
             spanned = lattice_row_basis([list(x.coords) for x in gens] + relations, g.ngens)
@@ -220,7 +231,7 @@ class TestSubgroups:
     def test_express_in_subgroup(self):
         # coordinates in the subgroup are preimages under its inclusion
         g = FgAbGroup(1, (4,))
-        sub = subgroup_from_generators(g, [g.element([2, 1])])
+        sub = span_subgroup(g, [g.element([2, 1])])
         inside = preimage_of(sub.inclusion, g.element([4, 2]))
         assert inside is not None
         assert sub.inclusion(inside) == g.element([4, 2])

@@ -463,6 +463,23 @@ class TestCommands:
         assert code == 1
         assert "E_FLAGS" in err
 
+    def test_empty_model_flag_values_are_given_values(self):
+        # an empty value is still a given flag: it is read, and fails as
+        # that flag's input, never as a missing flag
+        cases = (
+            (
+                ["describe", "--preset", "SL(2)", "--spec", ""],
+                "error[E_FLAGS] at --preset: --preset and --spec are mutually exclusive\n",
+            ),
+            (["describe", "--preset", ""], "error[E_PRESET] at --preset: unknown preset ''\n"),
+            (
+                ["describe", "--spec", ""],
+                "error[E_IO] at --spec: cannot read : [Errno 2] No such file or directory: ''\n",
+            ),
+        )
+        for argv, expected in cases:
+            assert invoke(argv) == (1, "", expected), argv
+
     def test_snf_negative_literal_both_spellings(self):
         spaced = invoke(["snf", "--matrix", "-1,2;3,4", "--json"])
         attached = invoke(["snf", "--matrix=-1,2;3,4", "--json"])

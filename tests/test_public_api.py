@@ -3,8 +3,9 @@ top-level name of a module in src/homspace is listed there or imported by
 another module of the package, every listed name exists, the package
 imports nothing outside the standard library and nothing it does not use,
 no query checks an identity at run time (the tests prove them instead),
-every cache states a finite bound, and nothing moved to tests/oracles.py
-is left defined in the package too."""
+every cache states a finite bound, nothing moved to tests/oracles.py
+is left defined in the package too, and only abgroups reaches the lattice
+solver and the Smith loop of intlinalg."""
 
 import ast
 import re
@@ -171,3 +172,24 @@ def test_oracles_define_nothing_the_package_defines():
     moved = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert moved and package, "the scan reads nothing"
     assert not moved & package, sorted(moved & package)
+
+
+def test_only_abgroups_reaches_the_lattice_solver_and_the_smith_loop():
+    # abgroups' docstring claims that other modules never call
+    # solution_lattice or _snf_transform themselves, and only cli prints a
+    # Smith form with its transforms: every import or attribute read of
+    # those names in src/homspace is counted
+    allowed = {"solution_lattice": {"abgroups"}, "_snf_transform": {"abgroups"}, "smith_normal_form": {"cli"}}
+    readers = {name: set() for name in allowed}
+    for module, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                if name in readers:
+                    readers[name].add(module)
+    assert readers == allowed
