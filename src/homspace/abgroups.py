@@ -6,9 +6,13 @@ data agree, so isomorphism testing is ``==``.  Elements carry coordinates
 over the canonical generators, free generators first; torsion coordinates
 are always stored reduced into ``[0, di)``.
 
-Homomorphisms are integer matrices over the canonical generators and are
-checked for well-definedness at construction (the image of a generator of
-order ``d`` must be killed by ``d``).
+A homomorphism is a plain ``IntMatrix`` over the canonical generators,
+one column per domain generator, its torsion rows reduced like an
+element's coordinates.  The two that queries read, a subgroup's inclusion
+and a presentation's projection, are columns of U^-1 and rows of U, so
+they are homomorphisms by construction and nothing checks them at run
+time; the tests check each against the checked hom class of
+``tests/oracles.py``.
 
 The dual Hom(G, Q/Z) of a finite G has no type of its own: it is G again,
 read through the pairing of docs/conventions.md, under which dual generator
@@ -23,17 +27,19 @@ ambient: a free coordinate has no modulus, so :func:`span_group` and
 quotient goes through one helper, which asks the Smith loop for the row
 transform U or its inverse only as needed.  A subgroup's inclusion
 (:func:`subgroup_from_generators`) is all its callers read, so it takes
-U^-1 alone; a presentation's projection reads U, and the bare type of a
-span (:func:`span_group`) takes neither.  A direct sum of cyclic groups
-(:func:`direct_sum_canonical`) is canonicalized by pairwise gcd and lcm,
-with no Smith form.  The torus and character conditions of ``groups`` and
-``extensions`` are integer rows modulo one n > 1 (``_mod_n_lattice``),
-with no hom built around them; other modules never call
-``solution_lattice`` or ``_snf_transform`` themselves.  Preimage lattices
-of homs, kernels as subgroup presentations, spans in groups of positive
-free rank, preimages of single elements, extensions realized by generator
-lifts, and a group's unit generators and element list are test oracles
-(``tests/oracles.py``): no query reads any of them.
+U^-1 alone; a presentation's projection (:func:`from_presentation`) reads
+U, and the bare type of a span (:func:`span_group`) takes neither.  A
+direct sum of cyclic groups (:func:`direct_sum_canonical`) is
+canonicalized by pairwise gcd and lcm, with no Smith form.  The torus and
+character conditions of ``groups`` and ``extensions`` are integer rows
+modulo one n > 1 (``_mod_n_lattice``), with no hom built around them;
+other modules never call ``solution_lattice`` or ``_snf_transform``
+themselves.  Homs as checked
+values, preimage lattices of homs, kernels as subgroup presentations,
+spans in groups of positive free rank, preimages of single elements,
+extensions realized by generator lifts, and a group's unit generators and
+element list are test oracles (``tests/oracles.py``): no query reads any
+of them.
 """
 
 from __future__ import annotations
@@ -164,65 +170,16 @@ class AbElement:
         return n
 
 
-class AbHom:
-    """Homomorphism between canonical groups, as a matrix on generator
-    coordinates (columns indexed by domain generators)."""
-
-    __slots__ = ("domain", "codomain", "matrix")
-
-    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
-        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
-            raise ValueError(
-                f"matrix shape {matrix.rows}x{matrix.cols} does not map "
-                f"{domain.ngens} generators into {codomain.ngens}"
-            )
-        orders = codomain.orders
-        reduced = []
-        for i, o in enumerate(orders):
-            row = matrix.row(i)
-            reduced.extend([x % o for x in row] if o else row)
-        matrix = IntMatrix(matrix.rows, matrix.cols, reduced)
-        for j, d in enumerate(domain.orders):
-            if d == 0:
-                continue
-            for x, o in zip(matrix.column(j), orders):
-                x *= d
-                if (o == 0 and x != 0) or (o != 0 and x % o):
-                    raise ValueError(
-                        f"not a homomorphism: generator {j} of order {d} maps to an element not killed by {d}"
-                    )
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-
-    def __call__(self, elem: AbElement) -> AbElement:
-        if elem.group != self.domain:
-            raise ValueError("element not in the domain")
-        return AbElement(self.codomain, self.matrix.apply(elem.coords))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AbHom)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.matrix))
-
-    def __repr__(self) -> str:
-        return f"AbHom({self.domain} -> {self.codomain}, {self.matrix!r})"
-
-
 @dataclass(frozen=True)
 class SubgroupPresentation:
-    """A subgroup of ``ambient``: its abstract type and an injective
-    inclusion of its canonical generators back into the ambient group."""
+    """A subgroup of ``ambient``: its abstract type and the injective
+    inclusion of its canonical generators back into the ambient group, a
+    matrix with one column per generator, its ambient coordinates reduced
+    like an element's."""
 
     ambient: FgAbGroup
     computed: FgAbGroup
-    inclusion: AbHom
+    inclusion: IntMatrix
 
     def order(self) -> Optional[int]:
         return self.computed.order()
@@ -254,13 +211,13 @@ def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]])
 
 def from_presentation(n_generators: int, relations: IntMatrix):
     """Quotient Z^n by the column span of ``relations``; returns the group in
-    canonical form and the projection hom from Z^n."""
+    canonical form and the projection from Z^n as a matrix: U's rows at the
+    canonical generators, each torsion row reduced modulo its order."""
     if relations.rows != n_generators:
         raise ValueError(f"relations must have {n_generators} rows, got {relations.rows}")
     group, u, _, positions = _smith_quotient(relations, want_u=True)
-    proj_rows = [list(u.row(p)) for p in positions]
-    proj = AbHom(FgAbGroup(n_generators, ()), group, IntMatrix.from_rows(proj_rows, cols=n_generators))
-    return group, proj
+    proj_rows = [[x % o for x in u.row(p)] if o else u.row(p) for p, o in zip(positions, group.orders)]
+    return group, IntMatrix.from_rows(proj_rows, cols=n_generators)
 
 
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
@@ -270,10 +227,13 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
     for g in gens:
         if g.group != ambient:
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
+    orders = ambient.orders
     gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
-    group, _, uinv, positions = _smith_quotient(solution_lattice(gcols, ambient.orders).transpose(), want_uinv=True)
-    incl = IntMatrix.from_columns([gcols.apply(uinv.column(p)) for p in positions], rows=ambient.ngens)
-    return SubgroupPresentation(ambient=ambient, computed=group, inclusion=AbHom(group, ambient, incl))
+    group, _, uinv, positions = _smith_quotient(solution_lattice(gcols, orders).transpose(), want_uinv=True)
+    incl = IntMatrix.from_columns(
+        [[x % o for x, o in zip(gcols.apply(uinv.column(p)), orders)] for p in positions], rows=ambient.ngens
+    )
+    return SubgroupPresentation(ambient=ambient, computed=group, inclusion=incl)
 
 
 def _mod_n_lattice(ngens: int, n: int, rows: Sequence[Sequence[int]]) -> IntMatrix:

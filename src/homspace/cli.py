@@ -267,7 +267,7 @@ def _load_model(args) -> ReductiveModel:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise CliError("E_IO", "--spec", f"cannot read {args.spec}: {exc}") from exc
+            raise CliError("E_IO", "--spec", f"cannot read {args.spec!r}: {exc}") from exc
         return _spec_model(text, sys.get_int_max_str_digits())
     raise CliError("E_FLAGS", "--preset", "one of --preset or --spec is required")
 
@@ -668,8 +668,7 @@ _READERS = {
     )
     for command, (_, flags) in _COMMAND_FLAGS.items()
 }
-# snf's spellings of --matrix: elsewhere only the full spelling is
-# rewritten, as argparse rejects the flag there whatever its value
+# snf's spellings of --matrix, the only command that has the flag
 _SNF_MATRIX_SPELLINGS = frozenset(s for s, (dest, _) in _READERS["snf"][0].items() if dest == "matrix")
 
 _COMMANDS = {
@@ -682,13 +681,16 @@ _COMMANDS = {
 
 
 def _attach_matrix_values(argv) -> list:
-    """Write ``--matrix -1,2`` as ``--matrix=-1,2``, and on snf also each
-    abbreviation such as ``--mat -1,2``: argparse takes a value that starts
-    with a minus sign and is not a plain number for a flag."""
-    spellings = _SNF_MATRIX_SPELLINGS if argv and argv[0] == "snf" else ("--matrix",)
+    """On snf, write ``--matrix -1,2`` as ``--matrix=-1,2``, and each
+    abbreviation such as ``--mat -1,2`` likewise: argparse takes a value that
+    starts with a minus sign and is not a plain number for a flag.  Other
+    commands have no ``--matrix``, so their argv is returned as given and
+    argparse's errors quote it as typed."""
+    if not argv or argv[0] != "snf":
+        return argv
     attached = []
     for arg in argv:
-        if attached and attached[-1] in spellings and arg[:1] == "-" and arg[1:2].isdigit():
+        if attached and attached[-1] in _SNF_MATRIX_SPELLINGS and arg[:1] == "-" and arg[1:2].isdigit():
             attached[-1] = f"{attached[-1]}={arg}"
         else:
             attached.append(arg)

@@ -263,7 +263,7 @@ def _so_kernel_generator(n: int, datum: RootDatumSS) -> tuple:
     orders = datum.pq_group.invariant_factors
     if len(orders) == 1:
         return (orders[0] // 2,)
-    proj = datum.pq_proj.matrix
+    proj = datum.pq_proj
     c0, c1 = proj.column(0) if n > 4 else map(sum, zip(proj.column(0), proj.column(1)))
     return (c1 % 2, c0 % 2)
 

@@ -9,8 +9,9 @@ node tables).  The Cartan matrix convention is
 so the i-th simple root written in fundamental-weight coordinates is the
 i-th *row* of the Cartan matrix, and the root-lattice inclusion Q -> P has
 the transposed Cartan matrix (columns = simple roots).  A root datum keeps
-P/Q and the projection ``pq_proj`` of P onto it, not the Cartan matrix:
-``build_datum`` builds the block-diagonal transpose only to present P/Q.
+P/Q and the projection ``pq_proj`` of P onto it, an integer matrix, not the
+Cartan matrix: ``build_datum`` builds the block-diagonal transpose only to
+present P/Q.
 
 The center of the simply connected group is only ever exposed as the dual
 of P/Q.  ``center`` returns the group P/Q itself, read through the pairing
@@ -35,12 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .abgroups import (
-    AbHom,
-    FgAbGroup,
-    SubgroupPresentation,
-    from_presentation,
-)
+from .abgroups import FgAbGroup, SubgroupPresentation, from_presentation
 from .intlinalg import IntMatrix
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
@@ -116,14 +112,16 @@ def cartan_matrix(t: SimpleType) -> IntMatrix:
 class RootDatumSS:
     """Product of simple root systems with its P/Q data.
 
-    ``pq_proj`` sends a weight (fundamental-weight coordinates, factors
-    concatenated) to its class in P/Q over the Smith-normal-form generators.
+    ``pq_proj`` is the matrix that sends a weight (fundamental-weight
+    coordinates, factors concatenated) to its class in P/Q over the
+    Smith-normal-form generators: one row per generator of order d_j,
+    entries in [0, d_j).
     """
 
     factors: tuple
     rank: int
     pq_group: FgAbGroup
-    pq_proj: AbHom
+    pq_proj: IntMatrix
 
     def __hash__(self) -> int:
         # the other fields are a function of the factors (``build_datum``),
@@ -185,7 +183,7 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
     _check_center_subgroup(datum, sub)
     d_orders = datum.pq_group.invariant_factors
     big = lcm(*d_orders)
-    proj, incl = datum.pq_proj.matrix, sub.inclusion.matrix
+    proj, incl = datum.pq_proj, sub.inclusion
     rows = []
     for p, m in enumerate(sub.computed.invariant_factors):
         # S for every weight at once, one pq_proj row per nonzero incl[j, p]

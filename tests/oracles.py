@@ -44,6 +44,12 @@
   weight by weight (``fundamental_restrictions``) and the character
   lattice of the quotient, all read off
   ``homspace.rootdata.restriction_matrix``; no query needs any of them.
+* Homs as checked values (``AbHom``), which reduce their matrix modulo
+  the codomain's orders and reject a matrix that is not well defined (a
+  generator of order d must map to an element that d kills).  The library
+  keeps the matrices of a subgroup's inclusion and of a presentation's
+  projection bare; ``inclusion_hom`` wraps the first, and the tests check
+  every such matrix the library builds against this class.
 * Matrix, group and hom helpers that no query needs: the zero matrix,
   side-by-side concatenation, the zero test and composition of homs, the
   canonical generators and the element list of a group, and the triviality
@@ -90,7 +96,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from homspace.abgroups import (
     AbElement,
-    AbHom,
     FgAbGroup,
     SubgroupPresentation,
     _smith_quotient,
@@ -121,6 +126,62 @@ def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
 
 def is_zero_matrix(m: IntMatrix) -> bool:
     return not any(x for i in range(m.rows) for x in m.row(i))
+
+
+class AbHom:
+    """Homomorphism between canonical groups, as a matrix on generator
+    coordinates (columns indexed by domain generators)."""
+
+    __slots__ = ("domain", "codomain", "matrix")
+
+    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
+        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
+            raise ValueError(
+                f"matrix shape {matrix.rows}x{matrix.cols} does not map "
+                f"{domain.ngens} generators into {codomain.ngens}"
+            )
+        orders = codomain.orders
+        reduced = []
+        for i, o in enumerate(orders):
+            row = matrix.row(i)
+            reduced.extend([x % o for x in row] if o else row)
+        matrix = IntMatrix(matrix.rows, matrix.cols, reduced)
+        for j, d in enumerate(domain.orders):
+            if d == 0:
+                continue
+            for x, o in zip(matrix.column(j), orders):
+                x *= d
+                if (o == 0 and x != 0) or (o != 0 and x % o):
+                    raise ValueError(
+                        f"not a homomorphism: generator {j} of order {d} maps to an element not killed by {d}"
+                    )
+        self.domain = domain
+        self.codomain = codomain
+        self.matrix = matrix
+
+    def __call__(self, elem: AbElement) -> AbElement:
+        if elem.group != self.domain:
+            raise ValueError("element not in the domain")
+        return AbElement(self.codomain, self.matrix.apply(elem.coords))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, AbHom)
+            and self.domain == other.domain
+            and self.codomain == other.codomain
+            and self.matrix == other.matrix
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"AbHom({self.domain} -> {self.codomain}, {self.matrix!r})"
+
+
+def inclusion_hom(sub: SubgroupPresentation) -> AbHom:
+    """A subgroup's inclusion matrix as a checked hom into its ambient."""
+    return AbHom(sub.computed, sub.ambient, sub.inclusion)
 
 
 def compose(outer: AbHom, inner: AbHom) -> AbHom:
@@ -336,7 +397,8 @@ def span_subgroup(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPres
     by the Smith-V route."""
     gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
     group, incl = _smith_v_span(gcols, ambient.orders)
-    return SubgroupPresentation(ambient, group, AbHom(group, ambient, IntMatrix.from_columns(incl, rows=ambient.ngens)))
+    incl = AbHom(group, ambient, IntMatrix.from_columns(incl, rows=ambient.ngens))
+    return SubgroupPresentation(ambient, group, incl.matrix)
 
 
 def preimage_lattice(f: AbHom) -> IntMatrix:
@@ -359,7 +421,7 @@ def cokernel_of(f: AbHom):
     """Cokernel in canonical form plus the projection hom from the codomain."""
     big = hstack(f.matrix, _relation_columns(f.codomain.orders))
     group, proj = from_presentation(f.codomain.ngens, big)
-    return group, AbHom(f.codomain, group, proj.matrix)
+    return group, AbHom(f.codomain, group, proj)
 
 
 def image_lattice(f: AbHom) -> IntMatrix:
@@ -654,7 +716,7 @@ class Weight:
 
     def pq_class(self) -> AbElement:
         datum = self.datum
-        return datum.pq_group.element(datum.pq_proj.matrix.apply(self.coords))
+        return datum.pq_group.element(datum.pq_proj.apply(self.coords))
 
 
 def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
@@ -745,7 +807,7 @@ def so_kernel_generators(n: int) -> list:
     route ``homspace.groups.preset`` took before its closed form."""
     datum = _spin_datum(n)
     kernel = annihilator_in_center(datum, vector_rep_weights(n, datum))
-    return [kernel.inclusion(generator(kernel.computed, p)).coords for p in range(kernel.computed.ngens)]
+    return [inclusion_hom(kernel)(generator(kernel.computed, p)).coords for p in range(kernel.computed.ngens)]
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +923,7 @@ def pi1_extension(model: ReductiveModel) -> FgAbGroup:
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
     gens = []
     for p in range(sm.kernel.computed.ngens):
-        elem = sm.kernel.inclusion(generator(sm.kernel.computed, p))
+        elem = inclusion_hom(sm.kernel)(generator(sm.kernel.computed, p))
         gens.append(GluingPair(elem, ()))
     return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
 
@@ -881,7 +943,7 @@ def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
     r = model.torus_rank
     images = []
     for p in range(lam.computed.ngens):
-        w = lam.inclusion.matrix.column(p)[:r]
+        w = lam.inclusion.column(p)[:r]
         num = sum(m * wi for m, wi in zip(mu, w))
         assert num % n == 0, "character pairing must be integral on pi1"
         images.append(num // n)
@@ -923,7 +985,7 @@ def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
     n = model.torus_numerators[0]
     coords = [0] * lam.ambient.ngens
     coords[model.torus_rank - 1] = n
-    inside = preimage_of(lam.inclusion, lam.ambient.element(coords))
+    inside = preimage_of(inclusion_hom(lam), lam.ambient.element(coords))
     assert inside is not None, "integral torus loops lie in pi1"
     return AbHom(
         FgAbGroup(1, ()),

@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
+from conftest import random_chain
 from homspace.abgroups import (
-    AbHom,
     FgAbGroup,
     TRIVIAL_GROUP,
     Z,
@@ -20,6 +20,7 @@ from homspace.abgroups import (
 from homspace.extensions import Character
 from homspace.intlinalg import IntMatrix, smith_normal_form
 from oracles import (
+    AbHom,
     all_characters,
     character_from_dual_element,
     cokernel_of,
@@ -29,6 +30,7 @@ from oracles import (
     generator,
     identity_hom,
     image_lattice,
+    inclusion_hom,
     is_exact_at,
     is_surjective,
     is_trivial_character,
@@ -126,8 +128,9 @@ class TestFromPresentation:
             for b in range(3):
                 orders.add((2 // gcd(a, 2)) * (3 // gcd(b, 3)) // gcd(2 // gcd(a, 2), 3 // gcd(b, 3)))
         assert max(orders) == 6
-        group, proj = from_presentation(2, IntMatrix.from_columns([[2, 0], [0, 3]], rows=2))
+        group, matrix = from_presentation(2, IntMatrix.from_columns([[2, 0], [0, 3]], rows=2))
         assert group == FgAbGroup(0, (6,))
+        proj = AbHom(FgAbGroup(2, ()), group, matrix)
         assert proj(FgAbGroup(2, ()).element([2, 0])).is_identity
         assert proj(FgAbGroup(2, ()).element([0, 3])).is_identity
 
@@ -145,7 +148,9 @@ class TestFromPresentation:
             n = rng.randint(1, 4)
             m = rng.randint(0, 4)
             rel = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-            base, _ = from_presentation(n, IntMatrix.from_rows(rel, cols=m))
+            base, proj = from_presentation(n, IntMatrix.from_rows(rel, cols=m))
+            # rows of U, so a hom by construction, free rows left as they are
+            assert AbHom(FgAbGroup(n, ()), base, proj).matrix == proj
             cols = [[rel[i][j] for i in range(n)] for j in range(m)]
             for _ in range(8):
                 if m >= 2:
@@ -168,13 +173,13 @@ class TestSubgroups:
         g = cyclic(4)
         sub = subgroup_from_generators(g, [g.element([2])])
         assert sub.computed == cyclic(2)
-        assert sub.inclusion(generator(sub.computed, 0)) == g.element([2])
+        assert inclusion_hom(sub)(generator(sub.computed, 0)) == g.element([2])
 
     def test_mixed_ambient(self):
         g = FgAbGroup(1, (2,))
         sub = span_subgroup(g, [g.element([2, 0]), g.element([0, 1])])
         assert sub.computed == FgAbGroup(1, (2,))
-        imgs = {sub.inclusion(generator(sub.computed, i)).coords for i in range(2)}
+        imgs = {inclusion_hom(sub)(generator(sub.computed, i)).coords for i in range(2)}
         assert imgs == {(2, 0), (0, 1)}
 
     def test_empty_generators(self):
@@ -213,6 +218,17 @@ class TestSubgroups:
                         frontier.append(nxt)
             assert sub.order() == len(seen)
 
+    def test_inclusion_is_a_reduced_hom_randomized(self):
+        # columns of U^-1 applied to the generators, so a hom by
+        # construction: the oracle class accepts it and leaves every entry
+        # as it is
+        rng = random.Random(77)
+        for _ in range(200):
+            g = random_chain(rng, rng.randint(1, 4), max_ratio=30)
+            gens = [g.element([rng.randrange(d) for d in g.invariant_factors]) for _ in range(rng.randint(0, 5))]
+            sub = subgroup_from_generators(g, gens)
+            assert inclusion_hom(sub).matrix == sub.inclusion, (g, gens)
+
     def test_inclusion_is_injective_randomized(self):
         rng = random.Random(404)
         for _ in range(120):
@@ -223,19 +239,19 @@ class TestSubgroups:
                 for _ in range(rng.randint(0, 4))
             ]
             sub = span_subgroup(g, gens)
-            assert kernel_of(sub.inclusion).computed.is_trivial
+            assert kernel_of(inclusion_hom(sub)).computed.is_trivial
             relations = [[d if j == g.free_rank + i else 0 for j in range(g.ngens)] for i, d in enumerate(factors)]
             spanned = lattice_row_basis([list(x.coords) for x in gens] + relations, g.ngens)
-            assert image_lattice(sub.inclusion) == spanned
+            assert image_lattice(inclusion_hom(sub)) == spanned
 
     def test_express_in_subgroup(self):
         # coordinates in the subgroup are preimages under its inclusion
         g = FgAbGroup(1, (4,))
         sub = span_subgroup(g, [g.element([2, 1])])
-        inside = preimage_of(sub.inclusion, g.element([4, 2]))
+        inside = preimage_of(inclusion_hom(sub), g.element([4, 2]))
         assert inside is not None
-        assert sub.inclusion(inside) == g.element([4, 2])
-        assert preimage_of(sub.inclusion, g.element([1, 0])) is None
+        assert inclusion_hom(sub)(inside) == g.element([4, 2])
+        assert preimage_of(inclusion_hom(sub), g.element([1, 0])) is None
 
 
 class TestHomExtDual:
@@ -346,7 +362,7 @@ class TestKernelCokernelExactness:
             cod = random_group(rng)
             f = random_hom(rng, dom, cod)
             ker = kernel_of(f)
-            assert is_exact_at(ker.inclusion, f)
+            assert is_exact_at(inclusion_hom(ker), f)
             _, proj = cokernel_of(f)
             assert is_exact_at(f, proj)
             assert is_surjective(proj)

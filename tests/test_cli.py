@@ -474,11 +474,20 @@ class TestCommands:
             (["describe", "--preset", ""], "error[E_PRESET] at --preset: unknown preset ''\n"),
             (
                 ["describe", "--spec", ""],
-                "error[E_IO] at --spec: cannot read : [Errno 2] No such file or directory: ''\n",
+                "error[E_IO] at --spec: cannot read '': [Errno 2] No such file or directory: ''\n",
             ),
         )
         for argv, expected in cases:
             assert invoke(argv) == (1, "", expected), argv
+
+    def test_unreadable_spec_path_is_quoted(self):
+        # quoted, a path with spaces or a colon cannot run into the reason
+        assert invoke(["describe", "--spec", "no such dir/spec: 1.json"]) == (
+            1,
+            "",
+            "error[E_IO] at --spec: cannot read 'no such dir/spec: 1.json': "
+            "[Errno 2] No such file or directory: 'no such dir/spec: 1.json'\n",
+        )
 
     def test_snf_negative_literal_both_spellings(self):
         spaced = invoke(["snf", "--matrix", "-1,2;3,4", "--json"])
@@ -624,11 +633,10 @@ class TestCommands:
 
     def test_fresh_torus_queries_read_each_spelling_once_and_build_one_hom(self, monkeypatch, tmp_path):
         # with the root datum warm, a fresh torus spec reads each distinct
-        # torus spelling once, and the one AbHom a query builds is the
-        # derived kernel's inclusion: the mod-N torus and character
-        # conditions go to the solver as integer rows
-        import homspace.abgroups as abmod
-
+        # torus spelling once, and the one hom a query builds is the
+        # derived kernel's inclusion, from one subgroup_from_generators
+        # call: the mod-N torus and character conditions go to the solver
+        # as integer rows
         semisimple = (SimpleType("A", 3), SimpleType("D", 4))
         rows = [["1/2", "1/3", "0", "1/2"], ["1/4", "2/3", "1/2", "1/3"], ["0", "1/2", "5/6", "1/4"]]
         doc = torus_doc(rows, semisimple)
@@ -638,18 +646,18 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         build_datum(semisimple)
         parsed, homs = [], []
-        original_parse, original_init = cli._parse_fraction, abmod.AbHom.__init__
+        original_parse, original_span = cli._parse_fraction, groups.subgroup_from_generators
 
         def counting_parse(text, where):
             parsed.append(text)
             return original_parse(text, where)
 
-        def counting_init(hom, domain, codomain, matrix):
-            homs.append((domain, codomain))
-            original_init(hom, domain, codomain, matrix)
+        def counting_span(ambient, gens):
+            homs.append(ambient)
+            return original_span(ambient, gens)
 
         monkeypatch.setattr(cli, "_parse_fraction", counting_parse)
-        monkeypatch.setattr(abmod.AbHom, "__init__", counting_init)
+        monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
         for command in ("invariants", "describe"):
             clear_query_caches()
             groups._gluing.cache_clear()
@@ -995,6 +1003,7 @@ class TestDispatch:
         for argv, rest in (
             (["ext", "--group", "2", "--mat", "-1,2;3,4"], "--mat -1,2;3,4"),
             (["describe", "--preset", "SO(8)", "--m", "-1,2"], "--m -1,2"),
+            (["describe", "--preset", "SO(8)", "--matrix", "-1,2"], "--matrix -1,2"),
             (["invariants", "--mat", "-1,2;3,4"], "--mat -1,2;3,4"),
         ):
             got = invoke(argv)
@@ -1495,7 +1504,7 @@ class TestWeightTableWriter:
         group = center(build_datum(factors))
         path = tmp_path / "quotient.json"
         for sub in all_subgroups(group):
-            gluing = [{"center": list(sub.inclusion.matrix.column(j)), "torus": []} for j in range(sub.computed.ngens)]
+            gluing = [{"center": list(sub.inclusion.column(j)), "torus": []} for j in range(sub.computed.ngens)]
             text = json.dumps({"semisimple": [{"family": t.family, "rank": t.rank} for t in factors], "gluing": gluing})
             path.write_text(text)
             assert_tables_match_stdlib(["--spec", str(path)], parse_spec(text))

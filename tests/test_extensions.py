@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_cocycle_classes, random_chain, random_character_values, small_groups
-from homspace.abgroups import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z
 from homspace.extensions import Character, middle_group
 from homspace.intlinalg import IntMatrix
 from oracles import (
+    AbHom,
     SymmetricCocycle,
     all_characters,
     are_equivalent,

@@ -16,6 +16,7 @@ from homspace.rootdata import (
     restriction_matrix,
 )
 from oracles import (
+    AbHom,
     Weight,
     annihilator_in_center,
     character_from_dual_element,
@@ -25,6 +26,7 @@ from oracles import (
     full_center_subgroup,
     fundamental_weight,
     generator,
+    inclusion_hom,
     lattice_row_basis,
     restrict_weight,
 )
@@ -123,6 +125,15 @@ class TestBuildDatum:
             datum = build_datum((t,))
             for i in range(datum.rank):
                 assert simple_root(datum, i).pq_class().is_identity
+
+    def test_pq_proj_is_a_reduced_hom(self):
+        # rows of the Smith transform U, so a hom P -> P/Q by construction:
+        # the oracle class accepts it and leaves every entry as it is
+        types = [SimpleType(f, n) for f, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(low, 17)]
+        types += [SimpleType("E", n) for n in (6, 7, 8)] + [SimpleType("F", 4), SimpleType("G", 2)]
+        for factors in [(t,) for t in types] + MIXED_CENTER_PRODUCTS:
+            datum = build_datum(factors)
+            assert AbHom(FgAbGroup(datum.rank, ()), datum.pq_group, datum.pq_proj).matrix == datum.pq_proj, factors
 
     def test_products(self):
         datum = build_datum((SimpleType("A", 1), SimpleType("A", 2)))
@@ -230,7 +241,7 @@ class TestRestrictWeight:
         for t in [SimpleType("A", 4), SimpleType("D", 5), SimpleType("E", 6)]:
             datum = build_datum((t,))
             for sub in all_subgroups(center(datum)):
-                gens = [sub.inclusion(generator(sub.computed, p)) for p in range(sub.computed.ngens)]
+                gens = [inclusion_hom(sub)(generator(sub.computed, p)) for p in range(sub.computed.ngens)]
                 k = subgroup_from_generators(center(datum), gens)
                 for _ in range(10):
                     l1 = Weight(datum, tuple(rng.randint(-4, 4) for _ in range(datum.rank)))
@@ -248,7 +259,7 @@ class TestRestrictWeight:
                     w = fundamental_weight(datum, i)
                     coords = restrict_weight(w, sub).coords
                     for p, m in enumerate(sub.computed.invariant_factors):
-                        value = pair(sub.inclusion(generator(sub.computed, p)), w.pq_class())
+                        value = pair(inclusion_hom(sub)(generator(sub.computed, p)), w.pq_class())
                         assert Fraction(coords[p], m) == value
 
     def test_restriction_matrix_matches_center_pairing_on_products(self):
@@ -263,7 +274,7 @@ class TestRestrictWeight:
                 matrix = restriction_matrix(datum, sub)
                 orders = sub.computed.invariant_factors
                 assert (matrix.rows, matrix.cols) == (len(orders), datum.rank)
-                gens = [sub.inclusion(generator(sub.computed, p)) for p in range(len(orders))]
+                gens = [inclusion_hom(sub)(generator(sub.computed, p)) for p in range(len(orders))]
                 for i in range(datum.rank):
                     cls = fundamental_weight(datum, i).pq_class()
                     for p, m in enumerate(orders):
