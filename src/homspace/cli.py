@@ -17,7 +17,28 @@ off it (``_parse_direct``): exact flag names or unique ``--`` abbreviations,
 given, which argparse would read to the same namespace.  Anything else (no
 command named, an unknown or repeated flag, help, a missing value) goes to
 the argparse parser, so usage, help, ``--version`` and every error message
-stay argparse's own, byte for byte.
+stay argparse's own, byte for byte.  Both readers give the command a
+``types.SimpleNamespace``.
+
+The console script starts a fresh interpreter for every query, so each
+module a query imports is paid on every call, and a cold ``snf`` would
+spend far longer importing the model stack than taking its Smith form.
+This module therefore imports only ``intlinalg`` and what ``re`` and
+``json`` load anyway; every other module is a ``_Lazy`` global, imported
+the first time a command reads one of its names, after which the global
+is the module itself:
+
+* ``snf`` loads nothing more;
+* ``ext`` loads ``abgroups``, ``extensions`` and ``fractions``;
+* ``describe``, ``invariants`` and ``weights`` load ``abgroups``,
+  ``rootdata``, ``groups`` and ``fractions``, and ``invariants`` and
+  ``weights`` the ``invariants`` layer too;
+* ``argparse`` (and ``contextlib``) only for an argv that the direct
+  reader leaves to the top-level parser, which is built then, once.
+
+The layers are read as ``_groups.pi1(...)``: a lookup in the module's own
+namespace, so a function replaced there (by a tracer or a test) is the one
+every query calls.
 
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the document's text) are bounded caches that return
@@ -27,34 +48,44 @@ cached in ``invariants``.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import NamedTuple, Optional
+from types import SimpleNamespace
 
 from . import __version__
-from .abgroups import FgAbGroup, ext1_z
-from .extensions import Character, middle_group
-from .groups import (
-    GluingPair,
-    ReductiveModel,
-    as_semisimple,
-    gluing_group,
-    gluing_order,
-    pi1,
-    preset as build_preset,
-    validate,
-)
 from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal_form
-from .invariants import WeightBrauerTable, invariant_report, weight_brauer_table
-from .rootdata import SimpleType, build_datum, center
+
+
+class _Lazy:
+    """The module ``module``, imported on the first read of one of its
+    names, which also rebinds this module's global ``name`` from the
+    placeholder to the module: every later read is a plain module lookup."""
+
+    __slots__ = ("_name", "_module")
+
+    def __init__(self, name: str, module: str):
+        self._name, self._module = name, module
+
+    def __getattr__(self, attr):
+        __import__(self._module)
+        module = globals()[self._name] = sys.modules[self._module]
+        return getattr(module, attr)
+
+
+_abgroups = _Lazy("_abgroups", "homspace.abgroups")
+_extensions = _Lazy("_extensions", "homspace.extensions")
+_groups = _Lazy("_groups", "homspace.groups")
+_invariants = _Lazy("_invariants", "homspace.invariants")
+_rootdata = _Lazy("_rootdata", "homspace.rootdata")
+_fractions = _Lazy("_fractions", "fractions")
+_argparse = _Lazy("_argparse", "argparse")
+_contextlib = _Lazy("_contextlib", "contextlib")
 
 _CONVENTION_NOTES = (
     "simple types use Bourbaki node numbering (see docs/conventions.md)",
@@ -75,7 +106,7 @@ class CliError(Exception):
         return f"error[{self.code}] at {self.where}: {self.message}"
 
 
-def _parse_fraction(text, where: str) -> Fraction:
+def _parse_fraction(text, where: str) -> _fractions.Fraction:
     if not isinstance(text, str):
         raise CliError("E_SCHEMA", where, f"fractions are strings like \"1/2\", got {text!r}")
     # plain ASCII "a/b" and "a" are read by int(), with the value and the
@@ -84,7 +115,7 @@ def _parse_fraction(text, where: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
         if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
-            value, power = Fraction(int(num), int(den or 1)), 0
+            value, power = _fractions.Fraction(int(num), int(den or 1)), 0
         else:
             value, power = _read_decimal(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -117,11 +148,11 @@ def _read_decimal(text: str):
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent is None or not limit:
-        return Fraction(text), 0
+        return _fractions.Fraction(text), 0
     power = int(exponent.group(1))
     if abs(power) <= limit + len(text):
-        return Fraction(text), 0
-    return Fraction(text[: exponent.start(1)] + "0" + text[exponent.end(1) :]), power
+        return _fractions.Fraction(text), 0
+    return _fractions.Fraction(text[: exponent.start(1)] + "0" + text[exponent.end(1) :]), power
 
 
 _DOC_KEYS = {"name", "preset", "semisimple", "torus_rank", "gluing", "unipotent_dim"}
@@ -134,7 +165,7 @@ def _field(doc: dict, key: str, default):
     return default if value is None else value
 
 
-def parse_spec(text: str) -> ReductiveModel:
+def parse_spec(text: str) -> _groups.ReductiveModel:
     """Read a group-spec JSON document into a model; errors carry JSON
     paths.  Every check of the document's shape runs before any check of
     the model it states, so a document with several faults reports the
@@ -173,7 +204,7 @@ def parse_spec(text: str) -> ReductiveModel:
         if not isinstance(fam, str) or not isinstance(rank, int) or isinstance(rank, bool):
             raise CliError("E_SCHEMA", f"/semisimple/{i}", "family must be a string and rank an integer")
         try:
-            semisimple.append(SimpleType(fam, rank))
+            semisimple.append(_rootdata.SimpleType(fam, rank))
         except ValueError as exc:
             raise CliError("E_SCHEMA", f"/semisimple/{i}", str(exc)) from exc
 
@@ -202,11 +233,11 @@ def parse_spec(text: str) -> ReductiveModel:
 
     if preset is not None:
         try:
-            return build_preset(preset)
+            return _groups.preset(preset)
         except ValueError as exc:
             raise CliError("E_PRESET", "/preset", str(exc)) from exc
-    datum = build_datum(tuple(semisimple))
-    cgroup = center(datum)
+    datum = _rootdata.build_datum(tuple(semisimple))
+    cgroup = _rootdata.center(datum)
     pairs = []
     # each distinct torus spelling is read once per document, since the
     # entries repeat a handful of strings; a non-string skips the lookup and
@@ -229,14 +260,15 @@ def parse_spec(text: str) -> ReductiveModel:
             if value is None:
                 value = by_spelling[text] = _parse_fraction(text, f"/gluing/{i}/torus/{j}")
             torus.append(value)
-        pairs.append(GluingPair(elem, tuple(torus)))
+        # every value is a Fraction that _parse_fraction reduced into [0, 1)
+        pairs.append(_groups.GluingPair._from_checked(elem, tuple(torus)))
     try:
-        return ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
+        return _groups.ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
     except ValueError as exc:
         raise CliError("E_MODEL", "/", str(exc)) from exc
 
 
-def model_to_document(model: ReductiveModel) -> dict:
+def model_to_document(model: _groups.ReductiveModel) -> dict:
     """JSON expansion of a model (used by describe --expand)."""
     return {
         "name": model.name,
@@ -254,12 +286,12 @@ def model_to_document(model: ReductiveModel) -> dict:
     }
 
 
-def _load_model(args) -> ReductiveModel:
+def _load_model(args) -> _groups.ReductiveModel:
     if args.preset is not None and args.spec is not None:
         raise CliError("E_FLAGS", "--preset", "--preset and --spec are mutually exclusive")
     if args.preset is not None:
         try:
-            return build_preset(args.preset)
+            return _groups.preset(args.preset)
         except ValueError as exc:
             raise CliError("E_PRESET", "--preset", str(exc)) from exc
     if args.spec is not None:
@@ -276,7 +308,7 @@ def _load_model(args) -> ReductiveModel:
 # the digit limit, under which parse_spec may fail where it passed before.
 # Bounded like build_datum: a stream of unique specs keeps the last 256.
 @lru_cache(maxsize=256)
-def _spec_model(text: str, digit_limit: int) -> ReductiveModel:
+def _spec_model(text: str, digit_limit: int) -> _groups.ReductiveModel:
     return parse_spec(text)
 
 
@@ -311,12 +343,10 @@ def json_text(value) -> str:
     kind = type(value)
     if kind is dict or kind is list or kind is tuple:
         return _json_container(value, kind, "\n")
-    if kind is WeightBrauerTable:
-        return _json_weight_table(value, "\n")
-    return _json_scalar(value, kind)
+    return _json_scalar(value, kind, "\n")
 
 
-def _json_scalar(x, kind) -> str:
+def _json_scalar(x, kind, newline: str) -> str:
     if kind is str:
         return _encode_str(x)
     if kind is int:
@@ -327,6 +357,11 @@ def _json_scalar(x, kind) -> str:
         return "false"
     if x is None:
         return "null"
+    # a weight table is the one other type a payload holds: this check
+    # comes last, so that only a table or a type about to be refused reads
+    # the invariants layer
+    if kind is _invariants.WeightBrauerTable:
+        return _json_weight_table(x, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -358,15 +393,13 @@ def _json_container(x, kind, newline: str) -> str:
             chunks.append(int.__repr__(item))
         elif t is dict or t is list or t is tuple:
             chunks.append(_json_container(item, t, inner))
-        elif t is WeightBrauerTable:
-            chunks.append(_json_weight_table(item, inner))
         else:
-            chunks.append(_json_scalar(item, t))
+            chunks.append(_json_scalar(item, t, inner))
     chunks.append(close)
     return "".join(chunks)
 
 
-def _json_weight_table(table: WeightBrauerTable, newline: str) -> str:
+def _json_weight_table(table: _invariants.WeightBrauerTable, newline: str) -> str:
     """The rows of ``table`` as ``_json_container`` writes their dicts.  Row
     i's weight e_i is a slice of one run of zeros with a 1 spliced in, and
     its restriction is written once and serves as its Brauer class too."""
@@ -396,8 +429,8 @@ def _cmd_describe(args, out: _Printer) -> int:
     if args.expand:
         out.json(model_to_document(model))
         return 0
-    notes = validate(model)
-    fundamental = pi1(model)
+    notes = _groups.validate(model)
+    fundamental = _groups.pi1(model)
     orders = model.ss.pq_group.invariant_factors
     payload = {
         "tool": {"name": "homspace", "version": __version__},
@@ -406,10 +439,10 @@ def _cmd_describe(args, out: _Printer) -> int:
         "torus_rank": model.torus_rank,
         "unipotent_dim": model.unipotent_dim,
         "center_generator_orders": list(orders),
-        "gluing_order": gluing_order(model),
-        "gluing_group": str(gluing_group(model)),
+        "gluing_order": _groups.gluing_order(model),
+        "gluing_group": str(_groups.gluing_group(model)),
         "pi1": str(fundamental),
-        "pi1_derived": str(ext1_z(fundamental)),
+        "pi1_derived": str(_abgroups.ext1_z(fundamental)),
         "certificates": notes,
     }
     if args.json:
@@ -433,7 +466,7 @@ def _cmd_describe(args, out: _Printer) -> int:
 
 def _cmd_invariants(args, out: _Printer) -> int:
     model = _load_model(args)
-    report = invariant_report(model)
+    report = _invariants.invariant_report(model)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "spec": model_to_document(model),
@@ -454,7 +487,7 @@ def _cmd_invariants(args, out: _Printer) -> int:
     if args.json:
         # the weight table is printed in JSON only
         if model.torus_rank == 0 and model.unipotent_dim == 0:
-            payload["weights"] = weight_brauer_table(as_semisimple(model))
+            payload["weights"] = _invariants.weight_brauer_table(_groups.as_semisimple(model))
         out.json(payload)
         return 0
     out.header(f"invariants of G/H for H = {model.describe()}")
@@ -476,15 +509,15 @@ def _cmd_invariants(args, out: _Printer) -> int:
 def _cmd_weights(args, out: _Printer) -> int:
     model = _load_model(args)
     try:
-        sm = as_semisimple(model)
+        sm = _groups.as_semisimple(model)
     except ValueError as exc:
         raise CliError("E_MODEL", "--preset" if args.preset is not None else "--spec", str(exc)) from exc
-    table = weight_brauer_table(sm)
+    table = _invariants.weight_brauer_table(sm)
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
         "pi1": str(table.dual),
-        "brauer": str(ext1_z(table.dual)),
+        "brauer": str(_abgroups.ext1_z(table.dual)),
         "rows": table,
     }
     if args.json:
@@ -499,13 +532,13 @@ def _cmd_weights(args, out: _Printer) -> int:
     return 0
 
 
-def _parse_factors(text: str, where: str) -> FgAbGroup:
+def _parse_factors(text: str, where: str) -> _abgroups.FgAbGroup:
     try:
         factors = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise CliError("E_INPUT", where, f"bad factor list {text!r}") from exc
     try:
-        return FgAbGroup(0, factors)
+        return _abgroups.FgAbGroup(0, factors)
     except ValueError as exc:
         raise CliError("E_INPUT", where, str(exc)) from exc
 
@@ -515,7 +548,7 @@ def _cmd_ext(args, out: _Printer) -> int:
     payload = {
         "tool": {"name": "homspace", "version": __version__},
         "group": str(group),
-        "ext1_z": str(ext1_z(group)),
+        "ext1_z": str(_abgroups.ext1_z(group)),
     }
     if args.char is not None:
         parts = [p.strip() for p in args.char.split(",")] if args.char.strip() else []
@@ -523,7 +556,7 @@ def _cmd_ext(args, out: _Printer) -> int:
             raise CliError("E_INPUT", "--char", f"expected {group.ngens} fractions, got {len(parts)}")
         values = [_parse_fraction(p, "--char") for p in parts]
         try:
-            chi = Character(group, tuple(values))
+            chi = _extensions.Character(group, tuple(values))
         except ValueError as exc:
             raise CliError("E_INPUT", "--char", str(exc)) from exc
         # round_trip_ok states the sign convention of docs/conventions.md:
@@ -532,7 +565,7 @@ def _cmd_ext(args, out: _Printer) -> int:
             {
                 "character": [str(v) for v in chi.values],
                 "character_order": chi.order(),
-                "middle_group": str(middle_group(chi)),
+                "middle_group": str(_extensions.middle_group(chi)),
                 "round_trip_ok": True,
             }
         )
@@ -572,15 +605,11 @@ def _cmd_snf(args, out: _Printer) -> int:
     return 0
 
 
-class _Flag(NamedTuple):
+class _Flag(namedtuple("_Flag", ("name", "takes_value", "default", "required", "help"), defaults=(None, False, None))):
     """One flag of a command.  A flag that takes a value stores it; any
     other flag is a switch, True when given."""
 
-    name: str
-    takes_value: bool
-    default: object = None
-    required: bool = False
-    help: Optional[str] = None
+    __slots__ = ()
 
     @property
     def dest(self) -> str:
@@ -622,8 +651,10 @@ _COMMAND_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# built on the first argv that the direct reader leaves to it, once
+@lru_cache(maxsize=1)
+def _parser() -> _argparse.ArgumentParser:
+    parser = _argparse.ArgumentParser(
         prog="homspace",
         description="Exact Picard/Brauer invariants of homogeneous spaces G/H from combinatorial models of H.",
     )
@@ -657,7 +688,6 @@ def _spellings(flags) -> dict:
     return spellings
 
 
-_PARSER = _build_parser()
 # per command: each spelling of a flag -> (its dest, whether it takes a
 # value), the namespace's defaults, and the dests that must be given
 _READERS = {
@@ -750,9 +780,7 @@ def _parse_direct(argv):
         given[dest] = value
     if not required <= given.keys():
         return None
-    args = argparse.Namespace()
-    vars(args).update(defaults, command=argv[0], **given)
-    return args
+    return SimpleNamespace(**{**defaults, **given}, command=argv[0])
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -763,8 +791,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     if args is None:
         try:
             # argparse writes usage, help and errors to the sys streams
-            with redirect_stdout(stdout), redirect_stderr(stderr):
-                args = _PARSER.parse_args(argv)
+            with _contextlib.redirect_stdout(stdout), _contextlib.redirect_stderr(stderr):
+                args = _parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
     # the report reaches stdout only once the command has succeeded

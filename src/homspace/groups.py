@@ -84,6 +84,14 @@ class GluingPair:
                 raise ValueError(f"torus torsion point {v} must be reduced into [0, 1)")
         object.__setattr__(self, "torus", torus)
 
+    @classmethod
+    def _from_checked(cls, center: AbElement, torus: tuple) -> GluingPair:
+        """The pair of a torus part that is already a tuple of Fractions in
+        [0, 1), such as the spec reader's, built without checking it again."""
+        pair = object.__new__(cls)
+        vars(pair).update(center=center, torus=torus)
+        return pair
+
 
 @dataclass(frozen=True)
 class ReductiveModel:

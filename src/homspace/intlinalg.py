@@ -40,10 +40,10 @@ Empty matrices (zero rows or zero columns) are legal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 
 class IntMatrix:
@@ -64,7 +64,7 @@ class IntMatrix:
         self._entries = data
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         nrows = len(rows)
         if nrows == 0:
             return cls(0, 0 if cols is None else cols, ())
@@ -77,7 +77,7 @@ class IntMatrix:
         return cls(nrows, ncols, flat)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         ncols = len(columns)
         if ncols == 0:
             return cls(0 if rows is None else rows, 0, ())
@@ -148,13 +148,10 @@ class IntMatrix:
         return f"IntMatrix({self.rows}, {self.cols}, {list(self._entries)})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", ("u", "d", "v"))):
     """Smith decomposition ``U @ M @ V == D`` with unimodular transforms."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ()
 
     def diagonal(self) -> tuple:
         n = min(self.d.rows, self.d.cols)
@@ -193,13 +190,13 @@ def _find_pivot(a: list, t: int, rows: int, cols: int):
     return best
 
 
-def _swap_rows(a: list, u: Optional[list], i: int, k: int, w: Optional[list] = None):
+def _swap_rows(a: list, u: list | None, i: int, k: int, w: list | None = None):
     for m in (a, u, w):
         if m is not None:
             m[i], m[k] = m[k], m[i]
 
 
-def _add_row(a: list, u: Optional[list], dst: int, src: int, q: int, w: Optional[list] = None):
+def _add_row(a: list, u: list | None, dst: int, src: int, q: int, w: list | None = None):
     """row[dst] += q * row[src]"""
     for m in (a, u):
         if m is not None:
@@ -208,7 +205,7 @@ def _add_row(a: list, u: Optional[list], dst: int, src: int, q: int, w: Optional
         w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
 
 
-def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int, w: Optional[list] = None):
+def _combine_rows(a: list, u: list | None, t: int, i: int, col: int, w: list | None = None):
     """Unimodular 2x2 extended-gcd transform of rows (t, i) that puts
     gcd(a[t][col], a[i][col]) at (t, col) and 0 at (i, col)."""
     g, s, tt = _xgcd(a[t][col], a[i][col])
@@ -225,7 +222,7 @@ def _combine_rows(a: list, u: Optional[list], t: int, i: int, col: int, w: Optio
         w[i] = [-tt * y + s * z for y, z in zip(wt, wi)]
 
 
-def _clear_below(a: list, u: Optional[list], p: int, col: int, w: Optional[list] = None):
+def _clear_below(a: list, u: list | None, p: int, col: int, w: list | None = None):
     """Clear column ``col`` below row ``p``, leaving the gcd of the column
     at (p, col).  The pivot at (p, col) must be nonzero, as the Smith
     loop's always is.  A pivot that divides an entry subtracts a multiple
@@ -240,7 +237,7 @@ def _clear_below(a: list, u: Optional[list], p: int, col: int, w: Optional[list]
                 _combine_rows(a, u, p, i, col, w)
 
 
-def _negate_row(a: list, u: Optional[list], i: int, w: Optional[list] = None):
+def _negate_row(a: list, u: list | None, i: int, w: list | None = None):
     for m in (a, u, w):
         if m is not None:
             m[i] = [-x for x in m[i]]

@@ -47,6 +47,34 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def fresh_interpreter(script, *args, timeout=60):
+    """The JSON that ``script`` prints as its last line, run with ``args``
+    in a new interpreter that imports homspace from this checkout.  It
+    runs with ``-S``: site hooks, which may import modules of their own at
+    startup, stay out of the modules a query is seen to load."""
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *args],
+        capture_output=True, text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# runs each argv of the JSON list argv[1] through cli.run in one fresh
+# interpreter, and prints each result with the modules loaded after it
+RUN_AND_LIST_MODULES = (
+    "import io, json, sys\n"
+    "from homspace import cli\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    code = cli.run(argv, stdout=out, stderr=err)\n"
+    "    results.append([code, out.getvalue(), err.getvalue(), sorted(sys.modules)])\n"
+    "print(json.dumps(results))\n"
+)
+
+
 class TestParseSpec:
     def test_preset_document(self):
         model = parse_spec('{"preset": "SO(5)"}')
@@ -278,6 +306,31 @@ class TestSpellingMemo:
             parse_spec(json.dumps(doc))
         assert (info.value.code, info.value.where) == ("E_FRACTION", "/gluing/1/torus/1")
 
+    def test_reader_hands_its_checked_values_to_the_model(self, monkeypatch):
+        # parse_spec checks each torus value once: the pairs it builds take
+        # the Fractions it read without GluingPair's own check, which a
+        # pair built directly still runs
+        datum = build_datum((SimpleType("A", 1),))
+        rows = [["1/2", "1/3", "0"], ["5/6", "1/2", "0.25"]]
+        expected = ReductiveModel(
+            datum, 3, tuple(GluingPair(center(datum).identity(), tuple(map(Fraction, row))) for row in rows)
+        )
+        checked = []
+        original = GluingPair.__post_init__
+
+        def counting(pair):
+            checked.append(pair.torus)
+            original(pair)
+
+        monkeypatch.setattr(GluingPair, "__post_init__", counting)
+        model = parse_spec(json.dumps(torus_doc(rows, (SimpleType("A", 1),))))
+        assert checked == []
+        assert model == expected and hash(model) == hash(expected)
+        assert all(type(v) is Fraction for pair in model.gluing for v in pair.torus)
+        with pytest.raises(ValueError, match=r"must be reduced into \[0, 1\)"):
+            GluingPair(center(datum).identity(), (Fraction(3, 2),))
+        assert len(checked) == 1
+
     def test_spellings_of_one_value_read_as_one_value(self, tmp_path):
         doc = torus_doc([["2/4", "1/2", "0.5"], ["0.5", "2/4", "1/2"]], (SimpleType("A", 1),))
         model = parse_spec(json.dumps(doc))
@@ -421,12 +474,7 @@ class TestCommands:
             "seconds = time.perf_counter() - start\n"
             "print(json.dumps({'code': code, 'seconds': seconds, 'out': out.getvalue(), 'err': err.getvalue()}))\n"
         )
-        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", child, *argv],
-            capture_output=True, text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path),
-        )
-        result = json.loads(proc.stdout)
+        result = fresh_interpreter(child, *argv, timeout=10)
         assert result["code"] == 0, result["err"]
         assert result["seconds"] < 1.0, result["seconds"]
         payload = json.loads(result["out"])
@@ -677,16 +725,15 @@ class TestCommands:
         assert capsys.readouterr() == ("", "")
 
     def test_text_invariants_build_no_weight_table(self, monkeypatch):
-        # text reports never print the table, so only --json builds it
-        import homspace.cli as climod
-
+        # text reports never print the table, so only --json builds it;
+        # cli reads the table through the invariants module
         calls = []
 
         def counting(*args):
             calls.append(args)
             return weight_brauer_table(*args)
 
-        monkeypatch.setattr(climod, "weight_brauer_table", counting)
+        monkeypatch.setattr(invariants, "weight_brauer_table", counting)
         for fmt, expected in (([], 0), (["--json"], 1)):
             calls.clear()
             code, _, err = invoke(["invariants", *fmt, "--preset", "SO(8)"])
@@ -694,17 +741,16 @@ class TestCommands:
             assert len(calls) == expected, fmt
 
     def test_pi1_computed_once_per_report(self, monkeypatch):
-        import homspace.cli as climod
-        import homspace.invariants as invmod
-
+        # cli reads pi1 through the groups module, invariants by the name it
+        # imported
         calls = []
 
         def counting(model):
             calls.append(model)
             return pi1(model)
 
-        monkeypatch.setattr(climod, "pi1", counting)
-        monkeypatch.setattr(invmod, "pi1", counting)
+        monkeypatch.setattr(groups, "pi1", counting)
+        monkeypatch.setattr(invariants, "pi1", counting)
         for name in ("GL(3)", "SO(8)"):
             calls.clear()
             code, _, _ = invoke(["invariants", "--json", "--preset", name])
@@ -942,19 +988,17 @@ class TestDispatch:
         assert direct == reference
         assert direct_args == reference_args
 
-    def test_well_formed_queries_skip_the_top_level_parser(self, monkeypatch):
-        import homspace.cli as climod
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("top-level parse")
-
-        monkeypatch.setattr(climod._PARSER, "parse_args", refuse)
-        monkeypatch.setattr(climod._PARSER, "parse_known_args", refuse)
-        for argv in WELL_FORMED:
-            code, out, err = invoke(argv)
+    def test_well_formed_queries_skip_the_top_level_parser(self):
+        # in one fresh interpreter, no well-formed query imports argparse;
+        # the first argv that the direct reader leaves over does
+        stray = ["describe", "--preset", "GL(3)", "stray"]
+        *answers, refused = fresh_interpreter(RUN_AND_LIST_MODULES, json.dumps([*WELL_FORMED, stray]))
+        for argv, (code, out, err, modules) in zip(WELL_FORMED, answers):
             assert code == 0 and out and not err, (argv, err)
-        with pytest.raises(AssertionError, match="top-level parse"):
-            invoke(["describe", "--preset", "GL(3)", "stray"])
+            assert "argparse" not in modules, argv
+        code, out, err, modules = refused
+        assert (code, out) == (1, "") and "unrecognized arguments: stray" in err
+        assert "argparse" in modules
 
     def test_near_misses_go_to_the_top_level_parser(self):
         # argv that argparse rejects, or that the reader leaves to argparse
@@ -1011,6 +1055,65 @@ class TestDispatch:
             with monkeypatch.context() as patch:
                 patch.setattr(climod, "_attach_matrix_values", list)
                 assert invoke(argv) == got
+
+
+# the modules that each command leaves unimported in a fresh interpreter:
+# snf reads no model layer, ext only abgroups and extensions, and no
+# well-formed query builds the argparse parser
+_MODEL_LAYERS = tuple(f"homspace.{m}" for m in ("groups", "rootdata", "abgroups", "invariants", "extensions"))
+NOT_LOADED = {
+    "snf": (*_MODEL_LAYERS, "fractions", "argparse", "dataclasses", "typing", "contextlib"),
+    "ext": ("homspace.groups", "homspace.rootdata", "homspace.invariants", "argparse"),
+    "describe": ("argparse", "homspace.extensions"),
+    "invariants": ("argparse", "homspace.extensions"),
+    "weights": ("argparse", "homspace.extensions"),
+}
+
+
+class TestColdImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snf", "--matrix", "2,4;6,8"],
+            ["snf", "--json", "--matrix", "-1,2;3,4"],
+            ["ext", "--json", "--group", "2,4", "--char", "1/2,3/4"],
+            ["ext", "--group", "4,64", "--char", "1/4,5/64"],
+            ["describe", "--preset", "SO(8)"],
+            ["describe", "--json", "--spec", "TORUS_R3"],
+            ["invariants", "--json", "--preset", "SO(8)"],
+            ["invariants", "--spec", "TORUS_R3"],
+            ["weights", "--json", "--preset", "Spin(8)"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_command_imports_only_the_layers_it_reads(self, argv, tmp_path):
+        spec = tmp_path / "torus_r3.json"
+        spec.write_text(json.dumps(TORUS_R3))
+        argv = [str(spec) if arg == "TORUS_R3" else arg for arg in argv]
+        [(code, out, err, modules)] = fresh_interpreter(RUN_AND_LIST_MODULES, json.dumps([argv]))
+        assert code == 0 and out and not err, err
+        assert invoke(argv) == (code, out, err)
+        assert not set(NOT_LOADED[argv[0]]) & set(modules), argv
+
+    def test_public_functions_bind_their_layers_in_a_fresh_interpreter(self):
+        # only homspace.cli imported: parse_spec and model_to_document
+        # round-trip a torus spec, and json_text still refuses a float
+        child = (
+            "import json, sys\n"
+            "from homspace import cli\n"
+            "document = cli.model_to_document(cli.parse_spec(sys.argv[1]))\n"
+            "again = cli.model_to_document(cli.parse_spec(cli.json_text(document)))\n"
+            "try:\n"
+            "    refused = cli.json_text([1.5])\n"
+            "except TypeError as exc:\n"
+            "    refused = [type(exc).__name__, str(exc)]\n"
+            "print(json.dumps({'document': document, 'again': again, 'refused': refused}))\n"
+        )
+        result = fresh_interpreter(child, json.dumps(TORUS_R3))
+        expected = model_to_document(parse_spec(json.dumps(TORUS_R3)))
+        assert result["document"] == result["again"] == expected
+        assert expected["gluing"][1]["torus"] == ["1/4", "2/3", "3/4"]
+        assert result["refused"] == ["TypeError", "Object of type float is not JSON serializable"]
 
 
 def clear_every_cache():
@@ -1527,12 +1630,10 @@ class TestWeightTableWriter:
 
 class TestInternalErrorPath:
     def test_exit_code_two(self, monkeypatch):
-        import homspace.cli as climod
-
         def broken(model):
             raise RuntimeError("synthetic invariant violation")
 
-        monkeypatch.setattr(climod, "invariant_report", broken)
+        monkeypatch.setattr(invariants, "invariant_report", broken)
         code, _, err = invoke(["invariants", "--preset", "SO(5)"])
         assert code == 2
         assert "E_INTERNAL" in err

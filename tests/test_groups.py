@@ -161,7 +161,7 @@ class TestModelKeys:
         half = Fraction(1, 2)
         assert GluingPair(elem, (half,)).torus[0] is half
         assert GluingPair(elem, ("1/3", 0)).torus == (Fraction(1, 3), Fraction(0))
-        for bad in (Fraction(1), Fraction(-1, 2), Fraction(5, 3)):
+        for bad in (Fraction(1), Fraction(-1, 2), Fraction(5, 3), Fraction(3, 2), "3/2"):
             with pytest.raises(ValueError, match=r"must be reduced into \[0, 1\)"):
                 GluingPair(elem, (bad,))
 
