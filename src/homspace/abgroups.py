@@ -9,9 +9,9 @@ are always stored reduced into ``[0, di)``.
 A homomorphism is a plain ``IntMatrix`` over the canonical generators,
 one column per domain generator, its torsion rows reduced like an
 element's coordinates.  The two that queries read, a subgroup's inclusion
-and a presentation's projection, are columns of U^-1 and rows of U, so
-they are homomorphisms by construction and nothing checks them at run
-time; the tests check each against the checked hom class of
+and a presentation's projection, are columns of U^-1 and rows of U of a
+Smith form, so they are homomorphisms by construction and nothing checks
+them at run time; the tests check each against the checked hom class of
 ``tests/oracles.py``.
 
 The dual Hom(G, Q/Z) of a finite G has no type of its own: it is G again,
@@ -24,29 +24,29 @@ and solution lattices from :mod:`homspace.intlinalg`.  Lattices ``{x : A x
 ``intlinalg.solution_lattice``, built modulo the orders of a finite
 ambient: a free coordinate has no modulus, so :func:`span_group` and
 :func:`subgroup_from_generators` take finite ambients only.  Every Smith
-quotient goes through one helper, which asks the Smith loop for the row
-transform U or its inverse only as needed.  A subgroup's inclusion
-(:func:`subgroup_from_generators`) is all its callers read, so it takes
-U^-1 alone; a presentation's projection (:func:`from_presentation`) reads
-U, and the bare type of a span (:func:`span_group`) takes neither.  A
-direct sum of cyclic groups (:func:`direct_sum_canonical`) is
-canonicalized by pairwise gcd and lcm, with no Smith form.  The torus and
-character conditions of ``groups`` and ``extensions`` are integer rows
-modulo one n > 1 (``_mod_n_lattice``), with no hom built around them;
-other modules never call ``solution_lattice`` or ``_snf_transform``
-themselves.  Homs as checked
-values, preimage lattices of homs, kernels as subgroup presentations,
-spans in groups of positive free rank, preimages of single elements,
-extensions realized by generator lifts, and a group's unit generators and
-element list are test oracles (``tests/oracles.py``): no query reads any
-of them.
+quotient goes through one helper, which asks the Smith loop for U or V
+only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
+is all its callers read; it takes V alone and reads U^-1 as R V D^-1,
+since U R V = D for its square, nonsingular relation matrix R.  A
+presentation's projection (:func:`from_presentation`) reads U, and the
+bare type of a span (:func:`span_group`) takes neither.  A direct sum of
+cyclic groups (:func:`direct_sum_canonical`) is canonicalized by pairwise
+gcd and lcm, with no Smith form.  The torus and character conditions of
+``groups`` and ``extensions`` are integer rows modulo one n > 1
+(``_mod_n_lattice``), with no hom built around them; other modules never
+call ``solution_lattice`` or ``_snf_transform`` themselves.  Homs as
+checked values, preimage lattices of homs, kernels as subgroup
+presentations, spans in groups of positive free rank, preimages of single
+elements, extensions realized by generator lifts, and a group's unit
+generators and element list are test oracles (``tests/oracles.py``): no
+query reads any of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
 
 from .intlinalg import IntMatrix, solution_lattice, _snf_transform
 
@@ -77,7 +77,7 @@ class FgAbGroup:
         """Per-generator orders; 0 marks an infinite-order generator."""
         return (0,) * self.free_rank + self.invariant_factors
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
             return None
@@ -160,7 +160,7 @@ class AbElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Element order, None when infinite."""
         if any(self.coords[: self.group.free_rank]):
             return None
@@ -181,23 +181,23 @@ class SubgroupPresentation:
     computed: FgAbGroup
     inclusion: IntMatrix
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         return self.computed.order()
 
 
-def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_uinv: bool = False):
+def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_v: bool = False):
     """Z^n modulo the column span of ``relations`` (n its row count): the
-    canonical group, the Smith row transform U and its inverse, each only
-    when asked for (None otherwise), and the positions of U's rows that
-    give the canonical generators, free ones first."""
+    canonical group, the Smith transforms U and V, each only when asked for
+    (None otherwise), and the positions of U's rows that give the canonical
+    generators, free ones first."""
     n = relations.rows
-    u, d, _, uinv = _snf_transform(relations, want_u=want_u, want_v=False, want_uinv=want_uinv)
+    u, d, v = _snf_transform(relations, want_u, want_v)
     limit = min(d.rows, d.cols)
     diag = [d[i, i] for i in range(limit)]
     free_pos = [i for i in range(n) if i >= limit or diag[i] == 0]
     torsion_pos = [i for i in range(limit) if diag[i] >= 2]
     group = FgAbGroup(len(free_pos), tuple(diag[i] for i in torsion_pos))
-    return group, u, uinv, free_pos + torsion_pos
+    return group, u, v, free_pos + torsion_pos
 
 
 def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> FgAbGroup:
@@ -222,17 +222,23 @@ def from_presentation(n_generators: int, relations: IntMatrix):
 
 def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
     """The span of ``gens`` in a finite ambient: the generators' columns
-    modulo their relation lattice, one Smith quotient whose U^-1 gives the
-    inclusion."""
+    modulo their relation lattice R, one Smith quotient ``U R V == D``.
+    Canonical generator p is the combination U^-1 e_p of the columns, read
+    as R V e_p / d_p: R is the transposed Hermite basis of a lattice that
+    contains e*Z^s, so it is square and nonsingular, every position is a
+    torsion one, and the division is exact."""
     for g in gens:
         if g.group != ambient:
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
     orders = ambient.orders
     gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
-    group, _, uinv, positions = _smith_quotient(solution_lattice(gcols, orders).transpose(), want_uinv=True)
-    incl = IntMatrix.from_columns(
-        [[x % o for x, o in zip(gcols.apply(uinv.column(p)), orders)] for p in positions], rows=ambient.ngens
-    )
+    relations = solution_lattice(gcols, orders).transpose()
+    group, _, v, positions = _smith_quotient(relations, want_v=True)
+    columns = []
+    for p, d in zip(positions, group.invariant_factors):
+        combination = [x // d for x in relations.apply(v.column(p))]
+        columns.append([x % o for x, o in zip(gcols.apply(combination), orders)])
+    incl = IntMatrix.from_columns(columns, rows=ambient.ngens)
     return SubgroupPresentation(ambient=ambient, computed=group, inclusion=incl)
 
 

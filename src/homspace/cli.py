@@ -41,9 +41,9 @@ namespace, so a function replaced there (by a tracer or a test) is the one
 every query calls.
 
 A model named again is not built again: ``groups.preset`` and the spec
-reader here (keyed by the document's text) are bounded caches that return
-the same model object, and the report and weight table of a model are
-cached in ``invariants``.
+reader here (keyed by the text of a document of at most 64 KiB) are
+bounded caches that return the same model object, and the report and
+weight table of a model are cached in ``invariants``.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def parse_spec(text: str) -> _groups.ReductiveModel:
     if preset is not None and not isinstance(preset, str):
         raise CliError("E_SCHEMA", "/preset", "preset must be a string")
 
-    explicit = [k for k in ("semisimple", "torus_rank", "gluing", "unipotent_dim") if doc.get(k) is not None]
+    explicit = [k for k in ("name", "semisimple", "torus_rank", "gluing", "unipotent_dim") if doc.get(k) is not None]
     if preset is not None and explicit:
         raise CliError(
             "E_SCHEMA", "/preset", f"preset and explicit fields are mutually exclusive (got {explicit})"
@@ -300,13 +300,16 @@ def _load_model(args) -> _groups.ReductiveModel:
                 text = handle.read()
         except OSError as exc:
             raise CliError("E_IO", "--spec", f"cannot read {args.spec!r}: {exc}") from exc
+        if sys.getsizeof(text) > 64 * 1024:  # parsed on every query, never kept
+            return parse_spec(text)
         return _spec_model(text, sys.get_int_max_str_digits())
     raise CliError("E_FLAGS", "--preset", "one of --preset or --spec is required")
 
 
 # Keyed by the document's text, so a rewritten file is read again, and by
 # the digit limit, under which parse_spec may fail where it passed before.
-# Bounded like build_datum: a stream of unique specs keeps the last 256.
+# Bounded like build_datum: a stream of unique specs keeps the last 256,
+# and their keys keep no text past 64 KiB alive (``_load_model``).
 @lru_cache(maxsize=256)
 def _spec_model(text: str, digit_limit: int) -> _groups.ReductiveModel:
     return parse_spec(text)

@@ -23,9 +23,9 @@ tables with their averaging lift.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .abgroups import AbElement, FgAbGroup, _mod_n_lattice, span_group
 

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Optional
 
 from .abgroups import (
     AbElement,
@@ -99,7 +98,7 @@ class ReductiveModel:
     torus_rank: int
     gluing: tuple
     unipotent_dim: int = 0
-    name: Optional[str] = None
+    name: str | None = None
 
     def __post_init__(self):
         if self.torus_rank < 0:

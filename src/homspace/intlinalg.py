@@ -30,10 +30,10 @@ The Smith form eliminates rows through module-level helpers
 step, ``_negate_row``) and clears a column below its nonzero pivot with
 ``_clear_below``.  Each acts on the working rows and on the Smith row
 transform ``U`` when it is asked for; the column operations act on ``V``
-the same way.  On request the Smith loop also carries ``U^-1``: each row
-operation on ``U`` is applied to ``U^-1`` as its inverse column operation,
-so no second normal form inverts ``U``.  Each of ``U``, ``V`` and ``U^-1``
-is built only when its caller asks for it.
+the same way.  ``U`` and ``V`` are the whole decomposition, and each is
+built only when its caller asks for it.  No ``U^-1`` is carried: a caller
+whose relations R are square and nonsingular reads it as ``R V D^-1``,
+since ``U R V == D`` (``abgroups.subgroup_from_generators``).
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
 """
@@ -190,22 +190,20 @@ def _find_pivot(a: list, t: int, rows: int, cols: int):
     return best
 
 
-def _swap_rows(a: list, u: list | None, i: int, k: int, w: list | None = None):
-    for m in (a, u, w):
+def _swap_rows(a: list, u: list | None, i: int, k: int):
+    for m in (a, u):
         if m is not None:
             m[i], m[k] = m[k], m[i]
 
 
-def _add_row(a: list, u: list | None, dst: int, src: int, q: int, w: list | None = None):
+def _add_row(a: list, u: list | None, dst: int, src: int, q: int):
     """row[dst] += q * row[src]"""
     for m in (a, u):
         if m is not None:
             m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-    if w is not None:
-        w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
 
 
-def _combine_rows(a: list, u: list | None, t: int, i: int, col: int, w: list | None = None):
+def _combine_rows(a: list, u: list | None, t: int, i: int, col: int):
     """Unimodular 2x2 extended-gcd transform of rows (t, i) that puts
     gcd(a[t][col], a[i][col]) at (t, col) and 0 at (i, col)."""
     g, s, tt = _xgcd(a[t][col], a[i][col])
@@ -215,14 +213,9 @@ def _combine_rows(a: list, u: list | None, t: int, i: int, col: int, w: list | N
             rt, ri = m[t], m[i]
             m[t] = [s * y + tt * z for y, z in zip(rt, ri)]
             m[i] = [-x_g * y + p_g * z for y, z in zip(rt, ri)]
-    if w is not None:
-        # the inverse [[p_g, -tt], [x_g, s]] acting on columns t, i of U^-1
-        wt, wi = w[t], w[i]
-        w[t] = [p_g * y + x_g * z for y, z in zip(wt, wi)]
-        w[i] = [-tt * y + s * z for y, z in zip(wt, wi)]
 
 
-def _clear_below(a: list, u: list | None, p: int, col: int, w: list | None = None):
+def _clear_below(a: list, u: list | None, p: int, col: int):
     """Clear column ``col`` below row ``p``, leaving the gcd of the column
     at (p, col).  The pivot at (p, col) must be nonzero, as the Smith
     loop's always is.  A pivot that divides an entry subtracts a multiple
@@ -232,32 +225,29 @@ def _clear_below(a: list, u: list | None, p: int, col: int, w: list | None = Non
         if x:
             pivot = a[p][col]
             if x % pivot == 0:
-                _add_row(a, u, i, p, -(x // pivot), w)
+                _add_row(a, u, i, p, -(x // pivot))
             else:
-                _combine_rows(a, u, p, i, col, w)
+                _combine_rows(a, u, p, i, col)
 
 
-def _negate_row(a: list, u: list | None, i: int, w: list | None = None):
-    for m in (a, u, w):
+def _negate_row(a: list, u: list | None, i: int):
+    for m in (a, u):
         if m is not None:
             m[i] = [-x for x in m[i]]
 
 
-def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool, want_uinv: bool = False):
-    """Core SNF loop; returns ``(U, D, V, U^-1)``, each transform accumulated
-    only on demand (None otherwise).
+def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
+    """Core SNF loop; returns ``(U, D, V)``, each transform accumulated only
+    on demand (None otherwise).
 
     Entries are cleared by single unimodular 2x2 (extended-gcd) transforms
     rather than repeated Euclidean passes: one transform per cleared entry
     keeps intermediate growth near the size of the matrix minors, where the
-    step-by-step chain can blow entries up exponentially.  ``U^-1`` is kept
-    as the rows of its transpose, so each row operation on ``U`` becomes the
-    inverse row operation on those rows."""
+    step-by-step chain can blow entries up exponentially."""
     rows, cols = m.rows, m.cols
     a = m.to_rows()
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_v else None
-    w = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_uinv else None
 
     def swap_cols(j, k):
         for r in a:
@@ -293,10 +283,10 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool, want_uinv: bool = F
         piv = _find_pivot(a, t, rows, cols)
         if piv is None:
             break
-        _swap_rows(a, u, t, piv[0], w)
+        _swap_rows(a, u, t, piv[0])
         swap_cols(t, piv[1])
         while True:
-            _clear_below(a, u, t, t, w)
+            _clear_below(a, u, t, t)
             for j in range(t + 1, cols):
                 x = a[t][j]
                 if x:
@@ -321,24 +311,23 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool, want_uinv: bool = F
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(a, u, t, offender, 1, w)
+            _add_row(a, u, t, offender, 1)
             continue
         t += 1
 
     for i in range(limit):
         if a[i][i] < 0:
-            _negate_row(a, u, i, w)
+            _negate_row(a, u, i)
 
     d = IntMatrix.from_rows(a, cols=cols)
     um = IntMatrix.from_rows(u, cols=rows) if u is not None else None
     vm = IntMatrix.from_rows(v, cols=cols) if v is not None else None
-    wm = IntMatrix.from_rows(w, cols=rows).transpose() if w is not None else None
-    return um, d, vm, wm
+    return um, d, vm
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize ``m`` as ``U @ m @ V == D`` with the divisibility chain."""
-    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
+    u, d, v = _snf_transform(m, want_u=True, want_v=True)
     return SnfResult(u=u, d=d, v=v)
 
 

@@ -1,9 +1,9 @@
 """Test-only oracles: slow second routes and helpers that no query reaches.
 
 * Realized extensions 0 -> Z^r -> E -> Gamma -> 0 of a finite group,
-  presented by Z^r and one lift per generator of Gamma in one Smith quotient
-  with U and U^-1 (``extension_from_lifts``); the pullback of a character
-  (``character_to_extension``), whose middle group
+  presented by Z^r and one lift per generator of Gamma in one Smith
+  quotient, its U^-1 inverted by sympy (``extension_from_lifts``); the
+  pullback of a character (``character_to_extension``), whose middle group
   ``homspace.extensions.middle_group`` gives in closed form; and its class
   read back off the generator lifts (``extension_class``), one
   ``preimage_of`` per generator.  ``homspace ext --char`` realizes nothing:
@@ -64,8 +64,8 @@
   ``homspace.intlinalg``.  It swaps a nonzero pivot up itself before
   ``intlinalg._clear_below``, which takes only nonzero pivots, clears the
   column.
-* Determinants from sympy's integer matrices (``det``), a route
-  independent of ``homspace.intlinalg``.
+* Determinants and inverses from sympy's integer matrices (``det``,
+  ``inverse``), a route independent of ``homspace.intlinalg``.
 * The Smith-V lattice route, the only one the oracles take: solution
   lattices ``{x : A x == 0 mod orders}`` as the Smith-V kernel of
   ``[A | R]``, R the relation columns of the nonzero orders, canonicalized
@@ -75,7 +75,8 @@
   spans with their inclusion in any ambient, free coordinates included
   (``span_subgroup``, the library's ``subgroup_from_generators`` on finite
   ambients), are built on it, so the tests compare the library with a
-  route that shares with it only the Smith loop and its row steps.
+  route that shares with it only the Smith loop's U, inverted by sympy
+  where the library reads U^-1 as R V D^-1.
 * The former mod-e route of ``homspace.intlinalg.solution_lattice``: one
   Hermite elimination of ``[(e/o_i) A^T | I]`` modulo e = lcm(orders),
   cubic in the number of unknowns.  The library now builds the same basis
@@ -219,6 +220,17 @@ def det(m: IntMatrix) -> int:
     return int(DomainMatrix([[ZZ(x) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), ZZ).det())
 
 
+def inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a square integer matrix whose inverse is integral (a
+    unimodular U, say), by sympy over QQ: a route that shares nothing with
+    ``homspace.intlinalg``."""
+    dm = DomainMatrix([[ZZ(x) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), ZZ)
+    rows = dm.to_field().inv().to_list()
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError("the inverse is not integral")
+    return IntMatrix.from_rows([[int(x) for x in row] for row in rows], cols=m.cols)
+
+
 def _hermite_rows(a: list) -> list:
     """Row-style Hermite elimination of the rows ``a`` in place; returns
     ``a``.  The row transform is not built.  Each column first swaps up the
@@ -261,7 +273,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     entry, and x = V y."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
-    u, d, v, _ = _snf_transform(m, want_u=True, want_v=True)
+    u, d, v = _snf_transform(m, want_u=True, want_v=True)
     c = u.apply(b)
     y = [0] * m.cols
     limit = min(m.rows, m.cols)
@@ -280,7 +292,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 def snf_kernel(m: IntMatrix) -> IntMatrix:
     """Saturated kernel basis (columns) from the last columns of the Smith
     transform V, canonicalized by the Hermite form."""
-    _, d, v, _ = _snf_transform(m, want_u=False, want_v=True)
+    _, d, v = _snf_transform(m, want_u=False, want_v=True)
     rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
     cols = [list(v.column(j)) for j in range(rank, m.cols)]
     return lattice_row_basis(cols, m.cols).transpose()
@@ -384,10 +396,12 @@ def _smith_v_span(gcols: IntMatrix, orders: Sequence[int]):
     given orders (0 marks a free one): its canonical type and, one per
     canonical generator, that generator's coordinates, unreduced.  The
     relations of the columns are the Smith-V kernel
-    (``snf_solution_lattice``), and U^-1 of their Smith form maps the
-    canonical generators back to combinations of the columns."""
+    (``snf_solution_lattice``), and U^-1 of their Smith form, inverted by
+    sympy (``inverse``), maps the canonical generators back to
+    combinations of the columns."""
     relations = snf_solution_lattice(gcols, orders).transpose()
-    group, _, uinv, positions = _smith_quotient(relations, want_uinv=True)
+    group, u, _, positions = _smith_quotient(relations, want_u=True)
+    uinv = inverse(u)
     return group, [gcols.apply(uinv.column(p)) for p in positions]
 
 
@@ -456,15 +470,14 @@ def extension_from_lifts(gamma: FgAbGroup, rank: int, lift_multiples: Sequence[S
     the k relations d_p * s_p - sum_i lift_multiples[p][i] * e_i (Brown,
     GTM 87, IV.3), and one Smith quotient gives it.  Returns E, the
     injection of Z^rank, read off the Smith row transform U, and the
-    projection onto gamma, read off U^-1."""
+    projection onto gamma, read off U^-1 (``inverse``, by sympy)."""
     k = gamma.ngens
     cols = [
         [-x for x in mult] + [d if q == p else 0 for q in range(k)]
         for p, (d, mult) in enumerate(zip(gamma.invariant_factors, lift_multiples))
     ]
-    middle, u, uinv, positions = _smith_quotient(
-        IntMatrix.from_columns(cols, rows=rank + k), want_u=True, want_uinv=True
-    )
+    middle, u, _, positions = _smith_quotient(IntMatrix.from_columns(cols, rows=rank + k), want_u=True)
+    uinv = inverse(u)
     inject = IntMatrix.from_rows([u.row(p)[:rank] for p in positions], cols=rank)
     project = IntMatrix.from_rows([[uinv[rank + q, p] for p in positions] for q in range(k)], cols=middle.ngens)
     return middle, AbHom(FgAbGroup(rank, ()), middle, inject), AbHom(middle, gamma, project)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -8,11 +9,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -28,14 +31,21 @@ from conftest import (
     random_character_values,
 )
 from homspace import __version__, cli, groups, invariants
-from homspace.abgroups import FgAbGroup
+from homspace.abgroups import FgAbGroup, subgroup_from_generators
 from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import character_to_extension, det, fundamental_restrictions, fundamental_weight, pi1_extension
+from oracles import (
+    character_to_extension,
+    det,
+    fundamental_restrictions,
+    fundamental_weight,
+    pi1_extension,
+    span_subgroup,
+)
 from test_acceptance import Budget
 
 REPO = Path(__file__).resolve().parents[1]
@@ -115,6 +125,20 @@ class TestParseSpec:
         with pytest.raises(CliError) as info:
             parse_spec('{"preset": "SO(5)", "torus_rank": 1}')
         assert info.value.where == "/preset"
+
+    def test_preset_refuses_a_name(self, tmp_path):
+        # "preset" combines with no other field, a name included, rather
+        # than answer for the preset and drop the name; a null name is an
+        # absent one
+        with pytest.raises(CliError) as info:
+            parse_spec('{"preset": "SO(8)", "name": "x"}')
+        assert (info.value.code, info.value.where) == ("E_SCHEMA", "/preset")
+        assert "['name']" in info.value.message
+        assert parse_spec('{"preset": "SO(8)", "name": null}') is preset("SO(8)")
+        path = tmp_path / "named_preset.json"
+        path.write_text('{"preset": "SO(8)", "name": "x"}')
+        code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+        assert (code, out) == (1, "") and err.startswith("error[E_SCHEMA] at /preset: ")
 
     def test_malformed_fraction(self):
         text = '{"semisimple":[{"family":"A","rank":1}],"torus_rank":1,"gluing":[{"center":[1],"torus":["1/x"]}]}'
@@ -484,8 +508,8 @@ class TestCommands:
         assert free == "Z^1"
         assert prod(int(t[2:]) for t in torsion) * payload["character_order"] == group.order()
         if k <= 24:
-            # the oracle's Smith form with U and U^-1 blows up on these
-            # chains at k = 48
+            # the oracle reads the projection off U^-1, and the Smith row
+            # transform U itself blows up on these chains past k = 24
             assert payload["middle_group"] == str(character_to_extension(Character(group, values)).middle)
 
     def test_ext_bad_chain(self):
@@ -647,7 +671,7 @@ class TestCommands:
 
     def test_gluing_builds_no_smith_row_transform(self, monkeypatch, tmp_path):
         # the gluing group is a bare type, so the Smith loop that span_group
-        # runs for it builds none of U, V and U^-1; abgroups calls
+        # runs for it builds neither U nor V; abgroups calls
         # _snf_transform by the name it imported from intlinalg, so that
         # name is wrapped
         import homspace.abgroups as abmod
@@ -662,10 +686,10 @@ class TestCommands:
             finally:
                 active.pop()
 
-        def snf(m, want_u, want_v, want_uinv=False):
+        def snf(m, want_u, want_v):
             if active:
-                asked.append((want_u, want_v, want_uinv))
-            return original_snf(m, want_u, want_v, want_uinv)
+                asked.append((want_u, want_v))
+            return original_snf(m, want_u, want_v)
 
         monkeypatch.setattr(abmod, "span_group", span)
         monkeypatch.setattr(groups, "span_group", span)
@@ -1063,10 +1087,10 @@ class TestDispatch:
 _MODEL_LAYERS = tuple(f"homspace.{m}" for m in ("groups", "rootdata", "abgroups", "invariants", "extensions"))
 NOT_LOADED = {
     "snf": (*_MODEL_LAYERS, "fractions", "argparse", "dataclasses", "typing", "contextlib"),
-    "ext": ("homspace.groups", "homspace.rootdata", "homspace.invariants", "argparse"),
-    "describe": ("argparse", "homspace.extensions"),
-    "invariants": ("argparse", "homspace.extensions"),
-    "weights": ("argparse", "homspace.extensions"),
+    "ext": ("homspace.groups", "homspace.rootdata", "homspace.invariants", "argparse", "typing"),
+    "describe": ("argparse", "homspace.extensions", "typing"),
+    "invariants": ("argparse", "homspace.extensions", "typing"),
+    "weights": ("argparse", "homspace.extensions", "typing"),
 }
 
 
@@ -1207,6 +1231,33 @@ class TestQueryCaches:
         path.write_text("{")
         code, out, err = invoke(["describe", "--json", "--spec", str(path)])
         assert (code, out) == (1, "") and err.startswith("error[E_JSON] at /: ")
+
+    def test_large_documents_are_not_kept(self, tmp_path):
+        # a cache entry keeps its document's text alive, so a document past
+        # 64 KiB is parsed on every query: eight unique 1 MiB documents (one
+        # model padded with whitespace) leave under 1 MiB behind, and a
+        # repeated small document still gets the same model back
+        text = json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"])
+        path = tmp_path / "model.json"
+        argv = ["describe", "--json", "--spec", str(path)]
+        path.write_text(text)
+        warm = invoke(argv)
+        assert warm[0] == 0, warm[2]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(8):
+                path.write_text(text + " " * (2**20 + i))
+                assert invoke(argv) == warm
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20, retained
+        args = SimpleNamespace(preset=None, spec=str(path))
+        path.write_text(text)
+        assert cli._load_model(args) is cli._load_model(args)
 
 
 class TestWeightsPathScale:
@@ -1422,12 +1473,14 @@ LARGE_DENOMINATOR_DIGESTS = {
 }
 
 
-def large_denominator_spec(seed):
+def large_denominator_spec(seed, generators=10):
+    """A7 x D5 with a rank-10 torus and ``generators`` gluing generators,
+    torus denominators up to 10^6; the k-generator specs take seed 1."""
     rng = random.Random(seed)
     factors = (("A", 7), ("D", 5))
     orders = build_datum(tuple(SimpleType(f, n) for f, n in factors)).pq_group.invariant_factors
     gluing = []
-    for _ in range(10):
+    for _ in range(generators):
         center = [rng.randrange(d) for d in orders]
         torus = []
         for _ in range(10):
@@ -1450,6 +1503,40 @@ def test_large_denominator_invariants_answer_within_a_second(seed, tmp_path):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DENOMINATOR_DIGESTS[seed]
     assert elapsed < 1.0
+
+
+class TestGeneratorSpecs:
+    @pytest.mark.parametrize("k", [10, 20, 40, 64])
+    def test_derived_kernel_matches_the_sympy_route(self, k, monkeypatch):
+        # the derived kernel's subgroup system on the k-generator spec: the
+        # library reads U^-1 as R V D^-1, the oracle inverts U with sympy
+        model = parse_spec(large_denominator_spec(1, k))
+        systems = []
+
+        def recording(ambient, gens):
+            systems.append((ambient, gens))
+            return subgroup_from_generators(ambient, gens)
+
+        monkeypatch.setattr(groups, "subgroup_from_generators", recording)
+        groups._derived_kernel.cache_clear()
+        kernel = groups._derived_kernel(model).kernel
+        [(ambient, gens)] = systems
+        assert len(gens) == k
+        expected = span_subgroup(ambient, gens)
+        assert kernel.computed == expected.computed
+        assert kernel.inclusion == expected.inclusion
+
+    def test_invariants_answer_within_a_second_at_64_generators(self, tmp_path):
+        path = tmp_path / "generators_64.json"
+        path.write_text(large_denominator_spec(1, 64))
+        groups._gluing.cache_clear()
+        groups._derived_kernel.cache_clear()
+        start = time.perf_counter()
+        code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert json.loads(out)["spec"]["torus_rank"] == 10
+        assert elapsed < 1.0
 
 
 class TestDeterminismAndSchema:

@@ -21,6 +21,7 @@ from oracles import (
     _hermite_rows,
     det,
     hermite_mod_solution_lattice,
+    inverse,
     is_zero_matrix,
     lattice_row_basis,
     snf_kernel,
@@ -334,6 +335,21 @@ def int_matrices(draw, max_dim=6, bound=20):
 
 
 @st.composite
+def nonsingular_matrices(draw, max_dim=7, bound=99):
+    """L @ W, L lower triangular with a nonzero diagonal and W upper unit
+    triangular: a square integer matrix of determinant det(L) != 0.  With
+    W = I it is shaped like a transposed Hermite basis."""
+    n = draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound)
+    diag = draw(st.lists(entry.filter(bool), min_size=n, max_size=n))
+    low = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    up = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    lmat = IntMatrix(n, n, (diag[i] if i == j else low[i * n + j] if j < i else 0 for i in range(n) for j in range(n)))
+    wmat = IntMatrix(n, n, (1 if i == j else up[i * n + j] if j > i else 0 for i in range(n) for j in range(n)))
+    return lmat @ wmat
+
+
+@st.composite
 def congruence_systems(draw):
     m = draw(int_matrices())
     orders = draw(st.lists(st.sampled_from(ORDERS), min_size=m.rows, max_size=m.rows))
@@ -386,12 +402,34 @@ class TestDifferentialOracle:
 
     @ORACLE
     @given(int_matrices(max_dim=7, bound=99))
-    def test_accumulated_inverse(self, m):
-        u, d, v, uinv = _snf_transform(m, want_u=True, want_v=True, want_uinv=True)
-        assert u @ uinv == IntMatrix.identity(m.rows)
-        assert uinv @ u == IntMatrix.identity(m.rows)
-        assert (u, d, v, None) == _snf_transform(m, want_u=True, want_v=True)
-        assert (u, d, None, uinv) == _snf_transform(m, want_u=True, want_v=False, want_uinv=True)
+    def test_transforms_are_unimodular_whatever_is_asked(self, m):
+        # U and V do not depend on which of them is built, and sympy's
+        # inverse of each is integral
+        u, d, v = _snf_transform(m, want_u=True, want_v=True)
+        assert (u, d, None) == _snf_transform(m, want_u=True, want_v=False)
+        assert (None, d, v) == _snf_transform(m, want_u=False, want_v=True)
+        assert (None, d, None) == _snf_transform(m, want_u=False, want_v=False)
+        uinv, vinv = inverse(u), inverse(v)
+        assert u @ uinv == uinv @ u == IntMatrix.identity(m.rows)
+        assert v @ vinv == vinv @ v == IntMatrix.identity(m.cols)
+
+    @ORACLE
+    @given(nonsingular_matrices())
+    @example(IntMatrix(0, 0, ()))
+    @example(IntMatrix.from_rows([[2, 0], [1, 6]]))
+    @example(IntMatrix.from_rows([[12, 0, 0], [5, 1, 0], [7, 0, 12]]))
+    def test_u_inverse_reads_as_r_v_over_d(self, r):
+        # U R V = D, so column p of R V D^-1 is column p of U^-1, the read
+        # that abgroups.subgroup_from_generators makes; U^-1 comes from
+        # sympy here, not from the Smith loop
+        u, d, v = _snf_transform(r, want_u=True, want_v=True)
+        uinv = inverse(u)
+        assert u @ uinv == uinv @ u == IntMatrix.identity(r.rows)
+        rv = r @ v
+        for p in range(r.rows):
+            dp = d[p, p]
+            assert dp > 0 and all(x % dp == 0 for x in rv.column(p))
+            assert tuple(x // dp for x in rv.column(p)) == uinv.column(p)
 
     @ORACLE
     @given(int_matrices(max_dim=7, bound=99))

@@ -1,7 +1,8 @@
 """The public API is the README's "Public API" table.  Every public
 top-level name of a module in src/homspace is listed there or imported by
 another module of the package, every listed name exists, the package
-imports nothing outside the standard library and nothing it does not use,
+imports nothing outside the standard library, no ``typing`` and nothing it
+does not use,
 no query checks an identity at run time (the tests prove them instead),
 every cache states a finite bound, nothing moved to tests/oracles.py
 is left defined in the package too, and only abgroups reaches the lattice
@@ -88,6 +89,20 @@ def test_imports_stay_in_the_standard_library():
         if level == 0 and module.split(".")[0] not in sys.stdlib_module_names | {"homspace"}
     ]
     assert not outside
+
+
+def test_no_module_imports_typing():
+    # every module reads its annotations as strings (from __future__ import
+    # annotations), so collections.abc and ``X | None`` spell them, and a
+    # cold query under ``python -S`` does not pay for importing typing
+    found = [
+        f"{name}: {module}"
+        for name, tree in modules().items()
+        for _, module, _ in imports(tree)
+        if module.split(".")[0] == "typing"
+    ]
+    assert modules(), "the scan reads nothing"
+    assert not found, found
 
 
 def test_no_runtime_self_checks():
