@@ -47,6 +47,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .intlinalg import IntMatrix, solution_lattice, _snf_transform
 
@@ -57,9 +58,10 @@ class FgAbGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "invariant_factors", tuple(int(d) for d in self.invariant_factors))
+        object.__setattr__(self, "invariant_factors", tuple(map(index, self.invariant_factors)))
         prev = None
         for d in self.invariant_factors:
             if d < 2:
@@ -102,7 +104,7 @@ class FgAbGroup:
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.ngens:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
-        out = list(map(int, coords))
+        out = list(map(index, coords))
         for i, d in enumerate(self.invariant_factors):
             j = self.free_rank + i
             out[j] %= d
@@ -271,7 +273,7 @@ def direct_sum_canonical(free_rank: int, cyclic_orders: Sequence[int]) -> FgAbGr
     Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), so replacing each pair (a_i,
     a_j), i < j, by (gcd, lcm) in turn keeps the group and leaves a_i
     dividing every later order: O(k^2) gcds and no Smith form."""
-    orders = [int(c) for c in cyclic_orders]
+    orders = list(map(index, cyclic_orders))
     if any(c < 1 for c in orders):
         raise ValueError("cyclic orders must be positive")
     for i in range(len(orders)):

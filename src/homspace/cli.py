@@ -42,8 +42,8 @@ every query calls.
 
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the text of a document of at most 64 KiB) are
-bounded caches that return the same model object, and the report and
-weight table of a model are cached in ``invariants``.
+bounded caches that return the same model object, which keeps what it
+derives; its report is cached in ``invariants``.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def _load_model(args) -> _groups.ReductiveModel:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError("E_IO", "--spec", f"cannot read {args.spec!r}: {exc}") from exc
         if sys.getsizeof(text) > 64 * 1024:  # parsed on every query, never kept
             return parse_spec(text)

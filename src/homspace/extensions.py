@@ -39,6 +39,8 @@ class Character:
     def __init__(self, group: FgAbGroup, values: Sequence[Fraction]):
         if not group.is_finite:
             raise ValueError("characters are only stored for finite groups")
+        if any(isinstance(v, float) for v in values):
+            raise TypeError(f"character values {tuple(values)!r} hold a float, which is not exact")
         values = tuple(Fraction(v) % 1 for v in values)
         if len(values) != group.ngens:
             raise ValueError(f"expected {group.ngens} values, got {len(values)}")

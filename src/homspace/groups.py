@@ -19,17 +19,17 @@ an extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 of the gluing subgroup Gamma
 by the integral torus loops.  It is free of rank r plus a torsion part, and
 that torsion is pi1 of the derived subgroup: the kernel of Gamma's
 projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
-``_derived_kernel`` computes that kernel from the model's own generators,
-never from Gamma: with N the lcm of the torus parts' denominators, one
-solution lattice of the torus numerators modulo N gives the combinations of
-the gluing generators
-whose torus parts sum to an integral vector, and their center parts span the
-kernel.  It returns the derived subgroup S_sc/kernel as one cached
-``SemisimpleModel``: ``pi1`` reads the kernel's type, and
-``derived_subgroup`` and ``as_semisimple`` return that object, so a repeated
-model builds no second one.
-Gamma itself (``_gluing``) is a bare type that only ``describe`` reads,
-through ``validate``, ``gluing_group`` and ``gluing_order``.
+``ReductiveModel.derived`` computes that kernel from the model's own
+generators, never from Gamma: with N the lcm of the torus parts'
+denominators, one solution lattice of the torus numerators modulo N gives
+the combinations of the gluing generators whose torus parts sum to an
+integral vector, and their center parts span the kernel.  It is the derived
+subgroup S_sc/kernel as a ``SemisimpleModel``: ``pi1`` reads the kernel's
+type, and ``derived_subgroup`` and ``as_semisimple`` return that object.
+Gamma itself (``ReductiveModel.gluing_type``) is a bare type that only
+``describe`` reads, through ``validate``, ``gluing_group`` and
+``gluing_order``.  A model computes each once and keeps it, as a semisimple
+model keeps its restriction matrix, so no module-level cache holds a model.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
@@ -37,8 +37,8 @@ generator (``ReductiveModel.torus_numerators``), which both mod-N problems,
 the derived kernel and ``character_group``, hand to the solver as plain
 integer rows.  Center parts are elements of ``center(ss)``, integer
 coordinates over its canonical generators, and a model hashes that integer
-data once per object, so no cache lookup or query does ``Fraction``
-arithmetic.
+data once per object (the key of ``invariants.invariant_report``), so no
+cache lookup or query does ``Fraction`` arithmetic.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -66,7 +66,7 @@ from .abgroups import (
     subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
-from .rootdata import RootDatumSS, SimpleType, build_datum, center
+from .rootdata import RootDatumSS, SimpleType, build_datum, center, restriction_matrix
 
 @dataclass(frozen=True)
 class GluingPair:
@@ -77,6 +77,8 @@ class GluingPair:
     torus: tuple
 
     def __post_init__(self):
+        if any(isinstance(v, float) for v in self.torus):
+            raise TypeError(f"torus part {self.torus!r} holds a float, which is not exact")
         torus = tuple(v if type(v) is Fraction else Fraction(v) for v in self.torus)
         for v in torus:
             if not 0 <= v.numerator < v.denominator:
@@ -132,6 +134,29 @@ class ReductiveModel:
         n = lcm(1, *(v.denominator for pair in self.gluing for v in pair.torus))
         return n, tuple(tuple(v.numerator * (n // v.denominator) for v in pair.torus) for pair in self.gluing)
 
+    @cached_property
+    def gluing_type(self) -> FgAbGroup:
+        """Abstract type of the gluing subgroup, spanned inside
+        Z(S_sc) x (Z/N)^r by the model's gluing generators."""
+        n, torus_rows = self.torus_numerators
+        orders = self.ss.pq_group.invariant_factors + (n,) * self.torus_rank
+        return span_group(orders, [pair.center.coords + row for pair, row in zip(self.gluing, torus_rows)])
+
+    @cached_property
+    def derived(self) -> SemisimpleModel:
+        """The derived subgroup S_sc/kernel.  Its kernel, that of the gluing
+        subgroup's torus projection, is the subgroup of the center of S_sc
+        spanned by the center parts of the combinations of the gluing
+        generators whose torus parts sum to an integral vector.  With N = 1
+        every combination qualifies, and the solution lattice is the
+        identity."""
+        n, torus_rows = self.torus_numerators
+        combos = _mod_n_lattice(len(self.gluing), n, list(zip(*torus_rows)))
+        cgroup = center(self.ss)
+        centers = IntMatrix.from_columns([pair.center.coords for pair in self.gluing], rows=cgroup.ngens)
+        kernel = subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
+        return SemisimpleModel(datum=self.ss, kernel=kernel)
+
     def describe(self) -> str:
         return self.name or f"({self.ss}, r={self.torus_rank}, {len(self.gluing)} gluing generators)"
 
@@ -148,44 +173,24 @@ class SemisimpleModel:
         if self.kernel.ambient != center(self.datum):
             raise ValueError("kernel must be a subgroup of the center")
 
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        # the datum hashes its factors, and the kernel's type tells apart
-        # most kernels of one datum; equal models agree on both, and a hash
-        # never walks the kernel's inclusion matrix
-        return hash((self.datum, self.kernel.computed))
-
-
-# The model caches are bounded, like build_datum's: a deck of semisimple
-# reports keeps under 200 models warm, and a stream of unique torus models
-# must not grow the process without end.  A repeated preset or spec document
-# comes back from its own cache (``preset``, the CLI's spec reader) as the
-# same model object, so a repeated query finds its entry here by identity,
-# with the model's cached integer hash and no field-by-field comparison.
-@lru_cache(maxsize=1024)
-def _gluing(model: ReductiveModel) -> FgAbGroup:
-    """Abstract type of the gluing subgroup, spanned inside
-    Z(S_sc) x (Z/N)^r by the model's gluing generators."""
-    n, torus_rows = model.torus_numerators
-    orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
-    return span_group(orders, [pair.center.coords + row for pair, row in zip(model.gluing, torus_rows)])
+    def restriction_matrix(self) -> IntMatrix:
+        """The kernel's ``rootdata.restriction_matrix``: the weight table."""
+        return restriction_matrix(self.datum, self.kernel)
 
 
 def gluing_group(model: ReductiveModel) -> FgAbGroup:
     """Abstract type of the gluing subgroup."""
-    return _gluing(model)
+    return model.gluing_type
 
 
 def gluing_order(model: ReductiveModel) -> int:
-    return _gluing(model).order()
+    return model.gluing_type.order()
 
 
 def validate(model: ReductiveModel):
     """Check the model and report human-readable certificates."""
-    group = _gluing(model)
+    group = model.gluing_type
     certificates = []
     for i in range(len(model.gluing)):
         certificates.append(f"gluing generator {i} lies in the center of {model.ss}")
@@ -195,31 +200,16 @@ def validate(model: ReductiveModel):
     return certificates
 
 
-@lru_cache(maxsize=1024)
-def _derived_kernel(model: ReductiveModel) -> SemisimpleModel:
-    """The derived subgroup S_sc/kernel.  Its kernel, that of the gluing
-    subgroup's torus projection, is the subgroup of the center of S_sc
-    spanned by the center parts of the combinations of the gluing
-    generators whose torus parts sum to an integral vector.  With N = 1
-    every combination qualifies, and the solution lattice is the identity."""
-    n, torus_rows = model.torus_numerators
-    combos = _mod_n_lattice(len(model.gluing), n, list(zip(*torus_rows)))
-    cgroup = center(model.ss)
-    centers = IntMatrix.from_columns([pair.center.coords for pair in model.gluing], rows=cgroup.ngens)
-    kernel = subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
-    return SemisimpleModel(datum=model.ss, kernel=kernel)
-
-
 def pi1(model: ReductiveModel) -> FgAbGroup:
     """Fundamental group of H (the unipotent part never contributes): Z^r
     plus pi1 of the derived subgroup as its torsion."""
-    return FgAbGroup(model.torus_rank, _derived_kernel(model).kernel.computed.invariant_factors)
+    return FgAbGroup(model.torus_rank, model.derived.kernel.computed.invariant_factors)
 
 
 def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
     """Semisimple derived group: same root datum, kernel = gluing cap S_sc.
-    A repeated model gets the same object back."""
-    return _derived_kernel(model)
+    A repeated model object gets the same object back."""
+    return model.derived
 
 
 def character_group(model: ReductiveModel):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 
 class IntMatrix:
@@ -54,7 +54,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(map(int, entries))
+        data = tuple(map(index, entries))
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"

@@ -31,12 +31,12 @@ simple type in ``tests/test_invariants.py::TestSemisimpleSweep``; Pic(G/H)
 against Hom(pi1(H), Z) by cotorsion counts in ``TestReport`` and criterion
 6; the weight table in ``TestWeightTable``.
 
-The weight table is one ``rootdata.restriction_matrix`` of the kernel, kept
-as a ``WeightBrauerTable``: row i's weight is the unit vector e_i and its
-restriction is column i, so the table builds no per-weight pairing and takes
-no normal form.  The table keeps the matrix with its root datum and dual
-group and builds no row objects; the CLI writes its rows straight from the
-matrix columns.
+The weight table wraps ``SemisimpleModel.restriction_matrix``, which the
+model computes once, as a ``WeightBrauerTable``: row i's weight is the unit
+vector e_i and its restriction is column i, so the table builds no
+per-weight pairing and takes no normal form.  The table keeps the matrix
+with its root datum and dual group and builds no row objects; the CLI
+writes its rows straight from the matrix columns.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 from .abgroups import FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
-from .rootdata import RootDatumSS, restriction_matrix
+from .rootdata import RootDatumSS
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def picard_of_group(model: ReductiveModel) -> FgAbGroup:
     return ext1_z(pi1(model))
 
 
-# A report and a weight table depend on their model alone: a repeated
-# query reads them back.  Both caches are bounded like build_datum's.
+# A report depends on its model alone: a repeated query reads it back.
+# The cache is bounded like build_datum's.
 @lru_cache(maxsize=256)
 def invariant_report(model: ReductiveModel) -> InvariantReport:
     """All invariants of G/H for one model, with convention notes."""
@@ -129,7 +129,6 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
     )
 
 
-@lru_cache(maxsize=256)
 def weight_brauer_table(sm: SemisimpleModel) -> WeightBrauerTable:
     """One row per fundamental weight of the simply connected cover: the
     weight's restriction to pi1(H) and the Brauer class it induces.
@@ -145,4 +144,4 @@ def weight_brauer_table(sm: SemisimpleModel) -> WeightBrauerTable:
     are checked by
     ``tests/test_invariants.py::TestWeightTable::test_restrictions_surject_and_kernel_index``.
     """
-    return WeightBrauerTable(sm.datum, sm.kernel.computed, restriction_matrix(sm.datum, sm.kernel))
+    return WeightBrauerTable(sm.datum, sm.kernel.computed, sm.restriction_matrix)

@@ -49,6 +49,8 @@ class SimpleType:
 
     def __post_init__(self):
         fam, rank = self.family, self.rank
+        if type(rank) is not int:
+            raise TypeError(f"rank must be an int, got {rank!r}")
         if fam == "E":
             if rank not in (6, 7, 8):
                 raise ValueError(f"E{rank} is not a simple type")

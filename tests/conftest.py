@@ -16,9 +16,11 @@ from oracles import elements, snf_kernel, solve_integer
 
 
 def clear_query_caches():
-    """Empty the caches that a repeated query hits before any model cache:
-    the preset and spec models, and each model's report and weight table."""
-    for cache in (groups.preset, cli._spec_model, invariants.invariant_report, invariants.weight_brauer_table):
+    """Empty the caches that a repeated query hits: the preset and spec
+    models and each model's report.  A model keeps its gluing type, derived
+    subgroup and weight table's matrix as attributes, so the next query
+    builds a fresh model that computes them again."""
+    for cache in (groups.preset, cli._spec_model, invariants.invariant_report):
         cache.cache_clear()
 
 
@@ -26,8 +28,7 @@ def clear_query_caches():
 def cold_query_caches():
     """Every test starts with no query cached, so a test that counts calls
     or times a query measures the work, not a lookup that an earlier test
-    left behind.  The model caches (``build_datum``, ``_gluing``,
-    ``_derived_kernel``) are left to the tests that need them cold."""
+    left behind.  ``build_datum`` is left to the tests that need it cold."""
     clear_query_caches()
 
 

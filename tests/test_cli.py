@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
@@ -552,6 +553,19 @@ class TestCommands:
         for argv, expected in cases:
             assert invoke(argv) == (1, "", expected), argv
 
+    def test_spec_that_is_not_utf8_is_an_io_error(self, tmp_path):
+        # the decoding error is the file's, so it is reported at --spec
+        # like any other unreadable file, never at the command's name
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{}")
+        for command in ("invariants", "describe", "weights"):
+            assert invoke([command, "--spec", str(path)]) == (
+                1,
+                "",
+                f"error[E_IO] at --spec: cannot read {str(path)!r}: "
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+            )
+
     def test_unreadable_spec_path_is_quoted(self):
         # quoted, a path with spaces or a colon cannot run into the reason
         assert invoke(["describe", "--spec", "no such dir/spec: 1.json"]) == (
@@ -652,13 +666,13 @@ class TestCommands:
         # --expand prints the model's document before validate or pi1 would
         # build the gluing span, so it answers where the report cannot
         calls = []
-        original = groups._gluing
+        original = groups.span_group
 
-        def counting(model):
-            calls.append(model)
-            return original(model)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(groups, "_gluing", counting)
+        monkeypatch.setattr(groups, "span_group", counting)
         big = tmp_path / "big.json"
         big.write_text(json.dumps(DIGIT_LIMIT_SPEC))
         small = tmp_path / "torus_r3.json"
@@ -697,8 +711,6 @@ class TestCommands:
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
-            groups._gluing.cache_clear()
-            groups._derived_kernel.cache_clear()
             code, _, err = invoke(["describe", "--json", *source])
             assert code == 0, err
         assert asked and not any(any(flags) for flags in asked)
@@ -732,8 +744,6 @@ class TestCommands:
         monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
         for command in ("invariants", "describe"):
             clear_query_caches()
-            groups._gluing.cache_clear()
-            groups._derived_kernel.cache_clear()
             parsed.clear()
             homs.clear()
             code, _, err = invoke([command, "--json", "--spec", str(path)])
@@ -793,19 +803,19 @@ class TestCommands:
         import homspace.abgroups as abmod
 
         spans, gluings = [], []
-        original_span, original_gluing = abmod.subgroup_from_generators, groups._gluing
+        original_span, original_gluing = abmod.subgroup_from_generators, groups.span_group
 
         def counting_span(*args):
             spans.append(args)
             return original_span(*args)
 
-        def counting_gluing(model):
-            gluings.append(model)
-            return original_gluing(model)
+        def counting_gluing(*args):
+            gluings.append(args)
+            return original_gluing(*args)
 
         monkeypatch.setattr(abmod, "subgroup_from_generators", counting_span)
         monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
-        monkeypatch.setattr(groups, "_gluing", counting_gluing)
+        monkeypatch.setattr(groups, "span_group", counting_gluing)
         docs = {name: model_to_document(preset(name)) for name in ("SO(8)", "PGL(4)", "GL(3)")}
         docs.update(QUOTIENT_SPECS, torus_r3=TORUS_R3)
         for name, doc in docs.items():
@@ -814,8 +824,6 @@ class TestCommands:
             semisimple = doc["torus_rank"] == 0
             for command in ("invariants", "weights") if semisimple else ("invariants",):
                 clear_query_caches()
-                original_gluing.cache_clear()
-                groups._derived_kernel.cache_clear()
                 spans.clear()
                 code, _, err = invoke([command, "--json", "--spec", str(path)])
                 assert code == 0, err
@@ -854,12 +862,14 @@ class TestCommands:
                 assert calls == [], (command, name)
 
     def test_warm_semisimple_queries_take_no_normal_form(self, monkeypatch, tmp_path):
-        # once the model caches are warm, a semisimple report is one
-        # restriction matrix and its text: no Smith form, no solution
-        # lattice, and no SemisimpleModel built, since the derived-kernel
-        # cache holds it.  The query caches are emptied after the warm-up,
-        # so the counted pass builds each model, report and table again
-        # instead of looking them up
+        # once a model has answered, its report is read off what it keeps,
+        # plus text: no Smith form, no solution lattice, and no
+        # SemisimpleModel built, since the model holds its derived subgroup
+        # and that its restriction matrix.  The report cache is emptied
+        # after the warm-up, so the counted pass builds each report and
+        # table again instead of looking them up; then the preset and spec
+        # caches are emptied too, and building each model again takes no
+        # normal form either
         import homspace.abgroups as abmod
         import homspace.intlinalg as linmod
 
@@ -872,7 +882,9 @@ class TestCommands:
         queries.append(["weights", "--json", "--spec", str(spec)])
         for argv in queries:
             assert invoke(argv)[0] == 0
-        clear_query_caches()
+        sources = [SimpleNamespace(**{"preset": None, "spec": None, argv[2][2:]: argv[3]}) for argv in queries]
+        models = [cli._load_model(source) for source in sources]
+        invariants.invariant_report.cache_clear()
 
         calls = []
 
@@ -894,6 +906,10 @@ class TestCommands:
             assert code == 0, err
             assert json.loads(out)
         assert calls == []
+        clear_query_caches()
+        rebuilt = [cli._load_model(source) for source in sources]
+        assert rebuilt == models and not any(a is b for a, b in zip(rebuilt, models))
+        assert calls == []
 
     def test_no_query_takes_the_exact_lattice_route(self, monkeypatch, tmp_path):
         # every solution lattice a query builds has a modulus: no order is 0,
@@ -908,8 +924,6 @@ class TestCommands:
             return original(m, orders)
 
         monkeypatch.setattr(abmod, "solution_lattice", checking)
-        groups._gluing.cache_clear()
-        groups._derived_kernel.cache_clear()
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
@@ -1142,8 +1156,7 @@ class TestColdImports:
 
 def clear_every_cache():
     clear_query_caches()
-    for cache in (groups._gluing, groups._derived_kernel, build_datum):
-        cache.cache_clear()
+    build_datum.cache_clear()
 
 
 class TestQueryCaches:
@@ -1174,12 +1187,14 @@ class TestQueryCaches:
         model = cli._spec_model(text, limit)
         assert cli._spec_model(text, limit) is model
         assert invariants.invariant_report(model) is invariants.invariant_report(model)
-        assert weight_brauer_table(as_semisimple(model)) is weight_brauer_table(as_semisimple(model))
+        assert as_semisimple(model) is as_semisimple(model)
+        table = weight_brauer_table(as_semisimple(model))
+        assert weight_brauer_table(as_semisimple(model)) == table
+        assert weight_brauer_table(as_semisimple(model)).restrictions is table.restrictions
 
     def test_repeats_build_no_semisimple_model(self, monkeypatch, tmp_path):
-        # the derived-kernel cache holds the SemisimpleModel itself: a
-        # repeated model gets the same object back, and a warm weights
-        # query constructs none
+        # a model keeps its derived SemisimpleModel: a repeated model gets
+        # the same object back, and a warm weights query constructs none
         assert as_semisimple(preset("PGL(4)")) is as_semisimple(preset("PGL(4)"))
         spec = tmp_path / "quotient.json"
         spec.write_text(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
@@ -1198,8 +1213,9 @@ class TestQueryCaches:
         assert built == []
 
     def test_repeated_table_lookups_hash_no_group(self, monkeypatch):
-        # a SemisimpleModel hashes once: a repeated weight-table lookup of
-        # the cached object walks neither the datum nor the kernel's type
+        # a repeated weight table of one model reads the restriction matrix
+        # that its SemisimpleModel keeps, and hashes neither the datum nor
+        # the kernel's type on the way
         model = parse_spec(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
         table = weight_brauer_table(as_semisimple(model))
         calls = []
@@ -1211,7 +1227,7 @@ class TestQueryCaches:
 
         monkeypatch.setattr(FgAbGroup, "__hash__", counting)
         for _ in range(3):
-            assert weight_brauer_table(as_semisimple(model)) is table
+            assert weight_brauer_table(as_semisimple(model)).restrictions is table.restrictions
         assert calls == []
 
     def test_spec_cache_keys_on_the_document(self, tmp_path):
@@ -1258,6 +1274,24 @@ class TestQueryCaches:
         args = SimpleNamespace(preset=None, spec=str(path))
         path.write_text(text)
         assert cli._load_model(args) is cli._load_model(args)
+
+    def test_an_evicted_model_is_freed(self, tmp_path):
+        # 301 unique torus documents outrun the spec and report caches (256
+        # entries each); nothing else keeps a model, so the first one is
+        # freed once both have dropped it
+        path = tmp_path / "torus.json"
+        limit = sys.get_int_max_str_digits()
+        first = None
+        for k in range(2, 303):
+            text = json.dumps({"torus_rank": 1, "gluing": [{"center": [], "torus": [f"1/{k}"]}]})
+            path.write_text(text)
+            code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
+            assert code == 0 and json.loads(out)["invariants"]["pic_group"] == "Z^1", err
+            if first is None:
+                first = weakref.ref(cli._spec_model(text, limit))
+                assert first().gluing[0].torus == (Fraction(1, 2),)
+        gc.collect()
+        assert first() is None
 
 
 class TestWeightsPathScale:
@@ -1450,10 +1484,8 @@ def test_report_bytes_pinned(command, name, tmp_path):
 def test_former_torus_cliffs_answer_within_a_second(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(cliff_spec(name))
-    # the pinned-digest run of the same model may have filled these model
-    # caches; the query caches start empty in every test (conftest)
-    groups._gluing.cache_clear()
-    groups._derived_kernel.cache_clear()
+    # the query caches start empty in every test (conftest), so the spec
+    # reader builds a new model, which derives everything again
     start = time.perf_counter()
     code, out, err = invoke([CLIFF_MODELS[name][0], "--json", "--spec", str(path)])
     elapsed = time.perf_counter() - start
@@ -1495,8 +1527,6 @@ def large_denominator_spec(seed, generators=10):
 def test_large_denominator_invariants_answer_within_a_second(seed, tmp_path):
     path = tmp_path / "large_denominators.json"
     path.write_text(large_denominator_spec(seed))
-    groups._gluing.cache_clear()
-    groups._derived_kernel.cache_clear()
     start = time.perf_counter()
     code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
     elapsed = time.perf_counter() - start
@@ -1518,8 +1548,7 @@ class TestGeneratorSpecs:
             return subgroup_from_generators(ambient, gens)
 
         monkeypatch.setattr(groups, "subgroup_from_generators", recording)
-        groups._derived_kernel.cache_clear()
-        kernel = groups._derived_kernel(model).kernel
+        kernel = model.derived.kernel
         [(ambient, gens)] = systems
         assert len(gens) == k
         expected = span_subgroup(ambient, gens)
@@ -1529,8 +1558,6 @@ class TestGeneratorSpecs:
     def test_invariants_answer_within_a_second_at_64_generators(self, tmp_path):
         path = tmp_path / "generators_64.json"
         path.write_text(large_denominator_spec(1, 64))
-        groups._gluing.cache_clear()
-        groups._derived_kernel.cache_clear()
         start = time.perf_counter()
         code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
         elapsed = time.perf_counter() - start

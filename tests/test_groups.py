@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import QUOTIENT_SPECS, random_model
 from homspace import groups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, ext1_z
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, direct_sum_canonical, ext1_z
 from homspace.cli import parse_spec, run
 from homspace.extensions import Character
 from homspace.groups import (
@@ -87,7 +89,7 @@ class TestModelKeys:
 
     def test_queries_after_gluing_hash_no_fractions(self, monkeypatch, tmp_path):
         model = self.model()
-        groups._gluing(model)
+        gluing_group(model)
         calls = {name: [] for name in ("__hash__", "__mul__", "__mod__")}
         for name, seen in calls.items():
             original = getattr(Fraction, name)
@@ -101,10 +103,9 @@ class TestModelKeys:
         validate(model)
         character_group(model)
         assert calls["__hash__"] == []
-        # a fresh torus spec read and answered by the CLI, caches cold: no
-        # Fraction is hashed, multiplied or reduced on the way
-        groups._gluing.cache_clear()
-        groups._derived_kernel.cache_clear()
+        # a fresh torus spec read and answered by the CLI, a new model that
+        # has derived nothing yet: no Fraction is hashed, multiplied or
+        # reduced on the way
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "semisimple": [{"family": "A", "rank": 3}, {"family": "D", "rank": 4}],
@@ -119,14 +120,27 @@ class TestModelKeys:
             assert run([command, "--json", "--spec", str(spec)], stdout=out, stderr=err) == 0, err.getvalue()
         assert {name: len(seen) for name, seen in calls.items()} == {"__hash__": 0, "__mul__": 0, "__mod__": 0}
 
-    def test_hash_and_equality_agree(self):
-        a, b = self.model(), self.model()
-        assert a == b and hash(a) == hash(b)
-        assert groups._gluing(a) is groups._gluing(b)
+    def test_hash_and_equality_agree(self, monkeypatch):
+        # equal models, spelled differently too, share one key and give
+        # equal groups; each model object spans its gluing type and its
+        # derived kernel once, however often they are read
+        spans, kernels = [], []
+        original_span, original_kernel = groups.span_group, groups.subgroup_from_generators
+
+        def counting_span(*args):
+            spans.append(args)
+            return original_span(*args)
+
+        def counting_kernel(*args):
+            kernels.append(args)
+            return original_kernel(*args)
+
+        monkeypatch.setattr(groups, "span_group", counting_span)
+        monkeypatch.setattr(groups, "subgroup_from_generators", counting_kernel)
+        a = self.model()
         renamed = ReductiveModel(ss=a.ss, torus_rank=3, gluing=a.gluing, name="other")
         assert renamed != a
 
-        # equal models spelled differently share one key and one cache entry
         def spec(center, torus):
             return parse_spec(json.dumps({
                 "semisimple": [{"family": "A", "rank": 3}],
@@ -137,6 +151,7 @@ class TestModelKeys:
         datum = build_datum((SimpleType("A", 3),))
         elem = center(datum).element((1,))
         pairs = [
+            (self.model(), self.model()),
             (spec([1], ["2/4", "1/3"]), spec([1], ["1/2", "1/3"])),
             (
                 ReductiveModel(datum, 2, (GluingPair(elem, (Fraction(1, 2), Fraction(1, 3))),)),
@@ -146,8 +161,17 @@ class TestModelKeys:
         ]
         for a, b in pairs:
             assert a == b and hash(a) == hash(b)
-            assert groups._gluing(a) is groups._gluing(b)
-            assert groups._derived_kernel(a) is groups._derived_kernel(b)
+            spans.clear()
+            kernels.clear()
+            gluings = [gluing_group(m) for m in (a, b, a, b)]
+            derived = [derived_subgroup(m) for m in (a, b, a, b)]
+            assert len(spans) == len(kernels) == 2
+            assert gluings[0] is gluings[2] and gluings[1] is gluings[3]
+            assert derived[0] is derived[2] and derived[1] is derived[3]
+            assert gluings[0] == gluings[1] and gluing_order(a) == gluing_order(b)
+            assert derived[0] == derived[1] and hash(derived[0]) == hash(derived[1])
+            assert pi1(a) == pi1(b)
+            assert len(spans) == len(kernels) == 2
         assert spec([1], ["1/2", "2/3"]) != spec([1], ["1/2", "1/3"])
 
     def test_torus_numerators(self):
@@ -460,12 +484,12 @@ class TestPresets:
 
 
 class TestCacheBounds:
-    CACHES = (groups.build_datum, groups._gluing, groups._derived_kernel, groups.preset)
+    CACHES = (groups.build_datum, groups.preset)
 
     def test_unique_models_stay_within_maxsize(self):
         # twice each cache's size of distinct keys: distinct data from pairs
-        # of small types, distinct torus models from their denominators,
-        # distinct presets from their kinds and sizes
+        # of small types, distinct presets from their kinds and sizes; and
+        # 2048 distinct torus models, which no cache keeps once answered
         for cache in self.CACHES:
             cache.cache_clear()
         types = [SimpleType(f, r) for f, r in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))]
@@ -475,12 +499,16 @@ class TestCacheBounds:
         assert len(pairs) >= 2 * datum_size
         for factors in pairs[: 2 * datum_size]:
             build_datum(factors)
-        model_size = max(groups._gluing.cache_info().maxsize, groups._derived_kernel.cache_info().maxsize)
         trivial = build_datum(())
-        for k in range(2, 2 + 2 * model_size):
+        models = []
+        for k in range(2, 2 + 2048):
             pair = GluingPair(center(trivial).identity(), (Fraction(1, k),))
             model = ReductiveModel(ss=trivial, torus_rank=1, gluing=(pair,))
             assert pi1(model) == Z and gluing_order(model) == k
+            models.append(weakref.ref(model))
+        del model
+        gc.collect()
+        assert [ref for ref in models if ref() is not None] == []
         preset_size = groups.preset.cache_info().maxsize
         kinds = ("SL", "GL", "PGL", "SO", "Spin", "Sp")
         names = [f"{kind}({n})" for n in range(2, preset_size) for kind in kinds if kind != "Sp" or n % 2 == 0]
@@ -491,21 +519,58 @@ class TestCacheBounds:
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize, info
 
-    def test_repeated_presets_hit(self):
+    def test_repeated_presets_hit(self, monkeypatch):
+        # a repeated preset is the cached model, which keeps its derived
+        # subgroup: no root datum is looked up and no kernel is spanned
         names = [f"{kind}({n})" for kind in ("SL", "PGL", "SO", "Sp", "Spin") for n in (4, 8, 16, 64, 128)]
         for cache in self.CACHES:
             cache.cache_clear()
-        for name in names:
-            derived_subgroup(preset(name))
+        first = {name: derived_subgroup(preset(name)) for name in names}
         misses = [cache.cache_info().misses for cache in self.CACHES]
         datum_calls = groups.build_datum.cache_info()[:2]
+        kernels = []
+        original = groups.subgroup_from_generators
+
+        def counting(*args):
+            kernels.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(groups, "subgroup_from_generators", counting)
         for name in names:
-            derived_subgroup(preset(name))
+            assert derived_subgroup(preset(name)) is first[name]
+        assert kernels == []
         assert [cache.cache_info().misses for cache in self.CACHES] == misses
         assert groups.preset.cache_info().hits == len(names)
-        assert groups._derived_kernel.cache_info().hits == len(names)
-        # a repeated preset is the cached model: no root datum is looked up
         assert groups.build_datum.cache_info()[:2] == datum_calls
+
+
+def _gluing_pair_of(torus):
+    return GluingPair(center(build_datum(())).identity(), torus)
+
+
+class TestExactInput:
+    # integer data is read with operator.index and fractions are never
+    # taken of a binary float, so a float is refused where it would have
+    # been truncated, printed as a rank, or read as its binary expansion
+    # (0.1 as a denominator of 2^55); each exact spelling beside it answers
+    @pytest.mark.parametrize(
+        "build, exact",
+        [
+            (lambda: IntMatrix(1, 1, [2.9]), lambda: IntMatrix(1, 1, [2])),
+            (lambda: FgAbGroup(0, (2.7,)), lambda: FgAbGroup(0, (2,))),
+            (lambda: FgAbGroup(1.5), lambda: FgAbGroup(1)),
+            (lambda: cyclic(4).reduce((5.5,)), lambda: cyclic(4).reduce((5,))),
+            (lambda: direct_sum_canonical(0, (2.0, 4)), lambda: direct_sum_canonical(0, (2, 4))),
+            (lambda: SimpleType("A", 2.0), lambda: SimpleType("A", 2)),
+            (lambda: _gluing_pair_of((0.1,)), lambda: _gluing_pair_of(("1/10",))),
+            (lambda: Character(cyclic(2), (0.5,)), lambda: Character(cyclic(2), (Fraction(1, 2),))),
+        ],
+        ids=["IntMatrix", "FgAbGroup-factor", "FgAbGroup-rank", "reduce", "direct_sum", "SimpleType", "GluingPair", "Character"],
+    )
+    def test_floats_are_refused(self, build, exact):
+        with pytest.raises(TypeError):
+            build()
+        exact()
 
 
 class TestPresentationIndependence:

@@ -4,7 +4,7 @@ another module of the package, every listed name exists, the package
 imports nothing outside the standard library, no ``typing`` and nothing it
 does not use,
 no query checks an identity at run time (the tests prove them instead),
-every cache states a finite bound, nothing moved to tests/oracles.py
+every cache states a finite bound and is one of a listed few, nothing moved to tests/oracles.py
 is left defined in the package too, and only abgroups reaches the lattice
 solver and the Smith loop of intlinalg."""
 
@@ -170,6 +170,30 @@ def test_every_cache_is_bounded():
                     unbounded.append(f"{name}.py:{node.lineno}: functools.cache")
     assert bounded, "no lru_cache found: the scan reads nothing"
     assert not unbounded, f"caches without an explicit finite maxsize: {unbounded}"
+
+
+def test_the_caches_are_these():
+    # each global cache holds what it keys on alive until it is evicted, so
+    # a new one is a deliberate edit of this list; what a model derives is
+    # kept on the model instead.  Every lru_cache in the package decorates
+    # one of these functions.
+    decorated, seen = set(), []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if _names_lru_cache(node):
+                seen.append(f"{name}.py:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    if _names_lru_cache(decorator.func if isinstance(decorator, ast.Call) else decorator):
+                        decorated.add(f"{name}.{node.name}")
+    assert decorated == {
+        "rootdata.build_datum",
+        "groups.preset",
+        "invariants.invariant_report",
+        "cli._spec_model",
+        "cli._parser",
+    }
+    assert len(seen) == len(decorated), seen
 
 
 def defined_names(tree):
