@@ -43,7 +43,7 @@ every query calls.
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the text of a document of at most 64 KiB) are
 bounded caches that return the same model object, which keeps what it
-derives; its report is cached in ``invariants``.
+derives, its report included.
 """
 
 from __future__ import annotations
@@ -434,6 +434,7 @@ def _cmd_describe(args, out: _Printer) -> int:
         return 0
     notes = _groups.validate(model)
     fundamental = _groups.pi1(model)
+    gamma = model.gluing_type
     orders = model.ss.pq_group.invariant_factors
     payload = {
         "tool": {"name": "homspace", "version": __version__},
@@ -442,8 +443,8 @@ def _cmd_describe(args, out: _Printer) -> int:
         "torus_rank": model.torus_rank,
         "unipotent_dim": model.unipotent_dim,
         "center_generator_orders": list(orders),
-        "gluing_order": _groups.gluing_order(model),
-        "gluing_group": str(_groups.gluing_group(model)),
+        "gluing_order": gamma.order(),
+        "gluing_group": str(gamma),
         "pi1": str(fundamental),
         "pi1_derived": str(_abgroups.ext1_z(fundamental)),
         "certificates": notes,
@@ -536,8 +537,11 @@ def _cmd_weights(args, out: _Printer) -> int:
 
 
 def _parse_factors(text: str, where: str) -> _abgroups.FgAbGroup:
+    # split like --char: a blank list is the trivial group, and an empty
+    # item is refused
+    parts = text.split(",") if text.strip() else []
     try:
-        factors = tuple(int(part) for part in text.split(",") if part.strip())
+        factors = tuple(int(part) for part in parts)
     except ValueError as exc:
         raise CliError("E_INPUT", where, f"bad factor list {text!r}") from exc
     try:

@@ -25,20 +25,19 @@ denominators, one solution lattice of the torus numerators modulo N gives
 the combinations of the gluing generators whose torus parts sum to an
 integral vector, and their center parts span the kernel.  It is the derived
 subgroup S_sc/kernel as a ``SemisimpleModel``: ``pi1`` reads the kernel's
-type, and ``derived_subgroup`` and ``as_semisimple`` return that object.
-Gamma itself (``ReductiveModel.gluing_type``) is a bare type that only
-``describe`` reads, through ``validate``, ``gluing_group`` and
-``gluing_order``.  A model computes each once and keeps it, as a semisimple
-model keeps its restriction matrix, so no module-level cache holds a model.
+type, and ``as_semisimple`` returns that object.  Gamma itself
+(``ReductiveModel.gluing_type``) is a bare type that only ``describe``
+reads, through ``validate``.  A model computes each once and keeps it, as a
+semisimple model keeps its restriction matrix and ``invariants`` keeps a
+model's report on the model, so no module-level cache holds a model.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
 generator (``ReductiveModel.torus_numerators``), which both mod-N problems,
 the derived kernel and ``character_group``, hand to the solver as plain
 integer rows.  Center parts are elements of ``center(ss)``, integer
-coordinates over its canonical generators, and a model hashes that integer
-data once per object (the key of ``invariants.invariant_report``), so no
-cache lookup or query does ``Fraction`` arithmetic.
+coordinates over its canonical generators, so no query does ``Fraction``
+arithmetic, and since no cache is keyed by a model, no query hashes one.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -56,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import index
 
 from .abgroups import (
     AbElement,
@@ -103,10 +103,13 @@ class ReductiveModel:
     name: str | None = None
 
     def __post_init__(self):
-        if self.torus_rank < 0:
+        rank, unipotent = index(self.torus_rank), index(self.unipotent_dim)
+        if rank < 0:
             raise ValueError("torus rank must be nonnegative")
-        if self.unipotent_dim < 0:
+        if unipotent < 0:
             raise ValueError("unipotent dimension must be nonnegative")
+        object.__setattr__(self, "torus_rank", rank)
+        object.__setattr__(self, "unipotent_dim", unipotent)
         object.__setattr__(self, "gluing", tuple(self.gluing))
         for pair in self.gluing:
             if pair.center.group != center(self.ss):
@@ -115,17 +118,6 @@ class ReductiveModel:
                 raise ValueError(
                     f"gluing torus part has {len(pair.torus)} coordinates, model has torus rank {self.torus_rank}"
                 )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # integer data only: equal models (the dataclass __eq__) have equal
-        # center coordinates and torus numerators, and no lookup, the first
-        # one included, hashes a Fraction
-        centers = tuple(pair.center.coords for pair in self.gluing)
-        return hash((self.ss, self.torus_rank, centers, self.torus_numerators, self.unipotent_dim, self.name))
 
     @cached_property
     def torus_numerators(self) -> tuple:
@@ -179,15 +171,6 @@ class SemisimpleModel:
         return restriction_matrix(self.datum, self.kernel)
 
 
-def gluing_group(model: ReductiveModel) -> FgAbGroup:
-    """Abstract type of the gluing subgroup."""
-    return model.gluing_type
-
-
-def gluing_order(model: ReductiveModel) -> int:
-    return model.gluing_type.order()
-
-
 def validate(model: ReductiveModel):
     """Check the model and report human-readable certificates."""
     group = model.gluing_type
@@ -206,12 +189,6 @@ def pi1(model: ReductiveModel) -> FgAbGroup:
     return FgAbGroup(model.torus_rank, model.derived.kernel.computed.invariant_factors)
 
 
-def derived_subgroup(model: ReductiveModel) -> SemisimpleModel:
-    """Semisimple derived group: same root datum, kernel = gluing cap S_sc.
-    A repeated model object gets the same object back."""
-    return model.derived
-
-
 def character_group(model: ReductiveModel):
     """Characters of H as a finite-index sublattice of Z^r (Hermite basis,
     one character per row) together with its abstract type."""
@@ -228,7 +205,7 @@ def as_semisimple(model: ReductiveModel) -> SemisimpleModel:
     generators."""
     if model.torus_rank != 0 or model.unipotent_dim != 0:
         raise ValueError("model is not semisimple: it has a torus or unipotent part")
-    return derived_subgroup(model)
+    return model.derived
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ geometric realizations behind them (Azumaya algebras, projective-space
 fibrations) are deliberately out of scope.
 
 Every group in a report is read off one ``pi1`` result, so the report holds
-values and checks nothing.  ``pi1`` is Z^r plus pi1 of the derived
+values and checks nothing.  A model keeps its report in its own
+``__dict__``, the store in which ``functools.cached_property`` keeps its
+derived groups (``groups`` cannot import this module to declare one), so a
+repeated query on one model object reads the report back and no cache is
+keyed by a model.  ``pi1`` is Z^r plus pi1 of the derived
 subgroup, the kernel of the gluing group's torus projection.  The identities
 behind the dictionary are tested by independent routes instead: pi1
 against the Z^r-extension of the gluing group and against the span of the
@@ -42,7 +46,6 @@ writes its rows straight from the matrix columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .abgroups import FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
@@ -78,31 +81,18 @@ class WeightBrauerTable:
         return zip(self.datum.node_labels(), map(self.restrictions.column, range(self.datum.rank)))
 
 
-def picard(model: ReductiveModel):
-    """Pic(G/H) = X(H): the character lattice (Hermite basis rows inside
-    Z^torus_rank) and its abstract group."""
-    return character_group(model)
-
-
 def brauer(model: ReductiveModel) -> FgAbGroup:
     """Br(G/H) = Ext^1(pi1(H), Z); equals the analytic Brauer group."""
     return ext1_z(pi1(model))
 
 
-def picard_of_group(model: ReductiveModel) -> FgAbGroup:
-    """Pic(H), which equals Pic of the semisimple derived subgroup; it is
-    also E_al(H, Gm), the classes of central Gm-extensions of H under Baer
-    sum: the characters of pi1 of the derived subgroup, a finite group
-    that is its own dual under the pairing of docs/conventions.md."""
-    return ext1_z(pi1(model))
-
-
-# A report depends on its model alone: a repeated query reads it back.
-# The cache is bounded like build_datum's.
-@lru_cache(maxsize=256)
 def invariant_report(model: ReductiveModel) -> InvariantReport:
-    """All invariants of G/H for one model, with convention notes."""
-    lattice, pic = picard(model)
+    """All invariants of G/H for one model, with convention notes, kept on
+    the model: a repeated query on the same object reads them back."""
+    kept = vars(model)
+    if "invariant_report" in kept:
+        return kept["invariant_report"]
+    lattice, pic = character_group(model)
     fundamental = pi1(model)
     torsion = ext1_z(fundamental)
     notes = [
@@ -116,7 +106,7 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
         )
     else:
         notes.append("H is reductive: algebraic and analytic Picard groups of G/H agree")
-    return InvariantReport(
+    kept["invariant_report"] = report = InvariantReport(
         pic_lattice=lattice,
         pic_group=pic,
         brauer=torsion,
@@ -127,6 +117,7 @@ def invariant_report(model: ReductiveModel) -> InvariantReport:
         tors_h3_m=torsion,
         notes=tuple(notes),
     )
+    return report
 
 
 def weight_brauer_table(sm: SemisimpleModel) -> WeightBrauerTable:

@@ -125,12 +125,6 @@ class RootDatumSS:
     pq_group: FgAbGroup
     pq_proj: IntMatrix
 
-    def __hash__(self) -> int:
-        # the other fields are a function of the factors (``build_datum``),
-        # so the factors alone tell data apart, and a hash never walks
-        # ``pq_proj``
-        return hash(self.factors)
-
     def node_labels(self) -> tuple:
         labels = []
         for t in self.factors:

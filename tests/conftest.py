@@ -7,9 +7,9 @@ from itertools import product
 
 import pytest
 
-from homspace import cli, groups, invariants
+from homspace import cli, groups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
-from homspace.groups import GluingPair, ReductiveModel, gluing_order
+from homspace.groups import GluingPair, ReductiveModel
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
 from oracles import elements, snf_kernel, solve_integer
@@ -17,10 +17,10 @@ from oracles import elements, snf_kernel, solve_integer
 
 def clear_query_caches():
     """Empty the caches that a repeated query hits: the preset and spec
-    models and each model's report.  A model keeps its gluing type, derived
-    subgroup and weight table's matrix as attributes, so the next query
-    builds a fresh model that computes them again."""
-    for cache in (groups.preset, cli._spec_model, invariants.invariant_report):
+    models.  A model keeps its gluing type, derived subgroup, weight table's
+    matrix and report, so the next query builds a fresh model that computes
+    them again."""
+    for cache in (groups.preset, cli._spec_model):
         cache.cache_clear()
 
 
@@ -95,7 +95,7 @@ def random_model(
             )
             pairs.append(GluingPair(cgroup.element(coords), torus))
         model = ReductiveModel(ss=datum, torus_rank=r, gluing=tuple(pairs), unipotent_dim=unipotent_dim)
-        if gluing_order(model) <= max_gluing_order:
+        if model.gluing_type.order() <= max_gluing_order:
             return model
 
 

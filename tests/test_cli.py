@@ -38,7 +38,7 @@ from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
-from homspace.rootdata import SimpleType, build_datum, center
+from homspace.rootdata import RootDatumSS, SimpleType, build_datum, center
 from oracles import (
     character_to_extension,
     det,
@@ -518,6 +518,47 @@ class TestCommands:
         assert code == 1
         assert "E_INPUT" in err
 
+    def test_headers_are_bold_on_a_terminal_only(self, monkeypatch):
+        # on a terminal the text report's first line, its header, is bold;
+        # JSON is never styled, and with HOMSPACE_NO_COLOR set, whatever its
+        # value, a terminal gets the bytes a pipe gets
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        def on_terminal(argv):
+            out, err = Terminal(), io.StringIO()
+            return run(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()
+
+        monkeypatch.delenv("HOMSPACE_NO_COLOR", raising=False)
+        text = [
+            ["invariants", "--preset", "SO(8)"],
+            ["describe", "--preset", "GL(4)"],
+            ["weights", "--preset", "PGL(4)"],
+            ["ext", "--group", "2,4", "--char", "1/2,0"],
+        ]
+        for argv in text:
+            code, out, err = invoke(argv)
+            header, rest = out.split("\n", 1)
+            assert code == 0 and header and rest, err
+            assert on_terminal(argv) == (0, f"\x1b[1m{header}\x1b[0m\n{rest}", "")
+        for argv in text:
+            argv = [*argv, "--json"]
+            assert on_terminal(argv) == invoke(argv)
+        for value in ("1", ""):
+            monkeypatch.setenv("HOMSPACE_NO_COLOR", value)
+            for argv in text:
+                assert on_terminal(argv) == invoke(argv)
+
+    def test_ext_refuses_an_empty_factor(self):
+        # --group splits like --char: an empty item is refused, not
+        # dropped, and a blank list is still the trivial group
+        for group in ("2,,4", "2,4,"):
+            assert invoke(["ext", "--group", group]) == (1, "", f"error[E_INPUT] at --group: bad factor list {group!r}\n")
+        for group in ("", " "):
+            code, out, err = invoke(["ext", "--json", "--group", group])
+            assert (code, err, json.loads(out)["group"]) == (0, "", "0")
+
     def test_spec_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"preset": "SO(8)", "name": null}')
@@ -865,7 +906,7 @@ class TestCommands:
         # once a model has answered, its report is read off what it keeps,
         # plus text: no Smith form, no solution lattice, and no
         # SemisimpleModel built, since the model holds its derived subgroup
-        # and that its restriction matrix.  The report cache is emptied
+        # and that its restriction matrix.  Each model's report is dropped
         # after the warm-up, so the counted pass builds each report and
         # table again instead of looking them up; then the preset and spec
         # caches are emptied too, and building each model again takes no
@@ -884,7 +925,8 @@ class TestCommands:
             assert invoke(argv)[0] == 0
         sources = [SimpleNamespace(**{"preset": None, "spec": None, argv[2][2:]: argv[3]}) for argv in queries]
         models = [cli._load_model(source) for source in sources]
-        invariants.invariant_report.cache_clear()
+        for model in models:
+            vars(model).pop("invariant_report", None)
 
         calls = []
 
@@ -1276,9 +1318,9 @@ class TestQueryCaches:
         assert cli._load_model(args) is cli._load_model(args)
 
     def test_an_evicted_model_is_freed(self, tmp_path):
-        # 301 unique torus documents outrun the spec and report caches (256
-        # entries each); nothing else keeps a model, so the first one is
-        # freed once both have dropped it
+        # 301 unique torus documents outrun the spec cache (256 entries);
+        # nothing else keeps a model, so the first one is freed once it has
+        # dropped it
         path = tmp_path / "torus.json"
         limit = sys.get_int_max_str_digits()
         first = None
@@ -1292,6 +1334,41 @@ class TestQueryCaches:
                 assert first().gluing[0].torus == (Fraction(1, 2),)
         gc.collect()
         assert first() is None
+
+    def test_a_model_is_freed_after_its_report(self):
+        # the report is kept on the model, not in a cache keyed by it: a
+        # model built directly, neither a preset nor a spec, is freed once
+        # its caller drops it
+        datum = build_datum((SimpleType("A", 3),))
+        model = ReductiveModel(datum, 1, (GluingPair(center(datum).element((1,)), (Fraction(1, 4),)),))
+        report = invariants.invariant_report(model)
+        assert invariants.invariant_report(model) is report and str(report.pic_group) == "Z^1"
+        kept = weakref.ref(model)
+        del model
+        gc.collect()
+        assert kept() is None
+
+    def test_no_query_hashes_a_model(self, monkeypatch, tmp_path):
+        # no cache is keyed by a model or by what it is built from, so no
+        # query, cold or repeated, hashes a model, a root datum, a
+        # semisimple model or a gluing pair
+        def refuse(value):
+            raise AssertionError(f"{type(value).__name__} hashed")
+
+        for cls in (ReductiveModel, RootDatumSS, SemisimpleModel, GluingPair):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        quotient, torus = tmp_path / "quotient.json", tmp_path / "torus.json"
+        quotient.write_text(json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"]))
+        torus.write_text(json.dumps(TORUS_R3))
+        sources = (["--preset", "SO(8)"], ["--preset", "GL(4)"], ["--spec", str(quotient)], ["--spec", str(torus)])
+        for source in sources:
+            semisimple = source[1] in ("SO(8)", str(quotient))
+            for command in (["invariants"], ["invariants", "--json"], ["weights", "--json"], ["describe", "--json"]):
+                if command[0] == "weights" and not semisimple:
+                    continue
+                for _ in range(2):
+                    code, out, err = invoke([*command, *source])
+                    assert code == 0 and out and not err, (command, source, err)
 
 
 class TestWeightsPathScale:

@@ -19,9 +19,6 @@ from homspace.groups import (
     ReductiveModel,
     as_semisimple,
     character_group,
-    derived_subgroup,
-    gluing_group,
-    gluing_order,
     pi1,
     preset,
     validate,
@@ -56,13 +53,13 @@ class TestValidate:
     def test_gl_model(self):
         model = preset("GL(4)")
         notes = validate(model)
-        assert gluing_order(model) == 4
+        assert model.gluing_type.order() == 4
         assert any("order 4" in s for s in notes)
 
     def test_torus_only(self):
         model = torus_only(2)
         validate(model)
-        assert gluing_order(model) == 1
+        assert model.gluing_type.order() == 1
 
     def test_center_mismatch_rejected(self):
         datum_a = build_datum((SimpleType("A", 1),))
@@ -89,7 +86,7 @@ class TestModelKeys:
 
     def test_queries_after_gluing_hash_no_fractions(self, monkeypatch, tmp_path):
         model = self.model()
-        gluing_group(model)
+        model.gluing_type  # spanned before the count starts
         calls = {name: [] for name in ("__hash__", "__mul__", "__mod__")}
         for name, seen in calls.items():
             original = getattr(Fraction, name)
@@ -121,9 +118,9 @@ class TestModelKeys:
         assert {name: len(seen) for name, seen in calls.items()} == {"__hash__": 0, "__mul__": 0, "__mod__": 0}
 
     def test_hash_and_equality_agree(self, monkeypatch):
-        # equal models, spelled differently too, share one key and give
-        # equal groups; each model object spans its gluing type and its
-        # derived kernel once, however often they are read
+        # equal models, spelled differently too, hash alike and give equal
+        # groups; each model object spans its gluing type and its derived
+        # kernel once, however often they are read
         spans, kernels = [], []
         original_span, original_kernel = groups.span_group, groups.subgroup_from_generators
 
@@ -163,12 +160,12 @@ class TestModelKeys:
             assert a == b and hash(a) == hash(b)
             spans.clear()
             kernels.clear()
-            gluings = [gluing_group(m) for m in (a, b, a, b)]
-            derived = [derived_subgroup(m) for m in (a, b, a, b)]
+            gluings = [m.gluing_type for m in (a, b, a, b)]
+            derived = [m.derived for m in (a, b, a, b)]
             assert len(spans) == len(kernels) == 2
             assert gluings[0] is gluings[2] and gluings[1] is gluings[3]
             assert derived[0] is derived[2] and derived[1] is derived[3]
-            assert gluings[0] == gluings[1] and gluing_order(a) == gluing_order(b)
+            assert gluings[0] == gluings[1] and a.gluing_type.order() == b.gluing_type.order()
             assert derived[0] == derived[1] and hash(derived[0]) == hash(derived[1])
             assert pi1(a) == pi1(b)
             assert len(spans) == len(kernels) == 2
@@ -193,7 +190,7 @@ class TestModelKeys:
 def torsion_and_derived(model):
     """Tors pi1(H) from the extension of the gluing group by Z^r, and pi1 of
     the derived subgroup from the gluing kernel of the torus projection."""
-    return ext1_z(pi1_extension(model)), derived_subgroup(model).kernel.computed
+    return ext1_z(pi1_extension(model)), model.derived.kernel.computed
 
 
 class TestPi1:
@@ -252,15 +249,15 @@ class TestPi1:
 
 class TestDerivedSubgroup:
     def test_gl_gives_sl(self):
-        sm = derived_subgroup(preset("GL(3)"))
+        sm = preset("GL(3)").derived
         assert sm.kernel.computed == TRIVIAL_GROUP
 
     def test_pgl_is_its_own_derived(self):
-        sm = derived_subgroup(preset("PGL(4)"))
+        sm = preset("PGL(4)").derived
         assert sm.kernel.computed == cyclic(4)
 
     def test_torus_only(self):
-        sm = derived_subgroup(torus_only(2))
+        sm = torus_only(2).derived
         assert sm.datum.rank == 0
         assert sm.kernel.computed == TRIVIAL_GROUP
 
@@ -270,7 +267,7 @@ class TestDerivedSubgroup:
         rng = random.Random(41)
         for _ in range(40):
             model = random_model(rng, max_gluing_order=24)
-            kernel = derived_subgroup(model).kernel
+            kernel = model.derived.kernel
             got = {inclusion_hom(kernel)(e).coords for e in elements(kernel.computed)}
             brute = {e.center.coords for e in gluing_elements(model) if not any(e.torus)}
             assert got == brute
@@ -284,20 +281,20 @@ class TestDerivedSubgroup:
         models += [preset(f"Sp({n})") for n in range(2, 65, 2)]
         models += [parse_spec(json.dumps(spec)) for spec in QUOTIENT_SPECS.values()]
         for model in models:
-            kernel = derived_subgroup(model).kernel
+            kernel = model.derived.kernel
             assert inclusion_hom(kernel).matrix == kernel.inclusion, model.name
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2**32))
     def test_kernel_inclusion_is_a_reduced_hom(self, seed):
-        kernel = derived_subgroup(random_model(random.Random(seed), max_torus=6, max_gluing=4)).kernel
+        kernel = random_model(random.Random(seed), max_torus=6, max_gluing=4).derived.kernel
         assert inclusion_hom(kernel).matrix == kernel.inclusion
 
     def test_semisimple_fixed_point(self):
         for name in ("PGL(3)", "SO(7)", "SL(4)"):
             model = preset(name)
-            sm = derived_subgroup(model)
-            again = derived_subgroup(semisimple_as_reductive(sm))
+            sm = model.derived
+            again = semisimple_as_reductive(sm).derived
             assert again.kernel.computed == sm.kernel.computed
             assert again.datum == sm.datum
 
@@ -374,7 +371,7 @@ class TestPsiCharacterMap:
 class TestCentralPushout:
     def test_pgl2_nontrivial_character(self):
         model = preset("PGL(2)")
-        gamma = gluing_group(model)
+        gamma = model.gluing_type
         assert gamma == cyclic(2)
         chi = Character(gamma, (Fraction(1, 2),))
         pushed = central_pushout(model, chi)
@@ -383,7 +380,7 @@ class TestCentralPushout:
 
     def test_trivial_character_splits(self):
         model = preset("PGL(3)")
-        chi = Character(gluing_group(model), (Fraction(0),))
+        chi = Character(model.gluing_type, (Fraction(0),))
         pushed = central_pushout(model, chi)
         res = pi1(pushed)
         assert res == FgAbGroup(1, (3,))
@@ -391,7 +388,7 @@ class TestCentralPushout:
 
     def test_simply_connected(self):
         model = preset("SL(3)")
-        chi = Character(gluing_group(model), ())
+        chi = Character(model.gluing_type, ())
         pushed = central_pushout(model, chi)
         assert pi1(pushed) == Z
 
@@ -405,7 +402,7 @@ class TestCentralPushout:
         rng = random.Random(9)
         for _ in range(25):
             model = random_model(rng, max_gluing_order=24)
-            gamma = gluing_group(model)
+            gamma = model.gluing_type
             for chi in all_characters(gamma)[:4]:
                 pushed = central_pushout(model, chi)
                 fiber = fiber_class_in_pi1(pushed)
@@ -418,7 +415,7 @@ class TestCentralPushout:
         rng = random.Random(23)
         for _ in range(25):
             model = random_model(rng, max_gluing_order=24)
-            gamma = gluing_group(model)
+            gamma = model.gluing_type
             data_elements = list(elements(gamma))
             for chi in all_characters(gamma)[:4]:
                 pushed = central_pushout(model, chi)
@@ -504,7 +501,7 @@ class TestCacheBounds:
         for k in range(2, 2 + 2048):
             pair = GluingPair(center(trivial).identity(), (Fraction(1, k),))
             model = ReductiveModel(ss=trivial, torus_rank=1, gluing=(pair,))
-            assert pi1(model) == Z and gluing_order(model) == k
+            assert pi1(model) == Z and model.gluing_type.order() == k
             models.append(weakref.ref(model))
         del model
         gc.collect()
@@ -525,7 +522,7 @@ class TestCacheBounds:
         names = [f"{kind}({n})" for kind in ("SL", "PGL", "SO", "Sp", "Spin") for n in (4, 8, 16, 64, 128)]
         for cache in self.CACHES:
             cache.cache_clear()
-        first = {name: derived_subgroup(preset(name)) for name in names}
+        first = {name: preset(name).derived for name in names}
         misses = [cache.cache_info().misses for cache in self.CACHES]
         datum_calls = groups.build_datum.cache_info()[:2]
         kernels = []
@@ -537,7 +534,7 @@ class TestCacheBounds:
 
         monkeypatch.setattr(groups, "subgroup_from_generators", counting)
         for name in names:
-            assert derived_subgroup(preset(name)) is first[name]
+            assert preset(name).derived is first[name]
         assert kernels == []
         assert [cache.cache_info().misses for cache in self.CACHES] == misses
         assert groups.preset.cache_info().hits == len(names)
@@ -572,6 +569,17 @@ class TestExactInput:
             build()
         exact()
 
+    @pytest.mark.parametrize("value", [2.0, Fraction(2), "2"], ids=["float", "Fraction", "str"])
+    @pytest.mark.parametrize("field", ["torus_rank", "unipotent_dim"])
+    def test_model_sizes_are_integers(self, field, value):
+        # a model's torus rank and unipotent dimension are integers too:
+        # each other spelling of 2 is refused, and the int beside it answers
+        sizes = {"torus_rank": 0, "unipotent_dim": 0, field: value}
+        with pytest.raises(TypeError):
+            ReductiveModel(build_datum(()), gluing=(), **sizes)
+        model = ReductiveModel(build_datum(()), gluing=(), **{**sizes, field: 2})
+        assert getattr(model, field) == 2 and pi1(model) == FgAbGroup(model.torus_rank, ())
+
 
 class TestPresentationIndependence:
     def test_regenerated_gluing(self):
@@ -587,12 +595,12 @@ class TestPresentationIndependence:
                 gluing=tuple(regenerated),
                 unipotent_dim=model.unipotent_dim,
             )
-            if gluing_order(alt) != gluing_order(model):
+            if alt.gluing_type.order() != model.gluing_type.order():
                 continue
             done += 1
             assert pi1(alt) == pi1(model)
             assert character_group(alt) == character_group(model)
-            assert derived_subgroup(alt).kernel.computed == derived_subgroup(model).kernel.computed
+            assert alt.derived.kernel.computed == model.derived.kernel.computed
 
     def test_unipotent_dim_is_inert(self):
         rng = random.Random(101)
@@ -601,7 +609,7 @@ class TestPresentationIndependence:
             fat = ReductiveModel(base.ss, base.torus_rank, base.gluing, unipotent_dim=5)
             assert pi1(base) == pi1(fat)
             assert character_group(base) == character_group(fat)
-            assert derived_subgroup(base).kernel.computed == derived_subgroup(fat).kernel.computed
+            assert base.derived.kernel.computed == fat.derived.kernel.computed
 
 
 class TestDeterminism:

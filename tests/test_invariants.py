@@ -9,13 +9,11 @@ from homspace.abgroups import (
     hom_group,
     subgroup_from_generators,
 )
-from homspace.groups import ReductiveModel, SemisimpleModel, as_semisimple, preset, pi1
+from homspace.groups import ReductiveModel, SemisimpleModel, as_semisimple, character_group, preset, pi1
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import (
     brauer,
     invariant_report,
-    picard,
-    picard_of_group,
     weight_brauer_table,
 )
 from homspace.rootdata import SimpleType, build_datum, center
@@ -38,16 +36,16 @@ def unipotent_only_model(dim=1):
 
 class TestPicard:
     def test_semisimple(self):
-        _, group = picard(preset("SO(5)"))
+        _, group = character_group(preset("SO(5)"))
         assert group == TRIVIAL_GROUP
 
     def test_unipotent_stabilizer(self):
-        lattice, group = picard(unipotent_only_model())
+        lattice, group = character_group(unipotent_only_model())
         assert group == TRIVIAL_GROUP
         assert lattice.rows == 0
 
     def test_gl(self):
-        lattice, group = picard(preset("GL(3)"))
+        lattice, group = character_group(preset("GL(3)"))
         assert group == Z
         assert lattice == IntMatrix.from_rows([[3]])
 
@@ -71,29 +69,29 @@ class TestBrauer:
 
 class TestExtensionGroup:
     def test_gm(self):
-        assert picard_of_group(preset("GL(1)")) == TRIVIAL_GROUP
+        assert invariant_report(preset("GL(1)")).e_al == TRIVIAL_GROUP
 
     def test_so_n(self):
         for n in range(3, 9):
-            assert picard_of_group(preset(f"SO({n})")) == cyclic(2)
+            assert invariant_report(preset(f"SO({n})")).e_al == cyclic(2)
 
     def test_pgl(self):
         for n in range(2, 7):
-            assert picard_of_group(preset(f"PGL({n})")) == cyclic(n)
+            assert invariant_report(preset(f"PGL({n})")).e_al == cyclic(n)
 
 
 class TestPicardOfGroup:
     def test_gl(self):
         for n in range(2, 7):
-            assert picard_of_group(preset(f"GL({n})")) == TRIVIAL_GROUP
+            assert invariant_report(preset(f"GL({n})")).e_al == TRIVIAL_GROUP
 
     def test_pgl(self):
         for n in range(2, 7):
-            assert picard_of_group(preset(f"PGL({n})")) == cyclic(n)
+            assert invariant_report(preset(f"PGL({n})")).e_al == cyclic(n)
 
     def test_sl(self):
         for n in range(2, 7):
-            assert picard_of_group(preset(f"SL({n})")) == TRIVIAL_GROUP
+            assert invariant_report(preset(f"SL({n})")).e_al == TRIVIAL_GROUP
 
 
 class TestTopological:
@@ -138,7 +136,7 @@ class TestReport:
         rng = random.Random(14)
         for _ in range(15):
             model = random_model(rng)
-            _, pic = picard(model)
+            _, pic = character_group(model)
             dual_pi1 = hom_group(pi1(model), Z)
             for n in range(1, 13):
                 lhs, _ = cokernel_of(multiplication_hom(pic, n))
@@ -167,7 +165,7 @@ class TestSemisimpleSweep:
                 model = semisimple_as_reductive(SemisimpleModel(datum=datum, kernel=sub))
                 assert pi1(model) == sub.computed
                 assert brauer(model) == sub.computed
-                assert picard_of_group(model) == sub.computed
+                assert invariant_report(model).e_al == sub.computed
 
     def test_brauer_additive_on_products(self):
         from homspace.groups import GluingPair

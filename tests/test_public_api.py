@@ -136,10 +136,8 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
-def _names_lru_cache(node) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
-        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
-    )
+def _names(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def test_every_cache_is_bounded():
@@ -150,7 +148,7 @@ def test_every_cache_is_bounded():
     for name, tree in modules().items():
         stated = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _names_lru_cache(node.func):
+            if isinstance(node, ast.Call) and _names(node.func, "lru_cache"):
                 size = [k.value for k in node.keywords if k.arg == "maxsize"]
                 if (
                     not node.args
@@ -161,7 +159,7 @@ def test_every_cache_is_bounded():
                 ):
                     stated.add(node.func)
         for node in ast.walk(tree):
-            if _names_lru_cache(node):
+            if _names(node, "lru_cache"):
                 (bounded if node in stated else unbounded).append(f"{name}.py:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and node.module == "functools":
                 unbounded += [f"{name}.py:{node.lineno}: functools.{a.name}" for a in node.names if a.name == "cache"]
@@ -180,20 +178,51 @@ def test_the_caches_are_these():
     decorated, seen = set(), []
     for name, tree in modules().items():
         for node in ast.walk(tree):
-            if _names_lru_cache(node):
+            if _names(node, "lru_cache"):
                 seen.append(f"{name}.py:{node.lineno}")
             if isinstance(node, ast.FunctionDef):
                 for decorator in node.decorator_list:
-                    if _names_lru_cache(decorator.func if isinstance(decorator, ast.Call) else decorator):
+                    if _names(decorator.func if isinstance(decorator, ast.Call) else decorator, "lru_cache"):
                         decorated.add(f"{name}.{node.name}")
     assert decorated == {
         "rootdata.build_datum",
         "groups.preset",
-        "invariants.invariant_report",
         "cli._spec_model",
         "cli._parser",
     }
     assert len(seen) == len(decorated), seen
+
+
+def test_the_kept_values_and_hashes_are_these():
+    # what a model derives is kept on the object as a cached property, and
+    # since no cache is keyed by a model, only a class that writes its own
+    # __eq__ writes its own __hash__; a new one of either is a deliberate
+    # edit of these lists
+    kept, seen, hashes = set(), [], set()
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if _names(node, "cached_property"):
+                seen.append(f"{name}.py:{node.lineno}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    if any(_names(d, "cached_property") for d in member.decorator_list):
+                        kept.add(f"{node.name}.{member.name}")
+                    defined = [member.name]
+                else:
+                    targets = member.targets if isinstance(member, ast.Assign) else [getattr(member, "target", None)]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                if "__hash__" in defined:
+                    hashes.add(f"{node.name}.__hash__")
+    assert kept == {
+        "ReductiveModel.torus_numerators",
+        "ReductiveModel.gluing_type",
+        "ReductiveModel.derived",
+        "SemisimpleModel.restriction_matrix",
+    }
+    assert len(seen) == len(kept), seen
+    assert hashes == {"IntMatrix.__hash__", "Character.__hash__"}
 
 
 def defined_names(tree):
