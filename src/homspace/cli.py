@@ -24,32 +24,21 @@ The console script starts a fresh interpreter for every query, so each
 module a query imports is paid on every call, and a cold ``snf`` would
 spend far longer importing the model stack than taking its Smith form.
 This module therefore imports only ``intlinalg`` and what ``re`` and
-``json`` load anyway; every other module is a ``_Lazy`` global, imported
-the first time a command reads one of its names, after which the global
-is the module itself:
+``json`` load anyway.  The other commands' handlers live in modules of
+their own, each imported at its command's first query (``_first_query``):
 
 * ``snf`` loads nothing more;
-* ``ext`` loads ``abgroups``, ``extensions`` and ``fractions``;
-* ``describe``, ``invariants`` and ``weights`` load ``abgroups``,
-  ``rootdata``, ``groups`` and ``fractions``, and ``invariants`` and
-  ``weights`` the ``invariants`` layer too;
+* ``ext`` loads ``homspace.ext``, ``abgroups``, ``extensions`` and
+  ``fractions``;
+* ``describe``, ``invariants`` and ``weights`` load ``homspace.spec``, the
+  group-spec format, and with it the model layers;
 * ``argparse`` (and ``contextlib``) only for an argv that the direct
   reader leaves to the top-level parser, which is built then, once.
-
-The layers are read as ``_groups.pi1(...)``: a lookup in the module's own
-namespace, so a function replaced there (by a tracer or a test) is the one
-every query calls.
-
-A model named again is not built again: ``groups.preset`` and the spec
-reader here (keyed by the text of a document of at most 64 KiB) are
-bounded caches that return the same model object, which keeps what it
-derives, its report included.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import re
 import sys
@@ -60,37 +49,6 @@ from types import SimpleNamespace
 
 from . import __version__
 from .intlinalg import format_matrix_literal, parse_matrix_literal, smith_normal_form
-
-
-class _Lazy:
-    """The module ``module``, imported on the first read of one of its
-    names, which also rebinds this module's global ``name`` from the
-    placeholder to the module: every later read is a plain module lookup."""
-
-    __slots__ = ("_name", "_module")
-
-    def __init__(self, name: str, module: str):
-        self._name, self._module = name, module
-
-    def __getattr__(self, attr):
-        __import__(self._module)
-        module = globals()[self._name] = sys.modules[self._module]
-        return getattr(module, attr)
-
-
-_abgroups = _Lazy("_abgroups", "homspace.abgroups")
-_extensions = _Lazy("_extensions", "homspace.extensions")
-_groups = _Lazy("_groups", "homspace.groups")
-_invariants = _Lazy("_invariants", "homspace.invariants")
-_rootdata = _Lazy("_rootdata", "homspace.rootdata")
-_fractions = _Lazy("_fractions", "fractions")
-_argparse = _Lazy("_argparse", "argparse")
-_contextlib = _Lazy("_contextlib", "contextlib")
-
-_CONVENTION_NOTES = (
-    "simple types use Bourbaki node numbering (see docs/conventions.md)",
-    "extension classes use the sign convention fixed by the character round trip",
-)
 
 
 class CliError(Exception):
@@ -106,7 +64,9 @@ class CliError(Exception):
         return f"error[{self.code}] at {self.where}: {self.message}"
 
 
-def _parse_fraction(text, where: str) -> _fractions.Fraction:
+def _parse_fraction(text, where: str):
+    import fractions
+
     if not isinstance(text, str):
         raise CliError("E_SCHEMA", where, f"fractions are strings like \"1/2\", got {text!r}")
     # plain ASCII "a/b" and "a" are read by int(), with the value and the
@@ -115,9 +75,10 @@ def _parse_fraction(text, where: str) -> _fractions.Fraction:
     num, slash, den = text.partition("/")
     try:
         if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
-            value, power = _fractions.Fraction(int(num), int(den or 1)), 0
+            value, power = fractions.Fraction(int(num), int(den or 1)), 0
         else:
-            value, power = _read_decimal(text)
+            spelling, power = _split_exponent(text)
+            value = fractions.Fraction(spelling)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("E_FRACTION", where, f"malformed fraction {text!r}") from exc
     if power < 0 and value > 0:
@@ -137,182 +98,22 @@ def _parse_fraction(text, where: str) -> _fractions.Fraction:
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _read_decimal(text: str):
-    """(m, p) with Fraction(text) == m * 10**p, without raising 10 to an
-    exponent e past the digit limit plus len(text): p is e there and 0
-    otherwise.  Such an e leaves a nonzero value with a denominator of more
+def _split_exponent(text: str):
+    """(s, p) with Fraction(text) == Fraction(s) * 10**p, so that Fraction
+    never raises 10 to an exponent e past the digit limit plus len(text):
+    there s is text with e written as 0 and p is e, and otherwise s is text
+    and p is 0.  Such an e leaves a nonzero value with a denominator of more
     than the digit limit's digits (e < 0), or at least 1 in absolute value
     (e > 0), because the mantissa has fewer than len(text) digits.  Fraction
-    reads the mantissa, and checks the spelling, with the exponent written
-    as 0."""
+    still reads the mantissa, and checks the spelling."""
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent is None or not limit:
-        return _fractions.Fraction(text), 0
+        return text, 0
     power = int(exponent.group(1))
     if abs(power) <= limit + len(text):
-        return _fractions.Fraction(text), 0
-    return _fractions.Fraction(text[: exponent.start(1)] + "0" + text[exponent.end(1) :]), power
-
-
-_DOC_KEYS = {"name", "preset", "semisimple", "torus_rank", "gluing", "unipotent_dim"}
-
-
-def _field(doc: dict, key: str, default):
-    """``doc[key]``, or ``default`` when the field is absent or null: any
-    other value, a falsy one included, goes through the field's type check."""
-    value = doc.get(key)
-    return default if value is None else value
-
-
-def parse_spec(text: str) -> _groups.ReductiveModel:
-    """Read a group-spec JSON document into a model; errors carry JSON
-    paths.  Every check of the document's shape runs before any check of
-    the model it states, so a document with several faults reports the
-    first shape fault."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise CliError("E_JSON", "/", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError("E_SCHEMA", "/", "document must be a JSON object")
-    for key in doc:
-        if key not in _DOC_KEYS:
-            raise CliError("E_SCHEMA", f"/{key}", "unknown field")
-
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise CliError("E_SCHEMA", "/name", "name must be a string")
-    preset = doc.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise CliError("E_SCHEMA", "/preset", "preset must be a string")
-
-    explicit = [k for k in ("name", "semisimple", "torus_rank", "gluing", "unipotent_dim") if doc.get(k) is not None]
-    if preset is not None and explicit:
-        raise CliError(
-            "E_SCHEMA", "/preset", f"preset and explicit fields are mutually exclusive (got {explicit})"
-        )
-
-    semisimple = []
-    raw_ss = _field(doc, "semisimple", [])
-    if not isinstance(raw_ss, list):
-        raise CliError("E_SCHEMA", "/semisimple", "must be a list")
-    for i, item in enumerate(raw_ss):
-        if not isinstance(item, dict) or set(item) != {"family", "rank"}:
-            raise CliError("E_SCHEMA", f"/semisimple/{i}", 'factors look like {"family": "D", "rank": 4}')
-        fam, rank = item["family"], item["rank"]
-        if not isinstance(fam, str) or not isinstance(rank, int) or isinstance(rank, bool):
-            raise CliError("E_SCHEMA", f"/semisimple/{i}", "family must be a string and rank an integer")
-        try:
-            semisimple.append(_rootdata.SimpleType(fam, rank))
-        except ValueError as exc:
-            raise CliError("E_SCHEMA", f"/semisimple/{i}", str(exc)) from exc
-
-    torus_rank = _field(doc, "torus_rank", 0)
-    if not isinstance(torus_rank, int) or isinstance(torus_rank, bool) or torus_rank < 0:
-        raise CliError("E_SCHEMA", "/torus_rank", "must be a nonnegative integer")
-
-    unipotent_dim = _field(doc, "unipotent_dim", 0)
-    if not isinstance(unipotent_dim, int) or isinstance(unipotent_dim, bool) or unipotent_dim < 0:
-        raise CliError("E_SCHEMA", "/unipotent_dim", "must be a nonnegative integer")
-
-    gluing = []
-    raw_gluing = _field(doc, "gluing", [])
-    if not isinstance(raw_gluing, list):
-        raise CliError("E_SCHEMA", "/gluing", "must be a list")
-    for i, item in enumerate(raw_gluing):
-        if not isinstance(item, dict) or set(item) != {"center", "torus"}:
-            raise CliError("E_SCHEMA", f"/gluing/{i}", 'generators look like {"center": [1], "torus": ["1/2"]}')
-        coeffs = item["center"]
-        if not isinstance(coeffs, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
-            raise CliError("E_SCHEMA", f"/gluing/{i}/center", "must be a list of integers")
-        torus = item["torus"]
-        if not isinstance(torus, list):
-            raise CliError("E_SCHEMA", f"/gluing/{i}/torus", "must be a list of fraction strings")
-        gluing.append((coeffs, torus))
-
-    if preset is not None:
-        try:
-            return _groups.preset(preset)
-        except ValueError as exc:
-            raise CliError("E_PRESET", "/preset", str(exc)) from exc
-    datum = _rootdata.build_datum(tuple(semisimple))
-    cgroup = _rootdata.center(datum)
-    pairs = []
-    # each distinct torus spelling is read once per document, since the
-    # entries repeat a handful of strings; a non-string skips the lookup and
-    # fails _parse_fraction's type check at its own path
-    by_spelling = {}
-    for i, (coeffs, fractions) in enumerate(gluing):
-        try:
-            elem = cgroup.element(coeffs)
-        except ValueError as exc:
-            raise CliError(
-                "E_SCHEMA",
-                f"/gluing/{i}/center",
-                f"expected {cgroup.ngens} coefficients over the center generators, got {len(coeffs)}",
-            ) from exc
-        if len(fractions) != torus_rank:
-            raise CliError("E_SCHEMA", f"/gluing/{i}/torus", f"expected {torus_rank} fractions, got {len(fractions)}")
-        torus = []
-        for j, text in enumerate(fractions):
-            value = by_spelling.get(text) if isinstance(text, str) else None
-            if value is None:
-                value = by_spelling[text] = _parse_fraction(text, f"/gluing/{i}/torus/{j}")
-            torus.append(value)
-        # every value is a Fraction that _parse_fraction reduced into [0, 1)
-        pairs.append(_groups.GluingPair._from_checked(elem, tuple(torus)))
-    try:
-        return _groups.ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
-    except ValueError as exc:
-        raise CliError("E_MODEL", "/", str(exc)) from exc
-
-
-def model_to_document(model: _groups.ReductiveModel) -> dict:
-    """JSON expansion of a model (used by describe --expand)."""
-    return {
-        "name": model.name,
-        "preset": None,
-        "semisimple": [{"family": t.family, "rank": t.rank} for t in model.ss.factors],
-        "torus_rank": model.torus_rank,
-        "gluing": [
-            {
-                "center": list(pair.center.coords),
-                "torus": [str(v) for v in pair.torus],
-            }
-            for pair in model.gluing
-        ],
-        "unipotent_dim": model.unipotent_dim,
-    }
-
-
-def _load_model(args) -> _groups.ReductiveModel:
-    if args.preset is not None and args.spec is not None:
-        raise CliError("E_FLAGS", "--preset", "--preset and --spec are mutually exclusive")
-    if args.preset is not None:
-        try:
-            return _groups.preset(args.preset)
-        except ValueError as exc:
-            raise CliError("E_PRESET", "--preset", str(exc)) from exc
-    if args.spec is not None:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliError("E_IO", "--spec", f"cannot read {args.spec!r}: {exc}") from exc
-        if sys.getsizeof(text) > 64 * 1024:  # parsed on every query, never kept
-            return parse_spec(text)
-        return _spec_model(text, sys.get_int_max_str_digits())
-    raise CliError("E_FLAGS", "--preset", "one of --preset or --spec is required")
-
-
-# Keyed by the document's text, so a rewritten file is read again, and by
-# the digit limit, under which parse_spec may fail where it passed before.
-# Bounded like build_datum: a stream of unique specs keeps the last 256,
-# and their keys keep no text past 64 KiB alive (``_load_model``).
-@lru_cache(maxsize=256)
-def _spec_model(text: str, digit_limit: int) -> _groups.ReductiveModel:
-    return parse_spec(text)
+        return text, 0
+    return text[: exponent.start(1)] + "0" + text[exponent.end(1) :], power
 
 
 class _Printer:
@@ -360,10 +161,10 @@ def _json_scalar(x, kind, newline: str) -> str:
         return "false"
     if x is None:
         return "null"
-    # a weight table is the one other type a payload holds: this check
-    # comes last, so that only a table or a type about to be refused reads
-    # the invariants layer
-    if kind is _invariants.WeightBrauerTable:
+    # a weight table is the one other type a payload holds; one exists only
+    # once the invariants layer is loaded, which this module never imports
+    tables = sys.modules.get("homspace.invariants")
+    if tables is not None and kind is tables.WeightBrauerTable:
         return _json_weight_table(x, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -402,7 +203,7 @@ def _json_container(x, kind, newline: str) -> str:
     return "".join(chunks)
 
 
-def _json_weight_table(table: _invariants.WeightBrauerTable, newline: str) -> str:
+def _json_weight_table(table, newline: str) -> str:
     """The rows of ``table`` as ``_json_container`` writes their dicts.  Row
     i's weight e_i is a slice of one run of zeros with a 1 spliced in, and
     its restriction is written once and serves as its Brauer class too."""
@@ -426,167 +227,6 @@ def _json_weight_table(table: _invariants.WeightBrauerTable, newline: str) -> st
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _cmd_describe(args, out: _Printer) -> int:
-    model = _load_model(args)
-    if args.expand:
-        out.json(model_to_document(model))
-        return 0
-    notes = _groups.validate(model)
-    fundamental = _groups.pi1(model)
-    gamma = model.gluing_type
-    orders = model.ss.pq_group.invariant_factors
-    payload = {
-        "tool": {"name": "homspace", "version": __version__},
-        "model": model.describe(),
-        "semisimple_type": str(model.ss),
-        "torus_rank": model.torus_rank,
-        "unipotent_dim": model.unipotent_dim,
-        "center_generator_orders": list(orders),
-        "gluing_order": gamma.order(),
-        "gluing_group": str(gamma),
-        "pi1": str(fundamental),
-        "pi1_derived": str(_abgroups.ext1_z(fundamental)),
-        "certificates": notes,
-    }
-    if args.json:
-        out.json(payload)
-        return 0
-    out.header(f"model {payload['model']}")
-    out.line(f"semisimple type:         {payload['semisimple_type']}")
-    out.line(f"torus rank:              {model.torus_rank}")
-    out.line(f"unipotent dimension:     {model.unipotent_dim}")
-    out.line(
-        "center generator orders: "
-        + (", ".join(str(d) for d in orders) if orders else "(trivial center)")
-    )
-    out.line(f"gluing subgroup:         {payload['gluing_group']} (order {payload['gluing_order']})")
-    out.line(f"pi1(H):                  {payload['pi1']}")
-    out.line(f"pi1 of derived subgroup: {payload['pi1_derived']}")
-    for note in notes:
-        out.line(f"  - {note}")
-    return 0
-
-
-def _cmd_invariants(args, out: _Printer) -> int:
-    model = _load_model(args)
-    report = _invariants.invariant_report(model)
-    payload = {
-        "tool": {"name": "homspace", "version": __version__},
-        "spec": model_to_document(model),
-        "conventions": list(_CONVENTION_NOTES),
-        "invariants": {
-            "pic_lattice_basis": report.pic_lattice.to_rows(),
-            "pic_group": str(report.pic_group),
-            "brauer": str(report.brauer),
-            "e_al": str(report.e_al),
-            "pi1_m": str(report.pi1_m),
-            "pi2_m": str(report.pi2_m),
-            "h2_m": str(report.h2_m),
-            "tors_h3_m": str(report.tors_h3_m),
-            "notes": list(report.notes),
-        },
-        "picard_of_group": str(report.e_al),
-    }
-    if args.json:
-        # the weight table is printed in JSON only
-        if model.torus_rank == 0 and model.unipotent_dim == 0:
-            payload["weights"] = _invariants.weight_brauer_table(_groups.as_semisimple(model))
-        out.json(payload)
-        return 0
-    out.header(f"invariants of G/H for H = {model.describe()}")
-    out.line(f"Pic(G/H)       = {payload['invariants']['pic_group']}")
-    if report.pic_lattice.rows:
-        out.line(f"  lattice basis rows: {payload['invariants']['pic_lattice_basis']}")
-    out.line(f"Br(G/H)        = {payload['invariants']['brauer']}   (= Br' = Br'an = Br an)")
-    out.line(f"E_al(H, Gm)    = {payload['invariants']['e_al']}")
-    out.line(f"Pic(H)         = {payload['picard_of_group']}")
-    out.line(f"pi1(G/H)       = {payload['invariants']['pi1_m']}")
-    out.line(f"pi2(G/H)       = {payload['invariants']['pi2_m']}")
-    out.line(f"H^2(G/H, Z)    = {payload['invariants']['h2_m']}")
-    out.line(f"Tors H^3(G/H)  = {payload['invariants']['tors_h3_m']}")
-    for note in report.notes:
-        out.line(f"  note: {note}")
-    return 0
-
-
-def _cmd_weights(args, out: _Printer) -> int:
-    model = _load_model(args)
-    try:
-        sm = _groups.as_semisimple(model)
-    except ValueError as exc:
-        raise CliError("E_MODEL", "--preset" if args.preset is not None else "--spec", str(exc)) from exc
-    table = _invariants.weight_brauer_table(sm)
-    payload = {
-        "tool": {"name": "homspace", "version": __version__},
-        "model": model.describe(),
-        "pi1": str(table.dual),
-        "brauer": str(_abgroups.ext1_z(table.dual)),
-        "rows": table,
-    }
-    if args.json:
-        out.json(payload)
-        return 0
-    out.header(f"fundamental-weight Brauer table for H = {model.describe()}")
-    out.line(f"pi1(H) = {payload['pi1']}, Br(G/H) = {payload['brauer']}")
-    for label, column in table.columns():
-        restriction = list(column)
-        cls = f"class {restriction}" if any(column) else "trivial"
-        out.line(f"  node {label:>6}: restriction {restriction} -> {cls}")
-    return 0
-
-
-def _parse_factors(text: str, where: str) -> _abgroups.FgAbGroup:
-    # split like --char: a blank list is the trivial group, and an empty
-    # item is refused
-    parts = text.split(",") if text.strip() else []
-    try:
-        factors = tuple(int(part) for part in parts)
-    except ValueError as exc:
-        raise CliError("E_INPUT", where, f"bad factor list {text!r}") from exc
-    try:
-        return _abgroups.FgAbGroup(0, factors)
-    except ValueError as exc:
-        raise CliError("E_INPUT", where, str(exc)) from exc
-
-
-def _cmd_ext(args, out: _Printer) -> int:
-    group = _parse_factors(args.group, "--group")
-    payload = {
-        "tool": {"name": "homspace", "version": __version__},
-        "group": str(group),
-        "ext1_z": str(_abgroups.ext1_z(group)),
-    }
-    if args.char is not None:
-        parts = [p.strip() for p in args.char.split(",")] if args.char.strip() else []
-        if len(parts) != group.ngens:
-            raise CliError("E_INPUT", "--char", f"expected {group.ngens} fractions, got {len(parts)}")
-        values = [_parse_fraction(p, "--char") for p in parts]
-        try:
-            chi = _extensions.Character(group, tuple(values))
-        except ValueError as exc:
-            raise CliError("E_INPUT", "--char", str(exc)) from exc
-        # round_trip_ok states the sign convention of docs/conventions.md:
-        # the class of the pullback along chi is chi, proved by the tests
-        payload.update(
-            {
-                "character": [str(v) for v in chi.values],
-                "character_order": chi.order(),
-                "middle_group": str(_extensions.middle_group(chi)),
-                "round_trip_ok": True,
-            }
-        )
-    if args.json:
-        out.json(payload)
-        return 0
-    out.header(f"central extensions of {payload['group']} by Z")
-    out.line(f"Ext^1(Gamma, Z) = {payload['ext1_z']}")
-    if args.char is not None:
-        out.line(f"character {args.char} has order {payload['character_order']}")
-        out.line(f"extension middle group: {payload['middle_group']}")
-        out.line("class round trip: ok")
-    return 0
-
 
 def _cmd_snf(args, out: _Printer) -> int:
     try:
@@ -660,8 +300,10 @@ _COMMAND_FLAGS = {
 
 # built on the first argv that the direct reader leaves to it, once
 @lru_cache(maxsize=1)
-def _parser() -> _argparse.ArgumentParser:
-    parser = _argparse.ArgumentParser(
+def _parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="homspace",
         description="Exact Picard/Brauer invariants of homogeneous spaces G/H from combinatorial models of H.",
     )
@@ -708,13 +350,22 @@ _READERS = {
 # snf's spellings of --matrix, the only command that has the flag
 _SNF_MATRIX_SPELLINGS = frozenset(s for s, (dest, _) in _READERS["snf"][0].items() if dest == "matrix")
 
-_COMMANDS = {
-    "describe": _cmd_describe,
-    "invariants": _cmd_invariants,
-    "weights": _cmd_weights,
-    "ext": _cmd_ext,
-    "snf": _cmd_snf,
-}
+
+def _first_query(args, out: _Printer) -> int:
+    # the first query of a command kept in another module imports that
+    # module, whose handlers answer this query and every later one
+    if args.command == "ext":
+        from . import ext
+
+        _COMMANDS["ext"] = ext._cmd_ext
+    else:
+        from . import spec
+
+        _COMMANDS.update(describe=spec._cmd_describe, invariants=spec._cmd_invariants, weights=spec._cmd_weights)
+    return _COMMANDS[args.command](args, out)
+
+
+_COMMANDS = {**dict.fromkeys(_COMMAND_FLAGS, _first_query), "snf": _cmd_snf}
 
 
 def _attach_matrix_values(argv) -> list:
@@ -796,9 +447,11 @@ def run(argv, stdout=None, stderr=None) -> int:
     argv = _attach_matrix_values(argv)
     args = _parse_direct(argv)
     if args is None:
+        from contextlib import redirect_stderr, redirect_stdout
+
         try:
             # argparse writes usage, help and errors to the sys streams
-            with _contextlib.redirect_stdout(stdout), _contextlib.redirect_stderr(stderr):
+            with redirect_stdout(stdout), redirect_stderr(stderr):
                 args = _parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1

@@ -104,6 +104,8 @@ class ReductiveModel:
 
     def __post_init__(self):
         rank, unipotent = index(self.torus_rank), index(self.unipotent_dim)
+        if self.name is not None and not isinstance(self.name, str):
+            raise TypeError(f"model name must be a str or None, not {type(self.name).__name__}")
         if rank < 0:
             raise ValueError("torus rank must be nonnegative")
         if unipotent < 0:

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from homspace import cli, groups
+from homspace import groups, spec
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel
 from homspace.intlinalg import IntMatrix
@@ -20,7 +20,7 @@ def clear_query_caches():
     models.  A model keeps its gluing type, derived subgroup, weight table's
     matrix and report, so the next query builds a fresh model that computes
     them again."""
-    for cache in (groups.preset, cli._spec_model):
+    for cache in (groups.preset, spec._spec_model):
         cache.cache_clear()
 
 

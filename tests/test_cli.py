@@ -30,15 +30,18 @@ from conftest import (
     clear_query_caches,
     random_chain,
     random_character_values,
+    random_model,
 )
-from homspace import __version__, cli, groups, invariants
+from homspace import __version__, groups, invariants
+from homspace import spec as specmod
 from homspace.abgroups import FgAbGroup, subgroup_from_generators
-from homspace.cli import CliError, _parse_fraction, json_text, model_to_document, parse_spec, run
+from homspace.cli import CliError, _parse_fraction, json_text, run
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
 from homspace.rootdata import RootDatumSS, SimpleType, build_datum, center
+from homspace.spec import model_to_document, parse_spec
 from oracles import (
     character_to_extension,
     det,
@@ -162,6 +165,38 @@ class TestParseSpec:
             with pytest.raises(CliError) as info:
                 parse_spec(json.dumps(doc))
             assert (info.value.code, info.value.where) == ("E_SCHEMA", "/gluing/1/center")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_the_document_of_a_model_reads_back(self, data):
+        # a library-built model, named or not, is the model that its
+        # expanded document states
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        model = random_model(rng, unipotent_dim=data.draw(st.integers(0, 3)))
+        name = data.draw(st.none() | st.text())
+        model = ReductiveModel(model.ss, model.torus_rank, model.gluing, model.unipotent_dim, name)
+        assert parse_spec(json_text(model_to_document(model))) == model
+
+    @pytest.mark.parametrize("kind", ["SL", "GL", "PGL", "SO", "Sp", "Spin"])
+    def test_the_document_of_a_preset_reads_back(self, kind):
+        for n in (2, 4, 5, 8, 16) if kind != "Sp" else (2, 4, 8, 16):
+            model = preset(f"{kind}({n})")
+            assert parse_spec(json_text(model_to_document(model))) == model, model.name
+
+    def test_deep_nesting_is_a_limit(self, tmp_path):
+        # valid JSON nested past the decoder's recursion limit meets a limit
+        # of the reader: E_LIMIT at the document, not an internal error
+        text = '{"name": ' + "[" * 100000 + "]" * 100000 + "}"
+        with pytest.raises(CliError) as info:
+            parse_spec(text)
+        assert (info.value.code, info.value.where) == ("E_LIMIT", "/")
+        assert info.value.message == f"the document nests past the recursion limit of {sys.getrecursionlimit()}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for command in ("describe", "invariants", "weights"):
+            code, out, err = invoke([command, "--json", "--spec", str(path)])
+            assert (code, out) == (1, ""), (command, err)
+            assert err == f"error[E_LIMIT] at /: {info.value.message}\n", command
 
     def test_round_trip_through_expand(self):
         model = preset("GL(3)")
@@ -771,7 +806,7 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         build_datum(semisimple)
         parsed, homs = [], []
-        original_parse, original_span = cli._parse_fraction, groups.subgroup_from_generators
+        original_parse, original_span = specmod._parse_fraction, groups.subgroup_from_generators
 
         def counting_parse(text, where):
             parsed.append(text)
@@ -781,7 +816,7 @@ class TestCommands:
             homs.append(ambient)
             return original_span(ambient, gens)
 
-        monkeypatch.setattr(cli, "_parse_fraction", counting_parse)
+        monkeypatch.setattr(specmod, "_parse_fraction", counting_parse)
         monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
         for command in ("invariants", "describe"):
             clear_query_caches()
@@ -924,7 +959,7 @@ class TestCommands:
         for argv in queries:
             assert invoke(argv)[0] == 0
         sources = [SimpleNamespace(**{"preset": None, "spec": None, argv[2][2:]: argv[3]}) for argv in queries]
-        models = [cli._load_model(source) for source in sources]
+        models = [specmod._load_model(source) for source in sources]
         for model in models:
             vars(model).pop("invariant_report", None)
 
@@ -949,7 +984,7 @@ class TestCommands:
             assert json.loads(out)
         assert calls == []
         clear_query_caches()
-        rebuilt = [cli._load_model(source) for source in sources]
+        rebuilt = [specmod._load_model(source) for source in sources]
         assert rebuilt == models and not any(a is b for a, b in zip(rebuilt, models))
         assert calls == []
 
@@ -1142,11 +1177,12 @@ class TestDispatch:
 # well-formed query builds the argparse parser
 _MODEL_LAYERS = tuple(f"homspace.{m}" for m in ("groups", "rootdata", "abgroups", "invariants", "extensions"))
 NOT_LOADED = {
-    "snf": (*_MODEL_LAYERS, "fractions", "argparse", "dataclasses", "typing", "contextlib"),
-    "ext": ("homspace.groups", "homspace.rootdata", "homspace.invariants", "argparse", "typing"),
-    "describe": ("argparse", "homspace.extensions", "typing"),
-    "invariants": ("argparse", "homspace.extensions", "typing"),
-    "weights": ("argparse", "homspace.extensions", "typing"),
+    "snf": (*_MODEL_LAYERS, "homspace.spec", "homspace.ext", "fractions", "argparse", "dataclasses", "typing",
+            "contextlib"),
+    "ext": ("homspace.groups", "homspace.rootdata", "homspace.invariants", "homspace.spec", "argparse", "typing"),
+    "describe": ("argparse", "homspace.extensions", "homspace.ext", "typing"),
+    "invariants": ("argparse", "homspace.extensions", "homspace.ext", "typing"),
+    "weights": ("argparse", "homspace.extensions", "homspace.ext", "typing"),
 }
 
 
@@ -1160,6 +1196,7 @@ class TestColdImports:
             ["ext", "--group", "4,64", "--char", "1/4,5/64"],
             ["describe", "--preset", "SO(8)"],
             ["describe", "--json", "--spec", "TORUS_R3"],
+            ["describe", "--expand", "--preset", "GL(3)"],
             ["invariants", "--json", "--preset", "SO(8)"],
             ["invariants", "--spec", "TORUS_R3"],
             ["weights", "--json", "--preset", "Spin(8)"],
@@ -1176,24 +1213,33 @@ class TestColdImports:
         assert not set(NOT_LOADED[argv[0]]) & set(modules), argv
 
     def test_public_functions_bind_their_layers_in_a_fresh_interpreter(self):
-        # only homspace.cli imported: parse_spec and model_to_document
-        # round-trip a torus spec, and json_text still refuses a float
-        child = (
+        # only homspace.spec imported: parse_spec and model_to_document
+        # round-trip a torus spec; and with only homspace.cli imported, so
+        # that no model layer is loaded, json_text still refuses a float
+        round_trip = (
+            "import json, sys\n"
+            "from homspace import spec\n"
+            "from homspace.cli import json_text\n"
+            "document = spec.model_to_document(spec.parse_spec(sys.argv[1]))\n"
+            "again = spec.model_to_document(spec.parse_spec(json_text(document)))\n"
+            "print(json.dumps({'document': document, 'again': again}))\n"
+        )
+        refusal = (
             "import json, sys\n"
             "from homspace import cli\n"
-            "document = cli.model_to_document(cli.parse_spec(sys.argv[1]))\n"
-            "again = cli.model_to_document(cli.parse_spec(cli.json_text(document)))\n"
             "try:\n"
             "    refused = cli.json_text([1.5])\n"
             "except TypeError as exc:\n"
             "    refused = [type(exc).__name__, str(exc)]\n"
-            "print(json.dumps({'document': document, 'again': again, 'refused': refused}))\n"
+            "print(json.dumps({'refused': refused, 'modules': sorted(sys.modules)}))\n"
         )
-        result = fresh_interpreter(child, json.dumps(TORUS_R3))
+        result = fresh_interpreter(round_trip, json.dumps(TORUS_R3))
         expected = model_to_document(parse_spec(json.dumps(TORUS_R3)))
         assert result["document"] == result["again"] == expected
         assert expected["gluing"][1]["torus"] == ["1/4", "2/3", "3/4"]
+        result = fresh_interpreter(refusal)
         assert result["refused"] == ["TypeError", "Object of type float is not JSON serializable"]
+        assert not {*_MODEL_LAYERS, "homspace.spec", "homspace.ext"} & set(result["modules"])
 
 
 def clear_every_cache():
@@ -1226,8 +1272,8 @@ class TestQueryCaches:
         assert groups.preset("SO(8)") is groups.preset("SO(8)")
         text = json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"])
         limit = sys.get_int_max_str_digits()
-        model = cli._spec_model(text, limit)
-        assert cli._spec_model(text, limit) is model
+        model = specmod._spec_model(text, limit)
+        assert specmod._spec_model(text, limit) is model
         assert invariants.invariant_report(model) is invariants.invariant_report(model)
         assert as_semisimple(model) is as_semisimple(model)
         table = weight_brauer_table(as_semisimple(model))
@@ -1315,7 +1361,7 @@ class TestQueryCaches:
         assert retained < 2**20, retained
         args = SimpleNamespace(preset=None, spec=str(path))
         path.write_text(text)
-        assert cli._load_model(args) is cli._load_model(args)
+        assert specmod._load_model(args) is specmod._load_model(args)
 
     def test_an_evicted_model_is_freed(self, tmp_path):
         # 301 unique torus documents outrun the spec cache (256 entries);
@@ -1330,7 +1376,7 @@ class TestQueryCaches:
             code, out, err = invoke(["invariants", "--json", "--spec", str(path)])
             assert code == 0 and json.loads(out)["invariants"]["pic_group"] == "Z^1", err
             if first is None:
-                first = weakref.ref(cli._spec_model(text, limit))
+                first = weakref.ref(specmod._spec_model(text, limit))
                 assert first().gluing[0].torus == (Fraction(1, 2),)
         gc.collect()
         assert first() is None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import QUOTIENT_SPECS, random_model
 from homspace import groups
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, Z, cyclic, direct_sum_canonical, ext1_z
-from homspace.cli import parse_spec, run
+from homspace.cli import run
 from homspace.extensions import Character
 from homspace.groups import (
     GluingPair,
@@ -25,6 +25,7 @@ from homspace.groups import (
 )
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
+from homspace.spec import model_to_document, parse_spec
 from oracles import (
     _pi1_span,
     all_characters,
@@ -579,6 +580,15 @@ class TestExactInput:
             ReductiveModel(build_datum(()), gluing=(), **sizes)
         model = ReductiveModel(build_datum(()), gluing=(), **{**sizes, field: 2})
         assert getattr(model, field) == 2 and pi1(model) == FgAbGroup(model.torus_rank, ())
+
+    @pytest.mark.parametrize("name", [5, 5.0, ["x"]], ids=["int", "float", "list"])
+    def test_model_name_is_a_string(self, name):
+        # a name is a str or None, so that describe() returns a str and the
+        # expanded document of the model reads back; the str beside it answers
+        with pytest.raises(TypeError):
+            ReductiveModel(build_datum(()), 1, (), name=name)
+        model = ReductiveModel(build_datum(()), 1, (), name="x")
+        assert model.describe() == "x" and parse_spec(json.dumps(model_to_document(model))) == model
 
 
 class TestPresentationIndependence:

@@ -4,9 +4,10 @@ another module of the package, every listed name exists, the package
 imports nothing outside the standard library, no ``typing`` and nothing it
 does not use,
 no query checks an identity at run time (the tests prove them instead),
-every cache states a finite bound and is one of a listed few, nothing moved to tests/oracles.py
-is left defined in the package too, and only abgroups reaches the lattice
-solver and the Smith loop of intlinalg."""
+every cache states a finite bound and is one of a listed few, so is every
+import inside a function, cli imports no model layer, nothing moved to
+tests/oracles.py is left defined in the package too, and only abgroups
+reaches the lattice solver and the Smith loop of intlinalg."""
 
 import ast
 import re
@@ -105,6 +106,42 @@ def test_no_module_imports_typing():
     assert not found, found
 
 
+def late_imports(tree, scope=None):
+    """(scope, module) of every import statement below the top level of a
+    module's ``tree``, the module with its leading dots: scope names the
+    innermost function or class around the statement, or is "" in a
+    top-level block such as an ``if`` or ``try``."""
+    for node in ast.iter_child_nodes(tree):
+        if scope is not None and isinstance(node, (ast.Import, ast.ImportFrom)):
+            dots = "." * getattr(node, "level", 0)
+            module = getattr(node, "module", None)
+            yield from ((scope, dots + (module or alias.name)) for alias in node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from late_imports(node, node.name)
+        else:
+            yield from late_imports(node, "" if scope is None else scope)
+
+
+def test_the_late_imports_are_these():
+    # an import inside a function is paid by the query that first runs it,
+    # and then looked up again on every call: each one is a deliberate edit
+    # of this list.  The front end loads the modules of the model commands
+    # and of ext, and through them the layers they read, only for their
+    # queries, and never names a model layer itself
+    late = {f"{name}.{scope}: {module}" for name, tree in modules().items() for scope, module in late_imports(tree)}
+    assert late == {
+        "cli._parse_fraction: fractions",
+        "cli._parser: argparse",
+        "cli.run: contextlib",
+        "cli._first_query: .ext",
+        "cli._first_query: .spec",
+    }
+    named = set()
+    for _, module, names in imports(modules()["cli"]):
+        named.update(module.split("."), names)
+    assert {"spec", "ext"} <= named and not named & {"groups", "rootdata", "invariants"}
+
+
 def test_no_runtime_self_checks():
     # an assert or a raise RuntimeError repeats at run time what a test
     # should prove; input errors raise ValueError or CliError instead
@@ -187,7 +224,7 @@ def test_the_caches_are_these():
     assert decorated == {
         "rootdata.build_datum",
         "groups.preset",
-        "cli._spec_model",
+        "spec._spec_model",
         "cli._parser",
     }
     assert len(seen) == len(decorated), seen

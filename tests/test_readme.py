@@ -9,8 +9,9 @@ import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from homspace.cli import parse_spec, run
+from homspace.cli import run
 from homspace.rootdata import SimpleType
+from homspace.spec import parse_spec
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
