@@ -25,13 +25,16 @@ output, and no entry exceeds e.  No Smith form is taken.  Exact kernels
 for one right-hand side have no query that reads them: they are test
 oracles in ``tests/oracles.py``.
 
-The Smith form eliminates rows through module-level helpers
-(``_swap_rows``, ``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd
-step, ``_negate_row``) and clears a column below its nonzero pivot with
-``_clear_below``.  Each acts on the working rows and on the Smith row
-transform ``U`` when it is asked for; the column operations act on ``V``
-the same way.  ``U`` and ``V`` are the whole decomposition, and each is
-built only when its caller asks for it.  No ``U^-1`` is carried: a caller
+Each elimination carries its transform inside the rows it works on, as
+``[A | I]`` (Cohen, GTM 138, Alg. 2.4.8).  When ``U`` is asked for, the
+Smith loop's working rows are those of ``[M | U]``, so the row helpers
+(``_add_row``, ``_combine_rows`` for the 2x2 extended-gcd step, and
+``_clear_below``, which clears a column below its nonzero pivot) move ``U``
+along with ``M``.  ``V`` is a list of rows of its own, and each column
+operation is one loop over the rows of ``M`` and of ``V``.  A row of the
+Howell basis carries its preimage appended the same way.  ``U`` and ``V``
+are the whole decomposition, and each is built only when its caller asks
+for it.  No ``U^-1`` is carried: a caller
 whose relations R are square and nonsingular reads it as ``R V D^-1``,
 since ``U R V == D`` (``abgroups.subgroup_from_generators``).
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from math import lcm
 from operator import index, mul
 
@@ -102,10 +106,14 @@ class IntMatrix:
         return self._entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return self._entries[j :: self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.rows}x{self.cols}")
+        return self._entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -190,32 +198,22 @@ def _find_pivot(a: list, t: int, rows: int, cols: int):
     return best
 
 
-def _swap_rows(a: list, u: list | None, i: int, k: int):
-    for m in (a, u):
-        if m is not None:
-            m[i], m[k] = m[k], m[i]
-
-
-def _add_row(a: list, u: list | None, dst: int, src: int, q: int):
+def _add_row(a: list, dst: int, src: int, q: int):
     """row[dst] += q * row[src]"""
-    for m in (a, u):
-        if m is not None:
-            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
 
-def _combine_rows(a: list, u: list | None, t: int, i: int, col: int):
+def _combine_rows(a: list, t: int, i: int, col: int):
     """Unimodular 2x2 extended-gcd transform of rows (t, i) that puts
     gcd(a[t][col], a[i][col]) at (t, col) and 0 at (i, col)."""
-    g, s, tt = _xgcd(a[t][col], a[i][col])
-    p_g, x_g = a[t][col] // g, a[i][col] // g
-    for m in (a, u):
-        if m is not None:
-            rt, ri = m[t], m[i]
-            m[t] = [s * y + tt * z for y, z in zip(rt, ri)]
-            m[i] = [-x_g * y + p_g * z for y, z in zip(rt, ri)]
+    rt, ri = a[t], a[i]
+    g, s, tt = _xgcd(rt[col], ri[col])
+    p_g, x_g = rt[col] // g, ri[col] // g
+    a[t] = [s * y + tt * z for y, z in zip(rt, ri)]
+    a[i] = [-x_g * y + p_g * z for y, z in zip(rt, ri)]
 
 
-def _clear_below(a: list, u: list | None, p: int, col: int):
+def _clear_below(a: list, p: int, col: int):
     """Clear column ``col`` below row ``p``, leaving the gcd of the column
     at (p, col).  The pivot at (p, col) must be nonzero, as the Smith
     loop's always is.  A pivot that divides an entry subtracts a multiple
@@ -225,15 +223,9 @@ def _clear_below(a: list, u: list | None, p: int, col: int):
         if x:
             pivot = a[p][col]
             if x % pivot == 0:
-                _add_row(a, u, i, p, -(x // pivot))
+                _add_row(a, i, p, -(x // pivot))
             else:
-                _combine_rows(a, u, p, i, col)
-
-
-def _negate_row(a: list, u: list | None, i: int):
-    for m in (a, u):
-        if m is not None:
-            m[i] = [-x for x in m[i]]
+                _combine_rows(a, p, i, col)
 
 
 def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
@@ -245,37 +237,23 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
     keeps intermediate growth near the size of the matrix minors, where the
     step-by-step chain can blow entries up exponentially."""
     rows, cols = m.rows, m.cols
+    # with want_u, the rows of [M | U], so that a row operation moves U
+    # along with M; a column operation runs over these rows and V's, and
+    # reads only M's first cols columns
     a = m.to_rows()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_v else None
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        if v is not None:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-
-    def add_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        if v is not None:
-            for r in v:
-                r[dst] += q * r[src]
+    if want_u:
+        for i, r in enumerate(a):
+            r.extend([0] * i + [1] + [0] * (rows - i - 1))
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_v else []
 
     def gcd_cols(t, j):
         p, x = a[t][t], a[t][j]
         g, s, tt = _xgcd(p, x)
         p_g, x_g = p // g, x // g
-        for r in a:
+        for r in chain(a, v):
             y, z = r[t], r[j]
             r[t] = s * y + tt * z
             r[j] = -x_g * y + p_g * z
-        if v is not None:
-            for r in v:
-                y, z = r[t], r[j]
-                r[t] = s * y + tt * z
-                r[j] = -x_g * y + p_g * z
 
     t = 0
     limit = min(rows, cols)
@@ -283,15 +261,19 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
         piv = _find_pivot(a, t, rows, cols)
         if piv is None:
             break
-        _swap_rows(a, u, t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        for r in chain(a, v):
+            r[t], r[j] = r[j], r[t]
         while True:
-            _clear_below(a, u, t, t)
+            _clear_below(a, t, t)
             for j in range(t + 1, cols):
                 x = a[t][j]
                 if x:
                     if x % a[t][t] == 0:
-                        add_col(j, t, -(x // a[t][t]))
+                        q = -(x // a[t][t])
+                        for r in chain(a, v):
+                            r[j] += q * r[t]
                     else:
                         gcd_cols(t, j)
             if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
@@ -311,17 +293,17 @@ def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(a, u, t, offender, 1)
+            _add_row(a, t, offender, 1)
             continue
         t += 1
 
     for i in range(limit):
         if a[i][i] < 0:
-            _negate_row(a, u, i)
+            a[i] = [-x for x in a[i]]
 
-    d = IntMatrix.from_rows(a, cols=cols)
-    um = IntMatrix.from_rows(u, cols=rows) if u is not None else None
-    vm = IntMatrix.from_rows(v, cols=cols) if v is not None else None
+    d = IntMatrix(rows, cols, [x for r in a for x in r[:cols]])
+    um = IntMatrix(rows, rows, [x for r in a for x in r[cols:]]) if want_u else None
+    vm = IntMatrix(cols, cols, [x for r in v for x in r]) if want_v else None
     return um, d, vm
 
 
@@ -331,12 +313,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(u=u, d=d, v=v)
 
 
-def _insert_howell(basis: list, v: list, p: list, e: int):
-    """Add ``v``, with preimage ``p``, to the echelon basis of a span in
-    (Z/e)^n.  ``basis[c]`` is None, standing for e*e_c, or [row, preimage]
-    with the row's pivot in column c.  Returns (d, q): d the least positive
-    multiple of ``v`` in the span before the call, and q the preimage of 0
-    that the pass leaves, d*p minus a preimage of d*v in that span.
+def _insert_howell(basis: list, v: list, e: int):
+    """Add a vector of (Z/e)^n, given as ``v`` with its preimage appended,
+    to the echelon basis of a span in (Z/e)^n.  ``basis[c]`` is None,
+    standing for e*e_c, or a row with its pivot in column c and its own
+    preimage appended, so each step below moves a preimage along with its
+    row.  Returns (d, w): d the least positive multiple of the vector in
+    the span before the call, and w what the pass leaves of ``v``, zero on
+    the first n coordinates and, after them, d times the preimage minus a
+    preimage of d times the vector in that span.
 
     Each column takes one step.  Where the pivot g divides the entry x, v
     drops a multiple of the row.  Where it does not, one unimodular 2x2
@@ -349,32 +334,28 @@ def _insert_howell(basis: list, v: list, p: list, e: int):
     (e/h)*(new row) is a multiple of (e/g) times the remainder plus one of
     (e/g)*row, so no vector beyond the remainder needs inserting."""
     d = 1
-    for c, slot in enumerate(basis):
+    for c, row in enumerate(basis):
         x = v[c]
         if not x:
             continue
-        if slot is None:
+        if row is None:
             h, a, _ = _xgcd(x, e)
-            basis[c] = [[a * z % e for z in v], [a * z % e for z in p]]
+            basis[c] = [a * z % e for z in v]
             f = e // h
             d *= f
             v = [f * z % e for z in v]
-            p = [f * z % e for z in p]
             continue
-        row, row_p = slot
         g = row[c]
         if x % g == 0:
             q = x // g
             v = [(z - q * r) % e for z, r in zip(v, row)]
-            p = [(z - q * r) % e for z, r in zip(p, row_p)]
             continue
         h, a, b = _xgcd(g, x)
         f, q = g // h, x // h
-        basis[c] = [[(a * r + b * z) % e for r, z in zip(row, v)], [(a * r + b * z) % e for r, z in zip(row_p, p)]]
+        basis[c] = [(a * r + b * z) % e for r, z in zip(row, v)]
         d *= f
         v = [(f * z - q * r) % e for r, z in zip(row, v)]
-        p = [(f * z - q * r) % e for r, z in zip(row_p, p)]
-    return d, p
+    return d, v
 
 
 def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
@@ -404,16 +385,16 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
         # give unknown j a preimage coordinate; it keeps it only if d > 1
         for slot in basis:
             if slot:
-                slot[1].append(0)
+                slot.append(0)
         b = [c * x % e for c, x in zip(scale, m.column(j))]
-        d, pre = _insert_howell(basis, b, [0] * len(cols) + [1], e)
+        d, w = _insert_howell(basis, b + [0] * len(cols) + [1], e)
         if d == 1:
             for slot in basis:
                 if slot:
-                    slot[1].pop()
-        # pre[:-1] is a preimage of -d*b_j; reduce it against the rows of
+                    slot.pop()
+        # w[n:-1] is a preimage of -d*b_j; reduce it against the rows of
         # the earlier (rightmost) columns first
-        y = pre[:-1]
+        y = w[n:-1]
         for i in range(len(y) - 1, -1, -1):
             t = y[i] // pivots[i]
             if t:

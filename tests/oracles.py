@@ -61,9 +61,11 @@
   (``preimage_of``) by one Smith solve with U and V (``solve_integer``),
   and ``lattice_row_basis``, the Hermite basis of a spanned lattice
   through ``_hermite_rows``, the exact Hermite elimination that left
-  ``homspace.intlinalg``.  It swaps a nonzero pivot up itself before
-  ``intlinalg._clear_below``, which takes only nonzero pivots, clears the
-  column.
+  ``homspace.intlinalg``.  It clears each column with unimodular 2x2 steps
+  of its own, on the extended gcd ``_bezout``, so neither it nor the mod-e
+  route below shares elimination code with the library: of
+  ``homspace.intlinalg`` the oracles import only ``IntMatrix`` and the
+  Smith loop ``_snf_transform``.
 * Determinants and inverses from sympy's integer matrices (``det``,
   ``inverse``), a route independent of ``homspace.intlinalg``.
 * The Smith-V lattice route, the only one the oracles take: solution
@@ -105,7 +107,7 @@ from homspace.abgroups import (
 )
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
-from homspace.intlinalg import IntMatrix, _clear_below, _snf_transform, _xgcd
+from homspace.intlinalg import IntMatrix, _snf_transform
 from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
 
@@ -231,24 +233,39 @@ def inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([[int(x) for x in row] for row in rows], cols=m.cols)
 
 
+def _bezout(a: int, b: int) -> tuple:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0: Euclid's algorithm
+    on the triples (r, s, t), each of which keeps s*a + t*b == r."""
+    x, y = (a, 1, 0), (b, 0, 1)
+    while y[0]:
+        q = x[0] // y[0]
+        x, y = y, tuple(p - q * r for p, r in zip(x, y))
+    return x if x[0] >= 0 else tuple(-c for c in x)
+
+
 def _hermite_rows(a: list) -> list:
     """Row-style Hermite elimination of the rows ``a`` in place; returns
-    ``a``.  The row transform is not built.  Each column first swaps up the
-    first row that is nonzero there, so ``intlinalg._clear_below`` always
-    starts from a nonzero pivot; it clears the entries below pairwise with
-    unimodular extended-gcd transforms, so intermediate entries stay near
-    minor size."""
+    ``a``.  The row transform is not built.  Each entry below the pivot
+    row is cleared by one unimodular 2x2 step with ``_bezout``'s
+    coefficients, which puts the gcd of the two entries in the pivot row
+    (a zero pivot included), so intermediate entries stay near minor
+    size."""
     rows = len(a)
     cols = len(a[0]) if a else 0
     prow = 0
     for col in range(cols):
         if prow >= rows:
             break
-        first = next((i for i in range(prow, rows) if a[i][col]), None)
-        if first is None:
+        for i in range(prow + 1, rows):
+            x = a[i][col]
+            if x:
+                y = a[prow][col]
+                g, s, t = _bezout(y, x)
+                top, low = a[prow], a[i]
+                a[prow] = [s * p + t * q for p, q in zip(top, low)]
+                a[i] = [(y // g) * q - (x // g) * p for p, q in zip(top, low)]
+        if not a[prow][col]:
             continue
-        a[prow], a[first] = a[first], a[prow]
-        _clear_below(a, None, prow, col)
         if a[prow][col] < 0:
             a[prow] = [-x for x in a[prow]]
         for i in range(prow):
@@ -332,7 +349,7 @@ def hermite_mod_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatr
                 q = x // p[0]
                 work[k] = [(y - q * z) % e for y, z in zip(r, p)]
             else:
-                g, a, b = _xgcd(p[0], x)
+                g, a, b = _bezout(p[0], x)
                 p_g, x_g = p[0] // g, x // g
                 p, work[k] = (
                     [(a * y + b * z) % e for y, z in zip(p, r)],

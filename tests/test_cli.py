@@ -1454,6 +1454,11 @@ PINNED_REPORTS = {
     ("snf", "square"): "52fd0b97accf921eab6a0681d6a9abb87140f70cac8033ed641fbcee3053903d",
     ("snf", "wide"): "d364705b1627f4d105c1d236fc1d286443d6356423a3984c67d6558619468b18",
     ("snf", "rank-deficient"): "a27aa1b3f859e91c22562a26234a617ea145527b121f90c56ae8429f5e02f56c",
+    ("snf", "fold"): "1065f78e41f936365f10da793552810d2bff3ba9f7d7cd9c55abf048f6963feb",
+    ("snf", "square-8"): "a776679da054fad27c90022c26e175e4d19c917860e3784029c67464f867d725",
+    ("snf", "wide-10x14"): "21c0ed1707e6a95be295a93497ce887a34dd60839d2af166af99ff6e85baee1d",
+    ("snf", "deficient-12"): "a83b06d094259371696abd48cd95ddeed3f22da48217289585a03b826b10dd33",
+    ("snf", "square-20"): "e0aac8a992fab30bc1f228de3fa8402f23bb9e4ced21ac73027d8d1d1ae61667",
     ("describe", "SO(8)"): "f591df49853795a77af51c48181f88fc6285532a39e648ac094adf311e8c98df",
     ("describe", "PGL(6)"): "f7893b63fab456587712583dc2002e400bac4d51dd11560936258f4f0f98ce2b",
     ("weights", "PGL(12)"): "1f68deace68814a522e47d16311a08f281198abd23f766044d71b02f2be2550a",
@@ -1565,10 +1570,40 @@ def cliff_spec(name):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def deck_matrix_literal(seed, kind, n):
+    """``--matrix`` literal of a random matrix drawn as the snf deck in
+    perfbench/workloads.py draws one, from ``random.Random(seed)``: entries
+    in [-9, 9], n x n (square), n x (n + 4) (wide), or n x n with three
+    rows repeating others up to sign (deficient).  It is a copy, so that
+    the pinned matrices do not move when the deck does."""
+    rng = random.Random(seed)
+    if kind == "square":
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    elif kind == "wide":
+        rows = [[rng.randint(-9, 9) for _ in range(n + 4)] for _ in range(n)]
+    else:
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 3)]
+        for _ in range(3):
+            src = rng.choice(rows)
+            sign = rng.choice((1, -1))
+            rows.insert(rng.randrange(len(rows) + 1), [sign * x for x in src])
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
 PINNED_MATRICES = {
     "square": "3,-7,2,5;-4,9,0,-1;6,1,-8,2;0,-5,7,3",
     "wide": "2,-4,6,1,-3;5,0,-9,8,7;-1,3,2,-6,4",
     "rank-deficient": "1,2,-3,4;2,4,-6,8;0,5,1,-2;1,7,-2,2",
+    # U0 diag(4, 6, 10) V0 for unimodular U0 = [1,0,0;2,1,0;-1,3,1] and
+    # V0 = [1,1,2;0,1,-1;0,0,1]: the Smith loop twice folds a row holding
+    # an entry its pivot does not divide into the pivot row, as it does on
+    # diag(4, 6, 10) itself
+    "fold": "4,4,8;8,14,10;-4,14,-16",
+    # the snf deck's shapes, and 20 x 20
+    "square-8": deck_matrix_literal(8, "square", 8),
+    "wide-10x14": deck_matrix_literal(10, "wide", 10),
+    "deficient-12": deck_matrix_literal(12, "deficient", 12),
+    "square-20": deck_matrix_literal(20, "square", 20),
 }
 
 

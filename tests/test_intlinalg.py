@@ -306,6 +306,15 @@ class TestHelpers:
         with pytest.raises(ValueError):
             parse_matrix_literal("1,x")
 
+    @pytest.mark.parametrize(
+        "cols, method, index", [(2, "row", 2), (2, "row", -1), (2, "column", 2), (2, "column", -1), (0, "column", 0)]
+    )
+    def test_row_and_column_check_their_index(self, cols, method, index):
+        # as m[i, j] does: no piece of another row, no count from the end
+        m = IntMatrix(2, cols, range(1, 2 * cols + 1))
+        with pytest.raises(IndexError, match=f"{method} {index} out of range for 2x{cols}"):
+            getattr(m, method)(index)
+
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)

@@ -6,7 +6,8 @@ does not use,
 no query checks an identity at run time (the tests prove them instead),
 every cache states a finite bound and is one of a listed few, so is every
 import inside a function, cli imports no model layer, nothing moved to
-tests/oracles.py is left defined in the package too, and only abgroups
+tests/oracles.py is left defined in the package too, the oracles take
+from intlinalg only ``IntMatrix`` and the Smith loop, and only abgroups
 reaches the lattice solver and the Smith loop of intlinalg."""
 
 import ast
@@ -277,6 +278,20 @@ def test_oracles_define_nothing_the_package_defines():
     moved = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert moved and package, "the scan reads nothing"
     assert not moved & package, sorted(moved & package)
+
+
+def test_oracles_take_from_intlinalg_only_the_matrix_and_the_smith_loop():
+    # the oracles' Hermite eliminations and extended gcd are their own, so
+    # a test that compares the library with them compares two codes: of
+    # intlinalg they import IntMatrix and the Smith loop, nothing else
+    oracles = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(oracles):
+        if isinstance(node, ast.ImportFrom) and node.module == "homspace.intlinalg":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(not alias.name.startswith("homspace.intlinalg") for alias in node.names)
+    assert imported == {"IntMatrix", "_snf_transform"}
 
 
 def test_only_abgroups_reaches_the_lattice_solver_and_the_smith_loop():
