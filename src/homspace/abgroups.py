@@ -129,6 +129,10 @@ Z = FgAbGroup(1, ())
 
 
 def cyclic(n: int) -> FgAbGroup:
+    """Z/n, with Z/0 = Z and Z/1 trivial."""
+    n = index(n)
+    if n < 0:
+        raise ValueError(f"cyclic order must be nonnegative, got {n}")
     if n < 2:
         return TRIVIAL_GROUP if n == 1 else Z
     return FgAbGroup(0, (n,))

@@ -27,9 +27,9 @@ integral vector, and their center parts span the kernel.  It is the derived
 subgroup S_sc/kernel as a ``SemisimpleModel``: ``pi1`` reads the kernel's
 type, and ``as_semisimple`` returns that object.  Gamma itself
 (``ReductiveModel.gluing_type``) is a bare type that only ``describe``
-reads, through ``validate``.  A model computes each once and keeps it, as a
-semisimple model keeps its restriction matrix and ``invariants`` keeps a
-model's report on the model, so no module-level cache holds a model.
+reads.  A model computes each once and keeps it, as a semisimple model
+keeps its restriction matrix and ``invariants`` keeps a model's report on
+the model, so no module-level cache holds a model.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
@@ -171,18 +171,6 @@ class SemisimpleModel:
     def restriction_matrix(self) -> IntMatrix:
         """The kernel's ``rootdata.restriction_matrix``: the weight table."""
         return restriction_matrix(self.datum, self.kernel)
-
-
-def validate(model: ReductiveModel):
-    """Check the model and report human-readable certificates."""
-    group = model.gluing_type
-    certificates = []
-    for i in range(len(model.gluing)):
-        certificates.append(f"gluing generator {i} lies in the center of {model.ss}")
-    certificates.append(f"gluing subgroup has order {group.order()}")
-    certificates.append(f"gluing subgroup has exponent {group.exponent()}")
-    certificates.append(f"unipotent dimension {model.unipotent_dim} is ignored by every invariant")
-    return certificates
 
 
 def pi1(model: ReductiveModel) -> FgAbGroup:

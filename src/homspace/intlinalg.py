@@ -56,6 +56,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+        rows, cols = index(rows), index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         data = tuple(map(index, entries))

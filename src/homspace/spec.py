@@ -186,7 +186,6 @@ def _cmd_describe(args, out: _Printer) -> int:
     if args.expand:
         out.json(model_to_document(model))
         return 0
-    notes = groups.validate(model)
     fundamental = groups.pi1(model)
     gamma = model.gluing_type
     orders = model.ss.pq_group.invariant_factors
@@ -201,7 +200,6 @@ def _cmd_describe(args, out: _Printer) -> int:
         "gluing_group": str(gamma),
         "pi1": str(fundamental),
         "pi1_derived": str(abgroups.ext1_z(fundamental)),
-        "certificates": notes,
     }
     if args.json:
         out.json(payload)
@@ -217,8 +215,6 @@ def _cmd_describe(args, out: _Printer) -> int:
     out.line(f"gluing subgroup:         {payload['gluing_group']} (order {payload['gluing_order']})")
     out.line(f"pi1(H):                  {payload['pi1']}")
     out.line(f"pi1 of derived subgroup: {payload['pi1_derived']}")
-    for note in notes:
-        out.line(f"  - {note}")
     return 0
 
 

@@ -111,6 +111,19 @@ class TestFgAbGroup:
         assert (e + e).coords == (6, 2)
         assert (-e).coords == (-3, 1)
 
+    @pytest.mark.parametrize(
+        "n, group", [(0, Z), (1, TRIVIAL_GROUP), (2, FgAbGroup(0, (2,))), (12, FgAbGroup(0, (12,)))]
+    )
+    def test_cyclic(self, n, group):
+        assert cyclic(n) == group
+
+    @pytest.mark.parametrize(
+        "n, error", [(-1, ValueError), (-3, ValueError), (0.5, TypeError), (1.0, TypeError), ("4", TypeError)]
+    )
+    def test_cyclic_rejects_what_is_not_an_order(self, n, error):
+        with pytest.raises(error):
+            cyclic(n)
+
     def test_element_order(self):
         g = FgAbGroup(0, (2, 4))
         assert g.element([1, 2]).order() == 2

@@ -1448,9 +1448,9 @@ PINNED_REPORTS = {
     ("weights", "SO(9)"): "27e2b2290a4378794913b7f01442bb10942f53cf80993b91da73f645ec219c4f",
     ("weights", "PGL(4)"): "f7f08be04f2e73f0938fb3d767cb1180cfdb9a153820ac4e34035cd0f2379aeb",
     ("invariants", "GL(4)"): "73a69c8bcac1778ee0b87878f2e446f94c119e5e8d921fd53f3f3713e855832e",
-    ("describe", "GL(4)"): "7abed21a2bb8fe5f1760077dc4e15b305cbac21f288f1ebd48e179c6af946d80",
+    ("describe", "GL(4)"): "6a03409977ddc413a08d00bb2d9864b57fa0d98ff9b280dcd9a4bf649e0a6d53",
     ("invariants", "torus-r3"): "dd685284e9074dc5ba368a520dadeea669d3995d8b77833243906ddb6d423421",
-    ("describe", "torus-r3"): "522429cf5e351bd46691183cddb290078b2054fac435232148f0847d1344dafb",
+    ("describe", "torus-r3"): "73dbfd7513b8429064d8b888d1cd38adf8c387e0f3e6de93076fd201c3d605be",
     ("snf", "square"): "52fd0b97accf921eab6a0681d6a9abb87140f70cac8033ed641fbcee3053903d",
     ("snf", "wide"): "d364705b1627f4d105c1d236fc1d286443d6356423a3984c67d6558619468b18",
     ("snf", "rank-deficient"): "a27aa1b3f859e91c22562a26234a617ea145527b121f90c56ae8429f5e02f56c",
@@ -1459,8 +1459,8 @@ PINNED_REPORTS = {
     ("snf", "wide-10x14"): "21c0ed1707e6a95be295a93497ce887a34dd60839d2af166af99ff6e85baee1d",
     ("snf", "deficient-12"): "a83b06d094259371696abd48cd95ddeed3f22da48217289585a03b826b10dd33",
     ("snf", "square-20"): "e0aac8a992fab30bc1f228de3fa8402f23bb9e4ced21ac73027d8d1d1ae61667",
-    ("describe", "SO(8)"): "f591df49853795a77af51c48181f88fc6285532a39e648ac094adf311e8c98df",
-    ("describe", "PGL(6)"): "f7893b63fab456587712583dc2002e400bac4d51dd11560936258f4f0f98ce2b",
+    ("describe", "SO(8)"): "3a609ac36210a96a8cd9866a8f9866bbc0bfb7c62bb964fbe0bd886d4e632c4d",
+    ("describe", "PGL(6)"): "ce78b08185157d3e5ce4dd9c1e28f5dd194cd8b0785a33eea0fcec4b7d210e45",
     ("weights", "PGL(12)"): "1f68deace68814a522e47d16311a08f281198abd23f766044d71b02f2be2550a",
     ("ext", "16,16"): "416944fe1472399b51256804c3ae4d6c21e2e77756cc909bc6c2032aa5a3ec05",
     ("ext", "2,4,16"): "8c52f1353eab2f7f4d0210528c34a842d8774f1b2eb7525fdf55880284eff757",
@@ -1470,10 +1470,10 @@ PINNED_REPORTS = {
     ("ext text", "2,4,16"): "da568552165198b153870c2a4bd6b1d88bbd00e7de0831f71aad278d15a12a4f",
     ("ext text", "2,2,2,2,2,2,2,2"): "a6681573fc1b5c23c5006db0d3da0d40f779c9547042de9686c9c6104236412b",
     ("ext text", "4,64"): "5383604574dfad233d8afcdbbbe700ef72f81b6c771350944a70933d5efbfef2",
-    ("describe", "cliff-A7xD5-r22"): "902bba851d52febfe421bf7aaa7d16ec9beccb860f0729178bd43381e4f04134",
+    ("describe", "cliff-A7xD5-r22"): "c83ce6dab63e020cdce640fa7cdc8381452066b960f3c3993fe86265b22363e1",
     ("invariants", "cliff-A7xD5-r30"): "8269aa951aa49d5c162e93bffe341cfa9e29407a0f42beff6d88c2c0920ae531",
     ("invariants", "cliff-A5xD6xE7-r30"): "b6bb01158b165cc829f156abe1aa5808a2a35f81ac4c9f160d4b8ece033794a8",
-    ("describe", "cliff-A7xD5-r28-wide"): "8ad3a8e8a430bfd498ddaef083b329ced406b8e01c9f2e62b5385e4d41441373",
+    ("describe", "cliff-A7xD5-r28-wide"): "6ce93e6521ee72de8247bd1c40a4ef28be24653d2590ccd65b7eb04174b82da6",
     ("invariants", "SO(128)"): "c66538a91775cd8cefc58e1415f3b6e7b622802e95e9bc02c49ccea62238c8b7",
     ("invariants", "SL(128)"): "2d173b0a8758d5eadbbb0af50887cc61bd22b7e4909f1c0eab64e6c97b8fe8d7",
     ("invariants", "Sp(96)"): "3256d59f5dfc3650fede29a5caca663b935cd37339f3edfdad1911f02269d796",
@@ -1489,7 +1489,7 @@ PINNED_REPORTS = {
     ("weights text", "PGL(12)"): "436c5679575fbb3723c727f834ef897ad389f069d3721abc130364c192969f7e",
     ("weights text", "A1^8/Z2^3"): "2858f869a6be2b6a1df402e0725d09fe5a24751f58234c118a7a39ac91d27edd",
     ("invariants text", "SO(8)"): "c9f6efb10b9b68320208e34b88e6be33ff52260f9f06791b2d3f9e6867b4a80a",
-    ("describe", "named-D4/Z2"): "2fcf3ebc8914e0ae106c920fda9976050dadb60962d89a6e59aba4c7a07964e9",
+    ("describe", "named-D4/Z2"): "a3812c903abfc000d7dde4e90ffe571c7192dc685f81da97f768856f29171e89",
     ("invariants", "named-D4/Z2"): "d7bd42e9c0f8b5d38b9a1fa04fd95dce7c0f8075fc8be8fad0da54979ac7dba6",
     ("invariants", "wide-A7xD5-r32"): "161ceaf45160cf7e5c34360e26f545498c12704adfeacb9c1ff47c565ec40836",
     ("invariants", "wide-A5xD6xE7-r48"): "75467f54f758e0eab8e7d54ffe94b836767964ebb0ab5903dc69e07ed84823cb",
@@ -1746,6 +1746,21 @@ class TestDeterminismAndSchema:
         for source in sources:
             code, out, _ = invoke(["invariants", *source, "--json"])
             assert code == 0
+            jsonschema.validate(json.loads(out), schema)
+
+    def test_describe_report_validates_against_schema(self, tmp_path):
+        schema = json.loads((REPO / "schemas" / "describe_report.schema.json").read_text())
+        sources = [["--preset", name] for name in ("SO(2)", "GL(1)", "GL(4)", "PGL(6)", "SO(8)", "Spin(10)", "Sp(4)")]
+        docs = [TORUS_R3, QUOTIENT_SPECS["named-D4/Z2"], QUOTIENT_SPECS["A1^8/Z2^3"]]
+        rng = random.Random(33)
+        docs += [model_to_document(random_model(rng, unipotent_dim=rng.randint(0, 3))) for _ in range(20)]
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"spec{i}.json"
+            path.write_text(json.dumps(doc))
+            sources.append(["--spec", str(path)])
+        for source in sources:
+            code, out, err = invoke(["describe", *source, "--json"])
+            assert code == 0, err
             jsonschema.validate(json.loads(out), schema)
 
     def test_unipotent_model_schema(self):

@@ -21,7 +21,6 @@ from homspace.groups import (
     character_group,
     pi1,
     preset,
-    validate,
 )
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
@@ -50,18 +49,48 @@ def torus_only(rank):
     return ReductiveModel(ss=build_datum(()), torus_rank=rank, gluing=())
 
 
-class TestValidate:
+def generated_pairs(model):
+    """The gluing subgroup as the set of gluing pairs that its generators
+    reach by repeated addition in Z(S_sc) x (Q/Z)^r, the torus parts summed
+    as Fractions: a route through neither a Smith form nor a span."""
+    cgroup = center(model.ss)
+    zero = GluingPair(cgroup.element((0,) * cgroup.ngens), (Fraction(0),) * model.torus_rank)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        pair = frontier.pop()
+        for gen in model.gluing:
+            total = GluingPair(pair.center + gen.center, tuple((a + b) % 1 for a, b in zip(pair.torus, gen.torus)))
+            if total not in seen:
+                seen.add(total)
+                frontier.append(total)
+    return seen
+
+
+def assert_gluing_type_is_the_oracles(model):
+    gamma = model.gluing_type
+    assert gamma == gluing_span(model).group
+    table = gluing_elements(model)
+    assert gamma.order() == len(table) == len(set(table))
+    assert set(table) == generated_pairs(model)
+
+
+class TestGluingType:
     def test_gl_model(self):
         model = preset("GL(4)")
-        notes = validate(model)
-        assert model.gluing_type.order() == 4
-        assert any("order 4" in s for s in notes)
+        assert_gluing_type_is_the_oracles(model)
+        assert model.gluing_type == cyclic(4)
 
     def test_torus_only(self):
         model = torus_only(2)
-        validate(model)
-        assert model.gluing_type.order() == 1
+        assert_gluing_type_is_the_oracles(model)
+        assert model.gluing_type == TRIVIAL_GROUP
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        assert_gluing_type_is_the_oracles(random_model(random.Random(seed), max_gluing=3))
+
+
+class TestConstructorRejectsForeignGluing:
     def test_center_mismatch_rejected(self):
         datum_a = build_datum((SimpleType("A", 1),))
         datum_b = build_datum((SimpleType("A", 2),))
@@ -98,7 +127,6 @@ class TestModelKeys:
 
             monkeypatch.setattr(Fraction, name, counting)
         pi1(model)
-        validate(model)
         character_group(model)
         assert calls["__hash__"] == []
         # a fresh torus spec read and answered by the CLI, a new model that

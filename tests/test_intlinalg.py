@@ -315,6 +315,18 @@ class TestHelpers:
         with pytest.raises(IndexError, match=f"{method} {index} out of range for 2x{cols}"):
             getattr(m, method)(index)
 
+    def test_dimensions_are_integers(self):
+        # a float dimension was kept, and to_rows and the Smith form failed later
+        for rows, cols in ((2.0, 2), (2, 2.0), (2.5, 2)):
+            with pytest.raises(TypeError):
+                IntMatrix(rows, cols, [1, 2, 3, 4])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, 2], [3, 4]], cols=2.0)
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([], cols=2.0)
+        with pytest.raises(ValueError):
+            IntMatrix(-1, 0, [])
+
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
