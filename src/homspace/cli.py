@@ -23,15 +23,21 @@ stay argparse's own, byte for byte.  Both readers give the command a
 The console script starts a fresh interpreter for every query, so each
 module a query imports is paid on every call, and a cold ``snf`` would
 spend far longer importing the model stack than taking its Smith form.
-This module therefore imports only ``intlinalg`` and what ``re`` and
-``json`` load anyway.  The other commands' handlers live in modules of
-their own, each imported at its command's first query (``_first_query``):
+This module therefore imports only ``intlinalg`` and the C string escaper
+of ``_json``, which ``json.encoder`` re-exports, so that writing JSON loads
+no ``json`` package.  The other commands' handlers live in modules of their
+own, each imported at its command's first query (``_first_query``):
 
 * ``snf`` loads nothing more;
 * ``ext`` loads ``homspace.ext``, ``abgroups``, ``extensions`` and
   ``fractions``;
 * ``describe``, ``invariants`` and ``weights`` load ``homspace.spec``, the
-  group-spec format, and with it the model layers;
+  group-spec format, and with it the model layers, none of which imports
+  ``dataclasses``.  A ``--preset`` query loads nothing more; ``--spec``
+  loads ``json`` to parse the document and ``fractions`` to read its torus
+  parts, as does the ``GL(n)`` preset, whose torus part is a Fraction;
+* ``re`` only for a fraction spelled with an exponent (``_split_exponent``),
+  unless ``json`` or ``fractions`` loaded it already;
 * ``argparse`` (and ``contextlib``) only for an argv that the direct
   reader leaves to the top-level parser, which is built then, once.
 """
@@ -40,11 +46,10 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import sys
+from _json import encode_basestring_ascii as _encode_str
 from collections import namedtuple
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
 from . import __version__
@@ -94,10 +99,6 @@ def _parse_fraction(text, where: str):
     return value
 
 
-# the exponent of a decimal spelling such as "5e-1", as Fraction(text) reads it
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
 def _split_exponent(text: str):
     """(s, p) with Fraction(text) == Fraction(s) * 10**p, so that Fraction
     never raises 10 to an exponent e past the digit limit plus len(text):
@@ -106,7 +107,10 @@ def _split_exponent(text: str):
     than the digit limit's digits (e < 0), or at least 1 in absolute value
     (e > 0), because the mantissa has fewer than len(text) digits.  Fraction
     still reads the mantissa, and checks the spelling."""
-    exponent = _EXPONENT.search(text)
+    import re
+
+    # the exponent of a decimal spelling such as "5e-1", as Fraction(text) reads it
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
     limit = sys.get_int_max_str_digits()
     if exponent is None or not limit:
         return text, 0

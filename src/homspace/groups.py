@@ -38,6 +38,8 @@ the derived kernel and ``character_group``, hand to the solver as plain
 integer rows.  Center parts are elements of ``center(ss)``, integer
 coordinates over its canonical generators, so no query does ``Fraction``
 arithmetic, and since no cache is keyed by a model, no query hashes one.
+``fractions`` is imported only where a Fraction is made, a non-empty torus
+part and the ``GL(n)`` preset, so no other preset loads it.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -50,9 +52,6 @@ its inclusion by a reference route of its own.  They are compared with
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import index
@@ -62,64 +61,59 @@ from .abgroups import (
     FgAbGroup,
     SubgroupPresentation,
     _mod_n_lattice,
+    _Record,
     span_group,
     subgroup_from_generators,
 )
 from .intlinalg import IntMatrix
 from .rootdata import RootDatumSS, SimpleType, build_datum, center, restriction_matrix
 
-@dataclass(frozen=True)
-class GluingPair:
+class GluingPair(_Record):
     """Generator of the gluing subgroup: a central element of S_sc together
     with a torsion point of the central torus."""
 
-    center: AbElement
-    torus: tuple
+    __slots__ = ("center", "torus")
 
-    def __post_init__(self):
-        if any(isinstance(v, float) for v in self.torus):
-            raise TypeError(f"torus part {self.torus!r} holds a float, which is not exact")
-        torus = tuple(v if type(v) is Fraction else Fraction(v) for v in self.torus)
-        for v in torus:
-            if not 0 <= v.numerator < v.denominator:
-                raise ValueError(f"torus torsion point {v} must be reduced into [0, 1)")
-        object.__setattr__(self, "torus", torus)
+    def __init__(self, center: AbElement, torus: tuple):
+        values = tuple(torus)
+        if values:  # a pair with no torus part makes no Fraction
+            from fractions import Fraction
+
+            if any(isinstance(v, float) for v in values):
+                raise TypeError(f"torus part {torus!r} holds a float, which is not exact")
+            values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+            for v in values:
+                if not 0 <= v.numerator < v.denominator:
+                    raise ValueError(f"torus torsion point {v} must be reduced into [0, 1)")
+        self._set(center, values)
 
     @classmethod
     def _from_checked(cls, center: AbElement, torus: tuple) -> GluingPair:
         """The pair of a torus part that is already a tuple of Fractions in
         [0, 1), such as the spec reader's, built without checking it again."""
         pair = object.__new__(cls)
-        vars(pair).update(center=center, torus=torus)
+        pair._set(center, torus)
         return pair
 
 
-@dataclass(frozen=True)
-class ReductiveModel:
-    ss: RootDatumSS
-    torus_rank: int
-    gluing: tuple
-    unipotent_dim: int = 0
-    name: str | None = None
-
-    def __post_init__(self):
-        rank, unipotent = index(self.torus_rank), index(self.unipotent_dim)
-        if self.name is not None and not isinstance(self.name, str):
-            raise TypeError(f"model name must be a str or None, not {type(self.name).__name__}")
+class ReductiveModel(_Record):
+    def __init__(
+        self, ss: RootDatumSS, torus_rank: int, gluing: tuple, unipotent_dim: int = 0, name: str | None = None
+    ):
+        rank, unipotent = index(torus_rank), index(unipotent_dim)
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"model name must be a str or None, not {type(name).__name__}")
         if rank < 0:
             raise ValueError("torus rank must be nonnegative")
         if unipotent < 0:
             raise ValueError("unipotent dimension must be nonnegative")
-        object.__setattr__(self, "torus_rank", rank)
-        object.__setattr__(self, "unipotent_dim", unipotent)
-        object.__setattr__(self, "gluing", tuple(self.gluing))
-        for pair in self.gluing:
-            if pair.center.group != center(self.ss):
+        gluing = tuple(gluing)
+        for pair in gluing:
+            if pair.center.group != center(ss):
                 raise ValueError("gluing element does not lie in the stated center")
-            if len(pair.torus) != self.torus_rank:
-                raise ValueError(
-                    f"gluing torus part has {len(pair.torus)} coordinates, model has torus rank {self.torus_rank}"
-                )
+            if len(pair.torus) != rank:
+                raise ValueError(f"gluing torus part has {len(pair.torus)} coordinates, model has torus rank {rank}")
+        self._set(ss, rank, gluing, unipotent, name)
 
     @cached_property
     def torus_numerators(self) -> tuple:
@@ -155,17 +149,14 @@ class ReductiveModel:
         return self.name or f"({self.ss}, r={self.torus_rank}, {len(self.gluing)} gluing generators)"
 
 
-@dataclass(frozen=True)
-class SemisimpleModel:
+class SemisimpleModel(_Record):
     """Quotient of a simply connected semisimple group by a central subgroup;
     the fundamental group is that kernel."""
 
-    datum: RootDatumSS
-    kernel: SubgroupPresentation
-
-    def __post_init__(self):
-        if self.kernel.ambient != center(self.datum):
+    def __init__(self, datum: RootDatumSS, kernel: SubgroupPresentation):
+        if kernel.ambient != center(datum):
             raise ValueError("kernel must be a subgroup of the center")
+        self._set(datum, kernel)
 
     @cached_property
     def restriction_matrix(self) -> IntMatrix:
@@ -236,6 +227,9 @@ def _torus_model(rank: int, name: str) -> ReductiveModel:
     return ReductiveModel(ss=build_datum(()), torus_rank=rank, gluing=(), unipotent_dim=0, name=name)
 
 
+_PRESET_KINDS = ("SL", "GL", "PGL", "SO", "Spin", "Sp")
+
+
 # Bounded like build_datum; a repeated name gets the same model back.
 @lru_cache(maxsize=256)
 def preset(name: str) -> ReductiveModel:
@@ -251,10 +245,12 @@ def preset(name: str) -> ReductiveModel:
     weights as the reference.
     """
     text = name.strip()
-    match = re.fullmatch(r"(SL|GL|PGL|SO|Spin|Sp)\((\d+)\)", text)
-    if not match:
+    kind, _, rest = text.partition("(")
+    # isdecimal() is true exactly on the Unicode digits (category Nd) that
+    # int() reads
+    if kind not in _PRESET_KINDS or rest[-1:] != ")" or not rest[:-1].isdecimal():
         raise ValueError(f"unknown preset {name!r}")
-    kind, num = match.group(1), int(match.group(2))
+    num = int(rest[:-1])
     if kind in ("SL", "GL", "PGL"):
         if num < 1:
             raise ValueError(f"bad preset rank in {name!r}")
@@ -266,6 +262,8 @@ def preset(name: str) -> ReductiveModel:
             return ReductiveModel(datum, 0, (), 0, name=text)
         if kind == "PGL":
             return ReductiveModel(datum, 0, (GluingPair(cgen, ()),), 0, name=text)
+        from fractions import Fraction
+
         return ReductiveModel(datum, 1, (GluingPair(cgen, (Fraction(1, num),)),), 0, name=text)
     if kind == "Sp":
         if num < 2 or num % 2:

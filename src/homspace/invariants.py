@@ -45,35 +45,38 @@ writes its rows straight from the matrix columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abgroups import FgAbGroup, TRIVIAL_GROUP, ext1_z, hom_group, Z
+from .abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _Record, ext1_z, hom_group
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
 from .intlinalg import IntMatrix
 from .rootdata import RootDatumSS
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    pic_lattice: IntMatrix
-    pic_group: FgAbGroup
-    brauer: FgAbGroup
-    e_al: FgAbGroup
-    pi1_m: FgAbGroup
-    pi2_m: FgAbGroup
-    h2_m: FgAbGroup
-    tors_h3_m: FgAbGroup
-    notes: tuple
+class InvariantReport(_Record):
+    __slots__ = ("pic_lattice", "pic_group", "brauer", "e_al", "pi1_m", "pi2_m", "h2_m", "tors_h3_m", "notes")
+
+    def __init__(
+        self,
+        pic_lattice: IntMatrix,
+        pic_group: FgAbGroup,
+        brauer: FgAbGroup,
+        e_al: FgAbGroup,
+        pi1_m: FgAbGroup,
+        pi2_m: FgAbGroup,
+        h2_m: FgAbGroup,
+        tors_h3_m: FgAbGroup,
+        notes: tuple,
+    ):
+        self._set(pic_lattice, pic_group, brauer, e_al, pi1_m, pi2_m, h2_m, tors_h3_m, notes)
 
 
-@dataclass(frozen=True)
-class WeightBrauerTable:
+class WeightBrauerTable(_Record):
     """The weight table as the restriction matrix it is read from: one column
     per fundamental weight, one row per canonical generator of ``dual``."""
 
-    datum: RootDatumSS
-    dual: FgAbGroup
-    restrictions: IntMatrix
+    __slots__ = ("datum", "dual", "restrictions")
+
+    def __init__(self, datum: RootDatumSS, dual: FgAbGroup, restrictions: IntMatrix):
+        self._set(datum, dual, restrictions)
 
     def columns(self):
         """(node label, restriction coordinates) per fundamental weight, in

@@ -32,38 +32,35 @@ single weight, are test oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .abgroups import FgAbGroup, SubgroupPresentation, from_presentation
+from .abgroups import FgAbGroup, SubgroupPresentation, _Record, from_presentation
 from .intlinalg import IntMatrix
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    family: str
-    rank: int
+class SimpleType(_Record):
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
+    def __init__(self, family: str, rank: int):
         if type(rank) is not int:
             raise TypeError(f"rank must be an int, got {rank!r}")
-        if fam == "E":
+        if family == "E":
             if rank not in (6, 7, 8):
                 raise ValueError(f"E{rank} is not a simple type")
-        elif fam in ("F", "G"):
-            if rank != _MIN_RANK[fam]:
-                raise ValueError(f"{fam}{rank} is not a simple type")
-        elif fam in _MIN_RANK:
-            if rank < _MIN_RANK[fam]:
+        elif family in ("F", "G"):
+            if rank != _MIN_RANK[family]:
+                raise ValueError(f"{family}{rank} is not a simple type")
+        elif family in _MIN_RANK:
+            if rank < _MIN_RANK[family]:
                 raise ValueError(
-                    f"{fam}{rank} is excluded; rank bounds (A>=1, B>=2, C>=3, D>=4) keep type names unambiguous"
+                    f"{family}{rank} is excluded; rank bounds (A>=1, B>=2, C>=3, D>=4) keep type names unambiguous"
                 )
         else:
-            raise ValueError(f"unknown family {fam!r}")
+            raise ValueError(f"unknown family {family!r}")
+        self._set(family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -110,8 +107,7 @@ def cartan_matrix(t: SimpleType) -> IntMatrix:
     return IntMatrix.from_rows(a)
 
 
-@dataclass(frozen=True)
-class RootDatumSS:
+class RootDatumSS(_Record):
     """Product of simple root systems with its P/Q data.
 
     ``pq_proj`` is the matrix that sends a weight (fundamental-weight
@@ -120,10 +116,10 @@ class RootDatumSS:
     entries in [0, d_j).
     """
 
-    factors: tuple
-    rank: int
-    pq_group: FgAbGroup
-    pq_proj: IntMatrix
+    __slots__ = ("factors", "rank", "pq_group", "pq_proj")
+
+    def __init__(self, factors: tuple, rank: int, pq_group: FgAbGroup, pq_proj: IntMatrix):
+        self._set(factors, rank, pq_group, pq_proj)
 
     def node_labels(self) -> tuple:
         labels = []

@@ -5,7 +5,8 @@
 and ``ext`` load none of ``groups``, ``rootdata`` and ``invariants``.  The
 layers are read as ``groups.pi1(...)``: a lookup in the layer's own
 namespace, so a function replaced there (by a tracer or a test) is the one
-every query calls.
+every query calls.  ``json`` is imported by ``parse_spec`` alone, so a
+``--preset`` query loads no JSON parser.
 
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the text of a document of at most 64 KiB) are
@@ -15,7 +16,6 @@ derives, its report included.
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import lru_cache
 
@@ -37,6 +37,8 @@ def parse_spec(text: str) -> groups.ReductiveModel:
     paths.  Every check of the document's shape runs before any check of
     the model it states, so a document with several faults reports the
     first shape fault."""
+    import json
+
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit

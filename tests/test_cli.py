@@ -376,13 +376,13 @@ class TestSpellingMemo:
             datum, 3, tuple(GluingPair(center(datum).identity(), tuple(map(Fraction, row))) for row in rows)
         )
         checked = []
-        original = GluingPair.__post_init__
+        original = GluingPair.__init__
 
-        def counting(pair):
-            checked.append(pair.torus)
-            original(pair)
+        def counting(pair, center, torus):
+            checked.append(torus)
+            original(pair, center, torus)
 
-        monkeypatch.setattr(GluingPair, "__post_init__", counting)
+        monkeypatch.setattr(GluingPair, "__init__", counting)
         model = parse_spec(json.dumps(torus_doc(rows, (SimpleType("A", 1),))))
         assert checked == []
         assert model == expected and hash(model) == hash(expected)
@@ -975,9 +975,7 @@ class TestCommands:
         for module in (abmod, linmod):
             for name in ("_snf_transform", "solution_lattice"):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(
-            SemisimpleModel, "__post_init__", counting("SemisimpleModel.__post_init__", SemisimpleModel.__post_init__)
-        )
+        monkeypatch.setattr(SemisimpleModel, "__init__", counting("SemisimpleModel.__init__", SemisimpleModel.__init__))
         for argv in queries:
             code, out, err = invoke(argv)
             assert code == 0, err
@@ -1186,31 +1184,76 @@ NOT_LOADED = {
 }
 
 
+# the standard-library modules that no preset query and no snf query reads:
+# the records are not dataclasses, only a spec document is JSON, only a
+# torus part, the GL(n) preset and ext make a Fraction (and fractions loads
+# decimal and re), and otherwise only a fraction spelled with an exponent
+# reads re
+UNREAD = frozenset({"dataclasses", "inspect", "json", "fractions", "decimal", "re"})
+MAKES_FRACTIONS = UNREAD - {"fractions", "decimal", "re"}
+READS_A_SPEC = frozenset({"dataclasses", "inspect"})
+
+# answers the query given after the script, as the console script does, and
+# writes the modules loaded then as the last line of stderr; before the
+# query it imports nothing but sys and homspace.cli, so every module listed
+# was loaded by the query or by the import of homspace.cli
+RUN_AND_LIST_LOADED = (
+    "import sys\n"
+    "from homspace import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "sys.stderr.write('\\n' + ' '.join(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+
+
+def cold_query(argv):
+    """(exit code, stdout, stderr, loaded modules) of one query answered by
+    a fresh interpreter under ``-S``, as ``fresh_interpreter`` runs one."""
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_AND_LIST_LOADED, *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    err, _, modules = proc.stderr.rpartition("\n")
+    return proc.returncode, proc.stdout, err, set(modules.split())
+
+
 class TestColdImports:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unread",
         [
-            ["snf", "--matrix", "2,4;6,8"],
-            ["snf", "--json", "--matrix", "-1,2;3,4"],
-            ["ext", "--json", "--group", "2,4", "--char", "1/2,3/4"],
-            ["ext", "--group", "4,64", "--char", "1/4,5/64"],
-            ["describe", "--preset", "SO(8)"],
-            ["describe", "--json", "--spec", "TORUS_R3"],
-            ["describe", "--expand", "--preset", "GL(3)"],
-            ["invariants", "--json", "--preset", "SO(8)"],
-            ["invariants", "--spec", "TORUS_R3"],
-            ["weights", "--json", "--preset", "Spin(8)"],
+            pytest.param(argv, unread, id=" ".join(argv))
+            for argv, unread in (
+                (["snf", "--matrix", "2,4;6,8"], UNREAD),
+                (["snf", "--json", "--matrix", "-1,2;3,4"], UNREAD),
+                (["ext", "--json", "--group", "2,4", "--char", "1/2,3/4"], MAKES_FRACTIONS),
+                (["ext", "--group", "4,64", "--char", "1/4,5/64"], MAKES_FRACTIONS),
+                (["describe", "--json", "--spec", "TORUS_R3"], READS_A_SPEC),
+                (["invariants", "--spec", "TORUS_R3"], READS_A_SPEC),
+                (["invariants", "--json", "--spec", "TORUS_R3"], READS_A_SPEC),
+                (["describe", "--expand", "--preset", "GL(3)"], MAKES_FRACTIONS),
+                (["invariants", "--json", "--preset", "GL(3)"], MAKES_FRACTIONS),
+                (["describe", "--expand", "--preset", "SO(8)"], UNREAD),
+                *(
+                    ([command, *fmt, "--preset", name], UNREAD)
+                    for command in ("describe", "invariants", "weights")
+                    for fmt in ([], ["--json"])
+                    for name in ("PGL(8)", "SO(8)", "Spin(8)", "Sp(6)", "SL(1)")
+                    if (command, name) != ("weights", "SL(1)")
+                ),
+            )
         ],
-        ids=" ".join,
     )
-    def test_a_command_imports_only_the_layers_it_reads(self, argv, tmp_path):
+    def test_a_command_imports_only_the_layers_it_reads(self, argv, unread, tmp_path):
         spec = tmp_path / "torus_r3.json"
         spec.write_text(json.dumps(TORUS_R3))
         argv = [str(spec) if arg == "TORUS_R3" else arg for arg in argv]
-        [(code, out, err, modules)] = fresh_interpreter(RUN_AND_LIST_MODULES, json.dumps([argv]))
+        code, out, err, modules = cold_query(argv)
         assert code == 0 and out and not err, err
         assert invoke(argv) == (code, out, err)
-        assert not set(NOT_LOADED[argv[0]]) & set(modules), argv
+        assert "homspace.cli" in modules
+        assert not set(NOT_LOADED[argv[0]]) & modules, argv
+        assert not unread & modules, sorted(unread & modules)
 
     def test_public_functions_bind_their_layers_in_a_fresh_interpreter(self):
         # only homspace.spec imported: parse_spec and model_to_document
@@ -1290,13 +1333,13 @@ class TestQueryCaches:
         cold = invoke(argv)
         assert cold[0] == 0, cold
         built = []
-        original = SemisimpleModel.__post_init__
+        original = SemisimpleModel.__init__
 
-        def counting(sm):
-            built.append(sm.datum)
-            original(sm)
+        def counting(sm, datum, kernel):
+            built.append(datum)
+            original(sm, datum, kernel)
 
-        monkeypatch.setattr(SemisimpleModel, "__post_init__", counting)
+        monkeypatch.setattr(SemisimpleModel, "__init__", counting)
         assert invoke(argv) == cold
         assert built == []
 
@@ -1490,6 +1533,13 @@ PINNED_REPORTS = {
     ("weights text", "A1^8/Z2^3"): "2858f869a6be2b6a1df402e0725d09fe5a24751f58234c118a7a39ac91d27edd",
     ("invariants text", "SO(8)"): "c9f6efb10b9b68320208e34b88e6be33ff52260f9f06791b2d3f9e6867b4a80a",
     ("describe", "named-D4/Z2"): "a3812c903abfc000d7dde4e90ffe571c7192dc685f81da97f768856f29171e89",
+    ("describe text", "GL(4)"): "366009eabe8fe0ef6ffcf01fd7f652e517b99b8e1f1b64e088cb6e079c396093",
+    ("describe text", "PGL(6)"): "dfa75a4615da80c9542ec64b8f14c2325bade2e18a278ef4555a2005bb59049f",
+    ("describe text", "SO(8)"): "61d0b6404cd3401ce0b4a124b1a405213b1f4296a79ee3d0b7fe6156b5edf239",
+    ("describe text", "cliff-A7xD5-r22"): "8d91bec4dec0eedc5aca3a592c6072c9f9c9a8c1ff0394edc3c11ddee10d0efa",
+    ("describe text", "cliff-A7xD5-r28-wide"): "5e227cb31ec349ee626d6d7b7199ec3c15001a457bcfba08b65c82996e7816ab",
+    ("describe text", "named-D4/Z2"): "1ee214d267178c9ad1b620736b982e4a603ea41a720c1c3d12fe5a76a0f3aefd",
+    ("describe text", "torus-r3"): "2e2bcedd6bcd4799ac1442ef14bb5d698934c3b4c533d2d382e1c857032c8cdc",
     ("invariants", "named-D4/Z2"): "d7bd42e9c0f8b5d38b9a1fa04fd95dce7c0f8075fc8be8fad0da54979ac7dba6",
     ("invariants", "wide-A7xD5-r32"): "161ceaf45160cf7e5c34360e26f545498c12704adfeacb9c1ff47c565ec40836",
     ("invariants", "wide-A5xD6xE7-r48"): "75467f54f758e0eab8e7d54ffe94b836767964ebb0ab5903dc69e07ed84823cb",

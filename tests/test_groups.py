@@ -2,11 +2,12 @@ import gc
 import io
 import json
 import random
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import QUOTIENT_SPECS, random_model
@@ -469,7 +470,55 @@ class TestCentralPushout:
                 assert got == brute
 
 
+# the pattern that groups.preset matched names with before it read them
+# with str.partition and str.isdecimal, kept as the oracle of that reader;
+# \d matches the Unicode decimal digits
+PRESET_NAME = re.compile(r"(SL|GL|PGL|SO|Spin|Sp)\((\d+)\)")
+# what preset names are drawn from: every kind and a near miss, ASCII and
+# Arabic-Indic decimal digits, a digit that is no decimal (superscript two)
+# and leading zeros, parentheses and spaces
+PRESET_WORDS = ("SL", "GL", "PGL", "SO", "Spin", "Sp", "S")
+PRESET_DIGITS = ("0", "00", "1", "2", "3", "8", "\u0663", "\u00b2")
+preset_names = st.one_of(
+    st.lists(st.sampled_from((*PRESET_WORDS, *PRESET_DIGITS, "(", ")", " ")), max_size=8).map("".join),
+    st.builds(
+        "{}{}({}){}".format,
+        st.sampled_from(("", " ", "  ")),
+        st.sampled_from(PRESET_WORDS),
+        st.lists(st.sampled_from(PRESET_DIGITS), max_size=3).map("".join),
+        st.sampled_from(("", " ", ")")),
+    ),
+)
+
+
 class TestPresets:
+    @settings(max_examples=500, deadline=None)
+    @given(preset_names)
+    def test_reader_matches_the_regex(self, name):
+        # where the pattern matches the stripped name, preset builds the
+        # model of the ASCII spelling of the same number, under the stripped
+        # name, or fails as that spelling does; elsewhere it is unknown
+        match = PRESET_NAME.fullmatch(name.strip())
+        if match is None:
+            with pytest.raises(ValueError) as refused:
+                preset(name)
+            assert str(refused.value) == f"unknown preset {name!r}"
+            return
+        kind, num = match.group(1), int(match.group(2))
+        assume(num <= 40)
+        ascii_name = f"{kind}({num})"
+        try:
+            expected = preset(ascii_name)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                preset(name)
+            assert str(refused.value) == str(exc).replace(repr(ascii_name), repr(name))
+            return
+        model = preset(name)
+        assert model.name == name.strip()
+        renamed = ReductiveModel(expected.ss, expected.torus_rank, expected.gluing, expected.unipotent_dim, model.name)
+        assert model == renamed
+
     def test_so2_is_torus(self):
         model = preset("SO(2)")
         assert model.ss.rank == 0

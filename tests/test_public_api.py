@@ -128,14 +128,21 @@ def test_the_late_imports_are_these():
     # and then looked up again on every call: each one is a deliberate edit
     # of this list.  The front end loads the modules of the model commands
     # and of ext, and through them the layers they read, only for their
-    # queries, and never names a model layer itself
+    # queries, and never names a model layer itself.  json, fractions and re
+    # are read only where a spec document is parsed, a Fraction is made
+    # (a non-empty torus part, the GL(n) preset, a fraction spelling) or an
+    # exponent is split off, so a preset query loads none of them
     late = {f"{name}.{scope}: {module}" for name, tree in modules().items() for scope, module in late_imports(tree)}
     assert late == {
         "cli._parse_fraction: fractions",
+        "cli._split_exponent: re",
         "cli._parser: argparse",
         "cli.run: contextlib",
         "cli._first_query: .ext",
         "cli._first_query: .spec",
+        "spec.parse_spec: json",
+        "groups.preset: fractions",
+        "groups.__init__: fractions",
     }
     named = set()
     for _, module, names in imports(modules()["cli"]):
@@ -234,8 +241,10 @@ def test_the_caches_are_these():
 def test_the_kept_values_and_hashes_are_these():
     # what a model derives is kept on the object as a cached property, and
     # since no cache is keyed by a model, only a class that writes its own
-    # __eq__ writes its own __hash__; a new one of either is a deliberate
-    # edit of these lists
+    # __eq__ writes its own __hash__: the matrix, the character, the
+    # frozen-record base that every record class of the package shares, and
+    # the two records whose comparisons are the hottest, which write theirs
+    # out; a new one of either is a deliberate edit of these lists
     kept, seen, hashes = set(), [], set()
     for name, tree in modules().items():
         for node in ast.walk(tree):
@@ -260,7 +269,13 @@ def test_the_kept_values_and_hashes_are_these():
         "SemisimpleModel.restriction_matrix",
     }
     assert len(seen) == len(kept), seen
-    assert hashes == {"IntMatrix.__hash__", "Character.__hash__"}
+    assert hashes == {
+        "IntMatrix.__hash__",
+        "Character.__hash__",
+        "_Record.__hash__",
+        "FgAbGroup.__hash__",
+        "AbElement.__hash__",
+    }
 
 
 def defined_names(tree):
