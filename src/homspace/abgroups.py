@@ -46,55 +46,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
-from operator import attrgetter, index
+from operator import index
 
-from .intlinalg import IntMatrix, solution_lattice, _snf_transform
-
-
-class _Record:
-    """A frozen value, as ``@dataclass(frozen=True)`` makes one, without
-    importing ``dataclasses`` or ``exec``-ing its methods.  A record's
-    fields are the parameters of its ``__init__``, in order, which checks
-    and normalizes them and sets them with ``_set``, or one by one with
-    ``object.__setattr__`` where that is faster to run.  Equality and the
-    hash are those of the tuple of fields, and a record never equals one of
-    another class.  The repr is the dataclass repr.  Assignment and deletion
-    raise AttributeError, and copy and pickle rebuild a record through its
-    constructor.  A record keeps its fields in ``__slots__``, or in a
-    ``__dict__`` where a ``cached_property`` keeps what it derives."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._key = attrgetter(*cls._fields)
-
-    def _set(self, *values):
-        for key, value in zip(self._fields, values):
-            object.__setattr__(self, key, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._key(self)))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild a record from its fields, never by setattr
-        return type(self), self._key(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+from .intlinalg import IntMatrix, _Record, solution_lattice, _snf_transform
 
 
 class FgAbGroup(_Record):
@@ -112,19 +66,10 @@ class FgAbGroup(_Record):
             if prev is not None and d % prev:
                 raise ValueError(f"invariant factors {prev}, {d} break the divisibility chain")
             prev = d
+        # set one by one, as AbElement's fields are: on the records built
+        # most often, that is faster than _set
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
-
-    # the constructor, == and hash are written out, as AbElement's are: on
-    # the records built and compared most often, that takes about 40% less
-    # time than _set and the record's attrgetter key
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.free_rank, self.invariant_factors) == (other.free_rank, other.invariant_factors)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.free_rank, self.invariant_factors))
 
     @property
     def ngens(self) -> int:
@@ -200,14 +145,6 @@ class AbElement(_Record):
     def __init__(self, group: FgAbGroup, coords: tuple):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.coords) == (other.group, other.coords)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
 
     def __add__(self, other: "AbElement") -> "AbElement":
         if self.group != other.group:

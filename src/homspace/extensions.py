@@ -15,6 +15,10 @@ which hold either way.  ``ext --char`` states the convention in its
 ``round_trip_ok`` field and ``class round trip: ok`` line, and the weight
 Brauer table reads each class off the restriction by it.
 
+A ``Character`` is a frozen record, on the base in ``intlinalg``: its
+values are reduced into [0, 1) when it is built, so equal characters have
+equal fields.
+
 The tests prove the convention and the closed form on realized extensions,
 kept in ``tests/oracles.py``: the extension presented by one lift per
 generator, its class read back off those lifts, and symmetric cocycle
@@ -28,9 +32,10 @@ from fractions import Fraction
 from math import lcm
 
 from .abgroups import AbElement, FgAbGroup, _mod_n_lattice, span_group
+from .intlinalg import _Record
 
 
-class Character:
+class Character(_Record):
     """Character of a finite group, one value in Q/Z per canonical
     generator; the generator order must kill its value."""
 
@@ -47,8 +52,7 @@ class Character:
         for v, d in zip(values, group.invariant_factors):
             if (v * d).denominator != 1:
                 raise ValueError(f"value {v} is not killed by the generator order {d}")
-        self.group = group
-        self.values = values
+        self._set(group, values)
 
     def evaluate(self, coords: Sequence[int]) -> Fraction:
         return sum((c * v for c, v in zip(coords, self.values)), Fraction(0)) % 1
@@ -65,15 +69,6 @@ class Character:
 
     def __neg__(self) -> "Character":
         return Character(self.group, tuple(-v for v in self.values))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Character) and self.group == other.group and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.values))
-
-    def __repr__(self) -> str:
-        return f"Character({self.group}, {self.values})"
 
     def order(self) -> int:
         return lcm(1, *(v.denominator for v in self.values))

@@ -61,11 +61,10 @@ from .abgroups import (
     FgAbGroup,
     SubgroupPresentation,
     _mod_n_lattice,
-    _Record,
     span_group,
     subgroup_from_generators,
 )
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _Record
 from .rootdata import RootDatumSS, SimpleType, build_datum, center, restriction_matrix
 
 class GluingPair(_Record):
@@ -245,6 +244,13 @@ def preset(name: str) -> ReductiveModel:
     weights as the reference.
     """
     text = name.strip()
+    if text != name:
+        # a padded name shares its stripped name's cache entry; a bad one
+        # falls through, so that its error quotes the name as given
+        try:
+            return preset(text)
+        except ValueError:
+            pass
     kind, _, rest = text.partition("(")
     # isdecimal() is true exactly on the Unicode digits (category Nd) that
     # int() reads

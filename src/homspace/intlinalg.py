@@ -39,6 +39,9 @@ whose relations R are square and nonsingular reads it as ``R V D^-1``,
 since ``U R V == D`` (``abgroups.subgroup_from_generators``).
 
 Empty matrices (zero rows or zero columns) are legal everywhere.
+
+``IntMatrix`` is a frozen record on ``_Record``, the base of the package's
+value classes, kept here because every layer imports this module.
 """
 
 from __future__ import annotations
@@ -47,13 +50,63 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import lcm
-from operator import index, mul
+from operator import attrgetter, index, mul
 
 
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
+class _Record:
+    """A frozen value, as ``@dataclass(frozen=True)`` makes one, without
+    importing ``dataclasses`` or ``exec``-ing its methods.  Every value
+    class of the package but the named tuple ``SnfResult`` is one, from
+    ``IntMatrix`` here up to the reports of ``invariants``; the base lives
+    in this bottom module so that every layer can subclass it.  A record's fields are the parameters of its
+    ``__init__``, in order, which checks and normalizes them and sets them
+    with ``_set``, or one by one with ``object.__setattr__`` where that is
+    faster to run.  Equality and the hash are those of the tuple of fields,
+    and a record never equals one of another class.  The repr is the
+    dataclass repr.  Assignment and deletion raise AttributeError, and copy
+    and pickle rebuild a record through its constructor.  A record keeps
+    its fields in ``__slots__``, or in a ``__dict__`` where a
+    ``cached_property`` keeps what it derives."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values):
+        for key, value in zip(self._fields, values):
+            object.__setattr__(self, key, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record from its fields, never by setattr
+        return type(self), self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(_Record):
+    """Immutable integer matrix, row-major, arbitrary precision:
+    ``entries`` is the flat tuple of its rows."""
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         rows, cols = index(rows), index(cols)
@@ -64,9 +117,9 @@ class IntMatrix:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self._entries = data
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -104,30 +157,30 @@ class IntMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self._entries[i * self.cols + j]
+        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.rows}x{self.cols}")
-        return self._entries[j :: self.cols]
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
-            self.cols, self.rows, (self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
+            self.cols, self.rows, (self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self._entries, other._entries
+        a, b = self.entries, other.entries
         n, m, p = self.rows, self.cols, other.cols
         out = []
         for i in range(n):
@@ -141,20 +194,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError(f"vector length {len(vector)} != {self.cols}")
         return tuple(sum(map(mul, self.row(i), vector)) for i in range(self.rows))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}, {self.cols}, {list(self._entries)})"
 
 
 class SnfResult(namedtuple("SnfResult", ("u", "d", "v"))):

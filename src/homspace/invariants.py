@@ -45,9 +45,9 @@ writes its rows straight from the matrix columns.
 
 from __future__ import annotations
 
-from .abgroups import FgAbGroup, TRIVIAL_GROUP, Z, _Record, ext1_z, hom_group
+from .abgroups import FgAbGroup, TRIVIAL_GROUP, Z, ext1_z, hom_group
 from .groups import ReductiveModel, SemisimpleModel, character_group, pi1
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _Record
 from .rootdata import RootDatumSS
 
 

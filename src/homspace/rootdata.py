@@ -35,8 +35,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .abgroups import FgAbGroup, SubgroupPresentation, _Record, from_presentation
-from .intlinalg import IntMatrix
+from .abgroups import FgAbGroup, SubgroupPresentation, from_presentation
+from .intlinalg import IntMatrix, _Record
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 

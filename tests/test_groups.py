@@ -519,6 +519,13 @@ class TestPresets:
         renamed = ReductiveModel(expected.ss, expected.torus_rank, expected.gluing, expected.unipotent_dim, model.name)
         assert model == renamed
 
+    def test_a_padded_name_is_its_stripped_names_model(self):
+        # one model per preset, whatever the padding: a padded name's cache
+        # entry holds its stripped name's model
+        model = preset(" SO(8) ")
+        assert model is preset("SO(8)") and model is preset("\tSO(8)\n")
+        assert model.name == "SO(8)"
+
     def test_so2_is_torus(self):
         model = preset("SO(2)")
         assert model.ss.rank == 0

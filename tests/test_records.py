@@ -1,20 +1,23 @@
-"""The ten record classes of the package behave as the frozen dataclasses
-they replace.  Each is compared with a reference ``@dataclass(frozen=True)``
-of the same name and fields, built here: repr, ``==``, ``!=`` and hash,
-construction by position, keyword and default, the TypeError of a missing
-or unknown argument, the AttributeError of an assignment or a deletion, and
-the cached properties of the two model classes; and copy and pickle."""
+"""The twelve record classes of the package behave as frozen dataclasses.
+Each is compared with a reference ``@dataclass(frozen=True)`` of the same
+name and fields, built here: repr, ``==``, ``!=`` and hash, construction by
+position, keyword and default, the TypeError of a missing or unknown
+argument, the AttributeError of an assignment or a deletion, and the cached
+properties of the two model classes; and copy and pickle."""
 
 import copy
 import json
 import pickle
 from dataclasses import field, make_dataclass
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from homspace.abgroups import AbElement, FgAbGroup, SubgroupPresentation
+from homspace.abgroups import TRIVIAL_GROUP, AbElement, FgAbGroup, SubgroupPresentation
+from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, pi1, preset
+from homspace.intlinalg import IntMatrix
 from homspace.invariants import InvariantReport, WeightBrauerTable, invariant_report, weight_brauer_table
 from homspace.rootdata import RootDatumSS, SimpleType
 from homspace.spec import parse_spec
@@ -22,8 +25,10 @@ from homspace.spec import parse_spec
 # per class, its fields in order, a (name, default) pair for a field that
 # has a default
 FIELDS = {
+    IntMatrix: ("rows", "cols", "entries"),
     FgAbGroup: (("free_rank", 0), ("invariant_factors", ())),
     AbElement: ("group", "coords"),
+    Character: ("group", "values"),
     SubgroupPresentation: ("ambient", "computed", "inclusion"),
     SimpleType: ("family", "rank"),
     RootDatumSS: ("factors", "rank", "pq_group", "pq_proj"),
@@ -67,10 +72,16 @@ def samples():
     models = [preset(name) for name in ("GL(4)", "PGL(6)", "SO(8)", "Spin(8)", "SL(1)")]
     models.append(parse_spec(json.dumps(TORUS_DOC)))
     semisimple = [m.derived for m in models]
+    chi = Character(FgAbGroup(0, (2, 4)), (Fraction(1, 2), Fraction(3, 4)))
     found = {
+        IntMatrix: [IntMatrix(2, 2, [1, 2, 3, 4]), IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), IntMatrix.identity(2)]
+        + [m.ss.pq_proj for m in models]
+        + [sm.restriction_matrix for sm in semisimple],
         FgAbGroup: [FgAbGroup(), FgAbGroup(2, (3,)), FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4))]
         + [pi1(m) for m in models],
         AbElement: [pair.center for m in models for pair in m.gluing],
+        Character: [chi, -chi, chi + chi, Character(TRIVIAL_GROUP, ()), Character(FgAbGroup(0, (2, 4)), (1, 5))]
+        + [Character(sm.kernel.computed, tuple(Fraction(1, d) for d in sm.kernel.computed.orders)) for sm in semisimple],
         SubgroupPresentation: [sm.kernel for sm in semisimple],
         SimpleType: [t for m in models for t in m.ss.factors] + [SimpleType("E", 8)],
         RootDatumSS: [m.ss for m in models],
