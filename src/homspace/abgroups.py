@@ -23,23 +23,26 @@ and solution lattices from :mod:`homspace.intlinalg`.  Lattices ``{x : A x
 = 0 mod n}`` and the relations of a span are the Hermite bases of
 ``intlinalg.solution_lattice``, built modulo the orders of a finite
 ambient: a free coordinate has no modulus, so :func:`span_group` and
-:func:`subgroup_from_generators` take finite ambients only.  Every Smith
-quotient goes through one helper, which asks the Smith loop for U or V
-only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
+:func:`subgroup_from_generators` take finite ambients only.  The lattice
+comes back as rows, which are the columns of the relation matrix R, and a
+combination of them is a row sum (``intlinalg._combination``).  Every
+Smith quotient goes through one helper, which asks the Smith loop for U or
+V only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
 is all its callers read; it takes V alone and reads U^-1 as R V D^-1,
 since U R V = D for its square, nonsingular relation matrix R.  A
 presentation's projection (:func:`from_presentation`) reads U, and the
 bare type of a span (:func:`span_group`) takes neither.  A direct sum of
 cyclic groups (:func:`direct_sum_canonical`) is canonicalized by pairwise
 gcd and lcm, with no Smith form.  The torus and character conditions of
-``groups`` and ``extensions`` are integer rows modulo one n > 1
-(``_mod_n_lattice``), with no hom built around them; other modules never
-call ``solution_lattice`` or ``_snf_transform`` themselves.  Homs as
-checked values, preimage lattices of homs, kernels as subgroup
-presentations, spans in groups of positive free rank, preimages of single
-elements, extensions realized by generator lifts, and a group's unit
-generators and element list are test oracles (``tests/oracles.py``): no
-query reads any of them.
+``groups`` and ``extensions`` are integer vectors modulo one n > 1, one
+per unknown (``_mod_n_lattice``, which returns rows), with no hom built
+around them; other modules never call ``solution_lattice`` or
+``_snf_transform`` themselves.  Homs as checked values, preimage lattices
+of homs, kernels as subgroup presentations, spans in groups of positive
+free rank, preimages of single elements, extensions realized by generator
+lifts, a group's unit generators and element list, and the arithmetic of
+elements (sums, negatives, orders) are test oracles (``tests/oracles.py``):
+no query reads any of them.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from collections.abc import Sequence
 from math import gcd
 from operator import index
 
-from .intlinalg import IntMatrix, _Record, solution_lattice, _snf_transform
+from .intlinalg import IntMatrix, _combination, _Record, solution_lattice, _snf_transform
 
 
 class FgAbGroup(_Record):
@@ -90,17 +93,8 @@ class FgAbGroup(_Record):
         return n
 
     @property
-    def is_trivial(self) -> bool:
-        return self.ngens == 0
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
-
-    def exponent(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite group has no exponent")
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.ngens:
@@ -114,9 +108,6 @@ class FgAbGroup(_Record):
     def element(self, coords: Sequence[int]) -> "AbElement":
         return AbElement(self, tuple(coords))
 
-    def identity(self) -> "AbElement":
-        return AbElement(self, (0,) * self.ngens)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank:
@@ -129,52 +120,12 @@ TRIVIAL_GROUP = FgAbGroup(0, ())
 Z = FgAbGroup(1, ())
 
 
-def cyclic(n: int) -> FgAbGroup:
-    """Z/n, with Z/0 = Z and Z/1 trivial."""
-    n = index(n)
-    if n < 0:
-        raise ValueError(f"cyclic order must be nonnegative, got {n}")
-    if n < 2:
-        return TRIVIAL_GROUP if n == 1 else Z
-    return FgAbGroup(0, (n,))
-
-
 class AbElement(_Record):
     __slots__ = ("group", "coords")
 
     def __init__(self, group: FgAbGroup, coords: tuple):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __add__(self, other: "AbElement") -> "AbElement":
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        return AbElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AbElement":
-        return AbElement(self.group, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "AbElement") -> "AbElement":
-        return self + (-other)
-
-    def __mul__(self, n: int) -> "AbElement":
-        return AbElement(self.group, tuple(n * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    @property
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def order(self) -> int | None:
-        """Element order, None when infinite."""
-        if any(self.coords[: self.group.free_rank]):
-            return None
-        n = 1
-        for c, d in zip(self.coords[self.group.free_rank :], self.group.invariant_factors):
-            n = n * (d // gcd(c, d)) // gcd(n, d // gcd(c, d))
-        return n
-
 
 class SubgroupPresentation(_Record):
     """A subgroup of ``ambient``: its abstract type and the injective
@@ -186,9 +137,6 @@ class SubgroupPresentation(_Record):
 
     def __init__(self, ambient: FgAbGroup, computed: FgAbGroup, inclusion: IntMatrix):
         self._set(ambient, computed, inclusion)
-
-    def order(self) -> int | None:
-        return self.computed.order()
 
 
 def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_v: bool = False):
@@ -211,8 +159,8 @@ def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]])
     a raw cyclic decomposition of the given orders (they need not form a
     divisibility chain, and each must be positive).  The Smith loop builds
     no transform."""
-    gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=len(orders))
-    return _smith_quotient(solution_lattice(gcols, orders).transpose())[0]
+    lattice = solution_lattice(generator_coords, orders)
+    return _smith_quotient(IntMatrix.from_columns(lattice, rows=len(lattice)))[0]
 
 
 def from_presentation(n_generators: int, relations: IntMatrix):
@@ -237,24 +185,26 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> S
         if g.group != ambient:
             raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
     orders = ambient.orders
-    gcols = IntMatrix.from_columns([list(g.coords) for g in gens], rows=ambient.ngens)
-    relations = solution_lattice(gcols, orders).transpose()
-    group, _, v, positions = _smith_quotient(relations, want_v=True)
+    coords = [g.coords for g in gens]
+    lattice = solution_lattice(coords, orders)
+    group, _, v, positions = _smith_quotient(IntMatrix.from_columns(lattice, rows=len(lattice)), want_v=True)
     columns = []
     for p, d in zip(positions, group.invariant_factors):
-        combination = [x // d for x in relations.apply(v.column(p))]
-        columns.append([x % o for x, o in zip(gcols.apply(combination), orders)])
+        # R's columns are the lattice rows, so R V e_p is their combination
+        combination = [x // d for x in _combination(lattice, v.column(p), len(lattice))]
+        columns.append([x % o for x, o in zip(_combination(coords, combination, len(orders)), orders)])
     incl = IntMatrix.from_columns(columns, rows=ambient.ngens)
     return SubgroupPresentation(ambient=ambient, computed=group, inclusion=incl)
 
 
-def _mod_n_lattice(ngens: int, n: int, rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Hermite basis (one vector per row) of ``{x in Z^ngens : row . x == 0
-    mod n for every row}``; the identity for n == 1 or no rows.  The solver
-    reduces the rows modulo n itself."""
-    if n == 1 or not rows:
-        return IntMatrix.identity(ngens)
-    return solution_lattice(IntMatrix.from_rows(rows, cols=ngens), (n,) * len(rows))
+def _mod_n_lattice(n: int, generators: Sequence[Sequence[int]]) -> list:
+    """Hermite basis, one vector per row, of ``{x : sum_j x_j g_j == 0 mod
+    n}`` over the generator vectors g_j, one per unknown, all of one
+    length; the identity for n == 1 or no unknowns.  The solver reduces the
+    entries modulo n itself."""
+    if n == 1 or not generators:
+        return [[int(i == j) for j in range(len(generators))] for i in range(len(generators))]
+    return solution_lattice(generators, (n,) * len(generators[0]))
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

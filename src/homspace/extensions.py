@@ -17,7 +17,8 @@ Brauer table reads each class off the restriction by it.
 
 A ``Character`` is a frozen record, on the base in ``intlinalg``: its
 values are reduced into [0, 1) when it is built, so equal characters have
-equal fields.
+equal fields.  Queries read its values and its order only; its value at an
+element, sums and negatives are test oracles.
 
 The tests prove the convention and the closed form on realized extensions,
 kept in ``tests/oracles.py``: the extension presented by one lift per
@@ -31,7 +32,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .abgroups import AbElement, FgAbGroup, _mod_n_lattice, span_group
+from .abgroups import FgAbGroup, _mod_n_lattice, span_group
 from .intlinalg import _Record
 
 
@@ -54,22 +55,6 @@ class Character(_Record):
                 raise ValueError(f"value {v} is not killed by the generator order {d}")
         self._set(group, values)
 
-    def evaluate(self, coords: Sequence[int]) -> Fraction:
-        return sum((c * v for c, v in zip(coords, self.values)), Fraction(0)) % 1
-
-    def __call__(self, elem: AbElement) -> Fraction:
-        if elem.group != self.group:
-            raise ValueError("element of a different group")
-        return self.evaluate(elem.coords)
-
-    def __add__(self, other: "Character") -> "Character":
-        if self.group != other.group:
-            raise ValueError("characters of different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "Character":
-        return Character(self.group, tuple(-v for v in self.values))
-
     def order(self) -> int:
         return lcm(1, *(v.denominator for v in self.values))
 
@@ -85,5 +70,5 @@ def middle_group(chi: Character) -> FgAbGroup:
     the row kills modulo ord(chi), solved for with no hom built around the
     row.  For chi = 0 every combination qualifies and the kernel is Gamma."""
     n = chi.order()
-    pre = _mod_n_lattice(chi.group.ngens, n, [[v.numerator * (n // v.denominator) for v in chi.values]])
-    return FgAbGroup(1, span_group(chi.group.orders, pre.to_rows()).invariant_factors)
+    pre = _mod_n_lattice(n, [(v.numerator * (n // v.denominator),) for v in chi.values])
+    return FgAbGroup(1, span_group(chi.group.orders, pre).invariant_factors)

@@ -64,7 +64,7 @@ from .abgroups import (
     span_group,
     subgroup_from_generators,
 )
-from .intlinalg import IntMatrix, _Record
+from .intlinalg import IntMatrix, _combination, _Record
 from .rootdata import RootDatumSS, SimpleType, build_datum, center, restriction_matrix
 
 class GluingPair(_Record):
@@ -138,10 +138,10 @@ class ReductiveModel(_Record):
         every combination qualifies, and the solution lattice is the
         identity."""
         n, torus_rows = self.torus_numerators
-        combos = _mod_n_lattice(len(self.gluing), n, list(zip(*torus_rows)))
         cgroup = center(self.ss)
-        centers = IntMatrix.from_columns([pair.center.coords for pair in self.gluing], rows=cgroup.ngens)
-        kernel = subgroup_from_generators(cgroup, [cgroup.element(centers.apply(c)) for c in combos.to_rows()])
+        centers = [pair.center.coords for pair in self.gluing]
+        gens = [cgroup.element(_combination(centers, c, cgroup.ngens)) for c in _mod_n_lattice(n, torus_rows)]
+        kernel = subgroup_from_generators(cgroup, gens)
         return SemisimpleModel(datum=self.ss, kernel=kernel)
 
     def describe(self) -> str:
@@ -173,10 +173,10 @@ def character_group(model: ReductiveModel):
     """Characters of H as a finite-index sublattice of Z^r (Hermite basis,
     one character per row) together with its abstract type."""
     r = model.torus_rank
-    if r == 0:
-        return IntMatrix.identity(0), FgAbGroup(0, ())
     n, rows = model.torus_numerators
-    return _mod_n_lattice(r, n, rows), FgAbGroup(r, ())
+    # one unknown per torus coordinate, one condition per gluing generator
+    lattice = _mod_n_lattice(n, [[row[k] for row in rows] for k in range(r)])
+    return IntMatrix.from_rows(lattice, cols=r), FgAbGroup(r, ())
 
 
 def as_semisimple(model: ReductiveModel) -> SemisimpleModel:

@@ -21,9 +21,9 @@ the rest of the row a reduced preimage.  Preimages run only over the
 columns whose pivot exceeds 1, at most n*log2(e) of them, so an n x s
 system costs O(s * (n log e)^2) steps besides the s^2 entries of its
 output, and no entry exceeds e.  No Smith form is taken.  Exact kernels
-(no modulus), Hermite forms of arbitrary rows and the solver of ``M x = b``
-for one right-hand side have no query that reads them: they are test
-oracles in ``tests/oracles.py``.
+(no modulus), Hermite forms of arbitrary rows, the solver of ``M x = b``
+and matrix arithmetic (products, transposes, identities) have no query
+that reads them: they are test oracles in ``tests/oracles.py``.
 
 Each elimination carries its transform inside the rows it works on, as
 ``[A | I]`` (Cohen, GTM 138, Alg. 2.4.8).  When ``U`` is asked for, the
@@ -38,7 +38,10 @@ for it.  No ``U^-1`` is carried: a caller
 whose relations R are square and nonsingular reads it as ``R V D^-1``,
 since ``U R V == D`` (``abgroups.subgroup_from_generators``).
 
-Empty matrices (zero rows or zero columns) are legal everywhere.
+Matrices pass between eliminations as lists of rows: the lattice solver
+takes the columns of A and returns rows, and an ``IntMatrix`` is built only
+for the Smith loop's argument and results and for a value that leaves the
+library.  Empty matrices are legal everywhere.
 
 ``IntMatrix`` is a frozen record on ``_Record``, the base of the package's
 value classes, kept here because every layer imports this module.
@@ -50,7 +53,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import lcm
-from operator import attrgetter, index, mul
+from operator import attrgetter, index
 
 
 class _Record:
@@ -144,15 +147,6 @@ class IntMatrix(_Record):
             raise ValueError("ragged columns")
         return cls(nrows, ncols, [x for row in zip(*columns) for x in row])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(n, n, (values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, key: tuple) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -172,29 +166,6 @@ class IntMatrix(_Record):
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, (self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self.entries, other.entries
-        n, m, p = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            for j in range(p):
-                out.append(sum(arow[k] * b[k * p + j] for k in range(m)))
-        return IntMatrix(n, p, out)
-
-    def apply(self, vector: Sequence[int]) -> tuple:
-        """Matrix-vector product, vector as a column."""
-        if len(vector) != self.cols:
-            raise ValueError(f"vector length {len(vector)} != {self.cols}")
-        return tuple(sum(map(mul, self.row(i), vector)) for i in range(self.rows))
-
 
 class SnfResult(namedtuple("SnfResult", ("u", "d", "v"))):
     """Smith decomposition ``U @ M @ V == D`` with unimodular transforms."""
@@ -204,9 +175,6 @@ class SnfResult(namedtuple("SnfResult", ("u", "d", "v"))):
     def diagonal(self) -> tuple:
         n = min(self.d.rows, self.d.cols)
         return tuple(self.d[i, i] for i in range(n))
-
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
 
 
 def _xgcd(a: int, b: int):
@@ -270,7 +238,10 @@ def _clear_below(a: list, p: int, col: int):
 
 def _snf_transform(m: IntMatrix, want_u: bool, want_v: bool):
     """Core SNF loop; returns ``(U, D, V)``, each transform accumulated only
-    on demand (None otherwise).
+    on demand (None otherwise).  The benchmark's tracer
+    (``perfbench/tracing.py``) reads the argument's shape and each result's
+    rows, so this contract, an ``IntMatrix`` in and ``IntMatrix``-or-None
+    triples out, holds until the benchmark counts from inside the library.
 
     Entries are cleared by single unimodular 2x2 (extended-gcd) transforms
     rather than repeated Euclidean passes: one transform per cleared entry
@@ -398,12 +369,14 @@ def _insert_howell(basis: list, v: list, e: int):
     return d, v
 
 
-def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
-    """Hermite basis, one row per basis vector, of ``{x : m @ x == 0}`` with
-    row i of the product read modulo ``orders[i]``; every order must be
-    positive, so the lattice contains e*Z^cols, e their lcm.
+def solution_lattice(generators: Sequence[Sequence[int]], orders: Sequence[int]) -> list:
+    """Hermite basis, one row per basis vector, of ``{x : sum_j x_j g_j ==
+    0}`` over the generator vectors g_j, coordinate i of the sum read
+    modulo ``orders[i]``: the kernel of the matrix whose columns are the
+    g_j.  Every order must be positive, so the lattice contains e*Z^s, e
+    their lcm and s the number of generators.  The rows come back as lists.
 
-    With b_j = ((e/o_i) * m[i][j] mod e)_i, pivot j is the least d_j > 0
+    With b_j = ((e/o_i) * g_j[i] mod e)_i, pivot j is the least d_j > 0
     with d_j*b_j in the span V of b_(j+1), ..., b_(s-1) in (Z/e)^n, and the
     rest of row j a preimage of -d_j*b_j over those columns, reduced
     against the later rows.  So the unknowns go from last to first, each
@@ -411,11 +384,11 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     columns k > j of pivot d_k > 1 (a reduced row is 0 wherever d_k == 1),
     and the work per unknown depends on n and on those columns, never on
     s.  b_j changes V only when d_j > 1."""
-    if len(orders) != m.rows:
-        raise ValueError(f"{len(orders)} orders for {m.rows} rows")
+    n, s = len(orders), len(generators)
+    if any(len(g) != n for g in generators):
+        raise ValueError(f"every generator needs {n} coordinates, one per order")
     if not all(o > 0 for o in orders):
         raise ValueError(f"solution lattices need positive orders, got {tuple(orders)}")
-    n, s = m.rows, m.cols
     e = lcm(*orders)
     scale = [e // o for o in orders]
     basis = [None] * n
@@ -426,7 +399,7 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
         for slot in basis:
             if slot:
                 slot.append(0)
-        b = [c * x % e for c, x in zip(scale, m.column(j))]
+        b = [c * x % e for c, x in zip(scale, generators[j])]
         d, w = _insert_howell(basis, b + [0] * len(cols) + [1], e)
         if d == 1:
             for slot in basis:
@@ -450,7 +423,16 @@ def solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
             cols.append(j)
             pivots.append(d)
             tails.append(y + [d])
-    return IntMatrix.from_rows(out, cols=s)
+    return out
+
+
+def _combination(vectors: Sequence[Sequence[int]], coefficients: Sequence[int], width: int) -> list:
+    """sum_k coefficients[k] * vectors[k], each vector of length ``width``."""
+    out = [0] * width
+    for c, vector in zip(coefficients, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vector)]
+    return out
 
 
 def parse_matrix_literal(text: str) -> IntMatrix:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 
 from .abgroups import FgAbGroup, SubgroupPresentation, from_presentation
-from .intlinalg import IntMatrix, _Record
+from .intlinalg import IntMatrix, _combination, _Record
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 
@@ -139,15 +139,14 @@ def build_datum(factors: tuple) -> RootDatumSS:
     matrix, which the datum does not keep."""
     factors = tuple(factors)
     rank = sum(t.rank for t in factors)
-    rows = [[0] * rank for _ in range(rank)]
+    cartan = [[0] * rank for _ in range(rank)]
     offset = 0
     for t in factors:
         block = cartan_matrix(t)
         for i in range(t.rank):
-            for j in range(t.rank):
-                rows[offset + j][offset + i] = block[i, j]
+            cartan[offset + i][offset : offset + t.rank] = block.row(i)
         offset += t.rank
-    pq_group, pq_proj = from_presentation(rank, IntMatrix.from_rows(rows, cols=rank))
+    pq_group, pq_proj = from_presentation(rank, IntMatrix.from_columns(cartan, rows=rank))
     return RootDatumSS(factors=factors, rank=rank, pq_group=pq_group, pq_proj=pq_proj)
 
 
@@ -175,14 +174,11 @@ def restriction_matrix(datum: RootDatumSS, sub: SubgroupPresentation) -> IntMatr
     _check_center_subgroup(datum, sub)
     d_orders = datum.pq_group.invariant_factors
     big = lcm(*d_orders)
-    proj, incl = datum.pq_proj, sub.inclusion
+    proj_rows = [datum.pq_proj.row(j) for j in range(len(d_orders))]
+    incl = sub.inclusion
     rows = []
     for p, m in enumerate(sub.computed.invariant_factors):
         # S for every weight at once, one pq_proj row per nonzero incl[j, p]
-        sums = [0] * datum.rank
-        for j, d in enumerate(d_orders):
-            scale = incl[j, p] * (big // d)
-            if scale:
-                sums = [s + scale * x for s, x in zip(sums, proj.row(j))]
+        sums = _combination(proj_rows, [incl[j, p] * (big // d) for j, d in enumerate(d_orders)], datum.rank)
         rows.append([(s % big) * m // big for s in sums])
     return IntMatrix.from_rows(rows, cols=datum.rank)

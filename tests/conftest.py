@@ -12,7 +12,7 @@ from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgr
 from homspace.groups import GluingPair, ReductiveModel
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import elements, snf_kernel, solve_integer
+from oracles import add_elements, elements, identity_element, snf_kernel, solve_integer
 
 
 def clear_query_caches():
@@ -38,8 +38,8 @@ def all_subgroups(group):
     work grows with the number of subgroups, not of element sets."""
     members = list(elements(group))
     index = {e.coords: i for i, e in enumerate(members)}
-    table = [[index[(a + b).coords] for b in members] for a in members]
-    trivial = frozenset([index[group.identity().coords]])
+    table = [[index[add_elements(a, b).coords] for b in members] for a in members]
+    trivial = frozenset([index[identity_element(group).coords]])
     found = {trivial: []}
     frontier = [trivial]
     while frontier:

@@ -50,10 +50,9 @@
   keeps the matrices of a subgroup's inclusion and of a presentation's
   projection bare; ``inclusion_hom`` wraps the first, and the tests check
   every such matrix the library builds against this class.
-* Matrix, group and hom helpers that no query needs: the zero matrix,
-  side-by-side concatenation, the zero test and composition of homs, the
-  canonical generators and the element list of a group, and the triviality
-  test of a character.
+* Matrix, group, element, character and hom arithmetic that no query
+  needs, as plain functions: the library's values keep only the methods
+  that a query reads.
 * Small homomorphism constructors, and verification tools that the library
   no longer exports: kernels as subgroup presentations (``kernel_of``),
   cokernels with their projection, image lattices and the exactness test
@@ -91,7 +90,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
 from sympy import ZZ
@@ -117,6 +117,37 @@ from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
 def zero_matrix(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def diagonal_matrix(values: Sequence[int]) -> IntMatrix:
+    n = len(values)
+    return IntMatrix(n, n, (values[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return diagonal_matrix([1] * n)
+
+
+def transposed(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, (m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows)))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product ``a @ b``."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    entries = (sum(x * y for x, y in zip(a.row(i), b.column(j))) for i in range(a.rows) for j in range(b.cols))
+    return IntMatrix(a.rows, b.cols, entries)
+
+
+def apply_matrix(m: IntMatrix, vector: Sequence[int]) -> tuple:
+    """Matrix-vector product, the vector as a column."""
+    return tuple(sum(x * y for x, y in zip(m.row(i), vector, strict=True)) for i in range(m.rows))
+
+
+def snf_rank(res) -> int:
+    """Rank of a Smith decomposition: its nonzero diagonal entries."""
+    return sum(1 for x in res.diagonal() if x != 0)
 
 
 def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
@@ -165,7 +196,7 @@ class AbHom:
     def __call__(self, elem: AbElement) -> AbElement:
         if elem.group != self.domain:
             raise ValueError("element not in the domain")
-        return AbElement(self.codomain, self.matrix.apply(elem.coords))
+        return AbElement(self.codomain, apply_matrix(self.matrix, elem.coords))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,7 +222,7 @@ def compose(outer: AbHom, inner: AbHom) -> AbHom:
     """``outer`` after ``inner``."""
     if inner.codomain != outer.domain:
         raise ValueError("homs do not compose")
-    return AbHom(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
+    return AbHom(inner.domain, outer.codomain, matmul(outer.matrix, inner.matrix))
 
 
 def generator(group: FgAbGroup, i: int) -> AbElement:
@@ -207,6 +238,62 @@ def elements(group: FgAbGroup):
         raise ValueError("cannot enumerate an infinite group")
     for coords in product(*(range(d) for d in group.invariant_factors)):
         yield AbElement(group, coords)
+
+
+def cyclic_group(n: int) -> FgAbGroup:
+    """Z/n, with Z/0 = Z and Z/1 trivial."""
+    n = index(n)
+    if n < 0:
+        raise ValueError(f"cyclic order must be nonnegative, got {n}")
+    return FgAbGroup(1 if n == 0 else 0, (n,) if n > 1 else ())
+
+
+def is_trivial_group(group: FgAbGroup) -> bool:
+    return group.ngens == 0
+
+
+def identity_element(group: FgAbGroup) -> AbElement:
+    return AbElement(group, (0,) * group.ngens)
+
+
+def add_elements(a: AbElement, b: AbElement) -> AbElement:
+    return AbElement(a.group, tuple(x + y for x, y in zip(a.coords, b.coords)))
+
+
+def negate_element(a: AbElement) -> AbElement:
+    return AbElement(a.group, tuple(-x for x in a.coords))
+
+
+def is_zero_element(a: AbElement) -> bool:
+    return not any(a.coords)
+
+
+def element_order(a: AbElement) -> int | None:
+    """The lcm of the orders of the torsion coordinates; None when infinite."""
+    if any(a.coords[: a.group.free_rank]):
+        return None
+    n = 1
+    for c, d in zip(a.coords[a.group.free_rank :], a.group.invariant_factors):
+        k = d // gcd(c, d)
+        n = n * k // gcd(n, k)
+    return n
+
+
+def subgroup_order(sub: SubgroupPresentation) -> int | None:
+    return sub.computed.order()
+
+
+def character_value(chi: Character, coords: Sequence[int]) -> Fraction:
+    """chi at the element of the given coordinates, in [0, 1)."""
+    return sum((c * v for c, v in zip(coords, chi.values)), Fraction(0)) % 1
+
+
+def add_characters(a: Character, b: Character) -> Character:
+    return Character(a.group, tuple(x + y for x, y in zip(a.values, b.values)))
+
+
+def negate_character(chi: Character) -> Character:
+    return Character(chi.group, tuple(-v for v in chi.values))
 
 
 def is_trivial_character(chi: Character) -> bool:
@@ -291,7 +378,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
     u, d, v = _snf_transform(m, want_u=True, want_v=True)
-    c = u.apply(b)
+    c = apply_matrix(u, b)
     y = [0] * m.cols
     limit = min(m.rows, m.cols)
     for i in range(m.rows):
@@ -303,7 +390,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
             if c[i] % di:
                 return None
             y[i] = c[i] // di
-    return v.apply(y)
+    return apply_matrix(v, y)
 
 
 def snf_kernel(m: IntMatrix) -> IntMatrix:
@@ -312,15 +399,14 @@ def snf_kernel(m: IntMatrix) -> IntMatrix:
     _, d, v = _snf_transform(m, want_u=False, want_v=True)
     rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
     cols = [list(v.column(j)) for j in range(rank, m.cols)]
-    return lattice_row_basis(cols, m.cols).transpose()
+    return transposed(lattice_row_basis(cols, m.cols))
 
 
 def snf_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     """Hermite basis (rows) of ``{x : m @ x == 0}``, row i read modulo
     ``orders[i]`` (0 meaning exactly): the kernel of ``[m | R]`` cut down
     to x, R the relation columns of the nonzero orders."""
-    relations = [[o if i == k else 0 for k in range(m.rows)] for i, o in enumerate(orders) if o]
-    kern = snf_kernel(hstack(m, IntMatrix.from_columns(relations, rows=m.rows)))
+    kern = snf_kernel(hstack(m, _relation_columns(orders)))
     vectors = [[kern[i, j] for i in range(m.cols)] for j in range(kern.cols)]
     return lattice_row_basis(vectors, m.cols)
 
@@ -373,14 +459,8 @@ def hermite_mod_solution_lattice(m: IntMatrix, orders: Sequence[int]) -> IntMatr
 def _relation_columns(orders: Sequence[int]) -> IntMatrix:
     """Columns spanning the relations of cyclic coordinates of the given
     orders (0 marks a free coordinate)."""
-    n = len(orders)
-    cols = []
-    for i, o in enumerate(orders):
-        if o:
-            col = [0] * n
-            col[i] = o
-            cols.append(col)
-    return IntMatrix.from_columns(cols, rows=n)
+    d = diagonal_matrix(orders)
+    return IntMatrix.from_columns([d.column(i) for i, o in enumerate(orders) if o], rows=len(orders))
 
 
 def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
@@ -397,7 +477,7 @@ def preimage_of(f: AbHom, elem: AbElement) -> Optional[AbElement]:
 
 
 def identity_hom(group: FgAbGroup) -> AbHom:
-    return AbHom(group, group, IntMatrix.identity(group.ngens))
+    return AbHom(group, group, identity_matrix(group.ngens))
 
 
 def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
@@ -405,7 +485,7 @@ def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
 
 
 def multiplication_hom(group: FgAbGroup, n: int) -> AbHom:
-    return AbHom(group, group, IntMatrix.diagonal([n] * group.ngens))
+    return AbHom(group, group, diagonal_matrix([n] * group.ngens))
 
 
 def _smith_v_span(gcols: IntMatrix, orders: Sequence[int]):
@@ -416,10 +496,10 @@ def _smith_v_span(gcols: IntMatrix, orders: Sequence[int]):
     (``snf_solution_lattice``), and U^-1 of their Smith form, inverted by
     sympy (``inverse``), maps the canonical generators back to
     combinations of the columns."""
-    relations = snf_solution_lattice(gcols, orders).transpose()
+    relations = transposed(snf_solution_lattice(gcols, orders))
     group, u, _, positions = _smith_quotient(relations, want_u=True)
     uinv = inverse(u)
-    return group, [gcols.apply(uinv.column(p)) for p in positions]
+    return group, [apply_matrix(gcols, uinv.column(p)) for p in positions]
 
 
 def span_subgroup(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
@@ -445,7 +525,7 @@ def kernel_of(f: AbHom) -> SubgroupPresentation:
     nonzero rows of its preimage lattice."""
     pre = preimage_lattice(f)
     gens = [AbElement(f.domain, pre.row(i)) for i in range(pre.rows)]
-    return span_subgroup(f.domain, [g for g in gens if not g.is_identity])
+    return span_subgroup(f.domain, [g for g in gens if not is_zero_element(g)])
 
 
 def cokernel_of(f: AbHom):
@@ -458,7 +538,7 @@ def cokernel_of(f: AbHom):
 def image_lattice(f: AbHom) -> IntMatrix:
     """Rows span ``im(f) + relations`` inside Z^(codomain generators)."""
     vectors = [list(f.matrix.column(j)) for j in range(f.matrix.cols)]
-    vectors.extend(_relation_columns(f.codomain.orders).transpose().to_rows())
+    vectors.extend(transposed(_relation_columns(f.codomain.orders)).to_rows())
     return lattice_row_basis(vectors, f.codomain.ngens)
 
 
@@ -471,7 +551,7 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
 
 def is_surjective(f: AbHom) -> bool:
     group, _ = cokernel_of(f)
-    return group.is_trivial
+    return is_trivial_group(group)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +826,7 @@ class Weight:
 
     def pq_class(self) -> AbElement:
         datum = self.datum
-        return datum.pq_group.element(datum.pq_proj.apply(self.coords))
+        return datum.pq_group.element(apply_matrix(datum.pq_proj, self.coords))
 
 
 def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
@@ -816,7 +896,7 @@ def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> Subg
     """Subgroup of the center pairing trivially with every given weight."""
     cgroup = center(datum)
     classes = [w.pq_class() for w in weights]
-    classes = [c for c in classes if not c.is_identity]
+    classes = [c for c in classes if not is_zero_element(c)]
     if not classes:
         return full_center_subgroup(datum)
     d_orders = datum.pq_group.invariant_factors
@@ -825,7 +905,7 @@ def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> Subg
     for c in classes:
         rows.append([(ci * (big // d)) % big for ci, d in zip(c.coords, d_orders)])
     target = FgAbGroup(0, (big,) * len(classes)) if big >= 2 else FgAbGroup(0, ())
-    if target.is_trivial:
+    if is_trivial_group(target):
         return full_center_subgroup(datum)
     psi = AbHom(cgroup, target, IntMatrix.from_rows(rows, cols=cgroup.ngens))
     return kernel_of(psi)
@@ -850,7 +930,7 @@ def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
     applied to the weight, over the canonical generators of the dual of
     ``sub.computed``."""
     restriction = restriction_matrix(weight.datum, sub)
-    return sub.computed.element(restriction.apply(weight.coords))
+    return sub.computed.element(apply_matrix(restriction, weight.coords))
 
 
 def fundamental_restrictions(datum: RootDatumSS, sub: SubgroupPresentation) -> list:
@@ -908,7 +988,7 @@ def gluing_elements(model: ReductiveModel):
     k = len(model.ss.pq_group.invariant_factors)
     out = []
     for elem in elements(span.group):
-        coords = span.reduce_ambient(span.inclusion_columns.apply(elem.coords))
+        coords = span.reduce_ambient(apply_matrix(span.inclusion_columns, elem.coords))
         ce = center(model.ss).element(coords[:k])
         torus = tuple(Fraction(c, n) for c in coords[k:])
         out.append(GluingPair(ce, torus))
@@ -1000,7 +1080,7 @@ def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
     for pair, row in zip(model.gluing, torus_rows):
         coords = pair.center.coords + row
         inside = preimage_of(embed, ambient.element([c * coords[i] for i, c in scales]))
-        new_pairs.append(GluingPair(pair.center, pair.torus + (gamma(inside),)))
+        new_pairs.append(GluingPair(pair.center, pair.torus + (character_value(gamma, inside.coords),)))
     return ReductiveModel(
         ss=model.ss, torus_rank=model.torus_rank + 1, gluing=tuple(new_pairs), unipotent_dim=model.unipotent_dim
     )

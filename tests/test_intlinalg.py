@@ -19,16 +19,26 @@ from homspace.intlinalg import (
 )
 from oracles import (
     _hermite_rows,
+    apply_matrix,
     det,
     hermite_mod_solution_lattice,
+    identity_matrix,
     inverse,
     is_zero_matrix,
     lattice_row_basis,
+    matmul,
     snf_kernel,
+    snf_rank,
     snf_solution_lattice,
     solve_integer,
+    transposed,
     zero_matrix,
 )
+
+
+def lattice_of(m, orders):
+    """``solution_lattice`` of the columns of ``m``, its rows as a matrix."""
+    return IntMatrix.from_rows(solution_lattice([m.column(j) for j in range(m.cols)], orders), cols=m.cols)
 
 
 def hermite(m):
@@ -40,8 +50,8 @@ def same_row_lattice(m, h):
     """True when the rows of ``m`` and of ``h`` span the same lattice: each
     row of one is an integer combination of the rows of the other, solved
     through the Smith form."""
-    return all(solve_integer(m.transpose(), h.row(i)) is not None for i in range(h.rows)) and all(
-        solve_integer(h.transpose(), m.row(i)) is not None for i in range(m.rows)
+    return all(solve_integer(transposed(m), h.row(i)) is not None for i in range(h.rows)) and all(
+        solve_integer(transposed(h), m.row(i)) is not None for i in range(m.rows)
     )
 
 
@@ -73,7 +83,7 @@ def random_matrix(rng, max_dim=6, bound=9):
 
 
 def assert_snf_contract(m, res):
-    assert res.u @ m @ res.v == res.d
+    assert matmul(matmul(res.u, m), res.v) == res.d
     assert abs(det(res.u)) == 1
     assert abs(det(res.v)) == 1
     diag = res.diagonal()
@@ -102,9 +112,9 @@ class TestSmithNormalForm:
         assert minor_gcd_factors(m) == [2, 4]
 
     def test_identity(self):
-        m = IntMatrix.identity(2)
+        m = identity_matrix(2)
         res = smith_normal_form(m)
-        assert res.d == IntMatrix.identity(2)
+        assert res.d == identity_matrix(2)
 
     def test_one_by_one(self):
         res = smith_normal_form(IntMatrix.from_rows([[2]]))
@@ -115,8 +125,8 @@ class TestSmithNormalForm:
             m = zero_matrix(r, c)
             res = smith_normal_form(m)
             assert res.d == m
-            assert res.u == IntMatrix.identity(r)
-            assert res.v == IntMatrix.identity(c)
+            assert res.u == identity_matrix(r)
+            assert res.v == identity_matrix(c)
 
     def test_matches_minor_oracle(self):
         rng = random.Random(20260809)
@@ -216,9 +226,9 @@ class TestIntegerKernel:
             k = snf_kernel(m)
             assert k.rows == m.cols
             if k.cols:
-                assert is_zero_matrix(m @ k)
+                assert is_zero_matrix(matmul(m, k))
             # full kernel over Q: dimension must match cols - rank
-            rank = smith_normal_form(m).rank()
+            rank = snf_rank(smith_normal_form(m))
             assert k.cols == m.cols - rank
             if k.cols:
                 # primitive basis: Smith diagonal of the basis matrix is all ones
@@ -236,7 +246,7 @@ class TestSolveInteger:
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         x = solve_integer(m, [2, 6])
         assert x is not None
-        assert m.apply(x) == (2, 6)
+        assert apply_matrix(m, x) == (2, 6)
         assert x == (1, 0)
 
     def test_dimension_mismatch(self):
@@ -256,16 +266,16 @@ class TestSolveInteger:
                     break
                 for x1 in range(-bound, bound + 1) if c == 2 else [0]:
                     x = (x0, x1)[:c]
-                    if list(m.apply(x)) == b:
+                    if list(apply_matrix(m, x)) == b:
                         found = x
                         break
             got = solve_integer(m, b)
             if found is not None:
                 assert got is not None
-                assert list(m.apply(got)) == b
+                assert list(apply_matrix(m, got)) == b
             elif got is not None:
                 # solver may find solutions outside the brute-force box
-                assert list(m.apply(got)) == b
+                assert list(apply_matrix(m, got)) == b
                 assert any(abs(v) > bound for v in got)
 
 
@@ -280,7 +290,7 @@ class TestEntryGrowth:
             r, c = rng.randint(6, 10), rng.randint(6, 10)
             m = IntMatrix(r, c, [rng.randint(-99, 99) for _ in range(r * c)])
             res = smith_normal_form(m)
-            assert res.u @ m @ res.v == res.d
+            assert matmul(matmul(res.u, m), res.v) == res.d
             assert all(abs(res.u[i, j]) < bound for i in range(r) for j in range(r))
             assert all(abs(res.v[i, j]) < bound for i in range(c) for j in range(c))
             h = hermite(m)
@@ -329,7 +339,7 @@ class TestHelpers:
 
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) @ IntMatrix.identity(3)
+            matmul(identity_matrix(2), identity_matrix(3))
 
     def test_from_columns_rejects_ragged_columns(self):
         # every column's length is checked, also when no row is read
@@ -367,7 +377,7 @@ def nonsingular_matrices(draw, max_dim=7, bound=99):
     up = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
     lmat = IntMatrix(n, n, (diag[i] if i == j else low[i * n + j] if j < i else 0 for i in range(n) for j in range(n)))
     wmat = IntMatrix(n, n, (1 if i == j else up[i * n + j] if j > i else 0 for i in range(n) for j in range(n)))
-    return lmat @ wmat
+    return matmul(lmat, wmat)
 
 
 @st.composite
@@ -402,11 +412,11 @@ class TestDifferentialOracle:
     @example((IntMatrix.from_rows([[3, 5], [7, -2]]), (1, 1)))
     def test_solution_lattice_matches_snf_kernel_route(self, system):
         m, orders = system
-        basis = solution_lattice(m, orders)
+        basis = lattice_of(m, orders)
         assert basis == snf_solution_lattice(m, orders)
         assert basis.cols == m.cols
         for i in range(basis.rows):
-            image = m.apply(basis.row(i))
+            image = apply_matrix(m, basis.row(i))
             assert all(x % o == 0 for x, o in zip(image, orders))
 
     def test_zero_order_is_rejected(self):
@@ -419,7 +429,14 @@ class TestDifferentialOracle:
             (IntMatrix.from_rows([[1, 2], [3, 4]]), (4, 0)),
         ):
             with pytest.raises(ValueError, match="positive orders"):
-                solution_lattice(m, orders)
+                lattice_of(m, orders)
+
+    def test_every_generator_has_one_coordinate_per_order(self):
+        # the solver takes the columns of A: each is as long as the orders
+        for generators, orders in (([[1, 2], [3]], (4, 4)), ([[1]], ()), ([[]], (2,))):
+            with pytest.raises(ValueError, match="one per order"):
+                solution_lattice(generators, orders)
+        assert solution_lattice([[], []], ()) == [[1, 0], [0, 1]]
 
     @ORACLE
     @given(int_matrices(max_dim=7, bound=99))
@@ -431,8 +448,8 @@ class TestDifferentialOracle:
         assert (None, d, v) == _snf_transform(m, want_u=False, want_v=True)
         assert (None, d, None) == _snf_transform(m, want_u=False, want_v=False)
         uinv, vinv = inverse(u), inverse(v)
-        assert u @ uinv == uinv @ u == IntMatrix.identity(m.rows)
-        assert v @ vinv == vinv @ v == IntMatrix.identity(m.cols)
+        assert matmul(u, uinv) == matmul(uinv, u) == identity_matrix(m.rows)
+        assert matmul(v, vinv) == matmul(vinv, v) == identity_matrix(m.cols)
 
     @ORACLE
     @given(nonsingular_matrices())
@@ -445,8 +462,8 @@ class TestDifferentialOracle:
         # sympy here, not from the Smith loop
         u, d, v = _snf_transform(r, want_u=True, want_v=True)
         uinv = inverse(u)
-        assert u @ uinv == uinv @ u == IntMatrix.identity(r.rows)
-        rv = r @ v
+        assert matmul(u, uinv) == matmul(uinv, u) == identity_matrix(r.rows)
+        rv = matmul(r, v)
         for p in range(r.rows):
             dp = d[p, p]
             assert dp > 0 and all(x % dp == 0 for x in rv.column(p))
@@ -468,7 +485,7 @@ class TestDifferentialOracle:
     @example((IntMatrix.from_rows([[5, 7, 0, 1, 0], [3, 11, 0, 0, 1]]), (12, 12)))
     def test_wide_mod_systems_match_hermite_mod_route(self, system):
         m, orders = system
-        basis = solution_lattice(m, orders)
+        basis = lattice_of(m, orders)
         assert basis == hermite_mod_solution_lattice(m, orders)
         e = lcm(*orders)
         assert basis.rows == basis.cols == m.cols
@@ -477,18 +494,18 @@ class TestDifferentialOracle:
             assert d > 0 and e % d == 0
             assert all(basis[j, k] == 0 for k in range(j))
             assert all(0 <= basis[i, j] < d for i in range(j))
-            image = m.apply(basis.row(j))
+            image = apply_matrix(m, basis.row(j))
             assert all(x % o == 0 for x, o in zip(image, orders))
 
     def test_mod_route_examples(self):
         # x0 + 2 x1 == 0 mod 4
-        assert solution_lattice(IntMatrix.from_rows([[1, 2]]), (4,)) == IntMatrix.from_rows([[2, 1], [0, 2]])
+        assert lattice_of(IntMatrix.from_rows([[1, 2]]), (4,)) == IntMatrix.from_rows([[2, 1], [0, 2]])
         # every order 1: the whole of Z^s
-        assert solution_lattice(IntMatrix.from_rows([[3, 5, 7]]), (1,)) == IntMatrix.identity(3)
+        assert lattice_of(IntMatrix.from_rows([[3, 5, 7]]), (1,)) == identity_matrix(3)
         # the last two columns span (Z/12)^2 with unit echelon pivots, so
         # every earlier column has Hermite pivot 1 and a full tail
         m = IntMatrix.from_rows([[5, 7, 0, 1, 0], [3, 11, 0, 0, 1]])
-        assert solution_lattice(m, (12, 12)) == IntMatrix.from_rows(
+        assert lattice_of(m, (12, 12)) == IntMatrix.from_rows(
             [[1, 0, 0, 7, 9], [0, 1, 0, 5, 1], [0, 0, 1, 0, 0], [0, 0, 0, 12, 0], [0, 0, 0, 0, 12]]
         )
 
@@ -497,7 +514,7 @@ class TestDifferentialOracle:
         rng = random.Random(12)
         m = IntMatrix(2, 512, [rng.randrange(12) for _ in range(2 * 512)])
         start = time.perf_counter()
-        basis = solution_lattice(m, (12, 12))
+        basis = lattice_of(m, (12, 12))
         assert time.perf_counter() - start < 1.0
         assert sum(basis[j, j] != 1 for j in range(512)) <= 2 * 3
 
@@ -509,4 +526,4 @@ class TestDifferentialOracle:
             n, s = rng.randint(6, 9), rng.randint(8, 11)
             m = IntMatrix(n, s, [rng.randint(-9, 9) for _ in range(n * s)])
             orders = tuple(rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(n))
-            assert solution_lattice(m, orders) == snf_solution_lattice(m, orders)
+            assert lattice_of(m, orders) == snf_solution_lattice(m, orders)

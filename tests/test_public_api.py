@@ -6,9 +6,10 @@ does not use,
 no query checks an identity at run time (the tests prove them instead),
 every cache states a finite bound and is one of a listed few, so is every
 import inside a function, cli imports no model layer, nothing moved to
-tests/oracles.py is left defined in the package too, the oracles take
-from intlinalg only ``IntMatrix`` and the Smith loop, and only abgroups
-reaches the lattice solver and the Smith loop of intlinalg."""
+tests/oracles.py is left defined in the package too, every public method
+of a class has a reader in the package or in the README example, the
+oracles take from intlinalg only ``IntMatrix`` and the Smith loop, and only
+abgroups reaches the lattice solver and the Smith loop of intlinalg."""
 
 import ast
 import re
@@ -289,6 +290,29 @@ def test_oracles_define_nothing_the_package_defines():
     moved = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert moved and package, "the scan reads nothing"
     assert not moved & package, sorted(moved & package)
+
+
+def test_every_public_method_has_a_reader():
+    # value API that no query reads moves to tests/oracles.py or leaves:
+    # every public method or property of a class in the package is read as
+    # an attribute by the package or by the README's Python example
+    trees = modules()
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    examples = [ast.parse(code) for code in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)]
+    read = {
+        node.attr for tree in [*trees.values(), *examples] for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    methods = {
+        f"{name}.{cls.name}.{member.name}": member.name
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    }
+    assert examples and "from_rows" in methods.values(), "the scan reads nothing"
+    unread = sorted(key for key, attr in methods.items() if attr not in read)
+    assert not unread, f"public methods that neither the package nor the README example reads: {unread}"
 
 
 def test_oracles_take_from_intlinalg_only_the_matrix_and_the_smith_loop():

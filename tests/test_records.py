@@ -21,6 +21,7 @@ from homspace.intlinalg import IntMatrix
 from homspace.invariants import InvariantReport, WeightBrauerTable, invariant_report, weight_brauer_table
 from homspace.rootdata import RootDatumSS, SimpleType
 from homspace.spec import parse_spec
+from oracles import add_characters, identity_matrix, negate_character
 
 # per class, its fields in order, a (name, default) pair for a field that
 # has a default
@@ -74,13 +75,14 @@ def samples():
     semisimple = [m.derived for m in models]
     chi = Character(FgAbGroup(0, (2, 4)), (Fraction(1, 2), Fraction(3, 4)))
     found = {
-        IntMatrix: [IntMatrix(2, 2, [1, 2, 3, 4]), IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), IntMatrix.identity(2)]
+        IntMatrix: [IntMatrix(2, 2, [1, 2, 3, 4]), IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), identity_matrix(2)]
         + [m.ss.pq_proj for m in models]
         + [sm.restriction_matrix for sm in semisimple],
         FgAbGroup: [FgAbGroup(), FgAbGroup(2, (3,)), FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4))]
         + [pi1(m) for m in models],
         AbElement: [pair.center for m in models for pair in m.gluing],
-        Character: [chi, -chi, chi + chi, Character(TRIVIAL_GROUP, ()), Character(FgAbGroup(0, (2, 4)), (1, 5))]
+        Character: [chi, negate_character(chi), add_characters(chi, chi), Character(TRIVIAL_GROUP, ())]
+        + [Character(FgAbGroup(0, (2, 4)), (1, 5))]
         + [Character(sm.kernel.computed, tuple(Fraction(1, d) for d in sm.kernel.computed.orders)) for sm in semisimple],
         SubgroupPresentation: [sm.kernel for sm in semisimple],
         SimpleType: [t for m in models for t in m.ss.factors] + [SimpleType("E", 8)],

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import MIXED_CENTER_PRODUCTS, all_subgroups
-from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, cyclic, from_presentation, subgroup_from_generators
+from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import (
     SimpleType,
@@ -18,17 +18,24 @@ from homspace.rootdata import (
 from oracles import (
     AbHom,
     Weight,
+    add_elements,
     annihilator_in_center,
     character_from_dual_element,
     character_lattice_of_quotient,
+    character_value,
+    cyclic_group,
     det,
     elements,
     full_center_subgroup,
     fundamental_weight,
     generator,
+    identity_matrix,
     inclusion_hom,
+    is_zero_element,
     lattice_row_basis,
     restrict_weight,
+    subgroup_order,
+    transposed,
 )
 
 
@@ -42,7 +49,7 @@ def simple_root(datum, index):
 def pair(z, x):
     """The pairing of a center element z with a class x in P/Q, through
     the character z stands for (docs/conventions.md)."""
-    return character_from_dual_element(z)(x)
+    return character_value(character_from_dual_element(z), x.coords)
 
 # Bourbaki tables: Cartan determinant and fundamental group of the adjoint
 # form for every simple family.
@@ -58,13 +65,13 @@ ALL_TYPES = (
 
 def expected_pq(t: SimpleType) -> FgAbGroup:
     if t.family == "A":
-        return cyclic(t.rank + 1)
+        return cyclic_group(t.rank + 1)
     if t.family in ("B", "C"):
-        return cyclic(2)
+        return cyclic_group(2)
     if t.family == "D":
-        return FgAbGroup(0, (2, 2)) if t.rank % 2 == 0 else cyclic(4)
+        return FgAbGroup(0, (2, 2)) if t.rank % 2 == 0 else cyclic_group(4)
     if t.family == "E":
-        return {6: cyclic(3), 7: cyclic(2), 8: TRIVIAL_GROUP}[t.rank]
+        return {6: cyclic_group(3), 7: cyclic_group(2), 8: TRIVIAL_GROUP}[t.rank]
     return TRIVIAL_GROUP
 
 
@@ -111,8 +118,8 @@ class TestCartanMatrices:
 
 class TestBuildDatum:
     def test_pq_examples(self):
-        assert build_datum((SimpleType("A", 1),)).pq_group == cyclic(2)
-        assert build_datum((SimpleType("A", 2),)).pq_group == cyclic(3)
+        assert build_datum((SimpleType("A", 1),)).pq_group == cyclic_group(2)
+        assert build_datum((SimpleType("A", 2),)).pq_group == cyclic_group(3)
         assert build_datum((SimpleType("D", 4),)).pq_group == FgAbGroup(0, (2, 2))
 
     def test_pq_order_matches_determinant(self):
@@ -124,7 +131,7 @@ class TestBuildDatum:
         for t in ALL_TYPES:
             datum = build_datum((t,))
             for i in range(datum.rank):
-                assert simple_root(datum, i).pq_class().is_identity
+                assert is_zero_element(simple_root(datum, i).pq_class())
 
     def test_pq_proj_is_a_reduced_hom(self):
         # rows of the Smith transform U, so a hom P -> P/Q by construction:
@@ -138,7 +145,7 @@ class TestBuildDatum:
     def test_products(self):
         datum = build_datum((SimpleType("A", 1), SimpleType("A", 2)))
         assert datum.rank == 3
-        assert datum.pq_group == cyclic(6)
+        assert datum.pq_group == cyclic_group(6)
         assert datum.node_labels() == ("A1:1", "A2:1", "A2:2")
 
     def test_data_built_apart_are_equal(self):
@@ -164,7 +171,7 @@ class TestBuildDatum:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert datum.pq_group == cyclic(128)
+        assert datum.pq_group == cyclic_group(128)
         assert retained < 16 * 1024, retained
 
     def test_empty(self):
@@ -175,16 +182,16 @@ class TestBuildDatum:
 
 class TestCenter:
     def test_duals(self):
-        assert center(build_datum((SimpleType("A", 1),))) == cyclic(2)
+        assert center(build_datum((SimpleType("A", 1),))) == cyclic_group(2)
         for n in range(2, 7):
-            assert center(build_datum((SimpleType("A", n - 1),))) == cyclic(n)
+            assert center(build_datum((SimpleType("A", n - 1),))) == cyclic_group(n)
         assert center(build_datum(())) == TRIVIAL_GROUP
 
     def test_pairing_perfect(self):
         for t in ALL_TYPES:
             datum = build_datum((t,))
             for x in elements(datum.pq_group):
-                if x.is_identity:
+                if is_zero_element(x):
                     continue
                 assert any(pair(z, x) != 0 for z in elements(center(datum)))
 
@@ -210,7 +217,7 @@ class TestRestrictWeight:
         datum = build_datum((SimpleType("A", 1),))
         k = full_center_subgroup(datum)
         chi = restrict_weight(fundamental_weight(datum, 0), k)
-        assert not chi.is_identity
+        assert not is_zero_element(chi)
         # value 1/2 on the generator
         assert chi.coords == (1,)
 
@@ -219,7 +226,7 @@ class TestRestrictWeight:
             datum = build_datum((t,))
             k = full_center_subgroup(datum)
             for i in range(datum.rank):
-                assert restrict_weight(simple_root(datum, i), k).is_identity
+                assert is_zero_element(restrict_weight(simple_root(datum, i), k))
 
     def test_spin_node_nontrivial(self):
         # Spin(2m+1): the end-node fundamental weight is nontrivial on the
@@ -227,8 +234,8 @@ class TestRestrictWeight:
         for m in range(2, 6):
             datum = build_datum((SimpleType("B", m),))
             k = full_center_subgroup(datum)
-            assert not restrict_weight(fundamental_weight(datum, m - 1), k).is_identity
-            assert restrict_weight(fundamental_weight(datum, 0), k).is_identity
+            assert not is_zero_element(restrict_weight(fundamental_weight(datum, m - 1), k))
+            assert is_zero_element(restrict_weight(fundamental_weight(datum, 0), k))
 
     def test_additivity(self):
         rng = random.Random(31)
@@ -240,7 +247,7 @@ class TestRestrictWeight:
                 for _ in range(10):
                     l1 = Weight(datum, tuple(rng.randint(-4, 4) for _ in range(datum.rank)))
                     l2 = Weight(datum, tuple(rng.randint(-4, 4) for _ in range(datum.rank)))
-                    assert restrict_weight(l1 + l2, k) == restrict_weight(l1, k) + restrict_weight(l2, k)
+                    assert restrict_weight(l1 + l2, k) == add_elements(restrict_weight(l1, k), restrict_weight(l2, k))
 
     def test_pairing_killed_by_generator_order(self):
         # the pairing of a weight with a subgroup generator of order m, read
@@ -279,7 +286,7 @@ class TestRestrictWeight:
 
     def test_rejects_foreign_subgroup(self):
         datum = build_datum((SimpleType("A", 1),))
-        other = subgroup_from_generators(cyclic(4), [cyclic(4).element([1])])
+        other = subgroup_from_generators(cyclic_group(4), [cyclic_group(4).element([1])])
         with pytest.raises(ValueError):
             restrict_weight(fundamental_weight(datum, 0), other)
 
@@ -293,7 +300,7 @@ class TestCharacterLattice:
     def test_trivial_subgroup(self):
         datum = build_datum((SimpleType("A", 2),))
         basis = character_lattice_of_quotient(datum, subgroup_from_generators(center(datum), []))
-        assert basis == IntMatrix.identity(2)
+        assert basis == identity_matrix(2)
 
     def test_a2_full_center_is_root_lattice(self):
         datum = build_datum((SimpleType("A", 2),))
@@ -308,18 +315,18 @@ class TestCharacterLattice:
             datum = build_datum((t,))
             for sub in all_subgroups(center(datum)):
                 basis = character_lattice_of_quotient(datum, sub)
-                assert abs(det(basis)) == sub.order()
-                quotient, _ = from_presentation(datum.rank, basis.transpose())
+                assert abs(det(basis)) == subgroup_order(sub)
+                quotient, _ = from_presentation(datum.rank, transposed(basis))
                 assert quotient == sub.computed
                 for i in range(basis.rows):
-                    assert restrict_weight(Weight(datum, basis.row(i)), sub).is_identity
+                    assert is_zero_element(restrict_weight(Weight(datum, basis.row(i)), sub))
 
     def test_trivial_subgroup_kills_nothing(self):
         for t in [SimpleType("A", 4), SimpleType("D", 5)]:
             datum = build_datum((t,))
             trivial = subgroup_from_generators(center(datum), [])
             for i in range(datum.rank):
-                assert restrict_weight(fundamental_weight(datum, i), trivial).is_identity
+                assert is_zero_element(restrict_weight(fundamental_weight(datum, i), trivial))
 
 
 class TestAnnihilator:
@@ -330,15 +337,15 @@ class TestAnnihilator:
             datum = build_datum((SimpleType("B", m),))
             evecs = [fundamental_weight(datum, 0)]
             ann = annihilator_in_center(datum, evecs)
-            assert ann.order() == 2
+            assert subgroup_order(ann) == 2
 
     def test_d4_vector_class(self):
         datum = build_datum((SimpleType("D", 4),))
         # e_1 = fundamental weight 1; its annihilator has index 2 in (Z/2)^2
         ann = annihilator_in_center(datum, [fundamental_weight(datum, 0)])
-        assert ann.order() == 2
+        assert subgroup_order(ann) == 2
 
     def test_no_constraints(self):
         datum = build_datum((SimpleType("A", 3),))
         ann = annihilator_in_center(datum, [simple_root(datum, 0)])
-        assert ann.order() == 4
+        assert subgroup_order(ann) == 4
