@@ -18,10 +18,10 @@ The dual Hom(G, Q/Z) of a finite G has no type of its own: it is G again,
 read through the pairing of docs/conventions.md, under which dual generator
 i pairs with generator j to delta_ij / d_i.
 
-Subgroup, kernel and Hom/Ext computations all reduce to Smith normal forms
-and solution lattices from :mod:`homspace.intlinalg`.  Lattices ``{x : A x
-= 0 mod n}`` and the relations of a span are the Hermite bases of
-``intlinalg.solution_lattice``, built modulo the orders of a finite
+Subgroup, kernel and Hom/Ext computations all reduce to Smith normal forms,
+solution lattices and span types from :mod:`homspace.intlinalg`.  Lattices
+``{x : A x = 0 mod n}`` and the relations of a span are the Hermite bases
+of ``intlinalg.solution_lattice``, built modulo the orders of a finite
 ambient: a free coordinate has no modulus, so :func:`span_group` and
 :func:`subgroup_from_generators` take finite ambients only.  The lattice
 comes back as rows, which are the columns of the relation matrix R, and a
@@ -30,19 +30,24 @@ Smith quotient goes through one helper, which asks the Smith loop for U or
 V only as needed.  A subgroup's inclusion (:func:`subgroup_from_generators`)
 is all its callers read; it takes V alone and reads U^-1 as R V D^-1,
 since U R V = D for its square, nonsingular relation matrix R.  A
-presentation's projection (:func:`from_presentation`) reads U, and the
-bare type of a span (:func:`span_group`) takes neither.  A direct sum of
+presentation's projection (:func:`from_presentation`) reads U.  Every
+group that a query prints without an inclusion is the bare type of a span
+(:func:`span_group`), which takes no Smith form and no relation lattice:
+its generators, scaled into (Z/e)^n with e the lcm of the orders, are
+diagonalized there (``intlinalg._span_orders_mod``), and each diagonal
+entry d gives a cyclic group of order e/gcd(d, e).  A direct sum of
 cyclic groups (:func:`direct_sum_canonical`) is canonicalized by pairwise
 gcd and lcm, with no Smith form.  The torus and character conditions of
 ``groups`` and ``extensions`` are integer vectors modulo one n > 1, one
 per unknown (``_mod_n_lattice``, which returns rows), with no hom built
-around them; other modules never call ``solution_lattice`` or
-``_snf_transform`` themselves.  Homs as checked values, preimage lattices
-of homs, kernels as subgroup presentations, spans in groups of positive
-free rank, preimages of single elements, extensions realized by generator
-lifts, a group's unit generators and element list, and the arithmetic of
-elements (sums, negatives, orders) are test oracles (``tests/oracles.py``):
-no query reads any of them.
+around them; other modules never call ``solution_lattice``,
+``_span_orders_mod`` or ``_snf_transform`` themselves.  Homs as checked
+values, preimage lattices of homs, kernels as subgroup presentations, spans
+in groups of positive free rank, the exact Smith route to a span's type,
+preimages of single elements, extensions realized by generator lifts, a
+group's unit generators and element list, and the arithmetic of elements
+(sums, negatives, orders) are test oracles (``tests/oracles.py``): no
+query reads any of them.
 """
 
 from __future__ import annotations
@@ -51,7 +56,15 @@ from collections.abc import Sequence
 from math import gcd
 from operator import index
 
-from .intlinalg import IntMatrix, _combination, _Record, solution_lattice, _snf_transform
+from .intlinalg import (
+    IntMatrix,
+    _combination,
+    _Record,
+    _scaled_mod_lcm,
+    _snf_transform,
+    _span_orders_mod,
+    solution_lattice,
+)
 
 
 class FgAbGroup(_Record):
@@ -157,10 +170,12 @@ def _smith_quotient(relations: IntMatrix, want_u: bool = False, want_v: bool = F
 def span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> FgAbGroup:
     """Canonical type of the subgroup spanned by ``generator_coords`` inside
     a raw cyclic decomposition of the given orders (they need not form a
-    divisibility chain, and each must be positive).  The Smith loop builds
-    no transform."""
-    lattice = solution_lattice(generator_coords, orders)
-    return _smith_quotient(IntMatrix.from_columns(lattice, rows=len(lattice)))[0]
+    divisibility chain, and each must be positive): the generators scaled
+    into (Z/e)^n, e the lcm of the orders, and diagonalized there
+    (``intlinalg._span_orders_mod``), with no relation lattice and no
+    exact Smith form."""
+    e, rows = _scaled_mod_lcm(generator_coords, orders)
+    return direct_sum_canonical(0, _span_orders_mod(rows, e))
 
 
 def from_presentation(n_generators: int, relations: IntMatrix):

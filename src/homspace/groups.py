@@ -19,22 +19,25 @@ an extension 0 -> Z^r -> pi1(H) -> Gamma -> 0 of the gluing subgroup Gamma
 by the integral torus loops.  It is free of rank r plus a torsion part, and
 that torsion is pi1 of the derived subgroup: the kernel of Gamma's
 projection to the torus (Q/Z)^r, a subgroup of Z(S_sc) (Sansuc 1981).
-``ReductiveModel.derived`` computes that kernel from the model's own
-generators, never from Gamma: with N the lcm of the torus parts'
-denominators, one solution lattice of the torus numerators modulo N gives
-the combinations of the gluing generators whose torus parts sum to an
-integral vector, and their center parts span the kernel.  It is the derived
-subgroup S_sc/kernel as a ``SemisimpleModel``: ``pi1`` reads the kernel's
-type, and ``as_semisimple`` returns that object.  Gamma itself
-(``ReductiveModel.gluing_type``) is a bare type that only ``describe``
-reads.  A model computes each once and keeps it, as a semisimple model
-keeps its restriction matrix and ``invariants`` keeps a model's report on
-the model, so no module-level cache holds a model.
+The model finds that kernel's generators from its own gluing generators,
+never from Gamma: with N the lcm of the torus parts' denominators, one
+solution lattice of the torus numerators modulo N gives the combinations
+of the gluing generators whose torus parts sum to an integral vector, and
+their center parts span the kernel.  ``pi1`` reads the kernel's bare type
+(``ReductiveModel.kernel_type``, a ``span_group``), and so does Gamma's
+type (``ReductiveModel.gluing_type``), which only ``describe`` reads:
+neither builds an inclusion, a ``SemisimpleModel`` or an exact Smith form.
+``ReductiveModel.derived`` spans the same generators with the kernel's
+inclusion, the derived subgroup S_sc/kernel as a ``SemisimpleModel``,
+which ``as_semisimple`` returns and only the weight table reads.  A model
+computes each once and keeps it, as a semisimple model keeps its
+restriction matrix and ``invariants`` keeps a model's report on the
+model, so no module-level cache holds a model.
 
 Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
 queries read them only as integers: N and one row of numerators per
 generator (``ReductiveModel.torus_numerators``), which both mod-N problems,
-the derived kernel and ``character_group``, hand to the solver as plain
+the kernel generators and ``character_group``, hand to the solver as plain
 integer rows.  Center parts are elements of ``center(ss)``, integer
 coordinates over its canonical generators, so no query does ``Fraction``
 arithmetic, and since no cache is keyed by a model, no query hashes one.
@@ -47,7 +50,8 @@ inside Z^r x Z(S_sc), and the extension presented by Z^r and one lift of each
 canonical generator of Gamma (``pi1_extension``), Gamma spanned there with
 its inclusion by a reference route of its own.  They are compared with
 ``pi1`` in ``tests/test_groups.py::TestPi1`` and acceptance criteria 2 and
-6, not on every query.
+6, not on every query, and the kernel type with the derived kernel in
+``TestDerivedSubgroup``.
 """
 
 from __future__ import annotations
@@ -129,19 +133,31 @@ class ReductiveModel(_Record):
         orders = self.ss.pq_group.invariant_factors + (n,) * self.torus_rank
         return span_group(orders, [pair.center.coords + row for pair, row in zip(self.gluing, torus_rows)])
 
+    def _kernel_generators(self) -> list:
+        """Center coordinates, unreduced, of generators of the kernel of the
+        gluing subgroup's torus projection: the center parts of the
+        combinations of the gluing generators whose torus parts sum to an
+        integral vector, one combination per row of the solution lattice
+        of the torus numerators modulo N.  With N = 1 every combination
+        qualifies, and the lattice is the identity."""
+        n, torus_rows = self.torus_numerators
+        centers = [pair.center.coords for pair in self.gluing]
+        width = self.ss.pq_group.ngens
+        return [_combination(centers, c, width) for c in _mod_n_lattice(n, torus_rows)]
+
+    @cached_property
+    def kernel_type(self) -> FgAbGroup:
+        """Abstract type of the kernel of the gluing subgroup's torus
+        projection, pi1 of the derived subgroup: the bare span of the
+        kernel generators in the center of S_sc."""
+        return span_group(self.ss.pq_group.invariant_factors, self._kernel_generators())
+
     @cached_property
     def derived(self) -> SemisimpleModel:
-        """The derived subgroup S_sc/kernel.  Its kernel, that of the gluing
-        subgroup's torus projection, is the subgroup of the center of S_sc
-        spanned by the center parts of the combinations of the gluing
-        generators whose torus parts sum to an integral vector.  With N = 1
-        every combination qualifies, and the solution lattice is the
-        identity."""
-        n, torus_rows = self.torus_numerators
+        """The derived subgroup S_sc/kernel, the kernel spanned with its
+        inclusion into the center of S_sc by the kernel generators."""
         cgroup = center(self.ss)
-        centers = [pair.center.coords for pair in self.gluing]
-        gens = [cgroup.element(_combination(centers, c, cgroup.ngens)) for c in _mod_n_lattice(n, torus_rows)]
-        kernel = subgroup_from_generators(cgroup, gens)
+        kernel = subgroup_from_generators(cgroup, [cgroup.element(g) for g in self._kernel_generators()])
         return SemisimpleModel(datum=self.ss, kernel=kernel)
 
     def describe(self) -> str:
@@ -166,7 +182,7 @@ class SemisimpleModel(_Record):
 def pi1(model: ReductiveModel) -> FgAbGroup:
     """Fundamental group of H (the unipotent part never contributes): Z^r
     plus pi1 of the derived subgroup as its torsion."""
-    return FgAbGroup(model.torus_rank, model.derived.kernel.computed.invariant_factors)
+    return FgAbGroup(model.torus_rank, model.kernel_type.invariant_factors)
 
 
 def character_group(model: ReductiveModel):

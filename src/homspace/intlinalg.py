@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith normal forms and solution lattices.
+"""Exact integer linear algebra: Smith normal forms, solution lattices and
+span types.
 
 Everything here runs on arbitrary-precision Python integers; there is no
 floating point and no fixed-width fast path.  Conventions are pinned so that
@@ -20,7 +21,12 @@ the span of the later columns in (Z/e)^n, kept in Howell form (Howell
 the rest of the row a reduced preimage.  Preimages run only over the
 columns whose pivot exceeds 1, at most n*log2(e) of them, so an n x s
 system costs O(s * (n log e)^2) steps besides the s^2 entries of its
-output, and no entry exceeds e.  No Smith form is taken.  Exact kernels
+output, and no entry exceeds e.  No Smith form is taken.  The type of a
+span in (Z/e)^n (``_span_orders_mod``) is read off one diagonalization of
+its generators by the Smith loop's 2x2 steps, every entry reduced mod e:
+no relation lattice, no exact Smith form, and again no entry reaches e.
+Both scale the generators into (Z/e)^n the same way
+(``_scaled_mod_lcm``).  Exact kernels
 (no modulus), Hermite forms of arbitrary rows, the solver of ``M x = b``
 and matrix arithmetic (products, transposes, identities) have no query
 that reads them: they are test oracles in ``tests/oracles.py``.
@@ -52,7 +58,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, index
 
 
@@ -369,6 +375,80 @@ def _insert_howell(basis: list, v: list, e: int):
     return d, v
 
 
+def _scaled_mod_lcm(generators: Sequence[Sequence[int]], orders: Sequence[int]):
+    """(e, rows): e = lcm(orders) and each generator g as the vector b =
+    ((e/o_i) * g[i] mod e)_i of (Z/e)^n, so that Z/o_i sits in Z/e as the
+    multiples of e/o_i.  Every order must be positive, and every generator
+    needs one coordinate per order."""
+    n = len(orders)
+    if any(len(g) != n for g in generators):
+        raise ValueError(f"every generator needs {n} coordinates, one per order")
+    if not all(o > 0 for o in orders):
+        raise ValueError(f"modular spans need positive orders, got {tuple(orders)}")
+    e = lcm(*orders)
+    scale = [e // o for o in orders]
+    return e, [[c * x % e for c, x in zip(scale, g)] for g in generators]
+
+
+def _span_orders_mod(rows: list, e: int) -> list:
+    """Orders of cyclic groups whose direct sum is the span of ``rows`` in
+    (Z/e)^n, each row a list of entries in [0, e), which the call may
+    change.  The rows are diagonalized by the Smith loop's unimodular 2x2
+    steps with every entry reduced mod e (Cohen, GTM 138, Alg. 2.4.14;
+    Hafner-McCurley 1991): a row step keeps the span and a column step is
+    an automorphism of (Z/e)^n, so the span is that of the diagonal, and a
+    diagonal entry d spans a cyclic group of order e/gcd(d, e).  No entry
+    reaches e, no transform is kept, and the orders come back unsorted, in
+    no divisibility chain, for ``abgroups.direct_sum_canonical``.
+
+    The least nonzero entry is the pivot.  An entry that the pivot divides
+    is cleared by subtracting a multiple (``_xgcd(p, x)`` with p | x gives
+    s = 0, and the 2x2 step would swap the two lines forever), any other
+    by one 2x2 step, which leaves their gcd as the pivot.  Column steps can
+    refill the pivot's column only by lowering the pivot, so the two
+    passes alternate at most log2(e) times per pivot."""
+    orders = []
+    a = [r for r in rows if any(r)]
+    while a:
+        _, i, c = min((x, i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
+        a[0], a[i] = a[i], a[0]
+        while True:
+            for i in range(1, len(a)):
+                top, r = a[0], a[i]
+                p, x = top[c], r[c]
+                if not x:
+                    continue
+                if x % p == 0:
+                    q = x // p
+                    a[i] = [(y - q * z) % e for y, z in zip(r, top)]
+                else:
+                    g, s, t = _xgcd(p, x)
+                    f, q = p // g, x // g
+                    a[0] = [(s * z + t * y) % e for z, y in zip(top, r)]
+                    a[i] = [(f * y - q * z) % e for z, y in zip(top, r)]
+            top = a[0]
+            for j, x in enumerate(top):
+                if j == c or not x:
+                    continue
+                p = top[c]
+                if x % p == 0:
+                    q = x // p
+                    for r in a:
+                        r[j] = (r[j] - q * r[c]) % e
+                else:
+                    g, s, t = _xgcd(p, x)
+                    f, q = p // g, x // g
+                    for r in a:
+                        y, z = r[c], r[j]
+                        r[c] = (s * y + t * z) % e
+                        r[j] = (f * z - q * y) % e
+            if not any(r[c] for r in a[1:]):
+                break
+        orders.append(e // gcd(a[0][c], e))
+        a = [r for r in a[1:] if any(r)]
+    return orders
+
+
 def solution_lattice(generators: Sequence[Sequence[int]], orders: Sequence[int]) -> list:
     """Hermite basis, one row per basis vector, of ``{x : sum_j x_j g_j ==
     0}`` over the generator vectors g_j, coordinate i of the sum read
@@ -385,12 +465,7 @@ def solution_lattice(generators: Sequence[Sequence[int]], orders: Sequence[int])
     and the work per unknown depends on n and on those columns, never on
     s.  b_j changes V only when d_j > 1."""
     n, s = len(orders), len(generators)
-    if any(len(g) != n for g in generators):
-        raise ValueError(f"every generator needs {n} coordinates, one per order")
-    if not all(o > 0 for o in orders):
-        raise ValueError(f"solution lattices need positive orders, got {tuple(orders)}")
-    e = lcm(*orders)
-    scale = [e // o for o in orders]
+    e, scaled = _scaled_mod_lcm(generators, orders)
     basis = [None] * n
     cols, pivots, tails = [], [], []  # columns of pivot > 1, newest last
     out = [None] * s
@@ -399,8 +474,7 @@ def solution_lattice(generators: Sequence[Sequence[int]], orders: Sequence[int])
         for slot in basis:
             if slot:
                 slot.append(0)
-        b = [c * x % e for c, x in zip(scale, generators[j])]
-        d, w = _insert_howell(basis, b + [0] * len(cols) + [1], e)
+        d, w = _insert_howell(basis, scaled[j] + [0] * len(cols) + [1], e)
         if d == 1:
             for slot in basis:
                 if slot:

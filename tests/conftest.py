@@ -4,6 +4,7 @@ and randomized model generation."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -97,6 +98,12 @@ def random_model(
         model = ReductiveModel(ss=datum, torus_rank=r, gluing=tuple(pairs), unipotent_dim=unipotent_dim)
         if model.gluing_type.order() <= max_gluing_order:
             return model
+
+
+def span_exponent(orders, gens):
+    """The exponent of the span of ``gens`` in cyclic coordinates of the
+    given positive orders: the lcm of the generators' orders."""
+    return lcm(1, *(o // gcd(x, o) for g in gens for x, o in zip(g, orders)))
 
 
 def small_groups(max_order):

@@ -78,6 +78,11 @@
   ambients), are built on it, so the tests compare the library with a
   route that shares with it only the Smith loop's U, inverted by sympy
   where the library reads U^-1 as R V D^-1.
+* The former route of ``homspace.abgroups.span_group``
+  (``exact_span_group``): the span's relation lattice, by the former mod-e
+  Hermite route below, then the exact Smith loop, whose entries grow with
+  the orders.  The library now diagonalizes the generators modulo e
+  instead; the tests compare the two types.
 * The former mod-e route of ``homspace.intlinalg.solution_lattice``: one
   Hermite elimination of ``[(e/o_i) A^T | I]`` modulo e = lcm(orders),
   cubic in the number of unknowns.  The library now builds the same basis
@@ -500,6 +505,17 @@ def _smith_v_span(gcols: IntMatrix, orders: Sequence[int]):
     group, u, _, positions = _smith_quotient(relations, want_u=True)
     uinv = inverse(u)
     return group, [apply_matrix(gcols, uinv.column(p)) for p in positions]
+
+
+def exact_span_group(orders: Sequence[int], generator_coords: Sequence[Sequence[int]]) -> FgAbGroup:
+    """The former route of ``homspace.abgroups.span_group``: Z^s modulo the
+    generators' relation lattice, one exact Smith quotient with no
+    transform, whose entries grow with the orders where the library's mod-e
+    diagonal keeps them below e.  The lattice is the Hermite basis that
+    ``homspace.intlinalg.solution_lattice`` returns, built here by
+    ``hermite_mod_solution_lattice``."""
+    gcols = IntMatrix.from_columns([list(g) for g in generator_coords], rows=len(orders))
+    return _smith_quotient(transposed(hermite_mod_solution_lattice(gcols, orders)))[0]
 
 
 def span_subgroup(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:

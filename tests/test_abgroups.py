@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_chain
+from conftest import random_chain, span_exponent
 from homspace.abgroups import (
     FgAbGroup,
     TRIVIAL_GROUP,
@@ -14,6 +16,7 @@ from homspace.abgroups import (
     ext1_z,
     from_presentation,
     hom_group,
+    span_group,
     subgroup_from_generators,
 )
 from homspace.extensions import Character
@@ -31,6 +34,7 @@ from oracles import (
     diagonal_matrix,
     element_order,
     elements,
+    exact_span_group,
     generator,
     identity_element,
     identity_hom,
@@ -466,3 +470,79 @@ class TestDirectSum:
             assert direct_sum_canonical(free, orders) == FgAbGroup(free, tuple(d for d in diagonal if d > 1)), orders
         with pytest.raises(ValueError):
             direct_sum_canonical(0, [2, 0])
+
+
+@st.composite
+def span_systems(draw, max_order=100, max_coords=4, max_generators=8):
+    """(orders, generators): raw cyclic orders, in no divisibility chain,
+    and generator coordinates, unreduced and of either sign, some of them
+    sums and multiples of earlier ones."""
+    orders = draw(st.lists(st.integers(1, max_order), max_size=max_coords))
+    vector = st.tuples(*(st.integers(-2 * o, 2 * o) for o in orders)).map(list)
+    gens = draw(st.lists(vector, max_size=max_generators))
+    for _ in range(draw(st.integers(0, max_generators - len(gens)))):
+        if not gens:
+            break
+        i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+        c = draw(st.integers(-3, 3))
+        gens.append([c * x + y for x, y in zip(gens[i], gens[j])])
+    return orders, gens
+
+
+def closure_order(orders, gens):
+    """Size of the span, by adding generators until nothing new appears."""
+    seen = {(0,) * len(orders)}
+    frontier = list(seen)
+    while frontier:
+        point = frontier.pop()
+        for g in gens:
+            total = tuple((x + y) % o for x, y, o in zip(point, g, orders))
+            if total not in seen:
+                seen.add(total)
+                frontier.append(total)
+    return len(seen)
+
+
+class TestSpanGroup:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(span_systems())
+    def test_the_mod_e_diagonal_is_the_exact_smith_quotient(self, system):
+        orders, gens = system
+        assert span_group(orders, gens) == exact_span_group(orders, gens)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(span_systems(max_order=12, max_coords=3, max_generators=4))
+    def test_order_by_enumeration(self, system):
+        orders, gens = system
+        assert span_group(orders, gens).order() == closure_order(orders, gens)
+
+    def test_examples(self):
+        assert span_group((4, 6), [[1, 0], [0, 1]]) == FgAbGroup(0, (2, 12))
+        assert span_group((12,), [[4], [6]]) == cyclic_group(6)
+        # the pivot 2 divides 4 but (2, 4) and (4, 0) are not multiples:
+        # a divided entry is cleared by subtraction, never by a 2x2 step
+        assert span_group((8, 8), [[2, 4], [4, 0]]) == cyclic_group(4)
+        assert span_group((4, 2), [[2, 0], [2, 1], [0, 1]]) == FgAbGroup(0, (2, 2))
+        assert span_group((), []) == span_group((5,), []) == span_group((5, 7), [[0, 7]]) == TRIVIAL_GROUP
+        # coordinates of one part order 1 vanish
+        assert span_group((1, 9), [[5, 3], [1, 0]]) == cyclic_group(3)
+
+    def test_orders_must_be_positive(self):
+        for orders in ((4, 0), (0,), (-3,)):
+            with pytest.raises(ValueError, match="positive orders"):
+                span_group(orders, [[1] * len(orders)])
+        with pytest.raises(ValueError, match="one per order"):
+            span_group((4, 4), [[1]])
+
+    def test_entries_far_above_the_orders(self):
+        # coordinates of hundreds of bits, one order near 10^6 and a
+        # redundant sum: the type of the reduced system
+        rng = random.Random(37)
+        for _ in range(40):
+            orders = [rng.randrange(1, 10**6) for _ in range(rng.randint(1, 4))]
+            gens = [[rng.randrange(-(2**300), 2**300) for _ in orders] for _ in range(rng.randint(1, 5))]
+            gens.append([x + 3 * y for x, y in zip(gens[0], gens[-1])])
+            reduced = [[x % o for x, o in zip(g, orders)] for g in gens]
+            group = span_group(orders, gens)
+            assert group == exact_span_group(orders, reduced)
+            assert (group.invariant_factors or (1,))[-1] == span_exponent(orders, gens)

@@ -31,6 +31,7 @@ from conftest import (
     random_chain,
     random_character_values,
     random_model,
+    span_exponent,
 )
 from homspace import __version__, groups, invariants
 from homspace import spec as specmod
@@ -39,12 +40,13 @@ from homspace.cli import CliError, _parse_fraction, json_text, run
 from homspace.extensions import Character
 from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
-from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal
+from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal, solution_lattice
 from homspace.rootdata import RootDatumSS, SimpleType, build_datum, center
 from homspace.spec import model_to_document, parse_spec
 from oracles import (
     character_to_extension,
     det,
+    exact_span_group,
     fundamental_restrictions,
     fundamental_weight,
     identity_element,
@@ -762,44 +764,42 @@ class TestCommands:
             parse_spec(out)
         assert calls == []
 
-    def test_gluing_builds_no_smith_row_transform(self, monkeypatch, tmp_path):
-        # the gluing group is a bare type, so the Smith loop that span_group
-        # runs for it builds neither U nor V; abgroups calls
-        # _snf_transform by the name it imported from intlinalg, so that
-        # name is wrapped
-        import homspace.abgroups as abmod
+    def test_describe_takes_no_smith_form(self, monkeypatch, tmp_path):
+        # the gluing group and the derived kernel are bare types, diagonalized
+        # modulo e: once build_datum has taken the root data's Smith forms,
+        # describe makes no call to the exact Smith loop at all.  Every
+        # module that imported the loop by name gets the counting wrapper
+        import homspace
 
-        asked, active = [], []
-        original_span, original_snf = abmod.span_group, abmod._snf_transform
+        build_datum((SimpleType("A", 3), SimpleType("A", 1)))
+        preset("GL(3)")
+        preset("SO(8)")
+        calls = []
+        original = homspace.intlinalg._snf_transform
 
-        def span(*args):
-            active.append(True)
-            try:
-                return original_span(*args)
-            finally:
-                active.pop()
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        def snf(m, want_u, want_v):
-            if active:
-                asked.append((want_u, want_v))
-            return original_snf(m, want_u, want_v)
-
-        monkeypatch.setattr(abmod, "span_group", span)
-        monkeypatch.setattr(groups, "span_group", span)
-        monkeypatch.setattr(abmod, "_snf_transform", snf)
+        for module in vars(homspace).values():
+            if getattr(module, "_snf_transform", None) is original:
+                monkeypatch.setattr(module, "_snf_transform", counting)
         path = tmp_path / "torus_r3.json"
         path.write_text(json.dumps(TORUS_R3))
         for source in (["--preset", "GL(3)"], ["--preset", "SO(8)"], ["--spec", str(path)]):
-            code, _, err = invoke(["describe", "--json", *source])
+            code, out, err = invoke(["describe", "--json", *source])
             assert code == 0, err
-        assert asked and not any(any(flags) for flags in asked)
+            assert json.loads(out)["gluing_order"] >= 2, source
+        assert calls == []
 
-    def test_fresh_torus_queries_read_each_spelling_once_and_build_one_hom(self, monkeypatch, tmp_path):
+    def test_fresh_torus_queries_read_each_spelling_once_and_build_no_hom(self, monkeypatch, tmp_path):
         # with the root datum warm, a fresh torus spec reads each distinct
-        # torus spelling once, and the one hom a query builds is the
-        # derived kernel's inclusion, from one subgroup_from_generators
-        # call: the mod-N torus and character conditions go to the solver
-        # as integer rows
+        # torus spelling once, and a query builds no hom and no
+        # SemisimpleModel: pi1 reads the derived kernel as a bare type, and
+        # the mod-N torus and character conditions go to the solver as
+        # integer rows
+        import homspace.abgroups as abmod
+
         semisimple = (SimpleType("A", 3), SimpleType("D", 4))
         rows = [["1/2", "1/3", "0", "1/2"], ["1/4", "2/3", "1/2", "1/3"], ["0", "1/2", "5/6", "1/4"]]
         doc = torus_doc(rows, semisimple)
@@ -808,27 +808,42 @@ class TestCommands:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         build_datum(semisimple)
-        parsed, homs = [], []
-        original_parse, original_span = specmod._parse_fraction, groups.subgroup_from_generators
+        parsed, homs, models = [], [], []
+        original_parse = specmod._parse_fraction
+        original_init = SemisimpleModel.__init__
 
         def counting_parse(text, where):
             parsed.append(text)
             return original_parse(text, where)
 
-        def counting_span(ambient, gens):
-            homs.append(ambient)
-            return original_span(ambient, gens)
+        def counting_hom(name):
+            original = getattr(abmod, name)
+
+            def counting(*args):
+                homs.append(name)
+                return original(*args)
+
+            return counting
+
+        def counting_init(self, *args, **kwargs):
+            models.append(args)
+            original_init(self, *args, **kwargs)
 
         monkeypatch.setattr(specmod, "_parse_fraction", counting_parse)
-        monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
+        for name in ("subgroup_from_generators", "from_presentation"):
+            monkeypatch.setattr(abmod, name, counting_hom(name))
+        monkeypatch.setattr(groups, "subgroup_from_generators", abmod.subgroup_from_generators)
+        monkeypatch.setattr(SemisimpleModel, "__init__", counting_init)
         for command in ("invariants", "describe"):
             clear_query_caches()
             parsed.clear()
-            homs.clear()
-            code, _, err = invoke([command, "--json", "--spec", str(path)])
+            code, out, err = invoke([command, "--json", "--spec", str(path)])
             assert code == 0, err
             assert sorted(parsed) == sorted({t for row in rows for t in row}), command
-            assert len(homs) == 1, (command, homs)
+            assert (homs, models) == ([], []), command
+        # the counters see the hom and the model that a derived subgroup builds
+        parse_spec(json.dumps(doc)).derived
+        assert (homs, len(models)) == (["subgroup_from_generators"], 1)
 
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = invoke(["no-such-command"])
@@ -874,44 +889,51 @@ class TestCommands:
             assert invoke(["invariants", "--json", "--preset", name])[0] == 0
             assert calls == []
 
-    def test_queries_span_the_gluing_group_once(self, monkeypatch, tmp_path):
-        # every invariant query spans one group, the derived kernel, from the
-        # model's own gluing generators, and none builds the gluing group
-        # itself.  Presets go through their spec documents, so the count
-        # leaves out the span that builds the SO(n) gluing.
+    def test_queries_span_the_derived_kernel_once(self, monkeypatch, tmp_path):
+        # every invariant query takes one span type, the derived kernel's,
+        # from the model's own gluing generators, and none spans the
+        # gluing group itself: the kernel is spanned in the center, the
+        # gluing group in the center times (Z/N)^r, so the orders passed
+        # tell the two apart.  The one hom a semisimple query builds is the
+        # derived kernel's inclusion, which the weight table reads.
+        # Presets go through their spec documents, so the count leaves out
+        # the span that builds the SO(n) gluing.
         import homspace.abgroups as abmod
 
-        spans, gluings = [], []
-        original_span, original_gluing = abmod.subgroup_from_generators, groups.span_group
+        spans, homs = [], []
+        original_span, original_hom = groups.span_group, abmod.subgroup_from_generators
 
-        def counting_span(*args):
-            spans.append(args)
-            return original_span(*args)
+        def counting_span(orders, gens):
+            spans.append(tuple(orders))
+            return original_span(orders, gens)
 
-        def counting_gluing(*args):
-            gluings.append(args)
-            return original_gluing(*args)
+        def counting_hom(*args):
+            homs.append(args)
+            return original_hom(*args)
 
-        monkeypatch.setattr(abmod, "subgroup_from_generators", counting_span)
-        monkeypatch.setattr(groups, "subgroup_from_generators", counting_span)
-        monkeypatch.setattr(groups, "span_group", counting_gluing)
+        monkeypatch.setattr(abmod, "subgroup_from_generators", counting_hom)
+        monkeypatch.setattr(groups, "subgroup_from_generators", counting_hom)
+        monkeypatch.setattr(groups, "span_group", counting_span)
         docs = {name: model_to_document(preset(name)) for name in ("SO(8)", "PGL(4)", "GL(3)")}
         docs.update(QUOTIENT_SPECS, torus_r3=TORUS_R3)
         for name, doc in docs.items():
             path = tmp_path / "model.json"
             path.write_text(json.dumps(doc))
+            kernel_orders = center(parse_spec(json.dumps(doc)).ss).orders
             semisimple = doc["torus_rank"] == 0
+            expected = {"invariants": ([kernel_orders], int(semisimple)), "weights": ([], 1)}
             for command in ("invariants", "weights") if semisimple else ("invariants",):
                 clear_query_caches()
                 spans.clear()
+                homs.clear()
                 code, _, err = invoke([command, "--json", "--spec", str(path)])
                 assert code == 0, err
-                assert len(spans) == 1, (command, name)
+                assert (spans, len(homs)) == expected[command], (command, name)
                 # the repeat reads the cached model, report and table
                 spans.clear()
+                homs.clear()
                 assert invoke([command, "--json", "--spec", str(path)])[0] == 0
-                assert spans == [], (command, name)
-        assert gluings == []
+                assert (spans, homs) == ([], []), (command, name)
 
     def test_weight_table_cost_does_not_grow_with_rank(self, monkeypatch):
         # the table is one restriction matrix, built once per query at
@@ -1772,7 +1794,123 @@ def test_large_denominator_invariants_answer_within_a_second(seed, tmp_path):
     assert elapsed < 1.0
 
 
+# describe --json digests of the large-denominator specs, keyed by (seed,
+# k): recorded from the exact Smith form of the gluing group's relation
+# lattice, which took 1.6 s on seed 3 and 15 s at k = 12 before the type
+# was read off a diagonal modulo e
+LARGE_DENOMINATOR_DESCRIBE_DIGESTS = {
+    (0, 10): "e7dd74dce719eac05175556043a81d42d36aba9a07848f20260bc3b16a991d5c",
+    (1, 10): "cfb70145e73c86724f282f483800ca0a38989d5aa2d16c3d165d3349f899d3ff",
+    (2, 10): "18621b87e8ca3cf425def28be856f0c26c8d008f52c8bd9b837579e5a8b96c4e",
+    (3, 10): "853a8ae0ff7242c51dbd4e91b661b714e9af40dbc1e6cd4089dc82bdbb77d5a2",
+    (1, 11): "90c5e18414593034655ad6632e4cf29eda35e0a3365f9974c5139e230bcfa139",
+    (1, 12): "6837d65bc77229cc51b38d03c6c14fae4332d1e6b1beb8966612086143ea5a3c",
+}
+
+
+@pytest.mark.parametrize("seed, k", sorted(LARGE_DENOMINATOR_DESCRIBE_DIGESTS))
+def test_large_denominator_describe_bytes(seed, k, tmp_path):
+    path = tmp_path / "large_denominators.json"
+    path.write_text(large_denominator_spec(seed, k))
+    code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DENOMINATOR_DESCRIBE_DIGESTS[seed, k]
+
+
+@pytest.mark.parametrize("k", [12, 20, 40])
+def test_describe_answers_within_a_second_at_k_generators(k, tmp_path):
+    path = tmp_path / f"generators_{k}.json"
+    path.write_text(large_denominator_spec(1, k))
+    start = time.perf_counter()
+    code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert json.loads(out)["pi1"].startswith("Z^10")
+    assert elapsed < 1.0
+
+
+def wide_spec(seed, torus_rank, generators):
+    """A random model: up to two simple factors, the given torus rank and
+    number of gluing generators, and torus denominators drawn, as in
+    ``large_denominator_spec``, from range(2, 10**6, 99991)."""
+    rng = random.Random(seed)
+    factors = tuple(rng.choice((("A", 7), ("D", 5), ("A", 3), ("D", 4), ("E", 6), ("B", 3))) for _ in range(rng.randint(0, 2)))
+    orders = build_datum(tuple(SimpleType(f, n) for f, n in factors)).pq_group.invariant_factors
+    gluing = []
+    for _ in range(generators):
+        torus = []
+        for _ in range(torus_rank):
+            den = rng.choice(range(2, 10**6, 99991))
+            torus.append(str(Fraction(rng.randrange(den), den)))
+        gluing.append({"center": [rng.randrange(d) for d in orders], "torus": torus})
+    doc = {"semisimple": [{"family": f, "rank": n} for f, n in factors], "torus_rank": torus_rank, "gluing": gluing}
+    return json.dumps(doc)
+
+
+# (seed, torus rank, gluing generators)
+WIDE_SPECS = [(0, 64, 64), (1, 64, 1), (2, 1, 64), (3, 32, 48), (4, 48, 20), (5, 7, 64)]
+
+
+def gluing_system(model):
+    """The gluing subgroup's span problem: the orders of Z(S_sc) x (Z/N)^r
+    and each gluing generator's center coordinates and torus numerators."""
+    n, rows = model.torus_numerators
+    orders = center(model.ss).orders + (n,) * model.torus_rank
+    return orders, [pair.center.coords + row for pair, row in zip(model.gluing, rows)]
+
+
+def assert_gluing_type_facts(model):
+    # two facts that need neither elimination loop: |Gamma| is the index of
+    # the generators' relation lattice, the product of its Hermite pivots,
+    # and the exponent of Gamma is the lcm of the generators' orders
+    orders, gens = gluing_system(model)
+    gamma = model.gluing_type
+    assert gamma.order() == prod(row[j] for j, row in enumerate(solution_lattice(gens, orders)))
+    assert (gamma.invariant_factors or (1,))[-1] == span_exponent(orders, gens)
+
+
+@pytest.mark.parametrize("seed, r, k", WIDE_SPECS)
+def test_describe_answers_within_a_second_on_wide_random_models(seed, r, k, tmp_path):
+    text = wide_spec(seed, r, k)
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = invoke(["describe", "--json", "--spec", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert elapsed < 1.0
+    model = parse_spec(text)
+    assert json.loads(out)["gluing_order"] == model.gluing_type.order()
+    assert_gluing_type_facts(model)
+
+
 class TestGeneratorSpecs:
+    @pytest.mark.parametrize("k", [10, 11, 12, 16, 20, 40, 64])
+    def test_gluing_type_order_and_exponent(self, k):
+        assert_gluing_type_facts(parse_spec(large_denominator_spec(1, k)))
+
+    @pytest.mark.parametrize("seed", sorted(LARGE_DENOMINATOR_DIGESTS))
+    def test_gluing_type_order_and_exponent_per_seed(self, seed):
+        assert_gluing_type_facts(parse_spec(large_denominator_spec(seed)))
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_gluing_type_is_the_exact_route_on_short_specs(self, k):
+        # the exact Smith quotient of the relation lattice stays small for
+        # a few generators
+        model = parse_spec(large_denominator_spec(1, k))
+        assert model.gluing_type == exact_span_group(*gluing_system(model))
+
+    @pytest.mark.parametrize("seed, k", [(0, 10), (1, 10), (2, 10), (3, 10), (1, 11), (1, 20), (1, 40), (1, 64)])
+    def test_pi1_torsion_is_the_derived_kernel(self, seed, k):
+        # the bare kernel type against the kernel spanned with its inclusion
+        model = parse_spec(large_denominator_spec(seed, k))
+        assert pi1(model) == FgAbGroup(10, model.derived.kernel.computed.invariant_factors)
+
+    @pytest.mark.parametrize("seed, r, k", WIDE_SPECS)
+    def test_pi1_torsion_is_the_derived_kernel_on_wide_random_models(self, seed, r, k):
+        model = parse_spec(wide_spec(seed, r, k))
+        assert pi1(model) == FgAbGroup(r, model.derived.kernel.computed.invariant_factors)
+
     @pytest.mark.parametrize("k", [10, 20, 40, 64])
     def test_derived_kernel_matches_the_sympy_route(self, k, monkeypatch):
         # the derived kernel's subgroup system on the k-generator spec: the

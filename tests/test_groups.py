@@ -155,14 +155,16 @@ class TestModelKeys:
 
     def test_hash_and_equality_agree(self, monkeypatch):
         # equal models, spelled differently too, hash alike and give equal
-        # groups; each model object spans its gluing type and its derived
-        # kernel once, however often they are read
+        # groups; each model object spans its gluing type, its kernel type
+        # and its derived kernel once, however often they are read.  The
+        # kernel type is spanned in the center, the gluing type in the
+        # center times (Z/N)^r, so the orders passed tell the two apart
         spans, kernels = [], []
         original_span, original_kernel = groups.span_group, groups.subgroup_from_generators
 
-        def counting_span(*args):
-            spans.append(args)
-            return original_span(*args)
+        def counting_span(orders, gens):
+            spans.append(tuple(orders))
+            return original_span(orders, gens)
 
         def counting_kernel(*args):
             kernels.append(args)
@@ -197,14 +199,20 @@ class TestModelKeys:
             spans.clear()
             kernels.clear()
             gluings = [m.gluing_type for m in (a, b, a, b)]
+            types = [m.kernel_type for m in (a, b, a, b)]
             derived = [m.derived for m in (a, b, a, b)]
-            assert len(spans) == len(kernels) == 2
+            kernel_orders = center(a.ss).orders
+            gluing_orders = kernel_orders + (a.torus_numerators[0],) * a.torus_rank
+            expected = [gluing_orders] * 2 + [kernel_orders] * 2
+            assert spans == expected and len(kernels) == 2
             assert gluings[0] is gluings[2] and gluings[1] is gluings[3]
+            assert types[0] is types[2] and types[1] is types[3]
             assert derived[0] is derived[2] and derived[1] is derived[3]
             assert gluings[0] == gluings[1] and a.gluing_type.order() == b.gluing_type.order()
+            assert types[0] == types[1] == derived[0].kernel.computed
             assert derived[0] == derived[1] and hash(derived[0]) == hash(derived[1])
             assert pi1(a) == pi1(b)
-            assert len(spans) == len(kernels) == 2
+            assert spans == expected and len(kernels) == 2
         assert spec([1], ["1/2", "2/3"]) != spec([1], ["1/2", "1/3"])
 
     def test_torus_numerators(self):
@@ -319,6 +327,16 @@ class TestDerivedSubgroup:
         for model in models:
             kernel = model.derived.kernel
             assert inclusion_hom(kernel).matrix == kernel.inclusion, model.name
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32))
+    def test_pi1_torsion_is_the_derived_kernel(self, seed):
+        # two routes to pi1 of the derived subgroup: the bare type that pi1
+        # reads, diagonalized modulo e, and the kernel spanned with its
+        # inclusion by the exact Smith loop
+        model = random_model(random.Random(seed), max_torus=6, max_gluing=4)
+        assert model.kernel_type == model.derived.kernel.computed
+        assert pi1(model) == FgAbGroup(model.torus_rank, model.derived.kernel.computed.invariant_factors)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2**32))
