@@ -1,22 +1,33 @@
 """The ``ext`` command: Ext^1(Gamma, Z) for a finite abelian group Gamma
 and, given a character of Gamma, the middle group of the central extension
 pulled back along it.  ``homspace.cli`` imports this module at the first
-``ext`` query, so ``snf`` loads neither layer."""
+``ext`` query, so ``snf`` loads neither layer.
+
+An answer is computed once per ``--group`` and ``--char`` text: the
+payload is kept in a bounded cache (``_ext_payload``, the last 256),
+keyed by both texts and by the digit limit, under which reading them
+may fail where it passed before.  Errors are not kept, and texts of more
+than 64 KiB together are answered on every query and never kept.  Text
+mode prints the same payload as ``--json``.
+"""
 
 from __future__ import annotations
+
+import sys
+from functools import lru_cache
 
 from . import __version__, abgroups, extensions
 from .cli import CliError, _parse_fraction, _Printer
 
 
-def _cmd_ext(args, out: _Printer) -> int:
+def _payload(group_text: str, char_text: str | None) -> dict:
     # split like --char: a blank list is the trivial group, and an empty
     # item is refused
-    parts = args.group.split(",") if args.group.strip() else []
+    parts = group_text.split(",") if group_text.strip() else []
     try:
         factors = tuple(int(part) for part in parts)
     except ValueError as exc:
-        raise CliError("E_INPUT", "--group", f"bad factor list {args.group!r}") from exc
+        raise CliError("E_INPUT", "--group", f"bad factor list {group_text!r}") from exc
     try:
         group = abgroups.FgAbGroup(0, factors)
     except ValueError as exc:
@@ -26,8 +37,8 @@ def _cmd_ext(args, out: _Printer) -> int:
         "group": str(group),
         "ext1_z": str(abgroups.ext1_z(group)),
     }
-    if args.char is not None:
-        parts = [p.strip() for p in args.char.split(",")] if args.char.strip() else []
+    if char_text is not None:
+        parts = [p.strip() for p in char_text.split(",")] if char_text.strip() else []
         if len(parts) != group.ngens:
             raise CliError("E_INPUT", "--char", f"expected {group.ngens} fractions, got {len(parts)}")
         values = [_parse_fraction(p, "--char") for p in parts]
@@ -45,6 +56,21 @@ def _cmd_ext(args, out: _Printer) -> int:
                 "round_trip_ok": True,
             }
         )
+    return payload
+
+
+# Every query with these texts gets the same payload, which the printer
+# only reads.
+@lru_cache(maxsize=256)
+def _ext_payload(group_text: str, char_text: str | None, digit_limit: int) -> dict:
+    return _payload(group_text, char_text)
+
+
+def _cmd_ext(args, out: _Printer) -> int:
+    if len(args.group) + len(args.char or "") > 64 * 1024:  # answered on every query, never kept
+        payload = _payload(args.group, args.char)
+    else:
+        payload = _ext_payload(args.group, args.char, sys.get_int_max_str_digits())
     if args.json:
         out.json(payload)
         return 0

@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
-from homspace import groups, spec
+from homspace import ext, groups, spec
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
 from homspace.groups import GluingPair, ReductiveModel
 from homspace.intlinalg import IntMatrix
@@ -18,10 +18,11 @@ from oracles import add_elements, elements, identity_element, snf_kernel, solve_
 
 def clear_query_caches():
     """Empty the caches that a repeated query hits: the preset and spec
-    models.  A model keeps its gluing type, derived subgroup, weight table's
-    matrix and report, so the next query builds a fresh model that computes
-    them again."""
-    for cache in (groups.preset, spec._spec_model):
+    models and the ``ext`` answers.  A model keeps its gluing type, derived
+    subgroup, weight table's matrix and report, and the fields that
+    ``describe``, ``invariants`` and ``weights`` print for it, so the next
+    query builds a fresh model that computes them all again."""
+    for cache in (groups.preset, spec._spec_model, ext._ext_payload):
         cache.cache_clear()
 
 

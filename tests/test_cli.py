@@ -966,11 +966,11 @@ class TestCommands:
         # once a model has answered, its report is read off what it keeps,
         # plus text: no Smith form, no solution lattice, and no
         # SemisimpleModel built, since the model holds its derived subgroup
-        # and that its restriction matrix.  Each model's report is dropped
-        # after the warm-up, so the counted pass builds each report and
-        # table again instead of looking them up; then the preset and spec
-        # caches are emptied too, and building each model again takes no
-        # normal form either
+        # and that its restriction matrix.  Each model's report and printed
+        # fields are dropped after the warm-up, so the counted pass builds
+        # each report and table again instead of looking them up; then the
+        # preset and spec caches are emptied too, and building each model
+        # again takes no normal form either
         import homspace.abgroups as abmod
         import homspace.intlinalg as linmod
 
@@ -986,7 +986,8 @@ class TestCommands:
         sources = [SimpleNamespace(**{"preset": None, "spec": None, argv[2][2:]: argv[3]}) for argv in queries]
         models = [specmod._load_model(source) for source in sources]
         for model in models:
-            vars(model).pop("invariant_report", None)
+            for key in ("invariant_report", "invariants_fields", "weights_fields", "weight_table"):
+                vars(model).pop(key, None)
 
         calls = []
 
@@ -1343,18 +1344,27 @@ def clear_every_cache():
 
 class TestQueryCaches:
     def test_repeats_print_the_cold_bytes(self, tmp_path):
-        # every preset kind, each model command and format, and a weights
-        # spec: the answer from the caches is the cold answer, byte for byte
-        spec = tmp_path / "quotient.json"
-        spec.write_text(json.dumps(QUOTIENT_SPECS["A1^8/Z2^3"]))
-        queries = []
+        # every preset kind, each model command and format, specs with and
+        # without a torus, and ext: the answer from the caches and from the
+        # fields a model keeps is the cold answer, byte for byte
+        a2_cubed = {
+            "semisimple": [{"family": "A", "rank": 2}] * 3,
+            "gluing": [{"center": [1, 1, 1], "torus": []}, {"center": [0, 1, 2], "torus": []}],
+        }
+        sources = []
         for kind in ("SL", "GL", "PGL", "SO", "Sp", "Spin"):
-            for n in (2, 4, 5, 8, 16) if kind != "Sp" else (2, 4, 8, 16):
-                for command in ("describe", "invariants", "weights"):
-                    for fmt in ([], ["--json"]):
-                        queries.append([command, *fmt, "--preset", f"{kind}({n})"])
-        queries += [[command, "--json", "--spec", str(spec)] for command in ("weights", "invariants", "describe")]
-        queries.append(["weights", "--spec", str(spec)])
+            sources += [["--preset", f"{kind}({n})"] for n in ((2, 3, 4, 5, 8, 16) if kind != "Sp" else (2, 4, 8, 16))]
+        for name, doc in (("quotient", QUOTIENT_SPECS["A1^8/Z2^3"]), ("a2_cubed", a2_cubed), ("torus_r3", TORUS_R3)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            sources.append(["--spec", str(path)])
+        queries = [
+            [command, *fmt, *source]
+            for source in sources
+            for command in ("describe", "invariants", "weights")
+            for fmt in ([], ["--json"])
+        ]
+        queries += [["ext", *fmt, "--group", "2,4", "--char", "1/2,1/4"] for fmt in ([], ["--json"])]
         for argv in queries:
             clear_every_cache()
             cold = invoke(argv)
@@ -1509,6 +1519,109 @@ class TestQueryCaches:
                 for _ in range(2):
                     code, out, err = invoke([*command, *source])
                     assert code == 0 and out and not err, (command, source, err)
+
+    def test_a_repeat_rebuilds_nothing(self, monkeypatch, tmp_path):
+        # a repeated query writes what the first one kept: no group is
+        # printed again and no middle group computed again
+        import homspace.extensions as extmod
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(FgAbGroup, "__str__", counting("FgAbGroup.__str__", FgAbGroup.__str__))
+        monkeypatch.setattr(extmod, "middle_group", counting("middle_group", extmod.middle_group))
+        spec = tmp_path / "quotient.json"
+        spec.write_text(json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"]))
+        for argv in (
+            ["invariants", "--json", "--preset", "SL(4)"],
+            ["weights", "--json", "--spec", str(spec)],
+            ["ext", "--json", "--group", "2,4,16", "--char", "1/2,3/4,7/16"],
+        ):
+            calls.clear()
+            first = invoke(argv)
+            assert first[0] == 0 and calls, (argv, first[2])
+            calls.clear()
+            assert invoke(argv) == first
+            assert calls == [], argv
+
+    def test_a_kept_answer_never_outlives_its_digit_limit(self):
+        # an ext answer kept under one digit limit is not read under a lower
+        # one: there the query fails as a fresh process does, reading the
+        # group
+        big = str(10**1000)
+        saved = sys.get_int_max_str_digits()
+        argv = ["ext", "--json", "--group", big, "--char", "0"]
+        try:
+            sys.set_int_max_str_digits(4300)
+            code, out, err = invoke(argv)
+            assert code == 0 and json.loads(out)["group"] == f"Z/{big}", err
+            sys.set_int_max_str_digits(640)
+            assert invoke(argv) == (
+                1,
+                "",
+                "error[E_LIMIT] at --group: an integer exceeds the str-to-int limit of 640 digits "
+                "(sys.get_int_max_str_digits())\n",
+            )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_kept_model_fields_never_outlive_their_digit_limit(self, monkeypatch):
+        # the fields a model keeps are tagged with the digit limit they were
+        # written under: the same model object, queried under another limit,
+        # builds them again, and under a limit that its report exceeds fails
+        # as a fresh model does.  Gamma = Z/10^700 prints in 701 digits
+        doc = {"torus_rank": 1, "gluing": [{"center": [], "torus": [f"1/{10**700}"]}]}
+        saved = sys.get_int_max_str_digits()
+        calls = []
+        original = FgAbGroup.__str__
+
+        def counting(group):
+            calls.append(group)
+            return original(group)
+
+        monkeypatch.setattr(FgAbGroup, "__str__", counting)
+        argv = ["describe", "--json", "--preset", "big"]
+        try:
+            sys.set_int_max_str_digits(4300)
+            model = parse_spec(json.dumps(doc))
+            monkeypatch.setattr(groups, "preset", lambda name: model)
+            first = invoke(argv)
+            assert first[0] == 0 and json.loads(first[1])["gluing_group"] == f"Z/{10**700}", first[2]
+            calls.clear()
+            assert invoke(argv) == first and calls == []
+            sys.set_int_max_str_digits(4299)
+            assert invoke(argv) == first and calls
+            sys.set_int_max_str_digits(640)
+            kept = invoke(argv)
+            # a fresh model of the same document, which keeps nothing yet
+            sys.set_int_max_str_digits(4300)
+            fresh_model = parse_spec(json.dumps(doc))
+            monkeypatch.setattr(groups, "preset", lambda name: fresh_model)
+            sys.set_int_max_str_digits(640)
+            fresh = invoke(argv)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert kept == fresh == (
+            1,
+            "",
+            "error[E_LIMIT] at --preset: an integer of the report exceeds the int-to-str limit of 640 digits "
+            "(sys.get_int_max_str_digits())\n",
+        )
+
+    def test_large_ext_texts_are_not_kept(self):
+        # an ext entry keeps its texts alive, so texts past 64 KiB together
+        # are answered on every query and never kept
+        from homspace import ext
+
+        padded = invoke(["ext", "--json", "--group", "2" + " " * 2**16, "--char", "1/2"])
+        assert padded == invoke(["ext", "--json", "--group", "2", "--char", "1/2"])
+        assert padded[0] == 0 and ext._ext_payload.cache_info().currsize == 1
 
 
 class TestWeightsPathScale:
