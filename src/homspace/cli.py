@@ -42,7 +42,7 @@ own, each imported at its command's first query (``_first_query``):
   reader leaves to the top-level parser, which is built then, once.
 
 In one process, a repeated query writes what its first query kept: a model
-keeps the fields that ``describe``, ``invariants`` and ``weights`` print
+keeps the fields that ``invariants`` and ``weights`` print
 (``homspace.spec``), and ``ext`` keeps its answer per ``--group`` and
 ``--char`` text (``homspace.ext``).  Both are tagged with the digit limit,
 so a query under another limit builds its answer again.

@@ -4,7 +4,7 @@ pulled back along it.  ``homspace.cli`` imports this module at the first
 ``ext`` query, so ``snf`` loads neither layer.
 
 An answer is computed once per ``--group`` and ``--char`` text: the
-payload is kept in a bounded cache (``_ext_payload``, the last 256),
+payload is kept in a bounded cache (``_payload``, the last 256),
 keyed by both texts and by the digit limit, under which reading them
 may fail where it passed before.  Errors are not kept, and texts of more
 than 64 KiB together are answered on every query and never kept.  Text
@@ -20,7 +20,11 @@ from . import __version__, abgroups, extensions
 from .cli import CliError, _parse_fraction, _Printer
 
 
-def _payload(group_text: str, char_text: str | None) -> dict:
+# Every query with these texts gets the same payload, which the printer
+# only reads.  Keyed by the digit limit too, under which reading the texts
+# may fail where it passed before.
+@lru_cache(maxsize=256)
+def _payload(group_text: str, char_text: str | None, digit_limit: int) -> dict:
     # split like --char: a blank list is the trivial group, and an empty
     # item is refused
     parts = group_text.split(",") if group_text.strip() else []
@@ -59,18 +63,10 @@ def _payload(group_text: str, char_text: str | None) -> dict:
     return payload
 
 
-# Every query with these texts gets the same payload, which the printer
-# only reads.
-@lru_cache(maxsize=256)
-def _ext_payload(group_text: str, char_text: str | None, digit_limit: int) -> dict:
-    return _payload(group_text, char_text)
-
-
 def _cmd_ext(args, out: _Printer) -> int:
-    if len(args.group) + len(args.char or "") > 64 * 1024:  # answered on every query, never kept
-        payload = _payload(args.group, args.char)
-    else:
-        payload = _ext_payload(args.group, args.char, sys.get_int_max_str_digits())
+    # texts past 64 KiB together are answered on every query, never kept
+    build = _payload.__wrapped__ if len(args.group) + len(args.char or "") > 64 * 1024 else _payload
+    payload = build(args.group, args.char, sys.get_int_max_str_digits())
     if args.json:
         out.json(payload)
         return 0

@@ -11,14 +11,14 @@ every query calls.  ``json`` is imported by ``parse_spec`` alone, so a
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the text of a document of at most 64 KiB) are
 bounded caches that return the same model object, which keeps what it
-derives, its report included.  It also keeps what each command prints
-(``_kept``), in its ``__dict__`` under ``describe_fields``,
-``invariants_fields``, ``weights_fields`` and ``weight_table`` (which
-``invariants --json`` prints too), tagged with the digit limit they were
-written under, so a repeated query writes them and builds no text; they
-live exactly as long as the model, so those two caches bound them too.
-``invariants`` builds the two fields that grow with the torus, the spec
-document and the Pic lattice rows, on every query.
+derives, its report included.  It also keeps the text fields that
+``invariants`` and ``weights`` print, and the weight table that
+``weights`` and ``invariants --json`` print (``_kept``): one entry of its
+``__dict__``, tagged with the digit limit they were written under, so a
+repeated query writes them and builds no text.  They live exactly as long
+as the model, so those two caches bound them too.  ``invariants`` builds
+the two fields that grow with the torus, the spec document and the Pic
+lattice rows, on every query, and ``describe`` builds all it prints.
 """
 
 from __future__ import annotations
@@ -190,35 +190,25 @@ def _spec_model(text: str, digit_limit: int) -> groups.ReductiveModel:
     return parse_spec(text)
 
 
-def _kept(model: groups.ReductiveModel, key: str, build):
-    """``build(model)``, what a command prints for ``model``, built at its
-    first query and kept in the model's ``__dict__`` under ``key``, beside
-    its ``invariant_report``, so a repeat builds no text.  It is tagged
-    with the digit limit it was written under, like ``_spec_model``'s key:
-    under another limit a query builds it again, and fails where a fresh
-    model would.  Every query shares it, and the printer only reads it."""
+# The one key of a model's ``__dict__`` under which ``_kept`` stores what
+# the commands print, beside the model's ``invariant_report``.
+_KEPT = "printed_fields"
+
+
+def _kept(model: groups.ReductiveModel, key: str, build, source):
+    """``build(source)``, what a command prints for ``model``, built at its
+    first query and kept on the model, so a repeat builds no text.  The
+    store is tagged with the digit limit it was written under, like
+    ``_spec_model``'s key: under another limit a query builds it again, and
+    fails where a fresh model would.  Every query shares what it holds, and
+    the printer only reads it."""
     limit = sys.get_int_max_str_digits()
-    entry = vars(model).get(key)
-    if entry is None or entry[0] != limit:
-        entry = vars(model)[key] = (limit, build(model))
-    return entry[1]
-
-
-def _describe_fields(model: groups.ReductiveModel) -> dict:
-    fundamental = groups.pi1(model)
-    gamma = model.gluing_type
-    return {
-        "tool": {"name": "homspace", "version": __version__},
-        "model": model.describe(),
-        "semisimple_type": str(model.ss),
-        "torus_rank": model.torus_rank,
-        "unipotent_dim": model.unipotent_dim,
-        "center_generator_orders": list(model.ss.pq_group.invariant_factors),
-        "gluing_order": gamma.order(),
-        "gluing_group": str(gamma),
-        "pi1": str(fundamental),
-        "pi1_derived": str(abgroups.ext1_z(fundamental)),
-    }
+    store = vars(model).get(_KEPT)
+    if store is None or store[0] != limit:
+        store = vars(model)[_KEPT] = (limit, {})
+    if key not in store[1]:
+        store[1][key] = build(source)
+    return store[1][key]
 
 
 def _cmd_describe(args, out: _Printer) -> int:
@@ -226,15 +216,28 @@ def _cmd_describe(args, out: _Printer) -> int:
     if args.expand:
         out.json(model_to_document(model))
         return 0
-    payload = _kept(model, "describe_fields", _describe_fields)
+    fundamental = groups.pi1(model)
+    gamma = model.gluing_type
+    orders = model.ss.pq_group.invariant_factors
+    payload = {
+        "tool": {"name": "homspace", "version": __version__},
+        "model": model.describe(),
+        "semisimple_type": str(model.ss),
+        "torus_rank": model.torus_rank,
+        "unipotent_dim": model.unipotent_dim,
+        "center_generator_orders": list(orders),
+        "gluing_order": gamma.order(),
+        "gluing_group": str(gamma),
+        "pi1": str(fundamental),
+        "pi1_derived": str(abgroups.ext1_z(fundamental)),
+    }
     if args.json:
         out.json(payload)
         return 0
-    orders = payload["center_generator_orders"]
     out.header(f"model {payload['model']}")
     out.line(f"semisimple type:         {payload['semisimple_type']}")
-    out.line(f"torus rank:              {payload['torus_rank']}")
-    out.line(f"unipotent dimension:     {payload['unipotent_dim']}")
+    out.line(f"torus rank:              {model.torus_rank}")
+    out.line(f"unipotent dimension:     {model.unipotent_dim}")
     out.line(
         "center generator orders: "
         + (", ".join(str(d) for d in orders) if orders else "(trivial center)")
@@ -245,11 +248,10 @@ def _cmd_describe(args, out: _Printer) -> int:
     return 0
 
 
-def _invariants_fields(model: groups.ReductiveModel) -> dict:
+def _invariants_fields(report: invariants.InvariantReport) -> dict:
     """The report's fields as text, but for the two that grow with the
     torus, the spec document and the Pic lattice rows, which each query
     builds again."""
-    report = invariants.invariant_report(model)
     return {
         "pic_group": str(report.pic_group),
         "brauer": str(report.brauer),
@@ -264,36 +266,36 @@ def _invariants_fields(model: groups.ReductiveModel) -> dict:
 
 def _cmd_invariants(args, out: _Printer) -> int:
     model = _load_model(args)
-    fields = _kept(model, "invariants_fields", _invariants_fields)
-    lattice = invariants.invariant_report(model).pic_lattice
+    report = invariants.invariant_report(model)
+    fields = _kept(model, "invariants_fields", _invariants_fields, report)
+    payload = {
+        "tool": {"name": "homspace", "version": __version__},
+        "spec": model_to_document(model),
+        "conventions": [
+            "simple types use Bourbaki node numbering (see docs/conventions.md)",
+            "extension classes use the sign convention fixed by the character round trip",
+        ],
+        "invariants": {"pic_lattice_basis": report.pic_lattice.to_rows(), **fields},
+        "picard_of_group": fields["e_al"],
+    }
     if args.json:
-        payload = {
-            "tool": {"name": "homspace", "version": __version__},
-            "spec": model_to_document(model),
-            "conventions": [
-                "simple types use Bourbaki node numbering (see docs/conventions.md)",
-                "extension classes use the sign convention fixed by the character round trip",
-            ],
-            "invariants": {"pic_lattice_basis": lattice.to_rows(), **fields},
-            "picard_of_group": fields["e_al"],
-        }
         # the weight table is printed in JSON only
         if model.torus_rank == 0 and model.unipotent_dim == 0:
-            payload["weights"] = _kept(model, "weight_table", _weight_table)
+            payload["weights"] = _kept(model, "weight_table", _weight_table, model)
         out.json(payload)
         return 0
     out.header(f"invariants of G/H for H = {model.describe()}")
-    out.line(f"Pic(G/H)       = {fields['pic_group']}")
-    if lattice.rows:
-        out.line(f"  lattice basis rows: {lattice.to_rows()}")
-    out.line(f"Br(G/H)        = {fields['brauer']}   (= Br' = Br'an = Br an)")
-    out.line(f"E_al(H, Gm)    = {fields['e_al']}")
-    out.line(f"Pic(H)         = {fields['e_al']}")
-    out.line(f"pi1(G/H)       = {fields['pi1_m']}")
-    out.line(f"pi2(G/H)       = {fields['pi2_m']}")
-    out.line(f"H^2(G/H, Z)    = {fields['h2_m']}")
-    out.line(f"Tors H^3(G/H)  = {fields['tors_h3_m']}")
-    for note in fields["notes"]:
+    out.line(f"Pic(G/H)       = {payload['invariants']['pic_group']}")
+    if report.pic_lattice.rows:
+        out.line(f"  lattice basis rows: {payload['invariants']['pic_lattice_basis']}")
+    out.line(f"Br(G/H)        = {payload['invariants']['brauer']}   (= Br' = Br'an = Br an)")
+    out.line(f"E_al(H, Gm)    = {payload['invariants']['e_al']}")
+    out.line(f"Pic(H)         = {payload['picard_of_group']}")
+    out.line(f"pi1(G/H)       = {payload['invariants']['pi1_m']}")
+    out.line(f"pi2(G/H)       = {payload['invariants']['pi2_m']}")
+    out.line(f"H^2(G/H, Z)    = {payload['invariants']['h2_m']}")
+    out.line(f"Tors H^3(G/H)  = {payload['invariants']['tors_h3_m']}")
+    for note in report.notes:
         out.line(f"  note: {note}")
     return 0
 
@@ -303,7 +305,7 @@ def _weight_table(model: groups.ReductiveModel) -> invariants.WeightBrauerTable:
 
 
 def _weights_fields(model: groups.ReductiveModel) -> dict:
-    table = _kept(model, "weight_table", _weight_table)
+    table = _kept(model, "weight_table", _weight_table, model)
     return {
         "tool": {"name": "homspace", "version": __version__},
         "model": model.describe(),
@@ -319,13 +321,14 @@ def _cmd_weights(args, out: _Printer) -> int:
         groups.as_semisimple(model)
     except ValueError as exc:
         raise CliError("E_MODEL", "--preset" if args.preset is not None else "--spec", str(exc)) from exc
-    payload = _kept(model, "weights_fields", _weights_fields)
+    payload = _kept(model, "weights_fields", _weights_fields, model)
+    table = payload["rows"]
     if args.json:
         out.json(payload)
         return 0
-    out.header(f"fundamental-weight Brauer table for H = {payload['model']}")
+    out.header(f"fundamental-weight Brauer table for H = {model.describe()}")
     out.line(f"pi1(H) = {payload['pi1']}, Br(G/H) = {payload['brauer']}")
-    for label, column in payload["rows"].columns():
+    for label, column in table.columns():
         restriction = list(column)
         cls = f"class {restriction}" if any(column) else "trivial"
         out.line(f"  node {label:>6}: restriction {restriction} -> {cls}")

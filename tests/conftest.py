@@ -20,9 +20,9 @@ def clear_query_caches():
     """Empty the caches that a repeated query hits: the preset and spec
     models and the ``ext`` answers.  A model keeps its gluing type, derived
     subgroup, weight table's matrix and report, and the fields that
-    ``describe``, ``invariants`` and ``weights`` print for it, so the next
-    query builds a fresh model that computes them all again."""
-    for cache in (groups.preset, spec._spec_model, ext._ext_payload):
+    ``invariants`` and ``weights`` print for it (``spec._KEPT``), so the
+    next query builds a fresh model that computes them all again."""
+    for cache in (groups.preset, spec._spec_model, ext._payload):
         cache.cache_clear()
 
 

@@ -234,7 +234,7 @@ def test_the_caches_are_these():
         "rootdata.build_datum",
         "groups.preset",
         "spec._spec_model",
-        "ext._ext_payload",
+        "ext._payload",
         "cli._parser",
     }
     assert len(seen) == len(decorated), seen
