@@ -43,9 +43,11 @@ own, each imported at its command's first query (``_first_query``):
 
 In one process, a repeated query writes what its first query kept: a model
 keeps the fields that ``invariants`` and ``weights`` print
-(``homspace.spec``), and ``ext`` keeps its answer per ``--group`` and
-``--char`` text (``homspace.ext``).  Both are tagged with the digit limit,
-so a query under another limit builds its answer again.
+(``homspace.spec``), its root datum keeps the node labels of its weight
+table (``homspace.rootdata``), and ``ext`` keeps its answer per
+``--group`` and ``--char`` text (``homspace.ext``).  The model's fields
+and the ``ext`` answers are tagged with the digit limit, so a query under
+another limit builds them again.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ def _json_scalar(x, kind, newline: str) -> str:
     if x is None:
         return "null"
     # a weight table is the one other type a payload holds; one exists only
-    # once the invariants layer is loaded, which this module never imports
-    tables = sys.modules.get("homspace.invariants")
+    # once the invariants layer is loaded, which this module never imports.
+    # It is looked up under this package's own name, whatever that is
+    tables = sys.modules.get(f"{__package__}.invariants")
     if tables is not None and kind is tables.WeightBrauerTable:
         return _json_weight_table(x, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -214,25 +217,45 @@ def _json_container(x, kind, newline: str) -> str:
 
 
 def _json_weight_table(table, newline: str) -> str:
-    """The rows of ``table`` as ``_json_container`` writes their dicts.  Row
-    i's weight e_i is a slice of one run of zeros with a 1 spliced in, and
-    its restriction is written once and serves as its Brauer class too."""
-    if not table.datum.rank:
+    """The rows of ``table`` as ``_json_container`` writes their dicts, with
+    per-table work in place of per-row work.  The labels are those the root
+    datum keeps.  One pass over the columns of the restriction matrix gives
+    each row's restriction text, which serves as its Brauer class too, and
+    its trivial flag; with no kernel both are constants.  Row i's weight
+    e_i is one window of ``rank`` entries of a text of rank - 1 zeros, a 1
+    and rank - 1 zeros, starting rank - 1 - i entries in.  Every piece goes
+    into one join, so no row is built as a string of its own."""
+    labels = table.datum.node_labels
+    rank = len(labels)
+    if not rank:
         return "[]"
     row, key, item = newline + "  ", newline + "    ", newline + "      "
     sep = "," + item
-    zeros = sep.join(["0"] * table.datum.rank)
     step = 1 + len(sep)  # a "0" and the separator after it
-    rows = []
-    for i, (label, column) in enumerate(table.columns()):
-        restriction = f"[{item}{sep.join(map(str, column))}{key}]" if column else "[]"
-        at = i * step
-        rows.append(
-            f'{{{key}"node": {_encode_str(label)},{key}"weight": [{item}{zeros[:at]}1{zeros[at + 1 :]}{key}],'
-            f'{key}"restriction": {restriction},{key}"brauer_class": {restriction},'
-            f'{key}"trivial": {"false" if any(column) else "true"}{row}}}'
+    width = rank * step - len(sep)
+    ones = ("0" + sep) * (rank - 1) + "1" + (sep + "0") * (rank - 1)
+    matrix = table.restrictions
+    if matrix.rows:
+        texts, flags = [], []
+        for column in zip(*map(matrix.row, range(matrix.rows))):
+            texts.append(f"[{item}{sep.join(map(str, column))}{key}]")
+            flags.append("false" if any(column) else "true")
+    else:
+        texts, flags = ("[]",) * rank, ("true",) * rank
+    node = row + "{" + key + '"node": '
+    weight = "," + key + '"weight": [' + item
+    restriction = key + "]," + key + '"restriction": '
+    brauer = "," + key + '"brauer_class": '
+    trivial = "," + key + '"trivial": '
+    end = row + "}"
+    chunks = ["["]
+    for label, at, text, flag in zip(labels, range((rank - 1) * step, -1, -step), texts, flags):
+        chunks += (
+            node, _encode_str(label), weight, ones[at : at + width], restriction, text, brauer, text, trivial, flag,
+            end, ",",
         )
-    return f"[{row}{(',' + row).join(rows)}{newline}]"
+    chunks[-1] = newline + "]"  # in place of the last row's comma
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ The weight table wraps ``SemisimpleModel.restriction_matrix``, which the
 model computes once, as a ``WeightBrauerTable``: row i's weight is the unit
 vector e_i and its restriction is column i, so the table builds no
 per-weight pairing and takes no normal form.  The table keeps the matrix
-with its root datum and dual group and builds no row objects; the CLI
-writes its rows straight from the matrix columns.
+with its root datum and dual group and builds no row objects.  The node
+labels are the datum's (``RootDatumSS.node_labels``), built once per datum
+and kept on it.  The CLI writes the rows straight from the matrix, with
+per-table work: one pass over its columns for the restriction texts, and
+one precomputed text from which each row's weight is a slice.
 """
 
 from __future__ import annotations
@@ -80,8 +83,10 @@ class WeightBrauerTable(_Record):
 
     def columns(self):
         """(node label, restriction coordinates) per fundamental weight, in
-        node order; the coordinates are already reduced into [0, m_p)."""
-        return zip(self.datum.node_labels(), map(self.restrictions.column, range(self.datum.rank)))
+        node order, for the text report; the labels are those the root
+        datum keeps, and the coordinates are already reduced into [0, m_p).
+        The JSON writer reads the labels and the matrix itself, per table."""
+        return zip(self.datum.node_labels, map(self.restrictions.column, range(self.datum.rank)))
 
 
 def brauer(model: ReductiveModel) -> FgAbGroup:

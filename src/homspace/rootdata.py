@@ -32,7 +32,7 @@ single weight, are test oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .abgroups import FgAbGroup, SubgroupPresentation, from_presentation
@@ -114,13 +114,16 @@ class RootDatumSS(_Record):
     coordinates, factors concatenated) to its class in P/Q over the
     Smith-normal-form generators: one row per generator of order d_j,
     entries in [0, d_j).
-    """
 
-    __slots__ = ("factors", "rank", "pq_group", "pq_proj")
+    The datum keeps its node labels, "A2:1" and so on in node order, after
+    their first read, in its own ``__dict__``: ``build_datum`` keeps the
+    datum, so each weight table written for it reads them back.
+    """
 
     def __init__(self, factors: tuple, rank: int, pq_group: FgAbGroup, pq_proj: IntMatrix):
         self._set(factors, rank, pq_group, pq_proj)
 
+    @cached_property
     def node_labels(self) -> tuple:
         labels = []
         for t in self.factors:

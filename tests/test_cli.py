@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1550,6 +1551,45 @@ class TestQueryCaches:
             assert invoke(argv) == first
             assert calls == [], argv
 
+    def test_node_labels_are_built_once_per_datum(self):
+        # the labels are kept on the root datum, which build_datum keeps:
+        # every model of that datum, preset or spec, reads the same tuple
+        labels = preset("SL(8)").ss.node_labels
+        assert labels == tuple(f"A7:{i}" for i in range(1, 8))
+        a7_quotient = {"semisimple": [{"family": "A", "rank": 7}], "gluing": [{"center": [2], "torus": []}]}
+        assert preset("PGL(8)").ss.node_labels is labels
+        assert parse_spec(json.dumps(a7_quotient)).ss.node_labels is labels
+        # the kept labels are no field: a datum built apart, labels not yet
+        # read, equals the one that keeps them
+        build_datum.cache_clear()
+        datum = build_datum((SimpleType("A", 7),))
+        assert "node_labels" not in vars(datum)
+        assert datum == preset("SL(8)").ss and hash(datum) == hash(preset("SL(8)").ss)
+        assert datum.node_labels == labels and datum.node_labels is not labels
+
+    def test_a_repeated_table_builds_no_label(self, monkeypatch, tmp_path):
+        # a second weights --json on a kept model writes its table from the
+        # labels its datum keeps: no SimpleType is printed again, and the
+        # label builder is that method's only caller on the query path
+        calls = []
+        original = SimpleType.__str__
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(SimpleType, "__str__", counting)
+        spec = tmp_path / "quotient.json"
+        spec.write_text(json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"]))
+        for source in (["--preset", "Spin(12)"], ["--spec", str(spec)]):
+            argv = ["weights", "--json", *source]
+            clear_every_cache()
+            first = invoke(argv)
+            assert first[0] == 0 and calls, (argv, first[2])
+            calls.clear()
+            assert invoke(argv) == first
+            assert calls == [], argv
+
     def test_a_kept_answer_never_outlives_its_digit_limit(self):
         # an ext answer kept under one digit limit is not read under a lower
         # one: there the query fails as a fresh process does, reading the
@@ -2181,7 +2221,7 @@ def row_dicts(model):
             "brauer_class": list(restriction.coords),
             "trivial": is_zero_element(restriction),
         }
-        for i, (node, restriction) in enumerate(zip(sm.datum.node_labels(), restrictions))
+        for i, (node, restriction) in enumerate(zip(sm.datum.node_labels, restrictions))
     ]
 
 
@@ -2241,9 +2281,60 @@ class TestWeightTableWriter:
             assert_tables_match_stdlib(["--preset", name], preset(name))
 
     def test_table_as_a_top_level_value(self):
-        for name in ("SL(1)", "SO(9)", "PGL(12)"):
-            table = weight_brauer_table(as_semisimple(preset(name)))
-            assert json_text(table) == json.dumps(row_dicts(preset(name)), indent=2)
+        # at depth 0 the rows sit under no key: presets, and the quotients
+        # of A1^k and A2^k by kernels of rank 1, ceil(k/2) and k
+        models = [preset(name) for name in ("SL(1)", "SO(9)", "PGL(12)")]
+        for p, top in ((2, 8), (3, 5)):
+            for k in range(1, top + 1):
+                for j in sorted({1, (k + 1) // 2, k}):
+                    # e_t + (p - 1) e_{k-1} for t < j, independent mod p,
+                    # or every unit vector when j = k
+                    gens = [[int(s == t) + (p - 1) * (j < k and s == k - 1) for s in range(k)] for t in range(j)]
+                    doc = {
+                        "semisimple": [{"family": "A", "rank": p - 1}] * k,
+                        "gluing": [{"center": g, "torus": []} for g in gens],
+                    }
+                    model = parse_spec(json.dumps(doc))
+                    assert as_semisimple(model).kernel.computed.ngens == j, (p, k, j)
+                    models.append(model)
+        for model in models:
+            table = weight_brauer_table(as_semisimple(model))
+            assert json_text(table) == json.dumps(row_dicts(model), indent=2), model.describe()
+
+    @pytest.mark.parametrize("kind", ["SL", "GL", "PGL", "SO", "Sp", "Spin"])
+    def test_text_weights_match_the_oracle(self, kind):
+        # text weights prints one line per node: its label, its restriction
+        # and its class, or "trivial", as the oracle's rows give them
+        line = re.compile(r"  node +(\S+): restriction (\[[\d, ]*\]) -> (.*)")
+        for n in TABLE_PRESET_NS:
+            if kind == "Sp" and n % 2:
+                continue
+            name = f"{kind}({n})"
+            code, out, err = invoke(["weights", "--preset", name])
+            if preset(name).torus_rank:
+                assert code == 1 and "E_MODEL" in err, name
+                continue
+            assert code == 0, err
+            rows = row_dicts(preset(name))
+            printed = out.splitlines()[2:]
+            assert len(printed) == len(rows), name
+            for text, row in zip(printed, rows):
+                node, restriction, cls = line.fullmatch(text).groups()
+                assert node == row["node"] and json.loads(restriction) == row["restriction"], (name, text)
+                assert cls == ("trivial" if row["trivial"] else f"class {row['brauer_class']}"), (name, text)
+
+    def test_a_copy_under_another_package_name_writes_tables(self, tmp_path):
+        # the writer knows a table by the class in its own package's
+        # invariants module, whatever name that package was imported under
+        shutil.copytree(REPO / "src" / "homspace", tmp_path / "hs_copy", ignore=shutil.ignore_patterns("__pycache__"))
+        script = "import sys; from hs_copy.cli import run; sys.exit(run(sys.argv[1:]))"
+        argv = ["weights", "--json", "--preset", "SL(3)"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout == invoke(argv)[1]
 
 
 class TestInternalErrorPath:

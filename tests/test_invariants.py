@@ -219,7 +219,7 @@ class TestWeightTable:
             table = weight_brauer_table(sm)
             columns = list(table.columns())
             assert len(columns) == sm.datum.rank
-            assert [node for node, _ in columns] == list(sm.datum.node_labels())
+            assert [node for node, _ in columns] == list(sm.datum.node_labels)
             # the columns the CLI writes are reduced coordinates in the dual
             assert table.dual == sm.kernel.computed
             assert [table.dual.element(column).coords for _, column in columns] == [column for _, column in columns]

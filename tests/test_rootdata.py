@@ -146,7 +146,7 @@ class TestBuildDatum:
         datum = build_datum((SimpleType("A", 1), SimpleType("A", 2)))
         assert datum.rank == 3
         assert datum.pq_group == cyclic_group(6)
-        assert datum.node_labels() == ("A1:1", "A2:1", "A2:2")
+        assert datum.node_labels == ("A1:1", "A2:1", "A2:2")
 
     def test_data_built_apart_are_equal(self):
         # a datum is a value: data built apart from the same factors are
