@@ -2,9 +2,9 @@
 
 A group ``Z^r x Z/d1 x ... x Z/dk`` (with ``d1 | d2 | ... | dk``, every
 ``di >= 2``) is a value: two groups are equal exactly when their canonical
-data agree, so isomorphism testing is ``==``.  Elements carry coordinates
-over the canonical generators, free generators first; torsion coordinates
-are always stored reduced into ``[0, di)``.
+data agree, so isomorphism testing is ``==``.  An element is a tuple of
+coordinates over the canonical generators, free generators first, its
+torsion coordinates reduced into ``[0, di)`` by ``FgAbGroup.reduce``.
 
 A homomorphism is a plain ``IntMatrix`` over the canonical generators,
 one column per domain generator, its torsion rows reduced like an
@@ -45,9 +45,9 @@ around them; other modules never call ``solution_lattice``,
 values, preimage lattices of homs, kernels as subgroup presentations, spans
 in groups of positive free rank, the exact Smith route to a span's type,
 preimages of single elements, extensions realized by generator lifts, a
-group's unit generators and element list, and the arithmetic of elements
-(sums, negatives, orders) are test oracles (``tests/oracles.py``): no
-query reads any of them.
+group's unit generators and element list, and elements as values with
+their arithmetic (sums, negatives, orders) are test oracles
+(``tests/oracles.py``): no query reads any of them.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class FgAbGroup(_Record):
             if prev is not None and d % prev:
                 raise ValueError(f"invariant factors {prev}, {d} break the divisibility chain")
             prev = d
-        # set one by one, as AbElement's fields are: on the records built
-        # most often, that is faster than _set
+        # set one by one: on the records built most often, that is faster
+        # than _set
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
 
@@ -118,9 +118,6 @@ class FgAbGroup(_Record):
             out[j] %= d
         return tuple(out)
 
-    def element(self, coords: Sequence[int]) -> "AbElement":
-        return AbElement(self, tuple(coords))
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank:
@@ -132,13 +129,6 @@ class FgAbGroup(_Record):
 TRIVIAL_GROUP = FgAbGroup(0, ())
 Z = FgAbGroup(1, ())
 
-
-class AbElement(_Record):
-    __slots__ = ("group", "coords")
-
-    def __init__(self, group: FgAbGroup, coords: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", group.reduce(coords))
 
 class SubgroupPresentation(_Record):
     """A subgroup of ``ambient``: its abstract type and the injective
@@ -189,18 +179,16 @@ def from_presentation(n_generators: int, relations: IntMatrix):
     return group, IntMatrix.from_rows(proj_rows, cols=n_generators)
 
 
-def subgroup_from_generators(ambient: FgAbGroup, gens: Sequence[AbElement]) -> SubgroupPresentation:
-    """The span of ``gens`` in a finite ambient: the generators' columns
+def subgroup_from_generators(ambient: FgAbGroup, generator_coords: Sequence[Sequence[int]]) -> SubgroupPresentation:
+    """The span of the generators of the given coordinates in a finite
+    ambient, each reduced by ``ambient.reduce``: the generators' columns
     modulo their relation lattice R, one Smith quotient ``U R V == D``.
     Canonical generator p is the combination U^-1 e_p of the columns, read
     as R V e_p / d_p: R is the transposed Hermite basis of a lattice that
     contains e*Z^s, so it is square and nonsingular, every position is a
     torsion one, and the division is exact."""
-    for g in gens:
-        if g.group != ambient:
-            raise ValueError(f"generator belongs to {g.group}, not to ambient {ambient}")
     orders = ambient.orders
-    coords = [g.coords for g in gens]
+    coords = [ambient.reduce(g) for g in generator_coords]
     lattice = solution_lattice(coords, orders)
     group, _, v, positions = _smith_quotient(IntMatrix.from_columns(lattice, rows=len(lattice)), want_v=True)
     columns = []

@@ -33,9 +33,9 @@ own, each imported at its command's first query (``_first_query``):
   ``fractions``;
 * ``describe``, ``invariants`` and ``weights`` load ``homspace.spec``, the
   group-spec format, and with it the model layers, none of which imports
-  ``dataclasses``.  A ``--preset`` query loads nothing more; ``--spec``
-  loads ``json`` to parse the document and ``fractions`` to read its torus
-  parts, as does the ``GL(n)`` preset, whose torus part is a Fraction;
+  ``dataclasses``.  A ``--preset`` query loads nothing more, since a
+  model keeps its torus parts as integers; ``--spec`` loads ``json`` to
+  parse the document and ``fractions`` to read its torus parts;
 * ``re`` only for a fraction spelled with an exponent (``_split_exponent``),
   unless ``json`` or ``fractions`` loaded it already;
 * ``argparse`` (and ``contextlib``) only for an argv that the direct

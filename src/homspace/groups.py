@@ -34,15 +34,12 @@ computes each once and keeps it, as a semisimple model keeps its
 restriction matrix and ``invariants`` keeps a model's report on the
 model, so no module-level cache holds a model.
 
-Torus parts are ``Fraction``s in [0, 1) (``GluingPair.torus``), but the
-queries read them only as integers: N and one row of numerators per
-generator (``ReductiveModel.torus_numerators``), which both mod-N problems,
-the kernel generators and ``character_group``, hand to the solver as plain
-integer rows.  Center parts are elements of ``center(ss)``, integer
-coordinates over its canonical generators, so no query does ``Fraction``
-arithmetic, and since no cache is keyed by a model, no query hashes one.
-``fractions`` is imported only where a Fraction is made, a non-empty torus
-part and the ``GL(n)`` preset, so no other preset loads it.
+A gluing generator is one integer row over Z(S_sc) x (Z/N)^r
+(``ReductiveModel``).  Both mod-N problems, the kernel generators and
+``character_group``, hand slices of these rows to the solver, and Gamma's
+type spans them as they are, so no query does ``Fraction`` arithmetic, and
+since no cache is keyed by a model, no query hashes one.  Only the spec
+reader and writer (``homspace.spec``) see a torus part as a fraction.
 
 The tests keep two more routes to pi1 in ``tests/oracles.py``: the span of
 the standard basis of Z^r and the lifts of the model's own gluing generators
@@ -57,11 +54,10 @@ its inclusion by a reference route of its own.  They are compared with
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd
 from operator import index
 
 from .abgroups import (
-    AbElement,
     FgAbGroup,
     SubgroupPresentation,
     _mod_n_lattice,
@@ -71,67 +67,60 @@ from .abgroups import (
 from .intlinalg import IntMatrix, _combination, _Record
 from .rootdata import RootDatumSS, SimpleType, build_datum, center, restriction_matrix
 
-class GluingPair(_Record):
-    """Generator of the gluing subgroup: a central element of S_sc together
-    with a torsion point of the central torus."""
-
-    __slots__ = ("center", "torus")
-
-    def __init__(self, center: AbElement, torus: tuple):
-        values = tuple(torus)
-        if values:  # a pair with no torus part makes no Fraction
-            from fractions import Fraction
-
-            if any(isinstance(v, float) for v in values):
-                raise TypeError(f"torus part {torus!r} holds a float, which is not exact")
-            values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-            for v in values:
-                if not 0 <= v.numerator < v.denominator:
-                    raise ValueError(f"torus torsion point {v} must be reduced into [0, 1)")
-        self._set(center, values)
-
-    @classmethod
-    def _from_checked(cls, center: AbElement, torus: tuple) -> GluingPair:
-        """The pair of a torus part that is already a tuple of Fractions in
-        [0, 1), such as the spec reader's, built without checking it again."""
-        pair = object.__new__(cls)
-        pair._set(center, torus)
-        return pair
-
-
 class ReductiveModel(_Record):
+    """(Z x S_sc) / gluing: the semisimple part's root datum, the torus
+    rank r, the torus denominator N and the gluing generators, one integer
+    row each over Z(S_sc) x (Z/N)^r, an informational unipotent dimension
+    and a name.  A row is the generator's center coordinates, reduced as
+    ``FgAbGroup.reduce`` reduces them, then its torus part times N, each
+    numerator in [0, N).  N is the lcm of the reduced denominators of the
+    torus parts, 1 when there is none: rows given over a multiple of it
+    are divided down to it, so equal models are equal records."""
+
     def __init__(
-        self, ss: RootDatumSS, torus_rank: int, gluing: tuple, unipotent_dim: int = 0, name: str | None = None
+        self,
+        ss: RootDatumSS,
+        torus_rank: int,
+        torus_denominator: int,
+        gluing: tuple,
+        unipotent_dim: int = 0,
+        name: str | None = None,
     ):
-        rank, unipotent = index(torus_rank), index(unipotent_dim)
+        rank, n, unipotent = index(torus_rank), index(torus_denominator), index(unipotent_dim)
         if name is not None and not isinstance(name, str):
             raise TypeError(f"model name must be a str or None, not {type(name).__name__}")
         if rank < 0:
             raise ValueError("torus rank must be nonnegative")
+        if n < 1:
+            raise ValueError(f"torus denominator {n} must be positive")
         if unipotent < 0:
             raise ValueError("unipotent dimension must be nonnegative")
-        gluing = tuple(gluing)
-        for pair in gluing:
-            if pair.center.group != center(ss):
-                raise ValueError("gluing element does not lie in the stated center")
-            if len(pair.torus) != rank:
-                raise ValueError(f"gluing torus part has {len(pair.torus)} coordinates, model has torus rank {rank}")
-        self._set(ss, rank, gluing, unipotent, name)
-
-    @cached_property
-    def torus_numerators(self) -> tuple:
-        """(N, rows): N the lcm of the torus parts' denominators and, per
-        gluing generator, its torus part times N as integers."""
-        n = lcm(1, *(v.denominator for pair in self.gluing for v in pair.torus))
-        return n, tuple(tuple(v.numerator * (n // v.denominator) for v in pair.torus) for pair in self.gluing)
+        cgroup = center(ss)
+        width = cgroup.ngens
+        rows = []
+        for row in gluing:
+            row = tuple(row)
+            if len(row) != width + rank:
+                raise ValueError(
+                    f"gluing row has {len(row)} entries, model has {width} center coordinates and torus rank {rank}"
+                )
+            torus = tuple(map(index, row[width:]))
+            if torus and not (min(torus) >= 0 and max(torus) < n):
+                raise ValueError(f"torus numerators {torus} must lie in [0, {n})")
+            rows.append(cgroup.reduce(row[:width]) + torus)
+        # a/N reduced has denominator N/gcd(a, N), so their lcm is N/g
+        g = gcd(n, *(a for row in rows for a in row[width:]))
+        if g > 1:
+            n //= g
+            rows = [row[:width] + tuple(a // g for a in row[width:]) for row in rows]
+        self._set(ss, rank, n, tuple(rows), unipotent, name)
 
     @cached_property
     def gluing_type(self) -> FgAbGroup:
         """Abstract type of the gluing subgroup, spanned inside
         Z(S_sc) x (Z/N)^r by the model's gluing generators."""
-        n, torus_rows = self.torus_numerators
-        orders = self.ss.pq_group.invariant_factors + (n,) * self.torus_rank
-        return span_group(orders, [pair.center.coords + row for pair, row in zip(self.gluing, torus_rows)])
+        orders = self.ss.pq_group.invariant_factors + (self.torus_denominator,) * self.torus_rank
+        return span_group(orders, self.gluing)
 
     def _kernel_generators(self) -> list:
         """Center coordinates, unreduced, of generators of the kernel of the
@@ -140,10 +129,10 @@ class ReductiveModel(_Record):
         integral vector, one combination per row of the solution lattice
         of the torus numerators modulo N.  With N = 1 every combination
         qualifies, and the lattice is the identity."""
-        n, torus_rows = self.torus_numerators
-        centers = [pair.center.coords for pair in self.gluing]
         width = self.ss.pq_group.ngens
-        return [_combination(centers, c, width) for c in _mod_n_lattice(n, torus_rows)]
+        centers = [row[:width] for row in self.gluing]
+        lattice = _mod_n_lattice(self.torus_denominator, [row[width:] for row in self.gluing])
+        return [_combination(centers, c, width) for c in lattice]
 
     @cached_property
     def kernel_type(self) -> FgAbGroup:
@@ -156,8 +145,7 @@ class ReductiveModel(_Record):
     def derived(self) -> SemisimpleModel:
         """The derived subgroup S_sc/kernel, the kernel spanned with its
         inclusion into the center of S_sc by the kernel generators."""
-        cgroup = center(self.ss)
-        kernel = subgroup_from_generators(cgroup, [cgroup.element(g) for g in self._kernel_generators()])
+        kernel = subgroup_from_generators(center(self.ss), self._kernel_generators())
         return SemisimpleModel(datum=self.ss, kernel=kernel)
 
     def describe(self) -> str:
@@ -188,10 +176,10 @@ def pi1(model: ReductiveModel) -> FgAbGroup:
 def character_group(model: ReductiveModel):
     """Characters of H as a finite-index sublattice of Z^r (Hermite basis,
     one character per row) together with its abstract type."""
-    r = model.torus_rank
-    n, rows = model.torus_numerators
+    r, width = model.torus_rank, model.ss.pq_group.ngens
     # one unknown per torus coordinate, one condition per gluing generator
-    lattice = _mod_n_lattice(n, [[row[k] for row in rows] for k in range(r)])
+    columns = [[row[k] for row in model.gluing] for k in range(width, width + r)]
+    lattice = _mod_n_lattice(model.torus_denominator, columns)
     return IntMatrix.from_rows(lattice, cols=r), FgAbGroup(r, ())
 
 
@@ -239,7 +227,7 @@ def _so_kernel_generator(n: int, datum: RootDatumSS) -> tuple:
 
 
 def _torus_model(rank: int, name: str) -> ReductiveModel:
-    return ReductiveModel(ss=build_datum(()), torus_rank=rank, gluing=(), unipotent_dim=0, name=name)
+    return ReductiveModel(build_datum(()), rank, 1, (), 0, name=name)
 
 
 _PRESET_KINDS = ("SL", "GL", "PGL", "SO", "Spin", "Sp")
@@ -279,14 +267,12 @@ def preset(name: str) -> ReductiveModel:
         if num == 1:
             return _torus_model(1 if kind == "GL" else 0, text)
         datum = build_datum((SimpleType("A", num - 1),))
-        cgen = center(datum).element((1,))
         if kind == "SL":
-            return ReductiveModel(datum, 0, (), 0, name=text)
+            return ReductiveModel(datum, 0, 1, (), 0, name=text)
         if kind == "PGL":
-            return ReductiveModel(datum, 0, (GluingPair(cgen, ()),), 0, name=text)
-        from fractions import Fraction
-
-        return ReductiveModel(datum, 1, (GluingPair(cgen, (Fraction(1, num),)),), 0, name=text)
+            return ReductiveModel(datum, 0, 1, ((1,),), 0, name=text)
+        # the center generator with the torus part 1/n
+        return ReductiveModel(datum, 1, num, ((1, 1),), 0, name=text)
     if kind == "Sp":
         if num < 2 or num % 2:
             raise ValueError(f"Sp takes a positive even argument, got {name!r}")
@@ -297,7 +283,7 @@ def preset(name: str) -> ReductiveModel:
             datum = build_datum((SimpleType("B", 2),))
         else:
             datum = build_datum((SimpleType("C", half),))
-        return ReductiveModel(datum, 0, (), 0, name=text)
+        return ReductiveModel(datum, 0, 1, (), 0, name=text)
     # orthogonal family
     if num < 2:
         raise ValueError(f"{kind}(n) needs n >= 2, got {name!r}")
@@ -305,6 +291,5 @@ def preset(name: str) -> ReductiveModel:
         return _torus_model(1, text)
     datum = _spin_datum(num)
     if kind == "Spin":
-        return ReductiveModel(datum, 0, (), 0, name=text)
-    cgen = center(datum).element(_so_kernel_generator(num, datum))
-    return ReductiveModel(datum, 0, (GluingPair(cgen, ()),), 0, name=text)
+        return ReductiveModel(datum, 0, 1, (), 0, name=text)
+    return ReductiveModel(datum, 0, 1, (_so_kernel_generator(num, datum),), 0, name=text)

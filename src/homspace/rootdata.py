@@ -17,8 +17,8 @@ The center of the simply connected group is only ever exposed as the dual
 of P/Q.  ``center`` returns the group P/Q itself, read through the pairing
 fixed in docs/conventions.md: dual generator i pairs with the i-th Smith
 generator of P/Q to 1/d_i, and with the others to 0.  A center element
-is an element of that group, ``center(datum).element(coords)``, its
-coordinates reduced mod d_i; ``restriction_matrix`` pairs by the same
+is an element of that group, a tuple of coordinates reduced mod d_i by
+``center(datum).reduce``; ``restriction_matrix`` pairs by the same
 rule, and no other identification of the center with a concrete cyclic
 group is used.
 

@@ -8,6 +8,11 @@ namespace, so a function replaced there (by a tracer or a test) is the one
 every query calls.  ``json`` is imported by ``parse_spec`` alone, so a
 ``--preset`` query loads no JSON parser.
 
+A torus part is a fraction only here: the reader reads each spelling as a
+``Fraction`` (``cli._parse_fraction``) and hands the model integer rows
+over N, the lcm of the denominators, and the writer prints each numerator
+a over N as the reduced fraction, as ``str(Fraction(a, N))`` does.
+
 A model named again is not built again: ``groups.preset`` and the spec
 reader here (keyed by the text of a document of at most 64 KiB) are
 bounded caches that return the same model object, which keeps what it
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import __version__, abgroups, groups, invariants, rootdata
 from .cli import CliError, _parse_fraction, _Printer
@@ -116,46 +122,51 @@ def parse_spec(text: str) -> groups.ReductiveModel:
         except ValueError as exc:
             raise CliError("E_PRESET", "/preset", str(exc)) from exc
     datum = rootdata.build_datum(tuple(semisimple))
-    cgroup = rootdata.center(datum)
-    pairs = []
+    width = rootdata.center(datum).ngens
     # each distinct torus spelling is read once per document, since the
     # entries repeat a handful of strings; a non-string skips the lookup and
     # fails _parse_fraction's type check at its own path
     by_spelling = {}
     for i, (coeffs, fractions) in enumerate(gluing):
-        try:
-            elem = cgroup.element(coeffs)
-        except ValueError as exc:
+        if len(coeffs) != width:
             raise CliError(
                 "E_SCHEMA",
                 f"/gluing/{i}/center",
-                f"expected {cgroup.ngens} coefficients over the center generators, got {len(coeffs)}",
-            ) from exc
+                f"expected {width} coefficients over the center generators, got {len(coeffs)}",
+            )
         if len(fractions) != torus_rank:
             raise CliError("E_SCHEMA", f"/gluing/{i}/torus", f"expected {torus_rank} fractions, got {len(fractions)}")
-        torus = []
         for j, text in enumerate(fractions):
-            value = by_spelling.get(text) if isinstance(text, str) else None
-            if value is None:
-                value = by_spelling[text] = _parse_fraction(text, f"/gluing/{i}/torus/{j}")
-            torus.append(value)
-        # every value is a Fraction that _parse_fraction reduced into [0, 1)
-        pairs.append(groups.GluingPair._from_checked(elem, tuple(torus)))
+            if not isinstance(text, str) or text not in by_spelling:
+                by_spelling[text] = _parse_fraction(text, f"/gluing/{i}/torus/{j}")
+    # every value is a Fraction that _parse_fraction reduced into [0, 1), so
+    # over N, the lcm of their denominators, each numerator lies in [0, N)
+    n = lcm(1, *{value.denominator for value in by_spelling.values()})
+    numerators = {text: value.numerator * (n // value.denominator) for text, value in by_spelling.items()}
+    rows = tuple(tuple(coeffs) + tuple(numerators[text] for text in fractions) for coeffs, fractions in gluing)
     try:
-        return groups.ReductiveModel(datum, torus_rank, tuple(pairs), unipotent_dim, name)
+        return groups.ReductiveModel(datum, torus_rank, n, rows, unipotent_dim, name)
     except ValueError as exc:
         raise CliError("E_MODEL", "/", str(exc)) from exc
 
 
+def _fraction_text(a: int, n: int) -> str:
+    """The torus numerator a over N as the reduced fraction, written as
+    ``str(Fraction(a, n))`` writes it."""
+    g = gcd(a, n)
+    return f"{a // g}/{n // g}" if a else "0"
+
+
 def model_to_document(model: groups.ReductiveModel) -> dict:
     """JSON expansion of a model (used by describe --expand)."""
+    width, n = model.ss.pq_group.ngens, model.torus_denominator
     return {
         "name": model.name,
         "preset": None,
         "semisimple": [{"family": t.family, "rank": t.rank} for t in model.ss.factors],
         "torus_rank": model.torus_rank,
         "gluing": [
-            {"center": list(pair.center.coords), "torus": [str(v) for v in pair.torus]} for pair in model.gluing
+            {"center": list(row[:width]), "torus": [_fraction_text(a, n) for a in row[width:]]} for row in model.gluing
         ],
         "unipotent_dim": model.unipotent_dim,
     }

@@ -10,10 +10,9 @@ import pytest
 
 from homspace import ext, groups, spec
 from homspace.abgroups import FgAbGroup, TRIVIAL_GROUP, from_presentation, subgroup_from_generators
-from homspace.groups import GluingPair, ReductiveModel
 from homspace.intlinalg import IntMatrix
 from homspace.rootdata import SimpleType, build_datum, center
-from oracles import add_elements, elements, identity_element, snf_kernel, solve_integer
+from oracles import add_elements, elements, identity_element, model_from_fractions, snf_kernel, solve_integer
 
 
 def clear_query_caches():
@@ -58,7 +57,7 @@ def all_subgroups(group):
                     found[key] = found[closure] + [members[e]]
                     grown.append(key)
         frontier = grown
-    return [subgroup_from_generators(group, gens) for gens in found.values()]
+    return [subgroup_from_generators(group, [g.coords for g in gens]) for gens in found.values()]
 
 
 # products whose P/Q orders differ, so the pairing's L / d_j scaling matters
@@ -95,8 +94,8 @@ def random_model(
             torus = tuple(
                 Fraction(rng.randrange(den), den) for den in [rng.choice([1, 2, 3, 4, 6]) for _ in range(r)]
             )
-            pairs.append(GluingPair(cgroup.element(coords), torus))
-        model = ReductiveModel(ss=datum, torus_rank=r, gluing=tuple(pairs), unipotent_dim=unipotent_dim)
+            pairs.append((coords, torus))
+        model = model_from_fractions(datum, r, pairs, unipotent_dim)
         if model.gluing_type.order() <= max_gluing_order:
             return model
 

@@ -52,7 +52,14 @@
   every such matrix the library builds against this class.
 * Matrix, group, element, character and hom arithmetic that no query
   needs, as plain functions: the library's values keep only the methods
-  that a query reads.
+  that a query reads.  Elements as values (``AbElement``, its coordinates
+  reduced by ``FgAbGroup.reduce``), which the library passes as bare
+  coordinate tuples.
+* Models from torus Fractions (``model_from_fractions``: N the lcm of the
+  denominators, each row the center coordinates then the torus part times
+  N) and their gluing generators read back as Fractions
+  (``gluing_fractions``), by ``Fraction`` arithmetic of their own, so the
+  test builders share no conversion code with the spec reader.
 * Small homomorphism constructors, and verification tools that the library
   no longer exports: kernels as subgroup presentations (``kernel_of``),
   cokernels with their projection, image lattices and the exactness test
@@ -103,7 +110,6 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from homspace.abgroups import (
-    AbElement,
     FgAbGroup,
     SubgroupPresentation,
     _smith_quotient,
@@ -111,7 +117,7 @@ from homspace.abgroups import (
     subgroup_from_generators,
 )
 from homspace.extensions import Character
-from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, _spin_datum
+from homspace.groups import ReductiveModel, SemisimpleModel, _spin_datum
 from homspace.intlinalg import IntMatrix, _snf_transform
 from homspace.rootdata import RootDatumSS, center, restriction_matrix
 
@@ -165,6 +171,19 @@ def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
 
 def is_zero_matrix(m: IntMatrix) -> bool:
     return not any(x for i in range(m.rows) for x in m.row(i))
+
+
+@dataclass(frozen=True)
+class AbElement:
+    """An element of ``group`` as a value, its coordinates reduced by
+    ``group.reduce``; the library passes elements as bare coordinate
+    tuples."""
+
+    group: FgAbGroup
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", self.group.reduce(self.coords))
 
 
 class AbHom:
@@ -234,7 +253,7 @@ def generator(group: FgAbGroup, i: int) -> AbElement:
     """The i-th canonical generator of ``group``."""
     coords = [0] * group.ngens
     coords[i] = 1
-    return group.element(coords)
+    return AbElement(group, coords)
 
 
 def elements(group: FgAbGroup):
@@ -842,7 +861,7 @@ class Weight:
 
     def pq_class(self) -> AbElement:
         datum = self.datum
-        return datum.pq_group.element(apply_matrix(datum.pq_proj, self.coords))
+        return AbElement(datum.pq_group, apply_matrix(datum.pq_proj, self.coords))
 
 
 def fundamental_weight(datum: RootDatumSS, index: int) -> Weight:
@@ -905,7 +924,7 @@ def vector_rep_weights(n: int, datum: RootDatumSS):
 
 def full_center_subgroup(datum: RootDatumSS) -> SubgroupPresentation:
     group = center(datum)
-    return subgroup_from_generators(group, [generator(group, i) for i in range(group.ngens)])
+    return subgroup_from_generators(group, [generator(group, i).coords for i in range(group.ngens)])
 
 
 def annihilator_in_center(datum: RootDatumSS, weights: Sequence[Weight]) -> SubgroupPresentation:
@@ -946,7 +965,7 @@ def restrict_weight(weight: Weight, sub: SubgroupPresentation) -> AbElement:
     applied to the weight, over the canonical generators of the dual of
     ``sub.computed``."""
     restriction = restriction_matrix(weight.datum, sub)
-    return sub.computed.element(apply_matrix(restriction, weight.coords))
+    return AbElement(sub.computed, apply_matrix(restriction, weight.coords))
 
 
 def fundamental_restrictions(datum: RootDatumSS, sub: SubgroupPresentation) -> list:
@@ -983,31 +1002,48 @@ class GluingSpan:
         return tuple(c % o for c, o in zip(coords, self.orders))
 
 
+def model_from_fractions(
+    ss: RootDatumSS, torus_rank: int, pairs: Sequence, unipotent_dim: int = 0, name: Optional[str] = None
+) -> ReductiveModel:
+    """The model whose gluing generators are the given (center coordinates,
+    torus Fractions in [0, 1)) pairs: N the lcm of the Fractions'
+    denominators, and each row the center coordinates, then the torus part
+    times N, by ``Fraction`` arithmetic."""
+    pairs = [(tuple(c), tuple(map(Fraction, t))) for c, t in pairs]
+    n = lcm(1, *(v.denominator for _, torus in pairs for v in torus))
+    rows = tuple(c + tuple(int(v * n) for v in torus) for c, torus in pairs)
+    return ReductiveModel(ss, torus_rank, n, rows, unipotent_dim, name)
+
+
+def gluing_fractions(model: ReductiveModel) -> list:
+    """The model's gluing generators as (center coordinates, torus
+    Fractions) pairs, each numerator read over N."""
+    width, n = model.ss.pq_group.ngens, model.torus_denominator
+    return [(row[:width], tuple(Fraction(a, n) for a in row[width:])) for row in model.gluing]
+
+
 @lru_cache(maxsize=None)
 def gluing_span(model: ReductiveModel) -> GluingSpan:
     """Gamma with its inclusion, by a route the library does not take: the
     Smith-V span (``_smith_v_span``) of the model's gluing generators."""
-    n, torus_rows = model.torus_numerators
+    n = model.torus_denominator
     orders = model.ss.pq_group.invariant_factors + (n,) * model.torus_rank
-    gcols = IntMatrix.from_columns(
-        [list(pair.center.coords + row) for pair, row in zip(model.gluing, torus_rows)], rows=len(orders)
-    )
+    gcols = IntMatrix.from_columns([list(row) for row in model.gluing], rows=len(orders))
     group, incl = _smith_v_span(gcols, orders)
     incl = [[c % o for c, o in zip(col, orders)] for col in incl]
     return GluingSpan(n, orders, group, IntMatrix.from_columns(incl, rows=len(orders)))
 
 
 def gluing_elements(model: ReductiveModel):
-    """Materialized element table of the gluing subgroup, as gluing pairs."""
+    """Materialized element table of the gluing subgroup, as (center
+    coordinates, torus Fractions) pairs."""
     span = gluing_span(model)
     n = span.torus_exponent
     k = len(model.ss.pq_group.invariant_factors)
     out = []
     for elem in elements(span.group):
         coords = span.reduce_ambient(apply_matrix(span.inclusion_columns, elem.coords))
-        ce = center(model.ss).element(coords[:k])
-        torus = tuple(Fraction(c, n) for c in coords[k:])
-        out.append(GluingPair(ce, torus))
+        out.append((coords[:k], tuple(Fraction(c, n) for c in coords[k:])))
     return out
 
 
@@ -1015,19 +1051,18 @@ def gluing_elements(model: ReductiveModel):
 def _pi1_span(model: ReductiveModel):
     """Fundamental group as a subgroup of Z^r (+) Z(S_sc), coordinates
     (N*v | center); returns the subgroup presentation in that ambient."""
-    n = model.torus_numerators[0]
+    n = model.torus_denominator
     r = model.torus_rank
     center_factors = model.ss.pq_group.invariant_factors
+    width = len(center_factors)
     ambient = FgAbGroup(r, center_factors)
     gens = []
     for i in range(r):
         coords = [0] * ambient.ngens
         coords[i] = n
-        gens.append(ambient.element(coords))
-    for pair in model.gluing:
-        torus = [int(v * n) for v in pair.torus]
-        coords = torus + list(pair.center.coords)
-        gens.append(ambient.element(coords))
+        gens.append(AbElement(ambient, coords))
+    for row in model.gluing:
+        gens.append(AbElement(ambient, row[width:] + row[:width]))
     return span_subgroup(ambient, gens)
 
 
@@ -1049,9 +1084,8 @@ def pi1_extension(model: ReductiveModel) -> FgAbGroup:
 def semisimple_as_reductive(sm: SemisimpleModel, name: Optional[str] = None) -> ReductiveModel:
     gens = []
     for p in range(sm.kernel.computed.ngens):
-        elem = inclusion_hom(sm.kernel)(generator(sm.kernel.computed, p))
-        gens.append(GluingPair(elem, ()))
-    return ReductiveModel(ss=sm.datum, torus_rank=0, gluing=tuple(gens), unipotent_dim=0, name=name)
+        gens.append(inclusion_hom(sm.kernel)(generator(sm.kernel.computed, p)).coords)
+    return ReductiveModel(sm.datum, 0, 1, tuple(gens), 0, name)
 
 
 def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
@@ -1060,12 +1094,12 @@ def psi_character_map(model: ReductiveModel, mu: Sequence[int]) -> AbHom:
     mu = tuple(int(c) for c in mu)
     if len(mu) != model.torus_rank:
         raise ValueError(f"character needs {model.torus_rank} coordinates")
-    for pair in model.gluing:
-        val = sum(m * v for m, v in zip(mu, pair.torus))
+    for _, torus in gluing_fractions(model):
+        val = sum((m * v for m, v in zip(mu, torus)), Fraction(0))
         if val.denominator != 1:
             raise ValueError(f"not a character of the model: pairing {val} with a gluing generator is not integral")
     lam = _pi1_span(model)
-    n = model.torus_numerators[0]
+    n = model.torus_denominator
     r = model.torus_rank
     images = []
     for p in range(lam.computed.ngens):
@@ -1091,15 +1125,11 @@ def central_pushout(model: ReductiveModel, gamma: Character) -> ReductiveModel:
     incl = span.inclusion_columns
     scaled = IntMatrix.from_rows([[c * x for x in incl.row(i)] for i, c in scales], cols=incl.cols)
     embed = AbHom(span.group, ambient, scaled)
-    _, torus_rows = model.torus_numerators
     new_pairs = []
-    for pair, row in zip(model.gluing, torus_rows):
-        coords = pair.center.coords + row
-        inside = preimage_of(embed, ambient.element([c * coords[i] for i, c in scales]))
-        new_pairs.append(GluingPair(pair.center, pair.torus + (character_value(gamma, inside.coords),)))
-    return ReductiveModel(
-        ss=model.ss, torus_rank=model.torus_rank + 1, gluing=tuple(new_pairs), unipotent_dim=model.unipotent_dim
-    )
+    for row, (center_part, torus) in zip(model.gluing, gluing_fractions(model)):
+        inside = preimage_of(embed, AbElement(ambient, [c * row[i] for i, c in scales]))
+        new_pairs.append((center_part, torus + (character_value(gamma, inside.coords),)))
+    return model_from_fractions(model.ss, model.torus_rank + 1, new_pairs, model.unipotent_dim)
 
 
 def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
@@ -1108,10 +1138,10 @@ def fiber_class_in_pi1(model: ReductiveModel) -> AbHom:
     if model.torus_rank == 0:
         raise ValueError("model has no torus coordinate")
     lam = _pi1_span(model)
-    n = model.torus_numerators[0]
+    n = model.torus_denominator
     coords = [0] * lam.ambient.ngens
     coords[model.torus_rank - 1] = n
-    inside = preimage_of(inclusion_hom(lam), lam.ambient.element(coords))
+    inside = preimage_of(inclusion_hom(lam), AbElement(lam.ambient, coords))
     assert inside is not None, "integral torus loops lie in pi1"
     return AbHom(
         FgAbGroup(1, ()),

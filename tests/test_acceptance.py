@@ -51,6 +51,7 @@ from oracles import (
     is_zero_matrix,
     lattice_row_basis,
     matmul,
+    model_from_fractions,
     multiplication_hom,
     pi1_extension,
     psi_character_map,
@@ -80,7 +81,7 @@ def test_criterion_1_paper_examples():
     assert brauer(preset("SO(2)")) == TRIVIAL_GROUP
     for n in range(3, 11):
         assert brauer(preset(f"SO({n})")) == cyclic_group(2)
-    unipotent = ReductiveModel(ss=build_datum(()), torus_rank=0, gluing=(), unipotent_dim=1)
+    unipotent = ReductiveModel(ss=build_datum(()), torus_rank=0, torus_denominator=1, gluing=(), unipotent_dim=1)
     _, pic = character_group(unipotent)
     assert pic == TRIVIAL_GROUP
     for n in range(2, 11):
@@ -126,7 +127,7 @@ def test_criterion_3_restriction_exact_sequence():
     for t in types:
         datum = build_datum((t,))
         for sub in all_subgroups(center(datum)):
-            generated = subgroup_from_generators(sub.computed, fundamental_restrictions(datum, sub))
+            generated = subgroup_from_generators(sub.computed, [r.coords for r in fundamental_restrictions(datum, sub)])
             assert generated.computed == sub.computed
             basis = character_lattice_of_quotient(datum, sub)
             assert abs(det(basis)) == subgroup_order(sub)
@@ -247,10 +248,8 @@ def test_criterion_7_presentation_independence():
     while pairs_checked < 50:
         model = random_model(rng, max_gluing_order=16)
         elements = gluing_elements(model)
-        regenerated = tuple(e for e in elements if rng.random() < 0.7)
-        alt = ReductiveModel(
-            ss=model.ss, torus_rank=model.torus_rank, gluing=regenerated, unipotent_dim=model.unipotent_dim
-        )
+        regenerated = [e for e in elements if rng.random() < 0.7]
+        alt = model_from_fractions(model.ss, model.torus_rank, regenerated, model.unipotent_dim)
         if alt.gluing_type.order() != model.gluing_type.order():
             continue
         pairs_checked += 1
@@ -258,7 +257,7 @@ def test_criterion_7_presentation_independence():
         assert brauer(alt) == brauer(model)
         assert character_group(alt) == character_group(model)
         assert invariant_report(alt).e_al == invariant_report(model).e_al
-        fat = ReductiveModel(model.ss, model.torus_rank, model.gluing, unipotent_dim=5)
+        fat = ReductiveModel(model.ss, model.torus_rank, model.torus_denominator, model.gluing, unipotent_dim=5)
         assert pi1(fat) == pi1(model)
         assert character_group(fat) == character_group(model)
         assert brauer(fat) == brauer(model)

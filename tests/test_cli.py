@@ -39,20 +39,21 @@ from homspace import spec as specmod
 from homspace.abgroups import FgAbGroup, subgroup_from_generators
 from homspace.cli import CliError, _parse_fraction, json_text, run
 from homspace.extensions import Character
-from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
+from homspace.groups import ReductiveModel, SemisimpleModel, as_semisimple, pi1, preset
 from homspace.invariants import weight_brauer_table
 from homspace.intlinalg import IntMatrix, format_matrix_literal, parse_matrix_literal, solution_lattice
 from homspace.rootdata import RootDatumSS, SimpleType, build_datum, center
 from homspace.spec import model_to_document, parse_spec
 from oracles import (
+    AbElement,
     character_to_extension,
     det,
     exact_span_group,
     fundamental_restrictions,
     fundamental_weight,
-    identity_element,
     is_zero_element,
     matmul,
+    model_from_fractions,
     pi1_extension,
     span_subgroup,
 )
@@ -180,7 +181,9 @@ class TestParseSpec:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         model = random_model(rng, unipotent_dim=data.draw(st.integers(0, 3)))
         name = data.draw(st.none() | st.text())
-        model = ReductiveModel(model.ss, model.torus_rank, model.gluing, model.unipotent_dim, name)
+        model = ReductiveModel(
+            model.ss, model.torus_rank, model.torus_denominator, model.gluing, model.unipotent_dim, name
+        )
         assert parse_spec(json_text(model_to_document(model))) == model
 
     @pytest.mark.parametrize("kind", ["SL", "GL", "PGL", "SO", "Sp", "Spin"])
@@ -372,35 +375,21 @@ class TestSpellingMemo:
             parse_spec(json.dumps(doc))
         assert (info.value.code, info.value.where) == ("E_FRACTION", "/gluing/1/torus/1")
 
-    def test_reader_hands_its_checked_values_to_the_model(self, monkeypatch):
-        # parse_spec checks each torus value once: the pairs it builds take
-        # the Fractions it read without GluingPair's own check, which a
-        # pair built directly still runs
+    def test_reader_hands_its_checked_values_to_the_model(self):
+        # parse_spec reads each torus value as a Fraction once, and hands
+        # the model integer rows over N, the lcm of their denominators
         datum = build_datum((SimpleType("A", 1),))
         rows = [["1/2", "1/3", "0"], ["5/6", "1/2", "0.25"]]
-        expected = ReductiveModel(
-            datum, 3, tuple(GluingPair(identity_element(center(datum)), tuple(map(Fraction, row))) for row in rows)
-        )
-        checked = []
-        original = GluingPair.__init__
-
-        def counting(pair, center, torus):
-            checked.append(torus)
-            original(pair, center, torus)
-
-        monkeypatch.setattr(GluingPair, "__init__", counting)
+        expected = model_from_fractions(datum, 3, [((0,), tuple(map(Fraction, row))) for row in rows])
         model = parse_spec(json.dumps(torus_doc(rows, (SimpleType("A", 1),))))
-        assert checked == []
         assert model == expected and hash(model) == hash(expected)
-        assert all(type(v) is Fraction for pair in model.gluing for v in pair.torus)
-        with pytest.raises(ValueError, match=r"must be reduced into \[0, 1\)"):
-            GluingPair(identity_element(center(datum)), (Fraction(3, 2),))
-        assert len(checked) == 1
+        assert (model.torus_denominator, model.gluing) == (12, ((0, 6, 4, 0), (0, 10, 6, 3)))
+        assert all(type(v) is int for row in model.gluing for v in row)
 
     def test_spellings_of_one_value_read_as_one_value(self, tmp_path):
         doc = torus_doc([["2/4", "1/2", "0.5"], ["0.5", "2/4", "1/2"]], (SimpleType("A", 1),))
         model = parse_spec(json.dumps(doc))
-        assert all(v == Fraction(1, 2) and type(v) is Fraction for pair in model.gluing for v in pair.torus)
+        assert (model.torus_denominator, set(model.gluing)) == (2, {(0, 1, 1, 1)})
         assert model == parse_spec(json.dumps(torus_doc([["1/2"] * 3] * 2, (SimpleType("A", 1),))))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -427,11 +416,9 @@ class TestSpellingMemo:
                 parse_spec(text)
             assert (info.value.code, info.value.where, info.value.message) == (first.code, first.where, first.message)
             return
-        datum = build_datum(())
-        pairs = tuple(GluingPair(identity_element(center(datum)), torus) for torus in expected)
         model = parse_spec(text)
-        assert model == ReductiveModel(datum, r, pairs)
-        assert all(type(v) is Fraction for pair in model.gluing for v in pair.torus)
+        assert model == model_from_fractions(build_datum(()), r, [((), torus) for torus in expected])
+        assert all(type(v) is int for row in model.gluing for v in row)
 
 
 class TestCommands:
@@ -1238,10 +1225,11 @@ NOT_LOADED = {
 
 
 # the standard-library modules that no preset query and no snf query reads:
-# the records are not dataclasses, only a spec document is JSON, only a
-# torus part, the GL(n) preset and ext make a Fraction (and fractions loads
-# decimal and re), and otherwise only a fraction spelled with an exponent
-# reads re
+# the records are not dataclasses, only a spec document is JSON, only the
+# spec reader's torus parts and ext make a Fraction (and fractions loads
+# decimal and re), since a model keeps its torus parts as integers, the
+# GL(n) preset's included, and otherwise only a fraction spelled with an
+# exponent reads re
 UNREAD = frozenset({"dataclasses", "inspect", "json", "fractions", "decimal", "re"})
 MAKES_FRACTIONS = UNREAD - {"fractions", "decimal", "re"}
 READS_A_SPEC = frozenset({"dataclasses", "inspect"})
@@ -1284,8 +1272,8 @@ class TestColdImports:
                 (["describe", "--json", "--spec", "TORUS_R3"], READS_A_SPEC),
                 (["invariants", "--spec", "TORUS_R3"], READS_A_SPEC),
                 (["invariants", "--json", "--spec", "TORUS_R3"], READS_A_SPEC),
-                (["describe", "--expand", "--preset", "GL(3)"], MAKES_FRACTIONS),
-                (["invariants", "--json", "--preset", "GL(3)"], MAKES_FRACTIONS),
+                (["describe", "--expand", "--preset", "GL(3)"], UNREAD),
+                (["invariants", "--json", "--preset", "GL(3)"], UNREAD),
                 (["describe", "--expand", "--preset", "SO(8)"], UNREAD),
                 *(
                     ([command, *fmt, "--preset", name], UNREAD)
@@ -1482,7 +1470,7 @@ class TestQueryCaches:
             assert code == 0 and json.loads(out)["invariants"]["pic_group"] == "Z^1", err
             if first is None:
                 first = weakref.ref(specmod._spec_model(text, limit))
-                assert first().gluing[0].torus == (Fraction(1, 2),)
+                assert (first().torus_denominator, first().gluing) == (2, ((1,),))
         gc.collect()
         assert first() is None
 
@@ -1491,7 +1479,7 @@ class TestQueryCaches:
         # model built directly, neither a preset nor a spec, is freed once
         # its caller drops it
         datum = build_datum((SimpleType("A", 3),))
-        model = ReductiveModel(datum, 1, (GluingPair(center(datum).element((1,)), (Fraction(1, 4),)),))
+        model = ReductiveModel(datum, 1, 4, ((1, 1),))
         report = invariants.invariant_report(model)
         assert invariants.invariant_report(model) is report and str(report.pic_group) == "Z^1"
         kept = weakref.ref(model)
@@ -1501,12 +1489,12 @@ class TestQueryCaches:
 
     def test_no_query_hashes_a_model(self, monkeypatch, tmp_path):
         # no cache is keyed by a model or by what it is built from, so no
-        # query, cold or repeated, hashes a model, a root datum, a
-        # semisimple model or a gluing pair
+        # query, cold or repeated, hashes a model, a root datum or a
+        # semisimple model
         def refuse(value):
             raise AssertionError(f"{type(value).__name__} hashed")
 
-        for cls in (ReductiveModel, RootDatumSS, SemisimpleModel, GluingPair):
+        for cls in (ReductiveModel, RootDatumSS, SemisimpleModel):
             monkeypatch.setattr(cls, "__hash__", refuse)
         quotient, torus = tmp_path / "quotient.json", tmp_path / "torus.json"
         quotient.write_text(json.dumps(QUOTIENT_SPECS["A2^5/Z3^2"]))
@@ -2008,9 +1996,8 @@ WIDE_SPECS = [(0, 64, 64), (1, 64, 1), (2, 1, 64), (3, 32, 48), (4, 48, 20), (5,
 def gluing_system(model):
     """The gluing subgroup's span problem: the orders of Z(S_sc) x (Z/N)^r
     and each gluing generator's center coordinates and torus numerators."""
-    n, rows = model.torus_numerators
-    orders = center(model.ss).orders + (n,) * model.torus_rank
-    return orders, [pair.center.coords + row for pair, row in zip(model.gluing, rows)]
+    orders = center(model.ss).orders + (model.torus_denominator,) * model.torus_rank
+    return orders, list(model.gluing)
 
 
 def assert_gluing_type_facts(model):
@@ -2080,7 +2067,7 @@ class TestGeneratorSpecs:
         kernel = model.derived.kernel
         [(ambient, gens)] = systems
         assert len(gens) == k
-        expected = span_subgroup(ambient, gens)
+        expected = span_subgroup(ambient, [AbElement(ambient, g) for g in gens])
         assert kernel.computed == expected.computed
         assert kernel.inclusion == expected.inclusion
 

@@ -12,9 +12,16 @@ a permutation and signs:
 Both keep the group, so every field of the report but the Pic lattice's
 basis stays the same, and on the random models the type of the gluing
 subgroup too.  The four large-denominator specs (r = 10, ten generators)
-are compared on the report only, and no transform adds a generator: the
-gluing type's Smith form is the slow part of ``describe`` at many
-generators.  The file runs in about 5 s on a 2-core x86 host.
+are compared on the report only.
+
+A third transform appends redundant generators to a model's integer
+gluing rows: the sum of two rows, a multiple of one and an all-zero row,
+each reduced into Z(S_sc) x (Z/N)^r.  It keeps the torus basis too, so
+pi1, the gluing type, the kernel type and every field of the report, the
+Pic lattice's Hermite basis included, stay equal, on the random models and
+the large-denominator specs alike.  The weight table is left out: its
+canonical generators may change with the generators given.  The file runs
+in about 7 s on a 2-core x86 host.
 """
 
 import json
@@ -26,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from homspace.groups import ReductiveModel, pi1
 from homspace.invariants import invariant_report
 from homspace.rootdata import center
 from homspace.spec import model_to_document, parse_spec
@@ -64,6 +72,32 @@ def recombine_generators(doc, b, orders):
         t = [sum((q * z[p] for q, z in zip(row, tori)), Fraction(0)) % 1 for p in range(doc["torus_rank"])]
         gluing.append({"center": c, "torus": [str(v) for v in t]})
     return {**doc, "gluing": gluing}
+
+
+def with_redundant_generators(data, model):
+    """The model with three more gluing rows: the sum of two of its rows, a
+    multiple of one and an all-zero row (only the last on a model with no
+    generator), each reduced into Z(S_sc) x (Z/N)^r."""
+    orders = center(model.ss).orders + (model.torus_denominator,) * model.torus_rank
+    rows = list(model.gluing)
+    extra = []
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        i, j, k = data.draw(index, label="i"), data.draw(index, label="j"), data.draw(index, label="k")
+        q = data.draw(st.integers(-3, 5), label="q")
+        extra += [[a + b for a, b in zip(rows[i], rows[j])], [q * a for a in rows[k]]]
+    extra.append([0] * len(orders))
+    rows += [tuple(x % o for x, o in zip(row, orders)) for row in extra]
+    return ReductiveModel(model.ss, model.torus_rank, model.torus_denominator, rows, model.unipotent_dim, model.name)
+
+
+def assert_redundant_generators_change_nothing(data, model):
+    twin = with_redundant_generators(data, model)
+    assert len(twin.gluing) == len(model.gluing) + (3 if model.gluing else 1)
+    assert pi1(twin) == pi1(model)
+    assert twin.gluing_type == model.gluing_type
+    assert twin.kernel_type == model.kernel_type
+    assert invariant_report(twin) == invariant_report(model), twin.gluing
 
 
 def document(model):
@@ -110,3 +144,16 @@ def test_large_denominator_specs_keep_their_invariants(seed, data):
     expected = invariants(doc)
     for twin in docs:
         assert invariants(twin) == expected, twin
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_random_models_keep_everything_with_redundant_generators(seed, data):
+    assert_redundant_generators_change_nothing(data, random_model(random.Random(seed), max_torus=4, max_gluing=3))
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_DENOMINATOR_DIGESTS))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_large_denominator_specs_keep_everything_with_redundant_generators(seed, data):
+    assert_redundant_generators_change_nothing(data, parse_spec(large_denominator_spec(seed)))

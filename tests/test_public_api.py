@@ -5,7 +5,8 @@ imports nothing outside the standard library, no ``typing`` and nothing it
 does not use,
 no query checks an identity at run time (the tests prove them instead),
 every cache states a finite bound and is one of a listed few, so is every
-import inside a function, cli imports no model layer, nothing moved to
+import inside a function, only the readers and writers of fractions import
+``fractions``, cli imports no model layer, nothing moved to
 tests/oracles.py is left defined in the package too, every public method
 of a class has a reader in the package or in the README example, the
 oracles take from intlinalg only ``IntMatrix`` and the Smith loop, and only
@@ -130,9 +131,8 @@ def test_the_late_imports_are_these():
     # of this list.  The front end loads the modules of the model commands
     # and of ext, and through them the layers they read, only for their
     # queries, and never names a model layer itself.  json, fractions and re
-    # are read only where a spec document is parsed, a Fraction is made
-    # (a non-empty torus part, the GL(n) preset, a fraction spelling) or an
-    # exponent is split off, so a preset query loads none of them
+    # are read only where a spec document is parsed, a fraction spelling is
+    # read or an exponent is split off, so a preset query loads none of them
     late = {f"{name}.{scope}: {module}" for name, tree in modules().items() for scope, module in late_imports(tree)}
     assert late == {
         "cli._parse_fraction: fractions",
@@ -142,13 +142,26 @@ def test_the_late_imports_are_these():
         "cli._first_query: .ext",
         "cli._first_query: .spec",
         "spec.parse_spec: json",
-        "groups.preset: fractions",
-        "groups.__init__: fractions",
     }
     named = set()
     for _, module, names in imports(modules()["cli"]):
         named.update(module.split("."), names)
     assert {"spec", "ext"} <= named and not named & {"groups", "rootdata", "invariants"}
+
+
+def test_only_the_readers_and_writers_of_fractions_import_fractions():
+    # a model keeps its torus parts as integer rows over N, so only the
+    # modules that read or write a fraction import fractions: the fraction
+    # reader (cli), the spec format, ext and the characters of extensions;
+    # an import at module level and one inside a function count alike
+    allowed = {"cli", "spec", "ext", "extensions"}
+    importers = set()
+    for name, tree in modules().items():
+        for level, module, _ in imports(tree):
+            if level == 0 and module.split(".")[0] == "fractions":
+                importers.add(name)
+    assert "cli" in importers, "the scan reads nothing"
+    assert importers <= allowed, sorted(importers - allowed)
 
 
 def test_no_runtime_self_checks():
@@ -266,7 +279,6 @@ def test_the_kept_values_and_hashes_are_these():
                 if "__eq__" in defined:
                     equalities.add(f"{node.name}.__eq__")
     assert kept == {
-        "ReductiveModel.torus_numerators",
         "ReductiveModel.gluing_type",
         "ReductiveModel.kernel_type",
         "ReductiveModel.derived",

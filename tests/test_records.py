@@ -1,4 +1,4 @@
-"""The twelve record classes of the package behave as frozen dataclasses.
+"""The ten record classes of the package behave as frozen dataclasses.
 Each is compared with a reference ``@dataclass(frozen=True)`` of the same
 name and fields, built here: repr, ``==``, ``!=`` and hash, construction by
 position, keyword and default, the TypeError of a missing or unknown
@@ -14,9 +14,9 @@ from itertools import product
 
 import pytest
 
-from homspace.abgroups import TRIVIAL_GROUP, AbElement, FgAbGroup, SubgroupPresentation
+from homspace.abgroups import TRIVIAL_GROUP, FgAbGroup, SubgroupPresentation
 from homspace.extensions import Character
-from homspace.groups import GluingPair, ReductiveModel, SemisimpleModel, pi1, preset
+from homspace.groups import ReductiveModel, SemisimpleModel, pi1, preset
 from homspace.intlinalg import IntMatrix
 from homspace.invariants import InvariantReport, WeightBrauerTable, invariant_report, weight_brauer_table
 from homspace.rootdata import RootDatumSS, SimpleType
@@ -28,13 +28,11 @@ from oracles import add_characters, identity_matrix, negate_character
 FIELDS = {
     IntMatrix: ("rows", "cols", "entries"),
     FgAbGroup: (("free_rank", 0), ("invariant_factors", ())),
-    AbElement: ("group", "coords"),
     Character: ("group", "values"),
     SubgroupPresentation: ("ambient", "computed", "inclusion"),
     SimpleType: ("family", "rank"),
     RootDatumSS: ("factors", "rank", "pq_group", "pq_proj"),
-    GluingPair: ("center", "torus"),
-    ReductiveModel: ("ss", "torus_rank", "gluing", ("unipotent_dim", 0), ("name", None)),
+    ReductiveModel: ("ss", "torus_rank", "torus_denominator", "gluing", ("unipotent_dim", 0), ("name", None)),
     SemisimpleModel: ("datum", "kernel"),
     InvariantReport: (
         "pic_lattice", "pic_group", "brauer", "e_al", "pi1_m", "pi2_m", "h2_m", "tors_h3_m", "notes",
@@ -80,14 +78,12 @@ def samples():
         + [sm.restriction_matrix for sm in semisimple],
         FgAbGroup: [FgAbGroup(), FgAbGroup(2, (3,)), FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4))]
         + [pi1(m) for m in models],
-        AbElement: [pair.center for m in models for pair in m.gluing],
         Character: [chi, negate_character(chi), add_characters(chi, chi), Character(TRIVIAL_GROUP, ())]
         + [Character(FgAbGroup(0, (2, 4)), (1, 5))]
         + [Character(sm.kernel.computed, tuple(Fraction(1, d) for d in sm.kernel.computed.orders)) for sm in semisimple],
         SubgroupPresentation: [sm.kernel for sm in semisimple],
         SimpleType: [t for m in models for t in m.ss.factors] + [SimpleType("E", 8)],
         RootDatumSS: [m.ss for m in models],
-        GluingPair: [pair for m in models for pair in m.gluing],
         ReductiveModel: models,
         SemisimpleModel: semisimple,
         InvariantReport: [invariant_report(m) for m in models],
@@ -182,7 +178,7 @@ def test_cached_properties_are_computed_once_and_kept(model):
     # a fresh model object derives each kept value on its first read, keeps
     # it in its own __dict__, and equals and hashes as before
     kept = {
-        ReductiveModel: ("torus_numerators", "gluing_type", "derived"),
+        ReductiveModel: ("gluing_type", "derived"),
         SemisimpleModel: ("restriction_matrix",),
     }[type(model)]
     twin = type(model)(*values(model))
